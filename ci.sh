@@ -13,6 +13,9 @@ cargo clippy --workspace --all-targets -- -D warnings
 echo "== cargo test"
 cargo test --workspace -q
 
+echo "== envelope-overhead bench guard (wall-clock ratio, kept out of the deterministic test suite)"
+cargo test -q --release -- --ignored envelope_overhead
+
 echo "== hymv-check analysis passes"
 cargo run -q -p hymv-check --bin hymv-check -- --n 4 --p 4 --method rcb --seeds 8
 
@@ -63,6 +66,10 @@ test "$lflr_dur" -lt 60 || {
     echo "crash-recovery gate took ${lflr_dur}s (budget 60s)"
     exit 1
 }
+
+echo "== perf benchmark smoke + unit tests (BENCHMARK.json's runner builds against the workspace's public API)"
+cargo run --release --offline --manifest-path perf/Cargo.toml -- --smoke
+cargo test --offline --manifest-path perf/Cargo.toml
 
 echo "== emv_batch bench smoke"
 HYMV_BENCH_SMOKE=1 cargo bench -q -p hymv-bench --bench emv_batch

@@ -72,7 +72,12 @@ fn main() {
     //   pair (nd²) with ve stored once per row (nd) — no per-column
     //   load-ve/store-ve RMW; panel gather (2·nd) + scatter (3·nd) plus
     //   the u32 gather-table reads on both (2·nd × 4 B)
-    //   → ≈ 8·(2nd² + 6nd) + 8·nd bytes for 2nd² flops.
+    //   → ≈ 8·(2nd² + 6nd) + 8·nd bytes for 2nd² flops. The symmetric-
+    //   packed slab layout leaves this count where it is — CARM counts
+    //   executed loads, and each packed entry is still *loaded* twice
+    //   (once from memory, once from cache). What packing halves is the
+    //   distinct slab bytes an apply streams, nd(nd+1)/2 per lane instead
+    //   of nd²; that DRAM-side intensity is reported as its own note below.
     // * HYMV per-element EMV (HYMV_EMV_BATCH=1): load Ke (nd²) + the
     //   columnwise axpy's load-ve/store-ve pair per column (2·nd²) +
     //   extract/accumulate (≈4·nd) → ≈ 8·(3nd² + 4nd) bytes.
@@ -87,6 +92,9 @@ fn main() {
     } else {
         ne * 8.0 * (3.0 * nd * nd + 4.0 * nd)
     };
+    // Streamed (distinct) bytes of the batched path: the packed slab
+    // entries plus the u32 gather table, each read once per apply.
+    let hymv_streamed_bytes = ne * (8.0 * nd * (nd + 1.0) / 2.0 + 4.0 * nd);
     let asm_flops = 2.0 * nnz_estimate;
     let asm_bytes = 20.0 * nnz_estimate;
     let mf_flops = ne * (ke_flops + 2.0 * nd * nd);
@@ -134,6 +142,11 @@ fn main() {
         ]);
     }
     rep.note("orderings to reproduce: GFLOP/s matrix-free >> HYMV > assembled; AI: assembled highest (loads only the merged CSR), HYMV/matrix-free lower (element traffic)");
+    rep.note(format!(
+        "HYMV streamed-bytes intensity (distinct slab + gather-table bytes per apply, symmetric-packed Ke slabs): {:.3} flop/B; {:.3} with full nd² slabs",
+        hymv_flops / hymv_streamed_bytes,
+        hymv_flops / (ne * (8.0 * nd * nd + 4.0 * nd)),
+    ));
     rep.note("AI is analytic CARM-style accounting (Advisor counts all executed loads/stores); GFLOP/s = known flops / measured virtual seconds, single rank");
     rep.finish();
 }

@@ -9,8 +9,10 @@
 //! kernels of [`hymv_la::dense`], vectorizing **across the batch**:
 //!
 //! * element matrices are re-laid out batch-interleaved
-//!   (`keb[(j·nd+i)·bw + b]`), so each matrix entry position is a
-//!   unit-stride strip of `bw` lanes;
+//!   (`keb[slot(i,j)·bw + b]`), so each matrix entry position is a
+//!   unit-stride strip of `bw` lanes — lower triangle only while every
+//!   stored matrix is bitwise symmetric, which halves the bytes an apply
+//!   streams (see [`BlockPlan::attach_store`]);
 //! * per-block gather/scatter index tables are flattened from `E2L` at
 //!   plan build time — the inner loop does zero map lookups;
 //! * blocks are ordered by a locality sort (min local-node index) so
@@ -24,7 +26,7 @@
 
 use rayon::prelude::*;
 
-use hymv_la::dense::{interleave_ke, EmvBatchKernel, EmvBatchMvKernel, MAX_BATCH_WIDTH};
+use hymv_la::dense::{interleave_ke, slab_len, EmvBatchKernel, EmvBatchMvKernel, MAX_BATCH_WIDTH};
 use hymv_la::{ElementMatrixStore, MAX_NVEC_WIDTH};
 
 use crate::da::{DistArray, DistMultivector};
@@ -138,10 +140,13 @@ pub struct BlockSet {
     /// (`gidx[(k·nd + r)·bw + b]` = DA index of row `r`, lane `b` of block
     /// `k`); padded lanes hold 0.
     gidx: Vec<u32>,
-    /// Batch-interleaved element matrices, `n_blocks × nd² × bw`; padded
+    /// Batch-interleaved element matrices, `n_blocks × slab`; padded
     /// lanes are zero. Empty until [`BlockPlan::attach_store`] (the
     /// matrix-free operator uses the tables with its own scratch slab).
     keb: Vec<f64>,
+    /// Doubles per block slab: `nd²·bw`, or `nd(nd+1)/2·bw` while the
+    /// plan is symmetric-packed.
+    slab: usize,
     /// Block ids `0..n_blocks` (the chunk-private loop's par-chunks base).
     ids: Vec<u32>,
 }
@@ -185,6 +190,7 @@ impl BlockSet {
             elems,
             gidx,
             keb: Vec::new(),
+            slab: 0,
             ids: (0..n_blocks as u32).collect(),
         }
     }
@@ -230,9 +236,9 @@ impl BlockSet {
     }
 
     /// Block `k`'s interleaved matrix slab (requires an attached store).
+    /// Its length tells the batched kernels which layout it is in.
     pub fn keb(&self, k: usize) -> &[f64] {
-        let sz = self.nd * self.nd * self.bw;
-        &self.keb[k * sz..(k + 1) * sz]
+        &self.keb[k * self.slab..(k + 1) * self.slab]
     }
 
     /// Gather block `k`'s input panel: `ue[i] = data[gidx[i]]`. Padded
@@ -403,11 +409,24 @@ impl BlockPlan {
 
     /// Interleave every stored element matrix into its block slab
     /// (allocates the slabs; padded lanes stay zero).
+    ///
+    /// The layout follows the data: slabs hold the lower triangle only
+    /// (`nd(nd+1)/2·bw` doubles per block) when every matrix in `store` is
+    /// bitwise symmetric, all `nd²·bw` entries otherwise. The check rides
+    /// the interleave pass — packing starts optimistically and the first
+    /// asymmetric matrix restarts it in the full layout.
     pub fn attach_store(&mut self, store: &ElementMatrixStore) {
         assert_eq!(store.nd(), self.nd, "store/plan dimension mismatch");
-        let sz = self.nd * self.nd * self.bw;
+        self.interleave_all(store, true);
+    }
+
+    /// (Re)allocate the slabs in the given layout and interleave the whole
+    /// store into them.
+    fn interleave_all(&mut self, store: &ElementMatrixStore, packed: bool) {
+        let slab = slab_len(self.nd, self.bw, packed);
         for set in [&mut self.indep, &mut self.dep] {
-            set.keb = vec![0.0; set.n_blocks() * sz];
+            set.slab = slab;
+            set.keb = vec![0.0; set.n_blocks() * slab];
         }
         let elems: Vec<u32> = (0..self.slot.len() as u32).collect();
         self.refresh(store, &elems);
@@ -415,9 +434,15 @@ impl BlockPlan {
 
     /// Re-interleave the matrices of `elems` (the adaptive-update path:
     /// after `ke_mut`/`update_elements` touched a few elements).
+    ///
+    /// A packed plan re-checks each of them. The first one that is no
+    /// longer bitwise symmetric (a `ke_mut` caller may write anything)
+    /// demotes the whole plan: every slab is rebuilt from `store` in the
+    /// full layout, at the cost of a fresh `attach_store` and twice the
+    /// bytes per apply from then on. The demotion is one-way — only a new
+    /// `attach_store` packs again.
     pub fn refresh(&mut self, store: &ElementMatrixStore, elems: &[u32]) {
         let (nd, bw) = (self.nd, self.bw);
-        let sz = nd * nd * bw;
         for &e in elems {
             let (dependent, k, b) = self.slot[e as usize];
             let set = if dependent {
@@ -425,9 +450,19 @@ impl BlockPlan {
             } else {
                 &mut self.indep
             };
-            let slab = &mut set.keb[k as usize * sz..(k as usize + 1) * sz];
-            interleave_ke(store.ke(e as usize), slab, nd, bw, b as usize);
+            let slab = &mut set.keb[k as usize * set.slab..(k as usize + 1) * set.slab];
+            if !interleave_ke(store.ke(e as usize), slab, nd, bw, b as usize) {
+                // Only a packed slab refuses a matrix, so this recurses once.
+                return self.interleave_all(store, false);
+            }
         }
+    }
+
+    /// True while attached slabs hold lower triangles only (at `nd = 1`
+    /// the two layouts are the same slab, reported as full).
+    pub fn is_packed(&self) -> bool {
+        let slab = self.indep.slab;
+        slab != 0 && slab < slab_len(self.nd, self.bw, false)
     }
 
     /// Batch width `bw`.
@@ -460,8 +495,8 @@ impl BlockPlan {
         self.n_blocks_total() * self.bw
     }
 
-    /// Bytes of the plan's own storage: interleaved matrix slabs (f64)
-    /// plus gather tables (u32).
+    /// Bytes of the plan's own storage: interleaved matrix slabs (f64, in
+    /// the layout they are actually held in) plus gather tables (u32).
     pub fn bytes(&self) -> usize {
         self.device_bytes()
     }
@@ -660,6 +695,12 @@ mod tests {
     ) -> DistArray {
         let mut plan = BlockPlan::build(maps, u.ndof, bw);
         plan.attach_store(store);
+        blocked_from(&plan, maps, u)
+    }
+
+    /// Both subsets of an attached plan through the serial blocked loop.
+    fn blocked_from(plan: &BlockPlan, maps: &HymvMaps, u: &DistArray) -> DistArray {
+        let bw = plan.batch_width();
         let kernel = select_batch_kernel(bw);
         let mut v = DistArray::new(maps, u.ndof);
         let pl = plan.nd() * bw;
@@ -867,6 +908,145 @@ mod tests {
         for (a, b) in v_ref.data.iter().zip(&v.data) {
             assert!((a - b).abs() < 1e-12);
         }
+    }
+
+    /// Overwrite every stored matrix with its symmetric part's lower
+    /// triangle mirrored up, making the store bitwise symmetric.
+    fn symmetrize(store: &mut ElementMatrixStore) {
+        let nd = store.nd();
+        for e in 0..store.n_elems() {
+            let ke = store.ke_mut(e);
+            for hi in 0..nd {
+                for lo in 0..hi {
+                    ke[hi * nd + lo] = ke[lo * nd + hi];
+                }
+            }
+        }
+    }
+
+    /// The blocked loops run on hand-built **full** slabs of the same
+    /// matrices: the reference a packed plan must reproduce to the bit.
+    fn full_layout_result(plan: &BlockPlan, store: &ElementMatrixStore, u: &DistArray) -> Vec<f64> {
+        let (nd, bw) = (plan.nd(), plan.batch_width());
+        let kernel = select_batch_kernel(bw);
+        let mut v = vec![0.0; u.data.len()];
+        let (mut ue, mut ve) = (vec![0.0; nd * bw], vec![0.0; nd * bw]);
+        for dependent in [false, true] {
+            let set = plan.set(dependent);
+            for k in 0..set.n_blocks() {
+                let mut keb = vec![0.0; slab_len(nd, bw, false)];
+                for (b, &e) in set.elems(k).iter().enumerate().take(set.len(k)) {
+                    assert!(interleave_ke(store.ke(e as usize), &mut keb, nd, bw, b));
+                }
+                set.gather(k, &u.data, &mut ue);
+                kernel(&keb, &ue, &mut ve, nd, bw);
+                set.scatter_with(k, &ve, |i, val| v[i] += val);
+            }
+        }
+        v
+    }
+
+    /// The layout follows the data: a bitwise-symmetric store packs (half
+    /// the slab, same bits out), one asymmetric entry anywhere keeps every
+    /// slab full.
+    #[test]
+    fn symmetric_store_packs_and_matches_full_layout_bitwise() {
+        let mesh = StructuredHexMesh::unit(3, ElementType::Hex8).build(); // ragged for bw=8
+        for (ndof, bw) in [(1usize, 8usize), (3, 8), (1, 3), (3, 16)] {
+            let (maps, mut store, u) = random_case(&mesh, ndof, 77 + bw as u64);
+            let nd = store.nd();
+            let mut plan = BlockPlan::build(&maps, ndof, bw);
+            plan.attach_store(&store);
+            assert!(!plan.is_packed(), "random matrices are not symmetric");
+            assert_eq!(plan.set(false).keb(0).len(), nd * nd * bw);
+            let full_bytes = plan.bytes();
+
+            symmetrize(&mut store);
+            plan.attach_store(&store);
+            assert!(plan.is_packed());
+            for dependent in [false, true] {
+                let set = plan.set(dependent);
+                for k in 0..set.n_blocks() {
+                    assert_eq!(set.keb(k).len(), nd * (nd + 1) / 2 * bw);
+                }
+            }
+            let n_blocks = plan.n_blocks_total();
+            assert_eq!(
+                full_bytes - plan.bytes(),
+                n_blocks * (nd * nd - nd * (nd + 1) / 2) * bw * 8,
+                "bytes() reports the slabs as held"
+            );
+
+            let v = blocked_from(&plan, &maps, &u);
+            let v_ref = full_layout_result(&plan, &store, &u);
+            for (i, (a, b)) in v.data.iter().zip(&v_ref).enumerate() {
+                assert_eq!(a.to_bits(), b.to_bits(), "ndof={ndof} bw={bw} dof {i}");
+            }
+
+            // The last element, last entry pair: still caught.
+            let last = store.n_elems() - 1;
+            store.ke_mut(last)[(nd - 1) * nd + nd - 2] += 1.0;
+            plan.attach_store(&store);
+            assert!(!plan.is_packed());
+            assert_eq!(plan.bytes(), full_bytes);
+        }
+    }
+
+    /// `refresh` keeps a packed plan packed across symmetric updates and
+    /// demotes it — rebuilding every slab from the store — on the first
+    /// asymmetric one, even when later entries of the same dirty list are
+    /// symmetric again. Demotion is one-way until the next `attach_store`.
+    #[test]
+    fn refresh_demotes_on_first_asymmetric_matrix() {
+        let mesh = StructuredHexMesh::unit(3, ElementType::Hex8).build();
+        let (maps, mut store, u) = random_case(&mesh, 1, 91);
+        symmetrize(&mut store);
+        let (nd, bw) = (store.nd(), 8);
+        let mut plan = BlockPlan::build(&maps, 1, bw);
+        plan.attach_store(&store);
+        assert!(plan.is_packed());
+
+        // Symmetric update of two elements: stays packed, equals a fresh plan.
+        for e in [3usize, 20] {
+            for v in store.ke_mut(e) {
+                *v *= 0.5;
+            }
+        }
+        plan.refresh(&store, &[3, 20]);
+        assert!(plan.is_packed());
+        let mut fresh = BlockPlan::build(&maps, 1, bw);
+        fresh.attach_store(&store);
+        assert_eq!(
+            blocked_from(&plan, &maps, &u).data,
+            blocked_from(&fresh, &maps, &u).data
+        );
+
+        // Element 11 goes asymmetric; 3 and 20 change (symmetrically) in
+        // the same batch, on either side of it in the dirty list.
+        store.ke_mut(11)[2 * nd + 5] = 7.0;
+        for e in [3usize, 20] {
+            for v in store.ke_mut(e) {
+                *v *= 3.0;
+            }
+        }
+        plan.refresh(&store, &[3, 11, 20]);
+        assert!(!plan.is_packed());
+        assert_eq!(plan.set(false).keb(0).len(), nd * nd * bw);
+        let v = blocked_from(&plan, &maps, &u);
+        let v_ref = serial_reference(&maps, &store, &u);
+        for (a, b) in v_ref.data.iter().zip(&v.data) {
+            assert!((a - b).abs() < 1e-12, "demoted plan vs per-element loop");
+        }
+        let mut fresh = BlockPlan::build(&maps, 1, bw);
+        fresh.attach_store(&store);
+        assert_eq!(v.data, blocked_from(&fresh, &maps, &u).data);
+
+        // Symmetric again: a refresh stays full, a fresh attach packs.
+        store.ke_mut(11)[2 * nd + 5] = store.ke(11)[5 * nd + 2];
+        plan.refresh(&store, &[11]);
+        assert!(!plan.is_packed());
+        plan.attach_store(&store);
+        assert!(plan.is_packed());
     }
 
     #[test]

@@ -263,17 +263,25 @@ impl HymvOperator {
     }
 
     /// Re-interleave dirty element matrices into the plan's block slabs
-    /// (no-op on the per-element path or when nothing changed).
+    /// (no-op on the per-element path or when nothing changed). A dirty
+    /// matrix that is no longer bitwise symmetric demotes a packed plan to
+    /// full slabs inside this refresh (see [`BlockPlan::refresh`]); the
+    /// store stays authoritative, so the result is that of a fresh setup
+    /// either way.
     fn flush_updates(&mut self, comm: &mut Comm) {
         if self.dirty.is_empty() {
             return;
         }
         if let Some(plan) = &mut self.plan {
             let (store, dirty) = (&self.store, &self.dirty);
+            let was_packed = plan.is_packed();
             comm.traced(Phase::BlockRefresh, |comm| {
                 comm.work_with(|_| plan.refresh(store, dirty));
             });
             hymv_trace::counter_add("hymv_block_refresh_total", &[], dirty.len() as u64);
+            if was_packed && !plan.is_packed() {
+                hymv_trace::counter_add("hymv_block_demotions_total", &[], 1);
+            }
         }
         self.dirty.clear();
     }
@@ -528,8 +536,9 @@ impl LinOp for HymvOperator {
     }
 
     fn storage_bytes(&self) -> usize {
-        // The interleaved slabs are what the batched SPMV streams; the
-        // store remains authoritative for adaptive updates, so both count.
+        // The interleaved slabs (packed or full, as held) are what the
+        // batched SPMV streams; the store remains authoritative for
+        // adaptive updates, so both count.
         self.store.bytes() + self.plan.as_ref().map_or(0, |p| p.bytes())
     }
 
@@ -775,10 +784,12 @@ mod tests {
         // Per-element: 8 elements × 2 × 8² flops; store only.
         assert_eq!(legacy.0, 8 * 128);
         assert_eq!(legacy.1, 8 * 64 * 8);
-        // Batched (bw=8, 8 elements → exactly one block): same flops, and
-        // storage adds the interleaved slab (f64) + gather table (u32).
+        // Batched (bw=8, 8 elements → exactly one block): same flops (a
+        // packed slab runs the same multiplies), and storage adds the
+        // interleaved slab (f64; Poisson `Ke` is symmetric, so the lower
+        // triangle only: 8·9/2 entries) + gather table (u32).
         assert_eq!(batched.0, 8 * 128);
-        assert_eq!(batched.1, 8 * 64 * 8 + (64 * 8) * 8 + (8 * 8) * 4);
+        assert_eq!(batched.1, 8 * 64 * 8 + (36 * 8) * 8 + (8 * 8) * 4);
     }
 
     #[test]

@@ -8,8 +8,10 @@
 //!
 //! Element matrices are written **column-major** (`ke[col*nd + row]`) — the
 //! layout HYMV's SIMD EMV kernel consumes (paper §IV-E). Matrices are
-//! symmetric, so the layout choice does not change values, only the access
-//! pattern.
+//! symmetric **to the bit** (`ke[j*nd + i].to_bits() == ke[i*nd + j]
+//! .to_bits()`, pinned by `every_kernel_ke_is_bitwise_symmetric`): HYMV
+//! stores only the lower triangle of such matrices, and falls back to
+//! twice the bytes per apply for anything less exact.
 //!
 //! Per-quadrature-point shape data is precomputed once per kernel (it is
 //! element-independent); per-element work is Jacobian, physical gradients,
@@ -242,10 +244,15 @@ impl ElementKernel for ElasticityKernel {
                     let dot = ga[0] * gb[0] + ga[1] * gb[1] + ga[2] * gb[2];
                     // 3×3 block for (node a, node b):
                     // K_{ai,bj} = λ ∂ᵢNa ∂ⱼNb + μ ∂ⱼNa ∂ᵢNb + μ δᵢⱼ ∇Na·∇Nb
+                    // The gradient products are formed before the Lamé
+                    // factors multiply them: swapping (a,i) with (b,j) then
+                    // only swaps the operands of commutative products, so
+                    // `Ke` is symmetric to the bit (HYMV's packed slabs
+                    // rely on it; `la * ga[i] * gb[j]` is not).
                     for j in 0..3 {
                         let col = (3 * b + j) * nd;
                         for i in 0..3 {
-                            let mut v = la * ga[i] * gb[j] + mu * ga[j] * gb[i];
+                            let mut v = la * (ga[i] * gb[j]) + mu * (ga[j] * gb[i]);
                             if i == j {
                                 v += mu * dot;
                             }
@@ -409,6 +416,66 @@ mod tests {
         for i in 0..nd {
             for j in 0..nd {
                 assert!((ke[j * nd + i] - ke[i * nd + j]).abs() < 1e-9);
+            }
+        }
+    }
+
+    /// The property HYMV's symmetric-packed slabs depend on: every `Ke`
+    /// either kernel produces, on every element type, is symmetric bit for
+    /// bit — also on distorted elements, where no entry is a round number.
+    /// A kernel edit that breaks this silently doubles the SPMV's memory
+    /// traffic (the block plan falls back to full slabs), so it fails here.
+    #[test]
+    fn every_kernel_ke_is_bitwise_symmetric() {
+        let mut state = 0x9E37_79B9_7F4A_7C15u64;
+        let mut jitter = || {
+            state = state
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            ((state >> 11) as f64 / (1u64 << 53) as f64 - 0.5) * 0.08
+        };
+        for et in [
+            ElementType::Hex8,
+            ElementType::Hex20,
+            ElementType::Hex27,
+            ElementType::Tet4,
+            ElementType::Tet10,
+        ] {
+            let kernels: [Box<dyn ElementKernel>; 2] = [
+                Box::new(PoissonKernel::new(et)),
+                Box::new(ElasticityKernel::new(et, 207.3, 0.29, [0.0; 3])),
+            ];
+            for kernel in &kernels {
+                let nd = kernel.ndof_elem();
+                let mut ke = vec![0.0; nd * nd];
+                let mut scratch = KernelScratch::default();
+                for trial in 0..4 {
+                    let coords: Vec<[f64; 3]> = et
+                        .ref_coords()
+                        .iter()
+                        .map(|r| {
+                            [
+                                r[0] * 0.37 + jitter(),
+                                r[1] * 0.41 + jitter(),
+                                r[2] * 0.43 + jitter(),
+                            ]
+                        })
+                        .collect();
+                    kernel.compute_ke(&coords, &mut ke, &mut scratch);
+                    assert!(ke.iter().all(|v| v.is_finite()));
+                    for i in 0..nd {
+                        for j in 0..i {
+                            assert_eq!(
+                                ke[j * nd + i].to_bits(),
+                                ke[i * nd + j].to_bits(),
+                                "{et:?} ndof={} trial {trial}: Ke({i},{j}) = {:e} vs Ke({j},{i}) = {:e}",
+                                kernel.ndof_per_node(),
+                                ke[j * nd + i],
+                                ke[i * nd + j]
+                            );
+                        }
+                    }
+                }
             }
         }
     }

@@ -114,7 +114,10 @@ impl HymvGpuOperator {
         let anchor_vt = comm.vt();
         sim.begin_window();
         // Upload what the device kernels consume: the interleaved matrix
-        // slabs plus the gather tables.
+        // slabs as the plan holds them (lower triangles only when every
+        // `Ke` is bitwise symmetric) plus the gather tables. The per-apply
+        // kernel model below keeps the paper's batched-GEMV traffic (each
+        // matrix read in full).
         sim.h2d(0, plan.device_bytes(), "upload element matrices");
         let upload_s = sim.window_elapsed();
         comm.add_modeled_time(upload_s);

@@ -338,9 +338,19 @@ unsafe fn emv_avx512_impl(ke: &[f64], ue: &[f64], ve: &mut [f64]) {
 // Batched EMV: `Ve = Ke_b · Ue` for a block of `bw` elements at once.
 //
 // Layouts (all contiguous, batch-minor):
-//   keb[(j*nd + i)*bw + b]  — entry (i,j) of element b's matrix,
+//   keb[slot(i,j)*bw + b]   — entry (i,j) of element b's matrix,
 //   ue [j*bw + b]           — input panel, nd × bw,
 //   ve [i*bw + b]           — output panel, nd × bw.
+//
+// A slab comes in two layouts, told apart by its length alone:
+//   full    nd²·bw doubles        slot(i,j) = j*nd + i (column-major),
+//   packed  nd(nd+1)/2·bw doubles slot(i,j) = tri(max) + min — the lower
+//           triangle row by row, for matrices that are bitwise symmetric.
+// Every kernel multiplies the same operands in the same order under either
+// layout (row `i` accumulates over `j` ascending), so a packed slab gives
+// the bits of the full slab it was packed from while streaming half the
+// bytes: rows are visited in ascending order, each packed entry is fetched
+// from memory by the first row that needs it and hit in cache by the second.
 //
 // Vectorization runs **across the batch dimension**: every load/store in
 // the inner loop is unit-stride over `bw` lanes, so SIMD sees full vectors
@@ -350,6 +360,54 @@ unsafe fn emv_avx512_impl(ke: &[f64], ue: &[f64], ve: &mut [f64]) {
 
 /// Maximum supported batch width (bounds kernel register/stack usage).
 pub const MAX_BATCH_WIDTH: usize = 64;
+
+/// `r(r+1)/2`: the packed slot of entry `(r, 0)`. One of `r`, `r + 1` is
+/// even, so the division is exact — the fact `hymv-verify` builds its
+/// packed-index bounds proofs on.
+#[inline(always)]
+const fn tri(r: usize) -> usize {
+    r * (r + 1) / 2
+}
+
+/// Doubles in one block slab of the full (`nd²·bw`) or symmetric-packed
+/// (`nd(nd+1)/2·bw`) layout.
+pub const fn slab_len(nd: usize, bw: usize, packed: bool) -> usize {
+    if packed {
+        tri(nd) * bw
+    } else {
+        nd * nd * bw
+    }
+}
+
+/// Which layout a slab of `keb_len` doubles has (at `nd = 1` the two are
+/// the same slab, reported as full).
+///
+/// # Panics
+/// If `keb_len` is neither layout's length — the one check that keeps a
+/// mis-sized slab away from the unchecked SIMD lanes in release builds.
+#[inline]
+fn slab_is_packed(keb_len: usize, nd: usize, bw: usize) -> bool {
+    let packed = keb_len != slab_len(nd, bw, false);
+    assert!(
+        !packed || keb_len == slab_len(nd, bw, true),
+        "slab of {keb_len} doubles is neither full nor packed for nd={nd}, bw={bw}"
+    );
+    packed
+}
+
+/// Slab slot of matrix entry `(i, j)` in either layout (portable kernels;
+/// the SIMD kernels split their column loop at the diagonal and spell the
+/// branch each half takes out as a polynomial `hymv-verify` can bound).
+#[inline(always)]
+fn ke_slot<const PACKED: bool>(i: usize, j: usize, nd: usize) -> usize {
+    if !PACKED {
+        j * nd + i
+    } else if j <= i {
+        tri(i) + j
+    } else {
+        tri(j) + i
+    }
+}
 
 /// `Ve = Ke_b · Ue` over the batch-interleaved layout above.
 ///
@@ -404,20 +462,34 @@ pub fn emv_batch_kernel_name(bw: usize) -> &'static str {
     "batch-portable"
 }
 
-/// Portable batched kernel: column-axpy order (`j` outer) so `keb` is
-/// streamed linearly exactly once; the `ve` panel (nd·bw doubles) stays
+/// Portable batched kernel: column-axpy order (`j` outer) so a full `keb`
+/// is streamed linearly exactly once; the `ve` panel (nd·bw doubles) stays
 /// cache-resident across columns. The lane loop autovectorizes.
 // verify: kernel-entry
 pub fn emv_batch_portable(keb: &[f64], ue: &[f64], ve: &mut [f64], nd: usize, bw: usize) {
-    debug_assert_eq!(keb.len(), nd * nd * bw);
+    if slab_is_packed(keb.len(), nd, bw) {
+        emv_batch_portable_impl::<true>(keb, ue, ve, nd, bw);
+    } else {
+        emv_batch_portable_impl::<false>(keb, ue, ve, nd, bw);
+    }
+}
+
+fn emv_batch_portable_impl<const PACKED: bool>(
+    keb: &[f64],
+    ue: &[f64],
+    ve: &mut [f64],
+    nd: usize,
+    bw: usize,
+) {
+    debug_assert_eq!(keb.len(), slab_len(nd, bw, PACKED));
     debug_assert_eq!(ue.len(), nd * bw);
     debug_assert_eq!(ve.len(), nd * bw);
     ve.fill(0.0);
     for j in 0..nd {
         let uej = &ue[j * bw..(j + 1) * bw];
-        let col = &keb[j * nd * bw..(j + 1) * nd * bw];
         for i in 0..nd {
-            let k = &col[i * bw..(i + 1) * bw];
+            let s = ke_slot::<PACKED>(i, j, nd);
+            let k = &keb[s * bw..(s + 1) * bw];
             let v = &mut ve[i * bw..(i + 1) * bw];
             for b in 0..bw {
                 v[b] += k[b] * uej[b];
@@ -431,8 +503,14 @@ pub fn emv_batch_portable(keb: &[f64], ue: &[f64], ve: &mut [f64], nd: usize, bw
 #[allow(unsafe_code)] // SIMD dispatch wrapper; SAFETY comment at the call
 fn emv_batch_avx2(keb: &[f64], ue: &[f64], ve: &mut [f64], nd: usize, bw: usize) {
     // SAFETY: dispatch guarantees avx2+fma are available and bw % 4 == 0,
-    // bw <= 32.
-    unsafe { emv_batch_avx2_impl(keb, ue, ve, nd, bw) }
+    // bw <= 32; `slab_is_packed` pins the slab length the layout assumes.
+    unsafe {
+        if slab_is_packed(keb.len(), nd, bw) {
+            emv_batch_avx2_impl::<true>(keb, ue, ve, nd, bw)
+        } else {
+            emv_batch_avx2_impl::<false>(keb, ue, ve, nd, bw)
+        }
+    }
 }
 
 #[cfg(target_arch = "x86_64")]
@@ -440,22 +518,40 @@ fn emv_batch_avx2(keb: &[f64], ue: &[f64], ve: &mut [f64], nd: usize, bw: usize)
 #[target_feature(enable = "avx2,fma")]
 #[allow(unsafe_code)] // SAFETY: caller proves the target features; every lane access is proved
                       // in bounds from the debug_asserts below by the hymv-verify interpreter.
-unsafe fn emv_batch_avx2_impl(keb: &[f64], ue: &[f64], ve: &mut [f64], nd: usize, bw: usize) {
+unsafe fn emv_batch_avx2_impl<const PACKED: bool>(
+    keb: &[f64],
+    ue: &[f64],
+    ve: &mut [f64],
+    nd: usize,
+    bw: usize,
+) {
     use std::arch::x86_64::*;
-    debug_assert_eq!(keb.len(), nd * nd * bw);
+    debug_assert_eq!(keb.len(), if PACKED { tri(nd) * bw } else { nd * nd * bw });
     debug_assert_eq!(ue.len(), nd * bw);
     debug_assert_eq!(ve.len(), nd * bw);
     debug_assert!(bw % 4 == 0 && bw <= 32);
     let chunks = bw / 4;
     // Row-outer with register accumulators: each output row `i` is reduced
     // over all columns `j` without touching memory, so `ve` is stored once
-    // per row instead of read-modified-written per column. `keb` is still
-    // single-touch: row i of column j is one contiguous bw-lane strip.
+    // per row instead of read-modified-written per column. The column loop
+    // is split at the diagonal so a packed slab needs no max/min per entry:
+    // left of it row `i` reads its own packed row, from the diagonal on it
+    // reads column `i` of the rows below — `j` ascends throughout, so both
+    // layouts run one and the same fmadd chain.
     for i in 0..nd {
         let mut acc = [_mm256_setzero_pd(); 8];
-        for j in 0..nd {
+        for j in 0..i {
+            let s = if PACKED { tri(i) + j } else { j * nd + i };
             for c in 0..chunks {
-                let k = lanes::load4(keb, (j * nd + i) * bw + 4 * c);
+                let k = lanes::load4(keb, s * bw + 4 * c);
+                let u = lanes::load4(ue, j * bw + 4 * c);
+                acc[c] = _mm256_fmadd_pd(k, u, acc[c]);
+            }
+        }
+        for j in i..nd {
+            let s = if PACKED { tri(j) + i } else { j * nd + i };
+            for c in 0..chunks {
+                let k = lanes::load4(keb, s * bw + 4 * c);
                 let u = lanes::load4(ue, j * bw + 4 * c);
                 acc[c] = _mm256_fmadd_pd(k, u, acc[c]);
             }
@@ -471,8 +567,14 @@ unsafe fn emv_batch_avx2_impl(keb: &[f64], ue: &[f64], ve: &mut [f64], nd: usize
 #[allow(unsafe_code)] // SIMD dispatch wrapper; SAFETY comment at the call
 fn emv_batch_avx512(keb: &[f64], ue: &[f64], ve: &mut [f64], nd: usize, bw: usize) {
     // SAFETY: dispatch guarantees avx512f is available and bw % 8 == 0,
-    // bw <= 64.
-    unsafe { emv_batch_avx512_impl(keb, ue, ve, nd, bw) }
+    // bw <= 64; `slab_is_packed` pins the slab length the layout assumes.
+    unsafe {
+        if slab_is_packed(keb.len(), nd, bw) {
+            emv_batch_avx512_impl::<true>(keb, ue, ve, nd, bw)
+        } else {
+            emv_batch_avx512_impl::<false>(keb, ue, ve, nd, bw)
+        }
+    }
 }
 
 #[cfg(target_arch = "x86_64")]
@@ -480,18 +582,34 @@ fn emv_batch_avx512(keb: &[f64], ue: &[f64], ve: &mut [f64], nd: usize, bw: usiz
 #[target_feature(enable = "avx512f")]
 #[allow(unsafe_code)] // SAFETY: caller proves the target features; every lane access is proved
                       // in bounds from the debug_asserts below by the hymv-verify interpreter.
-unsafe fn emv_batch_avx512_impl(keb: &[f64], ue: &[f64], ve: &mut [f64], nd: usize, bw: usize) {
+unsafe fn emv_batch_avx512_impl<const PACKED: bool>(
+    keb: &[f64],
+    ue: &[f64],
+    ve: &mut [f64],
+    nd: usize,
+    bw: usize,
+) {
     use std::arch::x86_64::*;
-    debug_assert_eq!(keb.len(), nd * nd * bw);
+    debug_assert_eq!(keb.len(), if PACKED { tri(nd) * bw } else { nd * nd * bw });
     debug_assert_eq!(ue.len(), nd * bw);
     debug_assert_eq!(ve.len(), nd * bw);
     debug_assert!(bw % 8 == 0 && bw <= 64);
     let chunks = bw / 8;
+    // Same diagonal-split row reduction as the AVX2 kernel.
     for i in 0..nd {
         let mut acc = [_mm512_setzero_pd(); 8];
-        for j in 0..nd {
+        for j in 0..i {
+            let s = if PACKED { tri(i) + j } else { j * nd + i };
             for c in 0..chunks {
-                let k = lanes::load8(keb, (j * nd + i) * bw + 8 * c);
+                let k = lanes::load8(keb, s * bw + 8 * c);
+                let u = lanes::load8(ue, j * bw + 8 * c);
+                acc[c] = _mm512_fmadd_pd(k, u, acc[c]);
+            }
+        }
+        for j in i..nd {
+            let s = if PACKED { tri(j) + i } else { j * nd + i };
+            for c in 0..chunks {
+                let k = lanes::load8(keb, s * bw + 8 * c);
                 let u = lanes::load8(ue, j * bw + 8 * c);
                 acc[c] = _mm512_fmadd_pd(k, u, acc[c]);
             }
@@ -508,14 +626,33 @@ pub fn emv_batch_flops(nd: usize, bw: usize) -> u64 {
 }
 
 /// Interleave one element's column-major `nd × nd` matrix into lane `b` of
-/// a batch-interleaved slab (`keb[idx*bw + b] = ke[idx]`).
-pub fn interleave_ke(ke: &[f64], keb: &mut [f64], nd: usize, bw: usize, b: usize) {
+/// a batch-interleaved slab, in the layout the slab's length selects.
+///
+/// A packed slab can only hold a bitwise-symmetric matrix. The packing pass
+/// reads both triangles anyway, so it checks: the return value is `false`
+/// when `ke[j*nd + i]` and `ke[i*nd + j]` differ in any bit for some pair.
+/// The lane then holds the lower triangle only and the caller must fall
+/// back to full slabs. A full slab takes any matrix and returns `true`.
+pub fn interleave_ke(ke: &[f64], keb: &mut [f64], nd: usize, bw: usize, b: usize) -> bool {
     debug_assert_eq!(ke.len(), nd * nd);
-    debug_assert_eq!(keb.len(), nd * nd * bw);
     debug_assert!(b < bw);
-    for (idx, &v) in ke.iter().enumerate() {
-        keb[idx * bw + b] = v;
+    if !slab_is_packed(keb.len(), nd, bw) {
+        for (idx, &v) in ke.iter().enumerate() {
+            keb[idx * bw + b] = v;
+        }
+        return true;
     }
+    let mut symmetric = true;
+    let mut s = 0;
+    for hi in 0..nd {
+        for lo in 0..=hi {
+            let v = ke[lo * nd + hi];
+            symmetric &= v.to_bits() == ke[hi * nd + lo].to_bits();
+            keb[s * bw + b] = v;
+            s += 1;
+        }
+    }
+    symmetric
 }
 
 // ---------------------------------------------------------------------------
@@ -523,8 +660,9 @@ pub fn interleave_ke(ke: &[f64], keb: &mut [f64], nd: usize, bw: usize, b: usize
 // sides at once.
 //
 // Layouts (all contiguous, column-minor panels):
-//   keb[(j*nd + i)*bw + b]      — the same batch-interleaved slab as
-//                                 `emv_batch` (no re-interleave for SpMM),
+//   keb[slot(i,j)*bw + b]       — the same batch-interleaved slab as
+//                                 `emv_batch`, full or packed (no
+//                                 re-interleave for SpMM),
 //   ue [(j*bw + b)*nvec + c]    — input panel, nd × bw × nvec,
 //   ve [(i*bw + b)*nvec + c]    — output panel, nd × bw × nvec.
 //
@@ -606,14 +744,29 @@ pub fn emv_batch_mv_portable(
     bw: usize,
     nvec: usize,
 ) {
-    debug_assert_eq!(keb.len(), nd * nd * bw);
+    if slab_is_packed(keb.len(), nd, bw) {
+        emv_batch_mv_portable_impl::<true>(keb, ue, ve, nd, bw, nvec);
+    } else {
+        emv_batch_mv_portable_impl::<false>(keb, ue, ve, nd, bw, nvec);
+    }
+}
+
+fn emv_batch_mv_portable_impl<const PACKED: bool>(
+    keb: &[f64],
+    ue: &[f64],
+    ve: &mut [f64],
+    nd: usize,
+    bw: usize,
+    nvec: usize,
+) {
+    debug_assert_eq!(keb.len(), slab_len(nd, bw, PACKED));
     debug_assert_eq!(ue.len(), nd * bw * nvec);
     debug_assert_eq!(ve.len(), nd * bw * nvec);
     ve.fill(0.0);
     for j in 0..nd {
-        let col = &keb[j * nd * bw..(j + 1) * nd * bw];
         for i in 0..nd {
-            let k = &col[i * bw..(i + 1) * bw];
+            let s = ke_slot::<PACKED>(i, j, nd);
+            let k = &keb[s * bw..(s + 1) * bw];
             for b in 0..bw {
                 let kb = k[b];
                 let u = &ue[(j * bw + b) * nvec..(j * bw + b + 1) * nvec];
@@ -631,8 +784,14 @@ pub fn emv_batch_mv_portable(
 #[allow(unsafe_code)] // SIMD dispatch wrapper; SAFETY comment at the call
 fn emv_batch_mv_avx2(keb: &[f64], ue: &[f64], ve: &mut [f64], nd: usize, bw: usize, nvec: usize) {
     // SAFETY: dispatch guarantees avx2+fma are available and nvec % 4 == 0,
-    // nvec <= 32.
-    unsafe { emv_batch_mv_avx2_impl(keb, ue, ve, nd, bw, nvec) }
+    // nvec <= 32; `slab_is_packed` pins the slab length the layout assumes.
+    unsafe {
+        if slab_is_packed(keb.len(), nd, bw) {
+            emv_batch_mv_avx2_impl::<true>(keb, ue, ve, nd, bw, nvec)
+        } else {
+            emv_batch_mv_avx2_impl::<false>(keb, ue, ve, nd, bw, nvec)
+        }
+    }
 }
 
 #[cfg(target_arch = "x86_64")]
@@ -640,7 +799,7 @@ fn emv_batch_mv_avx2(keb: &[f64], ue: &[f64], ve: &mut [f64], nd: usize, bw: usi
 #[target_feature(enable = "avx2,fma")]
 #[allow(unsafe_code)] // SAFETY: caller proves the target features; every lane access is proved
                       // in bounds from the debug_asserts below by the hymv-verify interpreter.
-unsafe fn emv_batch_mv_avx2_impl(
+unsafe fn emv_batch_mv_avx2_impl<const PACKED: bool>(
     keb: &[f64],
     ue: &[f64],
     ve: &mut [f64],
@@ -649,22 +808,32 @@ unsafe fn emv_batch_mv_avx2_impl(
     nvec: usize,
 ) {
     use std::arch::x86_64::*;
-    debug_assert_eq!(keb.len(), nd * nd * bw);
+    debug_assert_eq!(keb.len(), if PACKED { tri(nd) * bw } else { nd * nd * bw });
     debug_assert_eq!(ue.len(), nd * bw * nvec);
     debug_assert_eq!(ve.len(), nd * bw * nvec);
     debug_assert!(nvec % 4 == 0 && nvec <= 32);
     let chunks = nvec / 4;
     // Row-outer with register accumulators per (row, lane): the nvec-wide
     // column tile of output (i, b) is reduced over all dof columns j
-    // without touching memory. Each keb entry is read once (a scalar
-    // broadcast) and amortized across all nvec vector columns — per
+    // without touching memory. Each keb entry of row i is read once (a
+    // scalar broadcast) and amortized across all nvec vector columns — per
     // column, the reduction is the same fmadd chain as the single-vector
-    // SIMD batch kernels, so results match them bitwise.
+    // SIMD batch kernels (j ascending, split at the diagonal for the
+    // packed layout exactly as there), so results match them bitwise.
     for i in 0..nd {
         for b in 0..bw {
             let mut acc = [_mm256_setzero_pd(); 8];
-            for j in 0..nd {
-                let k = lanes::bcast4(keb, (j * nd + i) * bw + b);
+            for j in 0..i {
+                let s = if PACKED { tri(i) + j } else { j * nd + i };
+                let k = lanes::bcast4(keb, s * bw + b);
+                for c in 0..chunks {
+                    let u = lanes::load4(ue, (j * bw + b) * nvec + 4 * c);
+                    acc[c] = _mm256_fmadd_pd(k, u, acc[c]);
+                }
+            }
+            for j in i..nd {
+                let s = if PACKED { tri(j) + i } else { j * nd + i };
+                let k = lanes::bcast4(keb, s * bw + b);
                 for c in 0..chunks {
                     let u = lanes::load4(ue, (j * bw + b) * nvec + 4 * c);
                     acc[c] = _mm256_fmadd_pd(k, u, acc[c]);
@@ -682,8 +851,14 @@ unsafe fn emv_batch_mv_avx2_impl(
 #[allow(unsafe_code)] // SIMD dispatch wrapper; SAFETY comment at the call
 fn emv_batch_mv_avx512(keb: &[f64], ue: &[f64], ve: &mut [f64], nd: usize, bw: usize, nvec: usize) {
     // SAFETY: dispatch guarantees avx512f is available and nvec % 8 == 0,
-    // nvec <= 64.
-    unsafe { emv_batch_mv_avx512_impl(keb, ue, ve, nd, bw, nvec) }
+    // nvec <= 64; `slab_is_packed` pins the slab length the layout assumes.
+    unsafe {
+        if slab_is_packed(keb.len(), nd, bw) {
+            emv_batch_mv_avx512_impl::<true>(keb, ue, ve, nd, bw, nvec)
+        } else {
+            emv_batch_mv_avx512_impl::<false>(keb, ue, ve, nd, bw, nvec)
+        }
+    }
 }
 
 #[cfg(target_arch = "x86_64")]
@@ -691,7 +866,7 @@ fn emv_batch_mv_avx512(keb: &[f64], ue: &[f64], ve: &mut [f64], nd: usize, bw: u
 #[target_feature(enable = "avx512f")]
 #[allow(unsafe_code)] // SAFETY: caller proves the target features; every lane access is proved
                       // in bounds from the debug_asserts below by the hymv-verify interpreter.
-unsafe fn emv_batch_mv_avx512_impl(
+unsafe fn emv_batch_mv_avx512_impl<const PACKED: bool>(
     keb: &[f64],
     ue: &[f64],
     ve: &mut [f64],
@@ -700,7 +875,7 @@ unsafe fn emv_batch_mv_avx512_impl(
     nvec: usize,
 ) {
     use std::arch::x86_64::*;
-    debug_assert_eq!(keb.len(), nd * nd * bw);
+    debug_assert_eq!(keb.len(), if PACKED { tri(nd) * bw } else { nd * nd * bw });
     debug_assert_eq!(ue.len(), nd * bw * nvec);
     debug_assert_eq!(ve.len(), nd * bw * nvec);
     debug_assert!(nvec % 8 == 0 && nvec <= 64);
@@ -708,8 +883,17 @@ unsafe fn emv_batch_mv_avx512_impl(
     for i in 0..nd {
         for b in 0..bw {
             let mut acc = [_mm512_setzero_pd(); 8];
-            for j in 0..nd {
-                let k = lanes::bcast8(keb, (j * nd + i) * bw + b);
+            for j in 0..i {
+                let s = if PACKED { tri(i) + j } else { j * nd + i };
+                let k = lanes::bcast8(keb, s * bw + b);
+                for c in 0..chunks {
+                    let u = lanes::load8(ue, (j * bw + b) * nvec + 8 * c);
+                    acc[c] = _mm512_fmadd_pd(k, u, acc[c]);
+                }
+            }
+            for j in i..nd {
+                let s = if PACKED { tri(j) + i } else { j * nd + i };
+                let k = lanes::bcast8(keb, s * bw + b);
                 for c in 0..chunks {
                     let u = lanes::load8(ue, (j * bw + b) * nvec + 8 * c);
                     acc[c] = _mm512_fmadd_pd(k, u, acc[c]);
@@ -1013,6 +1197,137 @@ mod tests {
         }
     }
 
+    /// `bw` exactly symmetric random matrices (the last `pad` lanes zero,
+    /// like a ragged tail block) interleaved into a full and a packed slab.
+    fn symmetric_slabs(nd: usize, bw: usize, pad: usize, rng: &mut StdRng) -> (Vec<f64>, Vec<f64>) {
+        let mut full = vec![0.0; slab_len(nd, bw, false)];
+        let mut packed = vec![0.0; slab_len(nd, bw, true)];
+        for b in 0..bw - pad {
+            let mut ke = vec![0.0; nd * nd];
+            for hi in 0..nd {
+                for lo in 0..=hi {
+                    let v = rng.gen_range(-1.0..1.0);
+                    ke[lo * nd + hi] = v;
+                    ke[hi * nd + lo] = v;
+                }
+            }
+            assert!(interleave_ke(&ke, &mut full, nd, bw, b));
+            assert!(interleave_ke(&ke, &mut packed, nd, bw, b));
+        }
+        (full, packed)
+    }
+
+    /// The packed layout changes where an entry is read from, never what
+    /// is multiplied or in which order: every batch kernel gives the bits
+    /// of its own full-layout run.
+    #[test]
+    fn packed_slab_matches_full_slab_bitwise() {
+        let mut rng = StdRng::seed_from_u64(57);
+        for nd in [1usize, 2, 3, 8, 10, 24, 60] {
+            for (bw, pad) in [(1usize, 0usize), (3, 1), (8, 0), (8, 5), (16, 3)] {
+                let (full, packed) = symmetric_slabs(nd, bw, pad, &mut rng);
+                assert_eq!(packed.len(), nd * (nd + 1) / 2 * bw);
+                let ue: Vec<f64> = (0..nd * bw).map(|_| rng.gen_range(-1.0..1.0)).collect();
+
+                let mut variants: Vec<(&str, EmvBatchKernel)> = vec![
+                    ("portable", emv_batch_portable as EmvBatchKernel),
+                    ("dispatched", select_batch_kernel(bw)),
+                ];
+                #[cfg(target_arch = "x86_64")]
+                {
+                    if bw % 4 == 0
+                        && is_x86_feature_detected!("avx2")
+                        && is_x86_feature_detected!("fma")
+                    {
+                        variants.push(("avx2", emv_batch_avx2));
+                    }
+                    if bw % 8 == 0 && is_x86_feature_detected!("avx512f") {
+                        variants.push(("avx512", emv_batch_avx512));
+                    }
+                }
+                for (name, kern) in variants {
+                    let (mut vf, mut vp) = (vec![9.0; nd * bw], vec![7.0; nd * bw]);
+                    kern(&full, &ue, &mut vf, nd, bw);
+                    kern(&packed, &ue, &mut vp, nd, bw);
+                    for (t, (a, b)) in vf.iter().zip(&vp).enumerate() {
+                        assert_eq!(a.to_bits(), b.to_bits(), "{name} nd={nd} bw={bw} slot={t}");
+                    }
+                }
+
+                for nvec in [3usize, 8] {
+                    let ue: Vec<f64> = (0..nd * bw * nvec)
+                        .map(|_| rng.gen_range(-1.0..1.0))
+                        .collect();
+                    let mut variants: Vec<(&str, EmvBatchMvKernel)> = vec![
+                        ("mv-portable", emv_batch_mv_portable as EmvBatchMvKernel),
+                        ("mv-dispatched", select_batch_mv_kernel(nvec)),
+                    ];
+                    #[cfg(target_arch = "x86_64")]
+                    {
+                        if nvec % 4 == 0
+                            && is_x86_feature_detected!("avx2")
+                            && is_x86_feature_detected!("fma")
+                        {
+                            variants.push(("mv-avx2", emv_batch_mv_avx2));
+                        }
+                        if nvec % 8 == 0 && is_x86_feature_detected!("avx512f") {
+                            variants.push(("mv-avx512", emv_batch_mv_avx512));
+                        }
+                    }
+                    for (name, kern) in variants {
+                        let len = nd * bw * nvec;
+                        let (mut vf, mut vp) = (vec![9.0; len], vec![7.0; len]);
+                        kern(&full, &ue, &mut vf, nd, bw, nvec);
+                        kern(&packed, &ue, &mut vp, nd, bw, nvec);
+                        for (t, (a, b)) in vf.iter().zip(&vp).enumerate() {
+                            assert_eq!(
+                                a.to_bits(),
+                                b.to_bits(),
+                                "{name} nd={nd} bw={bw} nvec={nvec} slot={t}"
+                            );
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    /// One ulp of asymmetry is asymmetry: packing reports it (HYMV never
+    /// alters a user's matrix, so there is no tolerance), a full slab
+    /// takes the matrix as it is.
+    #[test]
+    fn packing_reports_bitwise_asymmetry() {
+        let (nd, bw) = (5, 4);
+        let mut ke = vec![0.0; nd * nd];
+        for hi in 0..nd {
+            for lo in 0..=hi {
+                let v = 1.0 + (hi * nd + lo) as f64 / 7.0;
+                ke[lo * nd + hi] = v;
+                ke[hi * nd + lo] = v;
+            }
+        }
+        let mut packed = vec![0.0; slab_len(nd, bw, true)];
+        let mut full = vec![0.0; slab_len(nd, bw, false)];
+        assert!(interleave_ke(&ke, &mut packed, nd, bw, 2));
+        ke[3 * nd + 1] = f64::from_bits(ke[3 * nd + 1].to_bits() + 1);
+        assert!(!interleave_ke(&ke, &mut packed, nd, bw, 2));
+        assert!(interleave_ke(&ke, &mut full, nd, bw, 2));
+        assert_eq!(full[(3 * nd + 1) * bw + 2], ke[3 * nd + 1]);
+        // -0.0 == 0.0 numerically, but the bits differ.
+        ke[3 * nd + 1] = 0.0;
+        ke[nd + 3] = -0.0;
+        assert!(!interleave_ke(&ke, &mut packed, nd, bw, 2));
+    }
+
+    #[test]
+    #[should_panic(expected = "neither full nor packed")]
+    fn in_between_slab_length_rejected() {
+        let (nd, bw) = (4usize, 8usize);
+        let keb = vec![0.0; slab_len(nd, bw, true) + bw];
+        let (ue, mut ve) = (vec![0.0; nd * bw], vec![0.0; nd * bw]);
+        emv_batch(&keb, &ue, &mut ve, nd, bw);
+    }
+
     #[test]
     fn mv_flops_formula() {
         assert_eq!(emv_batch_mv_flops(10, 8, 4), 6400);
@@ -1043,7 +1358,7 @@ mod tests {
             .collect();
         let mut keb = vec![0.0; nd * nd * bw];
         for (b, ke) in kes.iter().enumerate() {
-            interleave_ke(ke, &mut keb, nd, bw, b);
+            assert!(interleave_ke(ke, &mut keb, nd, bw, b));
         }
         for (b, ke) in kes.iter().enumerate() {
             for (idx, &v) in ke.iter().enumerate() {

@@ -248,6 +248,9 @@ pub fn help_for(name: &str) -> &'static str {
     match name {
         "hymv_emv_flops_total" => "Floating-point operations executed by EMV applies",
         "hymv_block_refresh_total" => "Element blocks recomputed by adaptive refresh",
+        "hymv_block_demotions_total" => {
+            "Block plans demoted from symmetric-packed to full slabs by an asymmetric update"
+        }
         "hymv_solver_iterations_total" => "Krylov solver iterations completed",
         "hymv_serve_requests_total" => "Solve requests submitted to the service",
         "hymv_serve_batches_total" => "Batches dispatched by the solve service",

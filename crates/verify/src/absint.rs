@@ -21,7 +21,22 @@
 //!   bound `4·chunks ≤ bw` (strengthened to equality when a
 //!   `debug_assert!(bw % 4 == 0)` divisibility fact is present),
 //! * `debug_assert!(bw <= 32)` — upper bounds,
-//! * `for c in lo..hi { ... }` — `c ≤ hi − 1` (and `c ≥ 0` as usize).
+//! * `for c in lo..hi { ... }` — `c ≤ hi − 1` (and `c ≥ 0` as usize),
+//! * `let s = tri(i) + j;` — a `let`-bound index, substituted where `s`
+//!   is used.
+//!
+//! `tri(x)` — `x·(x + 1) / 2` in `dense.rs`, the row offset of the
+//! symmetric-packed slab layout — is the one non-polynomial the domain
+//! knows: one of `x`, `x + 1` is even, so the `usize` division is exact
+//! and `tri(x) = ½·(x² + x)` holds *as an identity*. It is carried as a
+//! polynomial with the positive constant symbol `½`; an obligation that
+//! mentions `½` is doubled (`2·½ = 1`) before the sign check.
+//!
+//! A kernel generic over `const PACKED: bool` is monomorphized the way
+//! rustc does it: the body is interpreted once per value, with every
+//! `if PACKED { a } else { b }` index expression resolved to the arm that
+//! instantiation compiles, and each instantiation gets its own
+//! certificate.
 //!
 //! An access `lanes::load4(s, idx)` yields the obligation
 //! `len(s) − idxmax − 4 ≥ 0` where `idxmax` substitutes every loop
@@ -191,7 +206,32 @@ impl Poly {
     fn all_nonneg(&self) -> bool {
         self.terms.values().all(|&c| c >= 0)
     }
+
+    /// `tri(x) = ½·(x² + x)`, exact over ℕ (see the module docs).
+    fn tri(x: &Poly) -> Poly {
+        Poly::var(HALF).mul(&x.mul(x).add(x))
+    }
+
+    /// `2·self` with `2·½ = 1` applied, so the result is `½`-free and has
+    /// the sign of `self`. Fails on `½²` (a product of two triangular
+    /// numbers), which no kernel index needs.
+    fn doubled(&self) -> Result<Poly, String> {
+        let mut out = Poly::zero();
+        for (vars, &c) in &self.terms {
+            let halves = vars.iter().filter(|v| *v == HALF).count();
+            match halves {
+                0 => out.add_term(vars.clone(), 2 * c),
+                1 => out.add_term(vars.iter().filter(|v| *v != HALF).cloned().collect(), c),
+                _ => return Err("product of triangular numbers is not modeled".to_string()),
+            }
+        }
+        Ok(out)
+    }
 }
+
+/// The constant symbol `½` of [`Poly::tri`]. Positive, like every symbol,
+/// so sign-based monotonicity checks stay valid for terms carrying it.
+const HALF: &str = "½";
 
 impl fmt::Display for Poly {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
@@ -273,6 +313,10 @@ fn parse_atom<'t, 'a>(toks: &'t [Token<'a>]) -> Result<(Poly, &'t [Token<'a>]), 
         Some(Tok::Int(s)) => {
             let v = parse_int(s).ok_or_else(|| format!("unsupported literal `{s}`"))?;
             Ok((Poly::constant(v), &toks[1..]))
+        }
+        Some(Tok::Ident("tri")) if toks.get(1).is_some_and(|t| t.is_punct(b'(')) => {
+            let (x, rest) = parse_atom(&toks[1..])?;
+            Ok((Poly::tri(&x), rest))
         }
         Some(Tok::Ident(s)) => Ok((Poly::var(s), &toks[1..])),
         Some(Tok::Punct(b'(')) => {
@@ -366,6 +410,9 @@ struct Kctx {
     divides: Vec<(i64, String)>,
     /// `sym ≤ n` facts.
     upper: Vec<(String, i64)>,
+    /// `let name = <index expression>;` definitions (latest binding wins,
+    /// like shadowing does).
+    defs: BTreeMap<String, Poly>,
     loops: Vec<LoopFrame>,
 }
 
@@ -389,18 +436,99 @@ pub fn certify_source(label: &str, text: &str) -> (Vec<KernelCert>, Vec<AbsDiag>
             continue;
         };
         let stripped = &graph.files[f.file_id].stripped;
-        match interpret_kernel(&f.qual, &f.file, stripped, s, e.min(stripped.len())) {
-            Ok((accesses, loops)) => certs.push(KernelCert {
-                kernel: f.qual.clone(),
-                file: f.file.clone(),
-                line: f.line,
-                accesses,
-                loops,
-            }),
-            Err(mut ds) => diags.append(&mut ds),
+        let e = e.min(stripped.len());
+        let instances: Vec<Option<(&str, bool)>> = match const_bool_param(stripped, s) {
+            Some(name) => vec![Some((name, false)), Some((name, true))],
+            None => vec![None],
+        };
+        for inst in instances {
+            let qual = match inst {
+                Some((name, value)) => format!("{}::<{name}={value}>", f.qual),
+                None => f.qual.clone(),
+            };
+            match interpret_kernel(&qual, &f.file, stripped, s, e, inst) {
+                Ok((accesses, loops)) => certs.push(KernelCert {
+                    kernel: qual,
+                    file: f.file.clone(),
+                    line: f.line,
+                    accesses,
+                    loops,
+                }),
+                Err(mut ds) => diags.append(&mut ds),
+            }
         }
     }
     (certs, diags)
+}
+
+/// The `NAME` of a `const NAME: bool` generic parameter in the signature
+/// that ends at `body_start` (the kernels have at most one).
+fn const_bool_param(stripped: &str, body_start: usize) -> Option<&str> {
+    let head = &stripped[..body_start];
+    let sig = tokens(&head[head.rfind("fn ")?..]);
+    sig.windows(4)
+        .find_map(|w| match (w[0].tok, w[1].tok, w[3].tok) {
+            (Tok::Ident("const"), Tok::Ident(name), Tok::Ident("bool")) if w[2].is_punct(b':') => {
+                Some(name)
+            }
+            _ => None,
+        })
+}
+
+/// Resolve every `if NAME { a } else { b }` to `( a )` or `( b )` — the
+/// arm the `NAME = value` instantiation compiles. Only the expression
+/// form is supported (the arms become parenthesized index expressions).
+fn specialize<'a>(toks: &[Token<'a>], name: &str, value: bool) -> Result<Vec<Token<'a>>, String> {
+    // The matching `}` of the `{` at `open`.
+    let close_of = |open: usize| -> Result<usize, String> {
+        let mut depth = 0usize;
+        for (k, t) in toks.iter().enumerate().skip(open) {
+            match t.tok {
+                Tok::Punct(b'{') => depth += 1,
+                Tok::Punct(b'}') => {
+                    depth -= 1;
+                    if depth == 0 {
+                        return Ok(k);
+                    }
+                }
+                _ => {}
+            }
+        }
+        Err(format!("unbalanced `if {name}` arm"))
+    };
+    let paren = |t: &Token<'a>, p: u8| Token {
+        tok: Tok::Punct(p),
+        at: t.at,
+    };
+    let mut out = Vec::with_capacity(toks.len());
+    let mut i = 0;
+    while i < toks.len() {
+        let is_head = toks[i].is_ident("if")
+            && toks.get(i + 1).is_some_and(|t| t.is_ident(name))
+            && toks.get(i + 2).is_some_and(|t| t.is_punct(b'{'));
+        if !is_head {
+            out.push(toks[i]);
+            i += 1;
+            continue;
+        }
+        let then_close = close_of(i + 2)?;
+        let has_else = toks.get(then_close + 1).is_some_and(|t| t.is_ident("else"))
+            && toks.get(then_close + 2).is_some_and(|t| t.is_punct(b'{'));
+        if !has_else {
+            return Err(format!("`if {name}` without an `else` arm is not modeled"));
+        }
+        let else_close = close_of(then_close + 2)?;
+        let (open, close) = if value {
+            (i + 2, then_close)
+        } else {
+            (then_close + 2, else_close)
+        };
+        out.push(paren(&toks[open], b'('));
+        out.extend(specialize(&toks[open + 1..close], name, value)?);
+        out.push(paren(&toks[close], b')'));
+        i = else_close + 1;
+    }
+    Ok(out)
 }
 
 /// Certify a file on disk (the CLI entry: `crates/la/src/dense.rs`).
@@ -411,7 +539,9 @@ pub fn certify_file(path: &Path) -> Result<(Vec<KernelCert>, Vec<AbsDiag>), Stri
 
 /// The runtime bridge: check that a concrete batched slab (`keb`, `ue`,
 /// `ve` lengths for a given `nd`, `bw`) satisfies the batched kernels'
-/// proved preconditions exactly.
+/// proved preconditions exactly. `keb` may have either of the two lengths
+/// the kernels are certified for — full or symmetric-packed — and nothing
+/// in between.
 pub fn check_slab_contract(
     nd: usize,
     bw: usize,
@@ -422,8 +552,14 @@ pub fn check_slab_contract(
     if nd == 0 || bw == 0 {
         return Err(format!("degenerate slab: nd={nd} bw={bw}"));
     }
+    let (full, packed) = (nd * nd * bw, nd * (nd + 1) / 2 * bw);
+    if keb_len != full && keb_len != packed {
+        return Err(format!(
+            "slab keb length {keb_len} violates the proved kernel preconditions \
+             nd * nd * bw = {full} (full) and tri(nd) * bw = {packed} (packed) (nd={nd}, bw={bw})"
+        ));
+    }
     let want = [
-        ("keb", keb_len, "nd * nd * bw", nd * nd * bw),
         ("ue", ue_len, "nd * bw", nd * bw),
         ("ve", ve_len, "nd * bw", nd * bw),
     ];
@@ -439,8 +575,9 @@ pub fn check_slab_contract(
 }
 
 /// The multivector analog of [`check_slab_contract`]: a width-`nvec`
-/// SpMM slab keeps the batch-interleaved `keb` but widens the `ue`/`ve`
-/// panels to `nd·bw·nvec` (`nvec` contiguous column values per lane).
+/// SpMM slab keeps the batch-interleaved `keb` (full or packed) but widens
+/// the `ue`/`ve` panels to `nd·bw·nvec` (`nvec` contiguous column values
+/// per lane).
 pub fn check_mv_slab_contract(
     nd: usize,
     bw: usize,
@@ -472,14 +609,26 @@ fn interpret_kernel(
     stripped: &str,
     body_start: usize,
     body_end: usize,
+    instance: Option<(&str, bool)>,
 ) -> Result<(usize, usize), Vec<AbsDiag>> {
     let body = &stripped[body_start..body_end];
-    let toks = tokens(body);
+    let mut toks = tokens(body);
+    if let Some((name, value)) = instance {
+        toks = specialize(&toks, name, value).map_err(|message| {
+            vec![AbsDiag {
+                file: file.to_string(),
+                line: line_of(stripped, body_start),
+                kernel: qual.to_string(),
+                message,
+            }]
+        })?;
+    }
     let mut ctx = Kctx {
         lens: BTreeMap::new(),
         floordivs: Vec::new(),
         divides: Vec::new(),
         upper: Vec::new(),
+        defs: BTreeMap::new(),
         loops: Vec::new(),
     };
     let mut diags: Vec<AbsDiag> = Vec::new();
@@ -673,7 +822,8 @@ fn parse_for_header(toks: &[Token<'_>]) -> Result<(String, Poly, usize), String>
 /// `let`. Anything else is left to the generic scan.
 fn collect_let_facts(toks: &[Token<'_>], ctx: &mut Kctx) {
     let mut j = 1;
-    if toks.get(j).is_some_and(|t| t.is_ident("mut")) {
+    let mutable = toks.get(j).is_some_and(|t| t.is_ident("mut"));
+    if mutable {
         j += 1;
     }
     let Some(Tok::Ident(name)) = toks.get(j).map(|t| t.tok) else {
@@ -721,7 +871,15 @@ fn collect_let_facts(toks: &[Token<'_>], ctx: &mut Kctx) {
                 }
             }
         }
+        return;
     }
+    // `let s = tri(i) + j;` — any other right-hand side that is index
+    // arithmetic. A rebinding to something else, or a `let mut` (whose
+    // value the initializer does not pin), drops the definition.
+    match parse_expr(rhs) {
+        Ok(def) if !mutable => ctx.defs.insert(name.to_string(), def),
+        _ => ctx.defs.remove(name),
+    };
 }
 
 /// `debug_assert_eq!(s.len(), EXPR)` (either order). `toks[0]` is the `(`.
@@ -855,7 +1013,10 @@ fn prove_access(toks: &[Token<'_>], helper: &str, lanes: i64, ctx: &Kctx) -> Res
         .lens
         .get(slice)
         .ok_or_else(|| format!("no length fact for slice `{slice}`"))?;
-    let idx = parse_expr(args[1]).map_err(|e| format!("index expression: {e}"))?;
+    let mut idx = parse_expr(args[1]).map_err(|e| format!("index expression: {e}"))?;
+    for (name, def) in &ctx.defs {
+        idx = idx.subst(name, def);
+    }
 
     // Substitute every loop variable by its maximum (hi − 1), innermost
     // first so outer variables in inner bounds resolve. Soundness needs
@@ -868,6 +1029,9 @@ fn prove_access(toks: &[Token<'_>], helper: &str, lanes: i64, ctx: &Kctx) -> Res
         worst = worst.subst(&fr.var, &fr.hi.sub(&Poly::constant(1)));
     }
     let mut p = len.sub(&worst).sub(&Poly::constant(lanes));
+    if p.terms.keys().any(|vars| vars.iter().any(|v| v == HALF)) {
+        p = p.doubled()?;
+    }
 
     // Rewrite to all-nonnegative coefficients using the collected facts.
     for _round in 0..32 {
@@ -1180,9 +1344,134 @@ unsafe fn downward(ke: &[f64], ue: &[f64], nd: usize) {
     #[test]
     fn slab_contract_matches_kernel_preconditions() {
         assert!(check_slab_contract(8, 4, 8 * 8 * 4, 8 * 4, 8 * 4).is_ok());
-        let err = check_slab_contract(8, 4, 8 * 8 * 4 - 1, 8 * 4, 8 * 4).unwrap_err();
-        assert!(err.contains("keb"), "{err}");
+        assert!(check_slab_contract(8, 4, 36 * 4, 8 * 4, 8 * 4).is_ok());
+        for bad in [8 * 8 * 4 - 1, 36 * 4 + 1, 50 * 4, 0] {
+            let err = check_slab_contract(8, 4, bad, 8 * 4, 8 * 4).unwrap_err();
+            assert!(err.contains("keb"), "{err}");
+        }
+        assert!(check_mv_slab_contract(8, 4, 8, 36 * 4, 8 * 4 * 8, 8 * 4 * 8).is_ok());
         assert!(check_slab_contract(0, 4, 0, 0, 0).is_err());
+    }
+
+    const GOOD_PACKED: &str = r#"
+// verify: prove-bounds
+unsafe fn emv_batch_avx2_impl<const PACKED: bool>(keb: &[f64], ue: &[f64], ve: &mut [f64], nd: usize, bw: usize) {
+    debug_assert_eq!(keb.len(), if PACKED { tri(nd) * bw } else { nd * nd * bw });
+    debug_assert_eq!(ue.len(), nd * bw);
+    debug_assert_eq!(ve.len(), nd * bw);
+    debug_assert!(bw % 4 == 0 && bw <= 32);
+    let chunks = bw / 4;
+    for i in 0..nd {
+        let mut acc = [_mm256_setzero_pd(); 8];
+        for j in 0..i {
+            let s = if PACKED { tri(i) + j } else { j * nd + i };
+            for c in 0..chunks {
+                let k = lanes::load4(keb, s * bw + 4 * c);
+                let u = lanes::load4(ue, j * bw + 4 * c);
+                acc[c] = _mm256_fmadd_pd(k, u, acc[c]);
+            }
+        }
+        for j in i..nd {
+            let s = if PACKED { tri(j) + i } else { j * nd + i };
+            for c in 0..chunks {
+                let k = lanes::load4(keb, s * bw + 4 * c);
+                let u = lanes::load4(ue, j * bw + 4 * c);
+                acc[c] = _mm256_fmadd_pd(k, u, acc[c]);
+            }
+        }
+        for c in 0..chunks {
+            lanes::store4(ve, i * bw + 4 * c, acc[c]);
+        }
+    }
+}
+"#;
+
+    /// A `const PACKED: bool` kernel is proved once per instantiation,
+    /// each against its own slab length.
+    #[test]
+    fn layout_generic_kernel_certifies_per_instantiation() {
+        let (certs, diags) = certify_source("crates/la/src/dense.rs", GOOD_PACKED);
+        assert!(diags.is_empty(), "{diags:?}");
+        let names: Vec<&str> = certs.iter().map(|c| c.kernel.as_str()).collect();
+        assert_eq!(
+            names,
+            [
+                "dense::emv_batch_avx2_impl::<PACKED=false>",
+                "dense::emv_batch_avx2_impl::<PACKED=true>"
+            ]
+        );
+        // 2 × (keb load4 + ue load4) + store4, in each instantiation.
+        assert!(certs.iter().all(|c| c.accesses == 5 && c.loops == 6));
+    }
+
+    /// The packed proofs are tight: the last slot read is `tri(nd) − 1`,
+    /// so one slot further, a slab one row short, the triangle of the
+    /// wrong index, or the full-layout index into a packed slab all fail —
+    /// and only in the instantiation they break.
+    #[test]
+    fn packed_index_errors_are_rejected() {
+        for (from, to) in [
+            ("tri(j) + i }", "tri(j) + i + 1 }"),
+            ("tri(i) + j }", "tri(i) + j + 2 }"),
+            ("tri(j) + i }", "tri(j) + j + 1 }"),
+            ("tri(j) + i }", "j * nd + i }"),
+            ("{ tri(nd) * bw }", "{ tri(nd - 1) * bw }"),
+            ("{ tri(nd) * bw }", "{ nd * nd * bw / 2 }"),
+        ] {
+            let broken = GOOD_PACKED.replacen(from, to, 1);
+            assert_ne!(broken, GOOD_PACKED, "fixture edit `{from}` did not apply");
+            let (certs, diags) = certify_source("crates/la/src/dense.rs", &broken);
+            let names: Vec<&str> = certs.iter().map(|c| c.kernel.as_str()).collect();
+            assert_eq!(
+                names,
+                ["dense::emv_batch_avx2_impl::<PACKED=false>"],
+                "`{to}`: {diags:?}"
+            );
+            assert!(
+                diags
+                    .iter()
+                    .all(|d| d.kernel == "dense::emv_batch_avx2_impl::<PACKED=true>"),
+                "`{to}`: {diags:?}"
+            );
+        }
+        // The full-layout arm is checked just as independently.
+        let broken = GOOD_PACKED.replacen("else { j * nd + i }", "else { j * nd + i + 1 }", 1);
+        let (certs, _) = certify_source("crates/la/src/dense.rs", &broken);
+        let names: Vec<&str> = certs.iter().map(|c| c.kernel.as_str()).collect();
+        assert_eq!(names, ["dense::emv_batch_avx2_impl::<PACKED=true>"]);
+    }
+
+    /// A `let mut` index is not pinned by its initializer, so it is never
+    /// substituted — the access stays unprovable instead of being "proved"
+    /// at the initial value.
+    #[test]
+    fn mutable_let_is_not_an_index_definition() {
+        let src = r#"
+// verify: prove-bounds
+unsafe fn creeping(ke: &[f64], nd: usize) {
+    debug_assert_eq!(ke.len(), nd);
+    let mut at = 0;
+    for j in 0..nd {
+        let x = lanes::read1(ke, at);
+        at += 2;
+    }
+}
+"#;
+        let (certs, diags) = certify_source("crates/la/src/x.rs", src);
+        assert!(certs.is_empty());
+        assert!(
+            diags.iter().any(|d| d.message.contains("not provable")),
+            "{diags:?}"
+        );
+    }
+
+    #[test]
+    fn triangular_numbers_are_exact_halves() {
+        let nd = Poly::var("nd");
+        // tri(nd) − tri(nd − 1) = nd.
+        let step = Poly::tri(&nd).sub(&Poly::tri(&nd.sub(&Poly::constant(1))));
+        assert_eq!(step.doubled().unwrap(), nd.add(&nd));
+        assert!(Poly::tri(&nd).mul(&Poly::tri(&nd)).doubled().is_err());
     }
 
     #[test]

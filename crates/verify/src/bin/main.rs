@@ -221,10 +221,23 @@ fn run_effects(root: &std::path::Path) -> ExitCode {
     let maps = HymvMaps::build(&pm.parts[0]);
     let mut slabs = 0usize;
     let mut slab_errs = Vec::new();
-    for bw in [4usize, 8] {
+    // A symmetric store (what every FEM kernel produces) packs, one
+    // asymmetric entry keeps the plan full: both slab layouts the kernels
+    // are certified for get checked.
+    for (bw, symmetric) in [(4usize, true), (8, true), (8, false)] {
         let mut plan = hymv_core::BlockPlan::build(&maps, 1, bw);
-        let store = hymv_la::ElementMatrixStore::new(plan.nd(), maps.n_elems);
+        let mut store = hymv_la::ElementMatrixStore::new(plan.nd(), maps.n_elems);
+        if !symmetric {
+            store.ke_mut(0)[1] = 1.0;
+        }
         plan.attach_store(&store);
+        if plan.is_packed() != symmetric {
+            slab_errs.push(format!(
+                "bw={bw}: a {} store gave {} slabs",
+                if symmetric { "symmetric" } else { "asymmetric" },
+                if plan.is_packed() { "packed" } else { "full" }
+            ));
+        }
         let nd = plan.nd();
         for dependent in [false, true] {
             let set = plan.set(dependent);

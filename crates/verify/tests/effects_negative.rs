@@ -205,14 +205,26 @@ fn every_shipped_simd_kernel_certifies() {
     let (certs, diags) = certify_file(&dense).expect("dense.rs unreadable");
     assert!(diags.is_empty(), "{diags:#?}");
     let names: Vec<&str> = certs.iter().map(|c| c.kernel.as_str()).collect();
-    for want in [
-        "dense::emv_avx2_impl",
-        "dense::emv_avx512_impl",
-        "dense::emv_batch_avx2_impl",
-        "dense::emv_batch_avx512_impl",
-    ] {
-        assert!(names.contains(&want), "{want} not certified: {names:?}");
+    // The per-element kernels, and each batched kernel in both slab
+    // layouts (full and symmetric-packed).
+    let mut want = vec![
+        "dense::emv_avx2_impl".to_string(),
+        "dense::emv_avx512_impl".to_string(),
+    ];
+    for kernel in ["emv_batch", "emv_batch_mv"] {
+        for isa in ["avx2", "avx512"] {
+            for packed in [false, true] {
+                want.push(format!("dense::{kernel}_{isa}_impl::<PACKED={packed}>"));
+            }
+        }
     }
+    for want in &want {
+        assert!(
+            names.contains(&want.as_str()),
+            "{want} not certified: {names:?}"
+        );
+    }
+    assert_eq!(names.len(), want.len(), "{names:?}");
     assert!(
         certs.iter().all(|c| c.accesses > 0),
         "a certificate with zero proved accesses is vacuous: {certs:#?}"
@@ -253,12 +265,20 @@ fn emv_bad(ke: &[f64], ue: &[f64], ve: &mut [f64]) {
 
 #[test]
 fn slab_contract_mismatch_names_the_bad_slab() {
-    // nd=8, bw=4: a keb slab one double short of nd·nd·bw.
+    // nd=8, bw=4: the kernels are certified for a full slab (nd·nd·bw) and
+    // a symmetric-packed one (nd(nd+1)/2·bw) — those two lengths pass ...
+    check_slab_contract(8, 4, 256, 8 * 4, 8 * 4).expect("full slab");
+    check_slab_contract(8, 4, 144, 8 * 4, 8 * 4).expect("packed slab");
+    // ... a keb slab one double short of full is rejected ...
     let err = check_slab_contract(8, 4, 8 * 8 * 4 - 1, 8 * 4, 8 * 4)
         .expect_err("short slab must be rejected");
     assert_eq!(
         err,
-        "slab keb length 255 violates the proved kernel precondition \
-         nd * nd * bw = 256 (nd=8, bw=4)"
+        "slab keb length 255 violates the proved kernel preconditions \
+         nd * nd * bw = 256 (full) and tri(nd) * bw = 144 (packed) (nd=8, bw=4)"
     );
+    // ... and so is anything in between the two layouts.
+    let err =
+        check_slab_contract(8, 4, 200, 8 * 4, 8 * 4).expect_err("in-between slab must be rejected");
+    assert!(err.starts_with("slab keb length 200 violates"), "{err}");
 }

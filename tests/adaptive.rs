@@ -87,6 +87,183 @@ fn local_update_equals_full_rebuild() {
     assert!(ok.iter().all(|&b| b));
 }
 
+fn is_packed(op: &HymvOperator) -> bool {
+    op.block_plan().expect("batched path").is_packed()
+}
+
+fn assert_bitwise(a: &[f64], b: &[f64], what: &str) {
+    assert_eq!(a.len(), b.len());
+    for (i, (x, y)) in a.iter().zip(b).enumerate() {
+        assert_eq!(x.to_bits(), y.to_bits(), "{what}: dof {i}: {x} vs {y}");
+    }
+}
+
+/// A symmetric store streams lower-triangle slabs; the result must be the
+/// bits of the full-layout kernels on the same matrices. The full-layout
+/// twin is made without touching a matrix value: one asymmetric write is
+/// flushed (demoting that operator's plan for good) and then undone.
+#[test]
+fn packed_slabs_match_full_slabs_bitwise() {
+    let mesh = StructuredHexMesh::unit(4, ElementType::Hex8).build();
+    for p in [1usize, 2] {
+        let pm = partition_mesh(&mesh, p, PartitionMethod::GreedyGraph);
+        Universe::run(p, |comm| {
+            let part = &pm.parts[comm.rank()];
+            let kernels: [Box<dyn ElementKernel>; 2] = [
+                Box::new(PoissonKernel::new(ElementType::Hex8)),
+                Box::new(ElasticityKernel::new(ElementType::Hex8, 1.0, 0.3, [0.0; 3])),
+            ];
+            for kernel in &kernels {
+                let (mut packed, _) = HymvOperator::setup(comm, part, kernel.as_ref());
+                let (mut full, _) = HymvOperator::setup(comm, part, kernel.as_ref());
+                let n = packed.n_owned();
+                let x: Vec<f64> = (0..n)
+                    .map(|i| ((i * 7 % 23) as f64) * 0.125 - 1.0)
+                    .collect();
+                let mut y = vec![0.0; n];
+
+                let saved = full.store().ke(0)[1];
+                full.ke_mut(0)[1] = saved + 1.0;
+                full.matvec(comm, &x, &mut y);
+                full.ke_mut(0)[1] = saved;
+                assert!(is_packed(&packed), "FEM kernels give bitwise-symmetric Ke");
+                assert!(!is_packed(&full));
+                assert_eq!(packed.store().as_slice(), full.store().as_slice());
+                assert!(packed.storage_bytes() < full.storage_bytes());
+                assert_eq!(packed.flops_per_apply(), full.flops_per_apply());
+
+                let mut y_full = vec![0.0; n];
+                packed.matvec(comm, &x, &mut y);
+                full.matvec(comm, &x, &mut y_full);
+                assert_bitwise(&y, &y_full, "matvec");
+
+                for nvec in [3usize, 8] {
+                    let cols: Vec<Vec<f64>> = (0..nvec)
+                        .map(|c| {
+                            (0..n)
+                                .map(|i| ((i * 13 + c * 5) % 19) as f64 - 9.0)
+                                .collect()
+                        })
+                        .collect();
+                    let xs = Multivector::from_columns(&cols);
+                    let (mut ys, mut ys_full) =
+                        (Multivector::new(n, nvec), Multivector::new(n, nvec));
+                    packed.matvec_mv(comm, &xs, &mut ys);
+                    full.matvec_mv(comm, &xs, &mut ys_full);
+                    for c in 0..nvec {
+                        assert_bitwise(ys.col(c), ys_full.col(c), "matvec_mv");
+                    }
+                }
+            }
+        });
+    }
+}
+
+/// `ke_mut` may write anything. An asymmetric matrix demotes the plan to
+/// full slabs at the next apply — a documented cliff, never a wrong
+/// answer — and whatever the update history, the operator equals a fresh
+/// setup on the same store to the bit.
+#[test]
+fn asymmetric_update_demotes_and_equals_fresh_setup() {
+    let mesh = StructuredHexMesh::unit(3, ElementType::Hex8).build(); // 27 elems: ragged tail
+    let pm = partition_mesh(&mesh, 1, PartitionMethod::Slabs);
+    Universe::run(1, |comm| {
+        let part = &pm.parts[0];
+        let kernel = PoissonKernel::new(ElementType::Hex8);
+        let (mut a, _) = HymvOperator::setup(comm, part, &kernel);
+        let n = a.n_owned();
+        let x: Vec<f64> = (0..n).map(|i| (i as f64 * 0.37).sin()).collect();
+        let (mut y, mut y_ref) = (vec![0.0; n], vec![0.0; n]);
+        a.matvec(comm, &x, &mut y);
+        assert!(is_packed(&a));
+
+        // Entry (1,0) of element 5 only: its mirror (0,1) keeps the old value.
+        let saved = a.store().ke(5)[1];
+        a.ke_mut(5)[1] = saved + 0.25;
+        a.matvec(comm, &x, &mut y);
+        assert!(!is_packed(&a), "asymmetric Ke must demote");
+
+        // Against the per-element loop on the same store ...
+        a.set_batch_width(1);
+        a.matvec(comm, &x, &mut y_ref);
+        for (p, q) in y.iter().zip(&y_ref) {
+            assert!((p - q).abs() < 1e-12, "{p} vs {q}");
+        }
+        // ... and a rebuilt plan keeps the layout the data asks for.
+        a.set_batch_width(8);
+        assert!(!is_packed(&a));
+        a.matvec(comm, &x, &mut y_ref);
+        assert_bitwise(&y, &y_ref, "rebuilt full plan");
+
+        // A fresh setup brought to the same store, bit for bit.
+        let (mut b, _) = HymvOperator::setup(comm, part, &kernel);
+        b.ke_mut(5)[1] = saved + 0.25;
+        b.matvec(comm, &x, &mut y_ref);
+        assert_bitwise(&y, &y_ref, "demoted vs fresh");
+
+        // Undoing the write does not re-pack (one-way) ...
+        a.ke_mut(5)[1] = saved;
+        a.matvec(comm, &x, &mut y);
+        assert!(!is_packed(&a));
+        // ... until the plan is rebuilt from the now-symmetric store, by a
+        // width change or by LFLR repair of this rank.
+        a.repair(comm, &[0]);
+        assert!(is_packed(&a));
+        a.matvec(comm, &x, &mut y_ref);
+        assert_bitwise(&y, &y_ref, "full vs re-packed");
+        a.ke_mut(5)[1] = saved + 0.25;
+        a.matvec(comm, &x, &mut y);
+        a.ke_mut(5)[1] = saved;
+        a.set_batch_width(4);
+        assert!(is_packed(&a));
+    });
+}
+
+/// Symmetric updates keep the packed layout, and any sequence of them
+/// leaves the operator bitwise equal to a fresh setup that went straight
+/// to the final matrices.
+#[test]
+fn symmetric_update_sequence_equals_fresh_setup_bitwise() {
+    let mesh = StructuredHexMesh::unit(4, ElementType::Hex8).build();
+    let p = 2;
+    let pm = partition_mesh(&mesh, p, PartitionMethod::Slabs);
+    Universe::run(p, |comm| {
+        let part = &pm.parts[comm.rank()];
+        let base: Arc<dyn ElementKernel> = Arc::new(ElasticityKernel::new(
+            ElementType::Hex8,
+            3.0,
+            0.25,
+            [0.0; 3],
+        ));
+        let soft = Scaled {
+            inner: Arc::clone(&base),
+            factor: 0.01,
+        };
+        let every = |k: usize| -> Vec<usize> { (0..part.n_elems()).step_by(k).collect() };
+        let n_elems = part.n_elems();
+
+        // A: soften every 3rd element, apply, restore every 6th, apply.
+        let (mut a, _) = HymvOperator::setup(comm, part, &*base);
+        let n = a.n_owned();
+        let x: Vec<f64> = (0..n).map(|i| ((i * 5 % 13) as f64) - 6.0).collect();
+        let (mut ya, mut yb) = (vec![0.0; n], vec![0.0; n]);
+        a.update_elements(comm, part, &soft, &every(3));
+        a.matvec(comm, &x, &mut ya);
+        a.update_elements(comm, part, &*base, &every(6));
+        a.matvec(comm, &x, &mut ya);
+
+        // B: fresh setup, softened exactly where A still is.
+        let (mut b, _) = HymvOperator::setup(comm, part, &*base);
+        let still_soft: Vec<usize> = (0..n_elems).filter(|e| e % 3 == 0 && e % 6 != 0).collect();
+        b.update_elements(comm, part, &soft, &still_soft);
+        b.matvec(comm, &x, &mut yb);
+
+        assert!(is_packed(&a) && is_packed(&b));
+        assert_eq!(a.store().as_slice(), b.store().as_slice());
+        assert_bitwise(&ya, &yb, "updated vs fresh");
+    });
+}
+
 #[test]
 fn update_cost_scales_with_touched_fraction() {
     let mesh = StructuredHexMesh::unit(8, ElementType::Hex8).build();

@@ -172,7 +172,14 @@ fn envelope_transport_is_deterministic_across_eight_seeds() {
 /// Virtual time folds the modeled α–β cost of the 32-byte header and the
 /// measured CPU cost of pack/checksum/unpack — both tiny next to the
 /// elemental kernels.
+///
+/// A ratio of measured times, so not part of the deterministic tier-1
+/// suite (it failed about one run in four under parallel test load, and
+/// tightens whenever the SPMV denominator gets faster): `ci.sh` runs it
+/// on its own, in release mode, as
+/// `cargo test --release -- --ignored envelope_overhead`.
 #[test]
+#[ignore = "wall-clock bench guard; run by ci.sh in release mode"]
 fn envelope_overhead_under_five_percent() {
     // 12³ elements: compute volume grows cubically against the quadratic
     // ghost surface, as in any production-size SPMV; on the tiny meshes
@@ -181,7 +188,10 @@ fn envelope_overhead_under_five_percent() {
     let mesh = StructuredHexMesh::unit(12, ElementType::Hex8).build();
     let p = 2;
     let pm = partition_mesh(&mesh, p, PartitionMethod::Slabs);
-    let rounds = 20;
+    // Release-mode applies of this mesh take tens of microseconds: time
+    // enough of them per window that timer granularity and scheduling
+    // jitter stay well under the 5% being asserted.
+    let rounds = 100;
     let ratios = Universe::run(p, |comm| {
         let kernel = PoissonKernel::new(ElementType::Hex8);
         let (mut op, _) = hymv::core::HymvOperator::setup(comm, &pm.parts[comm.rank()], &kernel);
@@ -199,25 +209,26 @@ fn envelope_overhead_under_five_percent() {
             comm.barrier();
             comm.vt() - t0
         };
-        // Interleaved repetitions, min per transport: virtual time folds
-        // measured per-thread CPU, and concurrent test binaries add
-        // cache-contention noise that stretches the envelope's larger
-        // measured windows more in absolute terms — the minimum over
-        // enough interleaved reps is the noise-robust estimator of the
-        // true cost.
-        let (mut env_min, mut raw_min) = (f64::INFINITY, f64::INFINITY);
-        for _ in 0..6 {
-            op.set_raw_exchange(false);
-            let env_s = time(&mut op, comm);
-            op.set_raw_exchange(true);
-            let raw_s = time(&mut op, comm);
-            // Max-over-ranks: the solver's critical path.
-            env_min = env_min.min(comm.allreduce_max_f64(env_s));
-            raw_min = raw_min.min(comm.allreduce_max_f64(raw_s));
-        }
-        env_min / raw_min
+        // Interleaved repetitions, median of the paired ratios: virtual
+        // time folds measured per-thread CPU, so a window's length drifts
+        // with cache and clock state by more than the 5% under test. A
+        // pair measured back to back shares that state, and the median
+        // over enough pairs ignores the windows a neighbour disturbed.
+        let mut paired: Vec<f64> = (0..41)
+            .map(|_| {
+                op.set_raw_exchange(false);
+                let env_s = time(&mut op, comm);
+                op.set_raw_exchange(true);
+                let raw_s = time(&mut op, comm);
+                // Max-over-ranks: the solver's critical path.
+                comm.allreduce_max_f64(env_s) / comm.allreduce_max_f64(raw_s)
+            })
+            .collect();
+        paired.sort_by(f64::total_cmp);
+        paired[paired.len() / 2]
     });
     let ratio = ratios[0];
+    eprintln!("envelope / raw virtual time: {ratio:.4}");
     assert!(
         ratio < 1.05,
         "envelope transport costs {:.1}% over raw (budget 5%)",
