@@ -4,32 +4,50 @@
 set -euo pipefail
 cd "$(dirname "$0")"
 
-echo "== cargo fmt --check"
+# Every stage is announced through `stage`, which also prints the wall
+# seconds of the stage it closes; `stage_end` closes the last one and
+# prints the total.
+ci_start=$SECONDS
+stage_name=
+stage_start=0
+stage_end() {
+    if [ -n "$stage_name" ]; then
+        echo "-- $((SECONDS - stage_start))s  $stage_name"
+    fi
+}
+stage() {
+    stage_end
+    stage_name=$1
+    stage_start=$SECONDS
+    echo "== $1"
+}
+
+stage "cargo fmt --check"
 cargo fmt --all --check
 
-echo "== cargo clippy (deny warnings)"
+stage "cargo clippy (deny warnings)"
 cargo clippy --workspace --all-targets -- -D warnings
 
-echo "== cargo test"
+stage "cargo test"
 cargo test --workspace -q
 
-echo "== envelope-overhead bench guard (wall-clock ratio, kept out of the deterministic test suite)"
+stage "envelope-overhead bench guard (wall-clock ratio, kept out of the deterministic test suite)"
 cargo test -q --release -- --ignored envelope_overhead
 
-echo "== hymv-check analysis passes"
+stage "hymv-check analysis passes"
 cargo run -q -p hymv-check --bin hymv-check -- --n 4 --p 4 --method rcb --seeds 8
 
-echo "== hymv-check batched-path determinism (B=8)"
+stage "hymv-check batched-path determinism (B=8)"
 cargo run -q -p hymv-check --bin hymv-check -- --n 4 --p 4 --method rcb --seeds 8 --batch 8
 
-echo "== hymv-check multivector SpMM determinism (B=8, nvec=8)"
+stage "hymv-check multivector SpMM determinism (B=8, nvec=8)"
 cargo run -q -p hymv-check --bin hymv-check -- --n 4 --p 3 --method greedy --seeds 8 --batch 8 --nvec 8
 
-echo "== hymv-verify static passes (model check, alias proof, lint)"
+stage "hymv-verify static passes (model check, alias proof, lint)"
 cargo run -q -p hymv-verify --bin hymv-verify -- --n 4 --p 1,2,4,8
 cargo run -q -p hymv-verify --bin hymv-verify -- --n 4 --p 1,2,4,8 --method greedy --skip-lint
 
-echo "== hymv-verify parameterized exchange proof at scale (p=64,512,1024; <30s budget)"
+stage "hymv-verify parameterized exchange proof at scale (p=64,512,1024; <30s budget)"
 # Build outside the timed window: the budget asserts proof time, not
 # compile time.
 cargo build -q --release -p hymv-verify
@@ -42,21 +60,21 @@ test "$param_dur" -lt 30 || {
     exit 1
 }
 
-echo "== hymv-verify effects (interprocedural phase effects, kernel bounds proofs, slab contract, collective order)"
+stage "hymv-verify effects (interprocedural phase effects, kernel bounds proofs, slab contract, collective order)"
 cargo run -q -p hymv-verify --bin hymv-verify -- effects
 
-echo "== hymv-verify collective-order pass (standalone)"
+stage "hymv-verify collective-order pass (standalone)"
 cargo run -q -p hymv-verify --bin hymv-verify -- collectives
 
-echo "== sanitize feature: la/core test suites with checked SIMD lane access"
+stage "sanitize feature: la/core test suites with checked SIMD lane access"
 cargo test -q -p hymv-la --features sanitize
 cargo test -q -p hymv-core --features hymv-la/sanitize
 
-echo "== hymv-chaos smoke sweep (recoverable faults heal bitwise; crash aborts typed)"
+stage "hymv-chaos smoke sweep (recoverable faults heal bitwise; crash aborts typed)"
 cargo run -q --release -p hymv-check --bin hymv-chaos -- \
     --n 3 --p 2 --seeds 2 --scenarios drop,corrupt,crash
 
-echo "== hymv-lflr crash-recovery gate (armed crashes heal bitwise at p=8 and p=32; <60s budget)"
+stage "hymv-lflr crash-recovery gate (armed crashes heal bitwise at p=8 and p=32; <60s budget)"
 lflr_start=$SECONDS
 cargo run -q --release -p hymv-check --bin hymv-lflr -- --n 3 --p 8 --seeds 2
 cargo run -q --release -p hymv-check --bin hymv-lflr -- \
@@ -67,18 +85,18 @@ test "$lflr_dur" -lt 60 || {
     exit 1
 }
 
-echo "== perf benchmark smoke + unit tests (BENCHMARK.json's runner builds against the workspace's public API)"
+stage "perf benchmark smoke + unit tests (BENCHMARK.json's runner builds against the workspace's public API)"
 cargo run --release --offline --manifest-path perf/Cargo.toml -- --smoke
 cargo test --offline --manifest-path perf/Cargo.toml
 
-echo "== emv_batch bench smoke"
+stage "emv_batch bench smoke"
 HYMV_BENCH_SMOKE=1 cargo bench -q -p hymv-bench --bench emv_batch
 cargo run -q --release -p hymv-bench --bin bench_emv_batch -- --smoke
 
-echo "== emv_multivec (SpMM + solve-service) bench smoke"
+stage "emv_multivec (SpMM + solve-service) bench smoke"
 cargo run -q --release -p hymv-bench --bin bench_emv_multivec -- --smoke
 
-echo "== hymv-prof traced-solve smoke (12^3 Poisson, 4 ranks, 8 seeds, live snapshot file)"
+stage "hymv-prof traced-solve smoke (12^3 Poisson, 4 ranks, 8 seeds, live snapshot file)"
 HYMV_OBS_FILE=target/experiments/prof/live.prom \
     cargo run -q --release -p hymv-prof -- --n 12 --p 4 --seeds 8 --out target/experiments/prof
 for f in trace.json metrics.prom summary.json; do
@@ -96,13 +114,13 @@ grep -q '^# HELP hymv_' target/experiments/prof/metrics.prom
 test -s target/experiments/prof/live.prom || { echo "missing live snapshot"; exit 1; }
 grep -q '^hymv_rank_utilization' target/experiments/prof/live.prom
 
-echo "== hymv-prof diff self-comparison smoke (identical artifacts, zero delta)"
+stage "hymv-prof diff self-comparison smoke (identical artifacts, zero delta)"
 cargo run -q --release -p hymv-prof -- diff \
     target/experiments/prof/summary.json target/experiments/prof/summary.json --threshold 0
 cargo run -q --release -p hymv-prof -- diff \
     target/experiments/prof/metrics.prom target/experiments/prof/metrics.prom --threshold 0
 
-echo "== flight-recorder postmortem smoke (forced rank crash dumps a schema'd artifact)"
+stage "flight-recorder postmortem smoke (forced rank crash dumps a schema'd artifact)"
 rm -f target/experiments/postmortem.json
 HYMV_FLIGHT_OUT=target/experiments/postmortem.json \
     HYMV_FAULT_CRASH_RANK=3 HYMV_FAULT_CRASH_AFTER=10 \
@@ -114,10 +132,11 @@ grep -q '"reason":"' target/experiments/postmortem.json
 grep -q '"kind":"span"' target/experiments/postmortem.json
 grep -qE '"kind":"(send|recv)"' target/experiments/postmortem.json
 
-echo "== serve SLO bench smoke (latency percentiles through the batched service)"
+stage "serve SLO bench smoke (latency percentiles through the batched service)"
 cargo run -q --release -p hymv-bench --bin bench_serve_slo -- --smoke
 
-echo "== trace_overhead bench smoke (disabled-path <3% + flight-recorder <2% guards)"
+stage "trace_overhead bench smoke (disabled-path <3% + flight-recorder <2% guards)"
 HYMV_BENCH_SMOKE=1 cargo bench -q -p hymv-bench --bench trace_overhead
 
-echo "CI green"
+stage_end
+echo "CI green in $((SECONDS - ci_start))s"

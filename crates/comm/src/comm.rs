@@ -408,6 +408,12 @@ impl Comm {
     /// Run a compute section, charging its thread-CPU duration to the
     /// virtual clock. Returns the closure's value.
     ///
+    /// Every call of the `work` family (`work`, `work_smp`, `work_with`,
+    /// `timed_work`) reads the thread CPU clock twice — two syscalls,
+    /// about 0.5 µs a pair on the reference host, as much as a small
+    /// element kernel. Wrap a chunk of elements or a whole loop, never
+    /// the body of a per-element loop.
+    ///
     /// The `work`/`traced` wrappers are the *sanctioned* timing APIs: their
     /// ledger/clock reads are the cost model itself, not stray
     /// nondeterminism, so effect inference pins them pure. Closure bodies

@@ -420,14 +420,22 @@ impl BlockPlan {
         self.interleave_all(store, true);
     }
 
-    /// (Re)allocate the slabs in the given layout and interleave the whole
-    /// store into them.
-    fn interleave_all(&mut self, store: &ElementMatrixStore, packed: bool) {
+    /// (Re)allocate zeroed slabs in the given layout. With `packed` this
+    /// is the first half of [`Self::attach_store`]: operator setup calls
+    /// it once and then [`Self::refresh`]es each chunk of matrices as it
+    /// is computed, instead of a second pass over the finished store.
+    pub(crate) fn alloc_slabs(&mut self, packed: bool) {
         let slab = slab_len(self.nd, self.bw, packed);
         for set in [&mut self.indep, &mut self.dep] {
             set.slab = slab;
             set.keb = vec![0.0; set.n_blocks() * slab];
         }
+    }
+
+    /// Allocate the slabs in the given layout and interleave the whole
+    /// store into them.
+    fn interleave_all(&mut self, store: &ElementMatrixStore, packed: bool) {
+        self.alloc_slabs(packed);
         let elems: Vec<u32> = (0..self.slot.len() as u32).collect();
         self.refresh(store, &elems);
     }

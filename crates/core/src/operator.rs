@@ -20,16 +20,20 @@ use crate::maps::HymvMaps;
 
 /// Setup cost breakdown, matching the stacked bars of Figs 5 and 7:
 /// element-matrix computation vs everything HYMV adds on top (map builds,
-/// communication-map construction, and the local copy into the store —
-/// there is **no global assembly**).
+/// communication-map construction, and the local copy into the batched
+/// slabs — there is **no global assembly**).
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct SetupTimings {
     /// Element-matrix computation (user-operator cost; identical work in
-    /// the matrix-assembled baseline).
+    /// the matrix-assembled baseline). The kernels write straight into
+    /// HYMV's store, so there is no separate copy into it.
     pub emat_compute_s: f64,
-    /// Local copy of the computed matrices into HYMV's store.
+    /// Local copy of the computed matrices into the plan's interleaved
+    /// slabs, chunk by chunk while they are still in cache (zero on the
+    /// per-element path, which has no slabs).
     pub local_copy_s: f64,
-    /// E2L map construction (Algorithm 1) — local.
+    /// E2L map construction (Algorithm 1) and the block plan's
+    /// gather/scatter tables — local.
     pub maps_s: f64,
     /// LNSM/GNGM construction — the only communication in HYMV setup.
     pub comm_maps_s: f64,
@@ -84,9 +88,10 @@ struct MvWorkspace {
 }
 
 impl HymvOperator {
-    /// HYMV setup (paper §IV-A/§IV-D): build maps, build the communication
-    /// plan, compute element matrices once and copy them into local
-    /// storage. Collective.
+    /// HYMV setup (paper §IV-A/§IV-D): build maps, the communication plan
+    /// and the block plan's tables, then compute every element matrix once
+    /// — "update every element" of an empty operator, through the routine
+    /// [`Self::update_elements`] runs. Collective.
     pub fn setup(
         comm: &mut Comm,
         part: &MeshPartition,
@@ -106,38 +111,32 @@ impl HymvOperator {
         let exchange = GhostExchange::build(comm, &maps);
         t.comm_maps_s = comm.vt() - vt0;
 
-        // Element matrices: computed into a user-side buffer (the cost any
-        // approach pays), then copied into the store (HYMV's "local copy").
-        // The two sub-costs interleave per element, so each leg is charged
-        // through its own timed section.
-        let mut store = ElementMatrixStore::new(nd, maps.n_elems);
-        let mut ke_buf = vec![0.0; nd * nd];
-        let mut scratch = KernelScratch::default();
-        comm.traced(Phase::EmatCompute, |comm| {
-            for e in 0..maps.n_elems {
-                let (_, te) = comm.timed_work(|_| {
-                    kernel.compute_ke(part.elem_node_coords(e), &mut ke_buf, &mut scratch);
-                });
-                let (_, tc) = comm.timed_work(|_| store.ke_mut(e).copy_from_slice(&ke_buf));
-                t.emat_compute_s += te;
-                t.local_copy_s += tc;
-            }
-        });
-
-        // Block plan: the batched engine is the default path
+        // Block plan tables: the batched engine is the default path
         // (`HYMV_EMV_BATCH=1` recovers the per-element loop). Charged to
         // the map-construction bar: it is map/layout work, purely local.
+        // The slabs start out packed; the first asymmetric matrix demotes
+        // them inside the chunk that computed it.
         let bw = batch_width_from_env();
-        let (plan, dt) = comm.traced(Phase::PlanBuild, |comm| {
+        let (mut plan, dt) = comm.traced(Phase::PlanBuild, |comm| {
             comm.timed_work(|_| {
                 (bw > 1).then(|| {
                     let mut p = BlockPlan::build(&maps, ndof, bw);
-                    p.attach_store(&store);
+                    p.alloc_slabs(true);
                     p
                 })
             })
         });
         t.maps_s += dt;
+
+        let mut store = ElementMatrixStore::new(nd, maps.n_elems);
+        (t.emat_compute_s, t.local_copy_s) = recompute_elements(
+            comm,
+            part,
+            kernel,
+            &mut store,
+            plan.as_mut(),
+            0..maps.n_elems,
+        );
 
         let u = DistArray::new(&maps, ndof);
         let v = DistArray::new(&maps, ndof);
@@ -229,8 +228,14 @@ impl HymvOperator {
 
     /// The adaptive-matrix path: recompute the element matrices of
     /// `local_elems` only (XFEM enrichment / AMR refinement touching a few
-    /// elements). Purely local — no communication, no global reassembly.
-    /// Returns the update time in virtual seconds.
+    /// elements) and re-interleave them into the batched slabs at once.
+    /// Purely local — no communication, no global reassembly. Returns the
+    /// update time in virtual seconds.
+    ///
+    /// # Panics
+    /// On a kernel of another dimension, a partition of another element
+    /// count, or an element id out of range — before anything is written,
+    /// so a rejected call leaves the operator as it was.
     pub fn update_elements(
         &mut self,
         comm: &mut Comm,
@@ -243,15 +248,22 @@ impl HymvOperator {
             self.store.nd(),
             "kernel/operator dimension mismatch"
         );
-        let vt0 = comm.vt();
-        let mut scratch = KernelScratch::default();
-        for &e in local_elems {
-            assert!(e < self.maps.n_elems, "element {e} out of range");
-            let coords = part.elem_node_coords(e);
-            let store = &mut self.store;
-            comm.work(|| kernel.compute_ke(coords, store.ke_mut(e), &mut scratch));
-            self.dirty.push(e as u32);
+        let n_elems = self.maps.n_elems;
+        assert_eq!(part.n_elems(), n_elems, "partition/operator mismatch");
+        if let Some(&e) = local_elems.iter().find(|&&e| e >= n_elems) {
+            panic!("element {e} out of range (operator holds {n_elems})");
         }
+        let vt0 = comm.vt();
+        let was_packed = self.plan.as_ref().is_some_and(BlockPlan::is_packed);
+        recompute_elements(
+            comm,
+            part,
+            kernel,
+            &mut self.store,
+            self.plan.as_mut(),
+            local_elems.iter().copied(),
+        );
+        self.count_refresh(was_packed, local_elems.len());
         comm.vt() - vt0
     }
 
@@ -278,12 +290,18 @@ impl HymvOperator {
             comm.traced(Phase::BlockRefresh, |comm| {
                 comm.work_with(|_| plan.refresh(store, dirty));
             });
-            hymv_trace::counter_add("hymv_block_refresh_total", &[], dirty.len() as u64);
-            if was_packed && !plan.is_packed() {
-                hymv_trace::counter_add("hymv_block_demotions_total", &[], 1);
-            }
+            self.count_refresh(was_packed, self.dirty.len());
         }
         self.dirty.clear();
+    }
+
+    /// Publish what an adaptive refresh of `n` matrices did to the plan.
+    fn count_refresh(&self, was_packed: bool, n: usize) {
+        let Some(plan) = &self.plan else { return };
+        hymv_trace::counter_add("hymv_block_refresh_total", &[], n as u64);
+        if was_packed && !plan.is_packed() {
+            hymv_trace::counter_add("hymv_block_demotions_total", &[], 1);
+        }
     }
 
     /// The maps (tests, diagnostics).
@@ -507,6 +525,62 @@ impl HymvOperator {
         comm.work(|| ws.v.copy_owned_to(y));
         comm.note_exchange_outcome();
     }
+}
+
+/// Elements per chunk of [`recompute_elements`]: enough that the two
+/// clock pairs a chunk pays vanish beside its work (a pair costs about
+/// half a Tet10 Poisson `compute_ke`), few enough that a chunk of the
+/// largest matrices (Hex27 elasticity, 52 KB each) is still in L2 when it
+/// is interleaved.
+pub(crate) const KE_CHUNK: usize = 32;
+
+/// The one routine that computes element matrices, for initial setup (all
+/// elements of an empty store) and for adaptive updates (the touched few)
+/// alike. Walks `elems` in chunks of [`KE_CHUNK`]: the kernel writes each
+/// `Ke` straight into `store`, then the chunk is interleaved into `plan`'s
+/// slabs while it is still in cache. A matrix that is not bitwise
+/// symmetric demotes a packed plan inside its chunk's
+/// [`BlockPlan::refresh`]; the store is authoritative, so the slabs end up
+/// those of an `attach_store` on the finished store either way.
+///
+/// Returns the virtual seconds charged to `(compute, interleave)` — one
+/// `timed_work` each per chunk, never per element.
+fn recompute_elements(
+    comm: &mut Comm,
+    part: &MeshPartition,
+    kernel: &dyn ElementKernel,
+    store: &mut ElementMatrixStore,
+    mut plan: Option<&mut BlockPlan>,
+    elems: impl IntoIterator<Item = usize>,
+) -> (f64, f64) {
+    let mut scratch = KernelScratch::default();
+    let mut ids = [0u32; KE_CHUNK];
+    let mut elems = elems.into_iter();
+    comm.traced(Phase::EmatCompute, |comm| {
+        let (mut compute_s, mut interleave_s) = (0.0, 0.0);
+        loop {
+            let mut n = 0;
+            for e in elems.by_ref().take(KE_CHUNK) {
+                ids[n] = e as u32;
+                n += 1;
+            }
+            if n == 0 {
+                break (compute_s, interleave_s);
+            }
+            let chunk = &ids[..n];
+            let ((), dt) = comm.timed_work(|_| {
+                for &e in chunk {
+                    let e = e as usize;
+                    kernel.compute_ke(part.elem_node_coords(e), store.ke_mut(e), &mut scratch);
+                }
+            });
+            compute_s += dt;
+            if let Some(plan) = plan.as_deref_mut() {
+                let ((), dt) = comm.timed_work(|_| plan.refresh(store, chunk));
+                interleave_s += dt;
+            }
+        }
+    })
 }
 
 impl MultiLinOp for HymvOperator {
@@ -765,6 +839,28 @@ mod tests {
             ya == yb
         });
         assert!(ok.iter().all(|&b| b));
+    }
+
+    /// The four bars are the whole of setup: every virtual second the
+    /// setup charged is in exactly one of them, although the compute and
+    /// interleave legs alternate chunk by chunk.
+    #[test]
+    fn setup_timings_add_up_to_the_charged_virtual_time() {
+        let mesh = StructuredHexMesh::unit(5, ElementType::Hex8).build();
+        let pm = partition_mesh(&mesh, 2, PartitionMethod::Rcb);
+        Universe::run(2, |comm| {
+            let part = &pm.parts[comm.rank()];
+            let kernel = PoissonKernel::new(ElementType::Hex8);
+            let vt0 = comm.vt();
+            let (_, t) = HymvOperator::setup(comm, part, &kernel);
+            let charged = comm.vt() - vt0;
+            assert!(t.emat_compute_s > 0.0 && t.local_copy_s > 0.0);
+            assert!(
+                (t.total() - charged).abs() <= 1e-9 * charged,
+                "bars {} vs clock {charged}",
+                t.total()
+            );
+        });
     }
 
     #[test]

@@ -11,7 +11,12 @@
 //! symmetric **to the bit** (`ke[j*nd + i].to_bits() == ke[i*nd + j]
 //! .to_bits()`, pinned by `every_kernel_ke_is_bitwise_symmetric`): HYMV
 //! stores only the lower triangle of such matrices, and falls back to
-//! twice the bytes per apply for anything less exact.
+//! twice the bytes per apply for anything less exact. The symmetry is
+//! structural: both kernels accumulate the node blocks `a ≥ b` only and
+//! mirror them into the upper triangle once per element
+//! ([`mirror_lower`]), with the per-entry operation order of the full
+//! double loop, so every bit is the one that loop produces
+//! (`half_triangle_ke_matches_full_double_loop_bitwise`).
 //!
 //! Per-quadrature-point shape data is precomputed once per kernel (it is
 //! element-independent); per-element work is Jacobian, physical gradients,
@@ -70,6 +75,16 @@ impl KernelScratch {
     fn grads(&mut self, npe: usize) -> &mut [f64] {
         self.dn_phys.resize(3 * npe, 0.0);
         &mut self.dn_phys
+    }
+}
+
+/// Copy the lower triangle of a column-major `nd × nd` matrix (rows
+/// `i > j` of column `j`) onto the upper one.
+fn mirror_lower(ke: &mut [f64], nd: usize) {
+    for j in 0..nd {
+        for i in j + 1..nd {
+            ke[i * nd + j] = ke[j * nd + i];
+        }
     }
 }
 
@@ -142,12 +157,14 @@ impl ElementKernel for PoissonKernel {
             let wd = qp.w * jac.det;
             for j in 0..npe {
                 let gj = [g[3 * j], g[3 * j + 1], g[3 * j + 2]];
-                let col = &mut ke[j * npe..(j + 1) * npe];
-                for (i, kij) in col.iter_mut().enumerate() {
-                    *kij += wd * (g[3 * i] * gj[0] + g[3 * i + 1] * gj[1] + g[3 * i + 2] * gj[2]);
+                // Rows i ≥ j of column j.
+                let col = &mut ke[j * npe + j..(j + 1) * npe];
+                for (kij, gi) in col.iter_mut().zip(g[3 * j..].chunks_exact(3)) {
+                    *kij += wd * (gi[0] * gj[0] + gi[1] * gj[1] + gi[2] * gj[2]);
                 }
             }
         }
+        mirror_lower(ke, npe);
     }
 
     fn compute_fe(&self, coords: &[[f64; 3]], fe: &mut [f64], scratch: &mut KernelScratch) {
@@ -169,8 +186,8 @@ impl ElementKernel for PoissonKernel {
         let npe = self.et.nodes_per_elem() as u64;
         let nq = self.qp.len() as u64;
         // Per qp: Jacobian (18·npe mults+adds), inverse (~50), physical
-        // gradients (15·npe), accumulation (7·npe²).
-        nq * (18 * npe + 50 + 15 * npe + 7 * npe * npe)
+        // gradients (15·npe), accumulation (7 per node pair a ≥ b).
+        nq * (18 * npe + 50 + 15 * npe + 7 * (npe * (npe + 1) / 2))
     }
 }
 
@@ -239,7 +256,7 @@ impl ElementKernel for ElasticityKernel {
             let wd = qp.w * jac.det;
             for b in 0..npe {
                 let gb = [g[3 * b], g[3 * b + 1], g[3 * b + 2]];
-                for a in 0..npe {
+                for a in b..npe {
                     let ga = [g[3 * a], g[3 * a + 1], g[3 * a + 2]];
                     let dot = ga[0] * gb[0] + ga[1] * gb[1] + ga[2] * gb[2];
                     // 3×3 block for (node a, node b):
@@ -247,8 +264,10 @@ impl ElementKernel for ElasticityKernel {
                     // The gradient products are formed before the Lamé
                     // factors multiply them: swapping (a,i) with (b,j) then
                     // only swaps the operands of commutative products, so
-                    // `Ke` is symmetric to the bit (HYMV's packed slabs
-                    // rely on it; `la * ga[i] * gb[j]` is not).
+                    // the blocks a < b the mirror fills in hold the bits
+                    // this loop would have computed for them, and the
+                    // diagonal blocks are symmetric to the bit on their
+                    // own (`la * ga[i] * gb[j]` is not).
                     for j in 0..3 {
                         let col = (3 * b + j) * nd;
                         for i in 0..3 {
@@ -262,6 +281,7 @@ impl ElementKernel for ElasticityKernel {
                 }
             }
         }
+        mirror_lower(ke, nd);
     }
 
     fn compute_fe(&self, coords: &[[f64; 3]], fe: &mut [f64], scratch: &mut KernelScratch) {
@@ -284,8 +304,8 @@ impl ElementKernel for ElasticityKernel {
         let npe = self.et.nodes_per_elem() as u64;
         let nq = self.qp.len() as u64;
         // Per qp: Jacobian + inverse + physical gradients as in Poisson,
-        // plus ~40 flops per (a, b) node pair for the 3×3 block.
-        nq * (18 * npe + 50 + 15 * npe + 40 * npe * npe)
+        // plus ~40 flops per node pair a ≥ b for the 3×3 block.
+        nq * (18 * npe + 50 + 15 * npe + 40 * (npe * (npe + 1) / 2))
     }
 }
 
@@ -476,6 +496,126 @@ mod tests {
                         }
                     }
                 }
+            }
+        }
+    }
+
+    /// The full double loop over every node pair that `compute_ke` ran
+    /// before it was restricted to `a ≥ b` — the bitwise reference.
+    fn poisson_ke_full(k: &PoissonKernel, coords: &[[f64; 3]], ke: &mut [f64]) {
+        let npe = k.et.nodes_per_elem();
+        let mut g = vec![0.0; 3 * npe];
+        ke.fill(0.0);
+        for qp in &k.qp {
+            let jac = jacobian(coords, &qp.dn_ref);
+            physical_gradients(&jac, &qp.dn_ref, &mut g);
+            let wd = qp.w * jac.det;
+            for j in 0..npe {
+                let gj = [g[3 * j], g[3 * j + 1], g[3 * j + 2]];
+                for i in 0..npe {
+                    ke[j * npe + i] +=
+                        wd * (g[3 * i] * gj[0] + g[3 * i + 1] * gj[1] + g[3 * i + 2] * gj[2]);
+                }
+            }
+        }
+    }
+
+    fn elasticity_ke_full(k: &ElasticityKernel, coords: &[[f64; 3]], ke: &mut [f64]) {
+        let npe = k.et.nodes_per_elem();
+        let nd = 3 * npe;
+        let mut g = vec![0.0; 3 * npe];
+        ke.fill(0.0);
+        let (la, mu) = (k.lambda, k.mu);
+        for qp in &k.qp {
+            let jac = jacobian(coords, &qp.dn_ref);
+            physical_gradients(&jac, &qp.dn_ref, &mut g);
+            let wd = qp.w * jac.det;
+            for b in 0..npe {
+                let gb = [g[3 * b], g[3 * b + 1], g[3 * b + 2]];
+                for a in 0..npe {
+                    let ga = [g[3 * a], g[3 * a + 1], g[3 * a + 2]];
+                    let dot = ga[0] * gb[0] + ga[1] * gb[1] + ga[2] * gb[2];
+                    for j in 0..3 {
+                        for i in 0..3 {
+                            let mut v = la * (ga[i] * gb[j]) + mu * (ga[j] * gb[i]);
+                            if i == j {
+                                v += mu * dot;
+                            }
+                            ke[(3 * b + j) * nd + 3 * a + i] += wd * v;
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    /// Restricting the accumulation to node blocks `a ≥ b` and mirroring
+    /// changes no bit of any `Ke`: on axis-aligned elements (exact zeros
+    /// of either sign among the entries) and on jittered ones, for both
+    /// kernels and all five element types. CG iteration counts, the
+    /// `hymv-check` certificates and every stored slab rest on this.
+    #[test]
+    fn half_triangle_ke_matches_full_double_loop_bitwise() {
+        let mut state = 0x2545_F491_4F6C_DD1Du64;
+        let mut jitter = |amp: f64| {
+            state = state
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            ((state >> 11) as f64 / (1u64 << 53) as f64 - 0.5) * amp
+        };
+        for et in [
+            ElementType::Hex8,
+            ElementType::Hex20,
+            ElementType::Hex27,
+            ElementType::Tet4,
+            ElementType::Tet10,
+        ] {
+            let poisson = PoissonKernel::new(et);
+            let elasticity = ElasticityKernel::new(et, 207.3, 0.29, [0.0; 3]);
+            let npe = et.nodes_per_elem();
+            let mut scratch = KernelScratch::default();
+            let mut exact_zeros = 0;
+            // Trial 0 is axis-aligned; the rest are distorted.
+            for trial in 0..4 {
+                // Axis-aligned edges are powers of two: the arithmetic is
+                // exact, terms of either sign of zero occur, and
+                // cancelling entries come out as exact zeros.
+                let (h, amp) = if trial == 0 {
+                    ([0.5, 0.25, 1.0], 0.0)
+                } else {
+                    ([0.37, 0.41, 0.43], 0.08)
+                };
+                let coords: Vec<[f64; 3]> = et
+                    .ref_coords()
+                    .iter()
+                    .map(|r| [0, 1, 2].map(|c| r[c] * h[c] + jitter(amp)))
+                    .collect();
+                for ndof in [1usize, 3] {
+                    let nd = npe * ndof;
+                    let (mut ke, mut ke_ref) = (vec![f64::NAN; nd * nd], vec![0.0; nd * nd]);
+                    if ndof == 1 {
+                        poisson.compute_ke(&coords, &mut ke, &mut scratch);
+                        poisson_ke_full(&poisson, &coords, &mut ke_ref);
+                    } else {
+                        elasticity.compute_ke(&coords, &mut ke, &mut scratch);
+                        elasticity_ke_full(&elasticity, &coords, &mut ke_ref);
+                    }
+                    for (at, (x, y)) in ke.iter().zip(&ke_ref).enumerate() {
+                        assert_eq!(
+                            x.to_bits(),
+                            y.to_bits(),
+                            "{et:?} ndof={ndof} trial {trial}: Ke({}, {}) = {x:e} vs {y:e}",
+                            at % nd,
+                            at / nd
+                        );
+                    }
+                    if trial == 0 {
+                        exact_zeros += ke.iter().filter(|v| **v == 0.0).count();
+                    }
+                }
+            }
+            if !et.is_hex() {
+                assert!(exact_zeros > 0, "{et:?}: the axis-aligned case has none");
             }
         }
     }
