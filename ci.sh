@@ -69,6 +69,10 @@ cargo run -q -p hymv-verify --bin hymv-verify -- collectives
 stage "sanitize feature: la/core test suites with checked SIMD lane access"
 cargo test -q -p hymv-la --features sanitize
 cargo test -q -p hymv-core --features hymv-la/sanitize
+# Again optimised: the unrolled emv_batch instantiations only exist there,
+# and release is where the debug_assert! preconditions the bounds proofs
+# rest on are compiled out, so the checked lanes are all that is left.
+cargo test -q --release -p hymv-la --features sanitize
 
 stage "hymv-chaos smoke sweep (recoverable faults heal bitwise; crash aborts typed)"
 cargo run -q --release -p hymv-check --bin hymv-chaos -- \

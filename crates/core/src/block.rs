@@ -26,7 +26,9 @@
 
 use rayon::prelude::*;
 
-use hymv_la::dense::{interleave_ke, slab_len, EmvBatchKernel, EmvBatchMvKernel, MAX_BATCH_WIDTH};
+use hymv_la::dense::{
+    gather_panel, interleave_ke, slab_len, EmvBatchKernel, EmvBatchMvKernel, MAX_BATCH_WIDTH,
+};
 use hymv_la::{ElementMatrixStore, MAX_NVEC_WIDTH};
 
 use crate::da::{DistArray, DistMultivector};
@@ -122,6 +124,22 @@ pub fn batch_width_from_env() -> usize {
             Err(e) => panic!("{BATCH_ENV}: {e}"),
         },
         Err(_) => DEFAULT_BATCH_WIDTH,
+    }
+}
+
+/// The DA length `n_total · ndof` a plan's gather tables index, or why they
+/// cannot: the tables hold `u32` and `BlockSet::build` computes their
+/// entries in `u32`, where a product past 2³² would wrap silently in
+/// release. The limit is `i32::MAX` rather than `u32::MAX` so that an index
+/// also survives any gather that sign-extends 32-bit indices.
+fn da_len(n_total: usize, ndof: usize) -> Result<usize, String> {
+    match n_total.checked_mul(ndof) {
+        Some(n) if n <= i32::MAX as usize => Ok(n),
+        _ => Err(format!(
+            "{n_total} nodes × {ndof} dofs per node is past the {} DA entries \
+             a block plan's 32-bit gather indices address",
+            i32::MAX
+        )),
     }
 }
 
@@ -246,12 +264,7 @@ impl BlockSet {
     /// are zero).
     #[inline]
     pub fn gather(&self, k: usize, data: &[f64], ue: &mut [f64]) {
-        let pl = self.panel_len();
-        let gi = &self.gidx[k * pl..(k + 1) * pl];
-        debug_assert_eq!(ue.len(), pl);
-        for (u, &r) in ue.iter_mut().zip(gi) {
-            *u = data[r as usize];
-        }
+        gather_panel(data, self.gather_indices(k), ue);
     }
 
     /// Scatter block `k`'s output panel through `add(dof_index, value)`.
@@ -380,11 +393,16 @@ pub struct BlockPlan {
 impl BlockPlan {
     /// Build the gather/scatter tables (matrix slabs stay empty until
     /// [`Self::attach_store`]).
+    ///
+    /// # Panics
+    /// On a batch width outside `1..=MAX_BATCH_WIDTH`, and on a DA of more
+    /// than `i32::MAX` entries (`da_len`).
     pub fn build(maps: &HymvMaps, ndof: usize, bw: usize) -> Self {
         assert!(
             (1..=MAX_BATCH_WIDTH).contains(&bw),
             "batch width {bw} outside 1..={MAX_BATCH_WIDTH}"
         );
+        let n_data = da_len(maps.n_total(), ndof).unwrap_or_else(|e| panic!("{e}"));
         let indep = BlockSet::build(maps, ndof, bw, &maps.independent);
         let dep = BlockSet::build(maps, ndof, bw, &maps.dependent);
         let mut slot = vec![(false, u32::MAX, 0u16); maps.n_elems];
@@ -400,7 +418,7 @@ impl BlockPlan {
         BlockPlan {
             nd: maps.npe * ndof,
             bw,
-            n_data: maps.n_total() * ndof,
+            n_data,
             indep,
             dep,
             slot,
@@ -835,6 +853,58 @@ mod tests {
                     }
                 }
             }
+        }
+    }
+
+    /// The vector gather against the loop it replaced, on a plan with a
+    /// ragged tail: every live lane reads its dof, every padded lane reads
+    /// slot 0.
+    #[test]
+    fn gather_equals_the_scalar_loop_on_a_ragged_plan() {
+        let mesh = StructuredHexMesh::unit(3, ElementType::Hex8).build(); // 27 = 3·8 + 3
+        for (ndof, bw) in [(1usize, 8usize), (3, 8), (1, 16), (1, 5)] {
+            let (maps, _, u) = random_case(&mesh, ndof, 300 + bw as u64);
+            let plan = BlockPlan::build(&maps, ndof, bw);
+            let set = plan.set(false);
+            let tail = set.n_blocks() - 1;
+            assert!(set.len(tail) < bw, "the last block must be ragged");
+            let mut ue = vec![f64::NAN; set.panel_len()];
+            for k in 0..set.n_blocks() {
+                set.gather(k, &u.data, &mut ue);
+                for (t, (&got, &r)) in ue.iter().zip(set.gather_indices(k)).enumerate() {
+                    if t % bw >= set.len(k) {
+                        assert_eq!(r, 0, "padded lanes index slot 0");
+                    }
+                    assert_eq!(
+                        got.to_bits(),
+                        u.data[r as usize].to_bits(),
+                        "block {k} slot {t}"
+                    );
+                }
+            }
+        }
+    }
+
+    /// The plan's index space ends at `i32::MAX` entries, and the refusal
+    /// names both factors; a product that overflows `usize` is refused the
+    /// same way instead of wrapping.
+    #[test]
+    fn da_len_is_checked_at_the_32_bit_edge() {
+        let edge = i32::MAX as usize;
+        assert_eq!(da_len(edge, 1), Ok(edge));
+        assert_eq!(da_len(edge / 3, 3), Ok(edge / 3 * 3));
+        assert_eq!(da_len(0, 3), Ok(0));
+        for (n_total, ndof) in [
+            (edge + 1, 1),
+            (edge / 3 + 1, 3),
+            (1 << 31, 2),
+            (usize::MAX, 2),
+        ] {
+            let err = da_len(n_total, ndof).unwrap_err();
+            assert!(
+                err.contains(&format!("{n_total} nodes")) && err.contains(&format!("{ndof} dofs")),
+                "{err}"
+            );
         }
     }
 

@@ -27,11 +27,12 @@ use std::sync::OnceLock;
 /// preconditions. Under `--features sanitize` every call also asserts
 /// its bounds at runtime (the CI sanitize job runs the la/core test
 /// suites in this mode).
-#[cfg(target_arch = "x86_64")]
 pub(crate) mod lanes {
+    #[cfg(target_arch = "x86_64")]
     use std::arch::x86_64::{
-        __m256d, __m512d, _mm256_loadu_pd, _mm256_set1_pd, _mm256_storeu_pd, _mm512_loadu_pd,
-        _mm512_set1_pd, _mm512_storeu_pd,
+        __m256d, __m256i, __m512d, _mm256_loadu_pd, _mm256_loadu_si256, _mm256_set1_pd,
+        _mm256_storeu_pd, _mm512_cmplt_epu64_mask, _mm512_cvtepu32_epi64, _mm512_i64gather_pd,
+        _mm512_loadu_pd, _mm512_set1_epi64, _mm512_set1_pd, _mm512_storeu_pd,
     };
 
     #[cfg(feature = "sanitize")]
@@ -46,6 +47,7 @@ pub(crate) mod lanes {
     /// 4-lane unaligned load from `s[at..at + 4]`.
     ///
     /// SAFETY contract: `at + 4 <= s.len()`; the CPU supports AVX.
+    #[cfg(target_arch = "x86_64")]
     #[inline]
     #[target_feature(enable = "avx")]
     #[allow(unsafe_code)] // SAFETY: contract above; proved per call site by hymv-verify
@@ -59,6 +61,7 @@ pub(crate) mod lanes {
     /// 4-lane unaligned store to `s[at..at + 4]`.
     ///
     /// SAFETY contract: `at + 4 <= s.len()`; the CPU supports AVX.
+    #[cfg(target_arch = "x86_64")]
     #[inline]
     #[target_feature(enable = "avx")]
     #[allow(unsafe_code)] // SAFETY: contract above; proved per call site by hymv-verify
@@ -72,6 +75,7 @@ pub(crate) mod lanes {
     /// 8-lane unaligned load from `s[at..at + 8]`.
     ///
     /// SAFETY contract: `at + 8 <= s.len()`; the CPU supports AVX-512F.
+    #[cfg(target_arch = "x86_64")]
     #[inline]
     #[target_feature(enable = "avx512f")]
     #[allow(unsafe_code)] // SAFETY: contract above; proved per call site by hymv-verify
@@ -85,6 +89,7 @@ pub(crate) mod lanes {
     /// 8-lane unaligned store to `s[at..at + 8]`.
     ///
     /// SAFETY contract: `at + 8 <= s.len()`; the CPU supports AVX-512F.
+    #[cfg(target_arch = "x86_64")]
     #[inline]
     #[target_feature(enable = "avx512f")]
     #[allow(unsafe_code)] // SAFETY: contract above; proved per call site by hymv-verify
@@ -95,11 +100,40 @@ pub(crate) mod lanes {
         _mm512_storeu_pd(s.as_mut_ptr().add(at), v);
     }
 
+    /// 8-lane gather `data[gi[at + l]]`, `l = 0..8`, as one `vgatherqpd`
+    /// over the zero-extended indices (so no index is ever sign-extended).
+    ///
+    /// SAFETY contract: `at + 8 <= gi.len()`; the CPU supports AVX-512F.
+    /// The index *values* are not the caller's obligation: all eight are
+    /// compared against `data.len()` before the load, and one out of range
+    /// panics like the `data[i]` it replaces.
+    #[cfg(target_arch = "x86_64")]
+    #[inline]
+    #[target_feature(enable = "avx512f")]
+    #[allow(unsafe_code)] // SAFETY: contract above; proved per call site by hymv-verify
+    pub unsafe fn gather8(data: &[f64], gi: &[u32], at: usize) -> __m512d {
+        #[cfg(feature = "sanitize")]
+        check(gi.len(), at, 8, "gather8");
+        debug_assert!(at + 8 <= gi.len());
+        let idx = _mm512_cvtepu32_epi64(_mm256_loadu_si256(gi.as_ptr().add(at).cast::<__m256i>()));
+        // `len <= isize::MAX`, so the cast is lossless.
+        #[allow(clippy::cast_possible_wrap)]
+        let in_range = _mm512_cmplt_epu64_mask(idx, _mm512_set1_epi64(data.len() as i64));
+        assert!(
+            in_range == 0xff,
+            "gather index out of bounds: the len is {} but the indices are {:?}",
+            data.len(),
+            &gi[at..at + 8]
+        );
+        _mm512_i64gather_pd::<8>(idx, data.as_ptr())
+    }
+
     /// Broadcast-load: scalar `s[at]` splatted into all 4 lanes (the
     /// multivector kernels read one `Ke` entry and reuse it across the
     /// column dimension).
     ///
     /// SAFETY contract: `at < s.len()`; the CPU supports AVX.
+    #[cfg(target_arch = "x86_64")]
     #[inline]
     #[target_feature(enable = "avx")]
     #[allow(unsafe_code)] // SAFETY: contract above; proved per call site by hymv-verify
@@ -113,6 +147,7 @@ pub(crate) mod lanes {
     /// Broadcast-load: scalar `s[at]` splatted into all 8 lanes.
     ///
     /// SAFETY contract: `at < s.len()`; the CPU supports AVX-512F.
+    #[cfg(target_arch = "x86_64")]
     #[inline]
     #[target_feature(enable = "avx512f")]
     #[allow(unsafe_code)] // SAFETY: contract above; proved per call site by hymv-verify
@@ -138,6 +173,7 @@ pub(crate) mod lanes {
     /// Unchecked scalar accumulate `s[at] += x` (kernel remainder loops).
     ///
     /// SAFETY contract: `at < s.len()`.
+    #[cfg(target_arch = "x86_64")]
     #[inline(always)]
     #[allow(unsafe_code)] // SAFETY: contract above; proved per call site by hymv-verify
     pub unsafe fn add1(s: &mut [f64], at: usize, x: f64) {
@@ -222,33 +258,66 @@ pub fn emv(ke: &[f64], ue: &[f64], ve: &mut [f64]) {
     k(ke, ue, ve);
 }
 
-/// Name of the dispatched kernel variant (for experiment logs).
-pub fn emv_kernel_name() -> &'static str {
+/// The instruction sets the kernels are written for.
+#[derive(Clone, Copy, PartialEq, Eq)]
+enum Isa {
+    Portable,
+    Avx2,
+    Avx512,
+}
+
+/// The one dispatch decision of this module: the widest ISA of this CPU
+/// whose vectors tile `width` lanes with at most eight accumulators. Every
+/// `select_*` and every `*_kernel_name` derives from it, so the name an
+/// experiment logs is the kernel that ran.
+fn isa_for(width: usize) -> Isa {
     #[cfg(target_arch = "x86_64")]
     {
-        if is_x86_feature_detected!("avx512f") {
-            return "avx512f";
+        if width % 8 == 0 && width <= 64 && is_x86_feature_detected!("avx512f") {
+            return Isa::Avx512;
         }
-        if is_x86_feature_detected!("avx2") && is_x86_feature_detected!("fma") {
-            return "avx2+fma";
+        if width % 4 == 0
+            && width <= 32
+            && is_x86_feature_detected!("avx2")
+            && is_x86_feature_detected!("fma")
+        {
+            return Isa::Avx2;
         }
     }
-    "portable"
+    let _ = width;
+    Isa::Portable
+}
+
+/// The name experiment logs give `$isa`'s kernel of family `$family`.
+macro_rules! isa_name {
+    ($isa:expr, $family:literal) => {
+        match $isa {
+            Isa::Avx512 => concat!($family, "avx512f"),
+            Isa::Avx2 => concat!($family, "avx2+fma"),
+            Isa::Portable => concat!($family, "portable"),
+        }
+    };
+}
+
+/// Width the per-element kernels dispatch on: they run their own remainder
+/// loops, so any multiple of every vector width selects the widest ISA.
+const ANY_WIDTH: usize = 8;
+
+/// Name of the dispatched kernel variant (for experiment logs).
+pub fn emv_kernel_name() -> &'static str {
+    isa_name!(isa_for(ANY_WIDTH), "")
 }
 
 /// Pick the best per-element EMV variant for this CPU. Resolve once per
 /// SPMV (or cache in the operator) — not per element.
 pub fn select_kernel() -> EmvKernel {
-    #[cfg(target_arch = "x86_64")]
-    {
-        if is_x86_feature_detected!("avx512f") {
-            return emv_avx512;
-        }
-        if is_x86_feature_detected!("avx2") && is_x86_feature_detected!("fma") {
-            return emv_avx2;
-        }
+    match isa_for(ANY_WIDTH) {
+        #[cfg(target_arch = "x86_64")]
+        Isa::Avx512 => emv_avx512,
+        #[cfg(target_arch = "x86_64")]
+        Isa::Avx2 => emv_avx2,
+        _ => emv_portable,
     }
-    emv_portable
 }
 
 /// Portable column-axpy variant; the inner loop autovectorizes.
@@ -395,9 +464,9 @@ fn slab_is_packed(keb_len: usize, nd: usize, bw: usize) -> bool {
     packed
 }
 
-/// Slab slot of matrix entry `(i, j)` in either layout (portable kernels;
-/// the SIMD kernels split their column loop at the diagonal and spell the
-/// branch each half takes out as a polynomial `hymv-verify` can bound).
+/// Slab slot of matrix entry `(i, j)` in either layout (the portable
+/// multivector kernel; the proved kernels spell the branch each side of
+/// the diagonal takes out as a polynomial `hymv-verify` can bound).
 #[inline(always)]
 fn ke_slot<const PACKED: bool>(i: usize, j: usize, nd: usize) -> usize {
     if !PACKED {
@@ -421,80 +490,228 @@ pub fn emv_batch(keb: &[f64], ue: &[f64], ve: &mut [f64], nd: usize, bw: usize) 
 /// Pick the best batched-EMV variant for this CPU and batch width. The
 /// SIMD variants require `bw` to be a multiple of the vector width (and
 /// small enough to keep per-row accumulators in registers); other widths
-/// fall back to the portable kernel, which autovectorizes well.
+/// fall back to the portable lane, which autovectorizes well.
 pub fn select_batch_kernel(bw: usize) -> EmvBatchKernel {
     assert!(
         bw >= 1 && bw <= MAX_BATCH_WIDTH,
         "batch width {bw} outside 1..={MAX_BATCH_WIDTH}"
     );
-    #[cfg(target_arch = "x86_64")]
-    {
-        if bw % 8 == 0 && bw <= 64 && is_x86_feature_detected!("avx512f") {
-            return emv_batch_avx512;
-        }
-        if bw % 4 == 0
-            && bw <= 32
-            && is_x86_feature_detected!("avx2")
-            && is_x86_feature_detected!("fma")
-        {
-            return emv_batch_avx2;
-        }
+    match isa_for(bw) {
+        #[cfg(target_arch = "x86_64")]
+        Isa::Avx512 => emv_batch_avx512,
+        #[cfg(target_arch = "x86_64")]
+        Isa::Avx2 => emv_batch_avx2,
+        _ => emv_batch_portable,
     }
-    emv_batch_portable
 }
 
 /// Name of the dispatched batched-kernel variant (for experiment logs).
 pub fn emv_batch_kernel_name(bw: usize) -> &'static str {
-    #[cfg(target_arch = "x86_64")]
-    {
-        if bw % 8 == 0 && bw <= 64 && is_x86_feature_detected!("avx512f") {
-            return "batch-avx512f";
-        }
-        if bw % 4 == 0
-            && bw <= 32
-            && is_x86_feature_detected!("avx2")
-            && is_x86_feature_detected!("fma")
-        {
-            return "batch-avx2+fma";
-        }
-    }
-    let _ = bw;
-    "batch-portable"
+    isa_name!(isa_for(bw), "batch-")
 }
 
-/// Portable batched kernel: column-axpy order (`j` outer) so a full `keb`
-/// is streamed linearly exactly once; the `ve` panel (nd·bw doubles) stays
-/// cache-resident across columns. The lane loop autovectorizes.
-// verify: kernel-entry
-pub fn emv_batch_portable(keb: &[f64], ue: &[f64], ve: &mut [f64], nd: usize, bw: usize) {
-    if slab_is_packed(keb.len(), nd, bw) {
-        emv_batch_portable_impl::<true>(keb, ue, ve, nd, bw);
-    } else {
-        emv_batch_portable_impl::<false>(keb, ue, ve, nd, bw);
+/// One vector of `W` batch lanes: all that differs between the ISAs the
+/// batched kernel is instantiated for.
+///
+/// SAFETY contract of `load`/`store`: `at + W <= s.len()` — `hymv-verify`
+/// proves it per instantiation of [`emv_batch_body`], and that each impl
+/// forwards to `lanes::*` helpers of exactly `W` lanes — and a CPU with the
+/// lane type's ISA, which the `emv_batch_*` entry points owe.
+#[allow(unsafe_code)] // SAFETY: contract above
+trait Lane: Copy {
+    const W: usize;
+    const ZERO: Self;
+    /// Accumulators of one output row: eight registers on the SIMD ISAs,
+    /// a scalar per lane (in memory, autovectorized) on the portable one.
+    type Acc: AsMut<[Self]>;
+    const ZEROS: Self::Acc;
+    unsafe fn load(s: &[f64], at: usize) -> Self;
+    unsafe fn store(s: &mut [f64], at: usize, v: Self);
+    /// `k·u + acc`: fused on the SIMD ISAs, multiply then add on the
+    /// portable lane — the two arithmetic classes the kernels always had.
+    unsafe fn fmadd(k: Self, u: Self, acc: Self) -> Self;
+}
+
+#[allow(unsafe_code)] // SAFETY: forwards the trait's contract to `lanes::read1`
+impl Lane for f64 {
+    const W: usize = 1;
+    const ZERO: Self = 0.0;
+    type Acc = [Self; MAX_BATCH_WIDTH];
+    const ZEROS: Self::Acc = [0.0; MAX_BATCH_WIDTH];
+    #[inline(always)]
+    unsafe fn load(s: &[f64], at: usize) -> Self {
+        lanes::read1(s, at)
+    }
+    #[inline(always)]
+    unsafe fn store(s: &mut [f64], at: usize, v: Self) {
+        s[at] = v;
+    }
+    #[inline(always)]
+    unsafe fn fmadd(k: Self, u: Self, acc: Self) -> Self {
+        acc + k * u
     }
 }
 
-fn emv_batch_portable_impl<const PACKED: bool>(
+#[cfg(target_arch = "x86_64")]
+#[allow(unsafe_code)] // SAFETY: forwards the trait's contract to `lanes::*`
+impl Lane for std::arch::x86_64::__m256d {
+    const W: usize = 4;
+    // SAFETY: all-zero bits are four lanes of `0.0`; no AVX instruction runs.
+    const ZERO: Self = unsafe { std::mem::transmute([0.0f64; 4]) };
+    type Acc = [Self; 8];
+    const ZEROS: Self::Acc = [Self::ZERO; 8];
+    #[inline(always)]
+    unsafe fn load(s: &[f64], at: usize) -> Self {
+        lanes::load4(s, at)
+    }
+    #[inline(always)]
+    unsafe fn store(s: &mut [f64], at: usize, v: Self) {
+        lanes::store4(s, at, v);
+    }
+    #[inline(always)]
+    unsafe fn fmadd(k: Self, u: Self, acc: Self) -> Self {
+        std::arch::x86_64::_mm256_fmadd_pd(k, u, acc)
+    }
+}
+
+#[cfg(target_arch = "x86_64")]
+#[allow(unsafe_code)] // SAFETY: forwards the trait's contract to `lanes::*`
+impl Lane for std::arch::x86_64::__m512d {
+    const W: usize = 8;
+    // SAFETY: all-zero bits are eight lanes of `0.0`; no AVX-512 instruction runs.
+    const ZERO: Self = unsafe { std::mem::transmute([0.0f64; 8]) };
+    type Acc = [Self; 8];
+    const ZEROS: Self::Acc = [Self::ZERO; 8];
+    #[inline(always)]
+    unsafe fn load(s: &[f64], at: usize) -> Self {
+        lanes::load8(s, at)
+    }
+    #[inline(always)]
+    unsafe fn store(s: &mut [f64], at: usize, v: Self) {
+        lanes::store8(s, at, v);
+    }
+    #[inline(always)]
+    unsafe fn fmadd(k: Self, u: Self, acc: Self) -> Self {
+        std::arch::x86_64::_mm512_fmadd_pd(k, u, acc)
+    }
+}
+
+/// The batched EMV: every ISA, both slab layouts and every `nd` run this
+/// source. Output row `i` is one multiply-add chain over `j` ascending, so
+/// all instantiations of a lane type give the same bits.
+///
+/// `ND = 0` takes `nd` at run time and reduces a row at a time: its
+/// `bw / W` accumulators stay in registers, `ve` is stored once per row,
+/// and the column loop is split at the diagonal so a packed slab needs no
+/// max/min per entry — left of it row `i` reads its own packed row, from
+/// the diagonal on it reads column `i` of the rows below.
+///
+/// `ND > 0` fixes the dimension (the caller passes `nd == ND`). A row of
+/// nd ≤ 12 is too short a chain to hide the fmadd latency and the loop
+/// control around it, so both loops have constant trip counts for the
+/// compiler to unroll: per lane vector the `ue` rows sit in registers,
+/// the triangle split folds into constant slots and rows overlap.
+// verify: prove-bounds
+#[inline(always)]
+#[allow(unsafe_code)] // SAFETY: the caller proves the lane type's ISA; every lane access is
+                      // proved in bounds from the debug_asserts below by the hymv-verify interpreter.
+unsafe fn emv_batch_body<L: Lane, const PACKED: bool, const ND: usize>(
     keb: &[f64],
     ue: &[f64],
     ve: &mut [f64],
     nd: usize,
     bw: usize,
 ) {
-    debug_assert_eq!(keb.len(), slab_len(nd, bw, PACKED));
+    let nd = if ND == 0 { nd } else { ND };
+    debug_assert_eq!(keb.len(), if PACKED { tri(nd) * bw } else { nd * nd * bw });
     debug_assert_eq!(ue.len(), nd * bw);
     debug_assert_eq!(ve.len(), nd * bw);
-    ve.fill(0.0);
-    for j in 0..nd {
-        let uej = &ue[j * bw..(j + 1) * bw];
+    debug_assert!(bw % L::W == 0);
+    let chunks = bw / L::W;
+    if ND == 0 {
         for i in 0..nd {
-            let s = ke_slot::<PACKED>(i, j, nd);
-            let k = &keb[s * bw..(s + 1) * bw];
-            let v = &mut ve[i * bw..(i + 1) * bw];
-            for b in 0..bw {
-                v[b] += k[b] * uej[b];
+            let mut acc = L::ZEROS;
+            let acc = acc.as_mut();
+            for j in 0..i {
+                let s = if PACKED { tri(i) + j } else { j * nd + i };
+                for c in 0..chunks {
+                    let k = L::load(keb, s * bw + L::W * c);
+                    let u = L::load(ue, j * bw + L::W * c);
+                    acc[c] = L::fmadd(k, u, acc[c]);
+                }
+            }
+            for j in i..nd {
+                let s = if PACKED { tri(j) + i } else { j * nd + i };
+                for c in 0..chunks {
+                    let k = L::load(keb, s * bw + L::W * c);
+                    let u = L::load(ue, j * bw + L::W * c);
+                    acc[c] = L::fmadd(k, u, acc[c]);
+                }
+            }
+            for c in 0..chunks {
+                L::store(ve, i * bw + L::W * c, acc[c]);
             }
         }
+    } else {
+        for c in 0..chunks {
+            let mut u = [L::ZERO; ND];
+            for j in 0..ND {
+                u[j] = L::load(ue, j * bw + L::W * c);
+            }
+            for i in 0..ND {
+                let mut acc = L::ZERO;
+                for j in 0..ND {
+                    let k = if PACKED {
+                        if j <= i {
+                            L::load(keb, (tri(i) + j) * bw + L::W * c)
+                        } else {
+                            L::load(keb, (tri(j) + i) * bw + L::W * c)
+                        }
+                    } else {
+                        L::load(keb, (j * ND + i) * bw + L::W * c)
+                    };
+                    acc = L::fmadd(k, u[j], acc);
+                }
+                L::store(ve, i * bw + L::W * c, acc);
+            }
+        }
+    }
+}
+
+/// One batched EMV on lane type `L`: pins the lengths the body assumes,
+/// then picks its instantiation from the slab layout and `nd`. `nd` is a
+/// constant for the element dimensions of the scalar and vector problems
+/// on Tet4 / Hex8 / Tet10; above them unrolling stops paying (DESIGN.md
+/// §8), so every other `nd` takes `ND = 0`.
+#[inline(always)]
+#[allow(unsafe_code)] // SAFETY: the caller proves `L`'s ISA, as for `emv_batch_body`
+unsafe fn emv_batch_on<L: Lane>(keb: &[f64], ue: &[f64], ve: &mut [f64], nd: usize, bw: usize) {
+    assert!(
+        ue.len() == nd * bw && ve.len() == nd * bw && bw % L::W == 0,
+        "panels do not fit nd={nd}, bw={bw}"
+    );
+    match (slab_is_packed(keb.len(), nd, bw), nd) {
+        (true, 4) => emv_batch_body::<L, true, 4>(keb, ue, ve, nd, bw),
+        (true, 8) => emv_batch_body::<L, true, 8>(keb, ue, ve, nd, bw),
+        (true, 10) => emv_batch_body::<L, true, 10>(keb, ue, ve, nd, bw),
+        (true, 12) => emv_batch_body::<L, true, 12>(keb, ue, ve, nd, bw),
+        (true, _) => emv_batch_body::<L, true, 0>(keb, ue, ve, nd, bw),
+        (false, 4) => emv_batch_body::<L, false, 4>(keb, ue, ve, nd, bw),
+        (false, 8) => emv_batch_body::<L, false, 8>(keb, ue, ve, nd, bw),
+        (false, 10) => emv_batch_body::<L, false, 10>(keb, ue, ve, nd, bw),
+        (false, 12) => emv_batch_body::<L, false, 12>(keb, ue, ve, nd, bw),
+        (false, _) => emv_batch_body::<L, false, 0>(keb, ue, ve, nd, bw),
+    }
+}
+
+/// Portable batched kernel: scalar lanes; the lane loops autovectorize.
+// verify: kernel-entry
+pub fn emv_batch_portable(keb: &[f64], ue: &[f64], ve: &mut [f64], nd: usize, bw: usize) {
+    // SAFETY: the scalar lane needs no ISA; `emv_batch_on` pins the
+    // lengths its unchecked loads are proved in bounds from.
+    #[allow(unsafe_code)]
+    unsafe {
+        emv_batch_on::<f64>(keb, ue, ve, nd, bw);
     }
 }
 
@@ -502,127 +719,66 @@ fn emv_batch_portable_impl<const PACKED: bool>(
 // verify: kernel-entry
 #[allow(unsafe_code)] // SIMD dispatch wrapper; SAFETY comment at the call
 fn emv_batch_avx2(keb: &[f64], ue: &[f64], ve: &mut [f64], nd: usize, bw: usize) {
-    // SAFETY: dispatch guarantees avx2+fma are available and bw % 4 == 0,
-    // bw <= 32; `slab_is_packed` pins the slab length the layout assumes.
-    unsafe {
-        if slab_is_packed(keb.len(), nd, bw) {
-            emv_batch_avx2_impl::<true>(keb, ue, ve, nd, bw)
-        } else {
-            emv_batch_avx2_impl::<false>(keb, ue, ve, nd, bw)
-        }
+    #[target_feature(enable = "avx2,fma")]
+    unsafe fn isa(keb: &[f64], ue: &[f64], ve: &mut [f64], nd: usize, bw: usize) {
+        emv_batch_on::<std::arch::x86_64::__m256d>(keb, ue, ve, nd, bw);
     }
-}
-
-#[cfg(target_arch = "x86_64")]
-// verify: prove-bounds
-#[target_feature(enable = "avx2,fma")]
-#[allow(unsafe_code)] // SAFETY: caller proves the target features; every lane access is proved
-                      // in bounds from the debug_asserts below by the hymv-verify interpreter.
-unsafe fn emv_batch_avx2_impl<const PACKED: bool>(
-    keb: &[f64],
-    ue: &[f64],
-    ve: &mut [f64],
-    nd: usize,
-    bw: usize,
-) {
-    use std::arch::x86_64::*;
-    debug_assert_eq!(keb.len(), if PACKED { tri(nd) * bw } else { nd * nd * bw });
-    debug_assert_eq!(ue.len(), nd * bw);
-    debug_assert_eq!(ve.len(), nd * bw);
-    debug_assert!(bw % 4 == 0 && bw <= 32);
-    let chunks = bw / 4;
-    // Row-outer with register accumulators: each output row `i` is reduced
-    // over all columns `j` without touching memory, so `ve` is stored once
-    // per row instead of read-modified-written per column. The column loop
-    // is split at the diagonal so a packed slab needs no max/min per entry:
-    // left of it row `i` reads its own packed row, from the diagonal on it
-    // reads column `i` of the rows below — `j` ascends throughout, so both
-    // layouts run one and the same fmadd chain.
-    for i in 0..nd {
-        let mut acc = [_mm256_setzero_pd(); 8];
-        for j in 0..i {
-            let s = if PACKED { tri(i) + j } else { j * nd + i };
-            for c in 0..chunks {
-                let k = lanes::load4(keb, s * bw + 4 * c);
-                let u = lanes::load4(ue, j * bw + 4 * c);
-                acc[c] = _mm256_fmadd_pd(k, u, acc[c]);
-            }
-        }
-        for j in i..nd {
-            let s = if PACKED { tri(j) + i } else { j * nd + i };
-            for c in 0..chunks {
-                let k = lanes::load4(keb, s * bw + 4 * c);
-                let u = lanes::load4(ue, j * bw + 4 * c);
-                acc[c] = _mm256_fmadd_pd(k, u, acc[c]);
-            }
-        }
-        for c in 0..chunks {
-            lanes::store4(ve, i * bw + 4 * c, acc[c]);
-        }
-    }
+    // SAFETY: dispatch guarantees avx2+fma are available; `emv_batch_on`
+    // pins the lengths the lane accesses are proved in bounds from.
+    unsafe { isa(keb, ue, ve, nd, bw) }
 }
 
 #[cfg(target_arch = "x86_64")]
 // verify: kernel-entry
 #[allow(unsafe_code)] // SIMD dispatch wrapper; SAFETY comment at the call
 fn emv_batch_avx512(keb: &[f64], ue: &[f64], ve: &mut [f64], nd: usize, bw: usize) {
-    // SAFETY: dispatch guarantees avx512f is available and bw % 8 == 0,
-    // bw <= 64; `slab_is_packed` pins the slab length the layout assumes.
-    unsafe {
-        if slab_is_packed(keb.len(), nd, bw) {
-            emv_batch_avx512_impl::<true>(keb, ue, ve, nd, bw)
-        } else {
-            emv_batch_avx512_impl::<false>(keb, ue, ve, nd, bw)
-        }
+    #[target_feature(enable = "avx512f")]
+    unsafe fn isa(keb: &[f64], ue: &[f64], ve: &mut [f64], nd: usize, bw: usize) {
+        emv_batch_on::<std::arch::x86_64::__m512d>(keb, ue, ve, nd, bw);
+    }
+    // SAFETY: dispatch guarantees avx512f is available; lengths as above.
+    unsafe { isa(keb, ue, ve, nd, bw) }
+}
+
+/// FLOPs of one batched EMV: `2·nd²·bw` (every lane does a full EMV).
+pub fn emv_batch_flops(nd: usize, bw: usize) -> u64 {
+    emv_flops(nd) * bw as u64
+}
+
+/// Gather an input panel through its index table: `ue[t] = data[gi[t]]`.
+/// With AVX-512F eight lanes are one hardware gather and one 64-byte store
+/// (which the kernel's 64-byte load of that row can forward from, as eight
+/// 8-byte stores cannot); other CPUs keep the scalar loop. Either way an
+/// index past `data` panics before it is read.
+#[inline]
+pub fn gather_panel(data: &[f64], gi: &[u32], ue: &mut [f64]) {
+    assert_eq!(gi.len(), ue.len(), "index table and panel differ in length");
+    #[cfg(target_arch = "x86_64")]
+    if isa_for(ANY_WIDTH) == Isa::Avx512 {
+        // SAFETY: `isa_for` found AVX-512F; the lengths were just compared.
+        #[allow(unsafe_code)]
+        return unsafe { gather_panel_avx512(data, gi, ue) };
+    }
+    for (u, &r) in ue.iter_mut().zip(gi) {
+        *u = data[r as usize];
     }
 }
 
 #[cfg(target_arch = "x86_64")]
 // verify: prove-bounds
 #[target_feature(enable = "avx512f")]
-#[allow(unsafe_code)] // SAFETY: caller proves the target features; every lane access is proved
-                      // in bounds from the debug_asserts below by the hymv-verify interpreter.
-unsafe fn emv_batch_avx512_impl<const PACKED: bool>(
-    keb: &[f64],
-    ue: &[f64],
-    ve: &mut [f64],
-    nd: usize,
-    bw: usize,
-) {
-    use std::arch::x86_64::*;
-    debug_assert_eq!(keb.len(), if PACKED { tri(nd) * bw } else { nd * nd * bw });
-    debug_assert_eq!(ue.len(), nd * bw);
-    debug_assert_eq!(ve.len(), nd * bw);
-    debug_assert!(bw % 8 == 0 && bw <= 64);
-    let chunks = bw / 8;
-    // Same diagonal-split row reduction as the AVX2 kernel.
-    for i in 0..nd {
-        let mut acc = [_mm512_setzero_pd(); 8];
-        for j in 0..i {
-            let s = if PACKED { tri(i) + j } else { j * nd + i };
-            for c in 0..chunks {
-                let k = lanes::load8(keb, s * bw + 8 * c);
-                let u = lanes::load8(ue, j * bw + 8 * c);
-                acc[c] = _mm512_fmadd_pd(k, u, acc[c]);
-            }
-        }
-        for j in i..nd {
-            let s = if PACKED { tri(j) + i } else { j * nd + i };
-            for c in 0..chunks {
-                let k = lanes::load8(keb, s * bw + 8 * c);
-                let u = lanes::load8(ue, j * bw + 8 * c);
-                acc[c] = _mm512_fmadd_pd(k, u, acc[c]);
-            }
-        }
-        for c in 0..chunks {
-            lanes::store8(ve, i * bw + 8 * c, acc[c]);
-        }
+#[allow(unsafe_code)] // SAFETY: caller proves the target feature; every lane access is proved
+                      // in bounds from the debug_assert below by the hymv-verify interpreter.
+unsafe fn gather_panel_avx512(data: &[f64], gi: &[u32], ue: &mut [f64]) {
+    let n = gi.len();
+    debug_assert_eq!(ue.len(), n);
+    let rows = n / 8;
+    for r in 0..rows {
+        lanes::store8(ue, 8 * r, lanes::gather8(data, gi, 8 * r));
     }
-}
-
-/// FLOPs of one batched EMV: `2·nd²·bw` (every lane does a full EMV).
-pub fn emv_batch_flops(nd: usize, bw: usize) -> u64 {
-    emv_flops(nd) * bw as u64
+    for t in 8 * rows..n {
+        ue[t] = data[gi[t] as usize];
+    }
 }
 
 /// Interleave one element's column-major `nd × nd` matrix into lane `b` of
@@ -700,35 +856,18 @@ pub fn select_batch_mv_kernel(nvec: usize) -> EmvBatchMvKernel {
         nvec >= 1 && nvec <= MAX_NVEC_WIDTH,
         "multivector width {nvec} outside 1..={MAX_NVEC_WIDTH}"
     );
-    #[cfg(target_arch = "x86_64")]
-    {
-        if nvec % 8 == 0 && is_x86_feature_detected!("avx512f") {
-            return emv_batch_mv_avx512;
-        }
-        if nvec % 4 == 0 && is_x86_feature_detected!("avx2") && is_x86_feature_detected!("fma") {
-            return emv_batch_mv_avx2;
-        }
+    match isa_for(nvec) {
+        #[cfg(target_arch = "x86_64")]
+        Isa::Avx512 => emv_batch_mv_avx512,
+        #[cfg(target_arch = "x86_64")]
+        Isa::Avx2 => emv_batch_mv_avx2,
+        _ => emv_batch_mv_portable,
     }
-    emv_batch_mv_portable
 }
 
 /// Name of the dispatched multivector-kernel variant (for experiment logs).
 pub fn emv_batch_mv_kernel_name(nvec: usize) -> &'static str {
-    #[cfg(target_arch = "x86_64")]
-    {
-        if nvec % 8 == 0 && nvec <= MAX_NVEC_WIDTH && is_x86_feature_detected!("avx512f") {
-            return "mv-avx512f";
-        }
-        if nvec % 4 == 0
-            && nvec <= MAX_NVEC_WIDTH
-            && is_x86_feature_detected!("avx2")
-            && is_x86_feature_detected!("fma")
-        {
-            return "mv-avx2+fma";
-        }
-    }
-    let _ = nvec;
-    "mv-portable"
+    isa_name!(isa_for(nvec), "mv-")
 }
 
 /// Portable multivector kernel: column-axpy order (`j` outer) so `keb` is
@@ -1290,6 +1429,138 @@ mod tests {
                 }
             }
         }
+    }
+
+    type BodyFn = unsafe fn(&[f64], &[f64], &mut [f64], usize, usize);
+
+    /// Every instantiation of `emv_batch_body` the entry points dispatch to
+    /// for one lane type, as `(PACKED, ND, fn)`, each compiled under the
+    /// lane's ISA.
+    macro_rules! instantiations {
+        ($lane:ty $(, $feature:literal)?) => {{
+            $(#[target_feature(enable = $feature)])?
+            #[allow(unsafe_code)] // SAFETY: as `emv_batch_body`; the test detects `$feature`
+            unsafe fn run<const PACKED: bool, const ND: usize>(
+                keb: &[f64],
+                ue: &[f64],
+                ve: &mut [f64],
+                nd: usize,
+                bw: usize,
+            ) {
+                emv_batch_body::<$lane, PACKED, ND>(keb, ue, ve, nd, bw);
+            }
+            vec![
+                (false, 0, run::<false, 0> as BodyFn),
+                (false, 4, run::<false, 4> as BodyFn),
+                (false, 8, run::<false, 8> as BodyFn),
+                (false, 10, run::<false, 10> as BodyFn),
+                (false, 12, run::<false, 12> as BodyFn),
+                (true, 0, run::<true, 0> as BodyFn),
+                (true, 4, run::<true, 4> as BodyFn),
+                (true, 8, run::<true, 8> as BodyFn),
+                (true, 10, run::<true, 10> as BodyFn),
+                (true, 12, run::<true, 12> as BodyFn),
+            ]
+        }};
+    }
+
+    /// A fixed-`ND` instantiation only changes the schedule: on every ISA
+    /// of this host, in both layouts, with one and with several lane
+    /// vectors per row and with zero-padded tail lanes, it gives the bits
+    /// of the run-time-`nd` instantiation of the same source.
+    #[test]
+    #[allow(unsafe_code)] // SAFETY: comment at the one unsafe block below
+    fn fixed_nd_instantiations_match_the_runtime_body_bitwise() {
+        let mut lanes: Vec<(&str, Vec<(bool, usize, BodyFn)>)> =
+            vec![("portable", instantiations!(f64))];
+        #[cfg(target_arch = "x86_64")]
+        {
+            use std::arch::x86_64::{__m256d, __m512d};
+            if isa_for(4) == Isa::Avx2 || isa_for(8) == Isa::Avx512 {
+                lanes.push(("avx2", instantiations!(__m256d, "avx2,fma")));
+            }
+            if isa_for(8) == Isa::Avx512 {
+                lanes.push(("avx512", instantiations!(__m512d, "avx512f")));
+            }
+        }
+        let mut rng = StdRng::seed_from_u64(1612);
+        let mut compared = 0;
+        for (isa, table) in &lanes {
+            for &(packed, nd, fixed) in table.iter().filter(|t| t.1 != 0) {
+                let runtime = table
+                    .iter()
+                    .find(|t| t.0 == packed && t.1 == 0)
+                    .expect("every layout has a run-time instantiation")
+                    .2;
+                for (bw, pad) in [(8usize, 0usize), (8, 3), (16, 0), (16, 5)] {
+                    let (full, packed_slab) = symmetric_slabs(nd, bw, pad, &mut rng);
+                    let keb = if packed { &packed_slab } else { &full };
+                    let ue: Vec<f64> = (0..nd * bw).map(|_| rng.gen_range(-1.0..1.0)).collect();
+                    let (mut vf, mut vr) = (vec![9.0; nd * bw], vec![7.0; nd * bw]);
+                    // SAFETY: the lane's ISA was detected above; the slabs
+                    // and panels have the lengths the body asserts.
+                    unsafe {
+                        fixed(keb, &ue, &mut vf, nd, bw);
+                        runtime(keb, &ue, &mut vr, nd, bw);
+                    }
+                    for (t, (a, b)) in vf.iter().zip(&vr).enumerate() {
+                        assert_eq!(
+                            a.to_bits(),
+                            b.to_bits(),
+                            "{isa} packed={packed} ND={nd} bw={bw} pad={pad} slot={t}"
+                        );
+                    }
+                    compared += 1;
+                }
+            }
+        }
+        assert_eq!(compared, lanes.len() * 2 * 4 * 4);
+    }
+
+    /// The vector gather is the scalar loop: same values for any table
+    /// length (rows of eight and a tail), repeated and zero indices
+    /// included.
+    #[test]
+    fn gather_panel_equals_indexing() {
+        let mut rng = StdRng::seed_from_u64(88);
+        let data: Vec<f64> = (0..37).map(|_| rng.gen_range(-1.0..1.0)).collect();
+        for n in [0usize, 1, 7, 8, 9, 24, 30, 80] {
+            let mut gi: Vec<u32> = (0..n)
+                .map(|_| rng.gen_range(0..data.len() as u32))
+                .collect();
+            if n > 2 {
+                gi[n - 1] = 0; // a padded lane
+                gi[1] = data.len() as u32 - 1; // the last slot is in range
+            }
+            let mut ue = vec![f64::NAN; n];
+            gather_panel(&data, &gi, &mut ue);
+            for (t, (&u, &r)) in ue.iter().zip(&gi).enumerate() {
+                assert_eq!(u.to_bits(), data[r as usize].to_bits(), "n={n} slot={t}");
+            }
+        }
+    }
+
+    /// One index past the data in the middle of a row of eight: the whole
+    /// row is refused, on the vector path as on the scalar one.
+    #[test]
+    #[should_panic(expected = "out of bounds")]
+    fn gather_panel_rejects_an_out_of_range_index() {
+        let data = vec![1.0; 10];
+        let mut gi = vec![0u32; 16];
+        gi[11] = 10;
+        let mut ue = vec![0.0; 16];
+        gather_panel(&data, &gi, &mut ue);
+    }
+
+    /// Indices a 32-bit sign extension would turn negative are out of
+    /// range like any other, not a read before the slice.
+    #[test]
+    #[should_panic(expected = "out of bounds")]
+    fn gather_panel_rejects_indices_with_the_sign_bit_set() {
+        let data = vec![1.0; 10];
+        let gi = vec![u32::MAX; 8];
+        let mut ue = vec![0.0; 8];
+        gather_panel(&data, &gi, &mut ue);
     }
 
     /// One ulp of asymmetry is asymmetry: packing reports it (HYMV never

@@ -32,11 +32,20 @@
 //! polynomial with the positive constant symbol `½`; an obligation that
 //! mentions `½` is doubled (`2·½ = 1`) before the sign check.
 //!
-//! A kernel generic over `const PACKED: bool` is monomorphized the way
-//! rustc does it: the body is interpreted once per value, with every
-//! `if PACKED { a } else { b }` index expression resolved to the arm that
-//! instantiation compiles, and each instantiation gets its own
-//! certificate.
+//! A generic kernel is monomorphized the way rustc does it: the body is
+//! interpreted once per instantiation, with every compile-time parameter
+//! replaced by its value and every `if` over such values resolved to the
+//! arm that instantiation compiles, and each instantiation gets its own
+//! certificate. The parameters and where their values come from:
+//!
+//! * `const PACKED: bool` — both values;
+//! * `const ND: usize` — every literal the file passes in that position of
+//!   a `kernel::<.., N>` turbofish (`0` is `emv_batch_body`'s "`nd` at run
+//!   time"), so a new instantiation cannot ship without a certificate;
+//! * `L: Lane` — every `impl Lane for T` in the file, with `L::W` its
+//!   `const W` and `L::load` / `L::store` accesses of `W` lanes. Each impl
+//!   is itself checked to forward to `lanes::*` helpers of exactly `W`
+//!   lanes, which is what makes that reading of `L::load` true.
 //!
 //! An access `lanes::load4(s, idx)` yields the obligation
 //! `len(s) − idxmax − 4 ≥ 0` where `idxmax` substitutes every loop
@@ -342,19 +351,25 @@ fn parse_int(s: &str) -> Option<i64> {
 // Kernel interpretation
 // ---------------------------------------------------------------------------
 
-/// The unaligned lane helpers: (name, lane count). The slice is argument
-/// 0 and the index argument 1 for all of them.
-const LANE_HELPERS: &[(&str, i64)] = &[
-    ("load4", 4),
-    ("store4", 4),
-    ("load8", 8),
-    ("store8", 8),
-    ("read1", 1),
-    ("add1", 1),
+/// The unaligned lane helpers: (name, lane count, position of the slice
+/// argument). The index argument follows the slice.
+const LANE_HELPERS: &[(&str, i64, usize)] = &[
+    ("load4", 4, 0),
+    ("store4", 4, 0),
+    ("load8", 8, 0),
+    ("store8", 8, 0),
+    ("read1", 1, 0),
+    ("add1", 1, 0),
     // Broadcast helpers (multivector kernels): read one scalar, splat it.
-    ("bcast4", 1),
-    ("bcast8", 1),
+    ("bcast4", 1, 0),
+    ("bcast8", 1, 0),
+    // `gather8(data, gi, at)` reads eight *indices* `gi[at..at + 8]`; that
+    // they index into `data` is the helper's own runtime check.
+    ("gather8", 8, 1),
 ];
+
+/// The accessors of `trait Lane`: `W` lanes at `(slice, index)`.
+const LANE_METHODS: &[&str] = &["load", "store"];
 
 /// Raw-memory constructs that are never allowed inside a `prove-bounds`
 /// kernel (method position, after a `.`).
@@ -416,6 +431,35 @@ struct Kctx {
     loops: Vec<LoopFrame>,
 }
 
+/// A compile-time parameter of a kernel, as its signature declares it.
+#[derive(Clone, Copy)]
+enum ParamKind {
+    /// `L: Lane`.
+    Lane,
+    /// `const P: bool`.
+    Bool,
+    /// `const N: usize`.
+    Usize,
+}
+
+/// The value one instantiation binds a parameter to. Integers stay the
+/// literal slices of the source they were read from, so they can stand in
+/// for the parameter in the token stream.
+#[derive(Clone, Copy)]
+enum Arg<'a> {
+    /// An `impl Lane for ty` with `const W: usize = w`.
+    Lane {
+        ty: &'a str,
+        w: &'a str,
+    },
+    Bool(bool),
+    Usize(&'a str),
+}
+
+/// One monomorphization: every generic parameter with its value, in
+/// signature order.
+type Instance<'a> = Vec<(&'a str, Arg<'a>)>;
+
 /// Certify every `// verify: prove-bounds` kernel in `text`.
 pub fn certify_source(label: &str, text: &str) -> (Vec<KernelCert>, Vec<AbsDiag>) {
     let mut graph = CallGraph::new();
@@ -426,25 +470,39 @@ pub fn certify_source(label: &str, text: &str) -> (Vec<KernelCert>, Vec<AbsDiag>
         if !f.markers.contains(&Marker::ProveBounds) {
             continue;
         }
+        let fail = |message: String| AbsDiag {
+            file: f.file.clone(),
+            line: f.line,
+            kernel: f.qual.clone(),
+            message,
+        };
         let Some((s, e)) = f.body else {
-            diags.push(AbsDiag {
-                file: f.file.clone(),
-                line: f.line,
-                kernel: f.qual.clone(),
-                message: "`prove-bounds` on a bodiless fn".to_string(),
-            });
+            diags.push(fail("`prove-bounds` on a bodiless fn".to_string()));
             continue;
         };
         let stripped = &graph.files[f.file_id].stripped;
         let e = e.min(stripped.len());
-        let instances: Vec<Option<(&str, bool)>> = match const_bool_param(stripped, s) {
-            Some(name) => vec![Some((name, false)), Some((name, true))],
-            None => vec![None],
+        let file_toks = tokens(stripped);
+        let instances = match instances_of(&f.name, stripped, s, &file_toks) {
+            Ok(instances) => instances,
+            Err(ds) => {
+                diags.extend(ds.into_iter().map(fail));
+                continue;
+            }
         };
-        for inst in instances {
-            let qual = match inst {
-                Some((name, value)) => format!("{}::<{name}={value}>", f.qual),
-                None => f.qual.clone(),
+        for inst in &instances {
+            let qual = if inst.is_empty() {
+                f.qual.clone()
+            } else {
+                let args: Vec<String> = inst
+                    .iter()
+                    .map(|&(name, arg)| match arg {
+                        Arg::Lane { ty, .. } => format!("{name}={ty}"),
+                        Arg::Bool(v) => format!("{name}={v}"),
+                        Arg::Usize(v) => format!("{name}={v}"),
+                    })
+                    .collect();
+                format!("{}::<{}>", f.qual, args.join(", "))
             };
             match interpret_kernel(&qual, &f.file, stripped, s, e, inst) {
                 Ok((accesses, loops)) => certs.push(KernelCert {
@@ -461,41 +519,243 @@ pub fn certify_source(label: &str, text: &str) -> (Vec<KernelCert>, Vec<AbsDiag>
     (certs, diags)
 }
 
-/// The `NAME` of a `const NAME: bool` generic parameter in the signature
-/// that ends at `body_start` (the kernels have at most one).
-fn const_bool_param(stripped: &str, body_start: usize) -> Option<&str> {
+/// The generic parameters the interpreter monomorphizes, from the
+/// signature that ends at `body_start`. Lifetimes and parameters of other
+/// kinds are ignored: nothing in an index expression can depend on them.
+fn generic_params(stripped: &str, body_start: usize) -> Vec<(&str, ParamKind)> {
     let head = &stripped[..body_start];
-    let sig = tokens(&head[head.rfind("fn ")?..]);
-    sig.windows(4)
-        .find_map(|w| match (w[0].tok, w[1].tok, w[3].tok) {
-            (Tok::Ident("const"), Tok::Ident(name), Tok::Ident("bool")) if w[2].is_punct(b':') => {
-                Some(name)
+    let Some(fn_at) = head.rfind("fn ") else {
+        return Vec::new();
+    };
+    let sig = tokens(&head[fn_at..]);
+    let mut out = Vec::new();
+    for w in sig.windows(4) {
+        match (w[0].tok, w[1].tok, w[2].tok, w[3].tok) {
+            (Tok::Ident("const"), Tok::Ident(name), Tok::Punct(b':'), Tok::Ident("bool")) => {
+                out.push((name, ParamKind::Bool));
             }
-            _ => None,
-        })
+            (Tok::Ident("const"), Tok::Ident(name), Tok::Punct(b':'), Tok::Ident("usize")) => {
+                out.push((name, ParamKind::Usize));
+            }
+            (Tok::Punct(b'<' | b','), Tok::Ident(name), Tok::Punct(b':'), Tok::Ident("Lane")) => {
+                out.push((name, ParamKind::Lane));
+            }
+            _ => {}
+        }
+    }
+    out
 }
 
-/// Resolve every `if NAME { a } else { b }` to `( a )` or `( b )` — the
-/// arm the `NAME = value` instantiation compiles. Only the expression
-/// form is supported (the arms become parenthesized index expressions).
-fn specialize<'a>(toks: &[Token<'a>], name: &str, value: bool) -> Result<Vec<Token<'a>>, String> {
-    // The matching `}` of the `{` at `open`.
-    let close_of = |open: usize| -> Result<usize, String> {
+/// Every `impl Lane for T` of the file as `(T, W literal)`, each checked to
+/// touch memory only through `lanes::*` helpers of exactly `W` lanes — the
+/// premise under which `L::load(s, at)` is an access of `L::W` lanes.
+fn lane_impls<'a>(toks: &[Token<'a>]) -> Result<Vec<(&'a str, &'a str)>, Vec<String>> {
+    let mut out = Vec::new();
+    let mut errs = Vec::new();
+    for (i, w) in toks.windows(3).enumerate() {
+        if !(w[0].is_ident("impl") && w[1].is_ident("Lane") && w[2].is_ident("for")) {
+            continue;
+        }
+        let Some(open) = (i + 3..toks.len()).find(|&k| toks[k].is_punct(b'{')) else {
+            continue;
+        };
+        // The last path segment names the type (`std::arch::x86_64::__m512d`).
+        let Some(Tok::Ident(ty)) = toks.get(open - 1).map(|t| t.tok) else {
+            continue;
+        };
         let mut depth = 0usize;
+        let mut close = open;
         for (k, t) in toks.iter().enumerate().skip(open) {
             match t.tok {
                 Tok::Punct(b'{') => depth += 1,
                 Tok::Punct(b'}') => {
                     depth -= 1;
                     if depth == 0 {
-                        return Ok(k);
+                        close = k;
+                        break;
                     }
                 }
                 _ => {}
             }
         }
-        Err(format!("unbalanced `if {name}` arm"))
+        let body = &toks[open..close];
+        let width = body
+            .windows(6)
+            .find_map(|c| match (c[0].tok, c[1].tok, c[5].tok) {
+                (Tok::Ident("const"), Tok::Ident("W"), Tok::Int(w))
+                    if c[2].is_punct(b':') && c[3].is_ident("usize") && c[4].is_punct(b'=') =>
+                {
+                    Some(w)
+                }
+                _ => None,
+            });
+        let Some(w) = width.filter(|w| parse_int(w).is_some_and(|w| w > 0)) else {
+            errs.push(format!(
+                "`impl Lane for {ty}` has no literal `const W: usize`"
+            ));
+            continue;
+        };
+        for c in body.windows(4) {
+            let (Tok::Ident("lanes"), Tok::Ident(helper)) = (c[0].tok, c[3].tok) else {
+                continue;
+            };
+            if !(c[1].is_punct(b':') && c[2].is_punct(b':')) {
+                continue;
+            }
+            let lanes = LANE_HELPERS.iter().find(|h| h.0 == helper).map(|h| h.1);
+            if lanes != parse_int(w) {
+                errs.push(format!(
+                    "`impl Lane for {ty}` declares W = {w} but forwards to `lanes::{helper}` \
+                     ({} lane(s))",
+                    lanes.map_or("unknown".to_string(), |l| l.to_string())
+                ));
+            }
+        }
+        out.push((ty, w));
+    }
+    if errs.is_empty() {
+        Ok(out)
+    } else {
+        Err(errs)
+    }
+}
+
+/// Every instantiation of kernel `name`: the product of its parameters'
+/// values (see the module docs for where each kind's values come from).
+fn instances_of<'a>(
+    name: &str,
+    stripped: &'a str,
+    body_start: usize,
+    file_toks: &[Token<'a>],
+) -> Result<Vec<Instance<'a>>, Vec<String>> {
+    let params = generic_params(stripped, body_start);
+    let mut instances: Vec<Instance<'a>> = vec![Vec::new()];
+    for (pos, &(param, kind)) in params.iter().enumerate() {
+        let values: Vec<Arg<'a>> = match kind {
+            ParamKind::Bool => vec![Arg::Bool(false), Arg::Bool(true)],
+            ParamKind::Lane => lane_impls(file_toks)?
+                .into_iter()
+                .map(|(ty, w)| Arg::Lane { ty, w })
+                .collect(),
+            ParamKind::Usize => {
+                // `name::<a, b, N>`: the literal in this parameter's position.
+                let mut found: Vec<&'a str> = Vec::new();
+                for (i, t) in file_toks.iter().enumerate() {
+                    let turbofish = t.is_ident(name)
+                        && file_toks.get(i + 1).is_some_and(|t| t.is_punct(b':'))
+                        && file_toks.get(i + 2).is_some_and(|t| t.is_punct(b':'))
+                        && file_toks.get(i + 3).is_some_and(|t| t.is_punct(b'<'));
+                    if !turbofish {
+                        continue;
+                    }
+                    let args: Vec<&[Token<'a>]> = file_toks[i + 4..]
+                        .split(|t| t.is_punct(b','))
+                        .take(params.len())
+                        .collect();
+                    let arg = args.get(pos).and_then(|a| a.first()).map(|t| t.tok);
+                    if let Some(Tok::Int(v)) = arg {
+                        if !found.contains(&v) {
+                            found.push(v);
+                        }
+                    }
+                }
+                found.sort_by_key(|v| parse_int(v));
+                found.into_iter().map(Arg::Usize).collect()
+            }
+        };
+        if values.is_empty() {
+            return Err(vec![format!(
+                "no value found for generic parameter `{param}`: nothing to certify"
+            )]);
+        }
+        instances = instances
+            .iter()
+            .flat_map(|inst| {
+                values.iter().map(move |&v| {
+                    let mut inst = inst.clone();
+                    inst.push((param, v));
+                    inst
+                })
+            })
+            .collect();
+    }
+    Ok(instances)
+}
+
+/// The matching `}` of the `{` at `open`.
+fn close_of(toks: &[Token<'_>], open: usize) -> Result<usize, String> {
+    let mut depth = 0usize;
+    for (k, t) in toks.iter().enumerate().skip(open) {
+        match t.tok {
+            Tok::Punct(b'{') => depth += 1,
+            Tok::Punct(b'}') => {
+                depth -= 1;
+                if depth == 0 {
+                    return Ok(k);
+                }
+            }
+            _ => {}
+        }
+    }
+    Err("unbalanced `if` arm".to_string())
+}
+
+/// The value of an `if` condition over instantiated parameters: `true`,
+/// `false`, `!true`, `a == b`, `a != b` on integer literals. `None` for a
+/// run-time condition, which is left in place.
+fn const_condition(cond: &[Token<'_>]) -> Option<bool> {
+    let int = |t: &Token<'_>| match t.tok {
+        Tok::Int(v) => parse_int(v),
+        _ => None,
     };
+    match cond {
+        [t] if t.is_ident("true") => Some(true),
+        [t] if t.is_ident("false") => Some(false),
+        [n, t] if n.is_punct(b'!') => const_condition(std::slice::from_ref(t)).map(|v| !v),
+        [a, o1, o2, b] if o2.is_punct(b'=') && (o1.is_punct(b'=') || o1.is_punct(b'!')) => {
+            Some((int(a)? == int(b)?) == o1.is_punct(b'='))
+        }
+        _ => None,
+    }
+}
+
+/// Rewrite a kernel body as one instantiation compiles it: parameters
+/// replaced by their values (`L::W` by the lane type's width), then every
+/// `if` whose condition that makes constant replaced by `( arm )` — the arm
+/// rustc keeps. Parenthesized, an expression arm stays an index expression
+/// and a block arm stays a scannable statement list.
+fn instantiate<'a>(toks: &[Token<'a>], inst: &Instance<'a>) -> Result<Vec<Token<'a>>, String> {
+    let mut out: Vec<Token<'a>> = Vec::with_capacity(toks.len());
+    let mut i = 0;
+    while i < toks.len() {
+        let Tok::Ident(id) = toks[i].tok else {
+            out.push(toks[i]);
+            i += 1;
+            continue;
+        };
+        let tok = match inst.iter().find(|(name, _)| *name == id).map(|b| b.1) {
+            Some(Arg::Bool(v)) => Tok::Ident(if v { "true" } else { "false" }),
+            Some(Arg::Usize(v)) => Tok::Int(v),
+            Some(Arg::Lane { w, .. })
+                if toks.get(i + 1).is_some_and(|t| t.is_punct(b':'))
+                    && toks.get(i + 2).is_some_and(|t| t.is_punct(b':'))
+                    && toks.get(i + 3).is_some_and(|t| t.is_ident("W")) =>
+            {
+                i += 3;
+                Tok::Int(w)
+            }
+            _ => toks[i].tok,
+        };
+        out.push(Token {
+            tok,
+            at: toks[i].at,
+        });
+        i += 1;
+    }
+    fold_const_ifs(&out)
+}
+
+fn fold_const_ifs<'a>(toks: &[Token<'a>]) -> Result<Vec<Token<'a>>, String> {
     let paren = |t: &Token<'a>, p: u8| Token {
         tok: Tok::Punct(p),
         at: t.at,
@@ -503,28 +763,30 @@ fn specialize<'a>(toks: &[Token<'a>], name: &str, value: bool) -> Result<Vec<Tok
     let mut out = Vec::with_capacity(toks.len());
     let mut i = 0;
     while i < toks.len() {
-        let is_head = toks[i].is_ident("if")
-            && toks.get(i + 1).is_some_and(|t| t.is_ident(name))
-            && toks.get(i + 2).is_some_and(|t| t.is_punct(b'{'));
-        if !is_head {
+        let head = toks[i]
+            .is_ident("if")
+            .then(|| (i + 1..toks.len()).find(|&k| toks[k].is_punct(b'{')))
+            .flatten()
+            .and_then(|open| Some((open, const_condition(&toks[i + 1..open])?)));
+        let Some((open, value)) = head else {
             out.push(toks[i]);
             i += 1;
             continue;
-        }
-        let then_close = close_of(i + 2)?;
+        };
+        let then_close = close_of(toks, open)?;
         let has_else = toks.get(then_close + 1).is_some_and(|t| t.is_ident("else"))
             && toks.get(then_close + 2).is_some_and(|t| t.is_punct(b'{'));
         if !has_else {
-            return Err(format!("`if {name}` without an `else` arm is not modeled"));
+            return Err("a compile-time `if` without an `else` arm is not modeled".to_string());
         }
-        let else_close = close_of(then_close + 2)?;
+        let else_close = close_of(toks, then_close + 2)?;
         let (open, close) = if value {
-            (i + 2, then_close)
+            (open, then_close)
         } else {
             (then_close + 2, else_close)
         };
         out.push(paren(&toks[open], b'('));
-        out.extend(specialize(&toks[open + 1..close], name, value)?);
+        out.extend(fold_const_ifs(&toks[open + 1..close])?);
         out.push(paren(&toks[close], b')'));
         i = else_close + 1;
     }
@@ -609,20 +871,22 @@ fn interpret_kernel(
     stripped: &str,
     body_start: usize,
     body_end: usize,
-    instance: Option<(&str, bool)>,
+    instance: &Instance<'_>,
 ) -> Result<(usize, usize), Vec<AbsDiag>> {
     let body = &stripped[body_start..body_end];
-    let mut toks = tokens(body);
-    if let Some((name, value)) = instance {
-        toks = specialize(&toks, name, value).map_err(|message| {
-            vec![AbsDiag {
-                file: file.to_string(),
-                line: line_of(stripped, body_start),
-                kernel: qual.to_string(),
-                message,
-            }]
-        })?;
-    }
+    let toks = instantiate(&tokens(body), instance).map_err(|message| {
+        vec![AbsDiag {
+            file: file.to_string(),
+            line: line_of(stripped, body_start),
+            kernel: qual.to_string(),
+            message,
+        }]
+    })?;
+    // `L::load` / `L::store` of this instantiation's lane type.
+    let lane = instance.iter().find_map(|&(name, arg)| match arg {
+        Arg::Lane { w, .. } => Some((name, parse_int(w)?)),
+        _ => None,
+    });
     let mut ctx = Kctx {
         lens: BTreeMap::new(),
         floordivs: Vec::new(),
@@ -643,6 +907,21 @@ fn interpret_kernel(
     let mut depth = 0usize;
     let mut i = 0usize;
     while i < toks.len() {
+        if let Some((method, w)) = lane_access(&toks, i, lane) {
+            match prove_access(&toks[i + 4..], method, w, 0, &ctx) {
+                Ok(()) => accesses += 1,
+                Err(e) => diags.push(diag(
+                    toks[i].at,
+                    format!(
+                        "cannot prove `{}::{method}` ({w} lane(s)) in bounds: {e}",
+                        lane.map_or("", |l| l.0)
+                    ),
+                )),
+            }
+            // As for `lanes::*`: keep scanning inside the argument list.
+            i += 5;
+            continue;
+        }
         match toks[i].tok {
             Tok::Punct(b'{') => {
                 depth += 1;
@@ -702,7 +981,8 @@ fn interpret_kernel(
                     i += 1;
                     continue;
                 };
-                let Some(&(_, lanes)) = LANE_HELPERS.iter().find(|&&(n, _)| n == hname) else {
+                let Some(&(_, lanes, slice_arg)) = LANE_HELPERS.iter().find(|h| h.0 == hname)
+                else {
                     diags.push(diag(
                         toks[i].at,
                         format!("unknown lanes helper `lanes::{hname}`"),
@@ -714,7 +994,7 @@ fn interpret_kernel(
                     i += 4;
                     continue;
                 }
-                match prove_access(&toks[i + 4..], hname, lanes, &ctx) {
+                match prove_access(&toks[i + 4..], hname, lanes, slice_arg, &ctx) {
                     Ok(()) => accesses += 1,
                     Err(e) => diags.push(diag(
                         toks[i].at,
@@ -764,6 +1044,25 @@ fn interpret_kernel(
     } else {
         Err(diags)
     }
+}
+
+/// `P::load(` / `P::store(` at `toks[i]`, `P` this instantiation's lane
+/// parameter: the accessor and the `W` lanes it touches.
+fn lane_access<'a>(
+    toks: &[Token<'a>],
+    i: usize,
+    lane: Option<(&str, i64)>,
+) -> Option<(&'a str, i64)> {
+    let (param, w) = lane?;
+    let Tok::Ident(method) = toks.get(i + 3)?.tok else {
+        return None;
+    };
+    (toks[i].is_ident(param)
+        && toks[i + 1].is_punct(b':')
+        && toks[i + 2].is_punct(b':')
+        && LANE_METHODS.contains(&method)
+        && toks.get(i + 4)?.is_punct(b'('))
+    .then_some((method, w))
 }
 
 /// Parse `for VAR in LO..HI {`, returning (var, hi, relative index of the
@@ -998,12 +1297,18 @@ fn split_token_args<'t, 'a>(toks: &'t [Token<'a>]) -> Option<Vec<&'t [Token<'a>]
 
 /// Prove one `lanes::helper(slice, idx, ...)` access in bounds.
 /// `toks[0]` is the `(` of the argument list.
-fn prove_access(toks: &[Token<'_>], helper: &str, lanes: i64, ctx: &Kctx) -> Result<(), String> {
+fn prove_access(
+    toks: &[Token<'_>],
+    helper: &str,
+    lanes: i64,
+    slice_arg: usize,
+    ctx: &Kctx,
+) -> Result<(), String> {
     let args = split_token_args(toks).ok_or("unbalanced argument list")?;
-    if args.len() < 2 {
-        return Err(format!("`lanes::{helper}` needs (slice, index, ..)"));
+    if args.len() < slice_arg + 2 {
+        return Err(format!("`{helper}` needs (.., slice, index, ..)"));
     }
-    let slice = match args[0] {
+    let slice = match args[slice_arg] {
         [Token {
             tok: Tok::Ident(s), ..
         }] => *s,
@@ -1013,7 +1318,7 @@ fn prove_access(toks: &[Token<'_>], helper: &str, lanes: i64, ctx: &Kctx) -> Res
         .lens
         .get(slice)
         .ok_or_else(|| format!("no length fact for slice `{slice}`"))?;
-    let mut idx = parse_expr(args[1]).map_err(|e| format!("index expression: {e}"))?;
+    let mut idx = parse_expr(args[slice_arg + 1]).map_err(|e| format!("index expression: {e}"))?;
     for (name, def) in &ctx.defs {
         idx = idx.subst(name, def);
     }
@@ -1029,6 +1334,11 @@ fn prove_access(toks: &[Token<'_>], helper: &str, lanes: i64, ctx: &Kctx) -> Res
         worst = worst.subst(&fr.var, &fr.hi.sub(&Poly::constant(1)));
     }
     let mut p = len.sub(&worst).sub(&Poly::constant(lanes));
+    // Definitions are equalities, so they also hold of the symbols a length
+    // or a loop bound brought in (`let nd = 10;` under `ND = 10`).
+    for (name, def) in &ctx.defs {
+        p = p.subst(name, def);
+    }
     if p.terms.keys().any(|vars| vars.iter().any(|v| v == HALF)) {
         p = p.doubled()?;
     }
@@ -1439,6 +1749,228 @@ unsafe fn emv_batch_avx2_impl<const PACKED: bool>(keb: &[f64], ue: &[f64], ve: &
         let (certs, _) = certify_source("crates/la/src/dense.rs", &broken);
         let names: Vec<&str> = certs.iter().map(|c| c.kernel.as_str()).collect();
         assert_eq!(names, ["dense::emv_batch_avx2_impl::<PACKED=true>"]);
+    }
+
+    /// The shape of the shipped batched body: generic over the lane type,
+    /// the slab layout and the dimension, with `ND = 0` for "`nd` at run
+    /// time"; two lane types, and a dispatcher naming the `ND` values.
+    const GOOD_GENERIC: &str = r#"
+impl Lane for f64 {
+    const W: usize = 1;
+    unsafe fn load(s: &[f64], at: usize) -> Self { lanes::read1(s, at) }
+    unsafe fn store(s: &mut [f64], at: usize, v: Self) { s[at] = v; }
+}
+impl Lane for std::arch::x86_64::__m512d {
+    const W: usize = 8;
+    unsafe fn load(s: &[f64], at: usize) -> Self { lanes::load8(s, at) }
+    unsafe fn store(s: &mut [f64], at: usize, v: Self) { lanes::store8(s, at, v); }
+}
+// verify: prove-bounds
+unsafe fn body<L: Lane, const PACKED: bool, const ND: usize>(keb: &[f64], ue: &[f64], ve: &mut [f64], nd: usize, bw: usize) {
+    let nd = if ND == 0 { nd } else { ND };
+    debug_assert_eq!(keb.len(), if PACKED { tri(nd) * bw } else { nd * nd * bw });
+    debug_assert_eq!(ue.len(), nd * bw);
+    debug_assert_eq!(ve.len(), nd * bw);
+    debug_assert!(bw % L::W == 0);
+    let chunks = bw / L::W;
+    if ND == 0 {
+        for i in 0..nd {
+            let mut acc = L::ZEROS;
+            for j in 0..i {
+                let s = if PACKED { tri(i) + j } else { j * nd + i };
+                for c in 0..chunks {
+                    acc[c] = L::fmadd(L::load(keb, s * bw + L::W * c), L::load(ue, j * bw + L::W * c), acc[c]);
+                }
+            }
+            for j in i..nd {
+                let s = if PACKED { tri(j) + i } else { j * nd + i };
+                for c in 0..chunks {
+                    acc[c] = L::fmadd(L::load(keb, s * bw + L::W * c), L::load(ue, j * bw + L::W * c), acc[c]);
+                }
+            }
+            for c in 0..chunks {
+                L::store(ve, i * bw + L::W * c, acc[c]);
+            }
+        }
+    } else {
+        for c in 0..chunks {
+            let mut u = [L::ZERO; ND];
+            for j in 0..ND {
+                u[j] = L::load(ue, j * bw + L::W * c);
+            }
+            for i in 0..ND {
+                let mut acc = L::ZERO;
+                for j in 0..ND {
+                    let k = if PACKED {
+                        if j <= i {
+                            L::load(keb, (tri(i) + j) * bw + L::W * c)
+                        } else {
+                            L::load(keb, (tri(j) + i) * bw + L::W * c)
+                        }
+                    } else {
+                        L::load(keb, (j * ND + i) * bw + L::W * c)
+                    };
+                    acc = L::fmadd(k, u[j], acc);
+                }
+                L::store(ve, i * bw + L::W * c, acc);
+            }
+        }
+    }
+}
+unsafe fn on<L: Lane, const PACKED: bool>(keb: &[f64], ue: &[f64], ve: &mut [f64], nd: usize, bw: usize) {
+    match nd {
+        4 => body::<L, PACKED, 4>(keb, ue, ve, nd, bw),
+        10 => body::<L, PACKED, 10>(keb, ue, ve, nd, bw),
+        _ => body::<L, PACKED, 0>(keb, ue, ve, nd, bw),
+    }
+}
+"#;
+
+    fn certified(src: &str) -> (Vec<String>, Vec<AbsDiag>) {
+        let (certs, diags) = certify_source("crates/la/src/dense.rs", src);
+        (certs.into_iter().map(|c| c.kernel).collect(), diags)
+    }
+
+    /// One certificate per lane type × layout × dimension the file
+    /// instantiates, the run-time-`nd` instantiation included, each
+    /// interpreting only the arm its parameters compile.
+    #[test]
+    fn generic_kernel_certifies_per_lane_layout_and_dimension() {
+        let (names, diags) = certified(GOOD_GENERIC);
+        assert!(diags.is_empty(), "{diags:?}");
+        let mut want = Vec::new();
+        for lane in ["f64", "__m512d"] {
+            for packed in [false, true] {
+                for nd in [0, 4, 10] {
+                    want.push(format!("dense::body::<L={lane}, PACKED={packed}, ND={nd}>"));
+                }
+            }
+        }
+        assert_eq!(names, want);
+        let (certs, _) = certify_source("crates/la/src/dense.rs", GOOD_GENERIC);
+        for c in &certs {
+            let fixed = !c.kernel.ends_with("ND=0>");
+            let packed = c.kernel.contains("PACKED=true");
+            // Run time: 2 × (keb + ue) + store. Fixed: ue row, store, and
+            // one keb load per layout arm.
+            let accesses = if !fixed {
+                5
+            } else if packed {
+                4
+            } else {
+                3
+            };
+            assert_eq!(
+                (c.accesses, c.loops),
+                (accesses, if fixed { 4 } else { 6 }),
+                "{c:?}"
+            );
+        }
+    }
+
+    /// An off-by-one slot in the unrolled triangle split walks one slot
+    /// past a packed slab: rejected for the packed fixed-`ND`
+    /// instantiations of every lane type, and for nothing else.
+    #[test]
+    fn unrolled_triangle_off_by_one_is_rejected_where_it_breaks() {
+        for (from, to) in [
+            (
+                "(tri(j) + i) * bw + L::W * c",
+                "(tri(j) + i + 1) * bw + L::W * c",
+            ),
+            (
+                "(tri(i) + j) * bw + L::W * c",
+                "(tri(i) + j + 1) * bw + L::W * c",
+            ),
+        ] {
+            let broken = GOOD_GENERIC.replacen(from, to, 1);
+            assert_ne!(broken, GOOD_GENERIC, "fixture edit `{from}` did not apply");
+            let (names, diags) = certified(&broken);
+            let is_broken = |k: &str| k.contains("PACKED=true") && !k.ends_with("ND=0>");
+            assert_eq!(names.len(), 12 - 4, "`{to}`: {names:?}");
+            assert!(names.iter().all(|k| !is_broken(k)), "`{to}`: {names:?}");
+            assert_eq!(diags.len(), 4, "`{to}`: {diags:?}");
+            assert!(
+                diags
+                    .iter()
+                    .all(|d| is_broken(&d.kernel) && d.message.contains("cannot prove `L::load`")),
+                "`{to}`: {diags:?}"
+            );
+        }
+        // A dimension-dependent break: the full-layout column stride of a
+        // *different* dimension overruns exactly the instantiations whose
+        // slab is smaller than that.
+        let broken = GOOD_GENERIC.replacen("(j * ND + i) * bw", "(j * 10 + i) * bw", 1);
+        let (names, diags) = certified(&broken);
+        assert_eq!(names.len(), 12 - 2, "{names:?}");
+        assert!(
+            diags
+                .iter()
+                .all(|d| d.kernel.ends_with("PACKED=false, ND=4>")),
+            "{diags:?}"
+        );
+    }
+
+    /// A lane type whose accessors touch more lanes than its `W` would
+    /// make every `L::load` proof about the wrong width: the impl itself
+    /// is rejected, and with it every instantiation.
+    #[test]
+    fn lane_impl_width_mismatch_is_rejected() {
+        let broken = GOOD_GENERIC.replacen("const W: usize = 8;", "const W: usize = 4;", 1);
+        let (names, diags) = certified(&broken);
+        assert!(names.is_empty(), "{names:?}");
+        assert!(
+            diags.iter().any(|d| d
+                .message
+                .contains("declares W = 4 but forwards to `lanes::load8` (8 lane(s))")),
+            "{diags:?}"
+        );
+    }
+
+    const GOOD_GATHER: &str = r#"
+// verify: prove-bounds
+unsafe fn gather_panel_avx512(data: &[f64], gi: &[u32], ue: &mut [f64]) {
+    let n = gi.len();
+    debug_assert_eq!(ue.len(), n);
+    let rows = n / 8;
+    for r in 0..rows {
+        lanes::store8(ue, 8 * r, lanes::gather8(data, gi, 8 * r));
+    }
+    for t in 8 * rows..n {
+        ue[t] = data[gi[t] as usize];
+    }
+}
+"#;
+
+    /// The gather helper's obligation is on the *index row* it reads
+    /// (`at + 8 <= gi.len()`); one slot further is a read past the table.
+    #[test]
+    fn gather_past_the_index_row_is_rejected() {
+        let (names, diags) = certified(GOOD_GATHER);
+        assert!(diags.is_empty(), "{diags:?}");
+        assert_eq!(names, ["dense::gather_panel_avx512"]);
+        let broken =
+            GOOD_GATHER.replace("gather8(data, gi, 8 * r)", "gather8(data, gi, 8 * r + 1)");
+        let (names, diags) = certified(&broken);
+        assert!(names.is_empty());
+        assert_eq!(diags.len(), 1, "{diags:?}");
+        assert!(
+            diags[0]
+                .message
+                .contains("cannot prove `lanes::gather8` in bounds"),
+            "{}",
+            diags[0].message
+        );
+        // The obligation is about `gi`, not `data`: without a length fact
+        // for the index table there is nothing to prove it from.
+        let broken = GOOD_GATHER.replace("let n = gi.len();", "let n = data.len();");
+        let (_, diags) = certified(&broken);
+        assert!(
+            diags
+                .iter()
+                .any(|d| d.message.contains("no length fact for slice `gi`")),
+            "{diags:?}"
+        );
     }
 
     /// A `let mut` index is not pinned by its initializer, so it is never

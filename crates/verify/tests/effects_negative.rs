@@ -205,16 +205,23 @@ fn every_shipped_simd_kernel_certifies() {
     let (certs, diags) = certify_file(&dense).expect("dense.rs unreadable");
     assert!(diags.is_empty(), "{diags:#?}");
     let names: Vec<&str> = certs.iter().map(|c| c.kernel.as_str()).collect();
-    // The per-element kernels, and each batched kernel in both slab
-    // layouts (full and symmetric-packed).
+    // The per-element kernels, the vector gather, the multivector kernels
+    // in both slab layouts, and the one batched body once per lane type ×
+    // layout × dimension it is instantiated for (`ND=0`: `nd` at run time).
     let mut want = vec![
         "dense::emv_avx2_impl".to_string(),
         "dense::emv_avx512_impl".to_string(),
+        "dense::gather_panel_avx512".to_string(),
     ];
-    for kernel in ["emv_batch", "emv_batch_mv"] {
+    for packed in [false, true] {
         for isa in ["avx2", "avx512"] {
-            for packed in [false, true] {
-                want.push(format!("dense::{kernel}_{isa}_impl::<PACKED={packed}>"));
+            want.push(format!("dense::emv_batch_mv_{isa}_impl::<PACKED={packed}>"));
+        }
+        for lane in ["f64", "__m256d", "__m512d"] {
+            for nd in [0, 4, 8, 10, 12] {
+                want.push(format!(
+                    "dense::emv_batch_body::<L={lane}, PACKED={packed}, ND={nd}>"
+                ));
             }
         }
     }
