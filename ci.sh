@@ -43,6 +43,9 @@ cargo run -q -p hymv-check --bin hymv-check -- --n 4 --p 4 --method rcb --seeds 
 stage "hymv-check multivector SpMM determinism (B=8, nvec=8)"
 cargo run -q -p hymv-check --bin hymv-check -- --n 4 --p 3 --method greedy --seeds 8 --batch 8 --nvec 8
 
+stage "hymv-check multivector SpMM determinism (B=8, nvec=3: run-time width on portable lanes)"
+cargo run -q -p hymv-check --bin hymv-check -- --n 4 --p 3 --method greedy --seeds 8 --batch 8 --nvec 3
+
 stage "hymv-verify static passes (model check, alias proof, lint)"
 cargo run -q -p hymv-verify --bin hymv-verify -- --n 4 --p 1,2,4,8
 cargo run -q -p hymv-verify --bin hymv-verify -- --n 4 --p 1,2,4,8 --method greedy --skip-lint
@@ -101,6 +104,9 @@ stage "emv_multivec (SpMM + solve-service) bench smoke"
 cargo run -q --release -p hymv-bench --bin bench_emv_multivec -- --smoke
 
 stage "hymv-prof traced-solve smoke (12^3 Poisson, 4 ranks, 8 seeds, live snapshot file)"
+# The live snapshot is published during the solve, before hymv-prof
+# creates its output directory for the final artifacts.
+mkdir -p target/experiments/prof
 HYMV_OBS_FILE=target/experiments/prof/live.prom \
     cargo run -q --release -p hymv-prof -- --n 12 --p 4 --seeds 8 --out target/experiments/prof
 for f in trace.json metrics.prom summary.json; do

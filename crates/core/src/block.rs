@@ -29,7 +29,7 @@ use rayon::prelude::*;
 use hymv_la::dense::{
     gather_panel, interleave_ke, slab_len, EmvBatchKernel, EmvBatchMvKernel, MAX_BATCH_WIDTH,
 };
-use hymv_la::{ElementMatrixStore, MAX_NVEC_WIDTH};
+use hymv_la::{ElementMatrixStore, FIXED_NVEC_WIDTH, MAX_NVEC_WIDTH};
 
 use crate::da::{DistArray, DistMultivector};
 use crate::hybrid::{on_rank_pool, RacyTarget};
@@ -72,8 +72,9 @@ pub const NVEC_ENV: &str = "HYMV_EMV_NVEC";
 
 /// Default multivector width: one AVX-512 vector of columns — every `Ke`
 /// slab load is amortized over 8 right-hand sides while the `nd × bw ×
-/// nvec` panels of the evaluated element types stay cache-resident.
-pub const DEFAULT_NVEC_WIDTH: usize = 8;
+/// nvec` panels of the evaluated element types stay cache-resident. It is
+/// the width the SpMM and the panel moves have fixed-shape code for.
+pub const DEFAULT_NVEC_WIDTH: usize = FIXED_NVEC_WIDTH;
 
 /// Parse a multivector-width string — the one validation path shared by
 /// the `HYMV_EMV_NVEC` reader and the `--nvec` CLI flags. Same contract
@@ -291,51 +292,60 @@ impl BlockSet {
 
     /// Gather block `k`'s multivector input panel from a
     /// [`DistMultivector`]: `nvec` contiguous column values per table
-    /// entry (`ue[t·nvec + c] = data[gidx[t]·nvec + c]`). Padded lanes
-    /// read slot 0, exactly like [`Self::gather`].
+    /// entry (`ue[t·nvec + c] = data[gidx[t]·nvec + c]`), one whole-row
+    /// move each. Padded lanes read slot 0, exactly like [`Self::gather`].
     #[inline]
     pub fn gather_mv(&self, k: usize, data: &[f64], nvec: usize, ue: &mut [f64]) {
-        let pl = self.panel_len();
-        let gi = &self.gidx[k * pl..(k + 1) * pl];
-        debug_assert_eq!(ue.len(), pl * nvec);
-        for (u, &r) in ue.chunks_exact_mut(nvec).zip(gi) {
-            let src = r as usize * nvec;
-            u.copy_from_slice(&data[src..src + nvec]);
+        match nvec {
+            FIXED_NVEC_WIDTH => self.gather_rows::<FIXED_NVEC_WIDTH>(k, data, nvec, ue),
+            _ => self.gather_rows::<0>(k, data, nvec, ue),
         }
     }
 
-    /// Scatter block `k`'s multivector output panel through
-    /// `add(flat_index, value)` with `flat_index = dof·nvec + column`.
-    /// Lane-bounded like [`Self::scatter_with`], and visiting live lanes
-    /// in the same `(row, lane)` order so per-column accumulation order —
-    /// and therefore the bits — match the single-vector path.
+    /// [`Self::gather_mv`] for rows of `N` values (`N = 0`: `nvec`, read
+    /// at run time).
+    #[inline(always)]
+    fn gather_rows<const N: usize>(&self, k: usize, data: &[f64], nvec: usize, ue: &mut [f64]) {
+        let n = if N == 0 { nvec } else { N };
+        let gi = self.gather_indices(k);
+        assert_eq!(ue.len(), gi.len() * n, "panel does not fit the table");
+        for (u, &r) in ue.chunks_exact_mut(n).zip(gi) {
+            u.copy_from_slice(&data[r as usize * n..][..n]);
+        }
+    }
+
+    /// Scatter-add block `k`'s multivector output panel into a
+    /// [`DistMultivector`]'s `data`, one whole `nvec`-wide row per table
+    /// entry. Lane-bounded like [`Self::scatter_with`], and visiting live
+    /// lanes in the same `(row, lane)` order so per-column accumulation
+    /// order — and therefore the bits — match the single-vector path.
     #[inline]
-    pub fn scatter_mv_with(
+    pub fn scatter_add_mv(&self, k: usize, nvec: usize, ve: &[f64], data: &mut [f64]) {
+        match nvec {
+            FIXED_NVEC_WIDTH => self.scatter_add_rows::<FIXED_NVEC_WIDTH>(k, nvec, ve, data),
+            _ => self.scatter_add_rows::<0>(k, nvec, ve, data),
+        }
+    }
+
+    /// [`Self::scatter_add_mv`] for rows of `N` values (`N = 0`: `nvec`,
+    /// read at run time).
+    #[inline(always)]
+    fn scatter_add_rows<const N: usize>(
         &self,
         k: usize,
         nvec: usize,
         ve: &[f64],
-        mut add: impl FnMut(usize, f64),
+        data: &mut [f64],
     ) {
-        let (bw, pl) = (self.bw, self.panel_len());
-        let gi = &self.gidx[k * pl..(k + 1) * pl];
-        debug_assert_eq!(ve.len(), pl * nvec);
-        let len = self.lens[k] as usize;
-        if len == bw {
-            for (&r, v) in gi.iter().zip(ve.chunks_exact(nvec)) {
-                let base = r as usize * nvec;
-                for (c, &val) in v.iter().enumerate() {
-                    add(base + c, val);
-                }
-            }
-        } else {
-            for row in 0..self.nd {
-                for b in 0..len {
-                    let t = row * bw + b;
-                    let base = gi[t] as usize * nvec;
-                    for c in 0..nvec {
-                        add(base + c, ve[t * nvec + c]);
-                    }
+        let n = if N == 0 { nvec } else { N };
+        let (bw, gi) = (self.bw, self.gather_indices(k));
+        assert_eq!(ve.len(), gi.len() * n, "panel does not fit the table");
+        for row in 0..self.nd {
+            for b in 0..self.lens[k] as usize {
+                let t = row * bw + b;
+                let dst = &mut data[gi[t] as usize * n..][..n];
+                for (d, &x) in dst.iter_mut().zip(&ve[t * n..][..n]) {
+                    *d += x;
                 }
             }
         }
@@ -582,7 +592,7 @@ impl BlockPlan {
         for k in 0..set.n_blocks() {
             set.gather_mv(k, &u.data, nvec, ue);
             kernel(set.keb(k), ue, ve, self.nd, self.bw, nvec);
-            set.scatter_mv_with(k, nvec, ve, |i, val| v.data[i] += val);
+            set.scatter_add_mv(k, nvec, ve, &mut v.data);
         }
     }
 
@@ -1173,67 +1183,84 @@ mod tests {
         assert!(neg.contains("not a number"), "{neg}");
     }
 
-    /// The blocked SpMM loop equals the single-vector blocked loop run
-    /// column by column — including a ragged tail (27 elements, bw = 8)
-    /// and ndof > 1. The (bw = 8, nvec = 8) case pins bitwise equality:
-    /// batch and mv kernels dispatch to the same fmadd-chain class.
+    /// The blocked SpMM loop — whole-row gathers and scatter-adds around
+    /// the folded kernel — equals the single-vector blocked loop run column
+    /// by column, bitwise: with a ragged tail block (27 elements, bw = 8),
+    /// ndof 1 and 3, the service's fixed width and run-time widths. The
+    /// single-vector kernel is the one of the SpMM kernel's arithmetic
+    /// class (fused on the SIMD ISAs, multiply-then-add on the portable).
     #[test]
-    fn blocked_mv_matches_per_column() {
-        use hymv_la::dense::{select_batch_kernel, select_batch_mv_kernel};
+    fn blocked_mv_matches_per_column_bitwise() {
+        use hymv_la::dense::{
+            emv_batch_mv_kernel_name, emv_batch_portable, select_batch_kernel,
+            select_batch_mv_kernel,
+        };
         let mesh = StructuredHexMesh::unit(3, ElementType::Hex8).build();
-        for (ndof, nvec, bitwise, seed) in [
-            (1usize, 3usize, false, 5u64),
-            (3, 8, true, 6),
-            (1, 8, true, 7),
-        ] {
-            let (maps, store, _) = random_case(&mesh, ndof, seed);
+        for (ndof, seed) in [(1usize, 5u64), (3, 6)] {
+            let (maps, mut store, _) = random_case(&mesh, ndof, seed);
             let bw = 8;
-            let mut plan = BlockPlan::build(&maps, ndof, bw);
-            plan.attach_store(&store);
-            let n = maps.n_total() * ndof;
-            let mut rng = StdRng::seed_from_u64(seed + 100);
-            let cols: Vec<Vec<f64>> = (0..nvec)
-                .map(|_| (0..n).map(|_| rng.gen_range(-1.0..1.0)).collect())
-                .collect();
-
-            // Per-column reference through the single-vector blocked loop.
-            let kernel = select_batch_kernel(bw);
-            let pl = plan.nd() * bw;
-            let (mut ue, mut ve) = (vec![0.0; pl], vec![0.0; pl]);
-            let mut refs: Vec<DistArray> = Vec::new();
-            for col in &cols {
-                let mut u = DistArray::new(&maps, ndof);
-                u.data.copy_from_slice(col);
-                let mut v = DistArray::new(&maps, ndof);
-                plan.run_serial(false, &u, &mut v, kernel, &mut ue, &mut ve);
-                plan.run_serial(true, &u, &mut v, kernel, &mut ue, &mut ve);
-                refs.push(v);
-            }
-
-            // One SpMM over the interleaved multivector DA.
-            let mv_kernel = select_batch_mv_kernel(nvec);
-            let mut u_mv = DistMultivector::new(&maps, ndof, nvec);
-            for (c, col) in cols.iter().enumerate() {
-                for (i, &x) in col.iter().enumerate() {
-                    u_mv.data[i * nvec + c] = x;
+            for symmetric in [false, true] {
+                if symmetric {
+                    symmetrize(&mut store);
                 }
-            }
-            let mut v_mv = DistMultivector::new(&maps, ndof, nvec);
-            let (mut uem, mut vem) = (vec![0.0; pl * nvec], vec![0.0; pl * nvec]);
-            plan.run_serial_mv(false, &u_mv, &mut v_mv, mv_kernel, nvec, &mut uem, &mut vem);
-            plan.run_serial_mv(true, &u_mv, &mut v_mv, mv_kernel, nvec, &mut uem, &mut vem);
+                let mut plan = BlockPlan::build(&maps, ndof, bw);
+                plan.attach_store(&store);
+                assert_eq!(plan.is_packed(), symmetric);
+                let tail = plan.set(false).n_blocks() - 1;
+                assert!(
+                    plan.set(false).len(tail) < bw,
+                    "the last block must be ragged"
+                );
+                for nvec in [1usize, 3, 8, 16] {
+                    let n = maps.n_total() * ndof;
+                    let mut rng = StdRng::seed_from_u64(seed + 100 * nvec as u64);
+                    let cols: Vec<Vec<f64>> = (0..nvec)
+                        .map(|_| (0..n).map(|_| rng.gen_range(-1.0..1.0)).collect())
+                        .collect();
 
-            for c in 0..nvec {
-                for i in 0..n {
-                    let (a, b) = (refs[c].data[i], v_mv.data[i * nvec + c]);
-                    if bitwise {
-                        assert_eq!(
-                            a.to_bits(),
-                            b.to_bits(),
-                            "ndof={ndof} nvec={nvec} col {c} dof {i}: {a} vs {b}"
-                        );
+                    // Per-column reference through the single-vector loop.
+                    let kernel = if emv_batch_mv_kernel_name(nvec) == "mv-portable" {
+                        emv_batch_portable
                     } else {
-                        assert!((a - b).abs() < 1e-12, "col {c} dof {i}: {a} vs {b}");
+                        select_batch_kernel(bw)
+                    };
+                    let pl = plan.nd() * bw;
+                    let (mut ue, mut ve) = (vec![0.0; pl], vec![0.0; pl]);
+                    let mut refs: Vec<DistArray> = Vec::new();
+                    for col in &cols {
+                        let mut u = DistArray::new(&maps, ndof);
+                        u.data.copy_from_slice(col);
+                        let mut v = DistArray::new(&maps, ndof);
+                        plan.run_serial(false, &u, &mut v, kernel, &mut ue, &mut ve);
+                        plan.run_serial(true, &u, &mut v, kernel, &mut ue, &mut ve);
+                        refs.push(v);
+                    }
+
+                    // One SpMM over the interleaved multivector DA.
+                    let mv_kernel = select_batch_mv_kernel(nvec);
+                    let mut u_mv = DistMultivector::new(&maps, ndof, nvec);
+                    for (c, col) in cols.iter().enumerate() {
+                        for (i, &x) in col.iter().enumerate() {
+                            u_mv.data[i * nvec + c] = x;
+                        }
+                    }
+                    let mut v_mv = DistMultivector::new(&maps, ndof, nvec);
+                    let (mut uem, mut vem) = (vec![0.0; pl * nvec], vec![0.0; pl * nvec]);
+                    for dependent in [false, true] {
+                        plan.run_serial_mv(
+                            dependent, &u_mv, &mut v_mv, mv_kernel, nvec, &mut uem, &mut vem,
+                        );
+                    }
+
+                    for c in 0..nvec {
+                        for i in 0..n {
+                            let (a, b) = (refs[c].data[i], v_mv.data[i * nvec + c]);
+                            assert_eq!(
+                                a.to_bits(),
+                                b.to_bits(),
+                                "ndof={ndof} packed={symmetric} nvec={nvec} col {c} dof {i}"
+                            );
+                        }
                     }
                 }
             }

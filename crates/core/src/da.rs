@@ -191,28 +191,35 @@ impl DistMultivector {
         self.data.fill(0.0);
     }
 
-    /// Transpose a column-major owned multivector into the owned block.
+    /// Transpose a column-major owned multivector into the owned block,
+    /// row by row: one contiguous stream of rows out, `nvec` column
+    /// streams in.
     pub fn set_owned(&mut self, x: &Multivector) {
         assert_eq!(x.nrows(), self.n_owned_dofs(), "owned row mismatch");
         assert_eq!(x.nvec(), self.nvec, "column-count mismatch");
-        let base = self.n_pre * self.ndof;
-        for c in 0..self.nvec {
-            let col = x.col(c);
-            for (i, &v) in col.iter().enumerate() {
-                self.data[(base + i) * self.nvec + c] = v;
+        let (nrows, nvec) = (x.nrows(), self.nvec);
+        let base = self.n_pre * self.ndof * nvec;
+        let cols = x.as_slice();
+        let rows = &mut self.data[base..base + nrows * nvec];
+        for (i, row) in rows.chunks_exact_mut(nvec).enumerate() {
+            for (c, v) in row.iter_mut().enumerate() {
+                *v = cols[c * nrows + i];
             }
         }
     }
 
-    /// Transpose the owned block out into a column-major multivector.
+    /// Transpose the owned block out into a column-major multivector, row
+    /// by row: one contiguous stream of rows in, `nvec` column streams out.
     pub fn copy_owned_to(&self, y: &mut Multivector) {
         assert_eq!(y.nrows(), self.n_owned_dofs(), "owned row mismatch");
         assert_eq!(y.nvec(), self.nvec, "column-count mismatch");
-        let base = self.n_pre * self.ndof;
-        for c in 0..self.nvec {
-            let col = y.col_mut(c);
-            for (i, v) in col.iter_mut().enumerate() {
-                *v = self.data[(base + i) * self.nvec + c];
+        let (nrows, nvec) = (y.nrows(), self.nvec);
+        let base = self.n_pre * self.ndof * nvec;
+        let cols = y.as_mut_slice();
+        let rows = &self.data[base..base + nrows * nvec];
+        for (i, row) in rows.chunks_exact(nvec).enumerate() {
+            for (c, &v) in row.iter().enumerate() {
+                cols[c * nrows + i] = v;
             }
         }
     }
@@ -294,6 +301,59 @@ mod tests {
         assert_eq!(y, x);
         // Ghost regions untouched by set_owned.
         assert!(mda.data[..base].iter().all(|&v| v == 0.0));
+    }
+
+    /// Column-outer transposes (one strided access per element, column by
+    /// column): the bitwise references.
+    fn set_owned_reference(da: &mut DistMultivector, x: &Multivector) {
+        let base = da.n_pre * da.ndof;
+        for c in 0..da.nvec {
+            for (i, &v) in x.col(c).iter().enumerate() {
+                da.data[(base + i) * da.nvec + c] = v;
+            }
+        }
+    }
+
+    fn copy_owned_to_reference(da: &DistMultivector, y: &mut Multivector) {
+        let base = da.n_pre * da.ndof;
+        for c in 0..da.nvec {
+            for (i, v) in y.col_mut(c).iter_mut().enumerate() {
+                *v = da.data[(base + i) * da.nvec + c];
+            }
+        }
+    }
+
+    /// Row-outer transposes move the same values to the same slots as the
+    /// column-outer loops, behind a pre-ghost region, for one, three and
+    /// eight columns — and leave the ghost regions alone.
+    #[test]
+    fn row_outer_transposes_equal_the_column_outer_loops() {
+        let maps = two_ghost_maps();
+        let ndof = 2;
+        for nvec in [1usize, 3, 8] {
+            let n = maps.n_owned() * ndof;
+            let cols: Vec<Vec<f64>> = (0..nvec)
+                .map(|c| (0..n).map(|i| (c * 31 + i) as f64 * 0.37 - 1.0).collect())
+                .collect();
+            let x = Multivector::from_columns(&cols);
+            let mut got = DistMultivector::new(&maps, ndof, nvec);
+            let mut want = got.clone();
+            got.data.iter_mut().for_each(|v| *v = -2.5);
+            want.data.iter_mut().for_each(|v| *v = -2.5);
+            got.set_owned(&x);
+            set_owned_reference(&mut want, &x);
+            assert!(got.n_pre() > 0);
+            let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+            assert_eq!(bits(&got.data), bits(&want.data), "nvec={nvec}");
+
+            for (i, v) in got.data.iter_mut().enumerate() {
+                *v = i as f64 * 1.5 - 3.0;
+            }
+            let (mut y, mut y_ref) = (Multivector::new(n, nvec), Multivector::new(n, nvec));
+            got.copy_owned_to(&mut y);
+            copy_owned_to_reference(&got, &mut y_ref);
+            assert_eq!(bits(y.as_slice()), bits(y_ref.as_slice()), "nvec={nvec}");
+        }
     }
 
     #[test]

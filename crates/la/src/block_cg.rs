@@ -31,6 +31,7 @@
 
 use hymv_comm::{catch_revoked, Comm};
 
+use crate::dense::on_widest_isa;
 use crate::mv::{column_norms, gram_sym, gram_sym_with_norms, MultiLinOp, Multivector};
 use crate::precond::Precond;
 use crate::resilient::{resilient_cg, RecoveryPolicy, SolverFault};
@@ -149,34 +150,36 @@ fn solve_spd_rr(g: &[f64], s: usize, c: &[f64], m: usize) -> (usize, Vec<f64>) {
     (rank, x)
 }
 
-/// Row-block size for [`gemm_acc`]: one cache-resident destination block
-/// is updated by all `s` source columns before moving on, so the
-/// destination is streamed once per panel update instead of once per
-/// source column.
+/// Row-block size for [`gemm_acc`]: row blocks are the outer loop, so a
+/// tile of every source column (16 KiB at `s = 8`) stays in L1 while all
+/// destination columns of the block are updated from it — the source is
+/// streamed once per panel update instead of once per destination column.
 const GEMM_ROW_BLOCK: usize = 256;
 
-/// `dst.col(j) += Σ_k m[k + j·s] · src.col(k)` — panel GEMM update.
+/// `dst.col(j) += Σ_k m[k + j·s] · src.col(k)` — panel GEMM update. Every
+/// entry adds its terms in `k` order, skipping zero coefficients.
 fn gemm_acc(dst: &mut Multivector, src: &Multivector, m: &[f64], sign: f64) {
     let s = src.nvec();
-    let nrows = dst.nrows();
     debug_assert_eq!(m.len(), s * dst.nvec());
-    for j in 0..dst.nvec() {
-        let dst_col = dst.col_mut(j);
-        let mut r0 = 0;
-        while r0 < nrows {
-            let r1 = (r0 + GEMM_ROW_BLOCK).min(nrows);
-            let blk = &mut dst_col[r0..r1];
-            for k in 0..s {
-                let a = sign * m[k + j * s];
-                if a != 0.0 {
-                    for (d, &v) in blk.iter_mut().zip(&src.col(k)[r0..r1]) {
-                        *d += a * v;
+    on_widest_isa(
+        #[inline(always)]
+        || {
+            for r0 in (0..dst.nrows()).step_by(GEMM_ROW_BLOCK) {
+                let r1 = (r0 + GEMM_ROW_BLOCK).min(dst.nrows());
+                for j in 0..dst.nvec() {
+                    let blk = &mut dst.col_mut(j)[r0..r1];
+                    for k in 0..s {
+                        let a = sign * m[k + j * s];
+                        if a != 0.0 {
+                            for (d, &v) in blk.iter_mut().zip(&src.col(k)[r0..r1]) {
+                                *d += a * v;
+                            }
+                        }
                     }
                 }
             }
-            r0 = r1;
-        }
-    }
+        },
+    );
 }
 
 /// Adapter: use a `MultiLinOp` where a plain `&mut dyn LinOp` is wanted
@@ -654,6 +657,59 @@ mod tests {
             .map(|_| (0..n).map(|_| rng.gen_range(-1.0..1.0)).collect())
             .collect();
         Multivector::from_columns(&cols)
+    }
+
+    /// The reference panel update: destination column outermost, each
+    /// column in row blocks.
+    fn gemm_acc_reference(dst: &mut Multivector, src: &Multivector, m: &[f64], sign: f64) {
+        let s = src.nvec();
+        let nrows = dst.nrows();
+        for j in 0..dst.nvec() {
+            let dst_col = dst.col_mut(j);
+            let mut r0 = 0;
+            while r0 < nrows {
+                let r1 = (r0 + GEMM_ROW_BLOCK).min(nrows);
+                let blk = &mut dst_col[r0..r1];
+                for k in 0..s {
+                    let a = sign * m[k + j * s];
+                    if a != 0.0 {
+                        for (d, &v) in blk.iter_mut().zip(&src.col(k)[r0..r1]) {
+                            *d += a * v;
+                        }
+                    }
+                }
+                r0 = r1;
+            }
+        }
+    }
+
+    /// The loop order changes which tile is in cache, not what is added in
+    /// which order: bitwise the reference, zero and negative-zero
+    /// coefficients (skipped, so a `-0.0` entry cannot flip a zero's sign)
+    /// included, across row-block edges.
+    #[test]
+    fn row_blocked_gemm_equals_the_column_outer_loop_bitwise() {
+        for nrows in [0usize, 1, 255, 256, 257, 1000] {
+            for s in [1usize, 3, 8] {
+                let src = random_rhs(nrows, s, nrows as u64 + 3);
+                let mut m: Vec<f64> = random_rhs(s, s, nrows as u64 + 5).as_slice().to_vec();
+                m[0] = 0.0;
+                if s > 1 {
+                    m[s + 1] = -0.0;
+                    m[s * s - 1] = 0.0;
+                }
+                for sign in [1.0, -1.0] {
+                    let mut dst = random_rhs(nrows, s, nrows as u64 + 7);
+                    dst.col_mut(0).iter_mut().step_by(5).for_each(|v| *v = 0.0);
+                    let mut want = dst.clone();
+                    gemm_acc(&mut dst, &src, &m, sign);
+                    gemm_acc_reference(&mut want, &src, &m, sign);
+                    for (a, b) in dst.as_slice().iter().zip(want.as_slice()) {
+                        assert_eq!(a.to_bits(), b.to_bits(), "nrows={nrows} s={s} sign={sign}");
+                    }
+                }
+            }
+        }
     }
 
     #[test]

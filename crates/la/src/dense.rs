@@ -288,6 +288,36 @@ fn isa_for(width: usize) -> Isa {
     Isa::Portable
 }
 
+/// Run `f` compiled for the widest vector ISA of this CPU. Block-CG's Gram
+/// products (`mv`) and panel update (`block_cg`) are plain Rust loops that
+/// vectorize, at that width instead of baseline SSE2 once they are inlined
+/// into a `target_feature` function — so callers pass an
+/// `#[inline(always)]` closure over `#[inline(always)]` loops. Rust never
+/// contracts a multiply and an add into an FMA, so the ISA changes the
+/// speed, never the bits.
+#[allow(unsafe_code)] // SAFETY comment at the calls
+pub(crate) fn on_widest_isa<R>(f: impl FnOnce() -> R) -> R {
+    #[cfg(target_arch = "x86_64")]
+    {
+        #[target_feature(enable = "avx512f")]
+        fn avx512<R>(f: impl FnOnce() -> R) -> R {
+            f()
+        }
+        #[target_feature(enable = "avx2,fma")]
+        fn avx2<R>(f: impl FnOnce() -> R) -> R {
+            f()
+        }
+        match isa_for(ANY_WIDTH) {
+            // SAFETY: `isa_for` found the features on this CPU.
+            Isa::Avx512 => return unsafe { avx512(f) },
+            // SAFETY: as above.
+            Isa::Avx2 => return unsafe { avx2(f) },
+            Isa::Portable => {}
+        }
+    }
+    f()
+}
+
 /// The name experiment logs give `$isa`'s kernel of family `$family`.
 macro_rules! isa_name {
     ($isa:expr, $family:literal) => {
@@ -323,9 +353,8 @@ pub fn select_kernel() -> EmvKernel {
 /// Portable column-axpy variant; the inner loop autovectorizes.
 // verify: kernel-entry
 pub fn emv_portable(ke: &[f64], ue: &[f64], ve: &mut [f64]) {
+    assert_emv_lengths(ke, ue, ve);
     let nd = ue.len();
-    debug_assert_eq!(ke.len(), nd * nd);
-    debug_assert_eq!(ve.len(), nd);
     ve.fill(0.0);
     for (j, &u) in ue.iter().enumerate() {
         let col = &ke[j * nd..(j + 1) * nd];
@@ -335,11 +364,26 @@ pub fn emv_portable(ke: &[f64], ue: &[f64], ve: &mut [f64]) {
     }
 }
 
+/// The lengths of a per-element EMV — those the SIMD kernels' lane
+/// accesses are proved from — checked in release builds too.
+fn assert_emv_lengths(ke: &[f64], ue: &[f64], ve: &[f64]) {
+    let nd = ue.len();
+    assert!(
+        ke.len() == nd * nd && ve.len() == nd,
+        "element matrix of {} and vectors of {} and {} do not fit nd={nd}",
+        ke.len(),
+        nd,
+        ve.len()
+    );
+}
+
 #[cfg(target_arch = "x86_64")]
 // verify: kernel-entry
 #[allow(unsafe_code)] // SIMD dispatch wrapper; SAFETY comment at the call
 fn emv_avx2(ke: &[f64], ue: &[f64], ve: &mut [f64]) {
-    // SAFETY: dispatch guarantees avx2+fma are available.
+    assert_emv_lengths(ke, ue, ve);
+    // SAFETY: dispatch guarantees avx2+fma are available; the lengths
+    // the lane accesses are proved from were just checked.
     unsafe { emv_avx2_impl(ke, ue, ve) }
 }
 
@@ -373,7 +417,8 @@ unsafe fn emv_avx2_impl(ke: &[f64], ue: &[f64], ve: &mut [f64]) {
 // verify: kernel-entry
 #[allow(unsafe_code)] // SIMD dispatch wrapper; SAFETY comment at the call
 fn emv_avx512(ke: &[f64], ue: &[f64], ve: &mut [f64]) {
-    // SAFETY: dispatch guarantees avx512f is available.
+    assert_emv_lengths(ke, ue, ve);
+    // SAFETY: dispatch guarantees avx512f is available; lengths as above.
     unsafe { emv_avx512_impl(ke, ue, ve) }
 }
 
@@ -464,20 +509,6 @@ fn slab_is_packed(keb_len: usize, nd: usize, bw: usize) -> bool {
     packed
 }
 
-/// Slab slot of matrix entry `(i, j)` in either layout (the portable
-/// multivector kernel; the proved kernels spell the branch each side of
-/// the diagonal takes out as a polynomial `hymv-verify` can bound).
-#[inline(always)]
-fn ke_slot<const PACKED: bool>(i: usize, j: usize, nd: usize) -> usize {
-    if !PACKED {
-        j * nd + i
-    } else if j <= i {
-        tri(i) + j
-    } else {
-        tri(j) + i
-    }
-}
-
 /// `Ve = Ke_b · Ue` over the batch-interleaved layout above.
 ///
 /// Convenience wrapper for tests: dispatches on every call. Hot loops
@@ -510,13 +541,14 @@ pub fn emv_batch_kernel_name(bw: usize) -> &'static str {
     isa_name!(isa_for(bw), "batch-")
 }
 
-/// One vector of `W` batch lanes: all that differs between the ISAs the
-/// batched kernel is instantiated for.
+/// One vector of `W` lanes: all that differs between the ISAs the batched
+/// kernels are instantiated for.
 ///
-/// SAFETY contract of `load`/`store`: `at + W <= s.len()` — `hymv-verify`
-/// proves it per instantiation of [`emv_batch_body`], and that each impl
-/// forwards to `lanes::*` helpers of exactly `W` lanes — and a CPU with the
-/// lane type's ISA, which the `emv_batch_*` entry points owe.
+/// SAFETY contract of `load`/`store`: `at + W <= s.len()`; of `splat`:
+/// `at < s.len()` — `hymv-verify` proves both per instantiation of
+/// [`emv_batch_body`], and that each impl forwards to `lanes::*` helpers of
+/// exactly those widths — and a CPU with the lane type's ISA, which the
+/// `emv_batch_*` entry points owe.
 #[allow(unsafe_code)] // SAFETY: contract above
 trait Lane: Copy {
     const W: usize;
@@ -527,6 +559,8 @@ trait Lane: Copy {
     const ZEROS: Self::Acc;
     unsafe fn load(s: &[f64], at: usize) -> Self;
     unsafe fn store(s: &mut [f64], at: usize, v: Self);
+    /// `s[at]` in every lane: one `Ke` entry against a tile of columns.
+    unsafe fn splat(s: &[f64], at: usize) -> Self;
     /// `k·u + acc`: fused on the SIMD ISAs, multiply then add on the
     /// portable lane — the two arithmetic classes the kernels always had.
     unsafe fn fmadd(k: Self, u: Self, acc: Self) -> Self;
@@ -545,6 +579,10 @@ impl Lane for f64 {
     #[inline(always)]
     unsafe fn store(s: &mut [f64], at: usize, v: Self) {
         s[at] = v;
+    }
+    #[inline(always)]
+    unsafe fn splat(s: &[f64], at: usize) -> Self {
+        lanes::read1(s, at)
     }
     #[inline(always)]
     unsafe fn fmadd(k: Self, u: Self, acc: Self) -> Self {
@@ -569,6 +607,10 @@ impl Lane for std::arch::x86_64::__m256d {
         lanes::store4(s, at, v);
     }
     #[inline(always)]
+    unsafe fn splat(s: &[f64], at: usize) -> Self {
+        lanes::bcast4(s, at)
+    }
+    #[inline(always)]
     unsafe fn fmadd(k: Self, u: Self, acc: Self) -> Self {
         std::arch::x86_64::_mm256_fmadd_pd(k, u, acc)
     }
@@ -591,116 +633,188 @@ impl Lane for std::arch::x86_64::__m512d {
         lanes::store8(s, at, v);
     }
     #[inline(always)]
+    unsafe fn splat(s: &[f64], at: usize) -> Self {
+        lanes::bcast8(s, at)
+    }
+    #[inline(always)]
     unsafe fn fmadd(k: Self, u: Self, acc: Self) -> Self {
         std::arch::x86_64::_mm512_fmadd_pd(k, u, acc)
     }
 }
 
-/// The batched EMV: every ISA, both slab layouts and every `nd` run this
-/// source. Output row `i` is one multiply-add chain over `j` ascending, so
-/// all instantiations of a lane type give the same bits.
+/// The batched EMV, single- and multivector: every ISA, both slab layouts,
+/// every `nd` and every `nvec` run this source. Output `(i, b, c)` is one
+/// multiply-add chain over `j` ascending, so all instantiations of a lane
+/// type give the same bits, and a column of an SpMM the bits of the
+/// single-vector product of that column.
 ///
-/// `ND = 0` takes `nd` at run time and reduces a row at a time: its
-/// `bw / W` accumulators stay in registers, `ve` is stored once per row,
-/// and the column loop is split at the diagonal so a packed slab needs no
-/// max/min per entry — left of it row `i` reads its own packed row, from
-/// the diagonal on it reads column `i` of the rows below.
+/// A *tile* is what one lane vector holds. `NVEC = 1` is the single-vector
+/// product: a tile is `W` batch lanes, and its `Ke` operand a load of those
+/// lanes' entries. Otherwise (the SpMM, `nvec` contiguous columns per
+/// dof and lane) a tile is `W` columns of one batch lane `g`, and its `Ke`
+/// operand that lane's entry broadcast (`L::splat`): a slab streams once
+/// for all `nvec` columns. `NVEC = 0` takes `nvec` at run time.
+///
+/// `ND = 0` takes `nd` at run time and reduces a row at a time: the tiles
+/// of one row sit in at most eight accumulators, `ve` is stored once per
+/// row, and the column loop is split at the diagonal so a packed slab
+/// needs no max/min per entry — left of it row `i` reads its own packed
+/// row, from the diagonal on it reads column `i` of the rows below.
 ///
 /// `ND > 0` fixes the dimension (the caller passes `nd == ND`). A row of
 /// nd ≤ 12 is too short a chain to hide the fmadd latency and the loop
 /// control around it, so both loops have constant trip counts for the
-/// compiler to unroll: per lane vector the `ue` rows sit in registers,
-/// the triangle split folds into constant slots and rows overlap.
+/// compiler to unroll: per tile the `ND` `ue` rows are loaded into
+/// registers once, consecutive rows' chains overlap, and the triangle
+/// split folds into constant slots.
 // verify: prove-bounds
 #[inline(always)]
 #[allow(unsafe_code)] // SAFETY: the caller proves the lane type's ISA; every lane access is
                       // proved in bounds from the debug_asserts below by the hymv-verify interpreter.
-unsafe fn emv_batch_body<L: Lane, const PACKED: bool, const ND: usize>(
+unsafe fn emv_batch_body<L: Lane, const PACKED: bool, const ND: usize, const NVEC: usize>(
     keb: &[f64],
     ue: &[f64],
     ve: &mut [f64],
     nd: usize,
     bw: usize,
+    nvec: usize,
 ) {
     let nd = if ND == 0 { nd } else { ND };
+    let nvec = if NVEC == 0 { nvec } else { NVEC };
     debug_assert_eq!(keb.len(), if PACKED { tri(nd) * bw } else { nd * nd * bw });
-    debug_assert_eq!(ue.len(), nd * bw);
-    debug_assert_eq!(ve.len(), nd * bw);
-    debug_assert!(bw % L::W == 0);
-    let chunks = bw / L::W;
+    debug_assert_eq!(ue.len(), nd * bw * nvec);
+    debug_assert_eq!(ve.len(), nd * bw * nvec);
+    // Tile groups per panel row (batch lanes with their own `Ke` entry),
+    // and tiles per group.
+    let groups = if NVEC == 1 { 1 } else { bw };
+    let tiles = if NVEC == 1 { bw } else { nvec } / L::W;
     if ND == 0 {
         for i in 0..nd {
-            let mut acc = L::ZEROS;
-            let acc = acc.as_mut();
-            for j in 0..i {
-                let s = if PACKED { tri(i) + j } else { j * nd + i };
-                for c in 0..chunks {
-                    let k = L::load(keb, s * bw + L::W * c);
-                    let u = L::load(ue, j * bw + L::W * c);
-                    acc[c] = L::fmadd(k, u, acc[c]);
+            for g in 0..groups {
+                let mut acc = L::ZEROS;
+                let acc = acc.as_mut();
+                for j in 0..i {
+                    let s = if PACKED { tri(i) + j } else { j * nd + i };
+                    for t in 0..tiles {
+                        let k = if NVEC == 1 {
+                            L::load(keb, s * bw + L::W * t)
+                        } else {
+                            L::splat(keb, s * bw + g)
+                        };
+                        let u = L::load(ue, (j * bw + g) * nvec + L::W * t);
+                        acc[t] = L::fmadd(k, u, acc[t]);
+                    }
                 }
-            }
-            for j in i..nd {
-                let s = if PACKED { tri(j) + i } else { j * nd + i };
-                for c in 0..chunks {
-                    let k = L::load(keb, s * bw + L::W * c);
-                    let u = L::load(ue, j * bw + L::W * c);
-                    acc[c] = L::fmadd(k, u, acc[c]);
+                for j in i..nd {
+                    let s = if PACKED { tri(j) + i } else { j * nd + i };
+                    for t in 0..tiles {
+                        let k = if NVEC == 1 {
+                            L::load(keb, s * bw + L::W * t)
+                        } else {
+                            L::splat(keb, s * bw + g)
+                        };
+                        let u = L::load(ue, (j * bw + g) * nvec + L::W * t);
+                        acc[t] = L::fmadd(k, u, acc[t]);
+                    }
                 }
-            }
-            for c in 0..chunks {
-                L::store(ve, i * bw + L::W * c, acc[c]);
+                for t in 0..tiles {
+                    L::store(ve, (i * bw + g) * nvec + L::W * t, acc[t]);
+                }
             }
         }
     } else {
-        for c in 0..chunks {
-            let mut u = [L::ZERO; ND];
-            for j in 0..ND {
-                u[j] = L::load(ue, j * bw + L::W * c);
-            }
-            for i in 0..ND {
-                let mut acc = L::ZERO;
+        for g in 0..groups {
+            for t in 0..tiles {
+                let mut u = [L::ZERO; ND];
                 for j in 0..ND {
-                    let k = if PACKED {
-                        if j <= i {
-                            L::load(keb, (tri(i) + j) * bw + L::W * c)
-                        } else {
-                            L::load(keb, (tri(j) + i) * bw + L::W * c)
-                        }
-                    } else {
-                        L::load(keb, (j * ND + i) * bw + L::W * c)
-                    };
-                    acc = L::fmadd(k, u[j], acc);
+                    u[j] = L::load(ue, (j * bw + g) * nvec + L::W * t);
                 }
-                L::store(ve, i * bw + L::W * c, acc);
+                for i in 0..ND {
+                    let mut acc = L::ZERO;
+                    for j in 0..ND {
+                        let k = if NVEC == 1 {
+                            if !PACKED {
+                                L::load(keb, (j * ND + i) * bw + L::W * t)
+                            } else if j <= i {
+                                L::load(keb, (tri(i) + j) * bw + L::W * t)
+                            } else {
+                                L::load(keb, (tri(j) + i) * bw + L::W * t)
+                            }
+                        } else if !PACKED {
+                            L::splat(keb, (j * ND + i) * bw + g)
+                        } else if j <= i {
+                            L::splat(keb, (tri(i) + j) * bw + g)
+                        } else {
+                            L::splat(keb, (tri(j) + i) * bw + g)
+                        };
+                        acc = L::fmadd(k, u[j], acc);
+                    }
+                    L::store(ve, (i * bw + g) * nvec + L::W * t, acc);
+                }
             }
         }
     }
 }
 
-/// One batched EMV on lane type `L`: pins the lengths the body assumes,
+/// One batched product on lane type `L`: pins the lengths the body
+/// assumes — in release builds too, the unchecked lanes rest on them —
 /// then picks its instantiation from the slab layout and `nd`. `nd` is a
 /// constant for the element dimensions of the scalar and vector problems
 /// on Tet4 / Hex8 / Tet10; above them unrolling stops paying (DESIGN.md
 /// §8), so every other `nd` takes `ND = 0`.
+///
+/// # Panics
+/// If a panel is not `nd·bw·nvec` long, if the lanes do not tile the batch
+/// (`NVEC = 1`) or the columns, or if `nvec` is not the `NVEC` asked for.
 #[inline(always)]
 #[allow(unsafe_code)] // SAFETY: the caller proves `L`'s ISA, as for `emv_batch_body`
-unsafe fn emv_batch_on<L: Lane>(keb: &[f64], ue: &[f64], ve: &mut [f64], nd: usize, bw: usize) {
+unsafe fn emv_batch_on<L: Lane, const NVEC: usize>(
+    keb: &[f64],
+    ue: &[f64],
+    ve: &mut [f64],
+    nd: usize,
+    bw: usize,
+    nvec: usize,
+) {
+    let tiled = if NVEC == 1 { bw } else { nvec };
     assert!(
-        ue.len() == nd * bw && ve.len() == nd * bw && bw % L::W == 0,
-        "panels do not fit nd={nd}, bw={bw}"
+        (NVEC == 0 || nvec == NVEC)
+            && ue.len() == nd * bw * nvec
+            && ve.len() == nd * bw * nvec
+            && tiled % L::W == 0,
+        "panels do not fit nd={nd}, bw={bw}, nvec={nvec} on {}-lane vectors",
+        L::W
     );
     match (slab_is_packed(keb.len(), nd, bw), nd) {
-        (true, 4) => emv_batch_body::<L, true, 4>(keb, ue, ve, nd, bw),
-        (true, 8) => emv_batch_body::<L, true, 8>(keb, ue, ve, nd, bw),
-        (true, 10) => emv_batch_body::<L, true, 10>(keb, ue, ve, nd, bw),
-        (true, 12) => emv_batch_body::<L, true, 12>(keb, ue, ve, nd, bw),
-        (true, _) => emv_batch_body::<L, true, 0>(keb, ue, ve, nd, bw),
-        (false, 4) => emv_batch_body::<L, false, 4>(keb, ue, ve, nd, bw),
-        (false, 8) => emv_batch_body::<L, false, 8>(keb, ue, ve, nd, bw),
-        (false, 10) => emv_batch_body::<L, false, 10>(keb, ue, ve, nd, bw),
-        (false, 12) => emv_batch_body::<L, false, 12>(keb, ue, ve, nd, bw),
-        (false, _) => emv_batch_body::<L, false, 0>(keb, ue, ve, nd, bw),
+        (true, 4) => emv_batch_body::<L, true, 4, NVEC>(keb, ue, ve, nd, bw, nvec),
+        (true, 8) => emv_batch_body::<L, true, 8, NVEC>(keb, ue, ve, nd, bw, nvec),
+        (true, 10) => emv_batch_body::<L, true, 10, NVEC>(keb, ue, ve, nd, bw, nvec),
+        (true, 12) => emv_batch_body::<L, true, 12, NVEC>(keb, ue, ve, nd, bw, nvec),
+        (true, _) => emv_batch_body::<L, true, 0, NVEC>(keb, ue, ve, nd, bw, nvec),
+        (false, 4) => emv_batch_body::<L, false, 4, NVEC>(keb, ue, ve, nd, bw, nvec),
+        (false, 8) => emv_batch_body::<L, false, 8, NVEC>(keb, ue, ve, nd, bw, nvec),
+        (false, 10) => emv_batch_body::<L, false, 10, NVEC>(keb, ue, ve, nd, bw, nvec),
+        (false, 12) => emv_batch_body::<L, false, 12, NVEC>(keb, ue, ve, nd, bw, nvec),
+        (false, _) => emv_batch_body::<L, false, 0, NVEC>(keb, ue, ve, nd, bw, nvec),
+    }
+}
+
+/// The multivector product on lane type `L`: [`FIXED_NVEC_WIDTH`] is a
+/// constant, every other `nvec` is read at run time.
+#[inline(always)]
+#[allow(unsafe_code)] // SAFETY: the caller proves `L`'s ISA, as for `emv_batch_body`
+unsafe fn emv_batch_mv_on<L: Lane>(
+    keb: &[f64],
+    ue: &[f64],
+    ve: &mut [f64],
+    nd: usize,
+    bw: usize,
+    nvec: usize,
+) {
+    if nvec == FIXED_NVEC_WIDTH {
+        emv_batch_on::<L, FIXED_NVEC_WIDTH>(keb, ue, ve, nd, bw, nvec);
+    } else {
+        emv_batch_on::<L, 0>(keb, ue, ve, nd, bw, nvec);
     }
 }
 
@@ -711,7 +825,7 @@ pub fn emv_batch_portable(keb: &[f64], ue: &[f64], ve: &mut [f64], nd: usize, bw
     // lengths its unchecked loads are proved in bounds from.
     #[allow(unsafe_code)]
     unsafe {
-        emv_batch_on::<f64>(keb, ue, ve, nd, bw);
+        emv_batch_on::<f64, 1>(keb, ue, ve, nd, bw, 1);
     }
 }
 
@@ -721,7 +835,7 @@ pub fn emv_batch_portable(keb: &[f64], ue: &[f64], ve: &mut [f64], nd: usize, bw
 fn emv_batch_avx2(keb: &[f64], ue: &[f64], ve: &mut [f64], nd: usize, bw: usize) {
     #[target_feature(enable = "avx2,fma")]
     unsafe fn isa(keb: &[f64], ue: &[f64], ve: &mut [f64], nd: usize, bw: usize) {
-        emv_batch_on::<std::arch::x86_64::__m256d>(keb, ue, ve, nd, bw);
+        emv_batch_on::<std::arch::x86_64::__m256d, 1>(keb, ue, ve, nd, bw, 1);
     }
     // SAFETY: dispatch guarantees avx2+fma are available; `emv_batch_on`
     // pins the lengths the lane accesses are proved in bounds from.
@@ -734,7 +848,7 @@ fn emv_batch_avx2(keb: &[f64], ue: &[f64], ve: &mut [f64], nd: usize, bw: usize)
 fn emv_batch_avx512(keb: &[f64], ue: &[f64], ve: &mut [f64], nd: usize, bw: usize) {
     #[target_feature(enable = "avx512f")]
     unsafe fn isa(keb: &[f64], ue: &[f64], ve: &mut [f64], nd: usize, bw: usize) {
-        emv_batch_on::<std::arch::x86_64::__m512d>(keb, ue, ve, nd, bw);
+        emv_batch_on::<std::arch::x86_64::__m512d, 1>(keb, ue, ve, nd, bw, 1);
     }
     // SAFETY: dispatch guarantees avx512f is available; lengths as above.
     unsafe { isa(keb, ue, ve, nd, bw) }
@@ -822,17 +936,28 @@ pub fn interleave_ke(ke: &[f64], keb: &mut [f64], nd: usize, bw: usize, b: usize
 //   ue [(j*bw + b)*nvec + c]    — input panel, nd × bw × nvec,
 //   ve [(i*bw + b)*nvec + c]    — output panel, nd × bw × nvec.
 //
-// Vectorization runs **across the vector columns `c`**: the `nvec` values
-// of one (dof, lane) pair are contiguous, so the inner loop is unit-stride
-// full vectors. Each `Ke` entry is loaded exactly once per SpMM — a single
-// broadcast feeds all `nvec` columns — which is the whole point: the
-// batched EMV pipeline is bandwidth-bound on `Ke` slab traffic, and the
-// multivector product amortizes that traffic over `nvec` solves.
+// (at nvec = 1 these are the single-vector panels). The kernels are
+// `emv_batch_body` with `NVEC ≠ 1`: vectorization runs **across the
+// vector columns `c`**, whose `nvec` values of one (dof, lane) pair are
+// contiguous, so every `ue`/`ve` access is a unit-stride full vector. A
+// `Ke` entry is read once for its lane and broadcast to all `nvec`
+// columns — which is the whole point: the batched EMV pipeline is
+// bandwidth-bound on `Ke` slab traffic, and the multivector product
+// amortizes that traffic over `nvec` solves.
 // ---------------------------------------------------------------------------
 
-/// Maximum supported multivector width (bounds kernel register usage:
-/// `nvec/4 ≤ 8` AVX2 accumulators per (row, lane) pair).
+/// Maximum supported multivector width: the run-time-`nd` schedule keeps
+/// the `nvec / W` tiles of one output row in at most eight accumulators,
+/// so 32 columns on AVX2 (and AVX-512), and the portable lane's
+/// accumulator array is larger still.
 pub const MAX_NVEC_WIDTH: usize = 32;
+
+/// The one multivector width with fixed-shape code (the SpMM body's `NVEC`
+/// and `BlockSet`'s whole-row panel moves); every other width is read at
+/// run time. It serves the solve service's block-CG batches, whose default
+/// width `hymv_core::DEFAULT_NVEC_WIDTH` is defined as this (DESIGN.md §13
+/// measures what it buys).
+pub const FIXED_NVEC_WIDTH: usize = 8;
 
 /// The multivector batched EMV kernel signature
 /// (`keb`, `ue`, `ve`, `nd`, `bw`, `nvec`).
@@ -870,9 +995,8 @@ pub fn emv_batch_mv_kernel_name(nvec: usize) -> &'static str {
     isa_name!(isa_for(nvec), "mv-")
 }
 
-/// Portable multivector kernel: column-axpy order (`j` outer) so `keb` is
-/// streamed linearly exactly once per SpMM. Per vector column this is the
-/// same multiply-add chain as [`emv_batch_portable`], so a width-`nvec`
+/// Portable multivector kernel: scalar lanes. Per vector column this is
+/// the multiply-add chain of [`emv_batch_portable`], so a width-`nvec`
 /// product reproduces `nvec` sequential batched EMVs bitwise.
 // verify: kernel-entry
 pub fn emv_batch_mv_portable(
@@ -883,38 +1007,11 @@ pub fn emv_batch_mv_portable(
     bw: usize,
     nvec: usize,
 ) {
-    if slab_is_packed(keb.len(), nd, bw) {
-        emv_batch_mv_portable_impl::<true>(keb, ue, ve, nd, bw, nvec);
-    } else {
-        emv_batch_mv_portable_impl::<false>(keb, ue, ve, nd, bw, nvec);
-    }
-}
-
-fn emv_batch_mv_portable_impl<const PACKED: bool>(
-    keb: &[f64],
-    ue: &[f64],
-    ve: &mut [f64],
-    nd: usize,
-    bw: usize,
-    nvec: usize,
-) {
-    debug_assert_eq!(keb.len(), slab_len(nd, bw, PACKED));
-    debug_assert_eq!(ue.len(), nd * bw * nvec);
-    debug_assert_eq!(ve.len(), nd * bw * nvec);
-    ve.fill(0.0);
-    for j in 0..nd {
-        for i in 0..nd {
-            let s = ke_slot::<PACKED>(i, j, nd);
-            let k = &keb[s * bw..(s + 1) * bw];
-            for b in 0..bw {
-                let kb = k[b];
-                let u = &ue[(j * bw + b) * nvec..(j * bw + b + 1) * nvec];
-                let v = &mut ve[(i * bw + b) * nvec..(i * bw + b + 1) * nvec];
-                for (vc, &uc) in v.iter_mut().zip(u) {
-                    *vc += kb * uc;
-                }
-            }
-        }
+    // SAFETY: the scalar lane needs no ISA; `emv_batch_on` pins the
+    // lengths its unchecked loads are proved in bounds from.
+    #[allow(unsafe_code)]
+    unsafe {
+        emv_batch_mv_on::<f64>(keb, ue, ve, nd, bw, nvec);
     }
 }
 
@@ -922,127 +1019,26 @@ fn emv_batch_mv_portable_impl<const PACKED: bool>(
 // verify: kernel-entry
 #[allow(unsafe_code)] // SIMD dispatch wrapper; SAFETY comment at the call
 fn emv_batch_mv_avx2(keb: &[f64], ue: &[f64], ve: &mut [f64], nd: usize, bw: usize, nvec: usize) {
-    // SAFETY: dispatch guarantees avx2+fma are available and nvec % 4 == 0,
-    // nvec <= 32; `slab_is_packed` pins the slab length the layout assumes.
-    unsafe {
-        if slab_is_packed(keb.len(), nd, bw) {
-            emv_batch_mv_avx2_impl::<true>(keb, ue, ve, nd, bw, nvec)
-        } else {
-            emv_batch_mv_avx2_impl::<false>(keb, ue, ve, nd, bw, nvec)
-        }
+    #[target_feature(enable = "avx2,fma")]
+    unsafe fn isa(keb: &[f64], ue: &[f64], ve: &mut [f64], nd: usize, bw: usize, nvec: usize) {
+        emv_batch_mv_on::<std::arch::x86_64::__m256d>(keb, ue, ve, nd, bw, nvec);
     }
-}
-
-#[cfg(target_arch = "x86_64")]
-// verify: prove-bounds
-#[target_feature(enable = "avx2,fma")]
-#[allow(unsafe_code)] // SAFETY: caller proves the target features; every lane access is proved
-                      // in bounds from the debug_asserts below by the hymv-verify interpreter.
-unsafe fn emv_batch_mv_avx2_impl<const PACKED: bool>(
-    keb: &[f64],
-    ue: &[f64],
-    ve: &mut [f64],
-    nd: usize,
-    bw: usize,
-    nvec: usize,
-) {
-    use std::arch::x86_64::*;
-    debug_assert_eq!(keb.len(), if PACKED { tri(nd) * bw } else { nd * nd * bw });
-    debug_assert_eq!(ue.len(), nd * bw * nvec);
-    debug_assert_eq!(ve.len(), nd * bw * nvec);
-    debug_assert!(nvec % 4 == 0 && nvec <= 32);
-    let chunks = nvec / 4;
-    // Row-outer with register accumulators per (row, lane): the nvec-wide
-    // column tile of output (i, b) is reduced over all dof columns j
-    // without touching memory. Each keb entry of row i is read once (a
-    // scalar broadcast) and amortized across all nvec vector columns — per
-    // column, the reduction is the same fmadd chain as the single-vector
-    // SIMD batch kernels (j ascending, split at the diagonal for the
-    // packed layout exactly as there), so results match them bitwise.
-    for i in 0..nd {
-        for b in 0..bw {
-            let mut acc = [_mm256_setzero_pd(); 8];
-            for j in 0..i {
-                let s = if PACKED { tri(i) + j } else { j * nd + i };
-                let k = lanes::bcast4(keb, s * bw + b);
-                for c in 0..chunks {
-                    let u = lanes::load4(ue, (j * bw + b) * nvec + 4 * c);
-                    acc[c] = _mm256_fmadd_pd(k, u, acc[c]);
-                }
-            }
-            for j in i..nd {
-                let s = if PACKED { tri(j) + i } else { j * nd + i };
-                let k = lanes::bcast4(keb, s * bw + b);
-                for c in 0..chunks {
-                    let u = lanes::load4(ue, (j * bw + b) * nvec + 4 * c);
-                    acc[c] = _mm256_fmadd_pd(k, u, acc[c]);
-                }
-            }
-            for c in 0..chunks {
-                lanes::store4(ve, (i * bw + b) * nvec + 4 * c, acc[c]);
-            }
-        }
-    }
+    // SAFETY: dispatch guarantees avx2+fma are available; `emv_batch_on`
+    // pins the lengths (and `nvec % 4 == 0`) the lane accesses rest on.
+    unsafe { isa(keb, ue, ve, nd, bw, nvec) }
 }
 
 #[cfg(target_arch = "x86_64")]
 // verify: kernel-entry
 #[allow(unsafe_code)] // SIMD dispatch wrapper; SAFETY comment at the call
 fn emv_batch_mv_avx512(keb: &[f64], ue: &[f64], ve: &mut [f64], nd: usize, bw: usize, nvec: usize) {
-    // SAFETY: dispatch guarantees avx512f is available and nvec % 8 == 0,
-    // nvec <= 64; `slab_is_packed` pins the slab length the layout assumes.
-    unsafe {
-        if slab_is_packed(keb.len(), nd, bw) {
-            emv_batch_mv_avx512_impl::<true>(keb, ue, ve, nd, bw, nvec)
-        } else {
-            emv_batch_mv_avx512_impl::<false>(keb, ue, ve, nd, bw, nvec)
-        }
+    #[target_feature(enable = "avx512f")]
+    unsafe fn isa(keb: &[f64], ue: &[f64], ve: &mut [f64], nd: usize, bw: usize, nvec: usize) {
+        emv_batch_mv_on::<std::arch::x86_64::__m512d>(keb, ue, ve, nd, bw, nvec);
     }
-}
-
-#[cfg(target_arch = "x86_64")]
-// verify: prove-bounds
-#[target_feature(enable = "avx512f")]
-#[allow(unsafe_code)] // SAFETY: caller proves the target features; every lane access is proved
-                      // in bounds from the debug_asserts below by the hymv-verify interpreter.
-unsafe fn emv_batch_mv_avx512_impl<const PACKED: bool>(
-    keb: &[f64],
-    ue: &[f64],
-    ve: &mut [f64],
-    nd: usize,
-    bw: usize,
-    nvec: usize,
-) {
-    use std::arch::x86_64::*;
-    debug_assert_eq!(keb.len(), if PACKED { tri(nd) * bw } else { nd * nd * bw });
-    debug_assert_eq!(ue.len(), nd * bw * nvec);
-    debug_assert_eq!(ve.len(), nd * bw * nvec);
-    debug_assert!(nvec % 8 == 0 && nvec <= 64);
-    let chunks = nvec / 8;
-    for i in 0..nd {
-        for b in 0..bw {
-            let mut acc = [_mm512_setzero_pd(); 8];
-            for j in 0..i {
-                let s = if PACKED { tri(i) + j } else { j * nd + i };
-                let k = lanes::bcast8(keb, s * bw + b);
-                for c in 0..chunks {
-                    let u = lanes::load8(ue, (j * bw + b) * nvec + 8 * c);
-                    acc[c] = _mm512_fmadd_pd(k, u, acc[c]);
-                }
-            }
-            for j in i..nd {
-                let s = if PACKED { tri(j) + i } else { j * nd + i };
-                let k = lanes::bcast8(keb, s * bw + b);
-                for c in 0..chunks {
-                    let u = lanes::load8(ue, (j * bw + b) * nvec + 8 * c);
-                    acc[c] = _mm512_fmadd_pd(k, u, acc[c]);
-                }
-            }
-            for c in 0..chunks {
-                lanes::store8(ve, (i * bw + b) * nvec + 8 * c, acc[c]);
-            }
-        }
-    }
+    // SAFETY: dispatch guarantees avx512f is available; `emv_batch_on`
+    // pins the lengths (and `nvec % 8 == 0`) the lane accesses rest on.
+    unsafe { isa(keb, ue, ve, nd, bw, nvec) }
 }
 
 /// FLOPs of one multivector batched EMV: `2·nd²·bw·nvec`.
@@ -1431,90 +1427,164 @@ mod tests {
         }
     }
 
-    type BodyFn = unsafe fn(&[f64], &[f64], &mut [f64], usize, usize);
+    type BodyFn = unsafe fn(&[f64], &[f64], &mut [f64], usize, usize, usize);
+
+    /// `(PACKED, ND, NVEC, run::<PACKED, ND, NVEC>)` for every `ND` the
+    /// dispatcher names.
+    macro_rules! each_nd {
+        ($run:ident, $packed:literal, $nvec:tt) => {
+            [
+                ($packed, 0, $nvec, $run::<$packed, 0, $nvec> as BodyFn),
+                ($packed, 4, $nvec, $run::<$packed, 4, $nvec> as BodyFn),
+                ($packed, 8, $nvec, $run::<$packed, 8, $nvec> as BodyFn),
+                ($packed, 10, $nvec, $run::<$packed, 10, $nvec> as BodyFn),
+                ($packed, 12, $nvec, $run::<$packed, 12, $nvec> as BodyFn),
+            ]
+        };
+    }
 
     /// Every instantiation of `emv_batch_body` the entry points dispatch to
-    /// for one lane type, as `(PACKED, ND, fn)`, each compiled under the
-    /// lane's ISA.
+    /// for one lane type, as `(PACKED, ND, NVEC, fn)`, each compiled under
+    /// the lane's ISA.
     macro_rules! instantiations {
         ($lane:ty $(, $feature:literal)?) => {{
             $(#[target_feature(enable = $feature)])?
             #[allow(unsafe_code)] // SAFETY: as `emv_batch_body`; the test detects `$feature`
-            unsafe fn run<const PACKED: bool, const ND: usize>(
+            unsafe fn run<const PACKED: bool, const ND: usize, const NVEC: usize>(
                 keb: &[f64],
                 ue: &[f64],
                 ve: &mut [f64],
                 nd: usize,
                 bw: usize,
+                nvec: usize,
             ) {
-                emv_batch_body::<$lane, PACKED, ND>(keb, ue, ve, nd, bw);
+                emv_batch_body::<$lane, PACKED, ND, NVEC>(keb, ue, ve, nd, bw, nvec);
             }
-            vec![
-                (false, 0, run::<false, 0> as BodyFn),
-                (false, 4, run::<false, 4> as BodyFn),
-                (false, 8, run::<false, 8> as BodyFn),
-                (false, 10, run::<false, 10> as BodyFn),
-                (false, 12, run::<false, 12> as BodyFn),
-                (true, 0, run::<true, 0> as BodyFn),
-                (true, 4, run::<true, 4> as BodyFn),
-                (true, 8, run::<true, 8> as BodyFn),
-                (true, 10, run::<true, 10> as BodyFn),
-                (true, 12, run::<true, 12> as BodyFn),
+            [
+                each_nd!(run, false, 1),
+                each_nd!(run, true, 1),
+                each_nd!(run, false, FIXED_NVEC_WIDTH),
+                each_nd!(run, true, FIXED_NVEC_WIDTH),
+                each_nd!(run, false, 0),
+                each_nd!(run, true, 0),
             ]
+            .concat()
         }};
     }
 
-    /// A fixed-`ND` instantiation only changes the schedule: on every ISA
-    /// of this host, in both layouts, with one and with several lane
-    /// vectors per row and with zero-padded tail lanes, it gives the bits
-    /// of the run-time-`nd` instantiation of the same source.
+    /// The reference batched product, in the loop order of the separate
+    /// multivector kernels `emv_batch_body` replaced: `j` outer so the slab
+    /// streams once, every output accumulated in memory from zero. At
+    /// `nvec = 1` it is the single-vector product. `fused` rounds each
+    /// multiply-add once, as the SIMD lanes' fmadd does.
+    fn trio_reference(
+        keb: &[f64],
+        ue: &[f64],
+        nd: usize,
+        bw: usize,
+        nvec: usize,
+        fused: bool,
+    ) -> Vec<f64> {
+        let packed = slab_is_packed(keb.len(), nd, bw);
+        let mut ve = vec![0.0; nd * bw * nvec];
+        for j in 0..nd {
+            for i in 0..nd {
+                let s = if !packed {
+                    j * nd + i
+                } else if j <= i {
+                    tri(i) + j
+                } else {
+                    tri(j) + i
+                };
+                for b in 0..bw {
+                    let kb = keb[s * bw + b];
+                    let u = &ue[(j * bw + b) * nvec..(j * bw + b + 1) * nvec];
+                    let v = &mut ve[(i * bw + b) * nvec..(i * bw + b + 1) * nvec];
+                    for (vc, &uc) in v.iter_mut().zip(u) {
+                        *vc = if fused {
+                            kb.mul_add(uc, *vc)
+                        } else {
+                            *vc + kb * uc
+                        };
+                    }
+                }
+            }
+        }
+        ve
+    }
+
+    /// The folded body changes the schedule, never the arithmetic: every
+    /// instantiation (`ND` fixed or not, `NVEC` 1, [`FIXED_NVEC_WIDTH`] or
+    /// read at run time, both layouts) on every ISA of the CPU running the
+    /// test gives the
+    /// bits of the trio's portable loop — fused on the SIMD lanes — with
+    /// zero-padded tail lanes, one and several tiles per row, and several
+    /// `nd` where `nd` is read at run time.
     #[test]
     #[allow(unsafe_code)] // SAFETY: comment at the one unsafe block below
-    fn fixed_nd_instantiations_match_the_runtime_body_bitwise() {
-        let mut lanes: Vec<(&str, Vec<(bool, usize, BodyFn)>)> =
-            vec![("portable", instantiations!(f64))];
+    fn every_instantiation_matches_the_trio_reference_bitwise() {
+        let mut lanes: Vec<(&str, usize, Vec<(bool, usize, usize, BodyFn)>)> =
+            vec![("portable", 1, instantiations!(f64))];
         #[cfg(target_arch = "x86_64")]
         {
             use std::arch::x86_64::{__m256d, __m512d};
             if isa_for(4) == Isa::Avx2 || isa_for(8) == Isa::Avx512 {
-                lanes.push(("avx2", instantiations!(__m256d, "avx2,fma")));
+                lanes.push(("avx2", 4, instantiations!(__m256d, "avx2,fma")));
             }
             if isa_for(8) == Isa::Avx512 {
-                lanes.push(("avx512", instantiations!(__m512d, "avx512f")));
+                lanes.push(("avx512", 8, instantiations!(__m512d, "avx512f")));
             }
         }
-        let mut rng = StdRng::seed_from_u64(1612);
+        let mut rng = StdRng::seed_from_u64(2009);
         let mut compared = 0;
-        for (isa, table) in &lanes {
-            for &(packed, nd, fixed) in table.iter().filter(|t| t.1 != 0) {
-                let runtime = table
-                    .iter()
-                    .find(|t| t.0 == packed && t.1 == 0)
-                    .expect("every layout has a run-time instantiation")
-                    .2;
-                for (bw, pad) in [(8usize, 0usize), (8, 3), (16, 0), (16, 5)] {
-                    let (full, packed_slab) = symmetric_slabs(nd, bw, pad, &mut rng);
-                    let keb = if packed { &packed_slab } else { &full };
-                    let ue: Vec<f64> = (0..nd * bw).map(|_| rng.gen_range(-1.0..1.0)).collect();
-                    let (mut vf, mut vr) = (vec![9.0; nd * bw], vec![7.0; nd * bw]);
-                    // SAFETY: the lane's ISA was detected above; the slabs
-                    // and panels have the lengths the body asserts.
-                    unsafe {
-                        fixed(keb, &ue, &mut vf, nd, bw);
-                        runtime(keb, &ue, &mut vr, nd, bw);
+        for (isa, w, table) in &lanes {
+            for &(packed, fixed_nd, fixed_nvec, body) in table {
+                let nds: &[usize] = if fixed_nd == 0 {
+                    &[3, 8, 13]
+                } else {
+                    &[fixed_nd]
+                };
+                let nvecs = match fixed_nvec {
+                    0 => vec![*w, 3 * w],
+                    n => vec![n],
+                };
+                for &nd in nds {
+                    for &nvec in &nvecs {
+                        // The single-vector body tiles the batch, so `bw` is
+                        // a multiple of the lanes there.
+                        let shapes: &[(usize, usize)] = if fixed_nvec == 1 {
+                            &[(8, 0), (8, 3), (16, 5)]
+                        } else {
+                            &[(3, 1), (8, 0), (8, 5)]
+                        };
+                        for &(bw, pad) in shapes {
+                            let (full, packed_slab) = symmetric_slabs(nd, bw, pad, &mut rng);
+                            let keb = if packed { &packed_slab } else { &full };
+                            let len = nd * bw * nvec;
+                            let ue: Vec<f64> = (0..len).map(|_| rng.gen_range(-1.0..1.0)).collect();
+                            let mut ve = vec![9.0; len];
+                            // SAFETY: the lane's ISA was detected above; the
+                            // slab and panels have the lengths the body
+                            // asserts, and `W` divides what it tiles.
+                            unsafe { body(keb, &ue, &mut ve, nd, bw, nvec) };
+                            let want = trio_reference(keb, &ue, nd, bw, nvec, *w > 1);
+                            for (t, (a, b)) in ve.iter().zip(&want).enumerate() {
+                                assert_eq!(
+                                    a.to_bits(),
+                                    b.to_bits(),
+                                    "{isa} packed={packed} ND={fixed_nd} NVEC={fixed_nvec} \
+                                     nd={nd} nvec={nvec} bw={bw} pad={pad} slot={t}"
+                                );
+                            }
+                            compared += 1;
+                        }
                     }
-                    for (t, (a, b)) in vf.iter().zip(&vr).enumerate() {
-                        assert_eq!(
-                            a.to_bits(),
-                            b.to_bits(),
-                            "{isa} packed={packed} ND={nd} bw={bw} pad={pad} slot={t}"
-                        );
-                    }
-                    compared += 1;
                 }
             }
         }
-        assert_eq!(compared, lanes.len() * 2 * 4 * 4);
+        // Per lane type: NVEC ∈ {1, FIXED_NVEC_WIDTH} × 2 layouts × (4 fixed + 3 run-time
+        // `nd`) × 3 shapes, and NVEC = 0 twice that (two widths).
+        assert_eq!(compared, lanes.len() * 2 * 2 * 7 * 3 * 2);
     }
 
     /// The vector gather is the scalar loop: same values for any table
@@ -1597,6 +1667,121 @@ mod tests {
         let keb = vec![0.0; slab_len(nd, bw, true) + bw];
         let (ue, mut ve) = (vec![0.0; nd * bw], vec![0.0; nd * bw]);
         emv_batch(&keb, &ue, &mut ve, nd, bw);
+    }
+
+    /// A panel one double short of `nd = 4`, `bw = 8`, `nvec` columns,
+    /// with a full slab: what every kernel entry must refuse in release
+    /// builds too, as the unchecked lanes behind it rest on the lengths.
+    fn short_panels(nvec: usize) -> (Vec<f64>, Vec<f64>, Vec<f64>) {
+        let len = 4 * 8 * nvec;
+        (
+            vec![0.0; slab_len(4, 8, false)],
+            vec![0.0; len],
+            vec![0.0; len - 1],
+        )
+    }
+
+    /// `simd` where the CPU running the test has `isa`, else the portable
+    /// entry of the same family (which refuses the same inputs with the
+    /// same message).
+    #[cfg(target_arch = "x86_64")]
+    fn on_host<K>(width: usize, isa: Isa, simd: K, portable: K) -> K {
+        if isa_for(width) == isa {
+            simd
+        } else {
+            portable
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "panels do not fit")]
+    fn emv_batch_portable_refuses_a_short_panel() {
+        let (keb, ue, mut ve) = short_panels(1);
+        emv_batch_portable(&keb, &ue, &mut ve, 4, 8);
+    }
+
+    #[cfg(target_arch = "x86_64")]
+    #[test]
+    #[should_panic(expected = "panels do not fit")]
+    fn emv_batch_avx2_refuses_a_short_panel() {
+        let (keb, ue, mut ve) = short_panels(1);
+        let kernel: EmvBatchKernel = on_host(4, Isa::Avx2, emv_batch_avx2, emv_batch_portable);
+        kernel(&keb, &ue, &mut ve, 4, 8);
+    }
+
+    #[cfg(target_arch = "x86_64")]
+    #[test]
+    #[should_panic(expected = "panels do not fit")]
+    fn emv_batch_avx512_refuses_a_short_panel() {
+        let (keb, ue, mut ve) = short_panels(1);
+        let kernel: EmvBatchKernel = on_host(8, Isa::Avx512, emv_batch_avx512, emv_batch_portable);
+        kernel(&keb, &ue, &mut ve, 4, 8);
+    }
+
+    #[test]
+    #[should_panic(expected = "panels do not fit")]
+    fn emv_batch_mv_portable_refuses_a_short_panel() {
+        let (keb, ue, mut ve) = short_panels(3);
+        emv_batch_mv_portable(&keb, &ue, &mut ve, 4, 8, 3);
+    }
+
+    #[cfg(target_arch = "x86_64")]
+    #[test]
+    #[should_panic(expected = "panels do not fit")]
+    fn emv_batch_mv_avx2_refuses_a_short_panel() {
+        let (keb, ue, mut ve) = short_panels(4);
+        let kernel: EmvBatchMvKernel =
+            on_host(4, Isa::Avx2, emv_batch_mv_avx2, emv_batch_mv_portable);
+        kernel(&keb, &ue, &mut ve, 4, 8, 4);
+    }
+
+    #[cfg(target_arch = "x86_64")]
+    #[test]
+    #[should_panic(expected = "panels do not fit")]
+    fn emv_batch_mv_avx512_refuses_a_short_panel() {
+        let (keb, ue, mut ve) = short_panels(8);
+        let kernel: EmvBatchMvKernel =
+            on_host(8, Isa::Avx512, emv_batch_mv_avx512, emv_batch_mv_portable);
+        kernel(&keb, &ue, &mut ve, 4, 8, 8);
+    }
+
+    /// A SIMD kernel selected for eight columns and called with three
+    /// refuses them, instead of leaving the columns past its last whole
+    /// vector unwritten. (A portable selection takes any width.)
+    #[test]
+    fn a_kernel_selected_for_eight_columns_refuses_three() {
+        let kernel = select_batch_mv_kernel(8);
+        let (keb, ue, mut ve) = short_panels(3);
+        ve.push(0.0);
+        let refused = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            kernel(&keb, &ue, &mut ve, 4, 8, 3);
+        }));
+        assert_eq!(
+            refused.is_err(),
+            emv_batch_mv_kernel_name(8) != "mv-portable"
+        );
+    }
+
+    #[test]
+    #[should_panic(expected = "do not fit nd=4")]
+    fn emv_portable_refuses_a_short_matrix() {
+        emv_portable(&[0.0; 15], &[0.0; 4], &mut [0.0; 4]);
+    }
+
+    #[cfg(target_arch = "x86_64")]
+    #[test]
+    #[should_panic(expected = "do not fit nd=4")]
+    fn emv_avx2_refuses_a_short_matrix() {
+        let kernel: EmvKernel = on_host(4, Isa::Avx2, emv_avx2, emv_portable);
+        kernel(&[0.0; 15], &[0.0; 4], &mut [0.0; 4]);
+    }
+
+    #[cfg(target_arch = "x86_64")]
+    #[test]
+    #[should_panic(expected = "do not fit nd=4")]
+    fn emv_avx512_refuses_a_short_matrix() {
+        let kernel: EmvKernel = on_host(8, Isa::Avx512, emv_avx512, emv_portable);
+        kernel(&[0.0; 15], &[0.0; 4], &mut [0.0; 4]);
     }
 
     #[test]

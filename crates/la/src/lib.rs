@@ -43,8 +43,8 @@ pub use block_cg::{block_cg, BlockCgResult};
 pub use csr::SerialCsr;
 pub use dense::{
     emv, emv_batch, emv_batch_mv, select_batch_kernel, select_batch_mv_kernel, select_kernel,
-    ElementMatrixStore, EmvBatchKernel, EmvBatchMvKernel, EmvKernel, MAX_BATCH_WIDTH,
-    MAX_NVEC_WIDTH,
+    ElementMatrixStore, EmvBatchKernel, EmvBatchMvKernel, EmvKernel, FIXED_NVEC_WIDTH,
+    MAX_BATCH_WIDTH, MAX_NVEC_WIDTH,
 };
 pub use dist_csr::DistCsr;
 pub use mv::{column_norms, gram, MultiLinOp, Multivector};

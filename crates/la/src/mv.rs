@@ -8,6 +8,7 @@
 
 use hymv_comm::Comm;
 
+use crate::dense::on_widest_isa;
 use crate::solver::LinOp;
 
 /// `nvec` distributed vectors of `nrows` owned dofs, stored column-major
@@ -114,23 +115,96 @@ impl<T: MultiLinOp + ?Sized> MultiLinOp for Box<T> {
 /// fixed tree. A strict left-to-right FP sum is one serial add-latency
 /// chain the compiler may not reorder; eight interleaved partials break
 /// the chain (and vectorize) while staying bitwise deterministic — the
-/// summation order is a pure function of the slice length. Block-CG
-/// calls this `nvec²` times per Gram matrix, so it is hot.
+/// summation order is a pure function of the slice length.
 fn dot_local(x: &[f64], y: &[f64]) -> f64 {
     debug_assert_eq!(x.len(), y.len());
+    let body = x.len() / 8 * 8;
     let mut acc = [0.0f64; 8];
-    let chunks = x.len() / 8;
-    for c in 0..chunks {
-        for (l, a) in acc.iter_mut().enumerate() {
-            let i = c * 8 + l;
-            *a += x[i] * y[i];
+    dot_lanes(&mut acc, &x[..body], &y[..body]);
+    dot_fold(&acc, &x[body..], &y[body..])
+}
+
+/// `acc[l] += x[8c + l]·y[8c + l]` over whole chunks of eight: the part of
+/// [`dot_local`] that can stop and resume at any chunk edge.
+#[inline(always)]
+fn dot_lanes(acc: &mut [f64; 8], x: &[f64], y: &[f64]) {
+    for (xc, yc) in x.chunks_exact(8).zip(y.chunks_exact(8)) {
+        for l in 0..8 {
+            acc[l] += xc[l] * yc[l];
         }
     }
+}
+
+/// The rest of [`dot_local`]: the tail past the last whole chunk, then the
+/// fixed fold of the eight partial sums.
+#[inline(always)]
+fn dot_fold(acc: &[f64; 8], x_tail: &[f64], y_tail: &[f64]) -> f64 {
     let mut tail = 0.0f64;
-    for i in chunks * 8..x.len() {
-        tail += x[i] * y[i];
+    for (a, b) in x_tail.iter().zip(y_tail) {
+        tail += a * b;
     }
     ((acc[0] + acc[1]) + (acc[2] + acc[3])) + ((acc[4] + acc[5]) + (acc[6] + acc[7])) + tail
+}
+
+/// Rows per block of [`dots`]: a multiple of [`dot_local`]'s eight
+/// lanes, so block edges fall on its chunk edges, and few enough that the
+/// blocks of two eight-column panels (64 KiB) stay cache-resident while
+/// every pair reads them.
+const GRAM_ROW_BLOCK: usize = 512;
+
+/// [`dot_local`] of every column pair, streaming the panels once in row
+/// blocks instead of once per pair. Each pair's eight partial sums carry
+/// across the blocks in `dot_local`'s order, so every result has its bits.
+/// Block-CG takes two Gram products per iteration, so this is hot.
+#[inline(always)]
+fn dots(pairs: &[(&[f64], &[f64])]) -> Vec<f64> {
+    let n = pairs.first().map_or(0, |p| p.0.len());
+    let body = n / 8 * 8;
+    let mut acc = vec![[0.0f64; 8]; pairs.len()];
+    for r0 in (0..body).step_by(GRAM_ROW_BLOCK) {
+        let r1 = (r0 + GRAM_ROW_BLOCK).min(body);
+        for (a, (x, y)) in acc.iter_mut().zip(pairs) {
+            dot_lanes(a, &x[r0..r1], &y[r0..r1]);
+        }
+    }
+    acc.iter()
+        .zip(pairs)
+        .map(|(a, (x, y))| dot_fold(a, &x[body..], &y[body..]))
+        .collect()
+}
+
+/// The local part of [`gram`]: `g[i + j·a.nvec] = aᵢᵀ bⱼ`.
+fn gram_local(a: &Multivector, b: &Multivector) -> Vec<f64> {
+    let pairs: Vec<(&[f64], &[f64])> = (0..b.nvec())
+        .flat_map(|j| (0..a.nvec()).map(move |i| (a.col(i), b.col(j))))
+        .collect();
+    on_widest_isa(
+        #[inline(always)]
+        || dots(&pairs),
+    )
+}
+
+/// The local part of [`gram_sym`] — the `i ≤ j` triangle of `AᵀB`,
+/// mirrored — followed, `with_norms`, by `bⱼᵀbⱼ` for every column.
+fn gram_sym_local(a: &Multivector, b: &Multivector, with_norms: bool) -> Vec<f64> {
+    let s = a.nvec();
+    let upper: Vec<(usize, usize)> = (0..s).flat_map(|j| (0..=j).map(move |i| (i, j))).collect();
+    let mut pairs: Vec<(&[f64], &[f64])> =
+        upper.iter().map(|&(i, j)| (a.col(i), b.col(j))).collect();
+    if with_norms {
+        pairs.extend((0..s).map(|j| (b.col(j), b.col(j))));
+    }
+    let d = on_widest_isa(
+        #[inline(always)]
+        || dots(&pairs),
+    );
+    let mut out = vec![0.0; s * s];
+    for (&(i, j), &dij) in upper.iter().zip(&d) {
+        out[i + j * s] = dij;
+        out[j + i * s] = dij;
+    }
+    out.extend_from_slice(&d[upper.len()..]);
+    out
 }
 
 /// Distributed Gram product `G = AᵀB`: `G[i + j·a.nvec] = aᵢᵀ bⱼ`
@@ -139,17 +213,7 @@ fn dot_local(x: &[f64], y: &[f64]) -> f64 {
 /// `nvec²` scalar reductions.
 pub fn gram(comm: &mut Comm, a: &Multivector, b: &Multivector) -> Vec<f64> {
     assert_eq!(a.nrows(), b.nrows(), "gram row mismatch");
-    let (sa, sb) = (a.nvec(), b.nvec());
-    let local = comm.work(|| {
-        let mut g = vec![0.0; sa * sb];
-        for j in 0..sb {
-            let bj = b.col(j);
-            for i in 0..sa {
-                g[i + j * sa] = dot_local(a.col(i), bj);
-            }
-        }
-        g
-    });
+    let local = comm.work(|| gram_local(a, b));
     comm.iallreduce_sum_vec(local).wait(comm)
 }
 
@@ -162,19 +226,7 @@ pub fn gram(comm: &mut Comm, a: &Multivector, b: &Multivector) -> Vec<f64> {
 pub fn gram_sym(comm: &mut Comm, a: &Multivector, b: &Multivector) -> Vec<f64> {
     assert_eq!(a.nrows(), b.nrows(), "gram row mismatch");
     assert_eq!(a.nvec(), b.nvec(), "symmetric gram needs equal widths");
-    let s = a.nvec();
-    let local = comm.work(|| {
-        let mut g = vec![0.0; s * s];
-        for j in 0..s {
-            let bj = b.col(j);
-            for i in 0..=j {
-                let d = dot_local(a.col(i), bj);
-                g[i + j * s] = d;
-                g[j + i * s] = d;
-            }
-        }
-        g
-    });
+    let local = comm.work(|| gram_sym_local(a, b, false));
     comm.iallreduce_sum_vec(local).wait(comm)
 }
 
@@ -189,19 +241,7 @@ pub fn gram_sym_with_norms(
     assert_eq!(z.nrows(), r.nrows(), "gram row mismatch");
     assert_eq!(z.nvec(), r.nvec(), "symmetric gram needs equal widths");
     let s = z.nvec();
-    let local = comm.work(|| {
-        let mut buf = vec![0.0; s * s + s];
-        for j in 0..s {
-            let rj = r.col(j);
-            for i in 0..=j {
-                let d = dot_local(z.col(i), rj);
-                buf[i + j * s] = d;
-                buf[j + i * s] = d;
-            }
-            buf[s * s + j] = dot_local(rj, rj);
-        }
-        buf
-    });
+    let local = comm.work(|| gram_sym_local(z, r, true));
     let mut out = comm.iallreduce_sum_vec(local).wait(comm);
     let norms = out
         .split_off(s * s)
@@ -232,6 +272,8 @@ pub fn column_norms(comm: &mut Comm, a: &Multivector) -> Vec<f64> {
 mod tests {
     use super::*;
     use hymv_comm::Universe;
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
 
     #[test]
     fn layout_round_trips() {
@@ -258,6 +300,76 @@ mod tests {
             assert_eq!(g, vec![5.0, 11.0, 11.0, 25.0]);
             assert!((norms[0] - 5.0f64.sqrt()).abs() < 1e-12);
             assert!((norms[1] - 25.0f64.sqrt()).abs() < 1e-12);
+        }
+    }
+
+    /// `dot_local` in one piece: the reference every row-blocked Gram
+    /// entry must equal bitwise.
+    fn dot_local_reference(x: &[f64], y: &[f64]) -> f64 {
+        let mut acc = [0.0f64; 8];
+        let chunks = x.len() / 8;
+        for c in 0..chunks {
+            for (l, a) in acc.iter_mut().enumerate() {
+                let i = c * 8 + l;
+                *a += x[i] * y[i];
+            }
+        }
+        let mut tail = 0.0f64;
+        for i in chunks * 8..x.len() {
+            tail += x[i] * y[i];
+        }
+        ((acc[0] + acc[1]) + (acc[2] + acc[3])) + ((acc[4] + acc[5]) + (acc[6] + acc[7])) + tail
+    }
+
+    fn random_mv(nrows: usize, nvec: usize, seed: u64) -> Multivector {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let mut mv = Multivector::new(nrows, nvec);
+        mv.as_mut_slice()
+            .iter_mut()
+            .for_each(|v| *v = rng.gen_range(-1.0..1.0));
+        mv
+    }
+
+    /// Row blocking changes when each pair's partial sums are visited,
+    /// never their order: every Gram entry (and norm) equals the per-pair
+    /// `dot_local` bitwise, for lengths around the eight-lane chunk and
+    /// the row block and a long ragged one, and for one, three and eight
+    /// columns.
+    #[test]
+    fn blocked_grams_equal_per_pair_dots_bitwise() {
+        for n in [0usize, 1, 7, 8, 9, 511, 512, 513, 2053] {
+            for s in [1usize, 3, 8] {
+                let (a, b) = (
+                    random_mv(n, s, n as u64 + 1),
+                    random_mv(n, s, n as u64 + 99),
+                );
+                let dot = |x: &[f64], y: &[f64]| dot_local_reference(x, y).to_bits();
+                let g = gram_local(&a, &b);
+                for j in 0..s {
+                    for i in 0..s {
+                        assert_eq!(
+                            g[i + j * s].to_bits(),
+                            dot(a.col(i), b.col(j)),
+                            "n={n} s={s}"
+                        );
+                    }
+                }
+                let sym = gram_sym_local(&a, &b, true);
+                assert_eq!(sym.len(), s * s + s);
+                assert_eq!(gram_sym_local(&a, &b, false)[..], sym[..s * s]);
+                for j in 0..s {
+                    for i in 0..=j {
+                        let want = dot(a.col(i), b.col(j));
+                        assert_eq!(sym[i + j * s].to_bits(), want, "n={n} s={s}");
+                        assert_eq!(sym[j + i * s].to_bits(), want, "n={n} s={s}");
+                    }
+                    assert_eq!(sym[s * s + j].to_bits(), dot(b.col(j), b.col(j)));
+                    assert_eq!(
+                        dot_local(a.col(j), b.col(j)).to_bits(),
+                        dot(a.col(j), b.col(j))
+                    );
+                }
+            }
         }
     }
 

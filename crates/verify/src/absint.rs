@@ -39,13 +39,19 @@
 //! certificate. The parameters and where their values come from:
 //!
 //! * `const PACKED: bool` — both values;
-//! * `const ND: usize` — every literal the file passes in that position of
-//!   a `kernel::<.., N>` turbofish (`0` is `emv_batch_body`'s "`nd` at run
-//!   time"), so a new instantiation cannot ship without a certificate;
+//! * `const ND: usize`, `const NVEC: usize` — every literal the file passes
+//!   in that position of a `kernel::<.., N>` turbofish (`0` is
+//!   `emv_batch_body`'s "read at run time"), so a new instantiation cannot
+//!   ship without a certificate. An argument that is itself a `const`
+//!   parameter of the calling fn (`emv_batch_on<L, const NVEC: usize>`
+//!   passing `NVEC` on) stands for every literal passed to *that*, and
+//!   one naming a `const X: usize = <literal>;` item of the file for
+//!   that literal;
 //! * `L: Lane` — every `impl Lane for T` in the file, with `L::W` its
-//!   `const W` and `L::load` / `L::store` accesses of `W` lanes. Each impl
-//!   is itself checked to forward to `lanes::*` helpers of exactly `W`
-//!   lanes, which is what makes that reading of `L::load` true.
+//!   `const W`, `L::load` / `L::store` accesses of `W` lanes and
+//!   `L::splat` a read of one. Each impl is itself checked to forward to
+//!   `lanes::*` helpers of exactly those widths, which is what makes that
+//!   reading of `L::load` true.
 //!
 //! An access `lanes::load4(s, idx)` yields the obligation
 //! `len(s) − idxmax − 4 ≥ 0` where `idxmax` substitutes every loop
@@ -368,8 +374,9 @@ const LANE_HELPERS: &[(&str, i64, usize)] = &[
     ("gather8", 8, 1),
 ];
 
-/// The accessors of `trait Lane`: `W` lanes at `(slice, index)`.
-const LANE_METHODS: &[&str] = &["load", "store"];
+/// The accessors of `trait Lane` at `(slice, index)`, with the lanes each
+/// touches: `None` for the lane type's `W`.
+const LANE_METHODS: &[(&str, Option<i64>)] = &[("load", None), ("store", None), ("splat", Some(1))];
 
 /// Raw-memory constructs that are never allowed inside a `prove-bounds`
 /// kernel (method position, after a `.`).
@@ -527,7 +534,12 @@ fn generic_params(stripped: &str, body_start: usize) -> Vec<(&str, ParamKind)> {
     let Some(fn_at) = head.rfind("fn ") else {
         return Vec::new();
     };
-    let sig = tokens(&head[fn_at..]);
+    generic_param_list(&tokens(&head[fn_at..]))
+}
+
+/// The generic parameters [`generic_params`] models, from the tokens of a
+/// signature.
+fn generic_param_list<'a>(sig: &[Token<'a>]) -> Vec<(&'a str, ParamKind)> {
     let mut out = Vec::new();
     for w in sig.windows(4) {
         match (w[0].tok, w[1].tok, w[2].tok, w[3].tok) {
@@ -595,7 +607,19 @@ fn lane_impls<'a>(toks: &[Token<'a>]) -> Result<Vec<(&'a str, &'a str)>, Vec<Str
             ));
             continue;
         };
+        // The accessor whose body a helper call sits in decides the width
+        // it must have: `W`, or the fixed width `LANE_METHODS` gives it.
+        let mut want = parse_int(w);
+        let mut method = "";
         for c in body.windows(4) {
+            if let (Tok::Ident("fn"), Tok::Ident(name)) = (c[0].tok, c[1].tok) {
+                method = name;
+                want = LANE_METHODS
+                    .iter()
+                    .find(|m| m.0 == name)
+                    .and_then(|m| m.1)
+                    .or(parse_int(w));
+            }
             let (Tok::Ident("lanes"), Tok::Ident(helper)) = (c[0].tok, c[3].tok) else {
                 continue;
             };
@@ -603,10 +627,10 @@ fn lane_impls<'a>(toks: &[Token<'a>]) -> Result<Vec<(&'a str, &'a str)>, Vec<Str
                 continue;
             }
             let lanes = LANE_HELPERS.iter().find(|h| h.0 == helper).map(|h| h.1);
-            if lanes != parse_int(w) {
+            if lanes != want {
                 errs.push(format!(
-                    "`impl Lane for {ty}` declares W = {w} but forwards to `lanes::{helper}` \
-                     ({} lane(s))",
+                    "`impl Lane for {ty}` declares W = {w} but its `{method}` forwards to \
+                     `lanes::{helper}` ({} lane(s))",
                     lanes.map_or("unknown".to_string(), |l| l.to_string())
                 ));
             }
@@ -637,31 +661,10 @@ fn instances_of<'a>(
                 .into_iter()
                 .map(|(ty, w)| Arg::Lane { ty, w })
                 .collect(),
-            ParamKind::Usize => {
-                // `name::<a, b, N>`: the literal in this parameter's position.
-                let mut found: Vec<&'a str> = Vec::new();
-                for (i, t) in file_toks.iter().enumerate() {
-                    let turbofish = t.is_ident(name)
-                        && file_toks.get(i + 1).is_some_and(|t| t.is_punct(b':'))
-                        && file_toks.get(i + 2).is_some_and(|t| t.is_punct(b':'))
-                        && file_toks.get(i + 3).is_some_and(|t| t.is_punct(b'<'));
-                    if !turbofish {
-                        continue;
-                    }
-                    let args: Vec<&[Token<'a>]> = file_toks[i + 4..]
-                        .split(|t| t.is_punct(b','))
-                        .take(params.len())
-                        .collect();
-                    let arg = args.get(pos).and_then(|a| a.first()).map(|t| t.tok);
-                    if let Some(Tok::Int(v)) = arg {
-                        if !found.contains(&v) {
-                            found.push(v);
-                        }
-                    }
-                }
-                found.sort_by_key(|v| parse_int(v));
-                found.into_iter().map(Arg::Usize).collect()
-            }
+            ParamKind::Usize => usize_values(name, pos, file_toks, 0)
+                .into_iter()
+                .map(Arg::Usize)
+                .collect(),
         };
         if values.is_empty() {
             return Err(vec![format!(
@@ -680,6 +683,82 @@ fn instances_of<'a>(
             .collect();
     }
     Ok(instances)
+}
+
+/// Every literal the file passes for the `pos`-th generic parameter of fn
+/// `name` in a `name::<..>` turbofish. An argument that is itself a
+/// `const` parameter of the fn the turbofish sits in (`body::<L, 4, NVEC>`
+/// inside `fn on<L: Lane, const NVEC: usize>`) stands for every literal
+/// passed to that parameter, found the same way; any other name, for the
+/// literal of the file's `const` item of that name.
+fn usize_values<'a>(name: &str, pos: usize, toks: &[Token<'a>], depth: usize) -> Vec<&'a str> {
+    let mut found: Vec<&'a str> = Vec::new();
+    for (i, t) in toks.iter().enumerate() {
+        let turbofish = t.is_ident(name)
+            && toks.get(i + 1).is_some_and(|t| t.is_punct(b':'))
+            && toks.get(i + 2).is_some_and(|t| t.is_punct(b':'))
+            && toks.get(i + 3).is_some_and(|t| t.is_punct(b'<'));
+        if !turbofish {
+            continue;
+        }
+        let arg = toks[i + 4..]
+            .split(|t| t.is_punct(b','))
+            .nth(pos)
+            .and_then(|a| a.first())
+            .map(|t| t.tok);
+        let values = match arg {
+            Some(Tok::Int(v)) => vec![v],
+            Some(Tok::Ident(param)) if depth < 4 => match enclosing_const_param(toks, i, param) {
+                Some((f, at)) => usize_values(f, at, toks, depth + 1),
+                None => const_item(toks, param).into_iter().collect(),
+            },
+            _ => Vec::new(),
+        };
+        for v in values {
+            if !found.contains(&v) {
+                found.push(v);
+            }
+        }
+    }
+    found.sort_by_key(|v| parse_int(v));
+    found
+}
+
+/// The fn whose signature last precedes token `at`, and the position of
+/// its generic parameter `const param: usize` — if it has one.
+fn enclosing_const_param<'a>(
+    toks: &[Token<'a>],
+    at: usize,
+    param: &str,
+) -> Option<(&'a str, usize)> {
+    let (f, name) = (0..at)
+        .rev()
+        .find_map(|k| match toks.get(k + 1).map(|t| t.tok) {
+            Some(Tok::Ident(name)) if toks[k].is_ident("fn") => Some((k, name)),
+            _ => None,
+        })?;
+    let open = (f..at).find(|&k| toks[k].is_punct(b'('))?;
+    let pos = generic_param_list(&toks[f..open])
+        .iter()
+        .position(|&(p, kind)| p == param && matches!(kind, ParamKind::Usize))?;
+    Some((name, pos))
+}
+
+/// The literal of the file's item `const name: usize = <literal>;`.
+fn const_item<'a>(toks: &[Token<'a>], name: &str) -> Option<&'a str> {
+    toks.windows(7).find_map(|w| match w[5].tok {
+        Tok::Int(v)
+            if w[0].is_ident("const")
+                && w[1].is_ident(name)
+                && w[2].is_punct(b':')
+                && w[3].is_ident("usize")
+                && w[4].is_punct(b'=')
+                && w[6].is_punct(b';') =>
+        {
+            Some(v)
+        }
+        _ => None,
+    })
 }
 
 /// The matching `}` of the `{` at `open`.
@@ -774,23 +853,46 @@ fn fold_const_ifs<'a>(toks: &[Token<'a>]) -> Result<Vec<Token<'a>>, String> {
             continue;
         };
         let then_close = close_of(toks, open)?;
-        let has_else = toks.get(then_close + 1).is_some_and(|t| t.is_ident("else"))
-            && toks.get(then_close + 2).is_some_and(|t| t.is_punct(b'{'));
-        if !has_else {
+        if !toks.get(then_close + 1).is_some_and(|t| t.is_ident("else")) {
             return Err("a compile-time `if` without an `else` arm is not modeled".to_string());
         }
-        let else_close = close_of(toks, then_close + 2)?;
-        let (open, close) = if value {
-            (open, then_close)
+        let else_at = then_close + 2;
+        let else_close = else_end(toks, else_at)?;
+        // The kept arm, parenthesized: a block's statements, or a whole
+        // `else if` chain (folded in turn).
+        let (from, to) = if value {
+            (open + 1, then_close)
+        } else if toks[else_at].is_punct(b'{') {
+            (else_at + 1, else_close)
         } else {
-            (then_close + 2, else_close)
+            (else_at, else_close + 1)
         };
         out.push(paren(&toks[open], b'('));
-        out.extend(fold_const_ifs(&toks[open + 1..close])?);
-        out.push(paren(&toks[close], b')'));
+        out.extend(fold_const_ifs(&toks[from..to])?);
+        out.push(paren(&toks[else_close], b')'));
         i = else_close + 1;
     }
     Ok(out)
+}
+
+/// The last token of the `else` arm starting at `at`: a `{ .. }` block, or
+/// an `if .. { .. } else ..` chain.
+fn else_end(toks: &[Token<'_>], at: usize) -> Result<usize, String> {
+    match toks.get(at) {
+        Some(t) if t.is_punct(b'{') => close_of(toks, at),
+        Some(t) if t.is_ident("if") => {
+            let open = (at + 1..toks.len())
+                .find(|&k| toks[k].is_punct(b'{'))
+                .ok_or("`if` without a block")?;
+            let close = close_of(toks, open)?;
+            if toks.get(close + 1).is_some_and(|t| t.is_ident("else")) {
+                else_end(toks, close + 2)
+            } else {
+                Ok(close)
+            }
+        }
+        _ => Err("an `else` arm that is neither a block nor an `if`".to_string()),
+    }
 }
 
 /// Certify a file on disk (the CLI entry: `crates/la/src/dense.rs`).
@@ -1057,12 +1159,12 @@ fn lane_access<'a>(
     let Tok::Ident(method) = toks.get(i + 3)?.tok else {
         return None;
     };
+    let lanes = LANE_METHODS.iter().find(|m| m.0 == method)?.1.unwrap_or(w);
     (toks[i].is_ident(param)
         && toks[i + 1].is_punct(b':')
         && toks[i + 2].is_punct(b':')
-        && LANE_METHODS.contains(&method)
         && toks.get(i + 4)?.is_punct(b'('))
-    .then_some((method, w))
+    .then_some((method, lanes))
 }
 
 /// Parse `for VAR in LO..HI {`, returning (var, hi, relative index of the
@@ -1165,6 +1267,8 @@ fn collect_let_facts(toks: &[Token<'_>], ctx: &mut Kctx) {
             if rhs.len() == slash + 2 {
                 if let Some(k) = parse_int(ks) {
                     if k > 0 {
+                        // Definitions in force now are what `x` means here.
+                        let x = ctx.defs.iter().fold(x, |x, (n, def)| x.subst(n, def));
                         ctx.floordivs.push((name.to_string(), x, k));
                     }
                 }
@@ -1752,76 +1856,104 @@ unsafe fn emv_batch_avx2_impl<const PACKED: bool>(keb: &[f64], ue: &[f64], ve: &
     }
 
     /// The shape of the shipped batched body: generic over the lane type,
-    /// the slab layout and the dimension, with `ND = 0` for "`nd` at run
-    /// time"; two lane types, and a dispatcher naming the `ND` values.
+    /// the slab layout, the dimension and the multivector width, with
+    /// `ND = 0` / `NVEC = 0` for "read at run time" and `NVEC = 1` for the
+    /// single-vector product (a tile of batch lanes and a `Ke` load; other
+    /// widths tile columns of one lane against a `Ke` broadcast); two lane
+    /// types, a dispatcher naming the `ND` values, and the `NVEC` values
+    /// passed through it, the fixed width by a named constant.
     const GOOD_GENERIC: &str = r#"
 impl Lane for f64 {
     const W: usize = 1;
     unsafe fn load(s: &[f64], at: usize) -> Self { lanes::read1(s, at) }
     unsafe fn store(s: &mut [f64], at: usize, v: Self) { s[at] = v; }
+    unsafe fn splat(s: &[f64], at: usize) -> Self { lanes::read1(s, at) }
 }
 impl Lane for std::arch::x86_64::__m512d {
     const W: usize = 8;
     unsafe fn load(s: &[f64], at: usize) -> Self { lanes::load8(s, at) }
     unsafe fn store(s: &mut [f64], at: usize, v: Self) { lanes::store8(s, at, v); }
+    unsafe fn splat(s: &[f64], at: usize) -> Self { lanes::bcast8(s, at) }
 }
 // verify: prove-bounds
-unsafe fn body<L: Lane, const PACKED: bool, const ND: usize>(keb: &[f64], ue: &[f64], ve: &mut [f64], nd: usize, bw: usize) {
+unsafe fn body<L: Lane, const PACKED: bool, const ND: usize, const NVEC: usize>(keb: &[f64], ue: &[f64], ve: &mut [f64], nd: usize, bw: usize, nvec: usize) {
     let nd = if ND == 0 { nd } else { ND };
+    let nvec = if NVEC == 0 { nvec } else { NVEC };
     debug_assert_eq!(keb.len(), if PACKED { tri(nd) * bw } else { nd * nd * bw });
-    debug_assert_eq!(ue.len(), nd * bw);
-    debug_assert_eq!(ve.len(), nd * bw);
-    debug_assert!(bw % L::W == 0);
-    let chunks = bw / L::W;
+    debug_assert_eq!(ue.len(), nd * bw * nvec);
+    debug_assert_eq!(ve.len(), nd * bw * nvec);
+    let groups = if NVEC == 1 { 1 } else { bw };
+    let tiles = if NVEC == 1 { bw } else { nvec } / L::W;
     if ND == 0 {
         for i in 0..nd {
-            let mut acc = L::ZEROS;
-            for j in 0..i {
-                let s = if PACKED { tri(i) + j } else { j * nd + i };
-                for c in 0..chunks {
-                    acc[c] = L::fmadd(L::load(keb, s * bw + L::W * c), L::load(ue, j * bw + L::W * c), acc[c]);
+            for g in 0..groups {
+                let mut acc = L::ZEROS;
+                for j in 0..i {
+                    let s = if PACKED { tri(i) + j } else { j * nd + i };
+                    for t in 0..tiles {
+                        let k = if NVEC == 1 { L::load(keb, s * bw + L::W * t) } else { L::splat(keb, s * bw + g) };
+                        acc[t] = L::fmadd(k, L::load(ue, (j * bw + g) * nvec + L::W * t), acc[t]);
+                    }
                 }
-            }
-            for j in i..nd {
-                let s = if PACKED { tri(j) + i } else { j * nd + i };
-                for c in 0..chunks {
-                    acc[c] = L::fmadd(L::load(keb, s * bw + L::W * c), L::load(ue, j * bw + L::W * c), acc[c]);
+                for j in i..nd {
+                    let s = if PACKED { tri(j) + i } else { j * nd + i };
+                    for t in 0..tiles {
+                        let k = if NVEC == 1 { L::load(keb, s * bw + L::W * t) } else { L::splat(keb, s * bw + g) };
+                        acc[t] = L::fmadd(k, L::load(ue, (j * bw + g) * nvec + L::W * t), acc[t]);
+                    }
                 }
-            }
-            for c in 0..chunks {
-                L::store(ve, i * bw + L::W * c, acc[c]);
+                for t in 0..tiles {
+                    L::store(ve, (i * bw + g) * nvec + L::W * t, acc[t]);
+                }
             }
         }
     } else {
-        for c in 0..chunks {
-            let mut u = [L::ZERO; ND];
-            for j in 0..ND {
-                u[j] = L::load(ue, j * bw + L::W * c);
-            }
-            for i in 0..ND {
-                let mut acc = L::ZERO;
+        for g in 0..groups {
+            for t in 0..tiles {
+                let mut u = [L::ZERO; ND];
                 for j in 0..ND {
-                    let k = if PACKED {
-                        if j <= i {
-                            L::load(keb, (tri(i) + j) * bw + L::W * c)
-                        } else {
-                            L::load(keb, (tri(j) + i) * bw + L::W * c)
-                        }
-                    } else {
-                        L::load(keb, (j * ND + i) * bw + L::W * c)
-                    };
-                    acc = L::fmadd(k, u[j], acc);
+                    u[j] = L::load(ue, (j * bw + g) * nvec + L::W * t);
                 }
-                L::store(ve, i * bw + L::W * c, acc);
+                for i in 0..ND {
+                    let mut acc = L::ZERO;
+                    for j in 0..ND {
+                        let k = if NVEC == 1 {
+                            if !PACKED {
+                                L::load(keb, (j * ND + i) * bw + L::W * t)
+                            } else if j <= i {
+                                L::load(keb, (tri(i) + j) * bw + L::W * t)
+                            } else {
+                                L::load(keb, (tri(j) + i) * bw + L::W * t)
+                            }
+                        } else if !PACKED {
+                            L::splat(keb, (j * ND + i) * bw + g)
+                        } else if j <= i {
+                            L::splat(keb, (tri(i) + j) * bw + g)
+                        } else {
+                            L::splat(keb, (tri(j) + i) * bw + g)
+                        };
+                        acc = L::fmadd(k, u[j], acc);
+                    }
+                    L::store(ve, (i * bw + g) * nvec + L::W * t, acc);
+                }
             }
         }
     }
 }
-unsafe fn on<L: Lane, const PACKED: bool>(keb: &[f64], ue: &[f64], ve: &mut [f64], nd: usize, bw: usize) {
+unsafe fn on<L: Lane, const PACKED: bool, const NVEC: usize>(keb: &[f64], ue: &[f64], ve: &mut [f64], nd: usize, bw: usize, nvec: usize) {
     match nd {
-        4 => body::<L, PACKED, 4>(keb, ue, ve, nd, bw),
-        10 => body::<L, PACKED, 10>(keb, ue, ve, nd, bw),
-        _ => body::<L, PACKED, 0>(keb, ue, ve, nd, bw),
+        4 => body::<L, PACKED, 4, NVEC>(keb, ue, ve, nd, bw, nvec),
+        10 => body::<L, PACKED, 10, NVEC>(keb, ue, ve, nd, bw, nvec),
+        _ => body::<L, PACKED, 0, NVEC>(keb, ue, ve, nd, bw, nvec),
+    }
+}
+pub const FIXED_NVEC_WIDTH: usize = 8;
+unsafe fn entries<L: Lane>(keb: &[f64], ue: &[f64], ve: &mut [f64], nd: usize, bw: usize, nvec: usize) {
+    on::<L, false, 1>(keb, ue, ve, nd, bw, 1);
+    if nvec == FIXED_NVEC_WIDTH {
+        on::<L, false, FIXED_NVEC_WIDTH>(keb, ue, ve, nd, bw, nvec)
+    } else {
+        on::<L, false, 0>(keb, ue, ve, nd, bw, nvec)
     }
 }
 "#;
@@ -1831,28 +1963,61 @@ unsafe fn on<L: Lane, const PACKED: bool>(keb: &[f64], ue: &[f64], ve: &mut [f64
         (certs.into_iter().map(|c| c.kernel).collect(), diags)
     }
 
-    /// One certificate per lane type × layout × dimension the file
-    /// instantiates, the run-time-`nd` instantiation included, each
-    /// interpreting only the arm its parameters compile.
+    /// `src` with `from` replaced once: a fixture edit that must apply.
+    fn edited(src: &str, from: &str, to: &str) -> String {
+        let out = src.replacen(from, to, 1);
+        assert_ne!(out, src, "fixture edit `{from}` did not apply");
+        out
+    }
+
+    /// Certify a broken fixture and check it is rejected for exactly the
+    /// instantiations `broken` names (`total` in all), each with a message
+    /// containing `why`.
+    fn rejected_exactly(src: &str, total: usize, broken: impl Fn(&str) -> bool, why: &str) {
+        let (names, diags) = certified(src);
+        assert!(names.iter().all(|k| !broken(k)), "{names:?}");
+        assert!(
+            diags
+                .iter()
+                .all(|d| broken(&d.kernel) && d.message.contains(why)),
+            "{diags:?}"
+        );
+        let mut refused: Vec<&str> = diags.iter().map(|d| d.kernel.as_str()).collect();
+        refused.dedup();
+        assert!(!refused.is_empty());
+        assert_eq!(
+            names.len() + refused.len(),
+            total,
+            "{names:?} / {refused:?}"
+        );
+    }
+
+    /// One certificate per lane type × layout × dimension × width the file
+    /// instantiates, the run-time instantiations included, each
+    /// interpreting only the arms its parameters compile.
     #[test]
-    fn generic_kernel_certifies_per_lane_layout_and_dimension() {
+    fn generic_kernel_certifies_per_lane_layout_dimension_and_width() {
         let (names, diags) = certified(GOOD_GENERIC);
         assert!(diags.is_empty(), "{diags:?}");
         let mut want = Vec::new();
         for lane in ["f64", "__m512d"] {
             for packed in [false, true] {
                 for nd in [0, 4, 10] {
-                    want.push(format!("dense::body::<L={lane}, PACKED={packed}, ND={nd}>"));
+                    for nvec in [0, 1, 8] {
+                        want.push(format!(
+                            "dense::body::<L={lane}, PACKED={packed}, ND={nd}, NVEC={nvec}>"
+                        ));
+                    }
                 }
             }
         }
         assert_eq!(names, want);
         let (certs, _) = certify_source("crates/la/src/dense.rs", GOOD_GENERIC);
         for c in &certs {
-            let fixed = !c.kernel.ends_with("ND=0>");
+            let fixed = !c.kernel.contains("ND=0,");
             let packed = c.kernel.contains("PACKED=true");
             // Run time: 2 × (keb + ue) + store. Fixed: ue row, store, and
-            // one keb load per layout arm.
+            // one keb access per layout arm.
             let accesses = if !fixed {
                 5
             } else if packed {
@@ -1862,69 +2027,113 @@ unsafe fn on<L: Lane, const PACKED: bool>(keb: &[f64], ue: &[f64], ve: &mut [f64
             };
             assert_eq!(
                 (c.accesses, c.loops),
-                (accesses, if fixed { 4 } else { 6 }),
+                (accesses, if fixed { 5 } else { 7 }),
                 "{c:?}"
             );
         }
     }
 
+    /// A width passed by name is the value of the named constant: change
+    /// the constant and the certified instantiations follow it.
+    #[test]
+    fn named_width_constant_is_instantiated_at_its_value() {
+        let src = edited(
+            GOOD_GENERIC,
+            "FIXED_NVEC_WIDTH: usize = 8;",
+            "FIXED_NVEC_WIDTH: usize = 16;",
+        );
+        let (names, diags) = certified(&src);
+        assert!(diags.is_empty(), "{diags:?}");
+        assert_eq!(names.len(), 36);
+        assert!(names.iter().all(|k| !k.ends_with("NVEC=8>")), "{names:?}");
+        assert_eq!(names.iter().filter(|k| k.ends_with("NVEC=16>")).count(), 12);
+    }
+
     /// An off-by-one slot in the unrolled triangle split walks one slot
     /// past a packed slab: rejected for the packed fixed-`ND`
-    /// instantiations of every lane type, and for nothing else.
+    /// instantiations whose `Ke` operand that arm is, and nothing else.
     #[test]
     fn unrolled_triangle_off_by_one_is_rejected_where_it_breaks() {
+        let packed_fixed = |k: &str| k.contains("PACKED=true") && !k.contains("ND=0,");
         for (from, to) in [
             (
-                "(tri(j) + i) * bw + L::W * c",
-                "(tri(j) + i + 1) * bw + L::W * c",
+                "(tri(j) + i) * bw + L::W * t",
+                "(tri(j) + i + 1) * bw + L::W * t",
             ),
             (
-                "(tri(i) + j) * bw + L::W * c",
-                "(tri(i) + j + 1) * bw + L::W * c",
+                "(tri(i) + j) * bw + L::W * t",
+                "(tri(i) + j + 1) * bw + L::W * t",
             ),
         ] {
-            let broken = GOOD_GENERIC.replacen(from, to, 1);
-            assert_ne!(broken, GOOD_GENERIC, "fixture edit `{from}` did not apply");
-            let (names, diags) = certified(&broken);
-            let is_broken = |k: &str| k.contains("PACKED=true") && !k.ends_with("ND=0>");
-            assert_eq!(names.len(), 12 - 4, "`{to}`: {names:?}");
-            assert!(names.iter().all(|k| !is_broken(k)), "`{to}`: {names:?}");
-            assert_eq!(diags.len(), 4, "`{to}`: {diags:?}");
-            assert!(
-                diags
-                    .iter()
-                    .all(|d| is_broken(&d.kernel) && d.message.contains("cannot prove `L::load`")),
-                "`{to}`: {diags:?}"
+            rejected_exactly(
+                &edited(GOOD_GENERIC, from, to),
+                36,
+                |k| packed_fixed(k) && k.ends_with("NVEC=1>"),
+                "cannot prove `L::load`",
             );
         }
+        // The same slip in the broadcast arm: only the SpMM instantiations.
+        rejected_exactly(
+            &edited(
+                GOOD_GENERIC,
+                "(tri(j) + i) * bw + g",
+                "(tri(j) + i + 1) * bw + g",
+            ),
+            36,
+            |k| packed_fixed(k) && !k.ends_with("NVEC=1>"),
+            "cannot prove `L::splat` (1 lane(s))",
+        );
         // A dimension-dependent break: the full-layout column stride of a
         // *different* dimension overruns exactly the instantiations whose
         // slab is smaller than that.
-        let broken = GOOD_GENERIC.replacen("(j * ND + i) * bw", "(j * 10 + i) * bw", 1);
-        let (names, diags) = certified(&broken);
-        assert_eq!(names.len(), 12 - 2, "{names:?}");
-        assert!(
-            diags
-                .iter()
-                .all(|d| d.kernel.ends_with("PACKED=false, ND=4>")),
-            "{diags:?}"
+        rejected_exactly(
+            &edited(GOOD_GENERIC, "(j * ND + i) * bw", "(j * 10 + i) * bw"),
+            36,
+            |k| k.contains("PACKED=false, ND=4, NVEC=1>"),
+            "cannot prove `L::load`",
         );
     }
 
-    /// A lane type whose accessors touch more lanes than its `W` would
-    /// make every `L::load` proof about the wrong width: the impl itself
-    /// is rejected, and with it every instantiation.
+    /// A column tile that steps `W` past the panel's `nvec` columns — one
+    /// tile too many — is rejected for every SpMM instantiation, fixed or
+    /// run-time width, and for none of the single-vector ones, whose tiles
+    /// run over the batch.
+    #[test]
+    fn column_tile_past_nvec_is_rejected_where_it_breaks() {
+        rejected_exactly(
+            &edited(
+                GOOD_GENERIC,
+                "else { nvec } / L::W",
+                "else { nvec + L::W } / L::W",
+            ),
+            36,
+            |k| !k.ends_with("NVEC=1>"),
+            "cannot prove `L::",
+        );
+    }
+
+    /// A lane type whose accessors touch more lanes than they say would
+    /// make every proof about the wrong width: the impl itself is
+    /// rejected, and with it every instantiation — a `W` that disagrees
+    /// with the loads, or a broadcast that reads a whole vector.
     #[test]
     fn lane_impl_width_mismatch_is_rejected() {
-        let broken = GOOD_GENERIC.replacen("const W: usize = 8;", "const W: usize = 4;", 1);
-        let (names, diags) = certified(&broken);
-        assert!(names.is_empty(), "{names:?}");
-        assert!(
-            diags.iter().any(|d| d
-                .message
-                .contains("declares W = 4 but forwards to `lanes::load8` (8 lane(s))")),
-            "{diags:?}"
-        );
+        for (from, to, why) in [
+            (
+                "const W: usize = 8;",
+                "const W: usize = 4;",
+                "declares W = 4 but its `load` forwards to `lanes::load8` (8 lane(s))",
+            ),
+            (
+                "lanes::bcast8(s, at)",
+                "lanes::load8(s, at)",
+                "declares W = 8 but its `splat` forwards to `lanes::load8` (8 lane(s))",
+            ),
+        ] {
+            let (names, diags) = certified(&edited(GOOD_GENERIC, from, to));
+            assert!(names.is_empty(), "{names:?}");
+            assert!(diags.iter().any(|d| d.message.contains(why)), "{diags:?}");
+        }
     }
 
     const GOOD_GATHER: &str = r#"

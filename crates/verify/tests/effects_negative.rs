@@ -205,23 +205,23 @@ fn every_shipped_simd_kernel_certifies() {
     let (certs, diags) = certify_file(&dense).expect("dense.rs unreadable");
     assert!(diags.is_empty(), "{diags:#?}");
     let names: Vec<&str> = certs.iter().map(|c| c.kernel.as_str()).collect();
-    // The per-element kernels, the vector gather, the multivector kernels
-    // in both slab layouts, and the one batched body once per lane type ×
-    // layout × dimension it is instantiated for (`ND=0`: `nd` at run time).
+    // The per-element kernels, the vector gather, and the one batched body
+    // — single-vector and SpMM — once per lane type × layout × dimension ×
+    // width it is instantiated for (`ND=0` / `NVEC=0`: read at run time,
+    // `NVEC=1`: the single-vector product).
     let mut want = vec![
         "dense::emv_avx2_impl".to_string(),
         "dense::emv_avx512_impl".to_string(),
         "dense::gather_panel_avx512".to_string(),
     ];
     for packed in [false, true] {
-        for isa in ["avx2", "avx512"] {
-            want.push(format!("dense::emv_batch_mv_{isa}_impl::<PACKED={packed}>"));
-        }
         for lane in ["f64", "__m256d", "__m512d"] {
             for nd in [0, 4, 8, 10, 12] {
-                want.push(format!(
-                    "dense::emv_batch_body::<L={lane}, PACKED={packed}, ND={nd}>"
-                ));
+                for nvec in [0, 1, 8] {
+                    want.push(format!(
+                        "dense::emv_batch_body::<L={lane}, PACKED={packed}, ND={nd}, NVEC={nvec}>"
+                    ));
+                }
             }
         }
     }
