@@ -37,8 +37,8 @@ cargo test -q --release -- --ignored envelope_overhead
 stage "hymv-check analysis passes"
 cargo run -q -p hymv-check --bin hymv-check -- --n 4 --p 4 --method rcb --seeds 8
 
-stage "hymv-check batched-path determinism (B=8)"
-cargo run -q -p hymv-check --bin hymv-check -- --n 4 --p 4 --method rcb --seeds 8 --batch 8
+stage "hymv-check width-1 plan determinism (B=1: one-element blocks on the scalar lane)"
+cargo run -q -p hymv-check --bin hymv-check -- --n 4 --p 4 --method rcb --seeds 8 --batch 1
 
 stage "hymv-check multivector SpMM determinism (B=8, nvec=8)"
 cargo run -q -p hymv-check --bin hymv-check -- --n 4 --p 3 --method greedy --seeds 8 --batch 8 --nvec 8
@@ -95,10 +95,6 @@ test "$lflr_dur" -lt 60 || {
 stage "perf benchmark smoke + unit tests (BENCHMARK.json's runner builds against the workspace's public API)"
 cargo run --release --offline --manifest-path perf/Cargo.toml -- --smoke
 cargo test --offline --manifest-path perf/Cargo.toml
-
-stage "emv_batch bench smoke"
-HYMV_BENCH_SMOKE=1 cargo bench -q -p hymv-bench --bench emv_batch
-cargo run -q --release -p hymv-bench --bin bench_emv_batch -- --smoke
 
 stage "emv_multivec (SpMM + solve-service) bench smoke"
 cargo run -q --release -p hymv-bench --bin bench_emv_multivec -- --smoke

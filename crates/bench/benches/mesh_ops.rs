@@ -1,12 +1,11 @@
 //! Criterion benches of the mesh-side setup machinery: partitioners (the
-//! METIS stand-in's cost), map construction (Algorithm 1), element
-//! coloring, and the unstructured generators.
+//! METIS stand-in's cost), map construction (Algorithm 1), and the
+//! unstructured generators.
 
 use std::time::Duration;
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 
-use hymv_core::hybrid::color_elements;
 use hymv_core::maps::HymvMaps;
 use hymv_mesh::partition::{partition_elems, partition_mesh, PartitionMethod};
 use hymv_mesh::{unstructured_tet_mesh, ElementType, StructuredHexMesh};
@@ -34,7 +33,7 @@ fn bench_partitioners(c: &mut Criterion) {
     group.finish();
 }
 
-fn bench_maps_and_coloring(c: &mut Criterion) {
+fn bench_maps(c: &mut Criterion) {
     let mut group = c.benchmark_group("maps");
     group
         .sample_size(10)
@@ -44,11 +43,6 @@ fn bench_maps_and_coloring(c: &mut Criterion) {
     let pm = partition_mesh(&mesh, 4, PartitionMethod::Slabs);
     group.bench_function("e2l_algorithm1", |b| {
         b.iter(|| HymvMaps::build(std::hint::black_box(&pm.parts[1])));
-    });
-    let maps = HymvMaps::build(&pm.parts[1]);
-    let all: Vec<u32> = (0..maps.n_elems as u32).collect();
-    group.bench_function("greedy_coloring", |b| {
-        b.iter(|| color_elements(std::hint::black_box(&maps), &all));
     });
     group.finish();
 }
@@ -68,10 +62,5 @@ fn bench_generators(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(
-    benches,
-    bench_partitioners,
-    bench_maps_and_coloring,
-    bench_generators
-);
+criterion_group!(benches, bench_partitioners, bench_maps, bench_generators);
 criterion_main!(benches);

@@ -67,7 +67,7 @@ fn main() {
 
     // CARM-style byte accounting (all executed loads/stores, 8 B each
     // unless noted):
-    // * HYMV batched EMV (the default path): per lane, the i-outer
+    // * HYMV batched EMV: per lane, the i-outer
     //   register-accumulated kernel loads keb once (nd²) and ue per (i,j)
     //   pair (nd²) with ve stored once per row (nd) — no per-column
     //   load-ve/store-ve RMW; panel gather (2·nd) + scatter (3·nd) plus
@@ -78,20 +78,13 @@ fn main() {
     //   (once from memory, once from cache). What packing halves is the
     //   distinct slab bytes an apply streams, nd(nd+1)/2 per lane instead
     //   of nd²; that DRAM-side intensity is reported as its own note below.
-    // * HYMV per-element EMV (HYMV_EMV_BATCH=1): load Ke (nd²) + the
-    //   columnwise axpy's load-ve/store-ve pair per column (2·nd²) +
-    //   extract/accumulate (≈4·nd) → ≈ 8·(3nd² + 4nd) bytes.
     // * assembled CSR: per nonzero, value (8 B) + column index (4 B) +
     //   x gather (8 B); per row, y store → ≈ 20·nnz bytes for 2·nnz flops.
     // * matrix-free: the quadrature loops execute ≈1.5 memory ops per
     //   flop (shape-gradient loads, Jacobian accumulation) on top of the
     //   EMV traffic → ≈ 12·ke_flops + EMV bytes.
     let hymv_flops = ne * 2.0 * nd * nd;
-    let hymv_bytes = if hymv_core::batch_width_from_env() > 1 {
-        ne * (8.0 * (2.0 * nd * nd + 6.0 * nd) + 8.0 * nd)
-    } else {
-        ne * 8.0 * (3.0 * nd * nd + 4.0 * nd)
-    };
+    let hymv_bytes = ne * (8.0 * (2.0 * nd * nd + 6.0 * nd) + 8.0 * nd);
     // Streamed (distinct) bytes of the batched path: the packed slab
     // entries plus the u32 gather table, each read once per apply.
     let hymv_streamed_bytes = ne * (8.0 * nd * (nd + 1.0) / 2.0 + 4.0 * nd);

@@ -26,7 +26,7 @@ struct Options {
     method: PartitionMethod,
     seeds: Vec<u64>,
     mode: ParallelMode,
-    /// EMV batch width to pin (`None` keeps the `HYMV_EMV_BATCH` default).
+    /// EMV batch width to pin (`None` keeps the operator's default).
     batch: Option<usize>,
     /// Multivector width: `> 1` certifies the SpMM engine (coalesced
     /// multivector exchange) instead of the single-vector SPMV.
@@ -79,8 +79,8 @@ fn parse_args() -> Result<Options, String> {
             }
             "--seeds" => opts.seeds = parse_seeds(Some(&val()?), 8),
             "--batch" => {
-                // Shared strict validation (same path as HYMV_EMV_BATCH):
-                // 0, >MAX, and non-numeric values are hard errors.
+                // Shared strict validation: 0, >MAX, and non-numeric
+                // values are hard errors.
                 opts.batch = Some(
                     hymv_core::parse_batch_width(&val()?).map_err(|e| format!("--batch: {e}"))?,
                 )

@@ -76,9 +76,8 @@ pub fn certify_spmv_determinism(
 }
 
 /// [`certify_spmv_determinism`] with an explicit EMV batch width:
-/// `Some(b)` pins the blocked engine to `b` lanes (`1` = the per-element
-/// path) independent of `HYMV_EMV_BATCH`; `None` keeps the environment
-/// default.
+/// `Some(b)` rebuilds the operator's block plan at `b` lanes (`1` =
+/// one-element blocks on the scalar lane); `None` keeps the default width.
 pub fn certify_spmv_determinism_with(
     pm: &PartitionedMesh,
     mode: ParallelMode,
@@ -187,10 +186,10 @@ mod tests {
         certify_spmv_determinism(&pm, ParallelMode::Serial, &seeds);
     }
 
-    /// The batched engine (tentpole) under the same bar: ≥ 8 seeds,
-    /// bitwise-identical results, ragged tails included (the 27-element
-    /// rank subsets don't divide by 8), and identical to the per-element
-    /// (`B = 1`) baseline within FMA reassociation tolerance.
+    /// The batched engine under the same bar: ≥ 8 seeds, bitwise-identical
+    /// results, ragged tails included (the 27-element rank subsets don't
+    /// divide by 8), and the `B = 8` plan identical to the `B = 1` plan
+    /// (scalar lane, no FMA) within FMA reassociation tolerance.
     #[test]
     fn batched_spmv_bitwise_deterministic_across_8_seeds() {
         let mesh = StructuredHexMesh::unit(4, ElementType::Hex8).build();
@@ -198,10 +197,10 @@ mod tests {
         let seeds: Vec<u64> = (1..=8).collect();
         for mode in [ParallelMode::Serial, ParallelMode::Colored { threads: 4 }] {
             let batched = certify_spmv_determinism_with(&pm, mode, Some(8), &seeds);
-            let legacy = certify_spmv_determinism_with(&pm, mode, Some(1), &seeds);
-            for (yb, yl) in batched.iter().zip(&legacy) {
-                for (a, b) in yb.iter().zip(yl) {
-                    assert!((a - b).abs() < 1e-12, "batched vs per-element");
+            let scalar = certify_spmv_determinism_with(&pm, mode, Some(1), &seeds);
+            for (yb, ys) in batched.iter().zip(&scalar) {
+                for (a, b) in yb.iter().zip(ys) {
+                    assert!((a - b).abs() < 1e-12, "B = 8 vs B = 1");
                 }
             }
         }

@@ -141,7 +141,7 @@ impl FaultPlan {
     /// default 8), `HYMV_FAULT_CRASH_RANK` + `HYMV_FAULT_CRASH_AFTER`.
     ///
     /// # Panics
-    /// Malformed values are hard errors, matching `HYMV_EMV_BATCH`: a typo
+    /// Malformed values are hard errors, matching `HYMV_EMV_NVEC`: a typo
     /// silently disabling a chaos run would invalidate its verdict.
     pub fn from_env() -> Option<FaultPlan> {
         let get = |name: &str| std::env::var(name).ok();

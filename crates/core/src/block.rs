@@ -1,12 +1,10 @@
 //! The batched element-block engine: `BlockPlan` and the blocked EMV
-//! loops that are HYMV's default CPU SPMV path.
+//! loops that are HYMV's CPU SPMV path, at every batch width.
 //!
-//! The per-element loop of [`crate::hybrid`] walks one element at a time —
-//! a gather, one `nd × nd` EMV, a scatter — so SIMD lanes are capped by
-//! `nd` and every element pays dispatch and map-lookup overhead. The block
-//! engine cuts each element subset (independent / dependent) into blocks
-//! of `bw` elements and evaluates `Ve = Ke_b · Ue` with the batched
-//! kernels of [`hymv_la::dense`], vectorizing **across the batch**:
+//! The engine cuts each element subset (independent / dependent) into
+//! blocks of `bw` elements and evaluates `Ve = Ke_b · Ue` with the batched
+//! kernels of [`hymv_la::dense`], vectorizing **across the batch** — no
+//! per-element dispatch or map lookup, and SIMD lanes not capped by `nd`:
 //!
 //! * element matrices are re-laid out batch-interleaved
 //!   (`keb[slot(i,j)·bw + b]`), so each matrix entry position is a
@@ -21,8 +19,9 @@
 //!   matrices and gather index 0; the scatter is lane-bounded so padded
 //!   lanes never write (keeping results bitwise independent of padding).
 //!
-//! Blocks are also the parallel grain: coloring moves to block
-//! granularity and chunk-private chunks whole blocks.
+//! `bw = 1` is an ordinary plan of one-element blocks on the scalar lane.
+//! Blocks are also the parallel grain: coloring works on blocks and
+//! chunk-private chunks whole blocks.
 
 use rayon::prelude::*;
 
@@ -35,25 +34,23 @@ use crate::da::{DistArray, DistMultivector};
 use crate::hybrid::{on_rank_pool, RacyTarget};
 use crate::maps::HymvMaps;
 
-/// Environment variable selecting the batch width (`B=1` recovers the
-/// per-element path; invalid values are a hard error, never a clamp).
-pub const BATCH_ENV: &str = "HYMV_EMV_BATCH";
-
 /// Default batch width: one AVX-512 vector (two AVX2 vectors) of lanes —
 /// wide enough to amortize per-block overhead, small enough that the
 /// `nd × bw` panels of even Hex27 elasticity (nd = 81) stay L1-resident.
 pub const DEFAULT_BATCH_WIDTH: usize = 8;
 
-/// Parse a batch-width string. The one validation path shared by the
-/// `HYMV_EMV_BATCH` reader and the `--batch` CLI flags: `0`, values above
-/// [`MAX_BATCH_WIDTH`], and non-numeric input are errors with a message
-/// saying exactly what was wrong — silently clamping would make a typo'd
-/// width run a different kernel than the one the user asked to measure.
+/// Parse a batch-width string — the validation path of the `--batch` CLI
+/// flags, which then call
+/// [`HymvOperator::set_batch_width`](crate::operator::HymvOperator::set_batch_width):
+/// `0`, values above [`MAX_BATCH_WIDTH`], and non-numeric input are
+/// errors with a message saying exactly what was wrong — silently
+/// clamping would make a typo'd width run a different kernel than the one
+/// the user asked to measure.
 pub fn parse_batch_width(s: &str) -> Result<usize, String> {
     let t = s.trim();
     match t.parse::<usize>() {
         Ok(0) => Err(format!(
-            "batch width 0 is invalid (use 1 for the per-element path, up to {MAX_BATCH_WIDTH})"
+            "batch width 0 is invalid (expected 1..={MAX_BATCH_WIDTH})"
         )),
         Ok(b) if b > MAX_BATCH_WIDTH => Err(format!(
             "batch width {b} exceeds the maximum of {MAX_BATCH_WIDTH}"
@@ -109,22 +106,6 @@ pub fn nvec_width_from_env() -> usize {
             Err(e) => panic!("{NVEC_ENV}: {e}"),
         },
         Err(_) => DEFAULT_NVEC_WIDTH,
-    }
-}
-
-/// The batch width selected by `HYMV_EMV_BATCH`, or the default when the
-/// variable is unset.
-///
-/// # Panics
-/// On an invalid value (`0`, `> MAX_BATCH_WIDTH`, non-numeric): a bad
-/// width must stop setup, not silently run a different configuration.
-pub fn batch_width_from_env() -> usize {
-    match std::env::var(BATCH_ENV) {
-        Ok(s) => match parse_batch_width(&s) {
-            Ok(b) => b,
-            Err(e) => panic!("{BATCH_ENV}: {e}"),
-        },
-        Err(_) => DEFAULT_BATCH_WIDTH,
     }
 }
 
@@ -746,9 +727,9 @@ mod tests {
         v
     }
 
-    /// Batched-vs-serial agreement for every element type the paper uses,
-    /// including ragged tails (element counts not divisible by bw) and
-    /// bw=1 equivalence.
+    /// Blocked-vs-per-element agreement for every element type the paper
+    /// uses, including ragged tails (element counts not divisible by bw)
+    /// and one-element blocks (bw = 1).
     #[test]
     fn blocked_matches_serial_all_element_types() {
         let meshes: Vec<hymv_mesh::GlobalMesh> = vec![
@@ -1137,19 +1118,11 @@ mod tests {
         assert!(plan.is_packed());
     }
 
-    #[test]
-    fn batch_width_env_parsing() {
-        // Direct parse-path checks without touching the process env (other
-        // tests run concurrently).
-        assert_eq!(DEFAULT_BATCH_WIDTH, 8);
-        assert!(batch_width_from_env() >= 1);
-        assert!(batch_width_from_env() <= MAX_BATCH_WIDTH);
-    }
-
     /// Invalid widths are hard errors with a message naming the problem —
     /// never a silent clamp or fallback.
     #[test]
     fn batch_width_strict_parse() {
+        assert_eq!(DEFAULT_BATCH_WIDTH, 8);
         assert_eq!(parse_batch_width("1"), Ok(1));
         assert_eq!(parse_batch_width(" 8 "), Ok(8));
         assert_eq!(parse_batch_width("64"), Ok(MAX_BATCH_WIDTH));

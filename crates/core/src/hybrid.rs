@@ -1,12 +1,14 @@
 //! Shared-memory ("OpenMP") parallelization of the local elemental loop
-//! (paper §IV-E).
+//! (paper §IV-E), and the per-element loop the block engine is tested
+//! against.
 //!
 //! The EMV loop accumulates element vectors into a shared DA, so naïve
-//! parallelization races on shared nodes. Two standard strategies are
-//! provided (and compared by the `ablation_smp` bench):
+//! parallelization races on shared nodes. The block engine
+//! ([`crate::block::BlockPlan`]) provides two standard strategies at block
+//! granularity (compared by the `ablation` bench):
 //!
-//! * **Element coloring** — elements are greedily colored so that no two
-//!   elements of a color share a node; within a color the loop is
+//! * **Block coloring** — blocks are greedily colored so that no two
+//!   blocks of a color share a dof; within a color the loop is
 //!   embarrassingly parallel and writes directly to the shared DA.
 //! * **Chunk-private accumulation** — each worker accumulates into a
 //!   private buffer; buffers are summed afterwards. No coloring setup, but
@@ -17,9 +19,7 @@
 //! `hymv_comm::CostModel::smp_speedup`). The code itself is correct,
 //! data-race-free parallel Rust on any host.
 
-use rayon::prelude::*;
-
-use hymv_la::dense::select_kernel;
+use hymv_la::dense::emv_portable;
 use hymv_la::ElementMatrixStore;
 
 use crate::da::DistArray;
@@ -70,45 +70,9 @@ impl ParallelMode {
     }
 }
 
-/// Greedy element coloring over a subset of elements: no two elements of a
-/// color share a local node. Returns `None` when more than the 64 colors a
-/// `u64` mask can track would be needed (a node of valence > 64) — callers
-/// fall back to chunk-private accumulation instead of aborting the SPMV.
-pub fn try_color_elements(maps: &HymvMaps, subset: &[u32]) -> Option<Vec<Vec<u32>>> {
-    // For each node, a bitmask of colors already used by incident elements.
-    let mut node_mask = vec![0u64; maps.n_total()];
-    let mut classes: Vec<Vec<u32>> = Vec::new();
-    for &e in subset {
-        let nodes = maps.elem_local_nodes(e as usize);
-        let mut forbidden = 0u64;
-        for &l in nodes {
-            forbidden |= node_mask[l as usize];
-        }
-        let color = (!forbidden).trailing_zeros() as usize;
-        if color >= 64 {
-            return None;
-        }
-        if color == classes.len() {
-            classes.push(Vec::new());
-        }
-        classes[color].push(e);
-        for &l in nodes {
-            node_mask[l as usize] |= 1 << color;
-        }
-    }
-    Some(classes)
-}
-
-/// Like [`try_color_elements`], for meshes known to be low-valence.
-///
-/// # Panics
-/// If the subset needs more than 64 colors; production paths use
-/// [`try_color_elements`] and fall back instead.
-pub fn color_elements(maps: &HymvMaps, subset: &[u32]) -> Vec<Vec<u32>> {
-    try_color_elements(maps, subset).expect("element valence exceeded 64 colors")
-}
-
-/// Serial EMV loop over a subset: `v(E2L[e]) += Ke · u(E2L[e])`.
+/// The per-element reference loop over a subset:
+/// `v(E2L[e]) += Ke · u(E2L[e])`, one [`emv_portable`] per element. No
+/// operator runs it; tests compare the block engine against it.
 // verify: kernel-entry
 pub fn emv_loop_serial(
     maps: &HymvMaps,
@@ -119,12 +83,10 @@ pub fn emv_loop_serial(
     ue: &mut [f64],
     ve: &mut [f64],
 ) {
-    // Resolve the SIMD dispatch once per loop, not per element.
-    let emv = select_kernel();
     for &e in subset {
         let nodes = maps.elem_local_nodes(e as usize);
         u.extract_elem(nodes, ue);
-        emv(store.ke(e as usize), ue, ve);
+        emv_portable(store.ke(e as usize), ue, ve);
         v.accumulate_elem(nodes, ve);
     }
 }
@@ -134,7 +96,7 @@ pub(crate) struct RacyTarget {
     ptr: *mut f64,
 }
 
-// SAFETY: writers touch disjoint index sets (guaranteed by coloring), so
+// SAFETY: writers touch disjoint index sets (guaranteed by block coloring), so
 // concurrent access through the raw pointer is race-free.
 #[allow(unsafe_code)]
 unsafe impl Sync for RacyTarget {}
@@ -152,226 +114,33 @@ impl RacyTarget {
     ///
     /// # Safety
     /// Callers must guarantee no concurrent access to the same `idx`
-    /// (here: element/block coloring).
+    /// (here: block coloring).
     #[inline]
-    #[allow(unsafe_code)] // SAFETY: the raw write behind both colored loops; contract above
+    #[allow(unsafe_code)] // SAFETY: the raw write behind the colored block loop; contract above
     pub(crate) unsafe fn add(&self, idx: usize, val: f64) {
         *self.ptr.add(idx) += val;
-    }
-}
-
-/// Colored parallel EMV loop: classes run sequentially; elements within a
-/// class run in parallel, writing directly to the shared DA (sound because
-/// same-color elements share no node).
-///
-/// Allocation waiver: rayon's `for_each_init` allocates one `ue`/`ve`
-/// pair per worker — bounded per-thread scratch inside the pool boundary,
-/// not per-element churn.
-// verify: allow(allocates), kernel-entry
-pub fn emv_loop_colored(
-    maps: &HymvMaps,
-    store: &ElementMatrixStore,
-    u: &DistArray,
-    v: &mut DistArray,
-    classes: &[Vec<u32>],
-) {
-    let nd = store.nd();
-    let ndof = v.ndof;
-    let emv = select_kernel();
-    let target = RacyTarget::new(v.data.as_mut_ptr());
-    on_rank_pool(|| {
-        for class in classes {
-            class.par_iter().for_each_init(
-                || (vec![0.0; nd], vec![0.0; nd]),
-                |(ue, ve), &e| {
-                    let nodes = maps.elem_local_nodes(e as usize);
-                    u.extract_elem(nodes, ue);
-                    emv(store.ke(e as usize), ue, ve);
-                    for (m, &l) in nodes.iter().enumerate() {
-                        let base = l as usize * ndof;
-                        for c in 0..ndof {
-                            // SAFETY: `l` sets are disjoint across the elements
-                            // of one color class; classes are sequential.
-                            #[allow(unsafe_code)]
-                            unsafe {
-                                target.add(base + c, ve[m * ndof + c]);
-                            }
-                        }
-                    }
-                },
-            );
-        }
-    });
-}
-
-/// Chunk-private parallel EMV loop: workers accumulate into private
-/// buffers, reduced by summation at the end.
-///
-/// Allocation waiver: the worker-private accumulation buffers are the
-/// point of this scheme — one per chunk, reduced on join. Bounded
-/// per-call, not hoistable across the pool boundary.
-// verify: allow(allocates), kernel-entry
-pub fn emv_loop_chunk_private(
-    maps: &HymvMaps,
-    store: &ElementMatrixStore,
-    u: &DistArray,
-    v: &mut DistArray,
-    subset: &[u32],
-) {
-    let nd = store.nd();
-    let len = v.data.len();
-    let emv = select_kernel();
-    let partials: Vec<Vec<f64>> = on_rank_pool(|| {
-        let chunk = subset.len().div_ceil(rayon::current_num_threads()).max(1);
-        subset
-            .par_chunks(chunk)
-            .map(|elems| {
-                let mut buf = vec![0.0; len];
-                let mut ue = vec![0.0; nd];
-                let mut ve = vec![0.0; nd];
-                let ndof = u.ndof;
-                for &e in elems {
-                    let nodes = maps.elem_local_nodes(e as usize);
-                    u.extract_elem(nodes, &mut ue);
-                    emv(store.ke(e as usize), &ue, &mut ve);
-                    for (m, &l) in nodes.iter().enumerate() {
-                        let base = l as usize * ndof;
-                        for c in 0..ndof {
-                            buf[base + c] += ve[m * ndof + c];
-                        }
-                    }
-                }
-                buf
-            })
-            .collect()
-    });
-    for buf in partials {
-        for (dst, src) in v.data.iter_mut().zip(&buf) {
-            *dst += src;
-        }
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use hymv_mesh::partition::{partition_mesh, PartitionMethod};
-    use hymv_mesh::{ElementType, StructuredHexMesh};
-    use rand::rngs::StdRng;
-    use rand::{Rng, SeedableRng};
-
-    fn setup(n: usize) -> (HymvMaps, ElementMatrixStore, DistArray) {
-        let mesh = StructuredHexMesh::unit(n, ElementType::Hex8).build();
-        let pm = partition_mesh(&mesh, 1, PartitionMethod::Slabs);
-        let maps = HymvMaps::build(&pm.parts[0]);
-        let mut store = ElementMatrixStore::new(8, maps.n_elems);
-        let mut rng = StdRng::seed_from_u64(5);
-        for e in 0..maps.n_elems {
-            for v in store.ke_mut(e) {
-                *v = rng.gen_range(-1.0..1.0);
-            }
-        }
-        let u = {
-            let mut u = DistArray::new(&maps, 1);
-            for v in u.data.iter_mut() {
-                *v = rng.gen_range(-1.0..1.0);
-            }
-            u
-        };
-        (maps, store, u)
-    }
-
-    #[test]
-    fn coloring_is_proper_and_covers() {
-        let (maps, _, _) = setup(4);
-        let all: Vec<u32> = (0..maps.n_elems as u32).collect();
-        let classes = color_elements(&maps, &all);
-        let total: usize = classes.iter().map(|c| c.len()).sum();
-        assert_eq!(total, maps.n_elems);
-        // Structured hex mesh needs exactly 8 colors.
-        assert_eq!(classes.len(), 8);
-        for class in &classes {
-            let mut seen = std::collections::HashSet::new();
-            for &e in class {
-                for &l in maps.elem_local_nodes(e as usize) {
-                    assert!(seen.insert(l), "color class shares node {l}");
-                }
-            }
-        }
-    }
-
-    /// A valence-65 "umbrella": 65 tets all sharing node 0. Greedy
-    /// coloring needs 65 colors — more than the 64-bit mask tracks — so
-    /// `try_color_elements` must decline instead of panicking.
-    #[test]
-    fn coloring_gives_up_past_64_colors() {
-        let n_elems = 65u64;
-        let mut e2g = Vec::new();
-        for e in 0..n_elems {
-            e2g.extend_from_slice(&[0, 3 * e + 1, 3 * e + 2, 3 * e + 3]);
-        }
-        let part = hymv_mesh::MeshPartition {
-            rank: 0,
-            elem_type: ElementType::Tet4,
-            e2g,
-            node_range: (0, 3 * n_elems + 1),
-            elem_coords: vec![[0.0; 3]; n_elems as usize * 4],
-            elem_global_ids: (0..n_elems).collect(),
-            n_global_nodes: 3 * n_elems + 1,
-        };
-        let maps = HymvMaps::build(&part);
-        let all: Vec<u32> = (0..n_elems as u32).collect();
-        assert!(try_color_elements(&maps, &all).is_none());
-        assert!(try_color_elements(&maps, &all[..64]).is_some());
-    }
-
-    #[test]
-    fn colored_matches_serial() {
-        let (maps, store, u) = setup(4);
-        let all: Vec<u32> = (0..maps.n_elems as u32).collect();
-
-        let mut v_serial = DistArray::new(&maps, 1);
-        let mut ue = vec![0.0; 8];
-        let mut ve = vec![0.0; 8];
-        emv_loop_serial(&maps, &store, &u, &mut v_serial, &all, &mut ue, &mut ve);
-
-        let classes = color_elements(&maps, &all);
-        let mut v_col = DistArray::new(&maps, 1);
-        emv_loop_colored(&maps, &store, &u, &mut v_col, &classes);
-
-        for (a, b) in v_serial.data.iter().zip(&v_col.data) {
-            assert!((a - b).abs() < 1e-12);
-        }
-    }
-
-    #[test]
-    fn chunk_private_matches_serial() {
-        let (maps, store, u) = setup(3);
-        let all: Vec<u32> = (0..maps.n_elems as u32).collect();
-
-        let mut v_serial = DistArray::new(&maps, 1);
-        let mut ue = vec![0.0; 8];
-        let mut ve = vec![0.0; 8];
-        emv_loop_serial(&maps, &store, &u, &mut v_serial, &all, &mut ue, &mut ve);
-
-        let mut v_cp = DistArray::new(&maps, 1);
-        emv_loop_chunk_private(&maps, &store, &u, &mut v_cp, &all);
-
-        for (a, b) in v_serial.data.iter().zip(&v_cp.data) {
-            assert!((a - b).abs() < 1e-12);
-        }
-    }
 
     #[test]
     fn empty_subset_is_noop() {
-        let (maps, store, u) = setup(2);
+        use hymv_mesh::partition::{partition_mesh, PartitionMethod};
+        use hymv_mesh::{ElementType, StructuredHexMesh};
+        let mesh = StructuredHexMesh::unit(2, ElementType::Hex8).build();
+        let pm = partition_mesh(&mesh, 1, PartitionMethod::Slabs);
+        let maps = HymvMaps::build(&pm.parts[0]);
+        let mut store = ElementMatrixStore::new(8, maps.n_elems);
+        for e in 0..maps.n_elems {
+            store.ke_mut(e).fill(1.0);
+        }
+        let mut u = DistArray::new(&maps, 1);
+        u.data.fill(1.0);
         let mut v = DistArray::new(&maps, 1);
         emv_loop_serial(&maps, &store, &u, &mut v, &[], &mut [0.0; 8], &mut [0.0; 8]);
-        assert!(v.data.iter().all(|&x| x == 0.0));
-        let classes = color_elements(&maps, &[]);
-        assert!(classes.is_empty());
-        emv_loop_colored(&maps, &store, &u, &mut v, &classes);
-        emv_loop_chunk_private(&maps, &store, &u, &mut v, &[]);
         assert!(v.data.iter().all(|&x| x == 0.0));
     }
 

@@ -17,12 +17,14 @@
 //! * [`operator`] — [`HymvOperator`]: setup (element-matrix computation +
 //!   local copy — **no global assembly**), the SPMV of Algorithm 2, and the
 //!   adaptive per-element update path;
-//! * [`hybrid`] — shared-memory ("OpenMP") parallelization of the local
-//!   elemental loop: element coloring or chunk-private accumulation;
+//! * [`hybrid`] — the shared-memory ("OpenMP") parallel modes of the local
+//!   elemental loop, and the per-element reference loop tests compare
+//!   against;
 //! * [`block`] — the batched element-block engine (`BlockPlan`): subsets
 //!   cut into locality-sorted blocks of `B` elements with flattened
 //!   gather/scatter tables, evaluated by the batch-vectorized EMV kernels
-//!   (the default CPU SPMV path; `HYMV_EMV_BATCH` overrides `B`);
+//!   (the CPU SPMV path at every `B`; block coloring or chunk-private
+//!   accumulation when threaded);
 //! * [`matfree`] — the matrix-free baseline (Algorithm 4: recompute `Ke`
 //!   inside every SPMV);
 //! * [`assembled`] — the matrix-assembled baseline (PETSc-style
@@ -52,8 +54,8 @@ pub mod system;
 
 pub use assembled::AssembledOperator;
 pub use block::{
-    batch_width_from_env, nvec_width_from_env, parse_batch_width, parse_nvec_width, BlockPlan,
-    BlockSet, BATCH_ENV, DEFAULT_BATCH_WIDTH, DEFAULT_NVEC_WIDTH, NVEC_ENV,
+    nvec_width_from_env, parse_batch_width, parse_nvec_width, BlockPlan, BlockSet,
+    DEFAULT_BATCH_WIDTH, DEFAULT_NVEC_WIDTH, NVEC_ENV,
 };
 pub use da::{DistArray, DistMultivector};
 pub use dirichlet_op::DirichletOp;

@@ -6,14 +6,12 @@ use std::sync::Arc;
 
 use hymv_comm::Comm;
 use hymv_fem::kernel::{ElementKernel, KernelScratch};
-use hymv_la::dense::{
-    emv_batch_flops, emv_flops, interleave_ke, select_batch_kernel, select_kernel, EmvBatchKernel,
-};
+use hymv_la::dense::{emv_batch_flops, interleave_ke, select_batch_kernel, EmvBatchKernel};
 use hymv_la::LinOp;
 use hymv_mesh::MeshPartition;
 use hymv_trace::Phase;
 
-use crate::block::{batch_width_from_env, BlockPlan};
+use crate::block::{BlockPlan, DEFAULT_BATCH_WIDTH};
 use crate::da::DistArray;
 use crate::exchange::GhostExchange;
 use crate::maps::HymvMaps;
@@ -31,11 +29,10 @@ pub struct MatFreeOperator {
     v: DistArray,
     /// Block tables shared with HYMV's batched engine (matrices are still
     /// recomputed per apply — the slabs stay in [`Self::keb`] scratch).
-    /// `None` exactly when the batch width is 1.
-    plan: Option<BlockPlan>,
+    plan: BlockPlan,
     batch_kernel: EmvBatchKernel,
     ke: Vec<f64>,
-    /// Batch-interleaved scratch slab, `nd² × bw` (batched path only).
+    /// Batch-interleaved scratch slab, `nd² × bw`.
     keb: Vec<f64>,
     ue: Vec<f64>,
     ve: Vec<f64>,
@@ -56,11 +53,11 @@ impl MatFreeOperator {
         let exchange = GhostExchange::build(comm, &maps);
         let u = DistArray::new(&maps, ndof);
         let v = DistArray::new(&maps, ndof);
-        let bw = batch_width_from_env();
+        let bw = DEFAULT_BATCH_WIDTH;
         // Gather/scatter tables only — matrices are recomputed per apply,
         // so no store is attached and no slabs are allocated in the plan.
         let plan = comm.traced(Phase::PlanBuild, |comm| {
-            comm.work_with(|_| (bw > 1).then(|| BlockPlan::build(&maps, ndof, bw)))
+            comm.work_with(|_| BlockPlan::build(&maps, ndof, bw))
         });
         setup_span.close(comm.vt());
         MatFreeOperator {
@@ -74,7 +71,7 @@ impl MatFreeOperator {
             plan,
             batch_kernel: select_batch_kernel(bw),
             ke: vec![0.0; nd * nd],
-            keb: vec![0.0; if bw > 1 { nd * nd * bw } else { 0 }],
+            keb: vec![0.0; nd * nd * bw],
             ue: vec![0.0; nd * bw],
             ve: vec![0.0; nd * bw],
             scratch: KernelScratch::default(),
@@ -86,68 +83,40 @@ impl MatFreeOperator {
         &self.maps
     }
 
-    /// Current batch width (`1` = per-element legacy path).
+    /// Current batch width.
     pub fn batch_width(&self) -> usize {
-        self.plan.as_ref().map_or(1, |p| p.batch_width())
+        self.plan.batch_width()
     }
 
     fn run_subset(&mut self, comm: &mut Comm, dependent: bool) {
         let npe = self.maps.npe;
-        if let Some(plan) = &self.plan {
-            let (nd, bw) = (plan.nd(), plan.batch_width());
-            let set = plan.set(dependent);
-            let batch_kernel = self.batch_kernel;
-            let (kernel, coords, u, v) = (&*self.kernel, &self.elem_coords, &self.u, &mut self.v);
-            let (ke, keb, ue, ve, scratch) = (
-                &mut self.ke,
-                &mut self.keb,
-                &mut self.ue,
-                &mut self.ve,
-                &mut self.scratch,
-            );
-            comm.work(|| {
-                for k in 0..set.n_blocks() {
-                    let len = set.len(k);
-                    if len < bw {
-                        // Tail block: padded lanes must multiply by zero.
-                        keb.fill(0.0);
-                    }
-                    for (b, &e) in set.elems(k).iter().enumerate().take(len) {
-                        let e = e as usize;
-                        // The defining step of Algorithm 4: compute Ke here.
-                        kernel.compute_ke(&coords[e * npe..(e + 1) * npe], ke, scratch);
-                        interleave_ke(ke, keb, nd, bw, b);
-                    }
-                    set.gather(k, &u.data, ue);
-                    batch_kernel(keb, ue, ve, nd, bw);
-                    set.scatter_with(k, ve, |i, val| v.data[i] += val);
-                }
-            });
-            return;
-        }
-        let subset: &[u32] = if dependent {
-            &self.maps.dependent
-        } else {
-            &self.maps.independent
-        };
-        let emv = select_kernel();
-        let (maps, kernel, coords, u, v) = (
-            &self.maps,
-            &*self.kernel,
-            &self.elem_coords,
-            &self.u,
-            &mut self.v,
+        let (nd, bw) = (self.plan.nd(), self.plan.batch_width());
+        let set = self.plan.set(dependent);
+        let batch_kernel = self.batch_kernel;
+        let (kernel, coords, u, v) = (&*self.kernel, &self.elem_coords, &self.u, &mut self.v);
+        let (ke, keb, ue, ve, scratch) = (
+            &mut self.ke,
+            &mut self.keb,
+            &mut self.ue,
+            &mut self.ve,
+            &mut self.scratch,
         );
-        let (ke, ue, ve, scratch) = (&mut self.ke, &mut self.ue, &mut self.ve, &mut self.scratch);
         comm.work(|| {
-            for &e in subset {
-                let e = e as usize;
-                let nodes = maps.elem_local_nodes(e);
-                u.extract_elem(nodes, ue);
-                // The defining step of Algorithm 4: compute Ke here.
-                kernel.compute_ke(&coords[e * npe..(e + 1) * npe], ke, scratch);
-                emv(ke, ue, ve);
-                v.accumulate_elem(nodes, ve);
+            for k in 0..set.n_blocks() {
+                let len = set.len(k);
+                if len < bw {
+                    // Tail block: padded lanes must multiply by zero.
+                    keb.fill(0.0);
+                }
+                for (b, &e) in set.elems(k).iter().enumerate().take(len) {
+                    let e = e as usize;
+                    // The defining step of Algorithm 4: compute Ke here.
+                    kernel.compute_ke(&coords[e * npe..(e + 1) * npe], ke, scratch);
+                    interleave_ke(ke, keb, nd, bw, b);
+                }
+                set.gather(k, &u.data, ue);
+                batch_kernel(keb, ue, ve, nd, bw);
+                set.scatter_with(k, ve, |i, val| v.data[i] += val);
             }
         });
     }
@@ -205,13 +174,10 @@ impl LinOp for MatFreeOperator {
 
     fn flops_per_apply(&self) -> u64 {
         let nd = self.kernel.ndof_elem();
-        // Ke recomputation runs per live element either way; the EMV part
-        // executes padded tail lanes on the batched path.
+        // Ke recomputation runs per live element; the EMV part executes
+        // padded tail lanes too.
         let ke = self.maps.n_elems as u64 * self.kernel.ke_flops();
-        let emv = match &self.plan {
-            Some(plan) => plan.n_blocks_total() as u64 * emv_batch_flops(nd, plan.batch_width()),
-            None => self.maps.n_elems as u64 * emv_flops(nd),
-        };
+        let emv = self.plan.n_blocks_total() as u64 * emv_batch_flops(nd, self.plan.batch_width());
         ke + emv
     }
 

@@ -3,19 +3,17 @@
 use hymv_comm::Comm;
 use hymv_fem::kernel::{ElementKernel, KernelScratch};
 use hymv_la::dense::{
-    emv_batch_flops, emv_flops, select_batch_kernel, select_batch_mv_kernel, EmvBatchKernel,
-    EmvBatchMvKernel, MAX_BATCH_WIDTH,
+    emv_batch_flops, select_batch_kernel, select_batch_mv_kernel, EmvBatchKernel, EmvBatchMvKernel,
+    MAX_BATCH_WIDTH,
 };
 use hymv_la::{ElementMatrixStore, LinOp, MultiLinOp, Multivector};
 use hymv_mesh::MeshPartition;
 use hymv_trace::Phase;
 
-use crate::block::{batch_width_from_env, BlockPlan};
+use crate::block::{BlockPlan, DEFAULT_BATCH_WIDTH};
 use crate::da::{DistArray, DistMultivector};
 use crate::exchange::GhostExchange;
-use crate::hybrid::{
-    emv_loop_chunk_private, emv_loop_colored, emv_loop_serial, try_color_elements, ParallelMode,
-};
+use crate::hybrid::ParallelMode;
 use crate::maps::HymvMaps;
 
 /// Setup cost breakdown, matching the stacked bars of Figs 5 and 7:
@@ -29,8 +27,7 @@ pub struct SetupTimings {
     /// HYMV's store, so there is no separate copy into it.
     pub emat_compute_s: f64,
     /// Local copy of the computed matrices into the plan's interleaved
-    /// slabs, chunk by chunk while they are still in cache (zero on the
-    /// per-element path, which has no slabs).
+    /// slabs, chunk by chunk while they are still in cache.
     pub local_copy_s: f64,
     /// E2L map construction (Algorithm 1) and the block plan's
     /// gather/scatter tables — local.
@@ -56,13 +53,11 @@ pub struct HymvOperator {
     u: DistArray,
     v: DistArray,
     mode: ParallelMode,
-    /// Color classes for the independent / dependent sets (built lazily
-    /// when a colored mode is selected). Block ids when a plan is active,
-    /// element ids on the per-element (`B=1`) path.
+    /// Block color classes for the independent / dependent sets (built
+    /// lazily when a colored mode is selected).
     colors: Option<(Vec<Vec<u32>>, Vec<Vec<u32>>)>,
-    /// The batched element-block plan — the default SPMV path. `None`
-    /// exactly when the batch width is 1 (the per-element legacy path).
-    plan: Option<BlockPlan>,
+    /// The batched element-block plan every SPMV runs through.
+    plan: BlockPlan,
     /// Batched kernel resolved once per batch width (not per element).
     batch_kernel: EmvBatchKernel,
     /// Elements whose stored matrix changed since the plan's slabs were
@@ -111,32 +106,23 @@ impl HymvOperator {
         let exchange = GhostExchange::build(comm, &maps);
         t.comm_maps_s = comm.vt() - vt0;
 
-        // Block plan tables: the batched engine is the default path
-        // (`HYMV_EMV_BATCH=1` recovers the per-element loop). Charged to
-        // the map-construction bar: it is map/layout work, purely local.
-        // The slabs start out packed; the first asymmetric matrix demotes
-        // them inside the chunk that computed it.
-        let bw = batch_width_from_env();
+        // Block plan tables, charged to the map-construction bar: it is
+        // map/layout work, purely local. The slabs start out packed; the
+        // first asymmetric matrix demotes them inside the chunk that
+        // computed it.
+        let bw = DEFAULT_BATCH_WIDTH;
         let (mut plan, dt) = comm.traced(Phase::PlanBuild, |comm| {
             comm.timed_work(|_| {
-                (bw > 1).then(|| {
-                    let mut p = BlockPlan::build(&maps, ndof, bw);
-                    p.alloc_slabs(true);
-                    p
-                })
+                let mut p = BlockPlan::build(&maps, ndof, bw);
+                p.alloc_slabs(true);
+                p
             })
         });
         t.maps_s += dt;
 
         let mut store = ElementMatrixStore::new(nd, maps.n_elems);
-        (t.emat_compute_s, t.local_copy_s) = recompute_elements(
-            comm,
-            part,
-            kernel,
-            &mut store,
-            plan.as_mut(),
-            0..maps.n_elems,
-        );
+        (t.emat_compute_s, t.local_copy_s) =
+            recompute_elements(comm, part, kernel, &mut store, &mut plan, 0..maps.n_elems);
 
         let u = DistArray::new(&maps, ndof);
         let v = DistArray::new(&maps, ndof);
@@ -160,59 +146,62 @@ impl HymvOperator {
         (op, t)
     }
 
-    /// Current batch width (`1` = per-element legacy path).
+    /// Current batch width.
     pub fn batch_width(&self) -> usize {
-        self.plan.as_ref().map_or(1, |p| p.batch_width())
+        self.plan.batch_width()
     }
 
-    /// The block plan (None on the per-element path).
-    pub fn block_plan(&self) -> Option<&BlockPlan> {
-        self.plan.as_ref()
+    /// The block plan.
+    pub fn block_plan(&self) -> &BlockPlan {
+        &self.plan
     }
 
-    /// Rebuild the plan for a different batch width (`1` disables
-    /// batching entirely, recovering the original per-element loops).
-    /// Ablation/test hook; production code sets `HYMV_EMV_BATCH` instead.
+    /// Rebuild the plan at batch width `bw` — the programmatic hook tests
+    /// and `hymv-check --batch` use; setup builds at
+    /// [`DEFAULT_BATCH_WIDTH`].
+    ///
+    /// # Panics
+    /// On a width outside `1..=MAX_BATCH_WIDTH`, never a silent clamp.
     pub fn set_batch_width(&mut self, bw: usize) {
-        let bw = bw.clamp(1, MAX_BATCH_WIDTH);
-        if bw == self.batch_width() {
-            return;
+        assert!(
+            (1..=MAX_BATCH_WIDTH).contains(&bw),
+            "batch width {bw} outside 1..={MAX_BATCH_WIDTH}"
+        );
+        if bw != self.batch_width() {
+            self.rebuild_plan(bw);
         }
-        self.plan = (bw > 1).then(|| {
-            let mut p = BlockPlan::build(&self.maps, self.ndof, bw);
-            p.attach_store(&self.store);
-            p
-        });
+    }
+
+    /// Build the plan at width `bw` from the store, and everything derived
+    /// from it: kernel, panel scratch, SpMM workspace and block colors.
+    fn rebuild_plan(&mut self, bw: usize) {
+        self.plan = BlockPlan::build(&self.maps, self.ndof, bw);
+        self.plan.attach_store(&self.store);
         self.batch_kernel = select_batch_kernel(bw);
         self.dirty.clear();
         let nd = self.store.nd();
         self.ue = vec![0.0; nd * bw];
         self.ve = vec![0.0; nd * bw];
-        // Panel scratch was sized for the old width.
         self.mv_ws = None;
-        // Colors were built at the old granularity; rebuild (or fall
-        // back) for the new one.
         self.colors = None;
         self.set_parallel_mode(self.mode);
     }
 
     /// Select the shared-memory parallelization of the elemental loop.
     ///
-    /// Coloring runs at block granularity when the batched plan is active,
-    /// element granularity otherwise. If the mesh would need more than 64
-    /// colors (a node valence past the color mask), the operator logs a
-    /// line and falls back to chunk-private accumulation instead of
+    /// Coloring runs at block granularity. If the mesh would need more
+    /// than 64 colors (a node valence past the color mask), the operator
+    /// logs a line and falls back to chunk-private accumulation instead of
     /// aborting the SPMV.
     pub fn set_parallel_mode(&mut self, mode: ParallelMode) {
         self.mode = mode;
         if let ParallelMode::Colored { threads } = mode {
             if self.colors.is_none() {
-                let built = match &self.plan {
-                    Some(plan) => plan.color_blocks(false).zip(plan.color_blocks(true)),
-                    None => try_color_elements(&self.maps, &self.maps.independent)
-                        .zip(try_color_elements(&self.maps, &self.maps.dependent)),
-                };
-                match built {
+                match self
+                    .plan
+                    .color_blocks(false)
+                    .zip(self.plan.color_blocks(true))
+                {
                     Some(classes) => self.colors = Some(classes),
                     None => {
                         eprintln!(
@@ -254,13 +243,13 @@ impl HymvOperator {
             panic!("element {e} out of range (operator holds {n_elems})");
         }
         let vt0 = comm.vt();
-        let was_packed = self.plan.as_ref().is_some_and(BlockPlan::is_packed);
+        let was_packed = self.plan.is_packed();
         recompute_elements(
             comm,
             part,
             kernel,
             &mut self.store,
-            self.plan.as_mut(),
+            &mut self.plan,
             local_elems.iter().copied(),
         );
         self.count_refresh(was_packed, local_elems.len());
@@ -275,31 +264,27 @@ impl HymvOperator {
     }
 
     /// Re-interleave dirty element matrices into the plan's block slabs
-    /// (no-op on the per-element path or when nothing changed). A dirty
-    /// matrix that is no longer bitwise symmetric demotes a packed plan to
-    /// full slabs inside this refresh (see [`BlockPlan::refresh`]); the
-    /// store stays authoritative, so the result is that of a fresh setup
-    /// either way.
+    /// (no-op when nothing changed). A dirty matrix that is no longer
+    /// bitwise symmetric demotes a packed plan to full slabs inside this
+    /// refresh (see [`BlockPlan::refresh`]); the store stays
+    /// authoritative, so the result is that of a fresh setup either way.
     fn flush_updates(&mut self, comm: &mut Comm) {
         if self.dirty.is_empty() {
             return;
         }
-        if let Some(plan) = &mut self.plan {
-            let (store, dirty) = (&self.store, &self.dirty);
-            let was_packed = plan.is_packed();
-            comm.traced(Phase::BlockRefresh, |comm| {
-                comm.work_with(|_| plan.refresh(store, dirty));
-            });
-            self.count_refresh(was_packed, self.dirty.len());
-        }
+        let (plan, store, dirty) = (&mut self.plan, &self.store, &self.dirty);
+        let was_packed = plan.is_packed();
+        comm.traced(Phase::BlockRefresh, |comm| {
+            comm.work_with(|_| plan.refresh(store, dirty));
+        });
+        self.count_refresh(was_packed, self.dirty.len());
         self.dirty.clear();
     }
 
     /// Publish what an adaptive refresh of `n` matrices did to the plan.
     fn count_refresh(&self, was_packed: bool, n: usize) {
-        let Some(plan) = &self.plan else { return };
         hymv_trace::counter_add("hymv_block_refresh_total", &[], n as u64);
-        if was_packed && !plan.is_packed() {
+        if was_packed && !self.plan.is_packed() {
             hymv_trace::counter_add("hymv_block_demotions_total", &[], 1);
         }
     }
@@ -330,71 +315,43 @@ impl HymvOperator {
         self.ndof
     }
 
-    /// Decompose into the maps, communication plan, and element-matrix
-    /// store (the GPU backend reuses them without copying).
-    pub fn into_parts(self) -> (HymvMaps, GhostExchange, ElementMatrixStore, usize) {
-        (self.maps, self.exchange, self.store, self.ndof)
+    /// Decompose into the maps, communication plan, element-matrix store
+    /// and block plan, its slabs current with the store (the GPU backend
+    /// reuses them without copying).
+    pub fn into_parts(
+        mut self,
+    ) -> (
+        HymvMaps,
+        GhostExchange,
+        ElementMatrixStore,
+        BlockPlan,
+        usize,
+    ) {
+        self.plan.refresh(&self.store, &self.dirty);
+        (self.maps, self.exchange, self.store, self.plan, self.ndof)
     }
 
-    /// One elemental EMV loop over a subset, honoring the parallel mode.
-    /// Runs through the batched block plan when one is active (the default),
-    /// the per-element legacy loops otherwise (`B=1`).
+    /// One blocked EMV loop over a subset, honoring the parallel mode.
     fn run_subset(&mut self, comm: &mut Comm, dependent: bool) {
-        if let Some(plan) = &self.plan {
-            let kernel = self.batch_kernel;
-            let (u, v) = (&self.u, &mut self.v);
-            match self.mode {
-                ParallelMode::Serial => {
-                    let (ue, ve) = (&mut self.ue, &mut self.ve);
-                    comm.work(|| plan.run_serial(dependent, u, v, kernel, ue, ve));
-                }
-                ParallelMode::Colored { threads } => {
-                    let (indep, dep) = self
-                        .colors
-                        .as_ref()
-                        .expect("set_parallel_mode built colors");
-                    let classes = if dependent { dep } else { indep };
-                    comm.work_smp(threads, || {
-                        plan.run_colored(dependent, classes, u, v, kernel)
-                    });
-                }
-                ParallelMode::ChunkPrivate { threads } => {
-                    comm.work_smp(threads, || plan.run_chunk_private(dependent, u, v, kernel));
-                }
-            }
-            return;
-        }
-        let subset: &[u32] = if dependent {
-            &self.maps.dependent
-        } else {
-            &self.maps.independent
-        };
+        let (plan, kernel) = (&self.plan, self.batch_kernel);
+        let (u, v) = (&self.u, &mut self.v);
         match self.mode {
             ParallelMode::Serial => {
-                let (maps, store, u, v) = (&self.maps, &self.store, &self.u, &mut self.v);
                 let (ue, ve) = (&mut self.ue, &mut self.ve);
-                comm.work(|| emv_loop_serial(maps, store, u, v, subset, ue, ve));
+                comm.work(|| plan.run_serial(dependent, u, v, kernel, ue, ve));
             }
             ParallelMode::Colored { threads } => {
-                let classes = {
-                    let (indep, dep) = self
-                        .colors
-                        .as_ref()
-                        .expect("set_parallel_mode built colors");
-                    if dependent {
-                        dep
-                    } else {
-                        indep
-                    }
-                };
-                let (maps, store, u, v) = (&self.maps, &self.store, &self.u, &mut self.v);
-                comm.work_smp(threads, || emv_loop_colored(maps, store, u, v, classes));
+                let (indep, dep) = self
+                    .colors
+                    .as_ref()
+                    .expect("set_parallel_mode built colors");
+                let classes = if dependent { dep } else { indep };
+                comm.work_smp(threads, || {
+                    plan.run_colored(dependent, classes, u, v, kernel)
+                });
             }
             ParallelMode::ChunkPrivate { threads } => {
-                let (maps, store, u, v) = (&self.maps, &self.store, &self.u, &mut self.v);
-                comm.work_smp(threads, || {
-                    emv_loop_chunk_private(maps, store, u, v, subset)
-                });
+                comm.work_smp(threads, || plan.run_chunk_private(dependent, u, v, kernel));
             }
         }
     }
@@ -458,15 +415,14 @@ impl HymvOperator {
     /// slab is loaded once per block and reused across all `nvec`
     /// columns, and the ghost exchange coalesces every column of a
     /// fragment into one envelope per (neighbor, tag). Falls back to
-    /// `nvec` sequential [`Self::matvec`] calls on the per-element path
-    /// (`B = 1`, no block plan) and on a degraded channel, where the
-    /// conservative schedule is the robust one.
+    /// `nvec` sequential [`Self::matvec`] calls on a degraded channel,
+    /// where the conservative schedule is the robust one.
     pub fn matvec_mv(&mut self, comm: &mut Comm, x: &Multivector, y: &mut Multivector) {
         assert_eq!(x.nrows(), self.n_owned(), "input row mismatch");
         assert_eq!(y.nrows(), self.n_owned(), "output row mismatch");
         assert_eq!(x.nvec(), y.nvec(), "column-count mismatch");
         let nvec = x.nvec();
-        if self.plan.is_none() || comm.degraded() {
+        if comm.degraded() {
             let mut yc = vec![0.0; self.n_owned()];
             for c in 0..nvec {
                 self.matvec(comm, x.col(c), &mut yc);
@@ -477,8 +433,7 @@ impl HymvOperator {
         self.flush_updates(comm);
         let flops = self.flops_per_apply() * nvec as u64;
         if self.mv_ws.as_ref().is_none_or(|ws| ws.nvec != nvec) {
-            let plan = self.plan.as_ref().expect("checked above");
-            let pl = plan.nd() * plan.batch_width() * nvec;
+            let pl = self.plan.nd() * self.plan.batch_width() * nvec;
             self.mv_ws = Some(MvWorkspace {
                 nvec,
                 kernel: select_batch_mv_kernel(nvec),
@@ -488,7 +443,7 @@ impl HymvOperator {
                 ve: vec![0.0; pl],
             });
         }
-        let plan = self.plan.as_ref().expect("checked above");
+        let plan = &self.plan;
         let ws = self.mv_ws.as_mut().expect("built above");
 
         // V ← 0; U ← X with fresh ghosts.
@@ -550,7 +505,7 @@ fn recompute_elements(
     part: &MeshPartition,
     kernel: &dyn ElementKernel,
     store: &mut ElementMatrixStore,
-    mut plan: Option<&mut BlockPlan>,
+    plan: &mut BlockPlan,
     elems: impl IntoIterator<Item = usize>,
 ) -> (f64, f64) {
     let mut scratch = KernelScratch::default();
@@ -575,10 +530,8 @@ fn recompute_elements(
                 }
             });
             compute_s += dt;
-            if let Some(plan) = plan.as_deref_mut() {
-                let ((), dt) = comm.timed_work(|_| plan.refresh(store, chunk));
-                interleave_s += dt;
-            }
+            let ((), dt) = comm.timed_work(|_| plan.refresh(store, chunk));
+            interleave_s += dt;
         }
     })
 }
@@ -599,21 +552,17 @@ impl LinOp for HymvOperator {
     }
 
     fn flops_per_apply(&self) -> u64 {
-        match &self.plan {
-            // Batched path: padded tail lanes execute (zero-matrix) FLOPs
-            // too — count what actually runs.
-            Some(plan) => {
-                plan.n_blocks_total() as u64 * emv_batch_flops(self.store.nd(), plan.batch_width())
-            }
-            None => self.maps.n_elems as u64 * emv_flops(self.store.nd()),
-        }
+        // Padded tail lanes execute (zero-matrix) FLOPs too — count what
+        // actually runs.
+        let plan = &self.plan;
+        plan.n_blocks_total() as u64 * emv_batch_flops(self.store.nd(), plan.batch_width())
     }
 
     fn storage_bytes(&self) -> usize {
         // The interleaved slabs (packed or full, as held) are what the
         // batched SPMV streams; the store remains authoritative for
         // adaptive updates, so both count.
-        self.store.bytes() + self.plan.as_ref().map_or(0, |p| p.bytes())
+        self.store.bytes() + self.plan.bytes()
     }
 
     /// LFLR world repair: the partition is unchanged, but a resurrected
@@ -628,15 +577,7 @@ impl LinOp for HymvOperator {
         self.exchange = GhostExchange::build(comm, &self.maps);
         self.exchange.set_raw_transport(raw);
         if dead.contains(&comm.rank()) {
-            let bw = self.batch_width();
-            self.plan = (bw > 1).then(|| {
-                let mut p = BlockPlan::build(&self.maps, self.ndof, bw);
-                p.attach_store(&self.store);
-                p
-            });
-            self.mv_ws = None;
-            self.colors = None;
-            self.set_parallel_mode(self.mode);
+            self.rebuild_plan(self.batch_width());
         }
     }
 }
@@ -648,6 +589,20 @@ mod tests {
     use hymv_fem::PoissonKernel;
     use hymv_mesh::partition::{partition_mesh, PartitionMethod};
     use hymv_mesh::{ElementType, StructuredHexMesh};
+
+    /// `K x` by the per-element reference loop over the operator's store,
+    /// on one rank (where the owned dofs are all the dofs).
+    fn per_element_reference(op: &HymvOperator, x: &[f64]) -> Vec<f64> {
+        let (maps, nd) = (op.maps(), op.store().nd());
+        assert_eq!(maps.n_owned(), maps.n_total(), "one rank only");
+        let mut u = DistArray::new(maps, op.ndof());
+        u.set_owned(x);
+        let mut v = DistArray::new(maps, op.ndof());
+        let all: Vec<u32> = (0..maps.n_elems as u32).collect();
+        let (mut ue, mut ve) = (vec![0.0; nd], vec![0.0; nd]);
+        crate::hybrid::emv_loop_serial(maps, op.store(), &u, &mut v, &all, &mut ue, &mut ve);
+        v.owned().to_vec()
+    }
 
     /// Serial dense reference: assemble the global matrix from element
     /// matrices and multiply directly.
@@ -870,48 +825,119 @@ mod tests {
         let out = Universe::run(1, |comm| {
             let kernel = PoissonKernel::new(ElementType::Hex8);
             let (mut op, _) = HymvOperator::setup(comm, &pm.parts[0], &kernel);
-            op.set_batch_width(1);
-            let legacy = (op.flops_per_apply(), op.storage_bytes());
-            op.set_batch_width(8);
             let batched = (op.flops_per_apply(), op.storage_bytes());
-            (legacy, batched)
+            op.set_batch_width(1);
+            let scalar = (op.flops_per_apply(), op.storage_bytes());
+            (batched, scalar)
         });
-        let (legacy, batched) = out[0];
-        // Per-element: 8 elements × 2 × 8² flops; store only.
-        assert_eq!(legacy.0, 8 * 128);
-        assert_eq!(legacy.1, 8 * 64 * 8);
-        // Batched (bw=8, 8 elements → exactly one block): same flops (a
-        // packed slab runs the same multiplies), and storage adds the
-        // interleaved slab (f64; Poisson `Ke` is symmetric, so the lower
-        // triangle only: 8·9/2 entries) + gather table (u32).
+        let (batched, scalar) = out[0];
+        // bw=8, 8 elements → exactly one block: 8 lanes × 2 × 8² flops (a
+        // packed slab runs the same multiplies), and storage is the store
+        // plus the interleaved slab (f64; Poisson `Ke` is symmetric, so
+        // the lower triangle only: 8·9/2 entries) + gather table (u32).
         assert_eq!(batched.0, 8 * 128);
         assert_eq!(batched.1, 8 * 64 * 8 + (36 * 8) * 8 + (8 * 8) * 4);
+        // bw=1: eight one-lane blocks with no padding — the same flops,
+        // slab entries and table entries.
+        assert_eq!(scalar, batched);
     }
 
     #[test]
-    fn batched_widths_match_per_element_path() {
+    fn batch_widths_match_dense_reference() {
         let mesh = StructuredHexMesh::unit(4, ElementType::Hex8).build();
         let pm = partition_mesh(&mesh, 2, PartitionMethod::GreedyGraph);
-        let ok = Universe::run(2, |comm| {
+        let kernel = PoissonKernel::new(ElementType::Hex8);
+        let x_global: Vec<f64> = (0..mesh.n_nodes())
+            .map(|g| (g as f64 * 0.7).cos())
+            .collect();
+        let y_ref = dense_reference(&renumbered_mesh(&pm, &mesh), &kernel, &x_global);
+        Universe::run(2, |comm| {
             let part = &pm.parts[comm.rank()];
-            let kernel = PoissonKernel::new(ElementType::Hex8);
             let (mut op, _) = HymvOperator::setup(comm, part, &kernel);
-            let x: Vec<f64> = (0..op.n_owned()).map(|i| (i as f64 * 0.7).cos()).collect();
-            op.set_batch_width(1);
-            let mut y_ref = vec![0.0; op.n_owned()];
-            op.matvec(comm, &x, &mut y_ref);
-            for bw in [8usize, 16] {
+            let lo = part.node_range.0 as usize;
+            let x = &x_global[lo..lo + op.n_owned()];
+            for bw in [1usize, 8, 16] {
                 op.set_batch_width(bw);
                 assert_eq!(op.batch_width(), bw);
                 let mut y = vec![0.0; op.n_owned()];
-                op.matvec(comm, &x, &mut y);
-                for (a, b) in y_ref.iter().zip(&y) {
+                op.matvec(comm, x, &mut y);
+                for (a, b) in y_ref[lo..].iter().zip(&y) {
                     assert!((a - b).abs() < 1e-12, "bw={bw}: {a} vs {b}");
                 }
             }
-            true
         });
-        assert!(ok.iter().all(|&b| b));
+    }
+
+    /// A width-1 operator — one-element blocks on the scalar lane — is the
+    /// per-element loop over its store, for scalar and vector problems on
+    /// hex and tet meshes, with packed slabs and with slabs demoted to full.
+    #[test]
+    fn width_one_plan_matches_per_element_reference() {
+        use hymv_fem::ElasticityKernel;
+        use hymv_mesh::unstructured_tet_mesh;
+        let cases: Vec<(hymv_mesh::GlobalMesh, Box<dyn ElementKernel>)> = vec![
+            (
+                StructuredHexMesh::unit(3, ElementType::Hex8).build(),
+                Box::new(PoissonKernel::new(ElementType::Hex8)),
+            ),
+            (
+                unstructured_tet_mesh(2, ElementType::Tet10, 0.12, 7),
+                Box::new(PoissonKernel::new(ElementType::Tet10)),
+            ),
+            (
+                StructuredHexMesh::unit(3, ElementType::Hex8).build(),
+                Box::new(ElasticityKernel::new(ElementType::Hex8, 1.0, 0.3, [0.0; 3])),
+            ),
+        ];
+        for (mesh, kernel) in &cases {
+            let pm = partition_mesh(mesh, 1, PartitionMethod::Slabs);
+            Universe::run(1, |comm| {
+                let (mut op, _) = HymvOperator::setup(comm, &pm.parts[0], kernel.as_ref());
+                op.set_batch_width(1);
+                let n = op.n_owned();
+                let x: Vec<f64> = (0..n).map(|i| (i as f64 * 0.37).sin()).collect();
+                let mut y = vec![0.0; n];
+                for packed in [true, false] {
+                    if !packed {
+                        // An asymmetric entry demotes the plan at the next apply.
+                        op.ke_mut(0)[1] += 0.25;
+                    }
+                    op.matvec(comm, &x, &mut y);
+                    assert_eq!(op.block_plan().is_packed(), packed);
+                    for (a, b) in y.iter().zip(&per_element_reference(&op, &x)) {
+                        assert!(
+                            (a - b).abs() < 1e-12,
+                            "{:?} packed={packed}: {a} vs {b}",
+                            mesh.elem_type
+                        );
+                    }
+                }
+            });
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "batch width 0 outside 1..=64")]
+    fn set_batch_width_refuses_zero() {
+        let mesh = StructuredHexMesh::unit(2, ElementType::Hex8).build();
+        let pm = partition_mesh(&mesh, 1, PartitionMethod::Slabs);
+        Universe::run(1, |comm| {
+            let kernel = PoissonKernel::new(ElementType::Hex8);
+            let (mut op, _) = HymvOperator::setup(comm, &pm.parts[0], &kernel);
+            op.set_batch_width(0);
+        });
+    }
+
+    #[test]
+    #[should_panic(expected = "batch width 65 outside 1..=64")]
+    fn set_batch_width_refuses_past_the_maximum() {
+        let mesh = StructuredHexMesh::unit(2, ElementType::Hex8).build();
+        let pm = partition_mesh(&mesh, 1, PartitionMethod::Slabs);
+        Universe::run(1, |comm| {
+            let kernel = PoissonKernel::new(ElementType::Hex8);
+            let (mut op, _) = HymvOperator::setup(comm, &pm.parts[0], &kernel);
+            op.set_batch_width(MAX_BATCH_WIDTH + 1);
+        });
     }
 
     #[test]
@@ -924,7 +950,6 @@ mod tests {
             let part = &pm.parts[0];
             let kernel = PoissonKernel::new(ElementType::Hex8);
             let (mut op, _) = HymvOperator::setup(comm, part, &kernel);
-            op.set_batch_width(8);
             let x: Vec<f64> = (0..op.n_owned()).map(|i| i as f64).collect();
             let mut y0 = vec![0.0; op.n_owned()];
             op.matvec(comm, &x, &mut y0);
@@ -933,10 +958,8 @@ mod tests {
             }
             let mut y1 = vec![0.0; op.n_owned()];
             op.matvec(comm, &x, &mut y1);
-            // Cross-check against the per-element path on the same store.
-            op.set_batch_width(1);
-            let mut y1_ref = vec![0.0; op.n_owned()];
-            op.matvec(comm, &x, &mut y1_ref);
+            // Cross-check against the per-element loop on the same store.
+            let y1_ref = per_element_reference(&op, &x);
             (y0, y1, y1_ref)
         });
         let (y0, y1, y1_ref) = &out[0];
@@ -948,9 +971,8 @@ mod tests {
 
     /// The SpMM path is bitwise identical to `nvec` sequential SPMVs in
     /// every kernel-class-matched configuration: SIMD batch widths with
-    /// SIMD column counts (bw = 8 against nvec ∈ {4, 8, 16}), the
-    /// portable pair (bw = 5, nvec = 5), and the per-element fallback
-    /// (bw = 1, which routes through `matvec` column by column). Runs on
+    /// SIMD column counts (bw = 8 against nvec ∈ {4, 8, 16}), and the
+    /// portable pairs (bw = 5, nvec = 5; bw = 1, nvec = 3). Runs on
     /// 2 ranks so the coalesced exchange is exercised, for scalar
     /// (Poisson) and vector (elasticity, ndof = 3) problems.
     #[test]
@@ -1039,9 +1061,10 @@ mod tests {
 
     #[test]
     fn coloring_fallback_keeps_matvec_correct() {
-        // An umbrella of tets all sharing one node needs >64 colors at
-        // element (bw=1) granularity; the operator must log, fall back to
-        // chunk-private, and still produce the serial answer.
+        // An umbrella of tets all sharing one node: at bw = 1 each of its
+        // 65 blocks is one element on the shared node, so coloring needs
+        // >64 colors; the operator must log, fall back to chunk-private,
+        // and still produce the serial answer.
         let n_elems = 65usize;
         let n_nodes = 1 + 3 * n_elems;
         let mut e2g = Vec::with_capacity(4 * n_elems);

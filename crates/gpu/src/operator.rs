@@ -11,7 +11,7 @@
 //! measured host pack/accumulate time.
 
 use hymv_comm::Comm;
-use hymv_core::block::{batch_width_from_env, BlockPlan};
+use hymv_core::block::BlockPlan;
 use hymv_core::da::DistArray;
 use hymv_core::exchange::GhostExchange;
 use hymv_core::maps::HymvMaps;
@@ -71,10 +71,8 @@ pub struct HymvGpuOperator {
     scheme: GpuScheme,
     /// Modeled host ("OpenMP") threads for pack/accumulate.
     host_threads: usize,
-    /// Block plan shared with the CPU engine: its batch-interleaved slabs
-    /// are the device-resident matrices, its panels the staging layout
-    /// (always present on the GPU path; `bw = 1` degenerates to
-    /// per-element panels).
+    /// The CPU operator's block plan: its batch-interleaved slabs are the
+    /// device-resident matrices, its panels the staging layout.
     plan: BlockPlan,
     batch_kernel: EmvBatchKernel,
     /// Batched input/output panels, `n_blocks_total × nd × bw` (pinned
@@ -99,16 +97,9 @@ impl HymvGpuOperator {
         host_threads: usize,
     ) -> (Self, SetupTimings) {
         let (cpu_op, mut timings) = HymvOperator::setup(comm, part, kernel);
-        let (maps, exchange, store, ndof) = cpu_op.into_parts();
-
-        // The device works on the interleaved block slabs; bw=1 keeps the
-        // panel layout but makes it elementwise.
-        let bw = batch_width_from_env();
-        let plan = comm.work(|| {
-            let mut p = BlockPlan::build(&maps, ndof, bw);
-            p.attach_store(&store);
-            p
-        });
+        // The device works on the interleaved block slabs the CPU setup
+        // built.
+        let (maps, exchange, store, plan, ndof) = cpu_op.into_parts();
 
         let mut sim = DeviceSim::new(model, n_streams);
         let anchor_vt = comm.vt();
@@ -144,8 +135,8 @@ impl HymvGpuOperator {
             sim,
             scheme,
             host_threads,
+            batch_kernel: select_batch_kernel(plan.batch_width()),
             plan,
-            batch_kernel: select_batch_kernel(bw),
             bue: vec![0.0; n_batch],
             bve: vec![0.0; n_batch],
             upload_s,

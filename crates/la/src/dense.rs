@@ -1,11 +1,13 @@
-//! Dense element-matrix storage and the vectorized EMV kernel.
+//! Dense element-matrix storage and the batched EMV kernels.
 //!
 //! HYMV's central data structure is the array of locally-stored element
-//! matrices, kept **column-major** so the elemental mat-vec
-//! `ve = Σⱼ Ke[:,j] · ue[j]` (paper equation (4)) walks memory linearly and
-//! vectorizes as a chain of axpy operations. The kernel is dispatched at
-//! runtime: AVX-512F if the CPU has it, then AVX2+FMA, then a portable
-//! chunked loop the autovectorizer handles well.
+//! matrices, kept **column-major** (`ElementMatrixStore`). The elemental
+//! mat-vec `ve = Ke · ue` (paper equation (4)) runs `bw` elements at a
+//! time over batch-interleaved slabs, vectorized across the batch (or,
+//! for the SpMM, across the vector columns): one kernel body,
+//! dispatched at runtime to AVX-512F if the CPU has it, then AVX2+FMA,
+//! then a portable scalar lane. `emv_portable` is the scalar per-element
+//! reference they are tested against.
 //!
 //! All unchecked memory access in the SIMD kernels goes through the
 //! [`lanes`] helpers, and every kernel carries a `prove-bounds` verify
@@ -14,8 +16,6 @@
 //! (tails included) for all `nd`/`bw`. Building with
 //! `--features sanitize` swaps the helpers for checked shims that assert
 //! the same bounds at runtime.
-
-use std::sync::OnceLock;
 
 /// Unchecked slice access at fixed SIMD lane widths — the only unsafe
 /// memory primitives the EMV kernels may use (the bounds interpreter in
@@ -158,7 +158,7 @@ pub(crate) mod lanes {
         _mm512_set1_pd(*s.get_unchecked(at))
     }
 
-    /// Unchecked scalar read `s[at]` (kernel remainder loops).
+    /// Unchecked scalar read `s[at]` (the portable lane).
     ///
     /// SAFETY contract: `at < s.len()`.
     #[inline(always)]
@@ -168,19 +168,6 @@ pub(crate) mod lanes {
         check(s.len(), at, 1, "read1");
         debug_assert!(at < s.len());
         *s.get_unchecked(at)
-    }
-
-    /// Unchecked scalar accumulate `s[at] += x` (kernel remainder loops).
-    ///
-    /// SAFETY contract: `at < s.len()`.
-    #[cfg(target_arch = "x86_64")]
-    #[inline(always)]
-    #[allow(unsafe_code)] // SAFETY: contract above; proved per call site by hymv-verify
-    pub unsafe fn add1(s: &mut [f64], at: usize, x: f64) {
-        #[cfg(feature = "sanitize")]
-        check(s.len(), at, 1, "add1");
-        debug_assert!(at < s.len());
-        *s.get_unchecked_mut(at) += x;
     }
 }
 
@@ -238,25 +225,9 @@ impl ElementMatrixStore {
     }
 }
 
-/// The per-element EMV kernel signature (`ke`, `ue`, `ve`).
-pub type EmvKernel = fn(&[f64], &[f64], &mut [f64]);
-
 /// The batched EMV kernel signature (`keb`, `ue`, `ve`, `nd`, `bw`):
 /// batch-interleaved matrices against `nd × bw` panels.
 pub type EmvBatchKernel = fn(&[f64], &[f64], &mut [f64], usize, usize);
-
-/// `ve = Ke · ue` for a column-major `nd × nd` matrix; `nd` inferred from
-/// `ue.len()`. Runtime-dispatched to the best available SIMD variant.
-///
-/// Convenience wrapper for tests and one-off calls: the lookup costs an
-/// atomic load per call. Hot loops should resolve [`select_kernel`] once
-/// at loop entry and call through the function pointer.
-#[inline]
-pub fn emv(ke: &[f64], ue: &[f64], ve: &mut [f64]) {
-    static KERNEL: OnceLock<EmvKernel> = OnceLock::new();
-    let k = KERNEL.get_or_init(select_kernel);
-    k(ke, ue, ve);
-}
 
 /// The instruction sets the kernels are written for.
 #[derive(Clone, Copy, PartialEq, Eq)]
@@ -287,6 +258,10 @@ fn isa_for(width: usize) -> Isa {
     let _ = width;
     Isa::Portable
 }
+
+/// A width every vector ISA tiles: `isa_for(ANY_WIDTH)` is the widest ISA
+/// of this CPU.
+const ANY_WIDTH: usize = 8;
 
 /// Run `f` compiled for the widest vector ISA of this CPU. Block-CG's Gram
 /// products (`mv`) and panel update (`block_cg`) are plain Rust loops that
@@ -329,44 +304,15 @@ macro_rules! isa_name {
     };
 }
 
-/// Width the per-element kernels dispatch on: they run their own remainder
-/// loops, so any multiple of every vector width selects the widest ISA.
-const ANY_WIDTH: usize = 8;
-
-/// Name of the dispatched kernel variant (for experiment logs).
-pub fn emv_kernel_name() -> &'static str {
-    isa_name!(isa_for(ANY_WIDTH), "")
-}
-
-/// Pick the best per-element EMV variant for this CPU. Resolve once per
-/// SPMV (or cache in the operator) — not per element.
-pub fn select_kernel() -> EmvKernel {
-    match isa_for(ANY_WIDTH) {
-        #[cfg(target_arch = "x86_64")]
-        Isa::Avx512 => emv_avx512,
-        #[cfg(target_arch = "x86_64")]
-        Isa::Avx2 => emv_avx2,
-        _ => emv_portable,
-    }
-}
-
-/// Portable column-axpy variant; the inner loop autovectorizes.
+/// `ve = Ke · ue` for one column-major `nd × nd` matrix, as a column axpy
+/// without FMA: row `i` accumulates over `j` ascending, the order and
+/// arithmetic of the portable batched lane. The scalar per-element
+/// reference the batched kernels and operators are tested against.
+///
+/// # Panics
+/// If `ke` is not `nd × nd` or `ve` not `nd` long (`nd = ue.len()`).
 // verify: kernel-entry
 pub fn emv_portable(ke: &[f64], ue: &[f64], ve: &mut [f64]) {
-    assert_emv_lengths(ke, ue, ve);
-    let nd = ue.len();
-    ve.fill(0.0);
-    for (j, &u) in ue.iter().enumerate() {
-        let col = &ke[j * nd..(j + 1) * nd];
-        for (v, &k) in ve.iter_mut().zip(col) {
-            *v += k * u;
-        }
-    }
-}
-
-/// The lengths of a per-element EMV — those the SIMD kernels' lane
-/// accesses are proved from — checked in release builds too.
-fn assert_emv_lengths(ke: &[f64], ue: &[f64], ve: &[f64]) {
     let nd = ue.len();
     assert!(
         ke.len() == nd * nd && ve.len() == nd,
@@ -375,75 +321,11 @@ fn assert_emv_lengths(ke: &[f64], ue: &[f64], ve: &[f64]) {
         nd,
         ve.len()
     );
-}
-
-#[cfg(target_arch = "x86_64")]
-// verify: kernel-entry
-#[allow(unsafe_code)] // SIMD dispatch wrapper; SAFETY comment at the call
-fn emv_avx2(ke: &[f64], ue: &[f64], ve: &mut [f64]) {
-    assert_emv_lengths(ke, ue, ve);
-    // SAFETY: dispatch guarantees avx2+fma are available; the lengths
-    // the lane accesses are proved from were just checked.
-    unsafe { emv_avx2_impl(ke, ue, ve) }
-}
-
-#[cfg(target_arch = "x86_64")]
-// verify: prove-bounds
-#[target_feature(enable = "avx2,fma")]
-#[allow(unsafe_code)] // SAFETY: caller proves the target features; every lane access is proved
-                      // in bounds from the debug_asserts below by the hymv-verify interpreter.
-unsafe fn emv_avx2_impl(ke: &[f64], ue: &[f64], ve: &mut [f64]) {
-    use std::arch::x86_64::*;
-    let nd = ue.len();
-    debug_assert_eq!(ke.len(), nd * nd);
-    debug_assert_eq!(ve.len(), nd);
     ve.fill(0.0);
-    let chunks = nd / 4;
-    for j in 0..nd {
-        let u = lanes::read1(ue, j);
-        let ub = _mm256_set1_pd(u);
-        for c in 0..chunks {
-            let k = lanes::load4(ke, j * nd + 4 * c);
-            let v = lanes::load4(ve, 4 * c);
-            lanes::store4(ve, 4 * c, _mm256_fmadd_pd(k, ub, v));
-        }
-        for i in 4 * chunks..nd {
-            lanes::add1(ve, i, lanes::read1(ke, j * nd + i) * u);
-        }
-    }
-}
-
-#[cfg(target_arch = "x86_64")]
-// verify: kernel-entry
-#[allow(unsafe_code)] // SIMD dispatch wrapper; SAFETY comment at the call
-fn emv_avx512(ke: &[f64], ue: &[f64], ve: &mut [f64]) {
-    assert_emv_lengths(ke, ue, ve);
-    // SAFETY: dispatch guarantees avx512f is available; lengths as above.
-    unsafe { emv_avx512_impl(ke, ue, ve) }
-}
-
-#[cfg(target_arch = "x86_64")]
-// verify: prove-bounds
-#[target_feature(enable = "avx512f")]
-#[allow(unsafe_code)] // SAFETY: caller proves the target features; every lane access is proved
-                      // in bounds from the debug_asserts below by the hymv-verify interpreter.
-unsafe fn emv_avx512_impl(ke: &[f64], ue: &[f64], ve: &mut [f64]) {
-    use std::arch::x86_64::*;
-    let nd = ue.len();
-    debug_assert_eq!(ke.len(), nd * nd);
-    debug_assert_eq!(ve.len(), nd);
-    ve.fill(0.0);
-    let chunks = nd / 8;
-    for j in 0..nd {
-        let u = lanes::read1(ue, j);
-        let ub = _mm512_set1_pd(u);
-        for c in 0..chunks {
-            let k = lanes::load8(ke, j * nd + 8 * c);
-            let v = lanes::load8(ve, 8 * c);
-            lanes::store8(ve, 8 * c, _mm512_fmadd_pd(k, ub, v));
-        }
-        for i in 8 * chunks..nd {
-            lanes::add1(ve, i, lanes::read1(ke, j * nd + i) * u);
+    for (j, &u) in ue.iter().enumerate() {
+        let col = &ke[j * nd..(j + 1) * nd];
+        for (v, &k) in ve.iter_mut().zip(col) {
+            *v += k * u;
         }
     }
 }
@@ -468,8 +350,8 @@ unsafe fn emv_avx512_impl(ke: &[f64], ue: &[f64], ve: &mut [f64]) {
 //
 // Vectorization runs **across the batch dimension**: every load/store in
 // the inner loop is unit-stride over `bw` lanes, so SIMD sees full vectors
-// regardless of nd — unlike the per-element axpy, whose vector length is
-// capped by nd and pays a remainder loop per column.
+// regardless of nd — unlike a per-element column axpy, whose vector
+// length is capped by nd and pays a remainder loop per column.
 // ---------------------------------------------------------------------------
 
 /// Maximum supported batch width (bounds kernel register/stack usage).
@@ -1046,22 +928,6 @@ pub fn emv_batch_mv_flops(nd: usize, bw: usize, nvec: usize) -> u64 {
     emv_batch_flops(nd, bw) * nvec as u64
 }
 
-/// The ablation variant: dot-product order over a column-major matrix —
-/// stride-`nd` access, deliberately cache-hostile. Used by the kernel
-/// ablation bench to show why equation (4) prescribes the axpy order.
-pub fn emv_dot_strided(ke: &[f64], ue: &[f64], ve: &mut [f64]) {
-    let nd = ue.len();
-    debug_assert_eq!(ke.len(), nd * nd);
-    debug_assert_eq!(ve.len(), nd);
-    for (i, v) in ve.iter_mut().enumerate() {
-        let mut acc = 0.0;
-        for (j, &u) in ue.iter().enumerate() {
-            acc += ke[j * nd + i] * u;
-        }
-        *v = acc;
-    }
-}
-
 /// FLOPs of one EMV: `2·nd²` (multiply + add per matrix entry).
 pub fn emv_flops(nd: usize) -> u64 {
     2 * (nd as u64) * (nd as u64)
@@ -1116,59 +982,13 @@ mod tests {
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
 
-    fn random_system(nd: usize, seed: u64) -> (Vec<f64>, Vec<f64>) {
-        let mut rng = StdRng::seed_from_u64(seed);
-        let ke: Vec<f64> = (0..nd * nd).map(|_| rng.gen_range(-1.0..1.0)).collect();
-        let ue: Vec<f64> = (0..nd).map(|_| rng.gen_range(-1.0..1.0)).collect();
-        (ke, ue)
-    }
-
-    #[test]
-    fn all_variants_agree() {
-        for nd in [1, 3, 4, 8, 20, 24, 27, 60, 81] {
-            let (ke, ue) = random_system(nd, nd as u64);
-            let mut v_ref = vec![0.0; nd];
-            emv_dot_strided(&ke, &ue, &mut v_ref);
-
-            let mut v = vec![0.0; nd];
-            emv_portable(&ke, &ue, &mut v);
-            for i in 0..nd {
-                assert!((v[i] - v_ref[i]).abs() < 1e-12, "portable nd={nd} i={i}");
-            }
-
-            let mut v = vec![0.0; nd];
-            emv(&ke, &ue, &mut v);
-            for i in 0..nd {
-                assert!((v[i] - v_ref[i]).abs() < 1e-12, "dispatched nd={nd} i={i}");
-            }
-
-            #[cfg(target_arch = "x86_64")]
-            {
-                if is_x86_feature_detected!("avx2") && is_x86_feature_detected!("fma") {
-                    let mut v = vec![0.0; nd];
-                    emv_avx2(&ke, &ue, &mut v);
-                    for i in 0..nd {
-                        assert!((v[i] - v_ref[i]).abs() < 1e-12, "avx2 nd={nd} i={i}");
-                    }
-                }
-                if is_x86_feature_detected!("avx512f") {
-                    let mut v = vec![0.0; nd];
-                    emv_avx512(&ke, &ue, &mut v);
-                    for i in 0..nd {
-                        assert!((v[i] - v_ref[i]).abs() < 1e-12, "avx512 nd={nd} i={i}");
-                    }
-                }
-            }
-        }
-    }
-
     /// Reference for one lane of a batch: per-element EMV on de-interleaved
     /// data.
     fn batch_reference(keb: &[f64], ue: &[f64], nd: usize, bw: usize, b: usize) -> Vec<f64> {
         let ke: Vec<f64> = (0..nd * nd).map(|idx| keb[idx * bw + b]).collect();
         let u: Vec<f64> = (0..nd).map(|j| ue[j * bw + b]).collect();
         let mut v = vec![0.0; nd];
-        emv_dot_strided(&ke, &u, &mut v);
+        emv_portable(&ke, &u, &mut v);
         v
     }
 
@@ -1768,22 +1588,6 @@ mod tests {
         emv_portable(&[0.0; 15], &[0.0; 4], &mut [0.0; 4]);
     }
 
-    #[cfg(target_arch = "x86_64")]
-    #[test]
-    #[should_panic(expected = "do not fit nd=4")]
-    fn emv_avx2_refuses_a_short_matrix() {
-        let kernel: EmvKernel = on_host(4, Isa::Avx2, emv_avx2, emv_portable);
-        kernel(&[0.0; 15], &[0.0; 4], &mut [0.0; 4]);
-    }
-
-    #[cfg(target_arch = "x86_64")]
-    #[test]
-    #[should_panic(expected = "do not fit nd=4")]
-    fn emv_avx512_refuses_a_short_matrix() {
-        let kernel: EmvKernel = on_host(8, Isa::Avx512, emv_avx512, emv_portable);
-        kernel(&[0.0; 15], &[0.0; 4], &mut [0.0; 4]);
-    }
-
     #[test]
     fn mv_flops_formula() {
         assert_eq!(emv_batch_mv_flops(10, 8, 4), 6400);
@@ -1852,7 +1656,7 @@ mod tests {
         }
         let ue = vec![1.0, -2.0, 3.0, -4.0, 5.0];
         let mut ve = vec![9.0; nd]; // must be overwritten
-        emv(&ke, &ue, &mut ve);
+        emv_portable(&ke, &ue, &mut ve);
         assert_eq!(ve, ue);
     }
 
@@ -1871,12 +1675,6 @@ mod tests {
     #[test]
     fn flops_formula() {
         assert_eq!(emv_flops(10), 200);
-    }
-
-    #[test]
-    fn kernel_name_reports_something() {
-        let name = emv_kernel_name();
-        assert!(["avx512f", "avx2+fma", "portable"].contains(&name));
     }
 
     #[test]

@@ -3,10 +3,10 @@
 //! The numerical kernels under HYMV and its baselines:
 //!
 //! * [`dense`] — contiguous column-major storage for element matrices and
-//!   the vectorized elemental mat-vec (EMV) kernel of paper §IV-E
-//!   (equation (4)): `ve = Σⱼ Ke[:,j] · ue[j]`, dispatched at runtime to
-//!   AVX-512/AVX2+FMA/portable variants, plus the deliberately strided
-//!   dot-product variant used by the kernel ablation bench,
+//!   the batched elemental mat-vec (EMV) kernels of paper §IV-E
+//!   (equation (4)): `Ve = Ke_b · Ue` over `bw` elements at a time,
+//!   dispatched at runtime to AVX-512/AVX2+FMA/portable lanes, plus the
+//!   scalar per-element reference `emv_portable`,
 //! * [`csr`] — serial CSR matrices (the node-local representation PETSc
 //!   uses),
 //! * [`dist_csr`] — a PETSc `MPIAIJ`-style distributed CSR with
@@ -42,9 +42,8 @@ pub mod solver;
 pub use block_cg::{block_cg, BlockCgResult};
 pub use csr::SerialCsr;
 pub use dense::{
-    emv, emv_batch, emv_batch_mv, select_batch_kernel, select_batch_mv_kernel, select_kernel,
-    ElementMatrixStore, EmvBatchKernel, EmvBatchMvKernel, EmvKernel, FIXED_NVEC_WIDTH,
-    MAX_BATCH_WIDTH, MAX_NVEC_WIDTH,
+    emv_batch, emv_batch_mv, select_batch_kernel, select_batch_mv_kernel, ElementMatrixStore,
+    EmvBatchKernel, EmvBatchMvKernel, FIXED_NVEC_WIDTH, MAX_BATCH_WIDTH, MAX_NVEC_WIDTH,
 };
 pub use dist_csr::DistCsr;
 pub use mv::{column_norms, gram, MultiLinOp, Multivector};

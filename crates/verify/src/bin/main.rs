@@ -343,7 +343,7 @@ fn parse_args() -> Result<Options, String> {
                 }
             }
             "--batch" => {
-                // Shared strict validation (same path as HYMV_EMV_BATCH).
+                // Shared strict validation (same path as hymv-check --batch).
                 opts.batch =
                     hymv_core::parse_batch_width(&val()?).map_err(|e| format!("--batch: {e}"))?
             }

@@ -205,15 +205,11 @@ fn every_shipped_simd_kernel_certifies() {
     let (certs, diags) = certify_file(&dense).expect("dense.rs unreadable");
     assert!(diags.is_empty(), "{diags:#?}");
     let names: Vec<&str> = certs.iter().map(|c| c.kernel.as_str()).collect();
-    // The per-element kernels, the vector gather, and the one batched body
-    // — single-vector and SpMM — once per lane type × layout × dimension ×
-    // width it is instantiated for (`ND=0` / `NVEC=0`: read at run time,
-    // `NVEC=1`: the single-vector product).
-    let mut want = vec![
-        "dense::emv_avx2_impl".to_string(),
-        "dense::emv_avx512_impl".to_string(),
-        "dense::gather_panel_avx512".to_string(),
-    ];
+    // The vector gather, and the one batched body — single-vector and
+    // SpMM — once per lane type × layout × dimension × width it is
+    // instantiated for (`ND=0` / `NVEC=0`: read at run time, `NVEC=1`:
+    // the single-vector product).
+    let mut want = vec!["dense::gather_panel_avx512".to_string()];
     for packed in [false, true] {
         for lane in ["f64", "__m256d", "__m512d"] {
             for nd in [0, 4, 8, 10, 12] {
@@ -240,7 +236,7 @@ fn every_shipped_simd_kernel_certifies() {
 
 #[test]
 fn a_broken_kernel_variant_is_rejected() {
-    // Same shape as the shipped AVX2 kernel, with the column offset
+    // A per-element AVX2 column-axpy kernel with the column offset
     // shifted by one — the tail lane of the last column walks off `ke`.
     let broken = r#"
 // verify: prove-bounds

@@ -7,6 +7,8 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
 use hymv::core::block::BlockPlan;
+use hymv::core::da::DistArray;
+use hymv::core::hybrid::emv_loop_serial;
 use hymv::core::operator::HymvOperator;
 use hymv::fem::kernel::KernelScratch;
 use hymv::prelude::*;
@@ -92,7 +94,21 @@ fn local_update_equals_full_rebuild() {
 }
 
 fn is_packed(op: &HymvOperator) -> bool {
-    op.block_plan().expect("batched path").is_packed()
+    op.block_plan().is_packed()
+}
+
+/// `K x` by the per-element reference loop over the operator's store, on
+/// one rank (where the owned dofs are all the dofs).
+fn per_element(op: &HymvOperator, x: &[f64]) -> Vec<f64> {
+    let (maps, nd) = (op.maps(), op.store().nd());
+    assert_eq!(maps.n_owned(), maps.n_total(), "one rank only");
+    let mut u = DistArray::new(maps, op.ndof());
+    u.set_owned(x);
+    let mut v = DistArray::new(maps, op.ndof());
+    let all: Vec<u32> = (0..maps.n_elems as u32).collect();
+    let (mut ue, mut ve) = (vec![0.0; nd], vec![0.0; nd]);
+    emv_loop_serial(maps, op.store(), &u, &mut v, &all, &mut ue, &mut ve);
+    v.owned().to_vec()
 }
 
 fn assert_bitwise(a: &[f64], b: &[f64], what: &str) {
@@ -188,12 +204,13 @@ fn asymmetric_update_demotes_and_equals_fresh_setup() {
         assert!(!is_packed(&a), "asymmetric Ke must demote");
 
         // Against the per-element loop on the same store ...
-        a.set_batch_width(1);
-        a.matvec(comm, &x, &mut y_ref);
-        for (p, q) in y.iter().zip(&y_ref) {
+        for (p, q) in y.iter().zip(&per_element(&a, &x)) {
             assert!((p - q).abs() < 1e-12, "{p} vs {q}");
         }
-        // ... and a rebuilt plan keeps the layout the data asks for.
+        // ... and a rebuilt plan keeps the layout the data asks for, at
+        // any width.
+        a.set_batch_width(1);
+        assert!(!is_packed(&a));
         a.set_batch_width(8);
         assert!(!is_packed(&a));
         a.matvec(comm, &x, &mut y_ref);
@@ -377,10 +394,9 @@ fn rejected_update_leaves_operator_unchanged() {
     });
 }
 
-/// Every slab of the operator's plan, as bits (empty on the per-element
-/// path).
+/// Every slab of the operator's plan, as bits.
 fn slabs(op: &HymvOperator) -> Vec<u64> {
-    op.block_plan().map_or_else(Vec::new, plan_slabs)
+    plan_slabs(op.block_plan())
 }
 
 fn plan_slabs(plan: &BlockPlan) -> Vec<u64> {
@@ -394,16 +410,21 @@ fn plan_slabs(plan: &BlockPlan) -> Vec<u64> {
     bits
 }
 
-/// `matvec` and an `nvec = 8` `matvec_mv` of the operator, as one vector.
-fn applies(comm: &mut hymv::comm::Comm, op: &mut HymvOperator) -> Vec<f64> {
-    let n = op.n_owned();
-    let cols: Vec<Vec<f64>> = (0..8)
+/// The eight input columns of [`applies`], `n` dofs each.
+fn columns(n: usize) -> Vec<Vec<f64>> {
+    (0..8)
         .map(|c| {
             (0..n)
                 .map(|i| ((i * 13 + c * 5) % 19) as f64 * 0.25 - 2.0)
                 .collect()
         })
-        .collect();
+        .collect()
+}
+
+/// `matvec` and an `nvec = 8` `matvec_mv` of the operator, as one vector.
+fn applies(comm: &mut hymv::comm::Comm, op: &mut HymvOperator) -> Vec<f64> {
+    let n = op.n_owned();
+    let cols = columns(n);
     let mut y = vec![0.0; n];
     op.matvec(comm, &cols[0], &mut y);
     let xs = Multivector::from_columns(&cols);
@@ -416,7 +437,7 @@ fn applies(comm: &mut hymv::comm::Comm, op: &mut HymvOperator) -> Vec<f64> {
 /// Setup and update are one routine: a fresh setup, an operator brought
 /// to the same matrices by updating every element, and a plan attached to
 /// the finished store in one pass agree in every bit of store, slabs,
-/// `matvec` and `matvec_mv` — batched and per-element, p ∈ {1, 2}.
+/// `matvec` and `matvec_mv` — at widths 8 and 1, p ∈ {1, 2}.
 #[test]
 fn fresh_setup_equals_update_of_every_element_bitwise() {
     // 125 elements: several chunks of the compute/interleave loop on
@@ -445,18 +466,16 @@ fn fresh_setup_equals_update_of_every_element_bitwise() {
                 updated.set_batch_width(bw);
                 updated.update_elements(comm, part, &*base, &all);
 
-                assert_eq!(fresh.block_plan().is_some_and(BlockPlan::is_packed), bw > 1);
+                assert!(fresh.block_plan().is_packed(), "bw={bw}");
                 assert_bitwise(
                     fresh.store().as_slice(),
                     updated.store().as_slice(),
                     "store",
                 );
                 assert_eq!(slabs(&fresh), slabs(&updated), "bw={bw}: slabs");
-                if bw > 1 {
-                    let mut attached = BlockPlan::build(fresh.maps(), fresh.ndof(), bw);
-                    attached.attach_store(fresh.store());
-                    assert_eq!(slabs(&fresh), plan_slabs(&attached), "attach_store");
-                }
+                let mut attached = BlockPlan::build(fresh.maps(), fresh.ndof(), bw);
+                attached.attach_store(fresh.store());
+                assert_eq!(slabs(&fresh), plan_slabs(&attached), "attach_store");
                 let y = applies(comm, &mut fresh);
                 assert_bitwise(&y, &applies(comm, &mut updated), "applies");
             }
@@ -467,7 +486,7 @@ fn fresh_setup_equals_update_of_every_element_bitwise() {
 /// A kernel that turns asymmetric part-way through setup (element 41: the
 /// second chunk, packed slabs already half filled) demotes the plan inside
 /// that chunk. The finished operator is the full-layout plan of its store
-/// to the bit, and agrees with the per-element path.
+/// to the bit, and agrees with the per-element reference loop.
 #[test]
 fn asymmetric_matrix_mid_setup_demotes_to_the_full_layout() {
     let mesh = StructuredHexMesh::unit(4, ElementType::Hex8).build();
@@ -495,8 +514,13 @@ fn asymmetric_matrix_mid_setup_demotes_to_the_full_layout() {
         assert_eq!(slabs(&op), plan_slabs(&full));
 
         let y = applies(comm, &mut op);
-        op.set_batch_width(1);
-        for (a, b) in y.iter().zip(&applies(comm, &mut op)) {
+        let cols = columns(op.n_owned());
+        let mut y_ref = per_element(&op, &cols[0]);
+        for col in &cols {
+            y_ref.extend(per_element(&op, col));
+        }
+        assert_eq!(y.len(), y_ref.len());
+        for (a, b) in y.iter().zip(&y_ref) {
             assert!((a - b).abs() < 1e-12, "{a} vs {b}");
         }
     });
