@@ -25,7 +25,7 @@ use std::time::Instant;
 use hymv_bench::{ratio, Reporter};
 use hymv_comm::Universe;
 use hymv_core::block::BlockPlan;
-use hymv_core::da::{DistArray, DistMultivector};
+use hymv_core::da::DistArray;
 use hymv_core::dirichlet_op::owned_constraints;
 use hymv_core::maps::HymvMaps;
 use hymv_core::{DirichletOp, HymvOperator};
@@ -90,19 +90,19 @@ fn kernel_sweep(rep: &mut Reporter, et: ElementType, n: usize, reps: usize) {
         let mv_kernel = select_batch_mv_kernel(nvec);
         let plm = plan.nd() * BW * nvec;
         let (mut ue, mut ve) = (vec![0.0; plm], vec![0.0; plm]);
-        let mut u_mv = DistMultivector::new(&maps, 1, nvec);
+        let mut u_mv = DistArray::new_mv(&maps, 1, nvec);
         for (i, chunk) in u_mv.data.chunks_exact_mut(nvec).enumerate() {
             for (c, x) in chunk.iter_mut().enumerate() {
                 *x = us[c].data[i];
             }
         }
-        let mut v_mv = DistMultivector::new(&maps, 1, nvec);
+        let mut v_mv = DistArray::new_mv(&maps, 1, nvec);
         let mut spmm_s = f64::INFINITY;
         for _ in 0..reps {
             let t0 = Instant::now();
             v_mv.fill_zero();
-            plan.run_serial_mv(false, &u_mv, &mut v_mv, mv_kernel, nvec, &mut ue, &mut ve);
-            plan.run_serial_mv(true, &u_mv, &mut v_mv, mv_kernel, nvec, &mut ue, &mut ve);
+            plan.run_serial_mv(false, &u_mv, &mut v_mv, mv_kernel, &mut ue, &mut ve);
+            plan.run_serial_mv(true, &u_mv, &mut v_mv, mv_kernel, &mut ue, &mut ve);
             spmm_s = spmm_s.min(t0.elapsed().as_secs_f64());
         }
 

@@ -110,8 +110,9 @@ pub fn certify_spmv_determinism_with(
 }
 
 /// [`certify_spmv_determinism_with`] for the multivector engine: one
-/// width-`nvec` SpMM (`Y = K X`) per rank — coalesced multivector ghost
-/// exchange, `emv_batch_mv` panels, strided gather/scatter — certified
+/// width-`nvec` SpMM (`Y = K X`) per rank — the SPMV's schedule and ghost
+/// exchange on an `nvec`-column DA (one coalesced envelope per neighbour
+/// and tag), `emv_batch_mv` panels, whole-row gather/scatter — certified
 /// bitwise deterministic across every schedule perturbation seed.
 ///
 /// Column `0` carries the same deterministic input as the single-vector

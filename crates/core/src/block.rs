@@ -30,7 +30,7 @@ use hymv_la::dense::{
 };
 use hymv_la::{ElementMatrixStore, FIXED_NVEC_WIDTH, MAX_NVEC_WIDTH};
 
-use crate::da::{DistArray, DistMultivector};
+use crate::da::DistArray;
 use crate::hybrid::{on_rank_pool, RacyTarget};
 use crate::maps::HymvMaps;
 
@@ -271,8 +271,8 @@ impl BlockSet {
         }
     }
 
-    /// Gather block `k`'s multivector input panel from a
-    /// [`DistMultivector`]: `nvec` contiguous column values per table
+    /// Gather block `k`'s multivector input panel from an `nvec`-column
+    /// [`DistArray`]: `nvec` contiguous column values per table
     /// entry (`ue[t·nvec + c] = data[gidx[t]·nvec + c]`), one whole-row
     /// move each. Padded lanes read slot 0, exactly like [`Self::gather`].
     #[inline]
@@ -295,8 +295,8 @@ impl BlockSet {
         }
     }
 
-    /// Scatter-add block `k`'s multivector output panel into a
-    /// [`DistMultivector`]'s `data`, one whole `nvec`-wide row per table
+    /// Scatter-add block `k`'s multivector output panel into an
+    /// `nvec`-column [`DistArray`]'s `data`, one whole `nvec`-wide row per table
     /// entry. Lane-bounded like [`Self::scatter_with`], and visiting live
     /// lanes in the same `(row, lane)` order so per-column accumulation
     /// order — and therefore the bits — match the single-vector path.
@@ -552,22 +552,20 @@ impl BlockPlan {
         }
     }
 
-    /// Serial blocked SpMM loop over one subset: each block's `Ke` slab
-    /// is loaded once and reused for all `nvec` columns of the panel —
-    /// the bandwidth amortization the multivector engine exists for.
-    /// `ue`/`ve` are `nd × bw × nvec` panel scratch.
-    #[allow(clippy::too_many_arguments)]
+    /// Serial blocked SpMM loop over one subset of `nvec`-column DAs: each
+    /// block's `Ke` slab is loaded once and reused for all `nvec` columns
+    /// of the panel — the bandwidth amortization the multivector engine
+    /// exists for. `ue`/`ve` are `nd × bw × nvec` panel scratch.
     pub fn run_serial_mv(
         &self,
         dependent: bool,
-        u: &DistMultivector,
-        v: &mut DistMultivector,
+        u: &DistArray,
+        v: &mut DistArray,
         kernel: EmvBatchMvKernel,
-        nvec: usize,
         ue: &mut [f64],
         ve: &mut [f64],
     ) {
-        debug_assert_eq!(u.nvec, nvec);
+        let nvec = u.nvec;
         debug_assert_eq!(v.nvec, nvec);
         let set = self.set(dependent);
         for k in 0..set.n_blocks() {
@@ -1211,17 +1209,17 @@ mod tests {
 
                     // One SpMM over the interleaved multivector DA.
                     let mv_kernel = select_batch_mv_kernel(nvec);
-                    let mut u_mv = DistMultivector::new(&maps, ndof, nvec);
+                    let mut u_mv = DistArray::new_mv(&maps, ndof, nvec);
                     for (c, col) in cols.iter().enumerate() {
                         for (i, &x) in col.iter().enumerate() {
                             u_mv.data[i * nvec + c] = x;
                         }
                     }
-                    let mut v_mv = DistMultivector::new(&maps, ndof, nvec);
+                    let mut v_mv = DistArray::new_mv(&maps, ndof, nvec);
                     let (mut uem, mut vem) = (vec![0.0; pl * nvec], vec![0.0; pl * nvec]);
                     for dependent in [false, true] {
                         plan.run_serial_mv(
-                            dependent, &u_mv, &mut v_mv, mv_kernel, nvec, &mut uem, &mut vem,
+                            dependent, &u_mv, &mut v_mv, mv_kernel, &mut uem, &mut vem,
                         );
                     }
 

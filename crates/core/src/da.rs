@@ -5,152 +5,21 @@
 //! accumulation (`ue ← u(E2L[e])`, `v(E2L[e]) += ve`) are the two hot
 //! indexing operations of Algorithm 2.
 //!
-//! [`DistMultivector`] is the `nvec`-column generalization behind the
-//! SpMM path: the same `[pre | owned | post]` dof order, but every dof
-//! slot widens to `nvec` contiguous column values
-//! (`data[dof·nvec + c]`). That interleaving makes the multivector
-//! gather/scatter a contiguous `nvec`-copy per table entry and lets the
-//! ghost exchange ship all columns of a fragment in one envelope.
+//! A DA of `nvec > 1` columns is the operand of the SpMM: the same
+//! `[pre | owned | post]` dof order, but every dof slot widens to `nvec`
+//! contiguous column values (`data[dof·nvec + c]`). That interleaving
+//! makes the multivector gather/scatter a contiguous `nvec`-copy per table
+//! entry and lets the ghost exchange ship all columns of a fragment in one
+//! envelope — the exchange and Algorithm 2 only ever see the row stride
+//! `ndof·nvec`.
 
 use hymv_la::Multivector;
 
 use crate::maps::HymvMaps;
 
-/// A partitioned vector in DA layout.
+/// A partitioned vector (`nvec = 1`) or multivector in DA layout.
 #[derive(Debug, Clone)]
 pub struct DistArray {
-    /// Flat values, `n_total_nodes × ndof`.
-    pub data: Vec<f64>,
-    /// Components per node.
-    pub ndof: usize,
-    /// Pre-ghost node count.
-    n_pre: usize,
-    /// Owned node count.
-    n_owned: usize,
-}
-
-impl DistArray {
-    /// Zero-initialized DA matching `maps`.
-    pub fn new(maps: &HymvMaps, ndof: usize) -> Self {
-        DistArray {
-            data: vec![0.0; maps.n_total() * ndof],
-            ndof,
-            n_pre: maps.gpre.len(),
-            n_owned: maps.n_owned(),
-        }
-    }
-
-    /// All values.
-    pub fn as_slice(&self) -> &[f64] {
-        &self.data
-    }
-
-    /// Owned-dof slice (the vector the solver sees).
-    pub fn owned(&self) -> &[f64] {
-        &self.data[self.n_pre * self.ndof..(self.n_pre + self.n_owned) * self.ndof]
-    }
-
-    /// Mutable owned-dof slice.
-    pub fn owned_mut(&mut self) -> &mut [f64] {
-        &mut self.data[self.n_pre * self.ndof..(self.n_pre + self.n_owned) * self.ndof]
-    }
-
-    /// Copy an owned-dof vector in.
-    pub fn set_owned(&mut self, x: &[f64]) {
-        self.owned_mut().copy_from_slice(x);
-    }
-
-    /// Zero everything (start of an SPMV accumulation).
-    pub fn fill_zero(&mut self) {
-        self.data.fill(0.0);
-    }
-
-    /// Zero only the ghost regions (before a fresh scatter).
-    pub fn zero_ghosts(&mut self) {
-        let ndof = self.ndof;
-        self.data[..self.n_pre * ndof].fill(0.0);
-        self.data[(self.n_pre + self.n_owned) * ndof..].fill(0.0);
-    }
-
-    /// Extract the element vector `ue ← u(E2L[e])` into `ue`
-    /// (`npe × ndof`, node-major).
-    #[inline]
-    pub fn extract_elem(&self, local_nodes: &[u32], ue: &mut [f64]) {
-        let ndof = self.ndof;
-        debug_assert_eq!(ue.len(), local_nodes.len() * ndof);
-        match ndof {
-            // The two dof counts the paper evaluates, unrolled: the generic
-            // path's per-node slice copies dominate small-element EMVs.
-            1 => {
-                for (u, &l) in ue.iter_mut().zip(local_nodes) {
-                    *u = self.data[l as usize];
-                }
-            }
-            3 => {
-                for (m, &l) in local_nodes.iter().enumerate() {
-                    let src = l as usize * 3;
-                    ue[3 * m] = self.data[src];
-                    ue[3 * m + 1] = self.data[src + 1];
-                    ue[3 * m + 2] = self.data[src + 2];
-                }
-            }
-            _ => {
-                for (m, &l) in local_nodes.iter().enumerate() {
-                    let src = l as usize * ndof;
-                    ue[m * ndof..(m + 1) * ndof].copy_from_slice(&self.data[src..src + ndof]);
-                }
-            }
-        }
-    }
-
-    /// Accumulate the element vector `v(E2L[e]) += ve`.
-    #[inline]
-    pub fn accumulate_elem(&mut self, local_nodes: &[u32], ve: &[f64]) {
-        let ndof = self.ndof;
-        debug_assert_eq!(ve.len(), local_nodes.len() * ndof);
-        match ndof {
-            1 => {
-                for (&v, &l) in ve.iter().zip(local_nodes) {
-                    self.data[l as usize] += v;
-                }
-            }
-            3 => {
-                for (m, &l) in local_nodes.iter().enumerate() {
-                    let dst = l as usize * 3;
-                    self.data[dst] += ve[3 * m];
-                    self.data[dst + 1] += ve[3 * m + 1];
-                    self.data[dst + 2] += ve[3 * m + 2];
-                }
-            }
-            _ => {
-                for (m, &l) in local_nodes.iter().enumerate() {
-                    let dst = l as usize * ndof;
-                    for c in 0..ndof {
-                        self.data[dst + c] += ve[m * ndof + c];
-                    }
-                }
-            }
-        }
-    }
-
-    /// Pre-ghost node count.
-    pub fn n_pre(&self) -> usize {
-        self.n_pre
-    }
-
-    /// Owned node count.
-    pub fn n_owned_nodes(&self) -> usize {
-        self.n_owned
-    }
-}
-
-/// A partitioned multivector in DA layout: DA dof order, `nvec`
-/// contiguous column values per dof (`data[dof·nvec + c]`). The solver
-/// boundary is column-major ([`Multivector`]); the transposes happen once
-/// per SpMM at the owned block and are O(`n·nvec`) against the O(`nd²·bw`)
-/// elemental work they bracket.
-#[derive(Debug, Clone)]
-pub struct DistMultivector {
     /// Flat values, `n_total_nodes × ndof × nvec`.
     pub data: Vec<f64>,
     /// Components per node.
@@ -163,11 +32,16 @@ pub struct DistMultivector {
     n_owned: usize,
 }
 
-impl DistMultivector {
-    /// Zero-initialized multivector DA matching `maps`.
-    pub fn new(maps: &HymvMaps, ndof: usize, nvec: usize) -> Self {
-        assert!(nvec > 0, "multivector DA must have at least one column");
-        DistMultivector {
+impl DistArray {
+    /// Zero-initialized single-vector DA matching `maps`.
+    pub fn new(maps: &HymvMaps, ndof: usize) -> Self {
+        Self::new_mv(maps, ndof, 1)
+    }
+
+    /// Zero-initialized DA of `nvec` columns matching `maps`.
+    pub fn new_mv(maps: &HymvMaps, ndof: usize, nvec: usize) -> Self {
+        assert!(nvec > 0, "a DA must have at least one column");
+        DistArray {
             data: vec![0.0; maps.n_total() * ndof * nvec],
             ndof,
             nvec,
@@ -176,32 +50,45 @@ impl DistMultivector {
         }
     }
 
-    /// Owned dofs per column.
-    pub fn n_owned_dofs(&self) -> usize {
-        self.n_owned * self.ndof
+    /// Values per node: `ndof · nvec`, the exchange's row stride.
+    pub(crate) fn stride(&self) -> usize {
+        self.ndof * self.nvec
     }
 
-    /// Pre-ghost node count.
-    pub fn n_pre(&self) -> usize {
-        self.n_pre
+    /// Owned-dof slice (the vector the solver sees; row-major over the
+    /// columns when `nvec > 1`).
+    pub fn owned(&self) -> &[f64] {
+        let s = self.stride();
+        &self.data[self.n_pre * s..(self.n_pre + self.n_owned) * s]
     }
 
-    /// Zero everything (start of an SpMM accumulation).
+    /// Mutable owned-dof slice.
+    pub fn owned_mut(&mut self) -> &mut [f64] {
+        let s = self.stride();
+        &mut self.data[self.n_pre * s..(self.n_pre + self.n_owned) * s]
+    }
+
+    /// Copy an owned-dof vector in.
+    pub fn set_owned(&mut self, x: &[f64]) {
+        self.owned_mut().copy_from_slice(x);
+    }
+
+    /// Zero everything (start of an SPMV accumulation).
     pub fn fill_zero(&mut self) {
         self.data.fill(0.0);
     }
 
     /// Transpose a column-major owned multivector into the owned block,
     /// row by row: one contiguous stream of rows out, `nvec` column
-    /// streams in.
-    pub fn set_owned(&mut self, x: &Multivector) {
-        assert_eq!(x.nrows(), self.n_owned_dofs(), "owned row mismatch");
+    /// streams in. The solver boundary is column-major ([`Multivector`]);
+    /// the transposes happen once per SpMM at the owned block and are
+    /// O(`n·nvec`) against the O(`nd²·bw`) elemental work they bracket.
+    pub fn set_owned_mv(&mut self, x: &Multivector) {
+        assert_eq!(x.nrows(), self.n_owned * self.ndof, "owned row mismatch");
         assert_eq!(x.nvec(), self.nvec, "column-count mismatch");
         let (nrows, nvec) = (x.nrows(), self.nvec);
-        let base = self.n_pre * self.ndof * nvec;
         let cols = x.as_slice();
-        let rows = &mut self.data[base..base + nrows * nvec];
-        for (i, row) in rows.chunks_exact_mut(nvec).enumerate() {
+        for (i, row) in self.owned_mut().chunks_exact_mut(nvec).enumerate() {
             for (c, v) in row.iter_mut().enumerate() {
                 *v = cols[c * nrows + i];
             }
@@ -211,17 +98,44 @@ impl DistMultivector {
     /// Transpose the owned block out into a column-major multivector, row
     /// by row: one contiguous stream of rows in, `nvec` column streams out.
     pub fn copy_owned_to(&self, y: &mut Multivector) {
-        assert_eq!(y.nrows(), self.n_owned_dofs(), "owned row mismatch");
+        assert_eq!(y.nrows(), self.n_owned * self.ndof, "owned row mismatch");
         assert_eq!(y.nvec(), self.nvec, "column-count mismatch");
         let (nrows, nvec) = (y.nrows(), self.nvec);
-        let base = self.n_pre * self.ndof * nvec;
         let cols = y.as_mut_slice();
-        let rows = &self.data[base..base + nrows * nvec];
-        for (i, row) in rows.chunks_exact(nvec).enumerate() {
+        for (i, row) in self.owned().chunks_exact(nvec).enumerate() {
             for (c, &v) in row.iter().enumerate() {
                 cols[c * nrows + i] = v;
             }
         }
+    }
+
+    /// Extract the element vector `ue ← u(E2L[e])` into `ue`
+    /// (`npe × ndof`, node-major) from a single-vector DA.
+    pub fn extract_elem(&self, local_nodes: &[u32], ue: &mut [f64]) {
+        let ndof = self.ndof;
+        debug_assert_eq!((self.nvec, ue.len()), (1, local_nodes.len() * ndof));
+        for (m, &l) in local_nodes.iter().enumerate() {
+            let src = l as usize * ndof;
+            ue[m * ndof..(m + 1) * ndof].copy_from_slice(&self.data[src..src + ndof]);
+        }
+    }
+
+    /// Accumulate the element vector `v(E2L[e]) += ve` into a
+    /// single-vector DA.
+    pub fn accumulate_elem(&mut self, local_nodes: &[u32], ve: &[f64]) {
+        let ndof = self.ndof;
+        debug_assert_eq!((self.nvec, ve.len()), (1, local_nodes.len() * ndof));
+        for (m, &l) in local_nodes.iter().enumerate() {
+            let dst = l as usize * ndof;
+            for c in 0..ndof {
+                self.data[dst + c] += ve[m * ndof + c];
+            }
+        }
+    }
+
+    /// Pre-ghost node count.
+    pub fn n_pre(&self) -> usize {
+        self.n_pre
     }
 }
 
@@ -253,6 +167,8 @@ mod tests {
         assert_eq!(da.owned(), &[1.0, 2.0, 3.0, 4.0]);
         // Pre-ghost region untouched.
         assert_eq!(&da.data[..2], &[0.0, 0.0]);
+        da.fill_zero();
+        assert!(da.data.iter().all(|&v| v == 0.0));
     }
 
     #[test]
@@ -270,28 +186,17 @@ mod tests {
     }
 
     #[test]
-    fn zero_ghosts_preserves_owned() {
-        let maps = two_ghost_maps();
-        let mut da = DistArray::new(&maps, 1);
-        da.data.copy_from_slice(&[1.0, 2.0, 3.0, 4.0]);
-        da.zero_ghosts();
-        assert_eq!(da.data, vec![0.0, 2.0, 3.0, 0.0]);
-        da.fill_zero();
-        assert!(da.data.iter().all(|&v| v == 0.0));
-    }
-
-    #[test]
     fn multivector_da_owned_round_trip() {
         let maps = two_ghost_maps();
         // 2 owned nodes × 2 dofs × 3 columns.
-        let mut mda = DistMultivector::new(&maps, 2, 3);
+        let mut mda = DistArray::new_mv(&maps, 2, 3);
         assert_eq!(mda.data.len(), 4 * 2 * 3);
         let x = Multivector::from_columns(&[
             vec![1.0, 2.0, 3.0, 4.0],
             vec![5.0, 6.0, 7.0, 8.0],
             vec![9.0, 10.0, 11.0, 12.0],
         ]);
-        mda.set_owned(&x);
+        mda.set_owned_mv(&x);
         // Owned dof 0 (node 1 in DA order) holds its 3 column values
         // contiguously.
         let base = mda.n_pre() * 2 * 3;
@@ -305,7 +210,7 @@ mod tests {
 
     /// Column-outer transposes (one strided access per element, column by
     /// column): the bitwise references.
-    fn set_owned_reference(da: &mut DistMultivector, x: &Multivector) {
+    fn set_owned_reference(da: &mut DistArray, x: &Multivector) {
         let base = da.n_pre * da.ndof;
         for c in 0..da.nvec {
             for (i, &v) in x.col(c).iter().enumerate() {
@@ -314,7 +219,7 @@ mod tests {
         }
     }
 
-    fn copy_owned_to_reference(da: &DistMultivector, y: &mut Multivector) {
+    fn copy_owned_to_reference(da: &DistArray, y: &mut Multivector) {
         let base = da.n_pre * da.ndof;
         for c in 0..da.nvec {
             for (i, v) in y.col_mut(c).iter_mut().enumerate() {
@@ -336,11 +241,11 @@ mod tests {
                 .map(|c| (0..n).map(|i| (c * 31 + i) as f64 * 0.37 - 1.0).collect())
                 .collect();
             let x = Multivector::from_columns(&cols);
-            let mut got = DistMultivector::new(&maps, ndof, nvec);
+            let mut got = DistArray::new_mv(&maps, ndof, nvec);
             let mut want = got.clone();
             got.data.iter_mut().for_each(|v| *v = -2.5);
             want.data.iter_mut().for_each(|v| *v = -2.5);
-            got.set_owned(&x);
+            got.set_owned_mv(&x);
             set_owned_reference(&mut want, &x);
             assert!(got.n_pre() > 0);
             let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();

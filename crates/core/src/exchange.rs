@@ -10,11 +10,17 @@
 //! Both maps are built once during setup from `E2G` and the owned ranges;
 //! the exchange operations are non-blocking (`*_begin` / `*_end`) so
 //! Algorithm 2 can overlap them with the independent-element EMVs.
+//!
+//! The four phases move whole DA rows of `ndof · nvec` values: a ghost
+//! fragment's columns are contiguous in a multi-column [`DistArray`], so
+//! every neighbour gets exactly ONE envelope per (neighbour, tag) per
+//! apply whatever the width — the message count does not grow with
+//! `nvec`, only the payload.
 
 use hymv_comm::{Comm, Payload};
 use hymv_trace::Phase;
 
-use crate::da::{DistArray, DistMultivector};
+use crate::da::DistArray;
 use crate::maps::HymvMaps;
 
 /// Tag of the one-shot LNSM construction exchange (setup only).
@@ -164,95 +170,10 @@ impl GhostExchange {
     /// Per-SPMV traffic rides the sequence-numbered, checksummed envelope
     /// so an active fault plan can be healed by the recovery protocol.
     pub fn scatter_begin(&self, comm: &mut Comm, da: &DistArray) {
-        let ndof = da.ndof;
+        let stride = da.stride();
         comm.traced(Phase::ScatterPost, |comm| {
             // Packing is interleaved with the sends, so the whole block is
             // charged as measured compute (`work_with`).
-            comm.work_with(|comm| {
-                for (rank, locals) in &self.send_plan {
-                    let mut vals = Vec::with_capacity(locals.len() * ndof);
-                    for &l in locals {
-                        let base = l as usize * ndof;
-                        vals.extend_from_slice(&da.data[base..base + ndof]);
-                    }
-                    if self.raw_transport {
-                        comm.isend(*rank, TAG_SCATTER, Payload::from_f64(vals));
-                    } else {
-                        comm.send_enveloped(*rank, TAG_SCATTER, &vals);
-                    }
-                }
-            });
-        });
-    }
-
-    /// `local_node_scatter_end`: receive ghost values into the DA.
-    pub fn scatter_end(&self, comm: &mut Comm, da: &mut DistArray) {
-        let ndof = da.ndof;
-        comm.traced(Phase::ScatterWait, |comm| {
-            for (rank, range) in &self.recv_plan {
-                let vals = if self.raw_transport {
-                    comm.recv(*rank, TAG_SCATTER).into_f64()
-                } else {
-                    comm.recv_enveloped(*rank, TAG_SCATTER)
-                };
-                debug_assert_eq!(vals.len(), range.len() * ndof);
-                da.data[range.start * ndof..range.end * ndof].copy_from_slice(&vals);
-            }
-        });
-    }
-
-    /// `ghost_node_gather_begin`: ship accumulated ghost contributions back
-    /// to their owners.
-    pub fn gather_begin(&self, comm: &mut Comm, da: &DistArray) {
-        let ndof = da.ndof;
-        comm.traced(Phase::GatherPost, |comm| {
-            for (rank, range) in &self.recv_plan {
-                let vals = &da.data[range.start * ndof..range.end * ndof];
-                if self.raw_transport {
-                    comm.isend(*rank, TAG_GATHER, Payload::from_f64(vals.to_vec()));
-                } else {
-                    comm.send_enveloped(*rank, TAG_GATHER, vals);
-                }
-            }
-        });
-    }
-
-    /// `ghost_node_gather_end`: accumulate neighbours' contributions into
-    /// our owned values.
-    pub fn gather_end(&self, comm: &mut Comm, da: &mut DistArray) {
-        let ndof = da.ndof;
-        comm.traced(Phase::GatherAccum, |comm| {
-            for (rank, locals) in &self.send_plan {
-                let vals = if self.raw_transport {
-                    comm.recv(*rank, TAG_GATHER).into_f64()
-                } else {
-                    comm.recv_enveloped(*rank, TAG_GATHER)
-                };
-                debug_assert_eq!(vals.len(), locals.len() * ndof);
-                comm.work_with(|_| {
-                    for (m, &l) in locals.iter().enumerate() {
-                        let base = l as usize * ndof;
-                        for c in 0..ndof {
-                            da.data[base + c] += vals[m * ndof + c];
-                        }
-                    }
-                });
-            }
-        });
-    }
-    // ------------------------------------------------- multivector path
-    //
-    // The mv exchange reuses the same tags, phases, and plan as the
-    // single-vector one; a ghost fragment's `nvec` column values are
-    // contiguous in the [`DistMultivector`] layout, so every neighbour
-    // still gets exactly ONE envelope per (neighbor, tag) per SpMM —
-    // the message count does not grow with `nvec`, only the payload.
-
-    /// Multivector `local_node_scatter_begin`: one coalesced envelope per
-    /// neighbour carrying all `nvec` columns of every scattered node.
-    pub fn scatter_mv_begin(&self, comm: &mut Comm, da: &DistMultivector) {
-        let stride = da.ndof * da.nvec;
-        comm.traced(Phase::ScatterPost, |comm| {
             comm.work_with(|comm| {
                 for (rank, locals) in &self.send_plan {
                     let mut vals = Vec::with_capacity(locals.len() * stride);
@@ -270,10 +191,9 @@ impl GhostExchange {
         });
     }
 
-    /// Multivector `local_node_scatter_end`: unpack each neighbour's
-    /// single envelope straight into the contiguous ghost ranges.
-    pub fn scatter_mv_end(&self, comm: &mut Comm, da: &mut DistMultivector) {
-        let stride = da.ndof * da.nvec;
+    /// `local_node_scatter_end`: receive ghost values into the DA.
+    pub fn scatter_end(&self, comm: &mut Comm, da: &mut DistArray) {
+        let stride = da.stride();
         comm.traced(Phase::ScatterWait, |comm| {
             for (rank, range) in &self.recv_plan {
                 let vals = if self.raw_transport {
@@ -287,10 +207,10 @@ impl GhostExchange {
         });
     }
 
-    /// Multivector `ghost_node_gather_begin`: ship all columns of the
-    /// accumulated ghost contributions back in one envelope per owner.
-    pub fn gather_mv_begin(&self, comm: &mut Comm, da: &DistMultivector) {
-        let stride = da.ndof * da.nvec;
+    /// `ghost_node_gather_begin`: ship accumulated ghost contributions back
+    /// to their owners.
+    pub fn gather_begin(&self, comm: &mut Comm, da: &DistArray) {
+        let stride = da.stride();
         comm.traced(Phase::GatherPost, |comm| {
             for (rank, range) in &self.recv_plan {
                 let vals = &da.data[range.start * stride..range.end * stride];
@@ -303,13 +223,12 @@ impl GhostExchange {
         });
     }
 
-    /// Multivector `ghost_node_gather_end`: accumulate neighbours'
-    /// contributions into our owned values, every column at once. Per
-    /// dof the accumulation visits neighbours in the same plan order as
-    /// the single-vector gather, keeping each column's bits identical to
-    /// `nvec` sequential exchanges.
-    pub fn gather_mv_end(&self, comm: &mut Comm, da: &mut DistMultivector) {
-        let stride = da.ndof * da.nvec;
+    /// `ghost_node_gather_end`: accumulate neighbours' contributions into
+    /// our owned values. Per dof the accumulation visits neighbours in plan
+    /// order, whatever the width, so each column of a multi-column DA gets
+    /// the bits of its own single-vector exchange.
+    pub fn gather_end(&self, comm: &mut Comm, da: &mut DistArray) {
+        let stride = da.stride();
         comm.traced(Phase::GatherAccum, |comm| {
             for (rank, locals) in &self.send_plan {
                 let vals = if self.raw_transport {
@@ -480,10 +399,10 @@ mod tests {
         }
     }
 
-    /// The coalesced multivector exchange moves exactly the bits of
-    /// `nvec` sequential single-vector exchanges — scatter delivers every
-    /// column's owner values, gather accumulates every column in the
-    /// same neighbour order.
+    /// One exchange round on an `nvec = 3` DA moves exactly the bits of
+    /// three rounds on `nvec = 1` DAs — scatter delivers every column's
+    /// owner values, gather accumulates every column in the same
+    /// neighbour order.
     #[test]
     fn mv_exchange_matches_sequential_columns() {
         let mesh = StructuredHexMesh::unit(4, ElementType::Hex8).build();
@@ -514,18 +433,18 @@ mod tests {
                 ex.gather_end(comm, &mut da);
                 refs.push(da);
             }
-            // One coalesced multivector round.
-            let mut mda = DistMultivector::new(&maps, ndof, nvec);
+            // One round on the three-column DA.
+            let mut mda = DistArray::new_mv(&maps, ndof, nvec);
             for c in 0..nvec {
                 let da = fill(c);
                 for (i, &v) in da.data.iter().enumerate() {
                     mda.data[i * nvec + c] = v;
                 }
             }
-            ex.scatter_mv_begin(comm, &mda);
-            ex.scatter_mv_end(comm, &mut mda);
-            ex.gather_mv_begin(comm, &mda);
-            ex.gather_mv_end(comm, &mut mda);
+            ex.scatter_begin(comm, &mda);
+            ex.scatter_end(comm, &mut mda);
+            ex.gather_begin(comm, &mda);
+            ex.gather_end(comm, &mut mda);
             (0..nvec).all(|c| {
                 refs[c]
                     .data

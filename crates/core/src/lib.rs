@@ -13,10 +13,12 @@
 //! * [`exchange`] — the communication maps `LNSM` and `GNGM` and the
 //!   non-blocking ghost scatter / ghost-accumulate they drive;
 //! * [`da`] — the distributed array (`[pre-ghost | owned | post-ghost]`
-//!   layout of Fig 2);
+//!   layout of Fig 2), one or `nvec` columns wide;
+//! * `schedule` — Algorithm 2 written once, generic over the element
+//!   source and the overlap policy; every CPU operator applies through it;
 //! * [`operator`] — [`HymvOperator`]: setup (element-matrix computation +
-//!   local copy — **no global assembly**), the SPMV of Algorithm 2, and the
-//!   adaptive per-element update path;
+//!   local copy — **no global assembly**), its SPMV and SpMM over the
+//!   stored slabs, and the adaptive per-element update path;
 //! * [`hybrid`] — the shared-memory ("OpenMP") parallel modes of the local
 //!   elemental loop, and the per-element reference loop tests compare
 //!   against;
@@ -25,8 +27,8 @@
 //!   gather/scatter tables, evaluated by the batch-vectorized EMV kernels
 //!   (the CPU SPMV path at every `B`; block coloring or chunk-private
 //!   accumulation when threaded);
-//! * [`matfree`] — the matrix-free baseline (Algorithm 4: recompute `Ke`
-//!   inside every SPMV);
+//! * [`matfree`] — the matrix-free baseline (Algorithm 4: the same
+//!   schedule, recomputing `Ke` inside every SPMV);
 //! * [`assembled`] — the matrix-assembled baseline (PETSc-style
 //!   triple-routed global assembly into a distributed CSR);
 //! * [`dirichlet_op`] — the Dirichlet wrapper applied identically around
@@ -50,6 +52,7 @@ pub mod hybrid;
 pub mod maps;
 pub mod matfree;
 pub mod operator;
+mod schedule;
 pub mod system;
 
 pub use assembled::AssembledOperator;
@@ -57,7 +60,7 @@ pub use block::{
     nvec_width_from_env, parse_batch_width, parse_nvec_width, BlockPlan, BlockSet,
     DEFAULT_BATCH_WIDTH, DEFAULT_NVEC_WIDTH, NVEC_ENV,
 };
-pub use da::{DistArray, DistMultivector};
+pub use da::DistArray;
 pub use dirichlet_op::DirichletOp;
 pub use exchange::GhostExchange;
 pub use hybrid::ParallelMode;

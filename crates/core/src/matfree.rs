@@ -1,5 +1,5 @@
-//! The matrix-free baseline (paper Algorithm 4): identical communication
-//! structure to HYMV, but element matrices are **recomputed inside every
+//! The matrix-free baseline (paper Algorithm 4): HYMV's one schedule with
+//! another element source — element matrices are **recomputed inside every
 //! SPMV** instead of loaded from memory.
 
 use std::sync::Arc;
@@ -15,18 +15,26 @@ use crate::block::{BlockPlan, DEFAULT_BATCH_WIDTH};
 use crate::da::DistArray;
 use crate::exchange::GhostExchange;
 use crate::maps::HymvMaps;
+use crate::schedule::{apply, ElementSource, Overlap};
 
 /// The matrix-free operator.
 pub struct MatFreeOperator {
     maps: HymvMaps,
     exchange: GhostExchange,
+    ndof: usize,
+    u: DistArray,
+    v: DistArray,
+    src: Recompute,
+}
+
+/// The matrix-free element source: `Ke` recomputed block by block into
+/// scratch, then run through HYMV's batched engine.
+struct Recompute {
     kernel: Arc<dyn ElementKernel>,
     /// Per-element nodal coordinates (the mesh data the recomputation
     /// needs), flat `n_elems × npe`.
     elem_coords: Vec<[f64; 3]>,
-    ndof: usize,
-    u: DistArray,
-    v: DistArray,
+    npe: usize,
     /// Block tables shared with HYMV's batched engine (matrices are still
     /// recomputed per apply — the slabs stay in [`Self::keb`] scratch).
     plan: BlockPlan,
@@ -60,14 +68,10 @@ impl MatFreeOperator {
             comm.work_with(|_| BlockPlan::build(&maps, ndof, bw))
         });
         setup_span.close(comm.vt());
-        MatFreeOperator {
-            maps,
-            exchange,
+        let src = Recompute {
             kernel,
             elem_coords: part.elem_coords.clone(),
-            ndof,
-            u,
-            v,
+            npe: maps.npe,
             plan,
             batch_kernel: select_batch_kernel(bw),
             ke: vec![0.0; nd * nd],
@@ -75,25 +79,42 @@ impl MatFreeOperator {
             ue: vec![0.0; nd * bw],
             ve: vec![0.0; nd * bw],
             scratch: KernelScratch::default(),
+        };
+        MatFreeOperator {
+            maps,
+            exchange,
+            ndof,
+            u,
+            v,
+            src,
         }
     }
 
-    /// The maps (tests, diagnostics).
-    pub fn maps(&self) -> &HymvMaps {
-        &self.maps
+    /// Algorithm 4: matrix-free SPMV — Algorithm 2's schedule, overlap
+    /// policy and degraded-channel fallback included, over recomputed
+    /// element matrices.
+    pub fn matvec(&mut self, comm: &mut Comm, x: &[f64], y: &mut [f64]) {
+        self.u.set_owned(x);
+        let flops = self.flops_per_apply();
+        let (src, u, v) = (&mut self.src, &mut self.u, &mut self.v);
+        apply(comm, &self.exchange, Overlap::Overlapped, src, u, v, flops);
+        y.copy_from_slice(self.v.owned());
     }
+}
 
-    /// Current batch width.
-    pub fn batch_width(&self) -> usize {
-        self.plan.batch_width()
-    }
-
-    fn run_subset(&mut self, comm: &mut Comm, dependent: bool) {
-        let npe = self.maps.npe;
+impl ElementSource for Recompute {
+    fn run_element_set(
+        &mut self,
+        comm: &mut Comm,
+        dependent: bool,
+        u: &DistArray,
+        v: &mut DistArray,
+    ) {
+        let npe = self.npe;
         let (nd, bw) = (self.plan.nd(), self.plan.batch_width());
         let set = self.plan.set(dependent);
         let batch_kernel = self.batch_kernel;
-        let (kernel, coords, u, v) = (&*self.kernel, &self.elem_coords, &self.u, &mut self.v);
+        let (kernel, coords) = (&*self.kernel, &self.elem_coords);
         let (ke, keb, ue, ve, scratch) = (
             &mut self.ke,
             &mut self.keb,
@@ -120,47 +141,6 @@ impl MatFreeOperator {
             }
         });
     }
-
-    /// Bench/ablation hook: bypass the envelope wire format on the
-    /// per-SPMV scatter/gather (see [`GhostExchange::set_raw_transport`]).
-    pub fn set_raw_exchange(&mut self, raw: bool) {
-        self.exchange.set_raw_transport(raw);
-    }
-
-    /// Algorithm 4: matrix-free SPMV (with the same overlap structure as
-    /// Algorithm 2). Like [`HymvOperator::matvec`] it degrades to the
-    /// blocking schedule once the reliable channel reports persistent
-    /// timeouts.
-    pub fn matvec(&mut self, comm: &mut Comm, x: &[f64], y: &mut [f64]) {
-        if comm.degraded() {
-            return self.matvec_blocking(comm, x, y);
-        }
-        self.v.fill_zero();
-        self.u.set_owned(x);
-        self.exchange.scatter_begin(comm, &self.u);
-        comm.traced(Phase::IndepEmv, |comm| self.run_subset(comm, false));
-        self.exchange.scatter_end(comm, &mut self.u);
-        comm.traced(Phase::DepEmv, |comm| self.run_subset(comm, true));
-        self.exchange.gather_begin(comm, &self.v);
-        self.exchange.gather_end(comm, &mut self.v);
-        hymv_trace::counter_add("hymv_emv_flops_total", &[], self.flops_per_apply());
-        y.copy_from_slice(self.v.owned());
-    }
-
-    /// Non-overlapped matrix-free SPMV: blocking exchange up front, then
-    /// all elements (ablation counterpart / degraded-mode schedule).
-    pub fn matvec_blocking(&mut self, comm: &mut Comm, x: &[f64], y: &mut [f64]) {
-        self.v.fill_zero();
-        self.u.set_owned(x);
-        self.exchange.scatter_begin(comm, &self.u);
-        self.exchange.scatter_end(comm, &mut self.u);
-        comm.traced(Phase::IndepEmv, |comm| self.run_subset(comm, false));
-        comm.traced(Phase::DepEmv, |comm| self.run_subset(comm, true));
-        self.exchange.gather_begin(comm, &self.v);
-        self.exchange.gather_end(comm, &mut self.v);
-        hymv_trace::counter_add("hymv_emv_flops_total", &[], self.flops_per_apply());
-        y.copy_from_slice(self.v.owned());
-    }
 }
 
 impl LinOp for MatFreeOperator {
@@ -173,17 +153,18 @@ impl LinOp for MatFreeOperator {
     }
 
     fn flops_per_apply(&self) -> u64 {
-        let nd = self.kernel.ndof_elem();
+        let src = &self.src;
+        let nd = src.kernel.ndof_elem();
         // Ke recomputation runs per live element; the EMV part executes
         // padded tail lanes too.
-        let ke = self.maps.n_elems as u64 * self.kernel.ke_flops();
-        let emv = self.plan.n_blocks_total() as u64 * emv_batch_flops(nd, self.plan.batch_width());
+        let ke = self.maps.n_elems as u64 * src.kernel.ke_flops();
+        let emv = src.plan.n_blocks_total() as u64 * emv_batch_flops(nd, src.plan.batch_width());
         ke + emv
     }
 
     fn storage_bytes(&self) -> usize {
         // Only the mesh coordinates — the matrix-free advantage.
-        self.elem_coords.len() * 24
+        self.src.elem_coords.len() * 24
     }
 }
 
@@ -238,6 +219,66 @@ mod tests {
             });
             assert!(ok.iter().all(|&b| b), "{:?}", mesh.elem_type);
         }
+    }
+
+    /// The matrix-free apply notes every exchange outcome, so a degraded
+    /// rank re-arms: under seeded drops with `degrade_after: 1,
+    /// rearm_after: 1`, every apply that met no timeout leaves its rank
+    /// overlapped again, and every apply equals the fault-free one bitwise.
+    #[test]
+    fn matfree_rearms_after_a_timeout_free_apply() {
+        use hymv_comm::{AuditMode, CostModel, FaultPlan, RetryPolicy, RunConfig};
+        let mesh = StructuredHexMesh::unit(3, ElementType::Hex8).build();
+        let pm = partition_mesh(&mesh, 2, PartitionMethod::Slabs);
+        let cfg = |fault: Option<FaultPlan>| RunConfig {
+            model: CostModel::default(),
+            perturb_seed: None,
+            audit: AuditMode::Disabled,
+            fault,
+            retry: RetryPolicy {
+                degrade_after: 1,
+                rearm_after: 1,
+                ..RetryPolicy::default()
+            },
+            trace: false,
+        };
+        // Per apply: (result bits, timeouts seen, degraded afterwards).
+        let program = |comm: &mut Comm| {
+            let kernel: Arc<dyn ElementKernel> = Arc::new(PoissonKernel::new(ElementType::Hex8));
+            let mut mf = MatFreeOperator::setup(comm, &pm.parts[comm.rank()], kernel);
+            let x: Vec<f64> = (0..mf.n_owned()).map(|i| (i as f64 * 0.4).cos()).collect();
+            let mut y = vec![0.0; mf.n_owned()];
+            (0..16)
+                .map(|_| {
+                    let t0 = comm.stats().timeouts;
+                    mf.matvec(comm, &x, &mut y);
+                    let bits: Vec<u64> = y.iter().map(|v| v.to_bits()).collect();
+                    let out = (bits, comm.stats().timeouts - t0, comm.degraded());
+                    // A rank that is done may not leave while its peer can
+                    // still need one of its envelopes resent.
+                    comm.barrier();
+                    out
+                })
+                .collect::<Vec<_>>()
+        };
+        let (clean, _) = Universe::run_configured(cfg(None), 2, program);
+        let plan = FaultPlan::new(3).with_drop(0.2);
+        let (faulted, _) = Universe::run_chaos(cfg(Some(plan)), 2, program);
+        let mut rearms = 0;
+        for (rank, res) in faulted.into_iter().enumerate() {
+            let applies = res.expect("drops heal within the retry budget");
+            for (k, (bits, timeouts, degraded)) in applies.iter().enumerate() {
+                assert!(
+                    bits == &clean[rank][k].0,
+                    "rank {rank} apply {k}: bits differ"
+                );
+                if *timeouts == 0 {
+                    assert!(!degraded, "rank {rank} apply {k}: still degraded");
+                    rearms += usize::from(k > 0 && applies[k - 1].2);
+                }
+            }
+        }
+        assert!(rearms > 0, "no rank degraded and then re-armed");
     }
 
     #[test]

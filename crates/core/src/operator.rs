@@ -3,18 +3,18 @@
 use hymv_comm::Comm;
 use hymv_fem::kernel::{ElementKernel, KernelScratch};
 use hymv_la::dense::{
-    emv_batch_flops, select_batch_kernel, select_batch_mv_kernel, EmvBatchKernel, EmvBatchMvKernel,
-    MAX_BATCH_WIDTH,
+    emv_batch_flops, select_batch_kernel, select_batch_mv_kernel, EmvBatchKernel, MAX_BATCH_WIDTH,
 };
 use hymv_la::{ElementMatrixStore, LinOp, MultiLinOp, Multivector};
 use hymv_mesh::MeshPartition;
 use hymv_trace::Phase;
 
 use crate::block::{BlockPlan, DEFAULT_BATCH_WIDTH};
-use crate::da::{DistArray, DistMultivector};
+use crate::da::DistArray;
 use crate::exchange::GhostExchange;
 use crate::hybrid::ParallelMode;
 use crate::maps::HymvMaps;
+use crate::schedule::{apply, ElementSource, Overlap};
 
 /// Setup cost breakdown, matching the stacked bars of Figs 5 and 7:
 /// element-matrix computation vs everything HYMV adds on top (map builds,
@@ -50,8 +50,6 @@ pub struct HymvOperator {
     exchange: GhostExchange,
     store: ElementMatrixStore,
     ndof: usize,
-    u: DistArray,
-    v: DistArray,
     mode: ParallelMode,
     /// Block color classes for the independent / dependent sets (built
     /// lazily when a colored mode is selected).
@@ -63,23 +61,72 @@ pub struct HymvOperator {
     /// Elements whose stored matrix changed since the plan's slabs were
     /// last refreshed (`ke_mut` / `update_elements`).
     dirty: Vec<u32>,
-    /// Serial scratch (`nd × bw` panels).
-    ue: Vec<f64>,
-    ve: Vec<f64>,
-    /// Multivector workspace, built lazily on the first `matvec_mv` and
-    /// rebuilt when the requested `nvec` changes.
-    mv_ws: Option<MvWorkspace>,
+    /// The SPMV's DAs and panels (`nvec = 1`).
+    ws: Workspace,
+    /// The SpMM's, built lazily on the first `matvec_mv` and rebuilt when
+    /// the requested `nvec` changes.
+    mv_ws: Option<Workspace>,
 }
 
-/// Cached state of the SpMM path for one multivector width.
-struct MvWorkspace {
-    nvec: usize,
-    kernel: EmvBatchMvKernel,
-    u: DistMultivector,
-    v: DistMultivector,
-    /// `nd × bw × nvec` panel scratch.
+/// The DAs and `nd × bw × nvec` panel scratch of one apply width.
+struct Workspace {
+    u: DistArray,
+    v: DistArray,
     ue: Vec<f64>,
     ve: Vec<f64>,
+}
+
+impl Workspace {
+    fn new(maps: &HymvMaps, plan: &BlockPlan, ndof: usize, nvec: usize) -> Self {
+        let pl = plan.nd() * plan.batch_width() * nvec;
+        Workspace {
+            u: DistArray::new_mv(maps, ndof, nvec),
+            v: DistArray::new_mv(maps, ndof, nvec),
+            ue: vec![0.0; pl],
+            ve: vec![0.0; pl],
+        }
+    }
+}
+
+/// HYMV's element source: the block plan's stored slabs.
+struct StoredSlabs<'a> {
+    plan: &'a BlockPlan,
+    mode: ParallelMode,
+    colors: Option<&'a (Vec<Vec<u32>>, Vec<Vec<u32>>)>,
+    kernel: EmvBatchKernel,
+    ue: &'a mut [f64],
+    ve: &'a mut [f64],
+}
+
+impl ElementSource for StoredSlabs<'_> {
+    /// One blocked EMV loop over a subset: the parallel mode's loop for a
+    /// single vector, the serial SpMM loop for a multivector.
+    fn run_element_set(
+        &mut self,
+        comm: &mut Comm,
+        dependent: bool,
+        u: &DistArray,
+        v: &mut DistArray,
+    ) {
+        let (plan, kernel, ue, ve) = (self.plan, self.kernel, &mut *self.ue, &mut *self.ve);
+        if u.nvec > 1 {
+            let mv_kernel = select_batch_mv_kernel(u.nvec);
+            return comm.work(|| plan.run_serial_mv(dependent, u, v, mv_kernel, ue, ve));
+        }
+        match self.mode {
+            ParallelMode::Serial => comm.work(|| plan.run_serial(dependent, u, v, kernel, ue, ve)),
+            ParallelMode::Colored { threads } => {
+                let (indep, dep) = self.colors.expect("set_parallel_mode built colors");
+                let classes = if dependent { dep } else { indep };
+                comm.work_smp(threads, || {
+                    plan.run_colored(dependent, classes, u, v, kernel)
+                });
+            }
+            ParallelMode::ChunkPrivate { threads } => {
+                comm.work_smp(threads, || plan.run_chunk_private(dependent, u, v, kernel));
+            }
+        }
+    }
 }
 
 impl HymvOperator {
@@ -124,22 +171,18 @@ impl HymvOperator {
         (t.emat_compute_s, t.local_copy_s) =
             recompute_elements(comm, part, kernel, &mut store, &mut plan, 0..maps.n_elems);
 
-        let u = DistArray::new(&maps, ndof);
-        let v = DistArray::new(&maps, ndof);
+        let ws = Workspace::new(&maps, &plan, ndof, 1);
         let op = HymvOperator {
             maps,
             exchange,
             store,
             ndof,
-            u,
-            v,
             mode: ParallelMode::Serial,
             colors: None,
             plan,
             batch_kernel: select_batch_kernel(bw),
             dirty: Vec::new(),
-            ue: vec![0.0; nd * bw],
-            ve: vec![0.0; nd * bw],
+            ws,
             mv_ws: None,
         };
         setup_span.close(comm.vt());
@@ -179,9 +222,7 @@ impl HymvOperator {
         self.plan.attach_store(&self.store);
         self.batch_kernel = select_batch_kernel(bw);
         self.dirty.clear();
-        let nd = self.store.nd();
-        self.ue = vec![0.0; nd * bw];
-        self.ve = vec![0.0; nd * bw];
+        self.ws = Workspace::new(&self.maps, &self.plan, self.ndof, 1);
         self.mv_ws = None;
         self.colors = None;
         self.set_parallel_mode(self.mode);
@@ -331,154 +372,73 @@ impl HymvOperator {
         (self.maps, self.exchange, self.store, self.plan, self.ndof)
     }
 
-    /// One blocked EMV loop over a subset, honoring the parallel mode.
-    fn run_subset(&mut self, comm: &mut Comm, dependent: bool) {
-        let (plan, kernel) = (&self.plan, self.batch_kernel);
-        let (u, v) = (&self.u, &mut self.v);
-        match self.mode {
-            ParallelMode::Serial => {
-                let (ue, ve) = (&mut self.ue, &mut self.ve);
-                comm.work(|| plan.run_serial(dependent, u, v, kernel, ue, ve));
-            }
-            ParallelMode::Colored { threads } => {
-                let (indep, dep) = self
-                    .colors
-                    .as_ref()
-                    .expect("set_parallel_mode built colors");
-                let classes = if dependent { dep } else { indep };
-                comm.work_smp(threads, || {
-                    plan.run_colored(dependent, classes, u, v, kernel)
-                });
-            }
-            ParallelMode::ChunkPrivate { threads } => {
-                comm.work_smp(threads, || plan.run_chunk_private(dependent, u, v, kernel));
-            }
-        }
-    }
-
-    /// Algorithm 2: the HYMV SPMV.
-    ///
-    /// When the reliable channel has degraded (persistent timeouts under
-    /// an active fault plan), the overlapped schedule gives way to the
-    /// blocking exchange: with a flaky link, compute/communication overlap
-    /// only widens the window in which retransmissions interleave with
-    /// useful work, so the conservative schedule is the robust one.
+    /// Algorithm 2: the HYMV SPMV. Overlapped, unless the reliable channel
+    /// has degraded (persistent timeouts under an active fault plan) —
+    /// then blocking, with the same envelopes.
     pub fn matvec(&mut self, comm: &mut Comm, x: &[f64], y: &mut [f64]) {
-        if comm.degraded() {
-            return self.matvec_blocking(comm, x, y);
-        }
-        self.flush_updates(comm);
-        // v ← 0; u ← x with fresh ghosts.
-        self.v.fill_zero();
-        self.u.set_owned(x);
-
-        // local_node_scatter_begin(u)
-        self.exchange.scatter_begin(comm, &self.u);
-
-        // Independent elements overlap the scatter.
-        comm.traced(Phase::IndepEmv, |comm| self.run_subset(comm, false));
-
-        // local_node_scatter_end(u); then dependent elements.
-        self.exchange.scatter_end(comm, &mut self.u);
-        comm.traced(Phase::DepEmv, |comm| self.run_subset(comm, true));
-
-        // ghost_node_gather: accumulate ghost contributions to owners.
-        self.exchange.gather_begin(comm, &self.v);
-        self.exchange.gather_end(comm, &mut self.v);
-
-        hymv_trace::counter_add("hymv_emv_flops_total", &[], self.flops_per_apply());
-        y.copy_from_slice(self.v.owned());
-        comm.note_exchange_outcome();
+        self.matvec_with(comm, Overlap::Overlapped, x, y);
     }
 
     /// A deliberately non-overlapped SPMV (blocking exchange up front, then
     /// all elements) — the ablation counterpart of Algorithm 2.
     pub fn matvec_blocking(&mut self, comm: &mut Comm, x: &[f64], y: &mut [f64]) {
-        self.flush_updates(comm);
-        self.v.fill_zero();
-        self.u.set_owned(x);
-        self.exchange.scatter_begin(comm, &self.u);
-        self.exchange.scatter_end(comm, &mut self.u);
-        comm.traced(Phase::IndepEmv, |comm| self.run_subset(comm, false));
-        comm.traced(Phase::DepEmv, |comm| self.run_subset(comm, true));
-        self.exchange.gather_begin(comm, &self.v);
-        self.exchange.gather_end(comm, &mut self.v);
-        hymv_trace::counter_add("hymv_emv_flops_total", &[], self.flops_per_apply());
-        y.copy_from_slice(self.v.owned());
-        comm.note_exchange_outcome();
+        self.matvec_with(comm, Overlap::Blocking, x, y);
     }
 
-    /// Algorithm 2 over a whole multivector: the SpMM `V = K·U`.
-    ///
-    /// Same schedule as [`Self::matvec`] — overlapped scatter, the
-    /// independent/dependent split, gather-accumulate — but every `Ke`
-    /// slab is loaded once per block and reused across all `nvec`
-    /// columns, and the ghost exchange coalesces every column of a
-    /// fragment into one envelope per (neighbor, tag). Falls back to
-    /// `nvec` sequential [`Self::matvec`] calls on a degraded channel,
-    /// where the conservative schedule is the robust one.
+    fn matvec_with(&mut self, comm: &mut Comm, overlap: Overlap, x: &[f64], y: &mut [f64]) {
+        self.flush_updates(comm);
+        self.ws.u.set_owned(x);
+        self.apply_stored(comm, overlap, false);
+        y.copy_from_slice(self.ws.v.owned());
+    }
+
+    /// Algorithm 2 over a whole multivector: the SpMM `V = K·U`, on the
+    /// same schedule as [`Self::matvec`] with an `nvec`-column DA. Every
+    /// `Ke` slab is loaded once per block and reused across all `nvec`
+    /// columns, and the ghost exchange ships every column of a fragment in
+    /// one envelope per (neighbour, tag) — on a degraded channel too.
     pub fn matvec_mv(&mut self, comm: &mut Comm, x: &Multivector, y: &mut Multivector) {
         assert_eq!(x.nrows(), self.n_owned(), "input row mismatch");
         assert_eq!(y.nrows(), self.n_owned(), "output row mismatch");
         assert_eq!(x.nvec(), y.nvec(), "column-count mismatch");
         let nvec = x.nvec();
-        if comm.degraded() {
-            let mut yc = vec![0.0; self.n_owned()];
-            for c in 0..nvec {
-                self.matvec(comm, x.col(c), &mut yc);
-                y.col_mut(c).copy_from_slice(&yc);
-            }
-            return;
-        }
         self.flush_updates(comm);
-        let flops = self.flops_per_apply() * nvec as u64;
-        if self.mv_ws.as_ref().is_none_or(|ws| ws.nvec != nvec) {
-            let pl = self.plan.nd() * self.plan.batch_width() * nvec;
-            self.mv_ws = Some(MvWorkspace {
-                nvec,
-                kernel: select_batch_mv_kernel(nvec),
-                u: DistMultivector::new(&self.maps, self.ndof, nvec),
-                v: DistMultivector::new(&self.maps, self.ndof, nvec),
-                ue: vec![0.0; pl],
-                ve: vec![0.0; pl],
-            });
+        if self.mv_ws.as_ref().is_none_or(|ws| ws.u.nvec != nvec) {
+            self.mv_ws = Some(Workspace::new(&self.maps, &self.plan, self.ndof, nvec));
         }
-        let plan = &self.plan;
         let ws = self.mv_ws.as_mut().expect("built above");
-
-        // V ← 0; U ← X with fresh ghosts.
-        ws.v.fill_zero();
-        comm.work(|| ws.u.set_owned(x));
-
-        // local_node_scatter_begin(U): one coalesced envelope/neighbour.
-        self.exchange.scatter_mv_begin(comm, &ws.u);
-
-        // Independent elements overlap the scatter.
-        comm.traced(Phase::IndepEmv, |comm| {
-            comm.work(|| {
-                plan.run_serial_mv(
-                    false, &ws.u, &mut ws.v, ws.kernel, nvec, &mut ws.ue, &mut ws.ve,
-                )
-            })
-        });
-
-        // local_node_scatter_end(U); then dependent elements.
-        self.exchange.scatter_mv_end(comm, &mut ws.u);
-        comm.traced(Phase::DepEmv, |comm| {
-            comm.work(|| {
-                plan.run_serial_mv(
-                    true, &ws.u, &mut ws.v, ws.kernel, nvec, &mut ws.ue, &mut ws.ve,
-                )
-            })
-        });
-
-        // ghost_node_gather: every column accumulated in one envelope.
-        self.exchange.gather_mv_begin(comm, &ws.v);
-        self.exchange.gather_mv_end(comm, &mut ws.v);
-
-        hymv_trace::counter_add("hymv_emv_flops_total", &[], flops);
+        comm.work(|| ws.u.set_owned_mv(x));
+        self.apply_stored(comm, Overlap::Overlapped, true);
+        let ws = self.mv_ws.as_ref().expect("built above");
         comm.work(|| ws.v.copy_owned_to(y));
-        comm.note_exchange_outcome();
+    }
+
+    /// [`apply`] over the stored slabs, on the SpMM workspace or the SPMV's.
+    fn apply_stored(&mut self, comm: &mut Comm, overlap: Overlap, mv: bool) {
+        let flops = self.flops_per_apply();
+        let ws = if mv {
+            self.mv_ws.as_mut().expect("matvec_mv builds it")
+        } else {
+            &mut self.ws
+        };
+        let flops = flops * ws.u.nvec as u64;
+        let mut src = StoredSlabs {
+            plan: &self.plan,
+            mode: self.mode,
+            colors: self.colors.as_ref(),
+            kernel: self.batch_kernel,
+            ue: &mut ws.ue,
+            ve: &mut ws.ve,
+        };
+        apply(
+            comm,
+            &self.exchange,
+            overlap,
+            &mut src,
+            &mut ws.u,
+            &mut ws.v,
+            flops,
+        );
     }
 }
 
@@ -1057,6 +1017,70 @@ mod tests {
         });
         let (y, y_ref) = &out[0];
         assert_eq!(y, y_ref);
+    }
+
+    /// A degraded rank's SpMM still sends the one coalesced envelope per
+    /// (neighbour, tag) its healthy neighbour expects. Under seeded drops
+    /// with `degrade_after: 1` every lost envelope degrades its receiver
+    /// for good (`rearm_after: 0`), so the two ranks spend most applies in
+    /// different overlap policies; every rank must complete, and every
+    /// column must equal the fault-free SpMM bitwise.
+    #[test]
+    fn degraded_matvec_mv_keeps_the_wire_format() {
+        use hymv_comm::{AuditMode, CostModel, FaultPlan, RetryPolicy, RunConfig};
+        let mesh = StructuredHexMesh::unit(4, ElementType::Hex8).build();
+        let pm = partition_mesh(&mesh, 2, PartitionMethod::Slabs);
+        let cfg = |fault: Option<FaultPlan>| RunConfig {
+            model: CostModel::default(),
+            perturb_seed: None,
+            audit: AuditMode::Disabled,
+            fault,
+            retry: RetryPolicy {
+                degrade_after: 1,
+                rearm_after: 0,
+                ..RetryPolicy::default()
+            },
+            trace: false,
+        };
+        let program = |comm: &mut Comm| {
+            let kernel = PoissonKernel::new(ElementType::Hex8);
+            let (mut op, _) = HymvOperator::setup(comm, &pm.parts[comm.rank()], &kernel);
+            let n = op.n_owned();
+            let mut bits = Vec::new();
+            for nvec in [3usize, 4, 8] {
+                let cols: Vec<Vec<f64>> = (0..nvec)
+                    .map(|c| {
+                        (0..n)
+                            .map(|i| ((i * 7 + c * 5) % 13) as f64 - 6.0)
+                            .collect()
+                    })
+                    .collect();
+                let x = Multivector::from_columns(&cols);
+                let mut y = Multivector::new(n, nvec);
+                for _ in 0..4 {
+                    op.matvec_mv(comm, &x, &mut y);
+                    bits.extend(y.as_slice().iter().map(|v| v.to_bits()));
+                }
+            }
+            let degraded = comm.degraded();
+            // A rank that is done may not leave while its peer can still
+            // need one of its envelopes resent.
+            comm.barrier();
+            (bits, degraded)
+        };
+        let (clean, _) = Universe::run_configured(cfg(None), 2, program);
+        let plan = FaultPlan::new(0).with_drop(0.2);
+        let (faulted, _) = Universe::run_chaos(cfg(Some(plan)), 2, program);
+        let mut degraded = 0;
+        for (rank, res) in faulted.into_iter().enumerate() {
+            let (bits, was_degraded) = res.expect("drops heal within the retry budget");
+            assert!(
+                bits == clean[rank].0,
+                "rank {rank}: degraded SpMM bits differ"
+            );
+            degraded += usize::from(was_degraded);
+        }
+        assert!(degraded > 0, "the drop plan never degraded a rank");
     }
 
     #[test]

@@ -8,7 +8,7 @@ use std::path::Path;
 
 use hymv_verify::{
     analyze_effects, analyze_workspace_effects, certify_file, certify_source, check_slab_contract,
-    lint_source, CallGraph, LintDiag,
+    lint_source, CallGraph, LintDiag, Resolution,
 };
 
 fn analyze(src: &str) -> hymv_verify::EffectsReport {
@@ -67,6 +67,40 @@ fn effect_inference_catches_the_hidden_recv_with_its_call_chain() {
          window opened by `scatter_begin` at line 3: demo::drain_side -> \
          `recv` (crates/demo/src/demo.rs:1) — only computation may run \
          while the scatter is in flight"
+    );
+}
+
+// The same hidden receive one level further out: behind an element-source
+// trait method, called from a schedule generic over the source — the shape
+// of `hymv-core`'s one Algorithm-2 apply. The window holds only
+// `src.run_set(..)`; the name-based call graph resolves it to every impl of
+// the method, so the offending impl's receive is still found and named.
+const HIDDEN_RECV_IN_SOURCE: &str = "\
+trait Source { fn run_set(&mut self, comm: &mut Comm, dependent: bool); }
+struct Sneaky;
+impl Source for Sneaky {
+    fn run_set(&mut self, comm: &mut Comm, dependent: bool) { drain_side(comm); }
+}
+fn drain_side(comm: &mut Comm) -> Payload { comm.recv(0, TAG_SIDE) }
+fn apply<S: Source>(ex: &GhostExchange, comm: &mut Comm, u: &mut DistArray, src: &mut S) {
+    ex.scatter_begin(comm, u);
+    src.run_set(comm, false);
+    ex.scatter_end(comm, u);
+    src.run_set(comm, true);
+}
+";
+
+#[test]
+fn effect_inference_sees_through_the_element_source_trait() {
+    let r = analyze(HIDDEN_RECV_IN_SOURCE);
+    let d = only_rule(&r, "overlap-blocking-recv");
+    assert_eq!((d.file.as_str(), d.line), ("crates/demo/src/demo.rs", 9));
+    assert_eq!(
+        d.message,
+        "`run_set` reaches a blocking receive inside the scatter overlap \
+         window opened by `scatter_begin` at line 8: Sneaky::run_set -> \
+         demo::drain_side -> `recv` (crates/demo/src/demo.rs:6) — only \
+         computation may run while the scatter is in flight"
     );
 }
 
@@ -197,6 +231,44 @@ fn the_workspace_is_effect_clean() {
         report.stats.fns
     );
     assert!(report.stats.files > 30, "only {} files", report.stats.files);
+
+    // Algorithm 2 is written once: one scatter window in the core crate,
+    // in the generic apply, and the element-source call inside it resolves
+    // to both sources — so the window check covers HYMV and matrix-free,
+    // SPMV and SpMM alike.
+    let core_scatters: Vec<_> = graph
+        .fns
+        .iter()
+        .filter(|f| f.file.starts_with("crates/core/src/") && !f.file.ends_with("/exchange.rs"))
+        .flat_map(|f| f.calls.iter().map(move |c| (f, c)))
+        .filter(|(_, c)| c.name == "scatter_begin")
+        .collect();
+    assert_eq!(
+        core_scatters.len(),
+        1,
+        "scatter windows in core: {core_scatters:?}"
+    );
+    let (apply, begin) = core_scatters[0];
+    assert_eq!(apply.qual, "schedule::apply");
+    let source_call = apply
+        .calls
+        .iter()
+        .find(|c| c.name == "run_element_set" && c.offset > begin.offset)
+        .expect("the apply runs an element set inside its scatter window");
+    let Resolution::Candidates(ids) = graph.resolve(source_call) else {
+        panic!("the source call must resolve to workspace fns");
+    };
+    let mut impls: Vec<&str> = ids
+        .iter()
+        .map(|&i| &graph.fns[i])
+        .filter(|f| f.body.is_some())
+        .map(|f| f.qual.as_str())
+        .collect();
+    impls.sort_unstable();
+    assert_eq!(
+        impls,
+        ["Recompute::run_element_set", "StoredSlabs::run_element_set"]
+    );
 }
 
 #[test]
