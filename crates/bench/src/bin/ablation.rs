@@ -211,7 +211,7 @@ fn pipelined() {
             ratio(tc, tp),
         ]);
     }
-    rep.note("pipelined CG (Ghysels-Vanroose) posts one fused non-blocking reduction per iteration, hidden behind the preconditioner+SPMV; standard CG blocks on three reductions. Gain grows with latency (alpha=100us model here)");
+    rep.note("pipelined CG (Ghysels-Vanroose) posts one fused non-blocking reduction per iteration, hidden behind the preconditioner+SPMV; standard CG blocks on two (pᵀAp, then rᵀz fused with ‖r‖). Gain grows with latency (alpha=100us model here)");
     rep.note("iteration counts may differ by O(1): the methods are algebraically equivalent up to rounding");
     rep.finish();
 }

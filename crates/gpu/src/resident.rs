@@ -102,7 +102,7 @@ pub fn gpu_resident_cg(
     }
     blas.charge_kernel(comm, n as u64, 3 * n * 8, "residual");
 
-    let bnorm = blas.dot(comm, b, b).max(0.0).sqrt();
+    let bnorm = blas.dot(comm, b, b).sqrt();
     if bnorm == 0.0 {
         x.fill(0.0);
         return CgResult {
@@ -119,7 +119,7 @@ pub fn gpu_resident_cg(
     blas.charge_kernel(comm, 0, 2 * n * 8, "copy p");
     let mut ap = vec![0.0; n];
     let mut rz = blas.dot(comm, &r, &z);
-    let mut rnorm = blas.dot(comm, &r, &r).max(0.0).sqrt();
+    let mut rnorm = blas.dot(comm, &r, &r).sqrt();
     let mut history = vec![rnorm / bnorm];
 
     let mut iterations = 0;
@@ -135,7 +135,7 @@ pub fn gpu_resident_cg(
         let beta = rz_new / rz;
         rz = rz_new;
         blas.xpby(comm, &z, beta, &mut p);
-        rnorm = blas.dot(comm, &r, &r).max(0.0).sqrt();
+        rnorm = blas.dot(comm, &r, &r).sqrt();
         history.push(rnorm / bnorm);
         iterations += 1;
     }
@@ -265,5 +265,29 @@ mod tests {
             res.converged
         });
         assert!(out.iter().all(|&c| c));
+    }
+
+    /// A NaN operator must not read as converged: the residual norm is a
+    /// square root of a sum of squares, never clamped.
+    #[test]
+    fn nan_operator_does_not_report_convergence() {
+        struct NanOp;
+        impl LinOp for NanOp {
+            fn n_owned(&self) -> usize {
+                4
+            }
+            fn apply(&mut self, _comm: &mut Comm, _x: &[f64], y: &mut [f64]) {
+                y.fill(f64::NAN);
+            }
+        }
+        let out = Universe::run(1, |comm| {
+            let mut blas = DeviceBlas::new(crate::sim::DeviceSim::new(GpuModel::default(), 1));
+            let mut x = vec![0.0; 4];
+            gpu_resident_cg(
+                comm, &mut NanOp, &mut blas, &[1.0; 4], &[1.0; 4], &mut x, 1e-8, 10,
+            )
+        });
+        assert!(!out[0].converged, "{:?}", out[0]);
+        assert!(out[0].rel_residual.is_nan(), "{:?}", out[0]);
     }
 }

@@ -11,8 +11,11 @@
 //! (converged, duplicated, or linearly dependent columns) — classic
 //! block-CG breakdown.
 //!
-//! Breakdown and fault handling reuse the resilient-CG machinery and its
-//! budgets ([`RecoveryPolicy`], [`SolverFault`]):
+//! The recurrence, its recovery actions and the LFLR driver are the
+//! crate's one CG core, run here over a panel arithmetic; this module
+//! supplies that arithmetic's two kernels and the entry point. Breakdown
+//! and fault handling use the resilient-CG budgets ([`RecoveryPolicy`],
+//! [`SolverFault`]):
 //!
 //! * **rollback** — non-finite Gram entries or column norms (detected
 //!   through collective reductions, so every rank branches identically)
@@ -26,23 +29,24 @@
 //!   poisoned direction panel and re-derives it from the true residual;
 //! * **deflation fallback** — if the rank-zero collapse survives every
 //!   restart, the still-unconverged columns are finished one by one with
-//!   [`resilient_cg`], which cannot break down on rank (and reports a
-//!   typed fault if the operator itself is at fault).
+//!   the scalar recurrence under the same policy, which cannot break down
+//!   on rank (and reports a typed fault if the operator itself is at
+//!   fault).
 
-use hymv_comm::{catch_revoked, Comm};
+use hymv_comm::Comm;
 
 use crate::dense::on_widest_isa;
-use crate::mv::{column_norms, gram_sym, gram_sym_with_norms, MultiLinOp, Multivector};
+use crate::krylov::{self, Panel};
+use crate::mv::{MultiLinOp, Multivector};
 use crate::precond::Precond;
-use crate::resilient::{resilient_cg, RecoveryPolicy, SolverFault};
-use crate::solver::LinOp;
+use crate::resilient::{RecoveryPolicy, SolverFault};
 
 /// Relative pivot threshold below which a Gram matrix counts as
 /// numerically rank-deficient (block-CG breakdown).
 const BREAKDOWN_RTOL: f64 = 1e-12;
 
 /// Outcome of a block-CG solve.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct BlockCgResult {
     /// Block iterations performed (each applies the operator once to the
     /// whole panel).
@@ -73,7 +77,7 @@ pub struct BlockCgResult {
 /// benignly (columns that already converged contribute ~zero residual
 /// directions) and for genuinely dependent right-hand sides; `r == 0`
 /// means the Gram matrix carries no usable direction at all.
-fn solve_spd_rr(g: &[f64], s: usize, c: &[f64], m: usize) -> (usize, Vec<f64>) {
+pub(crate) fn solve_spd_rr(g: &[f64], s: usize, c: &[f64], m: usize) -> (usize, Vec<f64>) {
     debug_assert_eq!(g.len(), s * s);
     debug_assert_eq!(c.len(), s * m);
     // Work on a permuted copy: a[i + j*s] with rows/cols in pivot order.
@@ -158,7 +162,7 @@ const GEMM_ROW_BLOCK: usize = 256;
 
 /// `dst.col(j) += Σ_k m[k + j·s] · src.col(k)` — panel GEMM update. Every
 /// entry adds its terms in `k` order, skipping zero coefficients.
-fn gemm_acc(dst: &mut Multivector, src: &Multivector, m: &[f64], sign: f64) {
+pub(crate) fn gemm_acc(dst: &mut Multivector, src: &Multivector, m: &[f64], sign: f64) {
     let s = src.nvec();
     debug_assert_eq!(m.len(), s * dst.nvec());
     on_widest_isa(
@@ -182,66 +186,13 @@ fn gemm_acc(dst: &mut Multivector, src: &Multivector, m: &[f64], sign: f64) {
     );
 }
 
-/// Adapter: use a `MultiLinOp` where a plain `&mut dyn LinOp` is wanted
-/// (the deflation fallback; dyn upcasting needs a newer Rust).
-struct AsLinOp<'a>(&'a mut dyn MultiLinOp);
-
-impl LinOp for AsLinOp<'_> {
-    fn n_owned(&self) -> usize {
-        self.0.n_owned()
-    }
-    fn apply(&mut self, comm: &mut Comm, x: &[f64], y: &mut [f64]) {
-        self.0.apply(comm, x, y)
-    }
-    fn flops_per_apply(&self) -> u64 {
-        self.0.flops_per_apply()
-    }
-    fn storage_bytes(&self) -> usize {
-        self.0.storage_bytes()
-    }
-}
-
-/// Flatten the block-CG recurrence state at a while-loop head into one
-/// checkpointable f64 vector ({X, R, P} panels plus the `s × s` Gram
-/// matrix, per-column norms, counters, and history — `Z`/`Q` are dead
-/// at the loop head).
-#[allow(clippy::too_many_arguments)]
-fn pack_block_state(
-    iterations: usize,
-    rollbacks: usize,
-    truncations: usize,
-    restarts: usize,
-    gamma: &[f64],
-    rnorms: &[f64],
-    x: &Multivector,
-    r: &Multivector,
-    p: &Multivector,
-    history: &[f64],
-) -> Vec<f64> {
-    let mut v =
-        Vec::with_capacity(4 + gamma.len() + rnorms.len() + 3 * x.as_slice().len() + history.len());
-    v.extend_from_slice(&[
-        iterations as f64,
-        rollbacks as f64,
-        truncations as f64,
-        restarts as f64,
-    ]);
-    v.extend_from_slice(gamma);
-    v.extend_from_slice(rnorms);
-    v.extend_from_slice(x.as_slice());
-    v.extend_from_slice(r.as_slice());
-    v.extend_from_slice(p.as_slice());
-    v.extend_from_slice(history);
-    v
-}
-
 /// Preconditioned block CG: solves `A X = B` column-wise to relative
 /// tolerance `rtol` with one operator panel-apply per iteration. `x`
 /// holds the initial guesses on entry and the solutions on exit.
 ///
 /// With [`crate::resilient::CheckpointPolicy::every`] > 0 and an active
 /// fault injector the solve arms LFLR crash recovery, exactly like
-/// [`resilient_cg`].
+/// [`crate::resilient::resilient_cg`].
 #[allow(clippy::too_many_arguments)]
 // verify: collective-entry
 pub fn block_cg(
@@ -254,340 +205,20 @@ pub fn block_cg(
     max_iter: usize,
     policy: &RecoveryPolicy,
 ) -> Result<BlockCgResult, SolverFault> {
-    // Same ownership rule as `resilient_cg`: arm only when nothing above
-    // us did, so a `Revoked` always unwinds to whoever holds the
-    // checkpoints.
-    let armed = policy.checkpoint.every > 0 && !comm.lflr_armed() && comm.lflr_arm();
-    if !armed {
-        return block_cg_attempt(
-            comm, op, precond, b, x, rtol, max_iter, policy, false, &mut None,
-        );
-    }
-    let x0 = x.clone();
-    let mut restore: Option<(u64, Vec<f64>)> = None;
-    let mut recoveries = 0usize;
-    loop {
-        let attempt = catch_revoked(|| {
-            block_cg_attempt(
-                comm,
-                op,
-                precond,
-                b,
-                x,
-                rtol,
-                max_iter,
-                policy,
-                true,
-                &mut restore,
-            )
-        });
-        match attempt {
-            Ok(res) => {
-                comm.lflr_disarm();
-                return res.map(|mut r| {
-                    r.recoveries = recoveries;
-                    r
-                });
-            }
-            Err(_revoked) => {
-                let recovery = comm.lflr_recover();
-                op.repair(comm, &recovery.dead);
-                recoveries += 1;
-                if recoveries > policy.checkpoint.max_recoveries {
-                    comm.lflr_disarm();
-                    return Err(SolverFault::RecoveryBudgetExhausted {
-                        recoveries: recoveries - 1,
-                    });
-                }
-                match recovery.checkpoint {
-                    Some(c) => restore = Some(c),
-                    None => {
-                        x.copy_from(&x0);
-                        restore = None;
-                    }
-                }
-            }
-        }
-    }
-}
-
-/// One block-CG solve attempt: the rollback/truncation/restart
-/// recurrence, plus (when `armed`) periodic buddy checkpoints at the
-/// loop head and a rollback installation when `restore` carries a
-/// recovered state.
-#[allow(clippy::too_many_arguments)]
-fn block_cg_attempt(
-    comm: &mut Comm,
-    op: &mut dyn MultiLinOp,
-    precond: &mut dyn Precond,
-    b: &Multivector,
-    x: &mut Multivector,
-    rtol: f64,
-    max_iter: usize,
-    policy: &RecoveryPolicy,
-    armed: bool,
-    restore: &mut Option<(u64, Vec<f64>)>,
-) -> Result<BlockCgResult, SolverFault> {
-    let n = op.n_owned();
-    let s = b.nvec();
-    assert_eq!(b.nrows(), n, "rhs row mismatch");
-    assert_eq!(x.nrows(), n, "solution row mismatch");
-    assert_eq!(x.nvec(), s, "solution column mismatch");
-
-    // Collective finiteness check: every rank must take the same exit.
-    let bad_rhs = comm.work(|| b.as_slice().iter().any(|v| !v.is_finite()) as u64);
-    if comm.allreduce_sum_u64(bad_rhs) > 0 {
-        return Err(SolverFault::NonFiniteRhs);
-    }
-    let bnorms = column_norms(comm, b);
-    // Zero columns are solved by X = 0; scale 1 keeps their residual
-    // ratios well-defined (they stay exactly 0).
-    let scale: Vec<f64> = bnorms
-        .iter()
-        .map(|&v| if v == 0.0 { 1.0 } else { v })
-        .collect();
-    for (c, &bn) in bnorms.iter().enumerate() {
-        if bn == 0.0 {
-            x.col_mut(c).fill(0.0);
-        }
-    }
-
-    let mut r = Multivector::new(n, s);
-    let mut z = Multivector::new(n, s);
-    let mut p = Multivector::new(n, s);
-    let mut q = Multivector::new(n, s);
-    let mut snapshot = x.clone();
-
-    let mut history: Vec<f64> = Vec::new();
-    let mut iterations = 0usize;
-    let (mut rollbacks, mut truncations, mut restarts) = (0usize, 0usize, 0usize);
-
-    let all_converged = |rn: &[f64], sc: &[f64]| rn.iter().zip(sc).all(|(&r, &s)| r / s <= rtol);
-    let worst = |rn: &[f64], sc: &[f64]| {
-        rn.iter()
-            .zip(sc)
-            .map(|(&r, &s)| r / s)
-            .fold(0.0f64, f64::max)
-    };
-
-    let mut rnorms;
-    let mut deflate = false;
-    'derive: loop {
-        let mut gamma;
-        if let Some((_round, blob)) = restore.take() {
-            // LFLR rollback: install the recovered checkpoint verbatim
-            // (every rank restores the same round — the recovery's
-            // consistency barrier proved it).
-            let ns = n * s;
-            let mut at = 0usize;
-            let mut take = |len: usize| {
-                at += len;
-                &blob[at - len..at]
-            };
-            let counters = take(4);
-            iterations = counters[0] as usize;
-            rollbacks = counters[1] as usize;
-            truncations = counters[2] as usize;
-            restarts = counters[3] as usize;
-            gamma = take(s * s).to_vec();
-            rnorms = take(s).to_vec();
-            x.as_mut_slice().copy_from_slice(take(ns));
-            r.as_mut_slice().copy_from_slice(take(ns));
-            p.as_mut_slice().copy_from_slice(take(ns));
-            history.clear();
-            history.extend_from_slice(&blob[at..]);
-            snapshot.copy_from(x);
-        } else {
-            // (Re-)derive the recurrence from the current panel:
-            // R = B − A X; Z = M⁻¹ R; P = Z. Runs once on entry and
-            // again after every recovery action.
-            op.apply_mv(comm, x, &mut r);
-            comm.work(|| {
-                let (rd, bd) = (r.as_mut_slice(), b.as_slice());
-                for i in 0..rd.len() {
-                    rd[i] = bd[i] - rd[i];
-                }
-            });
-            for c in 0..s {
-                precond.apply(comm, r.col(c), z.col_mut(c));
-            }
-            p.copy_from(&z);
-            let (gamma_derived, rnorms_derived) = gram_sym_with_norms(comm, &z, &r);
-            gamma = gamma_derived;
-            rnorms = rnorms_derived;
-            if !(gamma.iter().all(|v| v.is_finite()) && rnorms.iter().all(|v| v.is_finite())) {
-                // The derivation itself is poisoned; the reductions are
-                // collective, so the rollback decision is uniform.
-                rollbacks += 1;
-                if rollbacks > policy.max_rollbacks {
-                    return Err(SolverFault::NonFiniteRecurrence {
-                        iteration: iterations,
-                        rollbacks: rollbacks - 1,
-                    });
-                }
-                x.copy_from(&snapshot);
-                continue 'derive;
-            }
-            if history.is_empty() {
-                history.push(worst(&rnorms, &scale));
-            }
-        }
-
-        while !all_converged(&rnorms, &scale) && iterations < max_iter {
-            if armed
-                && policy.checkpoint.every > 0
-                && iterations % policy.checkpoint.every == 0
-                && comm.checkpoint_round() != Some(iterations as u64)
-            {
-                let blob = pack_block_state(
-                    iterations,
-                    rollbacks,
-                    truncations,
-                    restarts,
-                    &gamma,
-                    &rnorms,
-                    x,
-                    &r,
-                    &p,
-                    &history,
-                );
-                comm.checkpoint_exchange(iterations as u64, &blob);
-            }
-            let iter_span = hymv_trace::SpanGuard::open(hymv_trace::Phase::SolverIter, comm.vt());
-            // One panel apply serves all s columns — the SpMM fast path.
-            op.apply_mv(comm, &p, &mut q);
-            let delta = gram_sym(comm, &p, &q);
-            if !delta.iter().all(|v| v.is_finite()) {
-                rollbacks += 1;
-                if rollbacks > policy.max_rollbacks {
-                    return Err(SolverFault::NonFiniteRecurrence {
-                        iteration: iterations,
-                        rollbacks: rollbacks - 1,
-                    });
-                }
-                x.copy_from(&snapshot);
-                continue 'derive;
-            }
-            let (rank_a, alpha) = solve_spd_rr(&delta, s, &gamma, s);
-            if rank_a == 0 {
-                // PᵀAP carries no usable direction while columns remain
-                // unconverged: keep the (finite) iterate panel, rebuild
-                // the directions from the true residual, and past the
-                // budget give up on block coupling entirely.
-                restarts += 1;
-                if restarts > policy.max_restarts {
-                    deflate = true;
-                    break 'derive;
-                }
-                continue 'derive;
-            }
-            if rank_a < s {
-                truncations += 1;
-            }
-            comm.work(|| {
-                gemm_acc(x, &p, &alpha, 1.0);
-                gemm_acc(&mut r, &q, &alpha, -1.0);
-            });
-            for c in 0..s {
-                precond.apply(comm, r.col(c), z.col_mut(c));
-            }
-            let (gamma_new, rnorms_new) = gram_sym_with_norms(comm, &z, &r);
-            if !(gamma_new.iter().all(|v| v.is_finite())
-                && rnorms_new.iter().all(|v| v.is_finite()))
-            {
-                rollbacks += 1;
-                if rollbacks > policy.max_rollbacks {
-                    return Err(SolverFault::NonFiniteRecurrence {
-                        iteration: iterations,
-                        rollbacks: rollbacks - 1,
-                    });
-                }
-                x.copy_from(&snapshot);
-                continue 'derive;
-            }
-            rnorms = rnorms_new;
-            history.push(worst(&rnorms, &scale));
-            iterations += 1;
-            // The panel survived every collective check: accept it.
-            snapshot.copy_from(x);
-            let (rank_b, beta) = solve_spd_rr(&gamma, s, &gamma_new, s);
-            if rank_b == 0 {
-                restarts += 1;
-                if restarts > policy.max_restarts {
-                    deflate = true;
-                    break 'derive;
-                }
-                continue 'derive;
-            }
-            if rank_b < s {
-                truncations += 1;
-            }
-            // P ← Z + P β.
-            comm.work(|| {
-                q.copy_from(&p);
-                p.copy_from(&z);
-                gemm_acc(&mut p, &q, &beta, 1.0);
-            });
-            gamma = gamma_new;
-            iter_span.close(comm.vt());
-        }
-        break;
-    }
-
-    // Deflation: the block space is genuinely rank-deficient (dependent
-    // right-hand sides). Finish the unconverged columns independently —
-    // scalar CG cannot break down on rank.
-    let mut deflated = 0usize;
-    if deflate {
-        let budget = max_iter.saturating_sub(iterations);
-        for c in 0..s {
-            if rnorms[c] / scale[c] <= rtol {
-                continue;
-            }
-            deflated += 1;
-            let res = resilient_cg(
-                comm,
-                &mut AsLinOp(op),
-                precond,
-                b.col(c),
-                x.col_mut(c),
-                rtol,
-                budget,
-                policy,
-            )?;
-            iterations = iterations.max(res.result.iterations);
-        }
-        op.apply_mv(comm, x, &mut r);
-        comm.work(|| {
-            let (rd, bd) = (r.as_mut_slice(), b.as_slice());
-            for i in 0..rd.len() {
-                rd[i] = bd[i] - rd[i];
-            }
-        });
-        rnorms = column_norms(comm, &r);
-        history.push(worst(&rnorms, &scale));
-    }
-    hymv_trace::counter_add("hymv_solver_iterations_total", &[], iterations as u64);
-
-    let rel_residuals: Vec<f64> = rnorms.iter().zip(&scale).map(|(&r, &s)| r / s).collect();
-    Ok(BlockCgResult {
-        iterations,
-        converged: all_converged(&rnorms, &scale),
-        rel_residuals,
-        history,
-        rollbacks,
-        truncations,
-        restarts,
-        deflated,
-        recoveries: 0,
-    })
+    krylov::run_cg(
+        comm,
+        &mut Panel::new(op, precond, b, x),
+        rtol,
+        max_iter,
+        policy,
+    )
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::precond::{Identity, Jacobi};
-    use crate::solver::cg;
+    use crate::solver::{cg, LinOp};
     use hymv_comm::Universe;
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};

@@ -23,6 +23,9 @@
 //!   multi-RHS operator abstraction behind the SpMM fast path,
 //! * [`block_cg`] — block conjugate gradients (one Krylov recurrence for
 //!   `nvec` right-hand sides) with rank-revealing breakdown handling,
+//! * `krylov` (crate-private) — the CG recurrence all three solvers run,
+//!   written once over a scalar or a panel arithmetic, with the recovery
+//!   actions and the LFLR driver,
 //! * [`precond`] — Jacobi and block-Jacobi (ILU(0) per-rank block)
 //!   preconditioners, the ones evaluated in the paper's Fig 11.
 
@@ -34,6 +37,7 @@ pub mod block_cg;
 pub mod csr;
 pub mod dense;
 pub mod dist_csr;
+mod krylov;
 pub mod mv;
 pub mod precond;
 pub mod resilient;

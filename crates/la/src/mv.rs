@@ -243,11 +243,7 @@ pub fn gram_sym_with_norms(
     let s = z.nvec();
     let local = comm.work(|| gram_sym_local(z, r, true));
     let mut out = comm.iallreduce_sum_vec(local).wait(comm);
-    let norms = out
-        .split_off(s * s)
-        .into_iter()
-        .map(|v| v.max(0.0).sqrt())
-        .collect();
+    let norms = out.split_off(s * s).into_iter().map(f64::sqrt).collect();
     (out, norms)
 }
 
@@ -264,7 +260,7 @@ pub fn column_norms(comm: &mut Comm, a: &Multivector) -> Vec<f64> {
     comm.iallreduce_sum_vec(local)
         .wait(comm)
         .into_iter()
-        .map(|v| v.max(0.0).sqrt())
+        .map(f64::sqrt)
         .collect()
 }
 

@@ -4,8 +4,8 @@
 //! bit-exactly, but a fault can still reach the solver through other
 //! doors: a stored element matrix damaged in memory, a user kernel
 //! emitting NaN after an adaptive update, or an operator that lost
-//! positive-definiteness. [`resilient_cg`] wraps the CG recurrence with
-//! three bounded recovery actions:
+//! positive-definiteness. [`resilient_cg`] runs the CG recurrence
+//! (the crate's one CG core) with two bounded recovery actions:
 //!
 //! * **rollback** — non-finite values in the Krylov recurrence (detected
 //!   collectively through the `pᵀAp` / `rᵀz` reductions, so every rank
@@ -13,16 +13,13 @@
 //!   re-derive the residual from scratch;
 //! * **residual-replacement restart** — CG breakdown (`pᵀAp ≤ 0`) keeps
 //!   the current iterate but rebuilds `r = b − A x`, discarding the
-//!   poisoned search direction;
-//! * **periodic residual replacement** — optionally re-derives the true
-//!   residual every `replace_every` iterations, bounding drift of the
-//!   recurrence residual from the true one.
+//!   poisoned search direction.
 //!
 //! Every action draws from a budget in [`RecoveryPolicy`]; exhausting a
 //! budget returns a typed [`SolverFault`] — the solver never hangs and
 //! never reports convergence from damaged arithmetic.
 //!
-//! A fourth door — a **rank crash** — is covered by the LFLR protocol
+//! A third door — a **rank crash** — is covered by the LFLR protocol
 //! (DESIGN.md §15): with [`CheckpointPolicy::every`] > 0 and an active
 //! fault injector, the solver arms `hymv-comm`'s crash detection, takes
 //! a buddy checkpoint of the full Krylov state every `every` iterations,
@@ -32,10 +29,11 @@
 //! replay the same arithmetic from the same state, so they produce the
 //! same solution bits as a fault-free run.
 
-use hymv_comm::{catch_revoked, Comm};
+use hymv_comm::Comm;
 
+use crate::krylov::{self, Scalar};
 use crate::precond::Precond;
-use crate::solver::{dot, norm2, CgResult, LinOp};
+use crate::solver::{CgResult, LinOp};
 
 /// Crash-recovery knobs: buddy-checkpoint cadence and how many LFLR
 /// world repairs a single solve may consume.
@@ -90,8 +88,6 @@ pub struct RecoveryPolicy {
     pub max_rollbacks: usize,
     /// Residual-replacement restart budget (breakdown: `pᵀAp ≤ 0`).
     pub max_restarts: usize,
-    /// Re-derive `r = b − A x` every this many iterations (`0` = never).
-    pub replace_every: usize,
     /// Rank-crash checkpoint/recovery knobs (off by default).
     pub checkpoint: CheckpointPolicy,
 }
@@ -101,7 +97,6 @@ impl Default for RecoveryPolicy {
         RecoveryPolicy {
             max_rollbacks: 3,
             max_restarts: 3,
-            replace_every: 0,
             checkpoint: CheckpointPolicy::OFF,
         }
     }
@@ -157,48 +152,13 @@ pub struct ResilientCgResult {
     pub rollbacks: usize,
     /// Residual-replacement restarts after breakdown.
     pub restarts: usize,
-    /// Periodic residual replacements performed.
-    pub replacements: usize,
     /// LFLR rank-crash recoveries survived.
     pub recoveries: usize,
 }
 
-/// Flatten the full CG recurrence state at a while-loop head into one
-/// checkpointable f64 vector. `z`/`ap` are dead there (overwritten
-/// before first read), so {x, r, p} plus the scalars and the residual
-/// history are the complete state; every count fits exactly in an f64.
-fn pack_cg_state(
-    iterations: usize,
-    rollbacks: usize,
-    restarts: usize,
-    replacements: usize,
-    rz: f64,
-    rnorm: f64,
-    x: &[f64],
-    r: &[f64],
-    p: &[f64],
-    history: &[f64],
-) -> Vec<f64> {
-    let mut v = Vec::with_capacity(6 + 3 * x.len() + history.len());
-    v.extend_from_slice(&[
-        iterations as f64,
-        rollbacks as f64,
-        restarts as f64,
-        replacements as f64,
-        rz,
-        rnorm,
-    ]);
-    v.extend_from_slice(x);
-    v.extend_from_slice(r);
-    v.extend_from_slice(p);
-    v.extend_from_slice(history);
-    v
-}
-
-/// Preconditioned CG with bounded rollback / restart / residual
-/// replacement. With the default policy and a healthy operator this is
-/// bit-for-bit the same arithmetic as [`crate::solver::cg`] — same
-/// iterates, same residual history.
+/// Preconditioned CG with bounded rollback and restart. With the default
+/// policy and a healthy operator this is bit-for-bit the same arithmetic
+/// as [`crate::solver::cg`] — same iterates, same residual history.
 ///
 /// With [`CheckpointPolicy::every`] > 0 and an active fault injector the
 /// solve additionally arms LFLR crash recovery: a revoked world rolls
@@ -215,278 +175,13 @@ pub fn resilient_cg(
     max_iter: usize,
     policy: &RecoveryPolicy,
 ) -> Result<ResilientCgResult, SolverFault> {
-    // Arm only when this invocation owns the protocol: checkpointing is
-    // requested, an injector exists, and no enclosing solver (block-CG
-    // deflation) armed it already — a nested arm would clobber the
-    // owner's checkpoints, and a `Revoked` must unwind to the owner.
-    let armed = policy.checkpoint.every > 0 && !comm.lflr_armed() && comm.lflr_arm();
-    if !armed {
-        return cg_attempt(
-            comm, op, precond, b, x, rtol, max_iter, policy, false, &mut None,
-        );
-    }
-    let x0 = x.to_vec();
-    let mut restore: Option<(u64, Vec<f64>)> = None;
-    let mut recoveries = 0usize;
-    loop {
-        let attempt = catch_revoked(|| {
-            cg_attempt(
-                comm,
-                op,
-                precond,
-                b,
-                x,
-                rtol,
-                max_iter,
-                policy,
-                true,
-                &mut restore,
-            )
-        });
-        match attempt {
-            Ok(res) => {
-                comm.lflr_disarm();
-                return res.map(|mut r| {
-                    r.recoveries = recoveries;
-                    r
-                });
-            }
-            Err(_revoked) => {
-                // Collective world repair, then operator repair (rebuild
-                // exchange plans on the resurrected ranks), then roll
-                // back to the restored checkpoint — or the initial
-                // guess if the crash predated the first checkpoint.
-                let recovery = comm.lflr_recover();
-                op.repair(comm, &recovery.dead);
-                recoveries += 1;
-                if recoveries > policy.checkpoint.max_recoveries {
-                    comm.lflr_disarm();
-                    return Err(SolverFault::RecoveryBudgetExhausted {
-                        recoveries: recoveries - 1,
-                    });
-                }
-                match recovery.checkpoint {
-                    Some(c) => restore = Some(c),
-                    None => {
-                        x.copy_from_slice(&x0);
-                        restore = None;
-                    }
-                }
-            }
-        }
-    }
-}
-
-/// One solve attempt: the PR 4 rollback/restart/replacement recurrence,
-/// plus (when `armed`) periodic buddy checkpoints at the loop head and
-/// a rollback installation when `restore` carries a recovered state.
-#[allow(clippy::too_many_arguments)]
-fn cg_attempt(
-    comm: &mut Comm,
-    op: &mut dyn LinOp,
-    precond: &mut dyn Precond,
-    b: &[f64],
-    x: &mut [f64],
-    rtol: f64,
-    max_iter: usize,
-    policy: &RecoveryPolicy,
-    armed: bool,
-    restore: &mut Option<(u64, Vec<f64>)>,
-) -> Result<ResilientCgResult, SolverFault> {
-    let n = op.n_owned();
-    assert_eq!(b.len(), n, "rhs length mismatch");
-    assert_eq!(x.len(), n, "solution length mismatch");
-
-    // Collective finiteness check: every rank must take the same exit.
-    let bad_rhs = comm.work(|| b.iter().any(|v| !v.is_finite()) as u64);
-    if comm.allreduce_sum_u64(bad_rhs) > 0 {
-        return Err(SolverFault::NonFiniteRhs);
-    }
-    let bnorm = norm2(comm, b);
-    if bnorm == 0.0 {
-        x.fill(0.0);
-        return Ok(ResilientCgResult {
-            result: CgResult {
-                iterations: 0,
-                converged: true,
-                rel_residual: 0.0,
-                history: vec![0.0],
-            },
-            rollbacks: 0,
-            restarts: 0,
-            replacements: 0,
-            recoveries: 0,
-        });
-    }
-
-    let mut r = vec![0.0; n];
-    let mut z = vec![0.0; n];
-    let mut p = vec![0.0; n];
-    let mut ap = vec![0.0; n];
-    // Last accepted iterate — the rollback target.
-    let mut snapshot = x.to_vec();
-
-    let mut history: Vec<f64> = Vec::new();
-    let mut iterations = 0usize;
-    let (mut rollbacks, mut restarts, mut replacements) = (0usize, 0usize, 0usize);
-
-    let (mut rz, mut rnorm);
-    'derive: loop {
-        if let Some((_round, blob)) = restore.take() {
-            // LFLR rollback: install the recovered checkpoint verbatim
-            // instead of deriving. Every rank restores the same round
-            // (the recovery's consistency barrier proved it), so the
-            // replayed arithmetic is bitwise the fault-free run's.
-            let hist_len = blob.len() - 6 - 3 * n;
-            iterations = blob[0] as usize;
-            rollbacks = blob[1] as usize;
-            restarts = blob[2] as usize;
-            replacements = blob[3] as usize;
-            rz = blob[4];
-            rnorm = blob[5];
-            x.copy_from_slice(&blob[6..6 + n]);
-            r.copy_from_slice(&blob[6 + n..6 + 2 * n]);
-            p.copy_from_slice(&blob[6 + 2 * n..6 + 3 * n]);
-            history.clear();
-            history.extend_from_slice(&blob[6 + 3 * n..6 + 3 * n + hist_len]);
-            snapshot.copy_from_slice(x);
-        } else {
-            // (Re-)derive the recurrence from the current iterate:
-            // r = b − A x; z = M⁻¹ r; p = z. Runs once on entry and again
-            // after every recovery action or periodic replacement.
-            op.apply(comm, x, &mut r);
-            comm.work(|| {
-                for i in 0..n {
-                    r[i] = b[i] - r[i];
-                }
-            });
-            precond.apply(comm, &r, &mut z);
-            p.copy_from_slice(&z);
-            rz = dot(comm, &r, &z);
-            rnorm = norm2(comm, &r);
-            if !(rz.is_finite() && rnorm.is_finite()) {
-                // The derivation itself is poisoned (operator damage at
-                // the current iterate). Both reductions are collective,
-                // so the rollback decision is uniform across ranks.
-                rollbacks += 1;
-                if rollbacks > policy.max_rollbacks {
-                    return Err(SolverFault::NonFiniteRecurrence {
-                        iteration: iterations,
-                        rollbacks: rollbacks - 1,
-                    });
-                }
-                x.copy_from_slice(&snapshot);
-                continue 'derive;
-            }
-            if history.is_empty() {
-                history.push(rnorm / bnorm);
-            }
-        }
-
-        while rnorm / bnorm > rtol && iterations < max_iter {
-            if armed
-                && policy.checkpoint.every > 0
-                && iterations % policy.checkpoint.every == 0
-                && comm.checkpoint_round() != Some(iterations as u64)
-            {
-                // The round guard keeps the exchange collective: after a
-                // restore (or a rollback to the same iteration count)
-                // every rank already holds this round and skips it.
-                let blob = pack_cg_state(
-                    iterations,
-                    rollbacks,
-                    restarts,
-                    replacements,
-                    rz,
-                    rnorm,
-                    x,
-                    &r,
-                    &p,
-                    &history,
-                );
-                comm.checkpoint_exchange(iterations as u64, &blob);
-            }
-            // Recovery exits (`continue 'derive`, `return Err`) drop the
-            // guard, which closes the span at the last stamped instant.
-            let iter_span = hymv_trace::SpanGuard::open(hymv_trace::Phase::SolverIter, comm.vt());
-            op.apply(comm, &p, &mut ap);
-            let pap = dot(comm, &p, &ap);
-            if !pap.is_finite() {
-                rollbacks += 1;
-                if rollbacks > policy.max_rollbacks {
-                    return Err(SolverFault::NonFiniteRecurrence {
-                        iteration: iterations,
-                        rollbacks: rollbacks - 1,
-                    });
-                }
-                x.copy_from_slice(&snapshot);
-                continue 'derive;
-            }
-            if pap <= 0.0 {
-                restarts += 1;
-                if restarts > policy.max_restarts {
-                    return Err(SolverFault::IndefiniteOperator {
-                        iteration: iterations,
-                        restarts: restarts - 1,
-                    });
-                }
-                // Keep the (finite) iterate; discard the broken direction.
-                continue 'derive;
-            }
-            let alpha = rz / pap;
-            comm.work(|| {
-                for i in 0..n {
-                    x[i] += alpha * p[i];
-                    r[i] -= alpha * ap[i];
-                }
-            });
-            precond.apply(comm, &r, &mut z);
-            let rz_new = dot(comm, &r, &z);
-            let rnorm_new = norm2(comm, &r);
-            if !(rz_new.is_finite() && rnorm_new.is_finite()) {
-                rollbacks += 1;
-                if rollbacks > policy.max_rollbacks {
-                    return Err(SolverFault::NonFiniteRecurrence {
-                        iteration: iterations,
-                        rollbacks: rollbacks - 1,
-                    });
-                }
-                x.copy_from_slice(&snapshot);
-                continue 'derive;
-            }
-            rnorm = rnorm_new;
-            history.push(rnorm / bnorm);
-            iterations += 1;
-            // The iterate survived every collective check: accept it.
-            snapshot.copy_from_slice(x);
-            if policy.replace_every > 0 && iterations % policy.replace_every == 0 {
-                replacements += 1;
-                continue 'derive;
-            }
-            let beta = rz_new / rz;
-            rz = rz_new;
-            comm.work(|| {
-                for i in 0..n {
-                    p[i] = z[i] + beta * p[i];
-                }
-            });
-            iter_span.close(comm.vt());
-        }
-        break;
-    }
-    hymv_trace::counter_add("hymv_solver_iterations_total", &[], iterations as u64);
-
+    let mut a = Scalar::new(op, precond, b, x);
+    let out = krylov::run_cg(comm, &mut a, rtol, max_iter, policy)?;
     Ok(ResilientCgResult {
-        result: CgResult {
-            iterations,
-            converged: rnorm / bnorm <= rtol,
-            rel_residual: rnorm / bnorm,
-            history,
-        },
-        rollbacks,
-        restarts,
-        replacements,
-        recoveries: 0,
+        rollbacks: out.rollbacks,
+        restarts: out.restarts,
+        recoveries: out.recoveries,
+        result: out.into_cg_result(),
     })
 }
 
@@ -581,7 +276,7 @@ mod tests {
                 &RecoveryPolicy::default(),
             )
             .expect("healthy operator");
-            assert_eq!(res.rollbacks + res.restarts + res.replacements, 0);
+            assert_eq!(res.rollbacks + res.restarts, 0);
             (plain, res.result, x_ref, x)
         });
         let (plain, resilient, x_ref, x) = &out[0];
@@ -718,36 +413,5 @@ mod tests {
                 &SolverFault::NonFiniteRhs
             );
         }
-    }
-
-    #[test]
-    fn periodic_residual_replacement_converges() {
-        let n = 40;
-        let a = random_spd(n, 13);
-        let out = Universe::run(1, |comm| {
-            let b: Vec<f64> = (0..n).map(|i| (i as f64 * 0.29).cos()).collect();
-            let mut op = DenseOp { n, a: a.clone() };
-            let mut x = vec![0.0; n];
-            let policy = RecoveryPolicy {
-                replace_every: 5,
-                ..RecoveryPolicy::default()
-            };
-            let res = resilient_cg(
-                comm,
-                &mut op,
-                &mut Identity,
-                &b,
-                &mut x,
-                1e-10,
-                500,
-                &policy,
-            )
-            .expect("healthy operator");
-            assert!(res.result.converged, "{:?}", res.result);
-            assert!(res.replacements > 0, "replacement cadence must fire");
-            assert_eq!(res.rollbacks + res.restarts, 0);
-            res.result.rel_residual
-        });
-        assert!(out[0] <= 1e-10);
     }
 }

@@ -7,7 +7,9 @@
 
 use hymv_comm::Comm;
 
+use crate::krylov::{self, Scalar};
 use crate::precond::Precond;
+use crate::resilient::{CheckpointPolicy, RecoveryPolicy, SolverFault};
 
 /// A distributed linear operator on owned-dof vectors.
 pub trait LinOp {
@@ -86,6 +88,14 @@ pub struct CgResult {
 /// tolerance `rtol` (PETSc's default convergence test, the one the paper
 /// uses with ε = 10⁻³ in §V-F). `x` holds the initial guess on entry and
 /// the solution on exit.
+///
+/// This is the crate's recovery-aware CG core with every budget
+/// at zero: each iteration blocks on two reductions, `pᵀAp` and the fused
+/// `rᵀz`/`‖r‖`.
+///
+/// # Panics
+/// If `pᵀAp ≤ 0` (the operator is not positive-definite), or if the
+/// right-hand side or the recurrence turns non-finite.
 // verify: collective-entry
 pub fn cg(
     comm: &mut Comm,
@@ -96,76 +106,18 @@ pub fn cg(
     rtol: f64,
     max_iter: usize,
 ) -> CgResult {
-    let n = op.n_owned();
-    assert_eq!(b.len(), n, "rhs length mismatch");
-    assert_eq!(x.len(), n, "solution length mismatch");
-
-    let mut r = vec![0.0; n];
-    let mut z = vec![0.0; n];
-    let mut p = vec![0.0; n];
-    let mut ap = vec![0.0; n];
-
-    // r = b − A x
-    op.apply(comm, x, &mut r);
-    comm.work(|| {
-        for i in 0..n {
-            r[i] = b[i] - r[i];
+    let policy = RecoveryPolicy {
+        max_rollbacks: 0,
+        max_restarts: 0,
+        checkpoint: CheckpointPolicy::OFF,
+    };
+    let mut a = Scalar::new(op, precond, b, x);
+    match krylov::run_cg(comm, &mut a, rtol, max_iter, &policy) {
+        Ok(out) => out.into_cg_result(),
+        Err(fault @ SolverFault::IndefiniteOperator { .. }) => {
+            panic!("CG requires a positive-definite operator ({fault})")
         }
-    });
-    let bnorm = norm2(comm, b);
-    if bnorm == 0.0 {
-        x.fill(0.0);
-        return CgResult {
-            iterations: 0,
-            converged: true,
-            rel_residual: 0.0,
-            history: vec![0.0],
-        };
-    }
-
-    precond.apply(comm, &r, &mut z);
-    p.copy_from_slice(&z);
-    let mut rz = dot(comm, &r, &z);
-    let mut rnorm = norm2(comm, &r);
-    let mut history = vec![rnorm / bnorm];
-
-    let mut iterations = 0;
-    while rnorm / bnorm > rtol && iterations < max_iter {
-        let iter_span = hymv_trace::SpanGuard::open(hymv_trace::Phase::SolverIter, comm.vt());
-        op.apply(comm, &p, &mut ap);
-        let pap = dot(comm, &p, &ap);
-        assert!(
-            pap > 0.0,
-            "CG requires a positive-definite operator (pᵀAp = {pap} at iter {iterations})"
-        );
-        let alpha = rz / pap;
-        comm.work(|| {
-            for i in 0..n {
-                x[i] += alpha * p[i];
-                r[i] -= alpha * ap[i];
-            }
-        });
-        precond.apply(comm, &r, &mut z);
-        let rz_new = dot(comm, &r, &z);
-        let beta = rz_new / rz;
-        rz = rz_new;
-        comm.work(|| {
-            for i in 0..n {
-                p[i] = z[i] + beta * p[i];
-            }
-        });
-        rnorm = norm2(comm, &r);
-        history.push(rnorm / bnorm);
-        iterations += 1;
-        iter_span.close(comm.vt());
-    }
-    hymv_trace::counter_add("hymv_solver_iterations_total", &[], iterations as u64);
-
-    CgResult {
-        iterations,
-        converged: rnorm / bnorm <= rtol,
-        rel_residual: rnorm / bnorm,
-        history,
+        Err(fault) => panic!("CG failed: {fault}"),
     }
 }
 
@@ -241,7 +193,7 @@ pub fn pipelined_cg(
 
         let red = handle.wait(comm);
         let (gamma, delta, rr) = (red[0], red[1], red[2]);
-        let rnorm = rr.max(0.0).sqrt();
+        let rnorm = rr.sqrt();
         history.push(rnorm / bnorm);
         if rnorm / bnorm <= rtol || iterations >= max_iter {
             iter_span.close(comm.vt());
@@ -489,6 +441,27 @@ mod tests {
         });
         assert!(out[0].converged);
         assert_eq!(out[0].iterations, 0);
+    }
+
+    /// A NaN operator must not read as converged: the residual norm is a
+    /// square root of a sum of squares, never clamped, so the NaN reaches
+    /// the breakdown check.
+    #[test]
+    #[should_panic(expected = "pipelined CG breakdown (alpha = NaN)")]
+    fn pipelined_cg_panics_on_a_nan_operator() {
+        struct NanOp;
+        impl LinOp for NanOp {
+            fn n_owned(&self) -> usize {
+                4
+            }
+            fn apply(&mut self, _comm: &mut Comm, _x: &[f64], y: &mut [f64]) {
+                y.fill(f64::NAN);
+            }
+        }
+        Universe::run(1, |comm| {
+            let mut x = vec![0.0; 4];
+            pipelined_cg(comm, &mut NanOp, &mut Identity, &[1.0; 4], &mut x, 1e-8, 10)
+        });
     }
 
     #[test]

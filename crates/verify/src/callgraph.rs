@@ -621,9 +621,16 @@ fn parse_fn_header(toks: &[Token<'_>], fn_at: usize) -> Option<FnHeader> {
     }
     // Find the body `{` or the declaration-terminating `;`. Angle brackets
     // of return types (`-> Vec<f64>`) contain no braces; `where` clauses
-    // likewise.
+    // likewise. A `;` inside brackets belongs to an array type
+    // (`-> [T; N]`).
     let mut j = i;
+    let mut brackets = 0isize;
     while j < toks.len() {
+        if toks[j].is_punct(b'[') {
+            brackets += 1;
+        } else if toks[j].is_punct(b']') {
+            brackets -= 1;
+        }
         if toks[j].is_punct(b'{') {
             return Some(FnHeader {
                 name,
@@ -632,7 +639,7 @@ fn parse_fn_header(toks: &[Token<'_>], fn_at: usize) -> Option<FnHeader> {
                 resume: j,
             });
         }
-        if toks[j].is_punct(b';') {
+        if toks[j].is_punct(b';') && brackets == 0 {
             return Some(FnHeader {
                 name,
                 params,
@@ -842,6 +849,22 @@ mod tests {
         assert_eq!(quals, ["demo::top", "Foo::method", "Foo::drop"]);
         assert_eq!(g.fns[0].params, ["x"]);
         assert_eq!(g.fns[1].params, ["y"]); // self excluded
+    }
+
+    #[test]
+    fn array_return_types_keep_their_bodies() {
+        let g = graph_of(
+            "trait Views {\n    fn views(&mut self) -> [&mut [f64]; 3];\n}\n\
+             impl Views for Foo {\n    fn views(&mut self) -> [&mut [f64]; 3] { helper() }\n}\n",
+        );
+        let views: Vec<(&str, bool)> = g
+            .fns
+            .iter()
+            .filter(|f| f.name == "views")
+            .map(|f| (f.qual.as_str(), f.body.is_some()))
+            .collect();
+        assert_eq!(views, [("demo::views", false), ("Foo::views", true)]);
+        assert_eq!(g.fns[1].calls[0].name, "helper");
     }
 
     #[test]

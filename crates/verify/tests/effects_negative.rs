@@ -269,6 +269,46 @@ fn the_workspace_is_effect_clean() {
         impls,
         ["Recompute::run_element_set", "StoredSlabs::run_element_set"]
     );
+
+    // The CG recurrence is written once: every arithmetic call of the
+    // core resolves to exactly the scalar and the panel implementation.
+    let mut arith_calls = 0;
+    for core in graph
+        .fns
+        .iter()
+        .filter(|f| ["krylov::run_cg", "krylov::attempt"].contains(&f.qual.as_str()))
+    {
+        for call in core.calls.iter().filter(|c| c.name.starts_with("cg_")) {
+            arith_calls += 1;
+            let Resolution::Candidates(ids) = graph.resolve(call) else {
+                panic!(
+                    "`{}` in {} must resolve to workspace fns",
+                    call.name, core.qual
+                );
+            };
+            let mut impls: Vec<&str> = ids
+                .iter()
+                .map(|&i| &graph.fns[i])
+                .filter(|f| f.body.is_some())
+                .map(|f| f.qual.as_str())
+                .collect();
+            impls.sort_unstable();
+            assert_eq!(
+                impls,
+                [
+                    format!("Panel::{}", call.name),
+                    format!("Scalar::{}", call.name)
+                ],
+                "{} in {}",
+                call.name,
+                core.qual
+            );
+        }
+    }
+    assert!(
+        arith_calls >= 10,
+        "only {arith_calls} arithmetic calls found in the core"
+    );
 }
 
 #[test]

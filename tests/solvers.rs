@@ -3,10 +3,128 @@
 
 use std::sync::Arc;
 
+use hymv::comm::Comm;
+use hymv::la::solver::{dot, norm2};
+use hymv::la::{resilient_cg, CgResult, Precond, RecoveryPolicy};
 use hymv::prelude::*;
 
 fn jittered_poisson(n: usize) -> GlobalMesh {
     unstructured_hex_mesh(n, n, n, ElementType::Hex8, [0.0; 3], [1.0; 3], 0.2, 29)
+}
+
+/// Preconditioned CG written out with three blocking reductions per
+/// iteration (`pᵀAp`, `rᵀz`, `‖r‖`), through the public API only: the
+/// reference the library's fused two-reduction recurrence must equal bit
+/// for bit.
+fn reference_cg(
+    comm: &mut Comm,
+    op: &mut dyn LinOp,
+    precond: &mut dyn Precond,
+    b: &[f64],
+    x: &mut [f64],
+    rtol: f64,
+    max_iter: usize,
+) -> CgResult {
+    let n = op.n_owned();
+    let (mut r, mut z, mut p, mut ap) = (vec![0.0; n], vec![0.0; n], vec![0.0; n], vec![0.0; n]);
+    op.apply(comm, x, &mut r);
+    for i in 0..n {
+        r[i] = b[i] - r[i];
+    }
+    let bnorm = norm2(comm, b);
+    precond.apply(comm, &r, &mut z);
+    p.copy_from_slice(&z);
+    let mut rz = dot(comm, &r, &z);
+    let mut rnorm = norm2(comm, &r);
+    let mut history = vec![rnorm / bnorm];
+    let mut iterations = 0;
+    while rnorm / bnorm > rtol && iterations < max_iter {
+        op.apply(comm, &p, &mut ap);
+        let alpha = rz / dot(comm, &p, &ap);
+        for i in 0..n {
+            x[i] += alpha * p[i];
+            r[i] -= alpha * ap[i];
+        }
+        precond.apply(comm, &r, &mut z);
+        let rz_new = dot(comm, &r, &z);
+        let beta = rz_new / rz;
+        rz = rz_new;
+        for i in 0..n {
+            p[i] = z[i] + beta * p[i];
+        }
+        rnorm = norm2(comm, &r);
+        history.push(rnorm / bnorm);
+        iterations += 1;
+    }
+    CgResult {
+        iterations,
+        converged: rnorm / bnorm <= rtol,
+        rel_residual: rnorm / bnorm,
+        history,
+    }
+}
+
+/// `cg` and a healthy `resilient_cg` fuse `rᵀz` and `‖r‖` into one
+/// reduction; the vector sum adds the rank contributions in the same order
+/// as the scalar one, so iterate, history and iteration count keep the
+/// three-reduction reference's bits at every rank count.
+#[test]
+fn cg_and_resilient_cg_equal_the_three_reduction_reference_bitwise() {
+    let mesh = StructuredHexMesh::unit(7, ElementType::Hex8).build();
+    let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<u64>>();
+    for p in [1, 2, 3, 5] {
+        let pm = partition_mesh(&mesh, p, PartitionMethod::Rcb);
+        Universe::run(p, |comm| {
+            let mut sys = FemSystem::build(
+                comm,
+                &pm.parts[comm.rank()],
+                Arc::new(PoissonKernel::new(ElementType::Hex8)),
+                &PoissonProblem::dirichlet(),
+                BuildOptions::new(Method::Hymv),
+            );
+            let n = sys.n_owned();
+            let b: Vec<f64> = (0..n)
+                .map(|i| ((i + 97 * comm.rank()) as f64 * 0.37).sin())
+                .collect();
+            let mut pc = Jacobi::new(&sys.diag);
+            let (rtol, max_iter) = (1e-9, 500);
+
+            let mut x_ref = vec![0.0; n];
+            let want = reference_cg(comm, &mut sys.op, &mut pc, &b, &mut x_ref, rtol, max_iter);
+            assert!(want.converged, "p={p}: {want:?}");
+
+            let mut x = vec![0.0; n];
+            let got = cg(comm, &mut sys.op, &mut pc, &b, &mut x, rtol, max_iter);
+            assert_eq!(got.iterations, want.iterations, "p={p}: cg iterations");
+            assert_eq!(bits(&got.history), bits(&want.history), "p={p}: cg history");
+            assert_eq!(bits(&x), bits(&x_ref), "p={p}: cg solution");
+
+            let mut x = vec![0.0; n];
+            let res = resilient_cg(
+                comm,
+                &mut sys.op,
+                &mut pc,
+                &b,
+                &mut x,
+                rtol,
+                max_iter,
+                &RecoveryPolicy::default(),
+            )
+            .expect("healthy operator");
+            assert_eq!(res.rollbacks + res.restarts, 0);
+            let got = res.result;
+            assert_eq!(
+                got.iterations, want.iterations,
+                "p={p}: resilient iterations"
+            );
+            assert_eq!(
+                bits(&got.history),
+                bits(&want.history),
+                "p={p}: resilient history"
+            );
+            assert_eq!(bits(&x), bits(&x_ref), "p={p}: resilient solution");
+        });
+    }
 }
 
 #[test]
