@@ -3,7 +3,7 @@
 
 use hymv_comm::{Comm, Payload};
 use hymv_fem::kernel::{ElementKernel, KernelScratch};
-use hymv_la::{ElementMatrixStore, SerialCsr};
+use hymv_la::{ElementMatrices, SerialCsr};
 use hymv_mesh::MeshPartition;
 
 use crate::da::DistArray;
@@ -95,23 +95,58 @@ pub fn jacobi_diagonal(
     comm: &mut Comm,
     maps: &HymvMaps,
     exchange: &GhostExchange,
-    store: &ElementMatrixStore,
+    store: impl ElementMatrices,
     ndof: usize,
 ) -> Vec<f64> {
-    let nd = store.nd();
+    let nd = store.ke_dim();
     let mut d = DistArray::new(maps, ndof);
+    let mut scratch = vec![0.0; nd * nd];
     comm.work(|| {
         for e in 0..maps.n_elems {
-            let ke = store.ke(e);
-            let locals = maps.elem_local_nodes(e);
-            for (m, &l) in locals.iter().enumerate() {
-                for c in 0..ndof {
-                    let i = m * ndof + c;
-                    d.data[l as usize * ndof + c] += ke[i * nd + i];
-                }
-            }
+            add_elem_diagonal(&mut d, maps, e, store.read_ke(e, &mut scratch), ndof);
         }
     });
+    owned_sums(comm, exchange, d)
+}
+
+/// [`jacobi_diagonal`] for an operator that keeps no matrices (the
+/// matrix-free one): each `Ke` is computed into one reused `nd²` scratch
+/// and its diagonal accumulated in the same order, so the result is the
+/// same to the bit. Collective.
+pub fn computed_jacobi_diagonal(
+    comm: &mut Comm,
+    maps: &HymvMaps,
+    exchange: &GhostExchange,
+    part: &MeshPartition,
+    kernel: &dyn ElementKernel,
+) -> Vec<f64> {
+    let (nd, ndof) = (kernel.ndof_elem(), kernel.ndof_per_node());
+    let mut d = DistArray::new(maps, ndof);
+    let mut ke = vec![0.0; nd * nd];
+    let mut scratch = KernelScratch::default();
+    comm.work(|| {
+        for e in 0..maps.n_elems {
+            kernel.compute_ke(part.elem_node_coords(e), &mut ke, &mut scratch);
+            add_elem_diagonal(&mut d, maps, e, &ke, ndof);
+        }
+    });
+    owned_sums(comm, exchange, d)
+}
+
+/// Add the diagonal of element `e`'s matrix `ke` to its dofs of `d`.
+fn add_elem_diagonal(d: &mut DistArray, maps: &HymvMaps, e: usize, ke: &[f64], ndof: usize) {
+    let nd = maps.npe * ndof;
+    for (m, &l) in maps.elem_local_nodes(e).iter().enumerate() {
+        for c in 0..ndof {
+            let i = m * ndof + c;
+            d.data[l as usize * ndof + c] += ke[i * nd + i];
+        }
+    }
+}
+
+/// Gather the ghost contributions of `d` to their owners and return the
+/// owned entries. Collective.
+fn owned_sums(comm: &mut Comm, exchange: &GhostExchange, mut d: DistArray) -> Vec<f64> {
     exchange.gather_begin(comm, &d);
     exchange.gather_end(comm, &mut d);
     d.owned().to_vec()
@@ -128,7 +163,7 @@ pub fn jacobi_diagonal(
 pub fn owned_block_csr(
     comm: &mut Comm,
     maps: &HymvMaps,
-    store: &ElementMatrixStore,
+    store: impl ElementMatrices,
     ndof: usize,
     constrained: &[(u32, f64)],
 ) -> SerialCsr {
@@ -136,7 +171,8 @@ pub fn owned_block_csr(
     let n = maps.n_owned() * ndof;
     let n_pre = maps.gpre.len();
     let n_owned = maps.n_owned();
-    let nd = store.nd();
+    let nd = store.ke_dim();
+    let mut scratch = vec![0.0; nd * nd];
     let is_constrained = {
         let mut mask = vec![false; n];
         for &(d, _) in constrained {
@@ -170,7 +206,7 @@ pub fn owned_block_csr(
     let mut triples: Vec<(u32, u32, f64)> = Vec::new();
     let mut outgoing: Vec<Vec<(u64, u64, f64)>> = vec![Vec::new(); comm.size()];
     for e in 0..maps.n_elems {
-        let ke = store.ke(e);
+        let ke = store.read_ke(e, &mut scratch);
         let locals = maps.elem_local_nodes(e);
         for (bj, &lj) in locals.iter().enumerate() {
             let oj = node_owner[lj as usize];
@@ -297,6 +333,40 @@ mod tests {
         assert!(out.iter().all(|&b| b));
     }
 
+    /// The matrix-free Jacobi setup computes each `Ke` into one scratch
+    /// and gives HYMV's diagonal, read back from its slabs, to the bit.
+    #[test]
+    fn computed_diagonal_equals_the_stored_one_bitwise() {
+        use hymv_fem::ElasticityKernel;
+        let mesh = StructuredHexMesh::unit(3, ElementType::Hex8).build();
+        for p in [1usize, 2] {
+            let pm = partition_mesh(&mesh, p, PartitionMethod::GreedyGraph);
+            Universe::run(p, |comm| {
+                let part = &pm.parts[comm.rank()];
+                let kernels: [Box<dyn ElementKernel>; 2] = [
+                    Box::new(PoissonKernel::new(ElementType::Hex8)),
+                    Box::new(ElasticityKernel::new(ElementType::Hex8, 1.0, 0.3, [0.0; 3])),
+                ];
+                for kernel in &kernels {
+                    let ndof = kernel.ndof_per_node();
+                    let (op, _) = crate::operator::HymvOperator::setup(comm, part, kernel.as_ref());
+                    let stored = jacobi_diagonal(comm, op.maps(), op.exchange(), op.store(), ndof);
+                    let computed = computed_jacobi_diagonal(
+                        comm,
+                        op.maps(),
+                        op.exchange(),
+                        part,
+                        kernel.as_ref(),
+                    );
+                    assert_eq!(stored.len(), computed.len());
+                    for (i, (a, b)) in stored.iter().zip(&computed).enumerate() {
+                        assert_eq!(a.to_bits(), b.to_bits(), "p={p} ndof={ndof} dof {i}");
+                    }
+                }
+            });
+        }
+    }
+
     #[test]
     fn owned_block_matches_assembled_diag_block_without_constraints() {
         let mesh = StructuredHexMesh::unit(3, ElementType::Hex8).build();
@@ -326,7 +396,7 @@ mod tests {
         let pm = partition_mesh(&mesh, 1, PartitionMethod::Slabs);
         let kernel = PoissonKernel::new(ElementType::Hex8);
         let maps = HymvMaps::build(&pm.parts[0]);
-        let mut store = ElementMatrixStore::new(8, maps.n_elems);
+        let mut store = hymv_la::ElementMatrixStore::new(8, maps.n_elems);
         let mut scratch = hymv_fem::kernel::KernelScratch::default();
         for e in 0..maps.n_elems {
             kernel.compute_ke(

@@ -187,9 +187,12 @@ mod tests {
     }
 
     #[test]
-    fn assembled_storage_smaller_than_hymv_for_shared_nodes() {
-        // Assembled CSR merges duplicate entries; HYMV stores every element
-        // matrix in full. On a connected mesh the CSR is smaller.
+    fn packed_slabs_take_fewer_bytes_than_the_assembled_csr() {
+        // Assembled CSR merges duplicate entries; HYMV keeps every element
+        // matrix, once, in its slabs. Symmetric Poisson `Ke` packs to the
+        // lower triangle: on Hex8 4³ (64 elements, 8 full blocks) that is
+        // 8 · 36 · 8 doubles + 8 · 64 u32 gather entries, below the CSR of
+        // 125 rows with up to 27 entries each.
         let mesh = StructuredHexMesh::unit(4, ElementType::Hex8).build();
         let pm = partition_mesh(&mesh, 1, PartitionMethod::Slabs);
         let out = Universe::run(1, |comm| {
@@ -199,7 +202,9 @@ mod tests {
             (hymv.storage_bytes(), asm.storage_bytes())
         });
         let (h, a) = out[0];
-        assert!(a < h, "CSR {a} must be smaller than element store {h}");
+        assert_eq!(h, 8 * 36 * 8 * 8 + 8 * 64 * 4);
+        assert_eq!(h, 20_480);
+        assert_eq!(a, 28_356);
     }
 
     #[test]

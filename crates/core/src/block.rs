@@ -10,7 +10,8 @@
 //!   (`keb[slot(i,j)·bw + b]`), so each matrix entry position is a
 //!   unit-stride strip of `bw` lanes — lower triangle only while every
 //!   stored matrix is bitwise symmetric, which halves the bytes an apply
-//!   streams (see [`BlockPlan::attach_store`]);
+//!   streams (see [`BlockPlan::attach_store`]). The slabs are the only
+//!   copy an operator holds: [`SlabMatrices`] reads them back column-major;
 //! * per-block gather/scatter index tables are flattened from `E2L` at
 //!   plan build time — the inner loop does zero map lookups;
 //! * blocks are ordered by a locality sort (min local-node index) so
@@ -23,12 +24,15 @@
 //! Blocks are also the parallel grain: coloring works on blocks and
 //! chunk-private chunks whole blocks.
 
+use std::collections::HashMap;
+
 use rayon::prelude::*;
 
 use hymv_la::dense::{
-    gather_panel, interleave_ke, slab_len, EmvBatchKernel, EmvBatchMvKernel, MAX_BATCH_WIDTH,
+    deinterleave_ke, gather_panel, interleave_ke, slab_len, EmvBatchKernel, EmvBatchMvKernel,
+    MAX_BATCH_WIDTH,
 };
-use hymv_la::{ElementMatrixStore, FIXED_NVEC_WIDTH, MAX_NVEC_WIDTH};
+use hymv_la::{ElementMatrices, FIXED_NVEC_WIDTH, MAX_NVEC_WIDTH};
 
 use crate::da::DistArray;
 use crate::hybrid::{on_rank_pool, RacyTarget};
@@ -416,23 +420,26 @@ impl BlockPlan {
         }
     }
 
-    /// Interleave every stored element matrix into its block slab
-    /// (allocates the slabs; padded lanes stay zero).
+    /// Interleave every element matrix of `source` into its block slab
+    /// (allocates the slabs; padded lanes stay zero). `source` may be a
+    /// contiguous store or another plan's [`SlabMatrices`] — a width change
+    /// or an LFLR repair attaches from the old plan.
     ///
     /// The layout follows the data: slabs hold the lower triangle only
-    /// (`nd(nd+1)/2·bw` doubles per block) when every matrix in `store` is
+    /// (`nd(nd+1)/2·bw` doubles per block) when every matrix in `source` is
     /// bitwise symmetric, all `nd²·bw` entries otherwise. The check rides
     /// the interleave pass — packing starts optimistically and the first
-    /// asymmetric matrix restarts it in the full layout.
-    pub fn attach_store(&mut self, store: &ElementMatrixStore) {
-        assert_eq!(store.nd(), self.nd, "store/plan dimension mismatch");
-        self.interleave_all(store, true);
+    /// asymmetric matrix demotes the slabs (see [`Self::refresh`]).
+    pub fn attach_store(&mut self, source: impl ElementMatrices) {
+        self.alloc_slabs(true);
+        let elems: Vec<u32> = (0..self.slot.len() as u32).collect();
+        self.refresh(source, &elems);
     }
 
     /// (Re)allocate zeroed slabs in the given layout. With `packed` this
     /// is the first half of [`Self::attach_store`]: operator setup calls
     /// it once and then [`Self::refresh`]es each chunk of matrices as it
-    /// is computed, instead of a second pass over the finished store.
+    /// is computed.
     pub(crate) fn alloc_slabs(&mut self, packed: bool) {
         let slab = slab_len(self.nd, self.bw, packed);
         for set in [&mut self.indep, &mut self.dep] {
@@ -441,24 +448,38 @@ impl BlockPlan {
         }
     }
 
-    /// Allocate the slabs in the given layout and interleave the whole
-    /// store into them.
-    fn interleave_all(&mut self, store: &ElementMatrixStore, packed: bool) {
-        self.alloc_slabs(packed);
-        let elems: Vec<u32> = (0..self.slot.len() as u32).collect();
-        self.refresh(store, &elems);
-    }
-
-    /// Re-interleave the matrices of `elems` (the adaptive-update path:
-    /// after `ke_mut`/`update_elements` touched a few elements).
+    /// Re-interleave the matrices of `elems`, read from `source` (the
+    /// adaptive-update path: after `ke_mut`/`update_elements` touched a
+    /// few elements). `source` needs to hold only the listed elements.
     ///
     /// A packed plan re-checks each of them. The first one that is no
     /// longer bitwise symmetric (a `ke_mut` caller may write anything)
-    /// demotes the whole plan: every slab is rebuilt from `store` in the
-    /// full layout, at the cost of a fresh `attach_store` and twice the
-    /// bytes per apply from then on. The demotion is one-way — only a new
+    /// demotes the whole plan: every packed slab is expanded in place into
+    /// the full layout (exact — it held symmetric matrices only), and then
+    /// the whole list is interleaved again from `source`. From then on an
+    /// apply streams twice the bytes. The demotion is one-way — only a new
     /// `attach_store` packs again.
-    pub fn refresh(&mut self, store: &ElementMatrixStore, elems: &[u32]) {
+    ///
+    /// # Panics
+    /// If `source`'s matrices are not `nd × nd`.
+    pub fn refresh(&mut self, source: impl ElementMatrices, elems: &[u32]) {
+        assert_eq!(source.ke_dim(), self.nd, "store/plan dimension mismatch");
+        let mut scratch = vec![0.0; self.nd * self.nd];
+        if !self.interleave_listed(&source, elems, &mut scratch) {
+            self.expand_packed_slabs();
+            let all_taken = self.interleave_listed(&source, elems, &mut scratch);
+            debug_assert!(all_taken, "a full slab takes any matrix");
+        }
+    }
+
+    /// Interleave each listed element's matrix into its lane, stopping at
+    /// the first one a packed slab refuses (returns `false` then).
+    fn interleave_listed(
+        &mut self,
+        source: &impl ElementMatrices,
+        elems: &[u32],
+        scratch: &mut [f64],
+    ) -> bool {
         let (nd, bw) = (self.nd, self.bw);
         for &e in elems {
             let (dependent, k, b) = self.slot[e as usize];
@@ -468,10 +489,53 @@ impl BlockPlan {
                 &mut self.indep
             };
             let slab = &mut set.keb[k as usize * set.slab..(k as usize + 1) * set.slab];
-            if !interleave_ke(store.ke(e as usize), slab, nd, bw, b as usize) {
-                // Only a packed slab refuses a matrix, so this recurses once.
-                return self.interleave_all(store, false);
+            if !interleave_ke(
+                source.read_ke(e as usize, scratch),
+                slab,
+                nd,
+                bw,
+                b as usize,
+            ) {
+                return false;
             }
+        }
+        true
+    }
+
+    /// Demotion: rewrite every packed slab in the full layout, lane by
+    /// lane through [`deinterleave_ke`] (the mirror is exact). Padded lanes
+    /// stay zero.
+    fn expand_packed_slabs(&mut self) {
+        let (nd, bw) = (self.nd, self.bw);
+        let full = slab_len(nd, bw, false);
+        let mut ke = vec![0.0; nd * nd];
+        for set in [&mut self.indep, &mut self.dep] {
+            let mut keb = vec![0.0; set.n_blocks() * full];
+            for k in 0..set.n_blocks() {
+                let packed = &set.keb[k * set.slab..(k + 1) * set.slab];
+                for b in 0..set.len(k) {
+                    deinterleave_ke(packed, &mut ke, nd, bw, b);
+                    interleave_ke(&ke, &mut keb[k * full..(k + 1) * full], nd, bw, b);
+                }
+            }
+            set.keb = keb;
+            set.slab = full;
+        }
+    }
+
+    /// Element `e`'s column-major matrix, read back from its slab lane into
+    /// `ke` (`nd²` long).
+    pub(crate) fn read_slab_ke(&self, e: usize, ke: &mut [f64]) {
+        let (dependent, k, b) = self.slot[e];
+        let set = self.set(dependent);
+        deinterleave_ke(set.keb(k as usize), ke, self.nd, self.bw, b as usize);
+    }
+
+    /// The element matrices the slabs hold, as a read-only view.
+    pub fn slab_matrices(&self) -> SlabMatrices<'_> {
+        SlabMatrices {
+            plan: self,
+            pending: None,
         }
     }
 
@@ -660,11 +724,127 @@ impl BlockPlan {
     }
 }
 
+/// The element matrices of a [`BlockPlan`]'s slabs, read column-major
+/// through [`deinterleave_ke`] — an operator's only copy of `Ke`, seen as
+/// [`ElementMatrices`]. An operator's view reads its pending `ke_mut`
+/// buffers first, so it shows the matrices the next apply will use.
+#[derive(Clone, Copy)]
+pub struct SlabMatrices<'a> {
+    plan: &'a BlockPlan,
+    pending: Option<&'a KeBuffers>,
+}
+
+impl<'a> SlabMatrices<'a> {
+    /// The view of `plan` with `pending` read first.
+    pub(crate) fn with_pending(plan: &'a BlockPlan, pending: &'a KeBuffers) -> Self {
+        SlabMatrices {
+            plan,
+            pending: Some(pending),
+        }
+    }
+
+    /// Bytes of `Ke` held beside the slabs: the pending `ke_mut` buffers,
+    /// 0 when there are none (the slabs are counted by
+    /// [`BlockPlan::bytes`]).
+    pub fn bytes(&self) -> usize {
+        self.pending.map_or(0, KeBuffers::buffer_bytes)
+    }
+}
+
+impl ElementMatrices for SlabMatrices<'_> {
+    fn ke_dim(&self) -> usize {
+        self.plan.nd
+    }
+
+    fn read_ke<'s>(&'s self, e: usize, scratch: &'s mut [f64]) -> &'s [f64] {
+        if let Some(ke) = self.pending.and_then(|p| p.held_ke(e)) {
+            return ke;
+        }
+        self.plan.read_slab_ke(e, scratch);
+        scratch
+    }
+}
+
+/// Column-major element matrices keyed by element id, in first-touch
+/// order: an operator's `ke_mut` writes, held until the next flush
+/// interleaves them.
+#[derive(Debug, Clone)]
+pub(crate) struct KeBuffers {
+    nd: usize,
+    elems: Vec<u32>,
+    data: Vec<f64>,
+    index: HashMap<u32, usize>,
+}
+
+impl KeBuffers {
+    /// No buffers, for `nd × nd` matrices.
+    pub(crate) fn new(nd: usize) -> Self {
+        KeBuffers {
+            nd,
+            elems: Vec::new(),
+            data: Vec::new(),
+            index: HashMap::new(),
+        }
+    }
+
+    /// Element `e`'s buffer; on its first touch a new one, filled by `seed`.
+    /// A second call for the same element returns the same buffer.
+    pub(crate) fn buffer_for(&mut self, e: usize, seed: impl FnOnce(&mut [f64])) -> &mut [f64] {
+        let sz = self.nd * self.nd;
+        let i = match self.index.get(&(e as u32)) {
+            Some(&i) => i,
+            None => {
+                let i = self.elems.len();
+                self.elems.push(e as u32);
+                self.index.insert(e as u32, i);
+                self.data.resize((i + 1) * sz, 0.0);
+                seed(&mut self.data[i * sz..]);
+                i
+            }
+        };
+        &mut self.data[i * sz..(i + 1) * sz]
+    }
+
+    /// The elements held, in first-touch order.
+    pub(crate) fn held_elems(&self) -> &[u32] {
+        &self.elems
+    }
+
+    /// Element `e`'s buffer, if held.
+    fn held_ke(&self, e: usize) -> Option<&[f64]> {
+        let sz = self.nd * self.nd;
+        let i = *self.index.get(&(e as u32))?;
+        Some(&self.data[i * sz..(i + 1) * sz])
+    }
+
+    /// Bytes of the held buffers.
+    fn buffer_bytes(&self) -> usize {
+        self.data.len() * 8
+    }
+
+    /// Drop every buffer and give its memory back.
+    pub(crate) fn release(&mut self) {
+        *self = KeBuffers::new(self.nd);
+    }
+}
+
+impl ElementMatrices for KeBuffers {
+    fn ke_dim(&self) -> usize {
+        self.nd
+    }
+
+    fn read_ke<'s>(&'s self, e: usize, _scratch: &'s mut [f64]) -> &'s [f64] {
+        self.held_ke(e)
+            .unwrap_or_else(|| panic!("element {e} has no pending matrix"))
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::hybrid::emv_loop_serial;
     use hymv_la::dense::select_batch_kernel;
+    use hymv_la::ElementMatrixStore;
     use hymv_mesh::partition::{partition_mesh, PartitionMethod};
     use hymv_mesh::{unstructured_tet_mesh, ElementType, StructuredHexMesh};
     use rand::rngs::StdRng;
@@ -1060,9 +1240,10 @@ mod tests {
     }
 
     /// `refresh` keeps a packed plan packed across symmetric updates and
-    /// demotes it — rebuilding every slab from the store — on the first
-    /// asymmetric one, even when later entries of the same dirty list are
-    /// symmetric again. Demotion is one-way until the next `attach_store`.
+    /// demotes it — expanding every packed slab, then re-interleaving the
+    /// whole list — on the first asymmetric one, even when later entries of
+    /// the same list are symmetric again. Demotion is one-way until the
+    /// next `attach_store`.
     #[test]
     fn refresh_demotes_on_first_asymmetric_matrix() {
         let mesh = StructuredHexMesh::unit(3, ElementType::Hex8).build();
@@ -1096,7 +1277,14 @@ mod tests {
                 *v *= 3.0;
             }
         }
-        plan.refresh(&store, &[3, 11, 20]);
+        // The source holds the listed matrices only (as an operator's
+        // pending buffers do): the demotion reads every other element from
+        // the packed slabs it expands.
+        let mut listed = KeBuffers::new(nd);
+        for e in [3usize, 11, 20] {
+            listed.buffer_for(e, |ke| ke.copy_from_slice(store.ke(e)));
+        }
+        plan.refresh(&listed, listed.held_elems());
         assert!(!plan.is_packed());
         assert_eq!(plan.set(false).keb(0).len(), nd * nd * bw);
         let v = blocked_from(&plan, &maps, &u);
@@ -1107,6 +1295,27 @@ mod tests {
         let mut fresh = BlockPlan::build(&maps, 1, bw);
         fresh.attach_store(&store);
         assert_eq!(v.data, blocked_from(&fresh, &maps, &u).data);
+        for dependent in [false, true] {
+            let (a, b) = (plan.set(dependent), fresh.set(dependent));
+            for k in 0..a.n_blocks() {
+                let same = a
+                    .keb(k)
+                    .iter()
+                    .zip(b.keb(k))
+                    .all(|(x, y)| x.to_bits() == y.to_bits());
+                assert!(same, "demoted slab {k} differs from a fresh full attach");
+            }
+        }
+        // The view reads back every matrix, demoted lanes included.
+        let view = plan.slab_matrices();
+        let mut scratch = vec![0.0; nd * nd];
+        for e in 0..store.n_elems() {
+            let back = view.read_ke(e, &mut scratch);
+            assert!(back
+                .iter()
+                .zip(store.ke(e))
+                .all(|(x, y)| x.to_bits() == y.to_bits()));
+        }
 
         // Symmetric again: a refresh stays full, a fresh attach packs.
         store.ke_mut(11)[2 * nd + 5] = store.ke(11)[5 * nd + 2];

@@ -57,7 +57,7 @@ pub mod system;
 
 pub use assembled::AssembledOperator;
 pub use block::{
-    nvec_width_from_env, parse_batch_width, parse_nvec_width, BlockPlan, BlockSet,
+    nvec_width_from_env, parse_batch_width, parse_nvec_width, BlockPlan, BlockSet, SlabMatrices,
     DEFAULT_BATCH_WIDTH, DEFAULT_NVEC_WIDTH, NVEC_ENV,
 };
 pub use da::DistArray;

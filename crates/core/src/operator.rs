@@ -5,11 +5,11 @@ use hymv_fem::kernel::{ElementKernel, KernelScratch};
 use hymv_la::dense::{
     emv_batch_flops, select_batch_kernel, select_batch_mv_kernel, EmvBatchKernel, MAX_BATCH_WIDTH,
 };
-use hymv_la::{ElementMatrixStore, LinOp, MultiLinOp, Multivector};
+use hymv_la::{ElementMatrices, LinOp, MultiLinOp, Multivector};
 use hymv_mesh::MeshPartition;
 use hymv_trace::Phase;
 
-use crate::block::{BlockPlan, DEFAULT_BATCH_WIDTH};
+use crate::block::{BlockPlan, KeBuffers, SlabMatrices, DEFAULT_BATCH_WIDTH};
 use crate::da::DistArray;
 use crate::exchange::GhostExchange;
 use crate::hybrid::ParallelMode;
@@ -23,11 +23,12 @@ use crate::schedule::{apply, ElementSource, Overlap};
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct SetupTimings {
     /// Element-matrix computation (user-operator cost; identical work in
-    /// the matrix-assembled baseline). The kernels write straight into
-    /// HYMV's store, so there is no separate copy into it.
+    /// the matrix-assembled baseline). The kernels write into one reused
+    /// chunk of 32 matrices, never into a store of all of them.
     pub emat_compute_s: f64,
-    /// Local copy of the computed matrices into the plan's interleaved
-    /// slabs, chunk by chunk while they are still in cache.
+    /// Local copy of each computed chunk into the plan's interleaved
+    /// slabs — the only place the matrices are kept — while the chunk is
+    /// still in cache.
     pub local_copy_s: f64,
     /// E2L map construction (Algorithm 1) and the block plan's
     /// gather/scatter tables — local.
@@ -44,23 +45,24 @@ impl SetupTimings {
 }
 
 /// The HYMV operator: locally stored element matrices + EBE SPMV with
-/// communication/computation overlap.
+/// communication/computation overlap. The block plan's interleaved slabs
+/// are the only copy of the matrices it holds.
 pub struct HymvOperator {
     maps: HymvMaps,
     exchange: GhostExchange,
-    store: ElementMatrixStore,
     ndof: usize,
     mode: ParallelMode,
     /// Block color classes for the independent / dependent sets (built
     /// lazily when a colored mode is selected).
     colors: Option<(Vec<Vec<u32>>, Vec<Vec<u32>>)>,
-    /// The batched element-block plan every SPMV runs through.
+    /// The batched element-block plan every SPMV runs through; its slabs
+    /// hold every element matrix.
     plan: BlockPlan,
     /// Batched kernel resolved once per batch width (not per element).
     batch_kernel: EmvBatchKernel,
-    /// Elements whose stored matrix changed since the plan's slabs were
-    /// last refreshed (`ke_mut` / `update_elements`).
-    dirty: Vec<u32>,
+    /// `ke_mut` writes not yet interleaved into the slabs: one buffer per
+    /// touched element, until the next flush.
+    pending: KeBuffers,
     /// The SPMV's DAs and panels (`nvec = 1`).
     ws: Workspace,
     /// The SpMM's, built lazily on the first `matvec_mv` and rebuilt when
@@ -167,21 +169,19 @@ impl HymvOperator {
         });
         t.maps_s += dt;
 
-        let mut store = ElementMatrixStore::new(nd, maps.n_elems);
         (t.emat_compute_s, t.local_copy_s) =
-            recompute_elements(comm, part, kernel, &mut store, &mut plan, 0..maps.n_elems);
+            recompute_elements(comm, part, kernel, &mut plan, 0..maps.n_elems);
 
         let ws = Workspace::new(&maps, &plan, ndof, 1);
         let op = HymvOperator {
             maps,
             exchange,
-            store,
             ndof,
             mode: ParallelMode::Serial,
             colors: None,
             plan,
             batch_kernel: select_batch_kernel(bw),
-            dirty: Vec::new(),
+            pending: KeBuffers::new(nd),
             ws,
             mv_ws: None,
         };
@@ -215,13 +215,15 @@ impl HymvOperator {
         }
     }
 
-    /// Build the plan at width `bw` from the store, and everything derived
-    /// from it: kernel, panel scratch, SpMM workspace and block colors.
+    /// Build the plan at width `bw` from the current plan's matrices
+    /// (pending `ke_mut` buffers included), and everything derived from
+    /// it: kernel, panel scratch, SpMM workspace and block colors.
     fn rebuild_plan(&mut self, bw: usize) {
-        self.plan = BlockPlan::build(&self.maps, self.ndof, bw);
-        self.plan.attach_store(&self.store);
+        let mut plan = BlockPlan::build(&self.maps, self.ndof, bw);
+        plan.attach_store(self.store());
+        self.plan = plan;
+        self.pending.release();
         self.batch_kernel = select_batch_kernel(bw);
-        self.dirty.clear();
         self.ws = Workspace::new(&self.maps, &self.plan, self.ndof, 1);
         self.mv_ws = None;
         self.colors = None;
@@ -260,7 +262,8 @@ impl HymvOperator {
     /// `local_elems` only (XFEM enrichment / AMR refinement touching a few
     /// elements) and re-interleave them into the batched slabs at once.
     /// Purely local — no communication, no global reassembly. Returns the
-    /// update time in virtual seconds.
+    /// update time in virtual seconds. Pending `ke_mut` writes are flushed
+    /// first, so a recomputed matrix replaces them.
     ///
     /// # Panics
     /// On a kernel of another dimension, a partition of another element
@@ -275,21 +278,24 @@ impl HymvOperator {
     ) -> f64 {
         assert_eq!(
             kernel.ndof_elem(),
-            self.store.nd(),
+            self.plan.nd(),
             "kernel/operator dimension mismatch"
         );
-        let n_elems = self.maps.n_elems;
-        assert_eq!(part.n_elems(), n_elems, "partition/operator mismatch");
-        if let Some(&e) = local_elems.iter().find(|&&e| e >= n_elems) {
-            panic!("element {e} out of range (operator holds {n_elems})");
+        assert_eq!(
+            part.n_elems(),
+            self.maps.n_elems,
+            "partition/operator mismatch"
+        );
+        if let Some(&e) = local_elems.iter().find(|&&e| e >= self.maps.n_elems) {
+            self.reject_element(e);
         }
         let vt0 = comm.vt();
+        self.flush_updates(comm);
         let was_packed = self.plan.is_packed();
         recompute_elements(
             comm,
             part,
             kernel,
-            &mut self.store,
             &mut self.plan,
             local_elems.iter().copied(),
         );
@@ -297,29 +303,48 @@ impl HymvOperator {
         comm.vt() - vt0
     }
 
-    /// Direct mutable access to one stored element matrix (the API users
-    /// call when *they* computed the enriched matrix, e.g. XFEM).
-    pub fn ke_mut(&mut self, local_elem: usize) -> &mut [f64] {
-        self.dirty.push(local_elem as u32);
-        self.store.ke_mut(local_elem)
+    /// The refusal of an element id the operator does not hold.
+    fn reject_element(&self, e: usize) -> ! {
+        panic!(
+            "element {e} out of range (operator holds {})",
+            self.maps.n_elems
+        );
     }
 
-    /// Re-interleave dirty element matrices into the plan's block slabs
-    /// (no-op when nothing changed). A dirty matrix that is no longer
-    /// bitwise symmetric demotes a packed plan to full slabs inside this
-    /// refresh (see [`BlockPlan::refresh`]); the store stays
-    /// authoritative, so the result is that of a fresh setup either way.
+    /// Direct mutable access to one element matrix (the API users call
+    /// when *they* computed the enriched matrix, e.g. XFEM): a column-major
+    /// buffer seeded from the slabs and interleaved back at the next apply.
+    /// A second call for the same element before then returns the same
+    /// buffer.
+    ///
+    /// # Panics
+    /// On an element id out of range, before anything is recorded.
+    pub fn ke_mut(&mut self, local_elem: usize) -> &mut [f64] {
+        if local_elem >= self.maps.n_elems {
+            self.reject_element(local_elem);
+        }
+        let plan = &self.plan;
+        self.pending
+            .buffer_for(local_elem, |ke| plan.read_slab_ke(local_elem, ke))
+    }
+
+    /// Interleave the pending `ke_mut` buffers into the plan's block slabs
+    /// and drop them (no-op when there are none). A matrix that is no
+    /// longer bitwise symmetric demotes a packed plan to full slabs inside
+    /// this refresh (see [`BlockPlan::refresh`]); the result is that of a
+    /// fresh setup on the same matrices either way.
     fn flush_updates(&mut self, comm: &mut Comm) {
-        if self.dirty.is_empty() {
+        let n = self.pending.held_elems().len();
+        if n == 0 {
             return;
         }
-        let (plan, store, dirty) = (&mut self.plan, &self.store, &self.dirty);
+        let (plan, pending) = (&mut self.plan, &self.pending);
         let was_packed = plan.is_packed();
         comm.traced(Phase::BlockRefresh, |comm| {
-            comm.work_with(|_| plan.refresh(store, dirty));
+            comm.work_with(|_| plan.refresh(pending, pending.held_elems()));
         });
-        self.count_refresh(was_packed, self.dirty.len());
-        self.dirty.clear();
+        self.count_refresh(was_packed, n);
+        self.pending.release();
     }
 
     /// Publish what an adaptive refresh of `n` matrices did to the plan.
@@ -346,9 +371,11 @@ impl HymvOperator {
         self.exchange.set_raw_transport(raw);
     }
 
-    /// The element-matrix store.
-    pub fn store(&self) -> &ElementMatrixStore {
-        &self.store
+    /// The element matrices, read back from the slabs (pending `ke_mut`
+    /// buffers first). Its `bytes()` counts only what is held beside the
+    /// slabs: the pending buffers.
+    pub fn store(&self) -> SlabMatrices<'_> {
+        SlabMatrices::with_pending(&self.plan, &self.pending)
     }
 
     /// Dofs per node.
@@ -356,20 +383,14 @@ impl HymvOperator {
         self.ndof
     }
 
-    /// Decompose into the maps, communication plan, element-matrix store
-    /// and block plan, its slabs current with the store (the GPU backend
-    /// reuses them without copying).
-    pub fn into_parts(
-        mut self,
-    ) -> (
-        HymvMaps,
-        GhostExchange,
-        ElementMatrixStore,
-        BlockPlan,
-        usize,
-    ) {
-        self.plan.refresh(&self.store, &self.dirty);
-        (self.maps, self.exchange, self.store, self.plan, self.ndof)
+    /// Decompose into the maps, communication plan and block plan, its
+    /// slabs holding every pending `ke_mut` write (the GPU backend reuses
+    /// them without copying), and the dofs per node.
+    pub fn into_parts(mut self) -> (HymvMaps, GhostExchange, BlockPlan, usize) {
+        if !self.pending.held_elems().is_empty() {
+            self.plan.refresh(&self.pending, self.pending.held_elems());
+        }
+        (self.maps, self.exchange, self.plan, self.ndof)
     }
 
     /// Algorithm 2: the HYMV SPMV. Overlapped, unless the reliable channel
@@ -449,14 +470,38 @@ impl HymvOperator {
 /// is interleaved.
 pub(crate) const KE_CHUNK: usize = 32;
 
+/// One chunk of freshly computed matrices: `kes` holds the matrix of
+/// `ids[i]` at position `i`.
+struct ComputedChunk<'a> {
+    nd: usize,
+    ids: &'a [u32],
+    kes: &'a [f64],
+}
+
+impl ElementMatrices for ComputedChunk<'_> {
+    fn ke_dim(&self) -> usize {
+        self.nd
+    }
+
+    fn read_ke<'s>(&'s self, e: usize, _scratch: &'s mut [f64]) -> &'s [f64] {
+        let sz = self.nd * self.nd;
+        let i = self
+            .ids
+            .iter()
+            .position(|&id| id as usize == e)
+            .expect("element of this chunk");
+        &self.kes[i * sz..(i + 1) * sz]
+    }
+}
+
 /// The one routine that computes element matrices, for initial setup (all
-/// elements of an empty store) and for adaptive updates (the touched few)
+/// elements into fresh slabs) and for adaptive updates (the touched few)
 /// alike. Walks `elems` in chunks of [`KE_CHUNK`]: the kernel writes each
-/// `Ke` straight into `store`, then the chunk is interleaved into `plan`'s
-/// slabs while it is still in cache. A matrix that is not bitwise
-/// symmetric demotes a packed plan inside its chunk's
-/// [`BlockPlan::refresh`]; the store is authoritative, so the slabs end up
-/// those of an `attach_store` on the finished store either way.
+/// `Ke` into one reused chunk of scratch, then the chunk is interleaved
+/// into `plan`'s slabs while it is still in cache. A matrix that is not
+/// bitwise symmetric demotes a packed plan inside its chunk's
+/// [`BlockPlan::refresh`], so the slabs end up those of an `attach_store`
+/// of the finished matrices either way.
 ///
 /// Returns the virtual seconds charged to `(compute, interleave)` — one
 /// `timed_work` each per chunk, never per element.
@@ -464,12 +509,14 @@ fn recompute_elements(
     comm: &mut Comm,
     part: &MeshPartition,
     kernel: &dyn ElementKernel,
-    store: &mut ElementMatrixStore,
     plan: &mut BlockPlan,
     elems: impl IntoIterator<Item = usize>,
 ) -> (f64, f64) {
     let mut scratch = KernelScratch::default();
     let mut ids = [0u32; KE_CHUNK];
+    let nd = plan.nd();
+    let sz = nd * nd;
+    let mut kes = vec![0.0; KE_CHUNK * sz];
     let mut elems = elems.into_iter();
     comm.traced(Phase::EmatCompute, |comm| {
         let (mut compute_s, mut interleave_s) = (0.0, 0.0);
@@ -484,13 +531,17 @@ fn recompute_elements(
             }
             let chunk = &ids[..n];
             let ((), dt) = comm.timed_work(|_| {
-                for &e in chunk {
-                    let e = e as usize;
-                    kernel.compute_ke(part.elem_node_coords(e), store.ke_mut(e), &mut scratch);
+                for (&e, ke) in chunk.iter().zip(kes.chunks_exact_mut(sz)) {
+                    kernel.compute_ke(part.elem_node_coords(e as usize), ke, &mut scratch);
                 }
             });
             compute_s += dt;
-            let ((), dt) = comm.timed_work(|_| plan.refresh(store, chunk));
+            let computed = ComputedChunk {
+                nd,
+                ids: chunk,
+                kes: &kes,
+            };
+            let ((), dt) = comm.timed_work(|_| plan.refresh(computed, chunk));
             interleave_s += dt;
         }
     })
@@ -515,14 +566,14 @@ impl LinOp for HymvOperator {
         // Padded tail lanes execute (zero-matrix) FLOPs too — count what
         // actually runs.
         let plan = &self.plan;
-        plan.n_blocks_total() as u64 * emv_batch_flops(self.store.nd(), plan.batch_width())
+        plan.n_blocks_total() as u64 * emv_batch_flops(plan.nd(), plan.batch_width())
     }
 
     fn storage_bytes(&self) -> usize {
-        // The interleaved slabs (packed or full, as held) are what the
-        // batched SPMV streams; the store remains authoritative for
-        // adaptive updates, so both count.
-        self.store.bytes() + self.plan.bytes()
+        // The interleaved slabs (packed or full, as held) are the only
+        // copy of the matrices; pending `ke_mut` buffers count until the
+        // next apply interleaves them.
+        self.plan.bytes() + self.store().bytes()
     }
 
     /// LFLR world repair: the partition is unchanged, but a resurrected
@@ -550,17 +601,20 @@ mod tests {
     use hymv_mesh::partition::{partition_mesh, PartitionMethod};
     use hymv_mesh::{ElementType, StructuredHexMesh};
 
-    /// `K x` by the per-element reference loop over the operator's store,
-    /// on one rank (where the owned dofs are all the dofs).
+    /// `K x` by the per-element reference loop over a contiguous copy of
+    /// the operator's matrices, on one rank (where the owned dofs are all
+    /// the dofs).
     fn per_element_reference(op: &HymvOperator, x: &[f64]) -> Vec<f64> {
-        let (maps, nd) = (op.maps(), op.store().nd());
+        let maps = op.maps();
+        let store = hymv_la::ElementMatrixStore::collect_from(op.store(), maps.n_elems);
+        let nd = store.nd();
         assert_eq!(maps.n_owned(), maps.n_total(), "one rank only");
         let mut u = DistArray::new(maps, op.ndof());
         u.set_owned(x);
         let mut v = DistArray::new(maps, op.ndof());
         let all: Vec<u32> = (0..maps.n_elems as u32).collect();
         let (mut ue, mut ve) = (vec![0.0; nd], vec![0.0; nd]);
-        crate::hybrid::emv_loop_serial(maps, op.store(), &u, &mut v, &all, &mut ue, &mut ve);
+        crate::hybrid::emv_loop_serial(maps, &store, &u, &mut v, &all, &mut ue, &mut ve);
         v.owned().to_vec()
     }
 
@@ -792,14 +846,83 @@ mod tests {
         });
         let (batched, scalar) = out[0];
         // bw=8, 8 elements → exactly one block: 8 lanes × 2 × 8² flops (a
-        // packed slab runs the same multiplies), and storage is the store
-        // plus the interleaved slab (f64; Poisson `Ke` is symmetric, so
-        // the lower triangle only: 8·9/2 entries) + gather table (u32).
+        // packed slab runs the same multiplies), and storage is the
+        // interleaved slab (f64; Poisson `Ke` is symmetric, so the lower
+        // triangle only: 8·9/2 entries) + gather table (u32).
         assert_eq!(batched.0, 8 * 128);
-        assert_eq!(batched.1, 8 * 64 * 8 + (36 * 8) * 8 + (8 * 8) * 4);
+        assert_eq!(batched.1, (36 * 8) * 8 + (8 * 8) * 4);
         // bw=1: eight one-lane blocks with no padding — the same flops,
         // slab entries and table entries.
         assert_eq!(scalar, batched);
+    }
+
+    /// The slabs are the only copy of `Ke`: with nothing pending the
+    /// operator holds exactly its plan's bytes, and a `ke_mut` buffer
+    /// counts (`nd²` doubles) until the next apply interleaves it. A second
+    /// `ke_mut` of the same element is the same buffer.
+    #[test]
+    fn slabs_are_the_only_copy_of_ke() {
+        let mesh = StructuredHexMesh::unit(3, ElementType::Hex8).build();
+        let pm = partition_mesh(&mesh, 1, PartitionMethod::Slabs);
+        Universe::run(1, |comm| {
+            let kernel = PoissonKernel::new(ElementType::Hex8);
+            let (mut op, _) = HymvOperator::setup(comm, &pm.parts[0], &kernel);
+            assert_eq!(op.storage_bytes(), op.block_plan().bytes());
+            assert_eq!(op.store().bytes(), 0);
+            let mut before = vec![0.0; 64];
+            let seeded = op.store().read_ke(4, &mut before).to_vec();
+            assert_eq!(op.ke_mut(4), &seeded[..], "seeded from the slab");
+            op.ke_mut(4)[9] = 2.5;
+            assert_eq!(op.ke_mut(4)[9], 2.5, "the same buffer");
+            assert_eq!(op.store().bytes(), 64 * 8);
+            assert_eq!(op.storage_bytes(), op.block_plan().bytes() + 64 * 8);
+            let mut scratch = vec![0.0; 64];
+            assert_eq!(
+                op.store().read_ke(4, &mut scratch)[9],
+                2.5,
+                "pending read first"
+            );
+            let x = vec![1.0; op.n_owned()];
+            let mut y = vec![0.0; op.n_owned()];
+            op.matvec(comm, &x, &mut y);
+            assert_eq!(op.store().bytes(), 0);
+            assert_eq!(op.storage_bytes(), op.block_plan().bytes());
+            // Entry 9 is (row 1, col 1), on the diagonal: the plan stays
+            // packed and the slab now holds the write.
+            assert!(op.block_plan().is_packed());
+            assert_eq!(op.store().read_ke(4, &mut scratch)[9], 2.5);
+        });
+    }
+
+    /// A rejected `ke_mut` records nothing: an out-of-range id panics
+    /// before it reaches the pending list, and the next apply is the one
+    /// before, to the bit.
+    #[test]
+    fn rejected_ke_mut_leaves_the_operator_unchanged() {
+        use std::panic::{catch_unwind, AssertUnwindSafe};
+        let mesh = StructuredHexMesh::unit(3, ElementType::Hex8).build();
+        let pm = partition_mesh(&mesh, 1, PartitionMethod::Slabs);
+        Universe::run(1, |comm| {
+            let kernel = PoissonKernel::new(ElementType::Hex8);
+            let (mut op, _) = HymvOperator::setup(comm, &pm.parts[0], &kernel);
+            let n = op.n_owned();
+            let x: Vec<f64> = (0..n).map(|i| (i as f64 * 0.37).sin()).collect();
+            let (mut y0, mut y1) = (vec![0.0; n], vec![0.0; n]);
+            op.matvec(comm, &x, &mut y0);
+            let n_elems = op.maps().n_elems;
+            let rejected = catch_unwind(AssertUnwindSafe(|| {
+                op.ke_mut(n_elems);
+            }));
+            let msg = rejected.expect_err("out-of-range id must be rejected");
+            let msg = msg.downcast_ref::<String>().expect("formatted message");
+            assert!(
+                msg.contains(&format!("element {n_elems} out of range")),
+                "{msg}"
+            );
+            op.matvec(comm, &x, &mut y1);
+            let same = y0.iter().zip(&y1).all(|(a, b)| a.to_bits() == b.to_bits());
+            assert!(same, "apply after a rejected ke_mut changed");
+        });
     }
 
     #[test]

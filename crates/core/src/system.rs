@@ -6,13 +6,14 @@ use std::sync::Arc;
 
 use hymv_comm::Comm;
 use hymv_fem::dirichlet::{constrained_dofs, DirichletSpec};
-use hymv_fem::kernel::{ElementKernel, KernelScratch};
+use hymv_fem::kernel::ElementKernel;
 use hymv_la::solver::{cg, CgResult};
-use hymv_la::{BlockJacobi, ElementMatrixStore, Identity, Jacobi, LinOp, SerialCsr};
+use hymv_la::{BlockJacobi, Identity, Jacobi, LinOp, SerialCsr};
 use hymv_mesh::MeshPartition;
 
 use crate::assemble::{
-    assemble_rhs, assemble_traction, jacobi_diagonal, owned_block_csr, owned_node_coords,
+    assemble_rhs, assemble_traction, computed_jacobi_diagonal, jacobi_diagonal, owned_block_csr,
+    owned_node_coords,
 };
 use crate::assembled::AssembledOperator;
 use crate::dirichlet_op::{owned_constraints, DirichletOp};
@@ -185,14 +186,7 @@ impl FemSystem {
                 let op = MatFreeOperator::setup(comm, part, Arc::clone(&kernel));
                 // Matrix-free Jacobi setup: one transient pass over element
                 // matrices (not stored — the diagonal only).
-                let diag = {
-                    let mut store = ElementMatrixStore::new(kernel.ndof_elem(), maps.n_elems);
-                    let mut scratch = KernelScratch::default();
-                    for e in 0..maps.n_elems {
-                        kernel.compute_ke(part.elem_node_coords(e), store.ke_mut(e), &mut scratch);
-                    }
-                    jacobi_diagonal(comm, &maps, &exchange, &store, ndof)
-                };
+                let diag = computed_jacobi_diagonal(comm, &maps, &exchange, part, &*kernel);
                 assert!(
                     !opts.want_block_jacobi,
                     "block-Jacobi requires stored matrices (HYMV or assembled)"

@@ -11,14 +11,14 @@
 //! measured host pack/accumulate time.
 
 use hymv_comm::Comm;
-use hymv_core::block::BlockPlan;
+use hymv_core::block::{BlockPlan, SlabMatrices};
 use hymv_core::da::DistArray;
 use hymv_core::exchange::GhostExchange;
 use hymv_core::maps::HymvMaps;
 use hymv_core::operator::{HymvOperator, SetupTimings};
 use hymv_fem::kernel::ElementKernel;
 use hymv_la::dense::{emv_batch_flops, select_batch_kernel, EmvBatchKernel};
-use hymv_la::{ElementMatrixStore, LinOp};
+use hymv_la::LinOp;
 use hymv_mesh::MeshPartition;
 
 use crate::model::GpuModel;
@@ -63,7 +63,6 @@ fn dispatch_batch_kernel(
 pub struct HymvGpuOperator {
     maps: HymvMaps,
     exchange: GhostExchange,
-    store: ElementMatrixStore,
     ndof: usize,
     u: DistArray,
     v: DistArray,
@@ -72,7 +71,8 @@ pub struct HymvGpuOperator {
     /// Modeled host ("OpenMP") threads for pack/accumulate.
     host_threads: usize,
     /// The CPU operator's block plan: its batch-interleaved slabs are the
-    /// device-resident matrices, its panels the staging layout.
+    /// device-resident matrices (the only copy kept), its panels the
+    /// staging layout.
     plan: BlockPlan,
     batch_kernel: EmvBatchKernel,
     /// Batched input/output panels, `n_blocks_total × nd × bw` (pinned
@@ -85,8 +85,8 @@ pub struct HymvGpuOperator {
 
 impl HymvGpuOperator {
     /// GPU setup: the CPU HYMV setup plus a one-time H2D upload of the
-    /// element-matrix store (the overhead that makes GPU setup slightly
-    /// slower than CPU setup in Fig 8). Collective.
+    /// block plan's matrix slabs and gather tables (the overhead that makes
+    /// GPU setup slightly slower than CPU setup in Fig 8). Collective.
     pub fn setup(
         comm: &mut Comm,
         part: &MeshPartition,
@@ -99,7 +99,7 @@ impl HymvGpuOperator {
         let (cpu_op, mut timings) = HymvOperator::setup(comm, part, kernel);
         // The device works on the interleaved block slabs the CPU setup
         // built.
-        let (maps, exchange, store, plan, ndof) = cpu_op.into_parts();
+        let (maps, exchange, plan, ndof) = cpu_op.into_parts();
 
         let mut sim = DeviceSim::new(model, n_streams);
         let anchor_vt = comm.vt();
@@ -128,7 +128,6 @@ impl HymvGpuOperator {
         let op = HymvGpuOperator {
             maps,
             exchange,
-            store,
             ndof,
             u,
             v,
@@ -175,9 +174,10 @@ impl HymvGpuOperator {
         self.upload_s
     }
 
-    /// The element-matrix store (device-resident in the paper).
-    pub fn store(&self) -> &ElementMatrixStore {
-        &self.store
+    /// The element matrices (device-resident in the paper), read back
+    /// from the plan's slabs.
+    pub fn store(&self) -> SlabMatrices<'_> {
+        self.plan.slab_matrices()
     }
 
     /// The maps.
@@ -389,7 +389,7 @@ impl LinOp for HymvGpuOperator {
     }
 
     fn storage_bytes(&self) -> usize {
-        self.store.bytes() + self.plan.bytes() + (self.bue.len() + self.bve.len()) * 8
+        self.plan.bytes() + (self.bue.len() + self.bve.len()) * 8
     }
 }
 

@@ -1,7 +1,11 @@
 //! Dense element-matrix storage and the batched EMV kernels.
 //!
 //! HYMV's central data structure is the array of locally-stored element
-//! matrices, kept **column-major** (`ElementMatrixStore`). The elemental
+//! matrices. An operator holds them once, in the batch-interleaved slabs
+//! the kernels stream ([`interleave_ke`] writes a lane, [`deinterleave_ke`]
+//! reads it back); readers see them column-major through
+//! [`ElementMatrices`], which the contiguous `ElementMatrixStore` of tests
+//! and benches implements too. The elemental
 //! mat-vec `ve = Ke · ue` (paper equation (4)) runs `bw` elements at a
 //! time over batch-interleaved slabs, vectorized across the batch (or,
 //! for the SpMM, across the vector columns): one kernel body,
@@ -171,7 +175,34 @@ pub(crate) mod lanes {
     }
 }
 
-/// Contiguous storage of `n_elems` column-major `nd × nd` element matrices.
+/// Read access to one rank's element matrices, wherever they are held:
+/// the contiguous [`ElementMatrixStore`], or an operator's batch-interleaved
+/// slabs read back through [`deinterleave_ke`]. Every reader of `Ke` —
+/// plan attach and refresh, the Jacobi diagonal, the block-Jacobi block —
+/// takes this interface, so an operator needs no second copy to serve them.
+pub trait ElementMatrices {
+    /// Element-matrix dimension `nd`.
+    fn ke_dim(&self) -> usize;
+
+    /// Element `e`'s column-major `nd × nd` matrix: borrowed where it is
+    /// held in that form, otherwise written into `scratch` (`nd²` long) and
+    /// returned from there.
+    fn read_ke<'s>(&'s self, e: usize, scratch: &'s mut [f64]) -> &'s [f64];
+}
+
+impl<T: ElementMatrices + ?Sized> ElementMatrices for &T {
+    fn ke_dim(&self) -> usize {
+        (**self).ke_dim()
+    }
+
+    fn read_ke<'s>(&'s self, e: usize, scratch: &'s mut [f64]) -> &'s [f64] {
+        (**self).read_ke(e, scratch)
+    }
+}
+
+/// Contiguous storage of `n_elems` column-major `nd × nd` element matrices:
+/// the reference layout tests, reference loops and benches build by hand.
+/// Operators hold their matrices in their block plan's slabs only.
 #[derive(Debug, Clone)]
 pub struct ElementMatrixStore {
     nd: usize,
@@ -188,6 +219,18 @@ impl ElementMatrixStore {
             n_elems,
             data: vec![0.0; nd * nd * n_elems],
         }
+    }
+
+    /// A contiguous copy of the first `n_elems` matrices of `src` (tests
+    /// compare an operator's matrices through it).
+    pub fn collect_from(src: impl ElementMatrices, n_elems: usize) -> Self {
+        let mut store = Self::new(src.ke_dim(), n_elems);
+        let mut scratch = vec![0.0; store.nd * store.nd];
+        for e in 0..n_elems {
+            let ke = src.read_ke(e, &mut scratch);
+            store.ke_mut(e).copy_from_slice(ke);
+        }
+        store
     }
 
     /// Element matrix dimension.
@@ -218,10 +261,15 @@ impl ElementMatrixStore {
         let sz = self.nd * self.nd;
         &mut self.data[e * sz..(e + 1) * sz]
     }
+}
 
-    /// The whole storage as a flat slice (GPU upload path).
-    pub fn as_slice(&self) -> &[f64] {
-        &self.data
+impl ElementMatrices for ElementMatrixStore {
+    fn ke_dim(&self) -> usize {
+        self.nd
+    }
+
+    fn read_ke<'s>(&'s self, e: usize, _scratch: &'s mut [f64]) -> &'s [f64] {
+        self.ke(e)
     }
 }
 
@@ -805,6 +853,30 @@ pub fn interleave_ke(ke: &[f64], keb: &mut [f64], nd: usize, bw: usize, b: usize
         }
     }
     symmetric
+}
+
+/// The inverse of [`interleave_ke`]: write lane `b` of a batch-interleaved
+/// slab back into a column-major `nd × nd` matrix, in the layout the slab's
+/// length selects. A packed lane is mirrored into both triangles, which is
+/// exact: a packed slab only ever holds bitwise-symmetric matrices.
+pub fn deinterleave_ke(keb: &[f64], ke: &mut [f64], nd: usize, bw: usize, b: usize) {
+    assert_eq!(ke.len(), nd * nd, "matrix buffer does not fit nd={nd}");
+    debug_assert!(b < bw);
+    if !slab_is_packed(keb.len(), nd, bw) {
+        for (idx, v) in ke.iter_mut().enumerate() {
+            *v = keb[idx * bw + b];
+        }
+        return;
+    }
+    let mut s = 0;
+    for hi in 0..nd {
+        for lo in 0..=hi {
+            let v = keb[s * bw + b];
+            ke[lo * nd + hi] = v;
+            ke[hi * nd + lo] = v;
+            s += 1;
+        }
+    }
 }
 
 // ---------------------------------------------------------------------------
@@ -1627,6 +1699,62 @@ mod tests {
         }
     }
 
+    /// `deinterleave_ke` undoes `interleave_ke` to the bit, on every lane
+    /// of a slab, in both layouts: any matrix through a full slab, a
+    /// bitwise-symmetric one through a packed slab (its mirror is exact).
+    #[test]
+    fn deinterleave_inverts_interleave_bitwise() {
+        let mut rng = StdRng::seed_from_u64(26);
+        for nd in [1usize, 8, 10, 24, 30, 60, 81] {
+            for bw in [1usize, 8, 16] {
+                for packed in [false, true] {
+                    let mut keb = vec![0.0; slab_len(nd, bw, packed)];
+                    let kes: Vec<Vec<f64>> = (0..bw)
+                        .map(|_| {
+                            let mut ke: Vec<f64> =
+                                (0..nd * nd).map(|_| rng.gen_range(-1.0..1.0)).collect();
+                            if packed {
+                                for hi in 0..nd {
+                                    for lo in 0..hi {
+                                        ke[hi * nd + lo] = ke[lo * nd + hi];
+                                    }
+                                }
+                            }
+                            ke
+                        })
+                        .collect();
+                    for (b, ke) in kes.iter().enumerate() {
+                        assert!(interleave_ke(ke, &mut keb, nd, bw, b));
+                    }
+                    let mut back = vec![f64::NAN; nd * nd];
+                    for (b, ke) in kes.iter().enumerate() {
+                        deinterleave_ke(&keb, &mut back, nd, bw, b);
+                        let same = ke
+                            .iter()
+                            .zip(&back)
+                            .all(|(x, y)| x.to_bits() == y.to_bits());
+                        assert!(same, "nd={nd} bw={bw} packed={packed} lane {b}");
+                    }
+                }
+            }
+        }
+    }
+
+    /// The store serves the read interface from its own memory.
+    #[test]
+    fn store_reads_borrow_and_collect_copies() {
+        let mut store = ElementMatrixStore::new(2, 3);
+        store.ke_mut(1).copy_from_slice(&[1.0, 2.0, 3.0, 4.0]);
+        let mut scratch = [f64::NAN; 4];
+        assert_eq!(store.ke_dim(), 2);
+        assert_eq!(store.read_ke(1, &mut scratch), &[1.0, 2.0, 3.0, 4.0]);
+        assert!(scratch.iter().all(|v| v.is_nan()), "no copy for a store");
+        let copy = ElementMatrixStore::collect_from(&store, 3);
+        for e in 0..3 {
+            assert_eq!(copy.ke(e), store.ke(e));
+        }
+    }
+
     #[test]
     fn batch_flops_formula() {
         assert_eq!(emv_batch_flops(10, 8), 1600);
@@ -1667,7 +1795,6 @@ mod tests {
         store.ke_mut(2)[4] = 7.0; // column 1, row 1 of element 2
         assert_eq!(store.ke(2)[4], 7.0);
         assert_eq!(store.ke(1)[4], 0.0);
-        assert_eq!(store.as_slice()[2 * 9 + 4], 7.0);
         assert_eq!(store.nd(), 3);
         assert_eq!(store.n_elems(), 4);
     }

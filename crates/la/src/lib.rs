@@ -2,7 +2,8 @@
 //!
 //! The numerical kernels under HYMV and its baselines:
 //!
-//! * [`dense`] — contiguous column-major storage for element matrices and
+//! * [`dense`] — the `ElementMatrices` read interface (with the contiguous
+//!   column-major `ElementMatrixStore` and the slab (de)interleave pair) and
 //!   the batched elemental mat-vec (EMV) kernels of paper §IV-E
 //!   (equation (4)): `Ve = Ke_b · Ue` over `bw` elements at a time,
 //!   dispatched at runtime to AVX-512/AVX2+FMA/portable lanes, plus the
@@ -46,8 +47,9 @@ pub mod solver;
 pub use block_cg::{block_cg, BlockCgResult};
 pub use csr::SerialCsr;
 pub use dense::{
-    emv_batch, emv_batch_mv, select_batch_kernel, select_batch_mv_kernel, ElementMatrixStore,
-    EmvBatchKernel, EmvBatchMvKernel, FIXED_NVEC_WIDTH, MAX_BATCH_WIDTH, MAX_NVEC_WIDTH,
+    emv_batch, emv_batch_mv, select_batch_kernel, select_batch_mv_kernel, ElementMatrices,
+    ElementMatrixStore, EmvBatchKernel, EmvBatchMvKernel, FIXED_NVEC_WIDTH, MAX_BATCH_WIDTH,
+    MAX_NVEC_WIDTH,
 };
 pub use dist_csr::DistCsr;
 pub use mv::{column_norms, gram, MultiLinOp, Multivector};

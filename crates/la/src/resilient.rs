@@ -54,25 +54,6 @@ impl CheckpointPolicy {
         every: 0,
         max_recoveries: 3,
     };
-
-    /// Read `HYMV_CKPT_EVERY` (default 0 = off) and
-    /// `HYMV_CKPT_MAX_RECOVERIES` (default 3).
-    ///
-    /// # Panics
-    /// On unparseable values — a typo must not silently disable
-    /// checkpointing.
-    pub fn from_env() -> Self {
-        let int = |name: &str, default: usize| -> usize {
-            std::env::var(name).map_or(default, |v| {
-                v.parse()
-                    .unwrap_or_else(|_| panic!("{name} must be an unsigned integer, got {v:?}"))
-            })
-        };
-        CheckpointPolicy {
-            every: int("HYMV_CKPT_EVERY", 0),
-            max_recoveries: int("HYMV_CKPT_MAX_RECOVERIES", 3),
-        }
-    }
 }
 
 impl Default for CheckpointPolicy {

@@ -43,8 +43,11 @@
 //!    kernel entries, tag-literal flow through tag-generic parameters),
 //! 3. the bounds interpreter over the `// verify: prove-bounds` SIMD
 //!    kernels of `crates/la/src/dense.rs`,
-//! 4. the slab-contract cross-check: real `BlockPlan` slabs (bw 4 and 8)
-//!    must satisfy exactly the preconditions the kernel proofs assume, and
+//! 4. the slab-contract cross-check: real `BlockPlan` slabs (bw 4 and 8,
+//!    attached from a store, plus an operator's packed plan demoted in
+//!    place by a `ke_mut` write and a plan attached from the demoted
+//!    plan's view) must satisfy exactly the preconditions the kernel
+//!    proofs assume, and
 //! 5. the collective-order pass: no rank-divergent collective call chains
 //!    anywhere in the workspace, with the inferred collective sequence of
 //!    every `// verify: collective-entry` phase printed for review.
@@ -219,7 +222,7 @@ fn run_effects(root: &std::path::Path) -> ExitCode {
     let mesh = StructuredHexMesh::unit(3, ElementType::Hex8).build();
     let pm = partition_mesh(&mesh, 1, PartitionMethod::Slabs);
     let maps = HymvMaps::build(&pm.parts[0]);
-    let mut slabs = 0usize;
+    let mut plans = Vec::new();
     let mut slab_errs = Vec::new();
     // A symmetric store (what every FEM kernel produces) packs, one
     // asymmetric entry keeps the plan full: both slab layouts the kernels
@@ -238,6 +241,38 @@ fn run_effects(root: &std::path::Path) -> ExitCode {
                 if plan.is_packed() { "packed" } else { "full" }
             ));
         }
+        plans.push((format!("bw={bw}"), plan));
+    }
+    // The slabs an operator reallocates itself: a packed plan demoted in
+    // place by an asymmetric `ke_mut` write (the packed slabs expanded into
+    // the full layout), and a plan attached from the demoted plan's view.
+    let demoted = Universe::run(1, |comm| {
+        let kernel = hymv_fem::PoissonKernel::new(ElementType::Hex8);
+        let (mut op, _) = hymv_core::HymvOperator::setup(comm, &pm.parts[0], &kernel);
+        let packed = op.block_plan().is_packed();
+        op.ke_mut(maps.n_elems - 1)[1] += 1.0;
+        let x = vec![1.0; hymv_la::LinOp::n_owned(&op)];
+        let mut y = vec![0.0; x.len()];
+        op.matvec(comm, &x, &mut y);
+        let mut attached = hymv_core::BlockPlan::build(&maps, 1, op.batch_width());
+        attached.attach_store(op.store());
+        (packed, op.block_plan().clone(), attached)
+    });
+    let (was_packed, demoted, attached) = demoted.into_iter().next().expect("one rank");
+    for (what, plan) in [
+        ("demoted in place", demoted),
+        ("attached from it", attached),
+    ] {
+        if !was_packed || plan.is_packed() {
+            slab_errs.push(format!(
+                "operator plan {what}: packed before the write {was_packed}, after {}",
+                plan.is_packed()
+            ));
+        }
+        plans.push((format!("operator plan {what}"), plan));
+    }
+    let mut slabs = 0usize;
+    for (label, plan) in &plans {
         let nd = plan.nd();
         for dependent in [false, true] {
             let set = plan.set(dependent);
@@ -247,7 +282,7 @@ fn run_effects(root: &std::path::Path) -> ExitCode {
                 if let Err(e) =
                     check_slab_contract(nd, plan.batch_width(), set.keb(k).len(), panel, panel)
                 {
-                    slab_errs.push(format!("bw={bw} dependent={dependent} block={k}: {e}"));
+                    slab_errs.push(format!("{label} dependent={dependent} block={k}: {e}"));
                 }
                 // Multivector widening of the same slab: keb unchanged,
                 // panels strided to nd·bw·nvec.
@@ -262,7 +297,7 @@ fn run_effects(root: &std::path::Path) -> ExitCode {
                         panel * nvec,
                     ) {
                         slab_errs.push(format!(
-                            "bw={bw} nvec={nvec} dependent={dependent} block={k}: {e}"
+                            "{label} nvec={nvec} dependent={dependent} block={k}: {e}"
                         ));
                     }
                 }

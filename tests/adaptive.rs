@@ -11,6 +11,7 @@ use hymv::core::da::DistArray;
 use hymv::core::hybrid::emv_loop_serial;
 use hymv::core::operator::HymvOperator;
 use hymv::fem::kernel::KernelScratch;
+use hymv::la::{ElementMatrices, ElementMatrixStore};
 use hymv::prelude::*;
 
 /// A kernel that scales another kernel's matrices (a crude "enrichment").
@@ -97,18 +98,44 @@ fn is_packed(op: &HymvOperator) -> bool {
     op.block_plan().is_packed()
 }
 
-/// `K x` by the per-element reference loop over the operator's store, on
-/// one rank (where the owned dofs are all the dofs).
+/// `K x` by the per-element reference loop over a contiguous copy of the
+/// operator's matrices, on one rank (where the owned dofs are all the
+/// dofs).
 fn per_element(op: &HymvOperator, x: &[f64]) -> Vec<f64> {
-    let (maps, nd) = (op.maps(), op.store().nd());
+    let maps = op.maps();
+    let store = ElementMatrixStore::collect_from(op.store(), maps.n_elems);
+    let nd = store.nd();
     assert_eq!(maps.n_owned(), maps.n_total(), "one rank only");
     let mut u = DistArray::new(maps, op.ndof());
     u.set_owned(x);
     let mut v = DistArray::new(maps, op.ndof());
     let all: Vec<u32> = (0..maps.n_elems as u32).collect();
     let (mut ue, mut ve) = (vec![0.0; nd], vec![0.0; nd]);
-    emv_loop_serial(maps, op.store(), &u, &mut v, &all, &mut ue, &mut ve);
+    emv_loop_serial(maps, &store, &u, &mut v, &all, &mut ue, &mut ve);
     v.owned().to_vec()
+}
+
+/// Element `e`'s matrix as the operator holds it (pending `ke_mut`
+/// writes included).
+fn ke_of(op: &HymvOperator, e: usize) -> Vec<f64> {
+    let store = op.store();
+    let nd = store.ke_dim();
+    let mut scratch = vec![0.0; nd * nd];
+    store.read_ke(e, &mut scratch).to_vec()
+}
+
+/// Every element matrix of `op`, in element order.
+fn matrices(op: &HymvOperator) -> Vec<Vec<f64>> {
+    (0..op.maps().n_elems).map(|e| ke_of(op, e)).collect()
+}
+
+/// Two operators hold the same matrices, element by element, to the bit.
+fn assert_same_matrices(a: &HymvOperator, b: &HymvOperator, what: &str) {
+    let (ma, mb) = (matrices(a), matrices(b));
+    assert_eq!(ma.len(), mb.len(), "{what}: element counts");
+    for (e, (ka, kb)) in ma.iter().zip(&mb).enumerate() {
+        assert_bitwise(ka, kb, &format!("{what}: element {e}"));
+    }
 }
 
 fn assert_bitwise(a: &[f64], b: &[f64], what: &str) {
@@ -142,13 +169,14 @@ fn packed_slabs_match_full_slabs_bitwise() {
                     .collect();
                 let mut y = vec![0.0; n];
 
-                let saved = full.store().ke(0)[1];
+                let saved = ke_of(&full, 0)[1];
                 full.ke_mut(0)[1] = saved + 1.0;
                 full.matvec(comm, &x, &mut y);
                 full.ke_mut(0)[1] = saved;
+                full.matvec(comm, &x, &mut y);
                 assert!(is_packed(&packed), "FEM kernels give bitwise-symmetric Ke");
                 assert!(!is_packed(&full));
-                assert_eq!(packed.store().as_slice(), full.store().as_slice());
+                assert_same_matrices(&packed, &full, "packed vs full");
                 assert!(packed.storage_bytes() < full.storage_bytes());
                 assert_eq!(packed.flops_per_apply(), full.flops_per_apply());
 
@@ -198,7 +226,7 @@ fn asymmetric_update_demotes_and_equals_fresh_setup() {
         assert!(is_packed(&a));
 
         // Entry (1,0) of element 5 only: its mirror (0,1) keeps the old value.
-        let saved = a.store().ke(5)[1];
+        let saved = ke_of(&a, 5)[1];
         a.ke_mut(5)[1] = saved + 0.25;
         a.matvec(comm, &x, &mut y);
         assert!(!is_packed(&a), "asymmetric Ke must demote");
@@ -280,7 +308,7 @@ fn symmetric_update_sequence_equals_fresh_setup_bitwise() {
         b.matvec(comm, &x, &mut yb);
 
         assert!(is_packed(&a) && is_packed(&b));
-        assert_eq!(a.store().as_slice(), b.store().as_slice());
+        assert_same_matrices(&a, &b, "updated vs fresh");
         assert_bitwise(&ya, &yb, "updated vs fresh");
     });
 }
@@ -372,7 +400,7 @@ fn rejected_update_leaves_operator_unchanged() {
         let x: Vec<f64> = (0..n).map(|i| (i as f64 * 0.37).sin()).collect();
         let (mut y0, mut y1) = (vec![0.0; n], vec![0.0; n]);
         op.matvec(comm, &x, &mut y0);
-        let store0 = op.store().as_slice().to_vec();
+        let matrices0 = matrices(&op);
         let slabs0 = slabs(&op);
 
         let bad = [0usize, 5, part.n_elems()];
@@ -387,7 +415,9 @@ fn rejected_update_leaves_operator_unchanged() {
         }));
         assert!(rejected.is_err(), "kernel of another nd must be rejected");
 
-        assert_bitwise(op.store().as_slice(), &store0, "store");
+        for (e, (now, before)) in matrices(&op).iter().zip(&matrices0).enumerate() {
+            assert_bitwise(now, before, &format!("element {e}"));
+        }
         assert_eq!(slabs(&op), slabs0);
         op.matvec(comm, &x, &mut y1);
         assert_bitwise(&y1, &y0, "matvec after rejected update");
@@ -436,8 +466,10 @@ fn applies(comm: &mut hymv::comm::Comm, op: &mut HymvOperator) -> Vec<f64> {
 
 /// Setup and update are one routine: a fresh setup, an operator brought
 /// to the same matrices by updating every element, and a plan attached to
-/// the finished store in one pass agree in every bit of store, slabs,
-/// `matvec` and `matvec_mv` — at widths 8 and 1, p ∈ {1, 2}.
+/// the finished matrices in one pass agree in every bit of every element
+/// matrix, slabs, `matvec` and `matvec_mv` — at widths 8 and 1, p ∈ {1, 2},
+/// in the packed layout and demoted to the full one by the same
+/// asymmetric `ke_mut` write on both operators.
 #[test]
 fn fresh_setup_equals_update_of_every_element_bitwise() {
     // 125 elements: several chunks of the compute/interleave loop on
@@ -458,26 +490,29 @@ fn fresh_setup_equals_update_of_every_element_bitwise() {
                 factor: 0.01,
             };
             let all: Vec<usize> = (0..part.n_elems()).collect();
-            for bw in [8usize, 1] {
+            let last = part.n_elems() - 1;
+            for (bw, demoted) in [(8usize, false), (1, false), (8, true), (1, true)] {
                 let (mut fresh, t) = HymvOperator::setup(comm, part, &*base);
                 assert!(t.emat_compute_s > 0.0 && t.local_copy_s > 0.0);
                 fresh.set_batch_width(bw);
                 let (mut updated, _) = HymvOperator::setup(comm, part, &soft);
                 updated.set_batch_width(bw);
                 updated.update_elements(comm, part, &*base, &all);
-
-                assert!(fresh.block_plan().is_packed(), "bw={bw}");
-                assert_bitwise(
-                    fresh.store().as_slice(),
-                    updated.store().as_slice(),
-                    "store",
-                );
-                assert_eq!(slabs(&fresh), slabs(&updated), "bw={bw}: slabs");
-                let mut attached = BlockPlan::build(fresh.maps(), fresh.ndof(), bw);
-                attached.attach_store(fresh.store());
-                assert_eq!(slabs(&fresh), plan_slabs(&attached), "attach_store");
+                if demoted {
+                    for op in [&mut fresh, &mut updated] {
+                        op.ke_mut(last)[1] += 0.25;
+                    }
+                }
                 let y = applies(comm, &mut fresh);
                 assert_bitwise(&y, &applies(comm, &mut updated), "applies");
+
+                let what = format!("bw={bw} demoted={demoted}");
+                assert_eq!(fresh.block_plan().is_packed(), !demoted, "{what}");
+                assert_same_matrices(&fresh, &updated, &what);
+                assert_eq!(slabs(&fresh), slabs(&updated), "{what}: slabs");
+                let mut attached = BlockPlan::build(fresh.maps(), fresh.ndof(), bw);
+                attached.attach_store(fresh.store());
+                assert_eq!(slabs(&fresh), plan_slabs(&attached), "{what}: attach_store");
             }
         });
     }
@@ -505,7 +540,7 @@ fn asymmetric_matrix_mid_setup_demotes_to_the_full_layout() {
         };
         let (mut op, _) = HymvOperator::setup(comm, part, &kernel);
         assert!(!is_packed(&op), "one asymmetric Ke keeps every slab full");
-        let ke = op.store().ke(41);
+        let ke = ke_of(&op, 41);
         assert_ne!(ke[1].to_bits(), ke[8].to_bits());
 
         let mut full = BlockPlan::build(op.maps(), 1, op.batch_width());
