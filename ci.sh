@@ -46,7 +46,7 @@ cargo run -q -p hymv-check --bin hymv-check -- --n 4 --p 3 --method greedy --see
 stage "hymv-check multivector SpMM determinism (B=8, nvec=3: run-time width on portable lanes)"
 cargo run -q -p hymv-check --bin hymv-check -- --n 4 --p 3 --method greedy --seeds 8 --batch 8 --nvec 3
 
-stage "hymv-verify static passes (model check, alias proof, lint)"
+stage "hymv-verify static passes (model check, block-plan index bounds, lint)"
 cargo run -q -p hymv-verify --bin hymv-verify -- --n 4 --p 1,2,4,8
 cargo run -q -p hymv-verify --bin hymv-verify -- --n 4 --p 1,2,4,8 --method greedy --skip-lint
 

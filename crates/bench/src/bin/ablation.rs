@@ -2,8 +2,6 @@
 //!
 //! * `ablation overlap`  — Algorithm 2's communication/computation overlap
 //!   vs a blocking exchange.
-//! * `ablation smp`      — shared-memory strategies for the elemental
-//!   loop: serial vs colored vs chunk-private.
 //! * `ablation adaptive` — adaptive-update cost vs the fraction of
 //!   elements touched, against full reassembly.
 
@@ -11,7 +9,6 @@ use hymv_bench::{elasticity_case, poisson_case, ratio, secs, Reporter};
 use hymv_comm::Universe;
 use hymv_core::assembled::AssembledOperator;
 use hymv_core::operator::HymvOperator;
-use hymv_core::ParallelMode;
 use hymv_fem::analytic::BarProblem;
 use hymv_la::LinOp as _;
 use hymv_mesh::{
@@ -60,51 +57,6 @@ fn overlap() {
         rep.row(vec![p.to_string(), secs(b), secs(o), ratio(b, o)]);
     }
     rep.note("Algorithm 2 hides the ghost-scatter latency behind the independent-element EMVs; measured on a slow-fabric cost model (alpha=50us) where latency matters at bench scale");
-    rep.finish();
-}
-
-fn smp() {
-    let bar = BarProblem::default_unit();
-    let (lo, hi) = bar.bbox();
-    let mesh = StructuredHexMesh::new(10, 10, 10, ElementType::Hex20, lo, hi).build();
-    let case = elasticity_case("ablation-smp", mesh, bar);
-    let mut rep = Reporter::new("ablation-smp", &["mode", "threads", "10SPMV", "vs serial"]);
-    let pm = partition_mesh(&case.mesh, 2, PartitionMethod::Slabs);
-    let configs = [
-        ("serial", ParallelMode::Serial),
-        ("colored", ParallelMode::Colored { threads: 4 }),
-        ("chunk-private", ParallelMode::ChunkPrivate { threads: 4 }),
-        ("colored", ParallelMode::Colored { threads: 14 }),
-        ("chunk-private", ParallelMode::ChunkPrivate { threads: 14 }),
-    ];
-    let mut serial_time = 0.0;
-    for (name, mode) in configs {
-        let out = Universe::run(2, |comm| {
-            let part = &pm.parts[comm.rank()];
-            let kernel = (case.kernel)();
-            let (mut op, _) = HymvOperator::setup(comm, part, &*kernel);
-            op.set_parallel_mode(mode);
-            let x: Vec<f64> = (0..op.n_owned()).map(|i| (i as f64 * 0.1).cos()).collect();
-            let mut y = vec![0.0; op.n_owned()];
-            comm.reset_ledger();
-            let vt0 = comm.vt();
-            for _ in 0..10 {
-                op.matvec(comm, &x, &mut y);
-            }
-            comm.allreduce_max_f64(comm.vt() - vt0)
-        });
-        let t = out[0];
-        if mode == ParallelMode::Serial {
-            serial_time = t;
-        }
-        rep.row(vec![
-            name.to_string(),
-            mode.threads().to_string(),
-            secs(t),
-            ratio(serial_time, t),
-        ]);
-    }
-    rep.note("colored writes directly to the shared DA (no extra memory); chunk-private pays a buffer reduction; thread speedup is modeled (1-core host), the race-freedom machinery is real");
     rep.finish();
 }
 
@@ -223,9 +175,6 @@ fn main() {
     }
     if mode == "pipelined" || mode == "all" {
         pipelined();
-    }
-    if mode == "smp" || mode == "all" {
-        smp();
     }
     if mode == "adaptive" || mode == "all" {
         adaptive();

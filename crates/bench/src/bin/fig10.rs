@@ -14,7 +14,6 @@
 
 use hymv_bench::{elasticity_case, run_setup_and_spmv, Reporter};
 use hymv_core::system::Method;
-use hymv_core::ParallelMode;
 use hymv_fem::analytic::BarProblem;
 use hymv_fem::{ElasticityKernel, ElementKernel};
 use hymv_mesh::{ElementType, PartitionMethod, StructuredHexMesh};
@@ -117,14 +116,7 @@ fn main() {
         ),
     ];
     for (method, name, flops, bytes, paper_ai, paper_gf) in configs {
-        let r = run_setup_and_spmv(
-            &case,
-            1,
-            method,
-            ParallelMode::Serial,
-            PartitionMethod::Slabs,
-            10,
-        );
+        let r = run_setup_and_spmv(&case, 1, method, 1, PartitionMethod::Slabs, 10);
         let gf = 10.0 * flops / r.spmv_s / 1e9;
         rep.row(vec![
             name.to_string(),

@@ -16,7 +16,6 @@
 
 use hymv_bench::{poisson_case, ratio, run_setup_and_spmv, secs, Reporter};
 use hymv_core::system::Method;
-use hymv_core::ParallelMode;
 use hymv_mesh::{ElementType, PartitionMethod, StructuredHexMesh};
 
 const PER_RANK_DOFS: usize = 4_000;
@@ -43,30 +42,9 @@ fn run(kind: &str, ranks: &[usize], sizing: impl Fn(usize) -> usize) {
         let n = sizing(p);
         let mesh = StructuredHexMesh::unit(n, ElementType::Hex8).build();
         let case = poisson_case("fig4", mesh);
-        let asm = run_setup_and_spmv(
-            &case,
-            p,
-            Method::Assembled,
-            ParallelMode::Serial,
-            PartitionMethod::Slabs,
-            10,
-        );
-        let hymv = run_setup_and_spmv(
-            &case,
-            p,
-            Method::Hymv,
-            ParallelMode::Serial,
-            PartitionMethod::Slabs,
-            10,
-        );
-        let mf = run_setup_and_spmv(
-            &case,
-            p,
-            Method::MatFree,
-            ParallelMode::Serial,
-            PartitionMethod::Slabs,
-            10,
-        );
+        let asm = run_setup_and_spmv(&case, p, Method::Assembled, 1, PartitionMethod::Slabs, 10);
+        let hymv = run_setup_and_spmv(&case, p, Method::Hymv, 1, PartitionMethod::Slabs, 10);
+        let mf = run_setup_and_spmv(&case, p, Method::MatFree, 1, PartitionMethod::Slabs, 10);
         rep.row(vec![
             p.to_string(),
             case.n_dofs().to_string(),

@@ -13,7 +13,6 @@
 
 use hymv_bench::{elasticity_case, ratio, run_setup_and_spmv, secs, Reporter};
 use hymv_core::system::Method;
-use hymv_core::ParallelMode;
 use hymv_fem::analytic::BarProblem;
 use hymv_mesh::{ElementType, PartitionMethod, StructuredHexMesh};
 
@@ -47,30 +46,9 @@ fn run(kind: &str, ranks: &[usize], sizing: impl Fn(usize) -> usize) {
     );
     for &p in ranks {
         let case = build_case(sizing(p));
-        let asm = run_setup_and_spmv(
-            &case,
-            p,
-            Method::Assembled,
-            ParallelMode::Serial,
-            PartitionMethod::Slabs,
-            10,
-        );
-        let hymv = run_setup_and_spmv(
-            &case,
-            p,
-            Method::Hymv,
-            ParallelMode::Serial,
-            PartitionMethod::Slabs,
-            10,
-        );
-        let mf = run_setup_and_spmv(
-            &case,
-            p,
-            Method::MatFree,
-            ParallelMode::Serial,
-            PartitionMethod::Slabs,
-            10,
-        );
+        let asm = run_setup_and_spmv(&case, p, Method::Assembled, 1, PartitionMethod::Slabs, 10);
+        let hymv = run_setup_and_spmv(&case, p, Method::Hymv, 1, PartitionMethod::Slabs, 10);
+        let mf = run_setup_and_spmv(&case, p, Method::MatFree, 1, PartitionMethod::Slabs, 10);
         rep.row(vec![
             p.to_string(),
             case.n_dofs().to_string(),

@@ -8,7 +8,6 @@
 
 use hymv_bench::{poisson_case, ratio, run_setup_and_spmv, secs, Reporter};
 use hymv_core::system::Method;
-use hymv_core::ParallelMode;
 use hymv_mesh::{unstructured_tet_mesh, ElementType, PartitionMethod};
 
 const MESH_N: usize = 14; // 6·14³ ≈ 16.5K Tet10 elements, ~23K nodes
@@ -37,18 +36,11 @@ fn main() {
             &case,
             p,
             Method::Assembled,
-            ParallelMode::Serial,
+            1,
             PartitionMethod::GreedyGraph,
             10,
         );
-        let hymv = run_setup_and_spmv(
-            &case,
-            p,
-            Method::Hymv,
-            ParallelMode::Serial,
-            PartitionMethod::GreedyGraph,
-            10,
-        );
+        let hymv = run_setup_and_spmv(&case, p, Method::Hymv, 1, PartitionMethod::GreedyGraph, 10);
         rep.row(vec![
             p.to_string(),
             case.n_dofs().to_string(),

@@ -13,10 +13,13 @@ use hymv_bench::{
     elasticity_case, ratio, run_gpu_spmv, run_setup_and_spmv, secs, GpuConfig, GpuMethod, Reporter,
 };
 use hymv_core::system::Method;
-use hymv_core::ParallelMode;
 use hymv_fem::analytic::BarProblem;
 use hymv_gpu::GpuScheme;
 use hymv_mesh::{ElementType, PartitionMethod, StructuredHexMesh};
+
+/// Modeled threads per CPU rank, as many as the GPU runs' host threads
+/// (paper: 14).
+const THREADS: usize = 4;
 
 fn build_case(n: usize) -> hymv_bench::Case {
     let bar = BarProblem::default_unit();
@@ -58,14 +61,7 @@ fn single() {
     );
     for n in [6usize, 8, 10, 13, 16] {
         let case = build_case(n);
-        let cpu = run_setup_and_spmv(
-            &case,
-            2,
-            Method::Hymv,
-            ParallelMode::Colored { threads: 4 },
-            PartitionMethod::Slabs,
-            10,
-        );
+        let cpu = run_setup_and_spmv(&case, 2, Method::Hymv, THREADS, PartitionMethod::Slabs, 10);
         let gpu = run_gpu_spmv(
             &case,
             2,
@@ -104,14 +100,7 @@ fn weak() {
     for p in [2usize, 4, 8, 16] {
         let n = hymv_bench::mesh_n_for_dofs(ElementType::Hex20, 3, p, 5_000);
         let case = build_case(n);
-        let cpu = run_setup_and_spmv(
-            &case,
-            p,
-            Method::Hymv,
-            ParallelMode::Colored { threads: 4 },
-            PartitionMethod::Slabs,
-            10,
-        );
+        let cpu = run_setup_and_spmv(&case, p, Method::Hymv, THREADS, PartitionMethod::Slabs, 10);
         let mut times = Vec::new();
         for scheme in [
             GpuScheme::Blocking,

@@ -12,7 +12,6 @@ use hymv_bench::{
     elasticity_case, run_gpu_spmv, run_setup_and_spmv, GpuConfig, GpuMethod, Reporter,
 };
 use hymv_core::system::Method;
-use hymv_core::ParallelMode;
 use hymv_fem::analytic::BarProblem;
 use hymv_mesh::{ElementType, PartitionMethod, StructuredHexMesh};
 
@@ -52,23 +51,9 @@ fn main() {
                     format!("{:.2}", gflop / t),
                 ]);
             };
-            let r = run_setup_and_spmv(
-                &case,
-                p,
-                Method::Assembled,
-                ParallelMode::Serial,
-                PartitionMethod::Slabs,
-                10,
-            );
+            let r = run_setup_and_spmv(&case, p, Method::Assembled, 1, PartitionMethod::Slabs, 10);
             add("matrix-assembled", r.gflop, r.spmv_s);
-            let r = run_setup_and_spmv(
-                &case,
-                p,
-                Method::Hymv,
-                ParallelMode::Serial,
-                PartitionMethod::Slabs,
-                10,
-            );
+            let r = run_setup_and_spmv(&case, p, Method::Hymv, 1, PartitionMethod::Slabs, 10);
             add("HYMV", r.gflop, r.spmv_s);
             let r = run_gpu_spmv(
                 &case,
@@ -79,14 +64,7 @@ fn main() {
                 10,
             );
             add("HYMV GPU", r.gflop, r.spmv_s);
-            let r = run_setup_and_spmv(
-                &case,
-                p,
-                Method::MatFree,
-                ParallelMode::Serial,
-                PartitionMethod::Slabs,
-                10,
-            );
+            let r = run_setup_and_spmv(&case, p, Method::MatFree, 1, PartitionMethod::Slabs, 10);
             add("matrix-free", r.gflop, r.spmv_s);
         }
     }

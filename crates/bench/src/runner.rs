@@ -11,7 +11,6 @@ use hymv_core::dirichlet_op::{owned_constraints, DirichletOp};
 use hymv_core::exchange::GhostExchange;
 use hymv_core::maps::HymvMaps;
 use hymv_core::system::{BuildOptions, FemSystem, Method, PrecondKind};
-use hymv_core::ParallelMode;
 use hymv_fem::analytic::{BarProblem, PoissonProblem};
 use hymv_fem::dirichlet::{constrained_dofs, DirichletSpec};
 use hymv_fem::{ElasticityKernel, ElementKernel, PoissonKernel};
@@ -134,12 +133,12 @@ impl SpmvReport {
 }
 
 /// Run the paper's measurement protocol: setup, then `n_spmv` operator
-/// applications, on `p` ranks.
+/// applications, on `p` ranks of `threads` modeled threads each.
 pub fn run_setup_and_spmv(
     case: &Case,
     p: usize,
     method: Method,
-    mode: ParallelMode,
+    threads: usize,
     partitioner: PartitionMethod,
     n_spmv: usize,
 ) -> SpmvReport {
@@ -155,7 +154,7 @@ pub fn run_setup_and_spmv(
         let part = &pm.parts[comm.rank()];
         comm.reset_ledger();
         let mut opts = BuildOptions::new(method);
-        opts.mode = mode;
+        opts.threads = threads;
         let mut sys = FemSystem::build(comm, part, (case.kernel)(), &case.spec, opts);
         let emat = comm.allreduce_max_f64(sys.setup.emat_s);
         let over = comm.allreduce_max_f64(sys.setup.overhead_s);
@@ -560,14 +559,7 @@ mod tests {
     fn spmv_runner_produces_consistent_report() {
         let mesh = StructuredHexMesh::unit(5, ElementType::Hex8).build();
         let case = poisson_case("smoke", mesh);
-        let r = run_setup_and_spmv(
-            &case,
-            2,
-            Method::Hymv,
-            ParallelMode::Serial,
-            PartitionMethod::Slabs,
-            3,
-        );
+        let r = run_setup_and_spmv(&case, 2, Method::Hymv, 1, PartitionMethod::Slabs, 3);
         assert_eq!(r.p, 2);
         assert_eq!(r.n_dofs, 216);
         assert!(r.spmv_s > 0.0);

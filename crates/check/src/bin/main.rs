@@ -3,7 +3,7 @@
 //! ```text
 //! hymv-check [--n N] [--p P] [--elem hex8|hex20|hex27|tet4|tet10]
 //!            [--method slabs|rcb|greedy] [--seeds K|s1,s2,...]
-//!            [--mode serial|colored|chunk] [--batch B] [--nvec V]
+//!            [--batch B] [--nvec V]
 //! ```
 //!
 //! Builds an `N³`-element structured mesh, partitions it over `P` ranks,
@@ -15,7 +15,6 @@
 use std::process::ExitCode;
 
 use hymv_check::{check_exchange, check_partition, parse_seeds, seeds_from_env};
-use hymv_core::ParallelMode;
 use hymv_mesh::partition::partition_mesh;
 use hymv_mesh::{unstructured_tet_mesh, ElementType, PartitionMethod, StructuredHexMesh};
 
@@ -25,7 +24,6 @@ struct Options {
     elem: ElementType,
     method: PartitionMethod,
     seeds: Vec<u64>,
-    mode: ParallelMode,
     /// EMV batch width to pin (`None` keeps the operator's default).
     batch: Option<usize>,
     /// Multivector width: `> 1` certifies the SpMM engine (coalesced
@@ -37,7 +35,7 @@ fn usage() -> ExitCode {
     eprintln!(
         "usage: hymv-check [--n N] [--p P] [--elem hex8|hex20|hex27|tet4|tet10]\n\
          \x20                 [--method slabs|rcb|greedy] [--seeds K|s1,s2,...]\n\
-         \x20                 [--mode serial|colored|chunk] [--batch B] [--nvec V]"
+         \x20                 [--batch B] [--nvec V]"
     );
     ExitCode::from(2)
 }
@@ -49,7 +47,6 @@ fn parse_args() -> Result<Options, String> {
         elem: ElementType::Hex8,
         method: PartitionMethod::Slabs,
         seeds: seeds_from_env(8),
-        mode: ParallelMode::Colored { threads: 4 },
         batch: None,
         nvec: None,
     };
@@ -91,14 +88,6 @@ fn parse_args() -> Result<Options, String> {
                 opts.nvec =
                     Some(hymv_core::parse_nvec_width(&val()?).map_err(|e| format!("--nvec: {e}"))?)
             }
-            "--mode" => {
-                opts.mode = match val()?.as_str() {
-                    "serial" => ParallelMode::Serial,
-                    "colored" => ParallelMode::Colored { threads: 4 },
-                    "chunk" => ParallelMode::ChunkPrivate { threads: 4 },
-                    other => return Err(format!("unknown parallel mode {other}")),
-                }
-            }
             other => return Err(format!("unknown flag {other}")),
         }
     }
@@ -124,8 +113,8 @@ fn main() -> ExitCode {
     let batch_desc = opts.batch.map_or_else(|| "env".into(), |b| b.to_string());
     let nvec_desc = opts.nvec.map_or_else(|| "1".into(), |v| v.to_string());
     println!(
-        "hymv-check: {}^3 {:?} mesh, {} ranks ({:?}), {} perturbation seed(s), {:?}, batch={batch_desc}, nvec={nvec_desc}",
-        opts.n, opts.elem, opts.p, opts.method, n_seeds, opts.mode
+        "hymv-check: {}^3 {:?} mesh, {} ranks ({:?}), {} perturbation seed(s), batch={batch_desc}, nvec={nvec_desc}",
+        opts.n, opts.elem, opts.p, opts.method, n_seeds
     );
     let mesh = match opts.elem {
         ElementType::Tet4 | ElementType::Tet10 => unstructured_tet_mesh(opts.n, opts.elem, 0.0, 1),
@@ -160,12 +149,11 @@ fn main() -> ExitCode {
     // catch it so the CLI reports a failure instead of a backtrace.
     let pm_ref = &pm;
     let seeds = opts.seeds;
-    let mode = opts.mode;
     let batch = opts.batch;
     let nvec = opts.nvec;
     let outcome = std::panic::catch_unwind(move || match nvec {
-        Some(v) if v > 1 => hymv_check::certify_spmm_determinism(pm_ref, mode, batch, v, &seeds),
-        _ => hymv_check::certify_spmv_determinism_with(pm_ref, mode, batch, &seeds),
+        Some(v) if v > 1 => hymv_check::certify_spmm_determinism(pm_ref, batch, v, &seeds),
+        _ => hymv_check::certify_spmv_determinism_with(pm_ref, batch, &seeds),
     });
     match outcome {
         Ok(_) => println!("ok ({n_seeds} seeds, bitwise identical)"),

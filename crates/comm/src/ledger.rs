@@ -41,11 +41,27 @@ impl CostModel {
         self.alpha + bytes as f64 / self.beta
     }
 
-    /// Modeled speedup of a perfectly-balanced elemental loop on `t` threads.
+    /// Modeled speedup of a perfectly-balanced elemental loop on `t` threads
+    /// — exactly 1.0 at one thread, whatever the serial fraction.
+    ///
+    /// # Panics
+    /// On 0 threads (see [`assert_thread_count`]).
     pub fn smp_speedup(&self, threads: usize) -> f64 {
-        let t = threads.max(1) as f64;
+        assert_thread_count(threads);
+        let t = threads as f64;
         1.0 / (self.smp_serial_fraction + (1.0 - self.smp_serial_fraction) / t)
     }
+}
+
+/// Reject a modeled thread count of 0 — never a silent clamp to 1.
+///
+/// # Panics
+/// If `threads` is 0, with a message naming the value.
+pub fn assert_thread_count(threads: usize) {
+    assert!(
+        threads >= 1,
+        "thread count {threads} is invalid: a rank runs its element loop on at least 1 thread"
+    );
 }
 
 /// Read the calling thread's CPU time in seconds.
@@ -327,6 +343,15 @@ mod tests {
         let m = CostModel::default();
         let s = m.smp_speedup(14);
         assert!(s > 1.0 && s < 14.0);
+        // One thread charges a loop exactly its measured time: `s + (1 − s)`
+        // rounds to 1 for every serial fraction in [0, 1].
+        for k in 0..=1000 {
+            let m = CostModel {
+                smp_serial_fraction: f64::from(k) / 1000.0,
+                ..Default::default()
+            };
+            assert_eq!(m.smp_speedup(1), 1.0, "serial fraction {k}/1000");
+        }
     }
 
     #[test]

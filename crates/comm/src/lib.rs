@@ -58,7 +58,7 @@ mod world;
 pub use audit::{AuditEvent, AuditEventKind, AuditMode, AuditReport, AuditViolation};
 pub use comm::{Comm, IallreduceHandle, RecvHandle, SendHandle};
 pub use fault::{CrashSpec, FaultKind, FaultPlan, FaultReport, RetryPolicy};
-pub use ledger::{thread_cpu_time, CommStats, CostModel, Ledger, TagStats};
+pub use ledger::{assert_thread_count, thread_cpu_time, CommStats, CostModel, Ledger, TagStats};
 pub use lflr::{
     catch_revoked, Recovery, Revoked, TAG_CKPT, TAG_CKPT_RESTORE, TAG_HB_PONG, TAG_HB_PROBE,
 };

@@ -21,12 +21,8 @@
 //!   lanes never write (keeping results bitwise independent of padding).
 //!
 //! `bw = 1` is an ordinary plan of one-element blocks on the scalar lane.
-//! Blocks are also the parallel grain: coloring works on blocks and
-//! chunk-private chunks whole blocks.
 
 use std::collections::HashMap;
-
-use rayon::prelude::*;
 
 use hymv_la::dense::{
     deinterleave_ke, gather_panel, interleave_ke, slab_len, EmvBatchKernel, EmvBatchMvKernel,
@@ -35,7 +31,6 @@ use hymv_la::dense::{
 use hymv_la::{ElementMatrices, FIXED_NVEC_WIDTH, MAX_NVEC_WIDTH};
 
 use crate::da::DistArray;
-use crate::hybrid::{on_rank_pool, RacyTarget};
 use crate::maps::HymvMaps;
 
 /// Default batch width: one AVX-512 vector (two AVX2 vectors) of lanes —
@@ -151,8 +146,6 @@ pub struct BlockSet {
     /// Doubles per block slab: `nd²·bw`, or `nd(nd+1)/2·bw` while the
     /// plan is symmetric-packed.
     slab: usize,
-    /// Block ids `0..n_blocks` (the chunk-private loop's par-chunks base).
-    ids: Vec<u32>,
 }
 
 impl BlockSet {
@@ -195,7 +188,6 @@ impl BlockSet {
             gidx,
             keb: Vec::new(),
             slab: 0,
-            ids: (0..n_blocks as u32).collect(),
         }
     }
 
@@ -226,17 +218,10 @@ impl BlockSet {
 
     /// Block `k`'s flattened gather/scatter table (`nd × bw` DA dof
     /// indices, lane-major; padded lanes hold 0). Read-only, exposed for
-    /// the `hymv-verify` alias prover — the write set of block `k` is the
-    /// live-lane subset of these indices.
+    /// `hymv-verify`'s index-bounds check of the vector gather.
     pub fn gather_indices(&self, k: usize) -> &[u32] {
         let pl = self.panel_len();
         &self.gidx[k * pl..(k + 1) * pl]
-    }
-
-    /// The block-id list the chunk-private loop chunks over. Read-only,
-    /// exposed for the `hymv-verify` fallback-coverage proof.
-    pub fn block_ids(&self) -> &[u32] {
-        &self.ids
     }
 
     /// Block `k`'s interleaved matrix slab (requires an attached store).
@@ -335,39 +320,6 @@ impl BlockSet {
             }
         }
     }
-
-    /// Greedy block coloring: no two blocks of a color share a dof.
-    /// `None` when more than 64 colors would be needed (callers fall back
-    /// to chunk-private accumulation).
-    fn try_color(&self, n_data: usize) -> Option<Vec<Vec<u32>>> {
-        let (bw, nd) = (self.bw, self.nd);
-        let mut mask = vec![0u64; n_data];
-        let mut classes: Vec<Vec<u32>> = Vec::new();
-        for k in 0..self.n_blocks() {
-            let gi = &self.gidx[k * nd * bw..(k + 1) * nd * bw];
-            let len = self.lens[k] as usize;
-            let mut forbidden = 0u64;
-            for row in 0..nd {
-                for b in 0..len {
-                    forbidden |= mask[gi[row * bw + b] as usize];
-                }
-            }
-            let color = (!forbidden).trailing_zeros() as usize;
-            if color >= 64 {
-                return None;
-            }
-            if color == classes.len() {
-                classes.push(Vec::new());
-            }
-            classes[color].push(k as u32);
-            for row in 0..nd {
-                for b in 0..len {
-                    mask[gi[row * bw + b] as usize] |= 1 << color;
-                }
-            }
-        }
-        Some(classes)
-    }
 }
 
 /// The setup-time plan for the batched SPMV path: both element subsets
@@ -377,8 +329,6 @@ impl BlockSet {
 pub struct BlockPlan {
     nd: usize,
     bw: usize,
-    /// DA data length (`n_total × ndof`), for coloring masks.
-    n_data: usize,
     indep: BlockSet,
     dep: BlockSet,
     /// Element id → (dependent?, block, lane).
@@ -397,7 +347,9 @@ impl BlockPlan {
             (1..=MAX_BATCH_WIDTH).contains(&bw),
             "batch width {bw} outside 1..={MAX_BATCH_WIDTH}"
         );
-        let n_data = da_len(maps.n_total(), ndof).unwrap_or_else(|e| panic!("{e}"));
+        if let Err(e) = da_len(maps.n_total(), ndof) {
+            panic!("{e}");
+        }
         let indep = BlockSet::build(maps, ndof, bw, &maps.independent);
         let dep = BlockSet::build(maps, ndof, bw, &maps.dependent);
         let mut slot = vec![(false, u32::MAX, 0u16); maps.n_elems];
@@ -413,7 +365,6 @@ impl BlockPlan {
         BlockPlan {
             nd: maps.npe * ndof,
             bw,
-            n_data,
             indep,
             dep,
             slot,
@@ -592,11 +543,6 @@ impl BlockPlan {
         total
     }
 
-    /// Block-granularity coloring of one subset; `None` if >64 colors.
-    pub fn color_blocks(&self, dependent: bool) -> Option<Vec<Vec<u32>>> {
-        self.set(dependent).try_color(self.n_data)
-    }
-
     /// Serial blocked EMV loop over one subset. `ue`/`ve` are `nd × bw`
     /// panel scratch.
     pub fn run_serial(
@@ -636,90 +582,6 @@ impl BlockPlan {
             set.gather_mv(k, &u.data, nvec, ue);
             kernel(set.keb(k), ue, ve, self.nd, self.bw, nvec);
             set.scatter_add_mv(k, nvec, ve, &mut v.data);
-        }
-    }
-
-    /// Colored parallel blocked loop: classes sequential, blocks within a
-    /// class parallel with direct shared writes (sound because same-color
-    /// blocks share no dof, and scatters are lane-bounded).
-    ///
-    /// Allocation waiver: rayon's `for_each_init` allocates one pair of
-    /// `nd × bw` panels per worker — bounded per-thread scratch that
-    /// cannot be hoisted across the pool boundary, not per-element churn.
-    // verify: allow(allocates)
-    pub fn run_colored(
-        &self,
-        dependent: bool,
-        classes: &[Vec<u32>],
-        u: &DistArray,
-        v: &mut DistArray,
-        kernel: EmvBatchKernel,
-    ) {
-        let set = self.set(dependent);
-        let (nd, bw) = (self.nd, self.bw);
-        let target = RacyTarget::new(v.data.as_mut_ptr());
-        on_rank_pool(|| {
-            for class in classes {
-                class.par_iter().for_each_init(
-                    || (vec![0.0; nd * bw], vec![0.0; nd * bw]),
-                    |(ue, ve), &k| {
-                        let k = k as usize;
-                        set.gather(k, &u.data, ue);
-                        kernel(set.keb(k), ue, ve, nd, bw);
-                        set.scatter_with(k, ve, |i, val| {
-                            // SAFETY: dof sets are disjoint across the
-                            // blocks of one color class; classes run
-                            // sequentially.
-                            #[allow(unsafe_code)]
-                            unsafe {
-                                target.add(i, val);
-                            }
-                        });
-                    },
-                );
-            }
-        });
-    }
-
-    /// Chunk-private parallel blocked loop: workers own contiguous runs of
-    /// blocks and private accumulation buffers, reduced by summation.
-    ///
-    /// Allocation waiver: the private accumulation buffers are the point
-    /// of this scheme — one `len`-sized buffer per worker chunk, allocated
-    /// inside the pool, reduced on join. Bounded per-call, not hoistable.
-    // verify: allow(allocates)
-    pub fn run_chunk_private(
-        &self,
-        dependent: bool,
-        u: &DistArray,
-        v: &mut DistArray,
-        kernel: EmvBatchKernel,
-    ) {
-        let set = self.set(dependent);
-        let (nd, bw) = (self.nd, self.bw);
-        let len = v.data.len();
-        let partials: Vec<Vec<f64>> = on_rank_pool(|| {
-            let chunk = set.ids.len().div_ceil(rayon::current_num_threads()).max(1);
-            set.ids
-                .par_chunks(chunk)
-                .map(|blocks| {
-                    let mut buf = vec![0.0; len];
-                    let mut ue = vec![0.0; nd * bw];
-                    let mut ve = vec![0.0; nd * bw];
-                    for &k in blocks {
-                        let k = k as usize;
-                        set.gather(k, &u.data, &mut ue);
-                        kernel(set.keb(k), &ue, &mut ve, nd, bw);
-                        set.scatter_with(k, &ve, |i, val| buf[i] += val);
-                    }
-                    buf
-                })
-                .collect()
-        });
-        for buf in partials {
-            for (dst, src) in v.data.iter_mut().zip(&buf) {
-                *dst += src;
-            }
         }
     }
 }
@@ -1074,62 +936,6 @@ mod tests {
                 err.contains(&format!("{n_total} nodes")) && err.contains(&format!("{ndof} dofs")),
                 "{err}"
             );
-        }
-    }
-
-    #[test]
-    fn parallel_block_loops_match_serial() {
-        let mesh = StructuredHexMesh::unit(4, ElementType::Hex8).build();
-        let (maps, store, u) = random_case(&mesh, 1, 7);
-        let bw = 8;
-        let mut plan = BlockPlan::build(&maps, 1, bw);
-        plan.attach_store(&store);
-        let kernel = select_batch_kernel(bw);
-        let v_ref = blocked_result(&maps, &store, &u, bw);
-
-        let classes = plan.color_blocks(false).expect("colorable");
-        // All elements are independent on a single rank.
-        assert!(plan.set(true).is_empty());
-        let mut v_col = DistArray::new(&maps, 1);
-        plan.run_colored(false, &classes, &u, &mut v_col, kernel);
-        for (a, b) in v_ref.data.iter().zip(&v_col.data) {
-            assert!((a - b).abs() < 1e-12, "colored");
-        }
-
-        let mut v_cp = DistArray::new(&maps, 1);
-        plan.run_chunk_private(false, &u, &mut v_cp, kernel);
-        for (a, b) in v_ref.data.iter().zip(&v_cp.data) {
-            assert!((a - b).abs() < 1e-12, "chunk-private");
-        }
-    }
-
-    #[test]
-    fn block_coloring_is_proper() {
-        let mesh = StructuredHexMesh::unit(4, ElementType::Hex8).build();
-        let pm = partition_mesh(&mesh, 1, PartitionMethod::Slabs);
-        let maps = HymvMaps::build(&pm.parts[0]);
-        let plan = BlockPlan::build(&maps, 1, 4);
-        let set = plan.set(false);
-        let classes = plan.color_blocks(false).expect("colorable");
-        let total: usize = classes.iter().map(|c| c.len()).sum();
-        assert_eq!(total, set.n_blocks());
-        // Disjointness is required *between* blocks of a class (a block's
-        // own elements may share nodes — they run on one worker).
-        for class in &classes {
-            let mut seen: std::collections::HashSet<u32> = std::collections::HashSet::new();
-            for &k in class {
-                let k = k as usize;
-                let mut block_nodes: std::collections::HashSet<u32> =
-                    std::collections::HashSet::new();
-                for (b, &e) in set.elems(k).iter().enumerate() {
-                    if b < set.len(k) {
-                        block_nodes.extend(maps.elem_local_nodes(e as usize));
-                    }
-                }
-                for &l in &block_nodes {
-                    assert!(seen.insert(l), "color class shares dof {l} across blocks");
-                }
-            }
         }
     }
 

@@ -19,14 +19,13 @@
 //! * [`operator`] — [`HymvOperator`]: setup (element-matrix computation +
 //!   local copy — **no global assembly**), its SPMV and SpMM over the
 //!   stored slabs, and the adaptive per-element update path;
-//! * [`hybrid`] — the shared-memory ("OpenMP") parallel modes of the local
-//!   elemental loop, and the per-element reference loop tests compare
-//!   against;
+//! * [`hybrid`] — the modeled shared-memory ("OpenMP") threads of the
+//!   local elemental loop, and the per-element reference loop tests
+//!   compare against;
 //! * [`block`] — the batched element-block engine (`BlockPlan`): subsets
 //!   cut into locality-sorted blocks of `B` elements with flattened
 //!   gather/scatter tables, evaluated by the batch-vectorized EMV kernels
-//!   (the CPU SPMV path at every `B`; block coloring or chunk-private
-//!   accumulation when threaded);
+//!   (the CPU SPMV path at every `B`);
 //! * [`matfree`] — the matrix-free baseline (Algorithm 4: the same
 //!   schedule, recomputing `Ke` inside every SPMV);
 //! * [`assembled`] — the matrix-assembled baseline (PETSc-style
@@ -38,9 +37,7 @@
 //! * [`system`] — a one-call driver (`FemSystem`) used by the examples,
 //!   tests, and every benchmark binary.
 
-// Unsafe is confined to audited, SAFETY-commented sites (`#[allow]`ed
-// per item); everything else is checked.
-#![deny(unsafe_code)]
+#![forbid(unsafe_code)]
 
 pub mod assemble;
 pub mod assembled;
@@ -63,7 +60,6 @@ pub use block::{
 pub use da::DistArray;
 pub use dirichlet_op::DirichletOp;
 pub use exchange::GhostExchange;
-pub use hybrid::ParallelMode;
 pub use maps::HymvMaps;
 pub use matfree::MatFreeOperator;
 pub use operator::{HymvOperator, SetupTimings};

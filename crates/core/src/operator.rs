@@ -1,6 +1,6 @@
 //! [`HymvOperator`] — the adaptive-matrix SPMV (paper Algorithm 2).
 
-use hymv_comm::Comm;
+use hymv_comm::{assert_thread_count, Comm};
 use hymv_fem::kernel::{ElementKernel, KernelScratch};
 use hymv_la::dense::{
     emv_batch_flops, select_batch_kernel, select_batch_mv_kernel, EmvBatchKernel, MAX_BATCH_WIDTH,
@@ -12,7 +12,6 @@ use hymv_trace::Phase;
 use crate::block::{BlockPlan, KeBuffers, SlabMatrices, DEFAULT_BATCH_WIDTH};
 use crate::da::DistArray;
 use crate::exchange::GhostExchange;
-use crate::hybrid::ParallelMode;
 use crate::maps::HymvMaps;
 use crate::schedule::{apply, ElementSource, Overlap};
 
@@ -51,10 +50,8 @@ pub struct HymvOperator {
     maps: HymvMaps,
     exchange: GhostExchange,
     ndof: usize,
-    mode: ParallelMode,
-    /// Block color classes for the independent / dependent sets (built
-    /// lazily when a colored mode is selected).
-    colors: Option<(Vec<Vec<u32>>, Vec<Vec<u32>>)>,
+    /// Modeled shared-memory ("OpenMP") threads of the element loop.
+    threads: usize,
     /// The batched element-block plan every SPMV runs through; its slabs
     /// hold every element matrix.
     plan: BlockPlan,
@@ -93,16 +90,16 @@ impl Workspace {
 /// HYMV's element source: the block plan's stored slabs.
 struct StoredSlabs<'a> {
     plan: &'a BlockPlan,
-    mode: ParallelMode,
-    colors: Option<&'a (Vec<Vec<u32>>, Vec<Vec<u32>>)>,
+    threads: usize,
     kernel: EmvBatchKernel,
     ue: &'a mut [f64],
     ve: &'a mut [f64],
 }
 
 impl ElementSource for StoredSlabs<'_> {
-    /// One blocked EMV loop over a subset: the parallel mode's loop for a
-    /// single vector, the serial SpMM loop for a multivector.
+    /// One blocked EMV loop over a subset — the SPMV loop for a single
+    /// vector, the SpMM loop for a multivector — charged as run on the
+    /// operator's modeled threads.
     fn run_element_set(
         &mut self,
         comm: &mut Comm,
@@ -113,20 +110,13 @@ impl ElementSource for StoredSlabs<'_> {
         let (plan, kernel, ue, ve) = (self.plan, self.kernel, &mut *self.ue, &mut *self.ve);
         if u.nvec > 1 {
             let mv_kernel = select_batch_mv_kernel(u.nvec);
-            return comm.work(|| plan.run_serial_mv(dependent, u, v, mv_kernel, ue, ve));
-        }
-        match self.mode {
-            ParallelMode::Serial => comm.work(|| plan.run_serial(dependent, u, v, kernel, ue, ve)),
-            ParallelMode::Colored { threads } => {
-                let (indep, dep) = self.colors.expect("set_parallel_mode built colors");
-                let classes = if dependent { dep } else { indep };
-                comm.work_smp(threads, || {
-                    plan.run_colored(dependent, classes, u, v, kernel)
-                });
-            }
-            ParallelMode::ChunkPrivate { threads } => {
-                comm.work_smp(threads, || plan.run_chunk_private(dependent, u, v, kernel));
-            }
+            comm.work_smp(self.threads, || {
+                plan.run_serial_mv(dependent, u, v, mv_kernel, ue, ve)
+            });
+        } else {
+            comm.work_smp(self.threads, || {
+                plan.run_serial(dependent, u, v, kernel, ue, ve)
+            });
         }
     }
 }
@@ -177,8 +167,7 @@ impl HymvOperator {
             maps,
             exchange,
             ndof,
-            mode: ParallelMode::Serial,
-            colors: None,
+            threads: 1,
             plan,
             batch_kernel: select_batch_kernel(bw),
             pending: KeBuffers::new(nd),
@@ -217,7 +206,7 @@ impl HymvOperator {
 
     /// Build the plan at width `bw` from the current plan's matrices
     /// (pending `ke_mut` buffers included), and everything derived from
-    /// it: kernel, panel scratch, SpMM workspace and block colors.
+    /// it: kernel, panel scratch and SpMM workspace.
     fn rebuild_plan(&mut self, bw: usize) {
         let mut plan = BlockPlan::build(&self.maps, self.ndof, bw);
         plan.attach_store(self.store());
@@ -226,36 +215,18 @@ impl HymvOperator {
         self.batch_kernel = select_batch_kernel(bw);
         self.ws = Workspace::new(&self.maps, &self.plan, self.ndof, 1);
         self.mv_ws = None;
-        self.colors = None;
-        self.set_parallel_mode(self.mode);
     }
 
-    /// Select the shared-memory parallelization of the elemental loop.
+    /// Set the modeled shared-memory ("OpenMP") threads per rank: every
+    /// element loop's measured CPU time is divided by their Amdahl
+    /// speedup. The loop itself, and so every result bit, is the same at
+    /// any count. The default is 1.
     ///
-    /// Coloring runs at block granularity. If the mesh would need more
-    /// than 64 colors (a node valence past the color mask), the operator
-    /// logs a line and falls back to chunk-private accumulation instead of
-    /// aborting the SPMV.
-    pub fn set_parallel_mode(&mut self, mode: ParallelMode) {
-        self.mode = mode;
-        if let ParallelMode::Colored { threads } = mode {
-            if self.colors.is_none() {
-                match self
-                    .plan
-                    .color_blocks(false)
-                    .zip(self.plan.color_blocks(true))
-                {
-                    Some(classes) => self.colors = Some(classes),
-                    None => {
-                        eprintln!(
-                            "hymv: coloring needs more than 64 colors; \
-                             falling back to chunk-private accumulation"
-                        );
-                        self.mode = ParallelMode::ChunkPrivate { threads };
-                    }
-                }
-            }
-        }
+    /// # Panics
+    /// On 0, never a silent clamp.
+    pub fn set_threads(&mut self, threads: usize) {
+        assert_thread_count(threads);
+        self.threads = threads;
     }
 
     /// The adaptive-matrix path: recompute the element matrices of
@@ -445,8 +416,7 @@ impl HymvOperator {
         let flops = flops * ws.u.nvec as u64;
         let mut src = StoredSlabs {
             plan: &self.plan,
-            mode: self.mode,
-            colors: self.colors.as_ref(),
+            threads: self.threads,
             kernel: self.batch_kernel,
             ue: &mut ws.ue,
             ve: &mut ws.ve,
@@ -581,7 +551,7 @@ impl LinOp for HymvOperator {
     /// `GhostExchange::build` is collective (it runs a sparse all-to-all),
     /// so every rank rebuilds — survivors get a bit-identical plan, the
     /// resurrected ranks get theirs back from the unchanged maps. The
-    /// purely local derived state (block plan, panel scratch, colors) is
+    /// purely local derived state (block plan, panel scratch) is
     /// rebuilt on the resurrected ranks only.
     fn repair(&mut self, comm: &mut Comm, dead: &[usize]) {
         let raw = self.exchange.raw_transport();
@@ -726,33 +696,56 @@ mod tests {
         }
     }
 
+    /// A thread count of 0 is refused, never clamped to 1.
     #[test]
-    fn parallel_modes_agree() {
-        let mesh = StructuredHexMesh::unit(4, ElementType::Hex8).build();
-        let pm = partition_mesh(&mesh, 2, PartitionMethod::Slabs);
-        let out = Universe::run(2, |comm| {
-            let part = &pm.parts[comm.rank()];
+    #[should_panic(expected = "thread count 0 is invalid")]
+    fn set_threads_rejects_zero() {
+        let mesh = StructuredHexMesh::unit(2, ElementType::Hex8).build();
+        let pm = partition_mesh(&mesh, 1, PartitionMethod::Slabs);
+        Universe::run(1, |comm| {
             let kernel = PoissonKernel::new(ElementType::Hex8);
-            let (mut op, _) = HymvOperator::setup(comm, part, &kernel);
-            let x: Vec<f64> = (0..op.n_owned()).map(|i| (i as f64 * 0.31).sin()).collect();
-            let mut y_serial = vec![0.0; op.n_owned()];
-            op.matvec(comm, &x, &mut y_serial);
-
-            op.set_parallel_mode(ParallelMode::Colored { threads: 4 });
-            let mut y_col = vec![0.0; op.n_owned()];
-            op.matvec(comm, &x, &mut y_col);
-
-            op.set_parallel_mode(ParallelMode::ChunkPrivate { threads: 4 });
-            let mut y_cp = vec![0.0; op.n_owned()];
-            op.matvec(comm, &x, &mut y_cp);
-
-            for i in 0..y_serial.len() {
-                assert!((y_serial[i] - y_col[i]).abs() < 1e-11);
-                assert!((y_serial[i] - y_cp[i]).abs() < 1e-11);
-            }
-            true
+            let (mut op, _) = HymvOperator::setup(comm, &pm.parts[0], &kernel);
+            op.set_threads(0);
         });
-        assert!(out.iter().all(|&b| b));
+    }
+
+    /// The SpMM's element loop is charged on the modeled threads, like the
+    /// SPMV's: with no serial fraction, 1000 threads must charge an
+    /// `nvec = 8` apply less than half of what one thread does.
+    #[test]
+    fn matvec_mv_is_charged_on_the_modeled_threads() {
+        let mesh = StructuredHexMesh::unit(8, ElementType::Hex8).build();
+        let pm = partition_mesh(&mesh, 1, PartitionMethod::Slabs);
+        let model = hymv_comm::CostModel {
+            smp_serial_fraction: 0.0,
+            ..Default::default()
+        };
+        let out = Universe::run_with(model, 1, |comm| {
+            let kernel = PoissonKernel::new(ElementType::Hex8);
+            let (mut op, _) = HymvOperator::setup(comm, &pm.parts[0], &kernel);
+            let n = op.n_owned();
+            let cols: Vec<Vec<f64>> = (0..8)
+                .map(|c| (0..n).map(|i| ((i + c) as f64 * 0.37).sin()).collect())
+                .collect();
+            let x = Multivector::from_columns(&cols);
+            let mut y = Multivector::new(n, 8);
+            op.matvec_mv(comm, &x, &mut y);
+            let mut charged = |op: &mut HymvOperator, comm: &mut Comm| {
+                let vt0 = comm.vt();
+                for _ in 0..5 {
+                    op.matvec_mv(comm, &x, &mut y);
+                }
+                comm.vt() - vt0
+            };
+            let one = charged(&mut op, comm);
+            op.set_threads(1000);
+            (one, charged(&mut op, comm))
+        });
+        let (one, many) = out[0];
+        assert!(
+            many < 0.5 * one,
+            "1000 threads charged {many:e} s, 1 thread {one:e} s"
+        );
     }
 
     #[test]
@@ -1204,63 +1197,5 @@ mod tests {
             degraded += usize::from(was_degraded);
         }
         assert!(degraded > 0, "the drop plan never degraded a rank");
-    }
-
-    #[test]
-    fn coloring_fallback_keeps_matvec_correct() {
-        // An umbrella of tets all sharing one node: at bw = 1 each of its
-        // 65 blocks is one element on the shared node, so coloring needs
-        // >64 colors; the operator must log, fall back to chunk-private,
-        // and still produce the serial answer.
-        let n_elems = 65usize;
-        let n_nodes = 1 + 3 * n_elems;
-        let mut e2g = Vec::with_capacity(4 * n_elems);
-        let mut coords = vec![[0.0f64; 3]; n_nodes];
-        for e in 0..n_elems {
-            let base = (1 + 3 * e) as u64;
-            e2g.extend_from_slice(&[0, base, base + 1, base + 2]);
-            // A valid (non-degenerate) unit tet per element, offset so the
-            // Poisson kernel gets a finite Jacobian everywhere.
-            let o = e as f64;
-            coords[base as usize] = [1.0 + o, 0.0, 0.0];
-            coords[base as usize + 1] = [o, 1.0, 0.0];
-            coords[base as usize + 2] = [o, 0.0, 1.0];
-        }
-        let part = hymv_mesh::MeshPartition {
-            rank: 0,
-            elem_type: ElementType::Tet4,
-            e2g,
-            node_range: (0, n_nodes as u64),
-            elem_coords: {
-                let mut ec = Vec::with_capacity(n_elems * 4);
-                for e in 0..n_elems {
-                    ec.push(coords[0]);
-                    for m in 0..3 {
-                        ec.push(coords[1 + 3 * e + m]);
-                    }
-                }
-                ec
-            },
-            elem_global_ids: (0..n_elems as u64).collect(),
-            n_global_nodes: n_nodes as u64,
-        };
-        let out = Universe::run(1, |comm| {
-            let kernel = PoissonKernel::new(ElementType::Tet4);
-            let (mut op, _) = HymvOperator::setup(comm, &part, &kernel);
-            op.set_batch_width(1);
-            let x: Vec<f64> = (0..op.n_owned()).map(|i| (i as f64 * 0.13).sin()).collect();
-            let mut y_serial = vec![0.0; op.n_owned()];
-            op.matvec(comm, &x, &mut y_serial);
-            op.set_parallel_mode(ParallelMode::Colored { threads: 4 });
-            // >64 colors: must have fallen back rather than panicked.
-            assert!(matches!(op.mode, ParallelMode::ChunkPrivate { .. }));
-            let mut y = vec![0.0; op.n_owned()];
-            op.matvec(comm, &x, &mut y);
-            (y_serial, y)
-        });
-        let (y_serial, y) = &out[0];
-        for (a, b) in y_serial.iter().zip(y) {
-            assert!((a - b).abs() < 1e-12);
-        }
     }
 }

@@ -4,7 +4,7 @@
 
 use std::sync::Arc;
 
-use hymv_comm::Comm;
+use hymv_comm::{assert_thread_count, Comm};
 use hymv_fem::dirichlet::{constrained_dofs, DirichletSpec};
 use hymv_fem::kernel::ElementKernel;
 use hymv_la::solver::{cg, CgResult};
@@ -18,7 +18,6 @@ use crate::assemble::{
 use crate::assembled::AssembledOperator;
 use crate::dirichlet_op::{owned_constraints, DirichletOp};
 use crate::exchange::GhostExchange;
-use crate::hybrid::ParallelMode;
 use crate::maps::HymvMaps;
 use crate::matfree::MatFreeOperator;
 use crate::operator::HymvOperator;
@@ -60,8 +59,9 @@ pub enum PrecondKind {
 pub struct BuildOptions {
     /// SPMV method.
     pub method: Method,
-    /// Shared-memory parallelization (HYMV only).
-    pub mode: ParallelMode,
+    /// Modeled shared-memory ("OpenMP") threads per rank of HYMV's element
+    /// loop (see [`HymvOperator::set_threads`]); at least 1.
+    pub threads: usize,
     /// Pre-assemble the owned diagonal block for block-Jacobi.
     pub want_block_jacobi: bool,
     /// Optional surface traction added to the load vector (the paper's
@@ -70,12 +70,12 @@ pub struct BuildOptions {
 }
 
 impl BuildOptions {
-    /// Defaults: serial elemental loop, no block preconditioner, no
-    /// surface loads.
+    /// Defaults: one thread per rank, no block preconditioner, no surface
+    /// loads.
     pub fn new(method: Method) -> Self {
         BuildOptions {
             method,
-            mode: ParallelMode::Serial,
+            threads: 1,
             want_block_jacobi: false,
             traction: None,
         }
@@ -126,6 +126,9 @@ pub struct FemSystem {
 
 impl FemSystem {
     /// Assemble the system on this rank's partition. Collective.
+    ///
+    /// # Panics
+    /// On `opts.threads == 0` (whatever the method), before any work.
     pub fn build(
         comm: &mut Comm,
         part: &MeshPartition,
@@ -133,6 +136,7 @@ impl FemSystem {
         spec: &DirichletSpec,
         opts: BuildOptions,
     ) -> FemSystem {
+        assert_thread_count(opts.threads);
         let ndof = kernel.ndof_per_node();
         assert_eq!(
             spec.ndof(),
@@ -163,7 +167,7 @@ impl FemSystem {
         ) = match opts.method {
             Method::Hymv => {
                 let (mut op, t) = HymvOperator::setup(comm, part, &*kernel);
-                op.set_parallel_mode(opts.mode);
+                op.set_threads(opts.threads);
                 let diag = jacobi_diagonal(comm, op.maps(), op.exchange(), op.store(), ndof);
                 let block = if opts.want_block_jacobi {
                     Some(owned_block_csr(

@@ -10,7 +10,7 @@
 //! virtual clock is charged with the *modeled* device makespan plus the
 //! measured host pack/accumulate time.
 
-use hymv_comm::Comm;
+use hymv_comm::{assert_thread_count, Comm};
 use hymv_core::block::{BlockPlan, SlabMatrices};
 use hymv_core::da::DistArray;
 use hymv_core::exchange::GhostExchange;
@@ -87,6 +87,9 @@ impl HymvGpuOperator {
     /// GPU setup: the CPU HYMV setup plus a one-time H2D upload of the
     /// block plan's matrix slabs and gather tables (the overhead that makes
     /// GPU setup slightly slower than CPU setup in Fig 8). Collective.
+    ///
+    /// # Panics
+    /// On `host_threads == 0`, before any work — never a silent clamp.
     pub fn setup(
         comm: &mut Comm,
         part: &MeshPartition,
@@ -96,6 +99,7 @@ impl HymvGpuOperator {
         scheme: GpuScheme,
         host_threads: usize,
     ) -> (Self, SetupTimings) {
+        assert_thread_count(host_threads);
         let (cpu_op, mut timings) = HymvOperator::setup(comm, part, kernel);
         // The device works on the interleaved block slabs the CPU setup
         // built.

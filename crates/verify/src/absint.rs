@@ -70,8 +70,8 @@
 //! [`check_slab_contract`] is the bridge to the runtime: it checks that a
 //! concrete `BlockPlan`-style slab layout (`keb`/`ue`/`ve` lengths for a
 //! given `nd`, `bw`) satisfies exactly the kernel preconditions the
-//! certificates assume, closing the loop against the metadata `alias.rs`
-//! proves collision-free.
+//! certificates assume, closing the loop against the plan tables
+//! `plan_bounds` checks in bounds.
 
 use std::collections::BTreeMap;
 use std::fmt;

@@ -1,5 +1,5 @@
-//! `hymv-verify` — static analysis over HYMV exchange plans, block
-//! colorings, and workspace source.
+//! `hymv-verify` — static analysis over HYMV exchange plans, block-plan
+//! tables, and workspace source.
 //!
 //! ```text
 //! hymv-verify [--n N] [--p P1,P2,...] [--elem hex8|hex20|hex27|tet4|tet10]
@@ -27,7 +27,7 @@
 //!
 //! An `inconclusive` explicit-search outcome (state cap) is a **hard
 //! failure**: a proof obligation never silently degrades into a sample.
-//! Block-coloring alias proofs run per rank at every `P`, and the
+//! The block-plan index-bounds check runs per rank at every `P`, and the
 //! workspace lint runs once (skip with `--skip-lint`).
 //!
 //! The `effects` subcommand runs the interprocedural pipeline instead:
@@ -65,7 +65,7 @@ use hymv_mesh::partition::partition_mesh;
 use hymv_mesh::{unstructured_tet_mesh, ElementType, PartitionMethod, StructuredHexMesh};
 use hymv_verify::{
     analyze_collectives, analyze_workspace_effects, certify_file, check_mv_slab_contract,
-    check_slab_contract, derive_plan_summaries, lint_workspace, prove_plan, verify_exchange,
+    check_plan_bounds, check_slab_contract, derive_plan_summaries, lint_workspace, verify_exchange,
     verify_exchange_parameterized, CallGraph, CollectivesReport, PlanSummary, Verdict,
 };
 
@@ -517,7 +517,7 @@ fn main() -> ExitCode {
                     result.report, param.report
                 );
             }
-            run_alias(&maps, &opts, &mut failed, p);
+            run_plan_bounds(&maps, &opts, &mut failed, p);
         } else {
             // Large-p regime: fully static. No Universe, no comm — plans
             // are derived from the partition and proved parameterized.
@@ -540,7 +540,7 @@ fn main() -> ExitCode {
                     println!("FAILED ({})\n{}", param.verdict, param.report);
                 }
             }
-            run_alias(&maps, &opts, &mut failed, p);
+            run_plan_bounds(&maps, &opts, &mut failed, p);
         }
     }
 
@@ -573,19 +573,19 @@ fn main() -> ExitCode {
     }
 }
 
-/// Per-rank block-coloring alias proofs (runs at every `p`).
-fn run_alias(maps: &[HymvMaps], opts: &Options, failed: &mut bool, p: usize) {
-    print!("np={p}: block-coloring alias proof ........... ");
+/// Per-rank block-plan index-bounds checks (runs at every `p`).
+fn run_plan_bounds(maps: &[HymvMaps], opts: &Options, failed: &mut bool, p: usize) {
+    print!("np={p}: block-plan index bounds .............. ");
     let mut dirty = Vec::new();
     for (rank, m) in maps.iter().enumerate() {
         let plan = hymv_core::BlockPlan::build(m, opts.ndof, opts.batch);
-        let report = prove_plan(m, &plan, opts.ndof);
+        let report = check_plan_bounds(m, &plan, opts.ndof);
         if !report.is_clean() {
             dirty.push((rank, report));
         }
     }
     if dirty.is_empty() {
-        println!("ok ({} rank plan(s) alias-free)", maps.len());
+        println!("ok ({} rank plan(s) in bounds)", maps.len());
     } else {
         *failed = true;
         println!("FAILED");

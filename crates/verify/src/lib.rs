@@ -20,10 +20,9 @@
 //!   over plans *derived statically* from the partition; at small p the
 //!   explicit engine cross-checks it verdict-for-verdict (DESIGN.md
 //!   §14).
-//! * [`alias`] — the **block-coloring alias prover**: dataflow over
-//!   `BlockPlan` scatter tables proving no two same-color blocks write a
-//!   shared DA dof, and that the > 64-color chunk-private fallback covers
-//!   every block exactly once.
+//! * [`plan_bounds`] — the **block-plan index-bounds check**: every
+//!   gather/scatter-table index of a built `BlockPlan` addresses a DA
+//!   slot (the AVX-512 gather does no bounds check of its own).
 //! * [`lint`] — the **workspace lint pass**: a comment/string-aware token
 //!   scan rejecting raw tag literals at `Comm` call sites, blocking
 //!   receives inside the scatter overlap window, `#[allow(unsafe_code)]`
@@ -49,8 +48,7 @@
 //!   abstract interpreter over the `// verify: prove-bounds` SIMD kernels
 //!   in `crates/la/src/dense.rs`, proving from the `debug_assert!`
 //!   preconditions that every lane access is in-bounds (tails included),
-//!   cross-checked against the `BlockPlan` slab metadata `alias.rs`
-//!   certifies.
+//!   cross-checked against real `BlockPlan` slab metadata.
 //!
 //! The `hymv-verify` binary drives the plan passes over fig4-style meshes
 //! at a list of rank counts (explicit + parameterized below
@@ -62,7 +60,6 @@
 #![forbid(unsafe_code)]
 
 pub mod absint;
-pub mod alias;
 pub mod callgraph;
 pub mod collectives;
 pub mod effects;
@@ -70,11 +67,11 @@ pub mod lexer;
 pub mod lint;
 pub mod model;
 pub mod param;
+pub mod plan_bounds;
 
 pub use absint::{
     certify_file, certify_source, check_mv_slab_contract, check_slab_contract, AbsDiag, KernelCert,
 };
-pub use alias::{check_block_coloring, check_chunk_cover, check_gidx_bounds, prove_plan};
 pub use callgraph::{CallGraph, CallSite, FnNode, Marker, Resolution};
 pub use collectives::{
     analyze_collectives, CollectiveDiag, CollectiveEntrySeq, CollectivesReport, COLLECTIVE_SEEDS,
@@ -91,3 +88,4 @@ pub use param::{
     check_system_parameterized, derive_plan_summaries, verify_exchange_parameterized,
     NeighborhoodClass, ParamResult,
 };
+pub use plan_bounds::{check_gidx_bounds, check_plan_bounds};

@@ -8,8 +8,8 @@ use hymv_core::{BlockPlan, HymvMaps};
 use hymv_mesh::partition::{partition_mesh, PartitionMethod};
 use hymv_mesh::{ElementType, StructuredHexMesh};
 use hymv_verify::{
-    check_block_coloring, check_plan_consistency, check_system, lint_source, verify_exchange, Op,
-    PlanSummary, SendMode, System,
+    check_gidx_bounds, check_plan_bounds, check_plan_consistency, check_system, lint_source,
+    verify_exchange, Op, PlanSummary, SendMode, System,
 };
 
 // ---------------------------------------------------------------------------
@@ -125,37 +125,32 @@ fn orphaned_receive_gets_nonempty_minimal_trace() {
 }
 
 // ---------------------------------------------------------------------------
-// Pass 2 fixture: corrupted coloring
+// Pass 2 fixture: out-of-bounds block-plan index
 // ---------------------------------------------------------------------------
 
-/// Corrupt a *real* block coloring by merging two color classes. The
-/// greedy colorer assigns color 1 only to blocks that conflict with some
-/// color-0 block, so the merged class is guaranteed to contain at least
-/// one aliased pair — and the prover must name the color, both elements,
-/// and the shared node.
-#[test]
-fn corrupted_coloring_reports_element_pair_and_shared_node() {
-    let mesh = StructuredHexMesh::unit(4, ElementType::Hex8).build();
+/// One rank's maps of an `n³` Hex8 mesh.
+fn one_rank_maps(n: usize) -> HymvMaps {
+    let mesh = StructuredHexMesh::unit(n, ElementType::Hex8).build();
     let pm = partition_mesh(&mesh, 1, PartitionMethod::Slabs);
-    let maps = HymvMaps::build(&pm.parts[0]);
-    let plan = BlockPlan::build(&maps, 1, 4);
-    let set = plan.set(false);
+    HymvMaps::build(&pm.parts[0])
+}
 
-    let mut classes = plan.color_blocks(false).expect("real plan is colorable");
-    assert!(check_block_coloring(&maps, set, 1, &classes).is_empty());
+/// A real plan checked against the DA of a smaller mesh (27 dofs) than it
+/// was built on (64): its tables address dofs past that DA's end, and the
+/// check must name the set, the block, the index and the DA size.
+#[test]
+fn plan_index_past_the_da_reports_set_block_and_index() {
+    let (built, small) = (one_rank_maps(3), one_rank_maps(2));
+    let plan = BlockPlan::build(&built, 1, 4);
+    assert!(check_plan_bounds(&built, &plan, 1).is_clean());
 
-    let class1 = classes.remove(1);
-    classes[0].extend(class1);
-    let v = check_block_coloring(&maps, set, 1, &classes);
-    assert!(!v.is_empty(), "merged classes must alias");
+    assert!(!check_plan_bounds(&small, &plan, 1).is_clean());
+    let v = check_gidx_bounds(&small, plan.set(false), 1, "independent");
+    assert!(!v.is_empty(), "a 64-dof plan must overrun a 27-dof DA");
     let diag = &v[0];
-    assert!(diag.contains("alias in color 0"), "{diag}");
-    assert!(diag.contains("blocks "), "{diag}");
-    // The offending element pair...
-    assert_eq!(diag.matches("element ").count(), 2, "{diag}");
-    // ...and the shared node, in both local and global coordinates.
+    assert!(diag.starts_with("independent block "), "{diag}");
     assert!(
-        diag.contains("local node") && diag.contains("global node"),
+        diag.contains("gather/scatter index") && diag.ends_with("out of bounds (DA has 27 dofs)"),
         "{diag}"
     );
 }
@@ -248,9 +243,9 @@ fn ledger_access_in_operator_code_flagged() {
 // ---------------------------------------------------------------------------
 
 /// The acceptance bar: fig4-style Hex8 meshes at np ∈ {1, 2, 4, 8} —
-/// build the real exchange plans, model-check them, and prove the block
-/// colorings alias-free. All static; only the plan build itself runs the
-/// comm substrate.
+/// build the real exchange plans, model-check them, and check every block
+/// plan's indices in bounds. All static; only the plan build itself runs
+/// the comm substrate.
 #[test]
 fn fig4_plans_verify_clean_np_1_2_4_8() {
     let mesh = StructuredHexMesh::unit(4, ElementType::Hex8).build();
@@ -268,7 +263,7 @@ fn fig4_plans_verify_clean_np_1_2_4_8() {
         assert!(result.counterexample.is_none(), "np={p}");
         for (rank, m) in maps.iter().enumerate() {
             let plan = BlockPlan::build(m, 1, 8);
-            let report = hymv_verify::prove_plan(m, &plan, 1);
+            let report = check_plan_bounds(m, &plan, 1);
             assert!(report.is_clean(), "np={p} rank={rank}: {report}");
         }
     }

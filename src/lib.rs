@@ -68,7 +68,6 @@ pub mod prelude {
     pub use hymv_core::system::{BuildOptions, FemSystem, Method, PrecondKind, SolverKind};
     pub use hymv_core::{
         AssembledOperator, DistArray, GhostExchange, HymvMaps, HymvOperator, MatFreeOperator,
-        ParallelMode,
     };
     pub use hymv_fem::analytic::{BarProblem, PoissonProblem};
     pub use hymv_fem::dirichlet::DirichletSpec;

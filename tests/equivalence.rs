@@ -183,3 +183,61 @@ fn solution_independent_of_rank_count() {
         }
     }
 }
+
+/// Everything one rank computes at a given modeled thread count: the SPMV,
+/// the SpMM at `nvec` 8 and 3 (as bits), and a Jacobi-CG solve's solution
+/// bits and iteration count.
+fn run_at_threads(pm: &hymv::mesh::PartitionedMesh, threads: usize) -> Vec<(Vec<u64>, usize)> {
+    let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<u64>>();
+    Universe::run(pm.n_parts(), |comm| {
+        let part = &pm.parts[comm.rank()];
+        let kernel = Arc::new(PoissonKernel::with_body(
+            ElementType::Hex20,
+            PoissonProblem::body(),
+        ));
+        let (mut op, _) = HymvOperator::setup(comm, part, kernel.as_ref());
+        op.set_threads(threads);
+        let n = op.n_owned();
+        let col = |c: usize| -> Vec<f64> {
+            (0..n)
+                .map(|i| ((i * 7 + c * 3) as f64 * 0.29).sin() * [1e-2, 0.1, 1.0, 10.0, 1e2][i % 5])
+                .collect()
+        };
+        let mut out = Vec::new();
+        let mut y = vec![0.0; n];
+        op.matvec(comm, &col(0), &mut y);
+        out.extend(bits(&y));
+        for nvec in [8, 3] {
+            let x = Multivector::from_columns(&(0..nvec).map(col).collect::<Vec<_>>());
+            let mut y = Multivector::new(n, nvec);
+            op.matvec_mv(comm, &x, &mut y);
+            out.extend(bits(y.as_slice()));
+        }
+
+        let mut opts = BuildOptions::new(Method::Hymv);
+        opts.threads = threads;
+        let mut sys = FemSystem::build(comm, part, kernel, &PoissonProblem::dirichlet(), opts);
+        let (x, res) = sys.solve(comm, PrecondKind::Jacobi, 1e-10, 10_000);
+        assert!(res.converged);
+        out.extend(bits(&x));
+        (out, res.iterations)
+    })
+}
+
+/// The modeled thread count is charged, never computed with: at p ∈ {1, 2}
+/// the SPMV, the SpMM at nvec 8 and 3, and a Jacobi-CG solve (solution and
+/// iteration count) are bitwise equal at 1, 4 and 14 threads.
+#[test]
+fn results_bitwise_independent_of_thread_count() {
+    let mesh = StructuredHexMesh::unit(4, ElementType::Hex20).build();
+    for p in [1usize, 2] {
+        let pm = partition_mesh(&mesh, p, PartitionMethod::Slabs);
+        let one = run_at_threads(&pm, 1);
+        for threads in [4usize, 14] {
+            assert!(
+                run_at_threads(&pm, threads) == one,
+                "p={p}: {threads} threads differ from 1 thread"
+            );
+        }
+    }
+}

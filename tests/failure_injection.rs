@@ -89,6 +89,41 @@ fn mismatched_dirichlet_spec_rejected() {
     });
 }
 
+/// A thread count of 0 is refused at build, for any method — never
+/// clamped to 1.
+#[test]
+#[should_panic(expected = "thread count 0 is invalid")]
+fn zero_thread_build_option_rejected() {
+    let mesh = StructuredHexMesh::unit(2, ElementType::Hex8).build();
+    let pm = partition_mesh(&mesh, 1, PartitionMethod::Slabs);
+    let _ = Universe::run(1, |comm| {
+        let kernel = Arc::new(PoissonKernel::new(ElementType::Hex8));
+        let mut opts = BuildOptions::new(Method::Assembled);
+        opts.threads = 0;
+        let _ = FemSystem::build(comm, &pm.parts[0], kernel, &DirichletSpec::none(1), opts);
+    });
+}
+
+/// The GPU operator's modeled host threads: 0 is refused at setup.
+#[test]
+#[should_panic(expected = "thread count 0 is invalid")]
+fn zero_gpu_host_threads_rejected() {
+    let mesh = StructuredHexMesh::unit(2, ElementType::Hex8).build();
+    let pm = partition_mesh(&mesh, 1, PartitionMethod::Slabs);
+    let _ = Universe::run(1, |comm| {
+        let kernel = PoissonKernel::new(ElementType::Hex8);
+        let _ = HymvGpuOperator::setup(
+            comm,
+            &pm.parts[0],
+            &kernel,
+            GpuModel::default(),
+            4,
+            GpuScheme::Blocking,
+            0,
+        );
+    });
+}
+
 #[test]
 #[should_panic(expected = "positive-definite")]
 fn cg_rejects_indefinite_operator() {
@@ -163,7 +198,7 @@ fn envelope_transport_is_deterministic_across_eight_seeds() {
     let mesh = StructuredHexMesh::unit(4, ElementType::Hex8).build();
     let pm = partition_mesh(&mesh, 3, PartitionMethod::GreedyGraph);
     let seeds: Vec<u64> = (1..=8).collect();
-    let _ = hymv::check::certify_spmv_determinism(&pm, ParallelMode::Serial, &seeds);
+    let _ = hymv::check::certify_spmv_determinism(&pm, &seeds);
 }
 
 /// Run configuration of the degraded-schedule certificate: one lost
