@@ -15,7 +15,7 @@ use hymv_fem::analytic::{BarProblem, PoissonProblem};
 use hymv_fem::dirichlet::{constrained_dofs, DirichletSpec};
 use hymv_fem::{ElasticityKernel, ElementKernel, PoissonKernel};
 use hymv_gpu::{GpuModel, GpuScheme, HymvGpuOperator, PetscGpuOperator};
-use hymv_la::solver::cg;
+use hymv_la::solver::{cg, cg_on};
 use hymv_la::{Jacobi, LinOp};
 use hymv_mesh::partition::{partition_mesh, PartitionMethod};
 use hymv_mesh::{ElementType, GlobalMesh, PartitionedMesh};
@@ -463,7 +463,7 @@ pub fn run_gpu_resident_solve(
     partitioner: PartitionMethod,
     exact: Arc<dyn Fn([f64; 3]) -> Vec<f64> + Send + Sync>,
 ) -> SolveReport {
-    use hymv_gpu::{gpu_resident_cg, DeviceBlas, DeviceSim};
+    use hymv_gpu::{DeviceBlas, DeviceJacobi};
     let pm = partition_mesh(&case.mesh, p, partitioner);
     let wall0 = Instant::now();
     let out = Universe::run(p, |comm| {
@@ -492,19 +492,19 @@ pub fn run_gpu_resident_solve(
         let boxed: Box<dyn LinOp> = Box::new(op);
         let mut wrapped = DirichletOp::new(boxed, constrained);
         wrapped.mask_diagonal(&mut diag);
-        let inv_diag: Vec<f64> = diag.iter().map(|d| 1.0 / d).collect();
+        let mut jacobi = DeviceJacobi::new(&diag, cfg.model);
         let rhs = wrapped.build_rhs(comm, &raw_rhs);
         let setup = comm.allreduce_max_f64(comm.vt() - vt0);
 
         comm.barrier();
         let vt0 = comm.vt();
         let mut x = vec![0.0; wrapped.n_owned()];
-        let mut blas = DeviceBlas::new(DeviceSim::new(cfg.model, 1));
-        let res = gpu_resident_cg(
+        let mut blas = DeviceBlas::new(cfg.model);
+        let res = cg_on(
             comm,
-            &mut wrapped,
             &mut blas,
-            &inv_diag,
+            &mut wrapped,
+            &mut jacobi,
             &rhs,
             &mut x,
             rtol,

@@ -867,7 +867,9 @@ mod tests {
                     for i in 0..200_000 {
                         acc += (i as f64).sin();
                     }
-                    acc
+                    // Opaque to the optimiser: release would otherwise
+                    // drop the unused loop and the wait would be nonzero.
+                    std::hint::black_box(acc)
                 });
                 let _ = h.wait(c);
                 c.stats().comm_wait_s

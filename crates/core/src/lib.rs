@@ -14,8 +14,9 @@
 //!   non-blocking ghost scatter / ghost-accumulate they drive;
 //! * [`da`] — the distributed array (`[pre-ghost | owned | post-ghost]`
 //!   layout of Fig 2), one or `nvec` columns wide;
-//! * `schedule` — Algorithm 2 written once, generic over the element
-//!   source and the overlap policy; every CPU operator applies through it;
+//! * [`schedule`] — Algorithm 2 written once, generic over the element
+//!   source and the overlap policy; every operator applies through it,
+//!   the GPU operator of `hymv-gpu` included;
 //! * [`operator`] — [`HymvOperator`]: setup (element-matrix computation +
 //!   local copy — **no global assembly**), its SPMV and SpMM over the
 //!   stored slabs, and the adaptive per-element update path;
@@ -49,7 +50,7 @@ pub mod hybrid;
 pub mod maps;
 pub mod matfree;
 pub mod operator;
-mod schedule;
+pub mod schedule;
 pub mod system;
 
 pub use assembled::AssembledOperator;

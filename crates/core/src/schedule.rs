@@ -1,11 +1,12 @@
 //! Algorithm 2, written once: scatter, independent EMVs, wait, dependent
-//! EMVs, gather. Every CPU operator's SPMV and SpMM is one [`apply`],
-//! generic over where the element products come from (an
-//! [`ElementSource`]: stored slabs, or Algorithm 4's recomputed `Ke`) and
-//! when the independent elements run (the [`Overlap`] policy); the panel
-//! width is the DAs' `nvec`. The policy only reorders local work — both
-//! send the same envelopes in the same per-link order, so a degraded rank
-//! stays wire-compatible with its healthy neighbours.
+//! EMVs, gather. Every operator's SPMV and SpMM is one [`apply`], generic
+//! over where the element products come from (an [`ElementSource`]:
+//! stored slabs, Algorithm 4's recomputed `Ke`, or Algorithm 3's device
+//! panels in `hymv-gpu`) and when the independent elements run (the
+//! [`Overlap`] policy); the panel width is the DAs' `nvec`. The policy
+//! only reorders local work — both send the same envelopes in the same
+//! per-link order, so a degraded rank stays wire-compatible with its
+//! healthy neighbours.
 
 use hymv_comm::Comm;
 use hymv_trace::Phase;
@@ -14,7 +15,7 @@ use crate::da::DistArray;
 use crate::exchange::GhostExchange;
 
 /// Where an apply's element products come from.
-pub(crate) trait ElementSource {
+pub trait ElementSource {
     /// `v += K_set · u` over one element set: the independent elements, or
     /// the `dependent` ones that read ghost values. `u` and `v` share their
     /// width `nvec`.
@@ -29,7 +30,7 @@ pub(crate) trait ElementSource {
 
 /// When the independent elements run relative to the ghost scatter.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) enum Overlap {
+pub enum Overlap {
     /// Inside the scatter window (Algorithm 2) — unless the channel has
     /// degraded (persistent timeouts), when the apply runs `Blocking`.
     Overlapped,
@@ -41,7 +42,7 @@ pub(crate) enum Overlap {
 /// One SPMV (`nvec = 1`) or SpMM `v = K·u` with `u`'s owned block already
 /// set: `v` is zeroed, `u`'s ghosts refreshed, `flops` published, and the
 /// exchange outcome noted so a degraded rank can re-arm.
-pub(crate) fn apply(
+pub fn apply(
     comm: &mut Comm,
     exchange: &GhostExchange,
     overlap: Overlap,

@@ -20,9 +20,12 @@
 //! Components:
 //! * [`model`] — the calibrated cost model;
 //! * [`sim`] — streams, engines, event timeline;
-//! * [`trace`] — Chrome-trace JSON and ASCII Gantt export (Fig 3);
-//! * [`operator`] — [`HymvGpuOperator`]: Algorithm 3 plus the GPU/CPU(O)
-//!   and GPU/GPU(O) overlap schemes of §V-D;
+//! * [`operator`] — [`HymvGpuOperator`]: Algorithm 3 as an element source
+//!   of `hymv-core`'s one schedule, with the GPU/CPU(O) and GPU/GPU(O)
+//!   overlap schemes of §V-D; its device events join the merged
+//!   `hymv-trace` timeline (Fig 3);
+//! * [`resident`] — the device's vector loops and Jacobi for the one CG
+//!   core (the GPU-resident CG of §V-F's future work);
 //! * [`cusparse`] — the PETSc-GPU (cuSPARSE CSR) baseline of Figs 9/11c.
 
 #![forbid(unsafe_code)]
@@ -32,10 +35,9 @@ pub mod model;
 pub mod operator;
 pub mod resident;
 pub mod sim;
-pub mod trace;
 
 pub use cusparse::PetscGpuOperator;
 pub use model::GpuModel;
 pub use operator::{GpuScheme, HymvGpuOperator};
-pub use resident::{gpu_resident_cg, DeviceBlas};
+pub use resident::{DeviceBlas, DeviceJacobi};
 pub use sim::{DeviceSim, EventKind, TraceEvent};

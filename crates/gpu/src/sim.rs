@@ -6,12 +6,10 @@
 //! executes. This is exactly the mechanism that makes the paper's
 //! multi-stream pipeline (Fig 3) overlap transfers with kernels.
 
-use serde::Serialize;
-
 use crate::model::GpuModel;
 
 /// Operation classes, one per hardware engine.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum EventKind {
     /// Host→device copy engine.
     H2D,
@@ -22,7 +20,7 @@ pub enum EventKind {
 }
 
 /// One scheduled operation.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct TraceEvent {
     /// Stream index.
     pub stream: usize,
@@ -43,7 +41,7 @@ pub struct DeviceSim {
     streams: Vec<f64>,
     /// Per-engine completion cursor: [H2D, Kernel, D2H].
     engines: [f64; 3],
-    /// Every operation scheduled since the last reset.
+    /// Every operation scheduled in the current window.
     events: Vec<TraceEvent>,
     /// Epoch: current window start.
     epoch: f64,
@@ -149,8 +147,10 @@ impl DeviceSim {
     }
 
     /// Start a new timing window: subsequent operations start no earlier
-    /// than the device-wide completion of prior work.
+    /// than the device-wide completion of prior work. The previous
+    /// window's events are dropped, so a long solve keeps one apply's.
     pub fn begin_window(&mut self) {
+        self.events.clear();
         let now = self.now();
         self.epoch = now;
         self.floor = now;
@@ -169,14 +169,9 @@ impl DeviceSim {
         self.floor = self.floor.max(self.epoch + t);
     }
 
-    /// All events recorded so far.
+    /// The events of the current window.
     pub fn events(&self) -> &[TraceEvent] {
         &self.events
-    }
-
-    /// Drop recorded events (keep cursors).
-    pub fn clear_events(&mut self) {
-        self.events.clear();
     }
 }
 

@@ -25,7 +25,7 @@ use crate::block_cg::{gemm_acc, solve_spd_rr, BlockCgResult};
 use crate::mv::{column_norms, gram_sym, gram_sym_with_norms, MultiLinOp, Multivector};
 use crate::precond::Precond;
 use crate::resilient::{RecoveryPolicy, SolverFault};
-use crate::solver::{dot, norm2, CgResult, LinOp};
+use crate::solver::{CgResult, HostLoops, LinOp, VectorLoops};
 
 /// What one step of the recurrence found, in rising severity.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
@@ -307,11 +307,15 @@ fn attempt(
 }
 
 /// CG on one owned-dof vector, in `cg`'s operations and order:
-/// sequential local sums as [`dot`] does them, `α = rᵀz / pᵀAp`,
-/// `x += αp` and `r −= α·Ap` in one loop, `p = z + βp`.
-pub(crate) struct Scalar<'a, O: LinOp + ?Sized> {
+/// sequential local sums as [`crate::solver::dot`] does them,
+/// `α = rᵀz / pᵀAp`, `x += αp` and `r −= α·Ap` in one loop, `p = z + βp`.
+/// Every vector loop runs through `loops` with its flop and byte counts
+/// (`n` doubles per vector; an update reads its inputs and reads and
+/// writes its output).
+pub(crate) struct Scalar<'a, O: LinOp + ?Sized, L: VectorLoops> {
     op: &'a mut O,
     precond: &'a mut dyn Precond,
+    loops: &'a mut L,
     b: &'a [f64],
     x: &'a mut [f64],
     r: Vec<f64>,
@@ -320,10 +324,11 @@ pub(crate) struct Scalar<'a, O: LinOp + ?Sized> {
     ap: Vec<f64>,
 }
 
-impl<'a, O: LinOp + ?Sized> Scalar<'a, O> {
+impl<'a, O: LinOp + ?Sized, L: VectorLoops> Scalar<'a, O, L> {
     pub(crate) fn new(
         op: &'a mut O,
         precond: &'a mut dyn Precond,
+        loops: &'a mut L,
         b: &'a [f64],
         x: &'a mut [f64],
     ) -> Self {
@@ -334,6 +339,7 @@ impl<'a, O: LinOp + ?Sized> Scalar<'a, O> {
         Scalar {
             op,
             precond,
+            loops,
             b,
             x,
             r,
@@ -342,21 +348,31 @@ impl<'a, O: LinOp + ?Sized> Scalar<'a, O> {
             ap,
         }
     }
+
+    /// `(n, 8n)`: the flop and byte units of one vector loop.
+    fn units(&self) -> (u64, usize) {
+        (self.b.len() as u64, 8 * self.b.len())
+    }
 }
 
-impl<O: LinOp + ?Sized> Arith for Scalar<'_, O> {
+impl<O: LinOp + ?Sized, L: VectorLoops> Arith for Scalar<'_, O, L> {
     fn cg_state(&mut self) -> [&mut [f64]; 3] {
         [&mut *self.x, &mut self.r, &mut self.p]
     }
 
     fn cg_rhs_norms(&mut self, comm: &mut Comm) -> Vec<f64> {
-        vec![norm2(comm, self.b)]
+        let ((n, v), b) = (self.units(), self.b);
+        let [local] = self.loops.vector_sums(comm, 2 * n, 2 * v, || {
+            [b.iter().map(|a| a * a).sum::<f64>()]
+        });
+        vec![comm.allreduce_sum_f64(local).sqrt()]
     }
 
     fn cg_derive(&mut self, comm: &mut Comm) -> (Vec<f64>, Vec<f64>) {
         self.op.apply(comm, self.x, &mut self.r);
-        comm.work(|| {
-            for (r, b) in self.r.iter_mut().zip(self.b) {
+        let ((n, v), r, b) = (self.units(), &mut self.r, self.b);
+        self.loops.vector_update(comm, n, 3 * v, || {
+            for (r, b) in r.iter_mut().zip(b) {
                 *r = b - *r;
             }
         });
@@ -367,7 +383,11 @@ impl<O: LinOp + ?Sized> Arith for Scalar<'_, O> {
 
     fn cg_search(&mut self, comm: &mut Comm, gamma: &[f64]) -> Step {
         self.op.apply(comm, &self.p, &mut self.ap);
-        let pap = dot(comm, &self.p, &self.ap);
+        let ((n, v), p, ap) = (self.units(), &self.p, &self.ap);
+        let [local] = self.loops.vector_sums(comm, 2 * n, 2 * v, || {
+            [p.iter().zip(ap).map(|(a, b)| a * b).sum::<f64>()]
+        });
+        let pap = comm.allreduce_sum_f64(local);
         if !pap.is_finite() {
             return Step::NonFinite;
         }
@@ -376,8 +396,8 @@ impl<O: LinOp + ?Sized> Arith for Scalar<'_, O> {
         }
         let alpha = gamma[0] / pap;
         let (x, r) = (&mut *self.x, &mut self.r);
-        comm.work(|| {
-            for (((x, r), p), ap) in x.iter_mut().zip(r).zip(&self.p).zip(&self.ap) {
+        self.loops.vector_update(comm, 4 * n, 6 * v, || {
+            for (((x, r), p), ap) in x.iter_mut().zip(r).zip(p).zip(ap) {
                 *x += alpha * p;
                 *r -= alpha * ap;
             }
@@ -385,26 +405,27 @@ impl<O: LinOp + ?Sized> Arith for Scalar<'_, O> {
         Step::Full
     }
 
-    /// `rᵀz` and `‖r‖` in one reduction, with the bits of two [`dot`]s:
-    /// each local sum runs in `dot`'s order, and the vector sum adds the
-    /// rank contributions in rank order starting from `0.0`.
+    /// `rᵀz` and `‖r‖` in one reduction, with the bits of two `dot`s: each
+    /// local sum runs in `dot`'s order, and the vector sum adds the rank
+    /// contributions in rank order starting from `0.0`.
     fn cg_precondition(&mut self, comm: &mut Comm) -> (Vec<f64>, Vec<f64>) {
         self.precond.apply(comm, &self.r, &mut self.z);
-        let (r, z) = (&self.r, &self.z);
-        let local = comm.work(|| {
-            vec![
+        let ((n, v), r, z) = (self.units(), &self.r, &self.z);
+        let local = self.loops.vector_sums(comm, 4 * n, 4 * v, || {
+            [
                 r.iter().zip(z).map(|(a, b)| a * b).sum::<f64>(),
                 r.iter().map(|a| a * a).sum::<f64>(),
             ]
         });
-        let red = comm.iallreduce_sum_vec(local).wait(comm);
+        let red = comm.iallreduce_sum_vec(local.to_vec()).wait(comm);
         (vec![red[0]], vec![red[1].sqrt()])
     }
 
     fn cg_direction(&mut self, comm: &mut Comm, gamma: &[f64], gamma_new: &[f64]) -> Step {
         let beta = gamma_new[0] / gamma[0];
-        comm.work(|| {
-            for (p, z) in self.p.iter_mut().zip(&self.z) {
+        let ((n, v), p, z) = (self.units(), &mut self.p, &self.z);
+        self.loops.vector_update(comm, 2 * n, 3 * v, || {
+            for (p, z) in p.iter_mut().zip(z) {
                 *p = z + beta * *p;
             }
         });
@@ -563,8 +584,8 @@ impl Arith for Panel<'_> {
             .collect();
         for c in unconverged {
             out.deflated += 1;
-            let (op, precond) = (&mut *self.op, &mut *self.precond);
-            let mut a = Scalar::new(op, precond, self.b.col(c), self.x.col_mut(c));
+            let (op, precond, mut host) = (&mut *self.op, &mut *self.precond, HostLoops);
+            let mut a = Scalar::new(op, precond, &mut host, self.b.col(c), self.x.col_mut(c));
             let column = run_cg(comm, &mut a, rtol, budget, policy)?;
             out.iterations = out.iterations.max(column.iterations);
         }

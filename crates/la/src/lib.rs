@@ -16,7 +16,8 @@
 //!   matrix-assembled setup expensive at scale) and
 //!   communication/computation-overlapped SPMV,
 //! * [`solver`] — the [`solver::LinOp`] operator abstraction (PETSc's
-//!   `MatShell`), conjugate gradients, and convergence reporting,
+//!   `MatShell`), conjugate gradients on host or modeled-device vector
+//!   loops ([`solver::VectorLoops`]), and convergence reporting,
 //! * [`resilient`] — fault-tolerant CG with bounded rollback /
 //!   residual-replacement recovery and typed failure diagnostics
 //!   (`hymv-chaos`),
@@ -57,4 +58,4 @@ pub use precond::{BlockJacobi, Identity, Jacobi, Precond};
 pub use resilient::{
     resilient_cg, CheckpointPolicy, RecoveryPolicy, ResilientCgResult, SolverFault,
 };
-pub use solver::{cg, pipelined_cg, CgResult, LinOp};
+pub use solver::{cg, cg_on, pipelined_cg, CgResult, LinOp, VectorLoops};

@@ -33,7 +33,7 @@ use hymv_comm::Comm;
 
 use crate::krylov::{self, Scalar};
 use crate::precond::Precond;
-use crate::solver::{CgResult, LinOp};
+use crate::solver::{CgResult, HostLoops, LinOp};
 
 /// Crash-recovery knobs: buddy-checkpoint cadence and how many LFLR
 /// world repairs a single solve may consume.
@@ -156,7 +156,8 @@ pub fn resilient_cg(
     max_iter: usize,
     policy: &RecoveryPolicy,
 ) -> Result<ResilientCgResult, SolverFault> {
-    let mut a = Scalar::new(op, precond, b, x);
+    let mut host = HostLoops;
+    let mut a = Scalar::new(op, precond, &mut host, b, x);
     let out = krylov::run_cg(comm, &mut a, rtol, max_iter, policy)?;
     Ok(ResilientCgResult {
         rollbacks: out.rollbacks,

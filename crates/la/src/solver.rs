@@ -84,14 +84,53 @@ pub struct CgResult {
     pub history: Vec<f64>,
 }
 
+/// Where CG's vector loops run, and what each one costs. Every loop
+/// passes its own flop and byte counts; the host ([`cg`]) charges the
+/// loop's measured time instead, and a device model
+/// (`hymv_gpu::DeviceBlas`) charges a modeled kernel. The loop itself
+/// always runs on the host, so the bits do not depend on the
+/// implementation.
+///
+/// The method names are unique in the workspace: `hymv-verify` resolves
+/// calls by name.
+pub trait VectorLoops {
+    /// Run the update loop `f` (`flops` flops over `bytes` bytes).
+    fn vector_update(&mut self, comm: &mut Comm, flops: u64, bytes: usize, f: impl FnOnce());
+
+    /// Run the local-sum loop `f` (`flops` flops over `bytes` bytes) and
+    /// return its `K` sums, which the caller reduces across ranks next.
+    fn vector_sums<const K: usize>(
+        &mut self,
+        comm: &mut Comm,
+        flops: u64,
+        bytes: usize,
+        f: impl FnOnce() -> [f64; K],
+    ) -> [f64; K];
+}
+
+/// The host's vector loops: each is charged its measured time.
+pub(crate) struct HostLoops;
+
+impl VectorLoops for HostLoops {
+    fn vector_update(&mut self, comm: &mut Comm, _flops: u64, _bytes: usize, f: impl FnOnce()) {
+        comm.work(f)
+    }
+
+    fn vector_sums<const K: usize>(
+        &mut self,
+        comm: &mut Comm,
+        _flops: u64,
+        _bytes: usize,
+        f: impl FnOnce() -> [f64; K],
+    ) -> [f64; K] {
+        comm.work(f)
+    }
+}
+
 /// Preconditioned conjugate gradients: solves `A x = b` to relative
 /// tolerance `rtol` (PETSc's default convergence test, the one the paper
 /// uses with ε = 10⁻³ in §V-F). `x` holds the initial guess on entry and
-/// the solution on exit.
-///
-/// This is the crate's recovery-aware CG core with every budget
-/// at zero: each iteration blocks on two reductions, `pᵀAp` and the fused
-/// `rᵀz`/`‖r‖`.
+/// the solution on exit. [`cg_on`] with the vector loops on the host.
 ///
 /// # Panics
 /// If `pᵀAp ≤ 0` (the operator is not positive-definite), or if the
@@ -106,12 +145,36 @@ pub fn cg(
     rtol: f64,
     max_iter: usize,
 ) -> CgResult {
+    cg_on(comm, &mut HostLoops, op, precond, b, x, rtol, max_iter)
+}
+
+/// [`cg`] with its vector loops run by `loops`: the crate's
+/// recovery-aware CG core with every budget at zero. Each iteration
+/// blocks on two reductions, `pᵀAp` and the fused `rᵀz`/`‖r‖`. The loops
+/// decide only the charge, never the bits: the device-resident CG (the
+/// paper's future work, §V-F) is this entry with `hymv_gpu::DeviceBlas`
+/// and produces [`cg`]'s solution and iteration count.
+///
+/// # Panics
+/// As [`cg`].
+#[allow(clippy::too_many_arguments)]
+// verify: collective-entry
+pub fn cg_on(
+    comm: &mut Comm,
+    loops: &mut impl VectorLoops,
+    op: &mut dyn LinOp,
+    precond: &mut dyn Precond,
+    b: &[f64],
+    x: &mut [f64],
+    rtol: f64,
+    max_iter: usize,
+) -> CgResult {
     let policy = RecoveryPolicy {
         max_rollbacks: 0,
         max_restarts: 0,
         checkpoint: CheckpointPolicy::OFF,
     };
-    let mut a = Scalar::new(op, precond, b, x);
+    let mut a = Scalar::new(op, precond, loops, b, x);
     match krylov::run_cg(comm, &mut a, rtol, max_iter, &policy) {
         Ok(out) => out.into_cg_result(),
         Err(fault @ SolverFault::IndefiniteOperator { .. }) => {

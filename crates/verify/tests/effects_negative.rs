@@ -232,14 +232,17 @@ fn the_workspace_is_effect_clean() {
     );
     assert!(report.stats.files > 30, "only {} files", report.stats.files);
 
-    // Algorithm 2 is written once: one scatter window in the core crate,
-    // in the generic apply, and the element-source call inside it resolves
-    // to both sources — so the window check covers HYMV and matrix-free,
-    // SPMV and SpMM alike.
+    // Algorithm 2 is written once: one scatter window in the core and GPU
+    // crates, in the generic apply, and the element-source call inside it
+    // resolves to all three sources — so the window check covers HYMV,
+    // matrix-free and the GPU's Algorithm 3, SPMV and SpMM alike.
     let core_scatters: Vec<_> = graph
         .fns
         .iter()
-        .filter(|f| f.file.starts_with("crates/core/src/") && !f.file.ends_with("/exchange.rs"))
+        .filter(|f| {
+            (f.file.starts_with("crates/core/src/") && !f.file.ends_with("/exchange.rs"))
+                || f.file.starts_with("crates/gpu/src/")
+        })
         .flat_map(|f| f.calls.iter().map(move |c| (f, c)))
         .filter(|(_, c)| c.name == "scatter_begin")
         .collect();
@@ -267,7 +270,11 @@ fn the_workspace_is_effect_clean() {
     impls.sort_unstable();
     assert_eq!(
         impls,
-        ["Recompute::run_element_set", "StoredSlabs::run_element_set"]
+        [
+            "DevicePanels::run_element_set",
+            "Recompute::run_element_set",
+            "StoredSlabs::run_element_set"
+        ]
     );
 
     // The CG recurrence is written once: every arithmetic call of the
@@ -309,6 +316,21 @@ fn the_workspace_is_effect_clean() {
         arith_calls >= 10,
         "only {arith_calls} arithmetic calls found in the core"
     );
+
+    // The device source stays inside the checks: the GPU crate waives one
+    // allocation (its stream labels) and pins one dispatch point pure.
+    let gpu_src = workspace_root().join("crates/gpu/src");
+    let mut waivers: Vec<String> = Vec::new();
+    for entry in std::fs::read_dir(&gpu_src).expect("gpu sources") {
+        let text = std::fs::read_to_string(entry.expect("dir entry").path()).expect("source");
+        waivers.extend(
+            text.lines()
+                .filter_map(|l| l.trim().strip_prefix("// verify: "))
+                .map(str::to_string),
+        );
+    }
+    waivers.sort_unstable();
+    assert_eq!(waivers, ["allow(allocates)", "pure"], "gpu waivers");
 }
 
 #[test]

@@ -1,15 +1,16 @@
-//! HYMV-GPU stream overlap (paper §IV-F and Fig 3): run one GPU SPMV of
-//! the elasticity operator with 1, 2, 4, and 8 streams on the simulated
-//! device, print the modeled makespans, and render the 8-stream timeline
-//! as an ASCII Gantt chart (the analogue of the paper's profiler
-//! snapshot). A Chrome-trace JSON is written for `chrome://tracing`.
+//! HYMV-GPU stream overlap (paper §IV-F and Fig 3): run one traced GPU
+//! SPMV of the elasticity operator with 1, 2, 4, and 8 streams on the
+//! simulated device, print the modeled device makespans, and render the
+//! 8-stream SPMV as an ASCII Gantt chart (the analogue of the paper's
+//! profiler snapshot). The same trace is written as Chrome-trace JSON for
+//! `chrome://tracing`.
 //!
 //! ```text
 //! cargo run --release --example gpu_streams
 //! ```
 
-use hymv::gpu::trace;
 use hymv::prelude::*;
+use hymv_trace::{render_spans, Phase, SpanEvent, TraceSession};
 
 fn main() {
     let bar = BarProblem::default_unit();
@@ -23,18 +24,20 @@ fn main() {
         mesh.n_nodes() * 3
     );
 
-    let mut gantt = String::new();
-    let mut chrome = String::new();
-    let results = Universe::run(1, |comm| {
-        let part = &pm.parts[0];
-        let kernel =
-            ElasticityKernel::new(ElementType::Hex20, bar.young, bar.poisson, bar.body_force());
-        let mut rows = Vec::new();
-        let mut snapshots = (String::new(), String::new());
-        for ns in [1usize, 2, 4, 8] {
+    let cfg = RunConfig {
+        trace: true,
+        ..RunConfig::default()
+    };
+    let mut rows = Vec::new();
+    let mut spmv = Vec::new();
+    for ns in [1usize, 2, 4, 8] {
+        let session = TraceSession::begin();
+        Universe::run_configured(cfg.clone(), 1, |comm| {
+            let kernel =
+                ElasticityKernel::new(ElementType::Hex20, bar.young, bar.poisson, bar.body_force());
             let (mut gpu, _) = HymvGpuOperator::setup(
                 comm,
-                part,
+                &pm.parts[0],
                 &kernel,
                 GpuModel::default(),
                 ns,
@@ -45,30 +48,37 @@ fn main() {
                 .map(|i| (i as f64 * 0.01).sin())
                 .collect();
             let mut y = vec![0.0; gpu.n_owned()];
-            gpu.sim_mut().clear_events();
             gpu.matvec(comm, &x, &mut y);
-            let ev = gpu.sim().events().to_vec();
-            let t0 = ev.iter().map(|e| e.start).fold(f64::INFINITY, f64::min);
-            let t1 = ev.iter().map(|e| e.end).fold(0.0, f64::max);
-            rows.push((ns, (t1 - t0) * 1e3));
-            if ns == 8 {
-                snapshots = (trace::render_ascii(&ev, 100), trace::to_chrome_trace(&ev));
-            }
-        }
-        (rows, snapshots)
-    });
+        });
+        // The SPMV starts where the scatter is posted; the setup-era
+        // upload before it is not part of the picture.
+        let spans = session.finish().spans;
+        let t0 = spans
+            .iter()
+            .filter(|e| e.phase == Phase::ScatterPost)
+            .map(|e| e.t0)
+            .fold(f64::INFINITY, f64::min);
+        spmv = spans.into_iter().filter(|e| e.t0 >= t0).collect::<Vec<_>>();
+        let device: Vec<&SpanEvent> = spmv
+            .iter()
+            .filter(|e| matches!(e.phase, Phase::GpuH2D | Phase::GpuKernel | Phase::GpuD2H))
+            .collect();
+        let d0 = device.iter().map(|e| e.t0).fold(f64::INFINITY, f64::min);
+        let d1 = device.iter().map(|e| e.t1).fold(0.0, f64::max);
+        rows.push((ns, (d1 - d0) * 1e3));
+    }
 
-    let (rows, (ascii, json)) = &results[0];
     println!("{:>8} {:>16}", "streams", "makespan (ms)");
-    for (ns, ms) in rows {
+    for (ns, ms) in &rows {
         println!("{ns:>8} {ms:>16.4}");
     }
-    gantt.push_str(ascii);
-    chrome.push_str(json);
-
-    println!("\n8-stream timeline (paper Fig 3 analogue):\n{gantt}");
+    println!(
+        "\n8-stream SPMV (paper Fig 3 analogue):\n{}",
+        render_spans(&spmv, 100)
+    );
     let path = "target/gpu_trace.json";
-    if std::fs::create_dir_all("target").is_ok() && std::fs::write(path, &chrome).is_ok() {
+    let chrome = hymv_trace::to_chrome_json(&hymv_trace::spans_to_chrome(&spmv));
+    if std::fs::create_dir_all("target").is_ok() && std::fs::write(path, chrome).is_ok() {
         println!("Chrome trace written to {path} (load in chrome://tracing)");
     }
     println!(

@@ -73,12 +73,11 @@ pub mod prelude {
     pub use hymv_fem::dirichlet::DirichletSpec;
     pub use hymv_fem::{ElasticityKernel, ElementKernel, PoissonKernel};
     pub use hymv_gpu::{
-        gpu_resident_cg, DeviceBlas, DeviceSim, GpuModel, GpuScheme, HymvGpuOperator,
-        PetscGpuOperator,
+        DeviceBlas, DeviceJacobi, DeviceSim, GpuModel, GpuScheme, HymvGpuOperator, PetscGpuOperator,
     };
     pub use hymv_la::{
-        block_cg, cg, pipelined_cg, BlockJacobi, DistCsr, Identity, Jacobi, LinOp, MultiLinOp,
-        Multivector, SerialCsr,
+        block_cg, cg, cg_on, pipelined_cg, BlockJacobi, DistCsr, Identity, Jacobi, LinOp,
+        MultiLinOp, Multivector, SerialCsr,
     };
     pub use hymv_mesh::partition::{partition_mesh, PartitionStats};
     pub use hymv_mesh::{

@@ -125,6 +125,7 @@ fn gpu_backends_match_cpu() {
         let mut y_ref = vec![0.0; cpu.n_owned()];
         cpu.matvec(comm, &x, &mut y_ref);
 
+        // Every GPU scheme produces the CPU operator's bits.
         let mut all_match = true;
         for scheme in [
             GpuScheme::Blocking,
@@ -135,7 +136,10 @@ fn gpu_backends_match_cpu() {
                 HymvGpuOperator::setup(comm, part, &kernel, GpuModel::default(), 4, scheme, 2);
             let mut y = vec![0.0; gpu.n_owned()];
             gpu.matvec(comm, &x, &mut y);
-            all_match &= y.iter().zip(&y_ref).all(|(a, b)| (a - b).abs() < 1e-11);
+            all_match &= y
+                .iter()
+                .zip(&y_ref)
+                .all(|(a, b)| a.to_bits() == b.to_bits());
         }
         let (mut pg, _) = PetscGpuOperator::setup(comm, part, &kernel, GpuModel::default());
         let mut y = vec![0.0; pg.n_owned()];

@@ -231,22 +231,42 @@ fn gpu_resident_cg_through_full_stack() {
         let boxed: Box<dyn LinOp> = Box::new(op);
         let mut wrapped = DirichletOp::new(boxed, constrained);
         wrapped.mask_diagonal(&mut diag);
-        let inv_diag: Vec<f64> = diag.iter().map(|d| 1.0 / d).collect();
         let rhs = wrapped.build_rhs(comm, &raw_rhs);
 
+        // The device-resident solve: the CG core with device vector loops
+        // and a device Jacobi.
+        let model = GpuModel::default();
         let mut x = vec![0.0; wrapped.n_owned()];
-        let mut blas = DeviceBlas::new(DeviceSim::new(GpuModel::default(), 1));
-        let res = gpu_resident_cg(
+        let mut jacobi = DeviceJacobi::new(&diag, model);
+        let mut blas = DeviceBlas::new(model);
+        let res = cg_on(
             comm,
-            &mut wrapped,
             &mut blas,
-            &inv_diag,
+            &mut wrapped,
+            &mut jacobi,
             &rhs,
             &mut x,
             1e-10,
             50_000,
         );
         assert!(res.converged, "{res:?}");
+        // Host CG on the same operator: the same bits and iterations.
+        let mut x_host = vec![0.0; wrapped.n_owned()];
+        let mut host_jacobi = Jacobi::new(&diag);
+        let host = cg(
+            comm,
+            &mut wrapped,
+            &mut host_jacobi,
+            &rhs,
+            &mut x_host,
+            1e-10,
+            50_000,
+        );
+        assert_eq!(host.iterations, res.iterations);
+        assert!(x
+            .iter()
+            .zip(&x_host)
+            .all(|(a, b)| a.to_bits() == b.to_bits()));
         let coords = owned_node_coords(&maps, part);
         let err =
             hymv::fem::analytic::inf_error(&coords, &x, 1, |p| vec![PoissonProblem::exact(p)]);
