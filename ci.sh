@@ -30,6 +30,9 @@ cargo clippy --workspace --all-targets -- -D warnings
 
 stage "cargo test"
 cargo test --workspace -q
+# Again optimised: the element kernels' bitwise tests must also hold for
+# the vectorised codegen of the lane-batched `Ke` bodies.
+cargo test -q --release -p hymv-fem
 
 stage "envelope-overhead bench guard (wall-clock ratio, kept out of the deterministic test suite)"
 cargo test -q --release -- --ignored envelope_overhead

@@ -9,6 +9,7 @@ use hymv_mesh::MeshPartition;
 use crate::da::DistArray;
 use crate::exchange::GhostExchange;
 use crate::maps::HymvMaps;
+use crate::operator::KE_CHUNK;
 
 /// Assemble the load vector `f` over owned dofs: elemental `fe`
 /// accumulated through the DA, ghost contributions gathered to owners.
@@ -110,9 +111,10 @@ pub fn jacobi_diagonal(
 }
 
 /// [`jacobi_diagonal`] for an operator that keeps no matrices (the
-/// matrix-free one): each `Ke` is computed into one reused `nd²` scratch
-/// and its diagonal accumulated in the same order, so the result is the
-/// same to the bit. Collective.
+/// matrix-free one): the matrices are computed a chunk of
+/// [`KE_CHUNK`] elements at a time into one reused scratch and their
+/// diagonals accumulated in element order, so the result is the same to
+/// the bit. Collective.
 pub fn computed_jacobi_diagonal(
     comm: &mut Comm,
     maps: &HymvMaps,
@@ -122,12 +124,20 @@ pub fn computed_jacobi_diagonal(
 ) -> Vec<f64> {
     let (nd, ndof) = (kernel.ndof_elem(), kernel.ndof_per_node());
     let mut d = DistArray::new(maps, ndof);
-    let mut ke = vec![0.0; nd * nd];
+    let mut kes = vec![0.0; KE_CHUNK * nd * nd];
+    let mut coords: [&[[f64; 3]]; KE_CHUNK] = [&[]; KE_CHUNK];
     let mut scratch = KernelScratch::default();
     comm.work(|| {
-        for e in 0..maps.n_elems {
-            kernel.compute_ke(part.elem_node_coords(e), &mut ke, &mut scratch);
-            add_elem_diagonal(&mut d, maps, e, &ke, ndof);
+        for lo in (0..maps.n_elems).step_by(KE_CHUNK) {
+            let chunk = lo..(lo + KE_CHUNK).min(maps.n_elems);
+            for (c, e) in coords.iter_mut().zip(chunk.clone()) {
+                *c = part.elem_node_coords(e);
+            }
+            let kes = &mut kes[..chunk.len() * nd * nd];
+            kernel.compute_ke_chunk(&coords[..chunk.len()], kes, &mut scratch);
+            for (e, ke) in chunk.zip(kes.chunks_exact(nd * nd)) {
+                add_elem_diagonal(&mut d, maps, e, ke, ndof);
+            }
         }
     });
     owned_sums(comm, exchange, d)

@@ -56,13 +56,14 @@ impl AssembledOperator {
         let mut triples: Vec<(u64, u64, f64)> = Vec::with_capacity(part.n_elems() * nd * nd);
         let mut kes = vec![0.0; KE_CHUNK * nd * nd];
         let mut scratch = KernelScratch::default();
+        let mut coords: [&[[f64; 3]]; KE_CHUNK] = [&[]; KE_CHUNK];
         for lo in (0..part.n_elems()).step_by(KE_CHUNK) {
             let chunk = lo..(lo + KE_CHUNK).min(part.n_elems());
-            let ((), te) = comm.timed_work(|_| {
-                for (e, ke) in chunk.clone().zip(kes.chunks_exact_mut(nd * nd)) {
-                    kernel.compute_ke(part.elem_node_coords(e), ke, &mut scratch);
-                }
-            });
+            for (c, e) in coords.iter_mut().zip(chunk.clone()) {
+                *c = part.elem_node_coords(e);
+            }
+            let (coords, kes) = (&coords[..chunk.len()], &mut kes[..chunk.len() * nd * nd]);
+            let ((), te) = comm.timed_work(|_| kernel.compute_ke_chunk(coords, kes, &mut scratch));
             t.emat_compute_s += te;
             let ((), ta) = comm.timed_work(|_| {
                 for (e, ke) in chunk.zip(kes.chunks_exact(nd * nd)) {

@@ -39,7 +39,8 @@ struct Recompute {
     /// recomputed per apply — the slabs stay in [`Self::keb`] scratch).
     plan: BlockPlan,
     batch_kernel: EmvBatchKernel,
-    ke: Vec<f64>,
+    /// One block's matrices, column-major and back to back.
+    kes: Vec<f64>,
     /// Batch-interleaved scratch slab, `nd² × bw`.
     keb: Vec<f64>,
     ue: Vec<f64>,
@@ -74,7 +75,7 @@ impl MatFreeOperator {
             npe: maps.npe,
             plan,
             batch_kernel: select_batch_kernel(bw),
-            ke: vec![0.0; nd * nd],
+            kes: vec![0.0; nd * nd * bw],
             keb: vec![0.0; nd * nd * bw],
             ue: vec![0.0; nd * bw],
             ve: vec![0.0; nd * bw],
@@ -115,13 +116,14 @@ impl ElementSource for Recompute {
         let set = self.plan.set(dependent);
         let batch_kernel = self.batch_kernel;
         let (kernel, coords) = (&*self.kernel, &self.elem_coords);
-        let (ke, keb, ue, ve, scratch) = (
-            &mut self.ke,
+        let (kes, keb, ue, ve, scratch) = (
+            &mut self.kes,
             &mut self.keb,
             &mut self.ue,
             &mut self.ve,
             &mut self.scratch,
         );
+        let mut block: [&[[f64; 3]]; DEFAULT_BATCH_WIDTH] = [&[]; DEFAULT_BATCH_WIDTH];
         comm.work(|| {
             for k in 0..set.n_blocks() {
                 let len = set.len(k);
@@ -129,10 +131,15 @@ impl ElementSource for Recompute {
                     // Tail block: padded lanes must multiply by zero.
                     keb.fill(0.0);
                 }
-                for (b, &e) in set.elems(k).iter().enumerate().take(len) {
+                for (c, &e) in block.iter_mut().zip(&set.elems(k)[..len]) {
                     let e = e as usize;
-                    // The defining step of Algorithm 4: compute Ke here.
-                    kernel.compute_ke(&coords[e * npe..(e + 1) * npe], ke, scratch);
+                    *c = &coords[e * npe..(e + 1) * npe];
+                }
+                // The defining step of Algorithm 4: compute Ke here, the
+                // block's elements as one lane group.
+                let kes = &mut kes[..len * nd * nd];
+                kernel.compute_ke_chunk(&block[..len], kes, scratch);
+                for (b, ke) in kes.chunks_exact(nd * nd).enumerate() {
                     interleave_ke(ke, keb, nd, bw, b);
                 }
                 set.gather(k, &u.data, ue);
@@ -218,6 +225,47 @@ mod tests {
                 y_h.iter().zip(&y_m).all(|(a, b)| (a - b).abs() < 1e-10)
             });
             assert!(ok.iter().all(|&b| b), "{:?}", mesh.elem_type);
+        }
+    }
+
+    /// The matrix-free apply computes each block's matrices as one lane
+    /// group and gives HYMV's apply to the bit — whose slabs are those of
+    /// per-element `compute_ke` matrices
+    /// (`chunked_ke_slabs_equal_per_element_slabs_bitwise`).
+    #[test]
+    fn matfree_apply_equals_hymv_apply_bitwise() {
+        let cases: Vec<(hymv_mesh::GlobalMesh, Arc<dyn ElementKernel>)> = vec![
+            (
+                StructuredHexMesh::unit(2, ElementType::Hex20).build(),
+                Arc::new(ElasticityKernel::new(
+                    ElementType::Hex20,
+                    207.3,
+                    0.29,
+                    [0.0, 0.0, -1.0],
+                )),
+            ),
+            (
+                unstructured_tet_mesh(3, ElementType::Tet10, 0.12, 7),
+                Arc::new(PoissonKernel::new(ElementType::Tet10)),
+            ),
+        ];
+        for (mesh, kernel) in cases {
+            let pm = partition_mesh(&mesh, 2, PartitionMethod::GreedyGraph);
+            Universe::run(2, |comm| {
+                let part = &pm.parts[comm.rank()];
+                let (mut hymv, _) = HymvOperator::setup(comm, part, &*kernel);
+                let mut mf = MatFreeOperator::setup(comm, part, Arc::clone(&kernel));
+                let x: Vec<f64> = (0..hymv.n_owned())
+                    .map(|i| ((i * 7 % 23) as f64) * 0.1 - 1.0)
+                    .collect();
+                let mut y_h = vec![0.0; hymv.n_owned()];
+                let mut y_m = vec![0.0; mf.n_owned()];
+                hymv.matvec(comm, &x, &mut y_h);
+                mf.matvec(comm, &x, &mut y_m);
+                for (i, (a, b)) in y_h.iter().zip(&y_m).enumerate() {
+                    assert_eq!(a.to_bits(), b.to_bits(), "{:?} dof {i}", mesh.elem_type);
+                }
+            });
         }
     }
 

@@ -466,9 +466,11 @@ impl ElementMatrices for ComputedChunk<'_> {
 
 /// The one routine that computes element matrices, for initial setup (all
 /// elements into fresh slabs) and for adaptive updates (the touched few)
-/// alike. Walks `elems` in chunks of [`KE_CHUNK`]: the kernel writes each
-/// `Ke` into one reused chunk of scratch, then the chunk is interleaved
-/// into `plan`'s slabs while it is still in cache. A matrix that is not
+/// alike. Walks `elems` in chunks of [`KE_CHUNK`]: the kernel writes the
+/// chunk's matrices into one reused chunk of scratch
+/// ([`ElementKernel::compute_ke_chunk`], eight elements per lane group),
+/// then the chunk is interleaved into `plan`'s slabs while it is still in
+/// cache. A matrix that is not
 /// bitwise symmetric demotes a packed plan inside its chunk's
 /// [`BlockPlan::refresh`], so the slabs end up those of an `attach_store`
 /// of the finished matrices either way.
@@ -484,6 +486,7 @@ fn recompute_elements(
 ) -> (f64, f64) {
     let mut scratch = KernelScratch::default();
     let mut ids = [0u32; KE_CHUNK];
+    let mut coords: [&[[f64; 3]]; KE_CHUNK] = [&[]; KE_CHUNK];
     let nd = plan.nd();
     let sz = nd * nd;
     let mut kes = vec![0.0; KE_CHUNK * sz];
@@ -494,6 +497,7 @@ fn recompute_elements(
             let mut n = 0;
             for e in elems.by_ref().take(KE_CHUNK) {
                 ids[n] = e as u32;
+                coords[n] = part.elem_node_coords(e);
                 n += 1;
             }
             if n == 0 {
@@ -501,9 +505,7 @@ fn recompute_elements(
             }
             let chunk = &ids[..n];
             let ((), dt) = comm.timed_work(|_| {
-                for (&e, ke) in chunk.iter().zip(kes.chunks_exact_mut(sz)) {
-                    kernel.compute_ke(part.elem_node_coords(e as usize), ke, &mut scratch);
-                }
+                kernel.compute_ke_chunk(&coords[..n], &mut kes[..n * sz], &mut scratch);
             });
             compute_s += dt;
             let computed = ComputedChunk {
@@ -1014,6 +1016,88 @@ mod tests {
             let (mut op, _) = HymvOperator::setup(comm, &pm.parts[0], &kernel);
             op.set_batch_width(MAX_BATCH_WIDTH + 1);
         });
+    }
+
+    /// The plan's slabs as bits, every block of both sets.
+    fn slab_bits(plan: &BlockPlan) -> Vec<u64> {
+        let mut bits = Vec::new();
+        for dependent in [false, true] {
+            let set = plan.set(dependent);
+            for k in 0..set.n_blocks() {
+                bits.extend(set.keb(k).iter().map(|v| v.to_bits()));
+            }
+        }
+        bits
+    }
+
+    /// The slabs an `attach_store` of per-element `compute_ke` matrices of
+    /// `part` gives, at `op`'s maps and batch width.
+    fn per_element_slab_bits(
+        op: &HymvOperator,
+        part: &MeshPartition,
+        kernel: &dyn ElementKernel,
+    ) -> Vec<u64> {
+        let mut store = hymv_la::ElementMatrixStore::new(kernel.ndof_elem(), part.n_elems());
+        let mut scratch = KernelScratch::default();
+        for e in 0..part.n_elems() {
+            kernel.compute_ke(part.elem_node_coords(e), store.ke_mut(e), &mut scratch);
+        }
+        let mut plan = BlockPlan::build(op.maps(), op.ndof(), op.batch_width());
+        plan.attach_store(&store);
+        slab_bits(&plan)
+    }
+
+    /// Setup computes `Ke` in chunks (lane groups of eight elements, the
+    /// last one short and padded), and its slabs are, to the bit, those of
+    /// an `attach_store` of per-element `compute_ke` matrices. So are the
+    /// slabs after an `update_elements` of three moved elements: one
+    /// short, padded lane group.
+    #[test]
+    fn chunked_ke_slabs_equal_per_element_slabs_bitwise() {
+        use hymv_fem::ElasticityKernel;
+        use hymv_mesh::unstructured_tet_mesh;
+        let cases: [(hymv_mesh::GlobalMesh, Box<dyn ElementKernel>); 2] = [
+            (
+                StructuredHexMesh::unit(3, ElementType::Hex20).build(),
+                Box::new(ElasticityKernel::new(
+                    ElementType::Hex20,
+                    207.3,
+                    0.29,
+                    [0.0, 0.0, -1.0],
+                )),
+            ),
+            (
+                unstructured_tet_mesh(3, ElementType::Tet10, 0.12, 7),
+                Box::new(PoissonKernel::new(ElementType::Tet10)),
+            ),
+        ];
+        for (mesh, kernel) in &cases {
+            let kernel = kernel.as_ref();
+            let pm = partition_mesh(mesh, 2, PartitionMethod::GreedyGraph);
+            Universe::run(2, |comm| {
+                let mut part = pm.parts[comm.rank()].clone();
+                let (mut op, _) = HymvOperator::setup(comm, &part, kernel);
+                let et = part.elem_type;
+                assert!(
+                    slab_bits(op.block_plan()) == per_element_slab_bits(&op, &part, kernel),
+                    "{et:?}: setup"
+                );
+                // Each element holds its own copy of its node coordinates:
+                // scaling three of them moves those elements only.
+                let npe = et.nodes_per_elem();
+                let touched = [0, part.n_elems() / 2, part.n_elems() - 1];
+                for &e in &touched {
+                    for p in &mut part.elem_coords[e * npe..(e + 1) * npe] {
+                        *p = p.map(|c| c * 1.03);
+                    }
+                }
+                op.update_elements(comm, &part, kernel, &touched);
+                assert!(
+                    slab_bits(op.block_plan()) == per_element_slab_bits(&op, &part, kernel),
+                    "{et:?}: update"
+                );
+            });
+        }
     }
 
     #[test]

@@ -18,7 +18,7 @@
 //! slices, matching the layout HYMV's vectorized EMV kernel requires
 //! (paper §IV-E, equation (4)).
 
-#![forbid(unsafe_code)]
+#![deny(unsafe_code)]
 
 pub mod analytic;
 pub mod dirichlet;

@@ -11,29 +11,92 @@ pub struct Jacobian {
     pub inv: [[f64; 3]; 3],
 }
 
-/// Compute the Jacobian from nodal coordinates and reference gradients.
-///
-/// `coords` is `npe` points; `dn` is `npe × 3` node-major reference
-/// gradients (as produced by [`crate::shape::shape_gradients`]).
+/// `W` lanes of `f64`, lane `l` belonging to element `l` of a lane group.
+/// Every operator applies the scalar operation lane by lane, so each lane
+/// computes exactly the bits the scalar code would (Rust never contracts
+/// `a * b + c` into an FMA); at `W = 1` it *is* the scalar code.
+#[derive(Clone, Copy, Debug)]
+pub(crate) struct Lanes<const W: usize>(pub(crate) [f64; W]);
+
+impl<const W: usize> Lanes<W> {
+    #[inline(always)]
+    pub(crate) fn splat(v: f64) -> Self {
+        Lanes([v; W])
+    }
+
+    /// Lane vector `k` of a lane-minor buffer (`s[k*W + l]` is lane `l`).
+    #[inline(always)]
+    pub(crate) fn load(s: &[f64], k: usize) -> Self {
+        Lanes(s[k * W..(k + 1) * W].try_into().expect("W lanes"))
+    }
+
+    #[inline(always)]
+    pub(crate) fn store(self, s: &mut [f64], k: usize) {
+        s[k * W..(k + 1) * W].copy_from_slice(&self.0);
+    }
+}
+
+macro_rules! lanewise {
+    ($trait:ident, $f:ident, $op:tt) => {
+        impl<const W: usize> std::ops::$trait for Lanes<W> {
+            type Output = Self;
+            #[inline(always)]
+            fn $f(self, o: Self) -> Self {
+                let mut r = self.0;
+                for l in 0..W {
+                    r[l] = self.0[l] $op o.0[l];
+                }
+                Lanes(r)
+            }
+        }
+    };
+}
+lanewise!(Add, add, +);
+lanewise!(Sub, sub, -);
+lanewise!(Mul, mul, *);
+lanewise!(Div, div, /);
+
+impl<const W: usize> std::ops::AddAssign for Lanes<W> {
+    #[inline(always)]
+    fn add_assign(&mut self, o: Self) {
+        *self = *self + o;
+    }
+}
+
+/// [`Jacobian`] of `W` elements at once.
+pub(crate) struct LaneJacobian<const W: usize> {
+    pub(crate) j: [[Lanes<W>; 3]; 3],
+    pub(crate) det: Lanes<W>,
+    pub(crate) inv: [[Lanes<W>; 3]; 3],
+}
+
+/// [`jacobian`] of `W` elements at once: `x(i)[r]` is coordinate `r` of
+/// node `i` in every lane, `dn` the `npe × 3` reference gradients. The one
+/// Jacobian body — [`jacobian`] is its `W = 1` instance.
 ///
 /// # Panics
-/// Panics if the element is degenerate or inverted (`det J ≤ 0`) — a mesh
-/// bug that must not be silently integrated over.
-pub fn jacobian(coords: &[[f64; 3]], dn: &[f64]) -> Jacobian {
-    debug_assert_eq!(dn.len(), 3 * coords.len());
-    let mut j = [[0.0f64; 3]; 3];
-    for (i, x) in coords.iter().enumerate() {
+/// Panics if any lane's element is degenerate or inverted.
+#[inline(always)]
+pub(crate) fn jacobian_lanes<const W: usize>(
+    x: impl Fn(usize) -> [Lanes<W>; 3],
+    dn: &[f64],
+) -> LaneJacobian<W> {
+    let mut j = [[Lanes::splat(0.0); 3]; 3];
+    for i in 0..dn.len() / 3 {
+        let x = x(i);
         for r in 0..3 {
             for c in 0..3 {
-                j[r][c] += x[r] * dn[3 * i + c];
+                j[r][c] += x[r] * Lanes::splat(dn[3 * i + c]);
             }
         }
     }
     let det = j[0][0] * (j[1][1] * j[2][2] - j[1][2] * j[2][1])
         - j[0][1] * (j[1][0] * j[2][2] - j[1][2] * j[2][0])
         + j[0][2] * (j[1][0] * j[2][1] - j[1][1] * j[2][0]);
-    assert!(det > 1e-14, "degenerate or inverted element: det J = {det}");
-    let inv_det = 1.0 / det;
+    for det in det.0 {
+        assert!(det > 1e-14, "degenerate or inverted element: det J = {det}");
+    }
+    let inv_det = Lanes::splat(1.0) / det;
     let inv = [
         [
             (j[1][1] * j[2][2] - j[1][2] * j[2][1]) * inv_det,
@@ -51,7 +114,43 @@ pub fn jacobian(coords: &[[f64; 3]], dn: &[f64]) -> Jacobian {
             (j[0][0] * j[1][1] - j[0][1] * j[1][0]) * inv_det,
         ],
     ];
-    Jacobian { j, det, inv }
+    LaneJacobian { j, det, inv }
+}
+
+/// Compute the Jacobian from nodal coordinates and reference gradients.
+///
+/// `coords` is `npe` points; `dn` is `npe × 3` node-major reference
+/// gradients (as produced by [`crate::shape::shape_gradients`]).
+///
+/// # Panics
+/// Panics if the element is degenerate or inverted (`det J ≤ 0`) — a mesh
+/// bug that must not be silently integrated over.
+pub fn jacobian(coords: &[[f64; 3]], dn: &[f64]) -> Jacobian {
+    debug_assert_eq!(dn.len(), 3 * coords.len());
+    let jac = jacobian_lanes(|i| coords[i].map(|v| Lanes([v])), dn);
+    let scalar = |m: [[Lanes<1>; 3]; 3]| m.map(|row| row.map(|v| v.0[0]));
+    Jacobian {
+        j: scalar(jac.j),
+        det: jac.det.0[0],
+        inv: scalar(jac.inv),
+    }
+}
+
+/// [`physical_gradients`] of one node of `W` elements at once, from its
+/// reference gradient `dn` (3 entries). Each sum starts at `-0.0`, the
+/// identity of the `Iterator::sum` [`physical_gradients`] uses: a sum of
+/// three `-0.0` products stays `-0.0`, as it would not from `+0.0`.
+#[inline(always)]
+pub(crate) fn physical_gradient_lanes<const W: usize>(
+    inv: &[[Lanes<W>; 3]; 3],
+    dn: &[f64],
+) -> [Lanes<W>; 3] {
+    [0, 1, 2].map(|d| {
+        Lanes::splat(-0.0)
+            + inv[0][d] * Lanes::splat(dn[0])
+            + inv[1][d] * Lanes::splat(dn[1])
+            + inv[2][d] * Lanes::splat(dn[2])
+    })
 }
 
 /// Transform reference gradients to physical gradients:

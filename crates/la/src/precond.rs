@@ -41,14 +41,22 @@ impl Jacobi {
             .collect();
         Jacobi { inv_diag }
     }
-}
 
-impl Precond for Jacobi {
-    fn apply(&mut self, _comm: &mut Comm, r: &[f64], z: &mut [f64]) {
+    /// `z = D⁻¹ r`, the pointwise loop alone: [`Precond::apply`] charges
+    /// it to the host clock, a device preconditioner as its own kernel.
+    pub fn scale(&self, r: &[f64], z: &mut [f64]) {
         debug_assert_eq!(r.len(), self.inv_diag.len());
         for i in 0..r.len() {
             z[i] = r[i] * self.inv_diag[i];
         }
+    }
+}
+
+impl Precond for Jacobi {
+    /// [`Jacobi::scale`], charged to the virtual clock like every other
+    /// vector loop of an iteration.
+    fn apply(&mut self, comm: &mut Comm, r: &[f64], z: &mut [f64]) {
+        comm.work(|| self.scale(r, z));
     }
 }
 
@@ -167,6 +175,24 @@ mod tests {
             z
         });
         assert_eq!(out[0], vec![1.0, 0.5, 4.0]);
+    }
+
+    /// The host Jacobi is charged its loop's CPU time: one apply on a
+    /// large vector advances the rank's virtual clock.
+    #[test]
+    fn jacobi_apply_advances_virtual_time() {
+        let out = Universe::run(1, |comm| {
+            let n = 1 << 20;
+            let mut pc = Jacobi::new(&vec![2.0; n]);
+            let r = vec![1.0; n];
+            let mut z = vec![0.0; n];
+            let vt0 = comm.vt();
+            pc.apply(comm, &r, &mut z);
+            (comm.vt() - vt0, z[n - 1])
+        });
+        let (dt, z) = out[0];
+        assert_eq!(z, 0.5);
+        assert!(dt > 0.0, "Jacobi::apply charged {dt} s");
     }
 
     #[test]
