@@ -31,8 +31,11 @@ cargo clippy --workspace --all-targets -- -D warnings
 stage "cargo test"
 cargo test --workspace -q
 # Again optimised: the element kernels' bitwise tests must also hold for
-# the vectorised codegen of the lane-batched `Ke` bodies.
+# the vectorised codegen of the lane-batched `Ke` bodies, and the EMV
+# kernels' for their unchecked lanes as they ship (the sanitize stage
+# below tests them through checked lanes).
 cargo test -q --release -p hymv-fem
+cargo test -q --release -p hymv-la
 
 stage "envelope-overhead bench guard (wall-clock ratio, kept out of the deterministic test suite)"
 cargo test -q --release -- --ignored envelope_overhead
@@ -48,6 +51,10 @@ cargo run -q -p hymv-check --bin hymv-check -- --n 4 --p 3 --method greedy --see
 
 stage "hymv-check multivector SpMM determinism (B=8, nvec=3: run-time width on portable lanes)"
 cargo run -q -p hymv-check --bin hymv-check -- --n 4 --p 3 --method greedy --seeds 8 --batch 8 --nvec 3
+
+stage "hymv-check Hex20 determinism (Poisson nd=20: the run-time-nd kernel body, single-vector and nvec=3)"
+cargo run -q -p hymv-check --bin hymv-check -- --n 4 --p 3 --method greedy --seeds 8 --elem hex20
+cargo run -q -p hymv-check --bin hymv-check -- --n 4 --p 3 --method greedy --seeds 8 --elem hex20 --batch 8 --nvec 3
 
 stage "hymv-verify static passes (model check, block-plan index bounds, lint)"
 cargo run -q -p hymv-verify --bin hymv-verify -- --n 4 --p 1,2,4,8

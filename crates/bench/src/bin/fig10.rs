@@ -66,17 +66,18 @@ fn main() {
 
     // CARM-style byte accounting (all executed loads/stores, 8 B each
     // unless noted):
-    // * HYMV batched EMV: per lane, the i-outer
-    //   register-accumulated kernel loads keb once (nd²) and ue per (i,j)
-    //   pair (nd²) with ve stored once per row (nd) — no per-column
-    //   load-ve/store-ve RMW; panel gather (2·nd) + scatter (3·nd) plus
-    //   the u32 gather-table reads on both (2·nd × 4 B)
-    //   → ≈ 8·(2nd² + 6nd) + 8·nd bytes for 2nd² flops. The symmetric-
-    //   packed slab layout leaves this count where it is — CARM counts
-    //   executed loads, and each packed entry is still *loaded* twice
-    //   (once from memory, once from cache). What packing halves is the
-    //   distinct slab bytes an apply streams, nd(nd+1)/2 per lane instead
-    //   of nd²; that DRAM-side intensity is reported as its own note below.
+    // * HYMV batched EMV: per lane, the storage-order kernel loads each
+    //   packed keb entry once (nd(nd+1)/2). An off-diagonal entry K[r,c]
+    //   feeds two outputs: it loads ue[c] for output r's register chain
+    //   and read-modify-writes ve[c] (load + store) for output c, so
+    //   3·nd(nd−1)/2; per row it loads ue[r] once and stores ve[r] once
+    //   (2nd). That is 2nd² + nd, as many as a row-at-a-time walk (keb
+    //   and ue per (i,j) pair, ve once per row): the walk's order sets
+    //   how the slab streams, not the count. Panel gather (2·nd) + scatter
+    //   (3·nd) plus the u32 gather-table reads on both (2·nd × 4 B)
+    //   → ≈ 8·(2nd² + 6nd) + 8·nd bytes for 2nd² flops. Packing halves
+    //   the distinct slab bytes an apply streams, nd(nd+1)/2 per lane
+    //   instead of nd²; that DRAM-side intensity is its own note below.
     // * assembled CSR: per nonzero, value (8 B) + column index (4 B) +
     //   x gather (8 B); per row, y store → ≈ 20·nnz bytes for 2·nnz flops.
     // * matrix-free: the quadrature loops execute ≈1.5 memory ops per

@@ -393,8 +393,9 @@ pub fn emv_portable(ke: &[f64], ue: &[f64], ve: &mut [f64]) {
 // Every kernel multiplies the same operands in the same order under either
 // layout (row `i` accumulates over `j` ascending), so a packed slab gives
 // the bits of the full slab it was packed from while streaming half the
-// bytes: rows are visited in ascending order, each packed entry is fetched
-// from memory by the first row that needs it and hit in cache by the second.
+// bytes. The run-time-`nd` body reads each packed entry once, in storage
+// order, and uses it for both of the outputs it feeds; the unrolled
+// fixed-`nd` bodies read a slab small enough to stay in L1 twice.
 //
 // Vectorization runs **across the batch dimension**: every load/store in
 // the inner loop is unit-stride over `bw` lanes, so SIMD sees full vectors
@@ -585,11 +586,14 @@ impl Lane for std::arch::x86_64::__m512d {
 /// operand that lane's entry broadcast (`L::splat`): a slab streams once
 /// for all `nvec` columns. `NVEC = 0` takes `nvec` at run time.
 ///
-/// `ND = 0` takes `nd` at run time and reduces a row at a time: the tiles
-/// of one row sit in at most eight accumulators, `ve` is stored once per
-/// row, and the column loop is split at the diagonal so a packed slab
-/// needs no max/min per entry — left of it row `i` reads its own packed
-/// row, from the diagonal on it reads column `i` of the rows below.
+/// `ND = 0` takes `nd` at run time and reads the slab once, front to back,
+/// in storage order. A packed row `r` is `K[r, 0..=r]`: each off-diagonal
+/// entry `K[r, c]` is term `j = c` of output `r`, held in at most eight
+/// accumulators, and term `j = r` of output `c`, added to the `ve` row
+/// that row `c` stored (the panel stays in L1); the diagonal closes
+/// output `r` and stores it. A full slab is walked column by column into
+/// a zeroed `ve`. Either way output `i` is still one chain over `j`
+/// ascending from `+0.0`.
 ///
 /// `ND > 0` fixes the dimension (the caller passes `nd == ND`). A row of
 /// nd ≤ 12 is too short a chain to hide the fmadd latency and the loop
@@ -619,36 +623,65 @@ unsafe fn emv_batch_body<L: Lane, const PACKED: bool, const ND: usize, const NVE
     let groups = if NVEC == 1 { 1 } else { bw };
     let tiles = if NVEC == 1 { bw } else { nvec } / L::W;
     if ND == 0 {
-        for i in 0..nd {
-            for g in 0..groups {
-                let mut acc = L::ZEROS;
-                let acc = acc.as_mut();
-                for j in 0..i {
-                    let s = if PACKED { tri(i) + j } else { j * nd + i };
+        if PACKED {
+            for r in 0..nd {
+                for g in 0..groups {
+                    let mut acc = L::ZEROS;
+                    let acc = acc.as_mut();
+                    let mut ur = L::ZEROS;
+                    let ur = ur.as_mut();
+                    for t in 0..tiles {
+                        ur[t] = L::load(ue, (r * bw + g) * nvec + L::W * t);
+                    }
+                    for c in 0..r {
+                        let s = tri(r) + c;
+                        for t in 0..tiles {
+                            let k = if NVEC == 1 {
+                                L::load(keb, s * bw + L::W * t)
+                            } else {
+                                L::splat(keb, s * bw + g)
+                            };
+                            let at = (c * bw + g) * nvec + L::W * t;
+                            acc[t] = L::fmadd(k, L::load(ue, at), acc[t]);
+                            L::store(ve, at, L::fmadd(k, ur[t], L::load(ve, at)));
+                        }
+                    }
+                    let s = tri(r) + r;
                     for t in 0..tiles {
                         let k = if NVEC == 1 {
                             L::load(keb, s * bw + L::W * t)
                         } else {
                             L::splat(keb, s * bw + g)
                         };
-                        let u = L::load(ue, (j * bw + g) * nvec + L::W * t);
-                        acc[t] = L::fmadd(k, u, acc[t]);
+                        L::store(
+                            ve,
+                            (r * bw + g) * nvec + L::W * t,
+                            L::fmadd(k, ur[t], acc[t]),
+                        );
                     }
                 }
-                for j in i..nd {
-                    let s = if PACKED { tri(j) + i } else { j * nd + i };
+            }
+        } else {
+            ve.fill(0.0);
+            for j in 0..nd {
+                for g in 0..groups {
+                    let mut uj = L::ZEROS;
+                    let uj = uj.as_mut();
                     for t in 0..tiles {
-                        let k = if NVEC == 1 {
-                            L::load(keb, s * bw + L::W * t)
-                        } else {
-                            L::splat(keb, s * bw + g)
-                        };
-                        let u = L::load(ue, (j * bw + g) * nvec + L::W * t);
-                        acc[t] = L::fmadd(k, u, acc[t]);
+                        uj[t] = L::load(ue, (j * bw + g) * nvec + L::W * t);
                     }
-                }
-                for t in 0..tiles {
-                    L::store(ve, (i * bw + g) * nvec + L::W * t, acc[t]);
+                    for i in 0..nd {
+                        let s = j * nd + i;
+                        for t in 0..tiles {
+                            let k = if NVEC == 1 {
+                                L::load(keb, s * bw + L::W * t)
+                            } else {
+                                L::splat(keb, s * bw + g)
+                            };
+                            let at = (i * bw + g) * nvec + L::W * t;
+                            L::store(ve, at, L::fmadd(k, uj[t], L::load(ve, at)));
+                        }
+                    }
                 }
             }
         }
@@ -1408,10 +1441,10 @@ mod tests {
     /// The folded body changes the schedule, never the arithmetic: every
     /// instantiation (`ND` fixed or not, `NVEC` 1, [`FIXED_NVEC_WIDTH`] or
     /// read at run time, both layouts) on every ISA of the CPU running the
-    /// test gives the
-    /// bits of the trio's portable loop — fused on the SIMD lanes — with
-    /// zero-padded tail lanes, one and several tiles per row, and several
-    /// `nd` where `nd` is read at run time.
+    /// test gives the bits of the trio's portable loop — fused on the SIMD
+    /// lanes — with zero-padded tail lanes, one and several tiles per row,
+    /// and, where `nd` is read at run time, every `nd` the element kernels
+    /// ship above the fixed ones (24 and 60) besides the edge cases.
     #[test]
     #[allow(unsafe_code)] // SAFETY: comment at the one unsafe block below
     fn every_instantiation_matches_the_trio_reference_bitwise() {
@@ -1432,7 +1465,7 @@ mod tests {
         for (isa, w, table) in &lanes {
             for &(packed, fixed_nd, fixed_nvec, body) in table {
                 let nds: &[usize] = if fixed_nd == 0 {
-                    &[3, 8, 13]
+                    &[1, 3, 8, 13, 24, 60]
                 } else {
                     &[fixed_nd]
                 };
@@ -1474,9 +1507,9 @@ mod tests {
                 }
             }
         }
-        // Per lane type: NVEC ∈ {1, FIXED_NVEC_WIDTH} × 2 layouts × (4 fixed + 3 run-time
+        // Per lane type: NVEC ∈ {1, FIXED_NVEC_WIDTH} × 2 layouts × (4 fixed + 6 run-time
         // `nd`) × 3 shapes, and NVEC = 0 twice that (two widths).
-        assert_eq!(compared, lanes.len() * 2 * 2 * 7 * 3 * 2);
+        assert_eq!(compared, lanes.len() * 2 * 2 * 10 * 3 * 2);
     }
 
     /// The vector gather is the scalar loop: same values for any table

@@ -1885,25 +1885,46 @@ unsafe fn body<L: Lane, const PACKED: bool, const ND: usize, const NVEC: usize>(
     let groups = if NVEC == 1 { 1 } else { bw };
     let tiles = if NVEC == 1 { bw } else { nvec } / L::W;
     if ND == 0 {
-        for i in 0..nd {
-            for g in 0..groups {
-                let mut acc = L::ZEROS;
-                for j in 0..i {
-                    let s = if PACKED { tri(i) + j } else { j * nd + i };
+        if PACKED {
+            for r in 0..nd {
+                for g in 0..groups {
+                    let mut acc = L::ZEROS;
+                    let mut ur = L::ZEROS;
+                    for t in 0..tiles {
+                        ur[t] = L::load(ue, (r * bw + g) * nvec + L::W * t);
+                    }
+                    for c in 0..r {
+                        let s = tri(r) + c;
+                        for t in 0..tiles {
+                            let k = if NVEC == 1 { L::load(keb, s * bw + L::W * t) } else { L::splat(keb, s * bw + g) };
+                            let at = (c * bw + g) * nvec + L::W * t;
+                            acc[t] = L::fmadd(k, L::load(ue, at), acc[t]);
+                            L::store(ve, at, L::fmadd(k, ur[t], L::load(ve, at)));
+                        }
+                    }
+                    let s = tri(r) + r;
                     for t in 0..tiles {
                         let k = if NVEC == 1 { L::load(keb, s * bw + L::W * t) } else { L::splat(keb, s * bw + g) };
-                        acc[t] = L::fmadd(k, L::load(ue, (j * bw + g) * nvec + L::W * t), acc[t]);
+                        L::store(ve, (r * bw + g) * nvec + L::W * t, L::fmadd(k, ur[t], acc[t]));
                     }
                 }
-                for j in i..nd {
-                    let s = if PACKED { tri(j) + i } else { j * nd + i };
+            }
+        } else {
+            ve.fill(0.0);
+            for j in 0..nd {
+                for g in 0..groups {
+                    let mut uj = L::ZEROS;
                     for t in 0..tiles {
-                        let k = if NVEC == 1 { L::load(keb, s * bw + L::W * t) } else { L::splat(keb, s * bw + g) };
-                        acc[t] = L::fmadd(k, L::load(ue, (j * bw + g) * nvec + L::W * t), acc[t]);
+                        uj[t] = L::load(ue, (j * bw + g) * nvec + L::W * t);
                     }
-                }
-                for t in 0..tiles {
-                    L::store(ve, (i * bw + g) * nvec + L::W * t, acc[t]);
+                    for i in 0..nd {
+                        let s = j * nd + i;
+                        for t in 0..tiles {
+                            let k = if NVEC == 1 { L::load(keb, s * bw + L::W * t) } else { L::splat(keb, s * bw + g) };
+                            let at = (i * bw + g) * nvec + L::W * t;
+                            L::store(ve, at, L::fmadd(k, uj[t], L::load(ve, at)));
+                        }
+                    }
                 }
             }
         }
@@ -2016,20 +2037,18 @@ unsafe fn entries<L: Lane>(keb: &[f64], ue: &[f64], ve: &mut [f64], nd: usize, b
         for c in &certs {
             let fixed = !c.kernel.contains("ND=0,");
             let packed = c.kernel.contains("PACKED=true");
-            // Run time: 2 × (keb + ue) + store. Fixed: ue row, store, and
-            // one keb access per layout arm.
-            let accesses = if !fixed {
-                5
-            } else if packed {
-                4
-            } else {
-                3
+            // Fixed: ue row, store, and one keb access per layout arm, over
+            // (g, t, j, i, j). Run time, packed: the ue row, per entry keb,
+            // ue and the ve load and store, and the diagonal's keb and
+            // store, over (r, g, t, c, t, t). Run time, full: the ue row,
+            // then keb and the ve load and store, over (j, g, t, i, t).
+            let want = match (fixed, packed) {
+                (true, false) => (3, 5),
+                (false, true) => (7, 6),
+                // Fixed packed, and run-time full.
+                _ => (4, 5),
             };
-            assert_eq!(
-                (c.accesses, c.loops),
-                (accesses, if fixed { 5 } else { 7 }),
-                "{c:?}"
-            );
+            assert_eq!((c.accesses, c.loops), want, "{c:?}");
         }
     }
 
@@ -2092,6 +2111,26 @@ unsafe fn entries<L: Lane>(keb: &[f64], ue: &[f64], ve: &mut [f64], nd: usize, b
             |k| k.contains("PACKED=false, ND=4, NVEC=1>"),
             "cannot prove `L::load`",
         );
+    }
+
+    /// The run-time-`nd` walk is proved on its own: one slot too far in
+    /// the full layout's column walk, or past the packed diagonal, is
+    /// rejected for exactly the `ND = 0` instantiations of that layout, at
+    /// every width and on every lane type.
+    #[test]
+    fn run_time_walk_off_by_one_is_rejected_where_it_breaks() {
+        for (from, to, packed) in [
+            ("let s = j * nd + i;", "let s = j * nd + i + 1;", false),
+            ("let s = tri(r) + r;", "let s = tri(r) + r + 1;", true),
+        ] {
+            let layout = format!("PACKED={packed}, ND=0,");
+            rejected_exactly(
+                &edited(GOOD_GENERIC, from, to),
+                36,
+                |k| k.contains(&layout),
+                "cannot prove `L::",
+            );
+        }
     }
 
     /// A column tile that steps `W` past the panel's `nvec` columns — one
