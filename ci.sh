@@ -1,6 +1,6 @@
 #!/usr/bin/env bash
 # The repo's CI gate, runnable locally: formatting, lints (warnings are
-# errors), the full test suite, and the hymv-check analysis passes.
+# errors), the full test suite, and the hymv-check certificate table.
 set -euo pipefail
 cd "$(dirname "$0")"
 
@@ -40,22 +40,6 @@ cargo test -q --release -p hymv-la
 stage "envelope-overhead bench guard (wall-clock ratio, kept out of the deterministic test suite)"
 cargo test -q --release -- --ignored envelope_overhead
 
-stage "hymv-check analysis passes"
-cargo run -q -p hymv-check --bin hymv-check -- --n 4 --p 4 --method rcb --seeds 8
-
-stage "hymv-check width-1 plan determinism (B=1: one-element blocks on the scalar lane)"
-cargo run -q -p hymv-check --bin hymv-check -- --n 4 --p 4 --method rcb --seeds 8 --batch 1
-
-stage "hymv-check multivector SpMM determinism (B=8, nvec=8)"
-cargo run -q -p hymv-check --bin hymv-check -- --n 4 --p 3 --method greedy --seeds 8 --batch 8 --nvec 8
-
-stage "hymv-check multivector SpMM determinism (B=8, nvec=3: run-time width on portable lanes)"
-cargo run -q -p hymv-check --bin hymv-check -- --n 4 --p 3 --method greedy --seeds 8 --batch 8 --nvec 3
-
-stage "hymv-check Hex20 determinism (Poisson nd=20: the run-time-nd kernel body, single-vector and nvec=3)"
-cargo run -q -p hymv-check --bin hymv-check -- --n 4 --p 3 --method greedy --seeds 8 --elem hex20
-cargo run -q -p hymv-check --bin hymv-check -- --n 4 --p 3 --method greedy --seeds 8 --elem hex20 --batch 8 --nvec 3
-
 stage "hymv-verify static passes (model check, block-plan index bounds, lint)"
 cargo run -q -p hymv-verify --bin hymv-verify -- --n 4 --p 1,2,4,8
 cargo run -q -p hymv-verify --bin hymv-verify -- --n 4 --p 1,2,4,8 --method greedy --skip-lint
@@ -87,18 +71,15 @@ cargo test -q -p hymv-core --features hymv-la/sanitize
 # rest on are compiled out, so the checked lanes are all that is left.
 cargo test -q --release -p hymv-la --features sanitize
 
-stage "hymv-chaos smoke sweep (recoverable faults heal bitwise; crash aborts typed)"
-cargo run -q --release -p hymv-check --bin hymv-chaos -- \
-    --n 3 --p 2 --seeds 2 --scenarios drop,corrupt,crash
-
-stage "hymv-lflr crash-recovery gate (armed crashes heal bitwise at p=8 and p=32; <60s budget)"
+stage "hymv-check certificate table, release (schedule/thread, chaos, degraded-schedule rows; LFLR rows <60s budget)"
+# One table, one runner: `hymv-check --list` prints every row. Schedule
+# rows pin the protocol audit on, so release mode keeps it.
+cargo run -q --release -p hymv-check --bin hymv-check -- --only sched,threads,chaos,degrade
 lflr_start=$SECONDS
-cargo run -q --release -p hymv-check --bin hymv-lflr -- --n 3 --p 8 --seeds 2
-cargo run -q --release -p hymv-check --bin hymv-lflr -- \
-    --n 4 --p 32 --seeds 1 --windows allreduce,block-refresh --drivers cg,service
+cargo run -q --release -p hymv-check --bin hymv-check -- --only lflr
 lflr_dur=$((SECONDS - lflr_start))
 test "$lflr_dur" -lt 60 || {
-    echo "crash-recovery gate took ${lflr_dur}s (budget 60s)"
+    echo "crash-recovery rows took ${lflr_dur}s (budget 60s)"
     exit 1
 }
 

@@ -22,7 +22,7 @@ fn bench_exchange(c: &mut Criterion) {
         .warm_up_time(Duration::from_millis(300))
         .measurement_time(Duration::from_secs(1));
     // `true` = the default sequence-numbered/checksummed envelope wire
-    // format; `false` = the bare pre-`hymv-chaos` payloads (the ablation
+    // format; `false` = the bare pre-envelope payloads (the ablation
     // that prices the framing — the guard test in
     // `tests/failure_injection.rs` holds the gap under 5%).
     for (enveloped, label) in [(true, "scatter_gather"), (false, "scatter_gather_raw")] {

@@ -19,12 +19,6 @@ impl BitEq for f64 {
     }
 }
 
-impl BitEq for f32 {
-    fn bit_eq(&self, other: &Self) -> bool {
-        self.to_bits() == other.to_bits()
-    }
-}
-
 macro_rules! impl_biteq_exact {
     ($($t:ty),*) => {$(
         impl BitEq for $t {
@@ -35,47 +29,11 @@ macro_rules! impl_biteq_exact {
     )*};
 }
 
-impl_biteq_exact!(
-    bool,
-    u8,
-    u16,
-    u32,
-    u64,
-    usize,
-    i8,
-    i16,
-    i32,
-    i64,
-    isize,
-    String,
-    ()
-);
+impl_biteq_exact!(bool, u32, u64, usize, i64, String, ());
 
 impl<T: BitEq> BitEq for Vec<T> {
     fn bit_eq(&self, other: &Self) -> bool {
         self.len() == other.len() && self.iter().zip(other).all(|(a, b)| a.bit_eq(b))
-    }
-}
-
-impl<T: BitEq> BitEq for Option<T> {
-    fn bit_eq(&self, other: &Self) -> bool {
-        match (self, other) {
-            (None, None) => true,
-            (Some(a), Some(b)) => a.bit_eq(b),
-            _ => false,
-        }
-    }
-}
-
-impl<A: BitEq, B: BitEq> BitEq for (A, B) {
-    fn bit_eq(&self, other: &Self) -> bool {
-        self.0.bit_eq(&other.0) && self.1.bit_eq(&other.1)
-    }
-}
-
-impl<A: BitEq, B: BitEq, C: BitEq> BitEq for (A, B, C) {
-    fn bit_eq(&self, other: &Self) -> bool {
-        self.0.bit_eq(&other.0) && self.1.bit_eq(&other.1) && self.2.bit_eq(&other.2)
     }
 }
 
@@ -88,7 +46,6 @@ mod tests {
         assert!(1.5f64.bit_eq(&1.5));
         assert!(!0.0f64.bit_eq(&-0.0), "signed zeros differ bitwise");
         assert!(f64::NAN.bit_eq(&f64::NAN), "same NaN payload is equal");
-        assert!(!1.0f32.bit_eq(&-1.0f32));
     }
 
     #[test]
@@ -96,9 +53,5 @@ mod tests {
         assert!(vec![1.0f64, 2.0].bit_eq(&vec![1.0, 2.0]));
         assert!(!vec![1.0f64].bit_eq(&vec![1.0, 2.0]), "length mismatch");
         assert!(!vec![0.0f64].bit_eq(&vec![-0.0]));
-        assert!(Some(3u64).bit_eq(&Some(3)));
-        assert!(!Some(3u64).bit_eq(&None));
-        assert!((1u32, vec![2.0f64]).bit_eq(&(1, vec![2.0])));
-        assert!((1u32, 2u32, 3.0f64).bit_eq(&(1, 2, 3.0)));
     }
 }

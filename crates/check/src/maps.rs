@@ -20,39 +20,11 @@
 //! Violations are reported as strings (one per failed invariant) so a CLI
 //! or test can print them all instead of stopping at the first.
 
-use std::fmt;
-
 use hymv_comm::Universe;
 use hymv_core::{DistArray, GhostExchange, HymvMaps};
 use hymv_mesh::{MeshPartition, PartitionedMesh};
 
-/// The outcome of an invariant pass: empty means every invariant held.
-#[derive(Debug, Clone, Default)]
-pub struct MapsReport {
-    /// One entry per violated invariant, prefixed with the offending rank.
-    pub violations: Vec<String>,
-}
-
-impl MapsReport {
-    /// True iff no invariant was violated.
-    pub fn is_clean(&self) -> bool {
-        self.violations.is_empty()
-    }
-}
-
-impl fmt::Display for MapsReport {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        if self.is_clean() {
-            writeln!(f, "map invariants: all hold")
-        } else {
-            writeln!(f, "map invariants: {} violation(s)", self.violations.len())?;
-            for v in &self.violations {
-                writeln!(f, "  - {v}")?;
-            }
-            Ok(())
-        }
-    }
-}
+use crate::report::PassReport;
 
 /// Check the purely local invariants of one rank's [`HymvMaps`] against the
 /// partition it was built from. Returns one string per violation.
@@ -150,8 +122,8 @@ pub fn check_maps(maps: &HymvMaps, part: &MeshPartition) -> Vec<String> {
 
 /// Check global partition invariants plus every rank's local maps.
 /// Purely offline — no communication.
-pub fn check_partition(pm: &PartitionedMesh) -> MapsReport {
-    let mut report = MapsReport::default();
+pub fn check_partition(pm: &PartitionedMesh) -> PassReport {
+    let mut report = PassReport::new("map/DA invariants");
     let p = pm.n_parts();
     if p == 0 {
         report.violations.push("partition has no ranks".into());
@@ -195,9 +167,7 @@ pub fn check_partition(pm: &PartitionedMesh) -> MapsReport {
     // Per-rank map invariants.
     for (r, part) in pm.parts.iter().enumerate() {
         let maps = HymvMaps::build(part);
-        for v in check_maps(&maps, part) {
-            report.violations.push(format!("rank {r}: {v}"));
-        }
+        report.absorb(&format!("rank {r}"), check_maps(&maps, part));
     }
     report
 }
@@ -205,7 +175,7 @@ pub fn check_partition(pm: &PartitionedMesh) -> MapsReport {
 /// Build the LNSM/GNGM on every rank and certify the transpose duality,
 /// structurally and numerically. Spawns a [`Universe`] with `pm.n_parts()`
 /// thread-ranks (collective map construction needs live communication).
-pub fn check_exchange(pm: &PartitionedMesh) -> MapsReport {
+pub fn check_exchange(pm: &PartitionedMesh) -> PassReport {
     let p = pm.n_parts();
     // Reference multiplicity: how many ranks ghost each global node.
     let mut ghosted_by = vec![0u64; pm.parts[0].n_global_nodes as usize];
@@ -377,11 +347,9 @@ pub fn check_exchange(pm: &PartitionedMesh) -> MapsReport {
         bad
     });
 
-    let mut report = MapsReport::default();
+    let mut report = PassReport::new("LNSM/GNGM transpose duality");
     for (r, vs) in per_rank.into_iter().enumerate() {
-        for v in vs {
-            report.violations.push(format!("rank {r}: {v}"));
-        }
+        report.absorb(&format!("rank {r}"), vs);
     }
     report
 }
@@ -398,41 +366,10 @@ mod tests {
     }
 
     #[test]
-    fn built_maps_pass_all_methods() {
-        for method in [
-            PartitionMethod::Slabs,
-            PartitionMethod::Rcb,
-            PartitionMethod::GreedyGraph,
-        ] {
-            let pm = pm(4, 4, method);
-            let report = check_partition(&pm);
-            assert!(report.is_clean(), "{method:?}: {report}");
-            let report = check_exchange(&pm);
-            assert!(report.is_clean(), "{method:?}: {report}");
-        }
-    }
-
-    #[test]
     fn single_rank_passes() {
         let pm = pm(3, 1, PartitionMethod::Slabs);
         assert!(check_partition(&pm).is_clean());
         assert!(check_exchange(&pm).is_clean());
-    }
-
-    #[test]
-    fn corrupted_e2l_entry_rejected() {
-        let pm = pm(4, 3, PartitionMethod::Slabs);
-        let part = &pm.parts[1];
-        let mut maps = HymvMaps::build(part);
-        assert!(check_maps(&maps, part).is_empty());
-        // Point one element-node at a different (still in-bounds) DA slot.
-        maps.e2l[0] = (maps.e2l[0] + 1) % maps.n_total() as u32;
-        let bad = check_maps(&maps, part);
-        assert!(
-            bad.iter()
-                .any(|v| v.contains("e2g[0]") || v.contains("global_to_local")),
-            "{bad:?}"
-        );
     }
 
     #[test]

@@ -3,9 +3,7 @@
 //! A pass — dynamic (`hymv-check`) or static (`hymv-verify`) — collects
 //! one human-readable string per violated invariant instead of stopping at
 //! the first, so a CLI run shows the complete damage and a test can assert
-//! on the exact diagnostic. [`PassReport`] is that list plus a title;
-//! [`MapsReport`](crate::MapsReport) predates it and keeps its own type
-//! for API stability, with the same shape.
+//! on the exact diagnostic. [`PassReport`] is that list plus a title.
 
 use std::fmt;
 

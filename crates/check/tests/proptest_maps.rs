@@ -64,7 +64,7 @@ proptest! {
         // bump < 4 ≤ n_total, so the redirected slot always differs.
         maps.e2l[k] = (maps.e2l[k] + bump) % maps.n_total() as u32;
         let bad = check_maps(&maps, part);
-        prop_assert!(!bad.is_empty(), "mutated e2l[{}] accepted", k);
+        prop_assert!(bad.iter().any(|v| v.contains("e2l[")), "mutated e2l[{}] accepted", k);
     }
 
     /// Completeness against ghost-list corruption: deleting one ghost id

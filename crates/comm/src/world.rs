@@ -625,68 +625,19 @@ impl Universe {
         T: Send,
         F: Fn(&mut Comm) -> T + Sync,
     {
-        assert!(size > 0, "a universe needs at least one rank");
-        let world = World::new(
-            size,
-            cfg.model,
-            cfg.audit.is_enabled(),
-            cfg.perturb_seed,
-            cfg.fault,
-            cfg.retry,
-            cfg.trace,
-        );
-        let f = &f;
-        let flight_run = world.flight_run;
-        let results: Vec<T> = std::thread::scope(|scope| {
-            let handles: Vec<_> = (0..size)
-                .map(|rank| {
-                    let world = Arc::clone(&world);
-                    scope.spawn(move || {
-                        let traced = world.trace && hymv_trace::enabled();
-                        if traced {
-                            hymv_trace::rank_begin(rank);
-                        }
-                        hymv_trace::flight::rank_begin(world.flight_run, rank);
-                        let _flight = FlightDepositGuard;
-                        let mut comm = Comm::new(rank, world);
-                        let out = f(&mut comm);
-                        if traced {
-                            comm.publish_trace_metrics();
-                            comm.publish_live();
-                            hymv_trace::rank_flush();
-                        }
-                        comm.note_exit();
-                        out
-                    })
-                })
-                .collect();
-            // Join everything before deciding the flight outcome so every
-            // rank's ring (crashed or not) has been deposited.
-            let joined: Vec<_> = handles
-                .into_iter()
-                .map(std::thread::ScopedJoinHandle::join)
-                .collect();
-            let any_dead = joined.iter().any(Result::is_err);
-            if any_dead {
-                let reason = joined
-                    .iter()
-                    .find_map(|r| r.as_ref().err())
-                    .and_then(|p| p.downcast_ref::<FaultAbort>())
-                    .map_or_else(
-                        || "rank panic".to_string(),
-                        |abort| format!("{:?}", abort.0),
-                    );
-                hymv_trace::flight::dump(flight_run, &reason);
-            } else {
-                hymv_trace::flight::discard(flight_run);
-            }
-            joined
-                .into_iter()
-                .map(|r| r.unwrap_or_else(|e| std::panic::resume_unwind(e)))
-                .collect()
+        let (joined, world) = Self::spawn(cfg, size, f);
+        let reason = joined.iter().find_map(|r| r.as_ref().err()).map(|p| {
+            p.downcast_ref::<FaultAbort>().map_or_else(
+                || "rank panic".to_string(),
+                |abort| format!("{:?}", abort.0),
+            )
         });
-        let report = world.audit_report();
-        (results, report)
+        settle_flight(world.flight_run, reason);
+        let results = joined
+            .into_iter()
+            .map(|r| r.unwrap_or_else(|e| std::panic::resume_unwind(e)))
+            .collect();
+        (results, world.audit_report())
     }
 
     /// Run `f` on `size` ranks under fault injection and harvest typed
@@ -704,8 +655,47 @@ impl Universe {
         T: Send,
         F: Fn(&mut Comm) -> T + Sync,
     {
-        assert!(size > 0, "a universe needs at least one rank");
         install_fault_abort_hook();
+        let (joined, world) = Self::spawn(cfg, size, f);
+        let typed: Vec<Result<T, FaultReport>> = joined
+            .into_iter()
+            .enumerate()
+            .map(|(rank, r)| {
+                r.or_else(|payload| match payload.downcast::<FaultAbort>() {
+                    Ok(abort) => Err(abort.0),
+                    // A revocation nobody recovered (the solver was not
+                    // LFLR-armed or recovery itself unwound): typed, like
+                    // every other chaos outcome.
+                    Err(other) => match other.downcast::<Revoked>() {
+                        Ok(revoked) => Err(FaultReport {
+                            rank,
+                            kind: FaultKind::Revoked {
+                                suspects: revoked.suspects,
+                            },
+                        }),
+                        Err(other) => std::panic::resume_unwind(other),
+                    },
+                })
+            })
+            .collect();
+        // A run that died with any typed fault — crash aborts,
+        // CheckpointLost, unrecovered revocations — ships its postmortem;
+        // a clean run discards its rings.
+        let fault = typed.iter().find_map(|r| r.as_ref().err());
+        settle_flight(world.flight_run, fault.map(|report| format!("{report:?}")));
+        (typed, world.audit_report())
+    }
+
+    /// The one spawn body of [`Universe::run_configured`] and
+    /// [`Universe::run_chaos`]: one scoped thread per rank, each with its
+    /// trace and flight-recorder bracket, all joined (so every rank's ring,
+    /// crashed or not, is deposited) before the caller reads the outcomes.
+    fn spawn<T, F>(cfg: RunConfig, size: usize, f: F) -> (Vec<std::thread::Result<T>>, Arc<World>)
+    where
+        T: Send,
+        F: Fn(&mut Comm) -> T + Sync,
+    {
+        assert!(size > 0, "a universe needs at least one rank");
         let world = World::new(
             size,
             cfg.model,
@@ -716,8 +706,7 @@ impl Universe {
             cfg.trace,
         );
         let f = &f;
-        let flight_run = world.flight_run;
-        let results: Vec<Result<T, FaultReport>> = std::thread::scope(|scope| {
+        let joined = std::thread::scope(|scope| {
             let handles: Vec<_> = (0..size)
                 .map(|rank| {
                     let world = Arc::clone(&world);
@@ -740,42 +729,23 @@ impl Universe {
                     })
                 })
                 .collect();
-            let typed: Vec<Result<T, FaultReport>> = handles
+            handles
                 .into_iter()
-                .enumerate()
-                .map(|(rank, h)| match h.join() {
-                    Ok(out) => Ok(out),
-                    Err(payload) => match payload.downcast::<FaultAbort>() {
-                        Ok(abort) => Err(abort.0),
-                        // A revocation nobody recovered (the solver was
-                        // not LFLR-armed or recovery itself unwound):
-                        // typed, like every other chaos outcome.
-                        Err(other) => match other.downcast::<Revoked>() {
-                            Ok(revoked) => Err(FaultReport {
-                                rank,
-                                kind: FaultKind::Revoked {
-                                    suspects: revoked.suspects,
-                                },
-                            }),
-                            Err(other) => std::panic::resume_unwind(other),
-                        },
-                    },
-                })
-                .collect();
-            // All ranks joined (so every ring is deposited): a run that
-            // died with any typed fault — crash aborts, CheckpointLost,
-            // unrecovered revocations — ships its postmortem; a clean
-            // run discards its rings.
-            match typed.iter().find_map(|r| r.as_ref().err()) {
-                Some(report) => {
-                    hymv_trace::flight::dump(flight_run, &format!("{report:?}"));
-                }
-                None => hymv_trace::flight::discard(flight_run),
-            }
-            typed
+                .map(std::thread::ScopedJoinHandle::join)
+                .collect()
         });
-        let report = world.audit_report();
-        (results, report)
+        (joined, world)
+    }
+}
+
+/// Dump the run's flight-recorder rings as a postmortem when it died
+/// (`reason`), discard them when it did not.
+fn settle_flight(run: u64, reason: Option<String>) {
+    match reason {
+        Some(reason) => {
+            hymv_trace::flight::dump(run, &reason);
+        }
+        None => hymv_trace::flight::discard(run),
     }
 }
 

@@ -40,7 +40,7 @@ pub struct GhostExchange {
     /// ghosts form a contiguous DA range.
     recv_plan: Vec<(usize, std::ops::Range<usize>)>,
     /// Bypass the sequence-numbered/checksummed envelope and ship bare
-    /// payloads (the pre-`hymv-chaos` wire format). Bench/ablation hook
+    /// payloads (the pre-envelope wire format). Bench/ablation hook
     /// only — raw transport cannot survive an active fault plan, and raw
     /// receives panic on injected tombstones.
     raw_transport: bool,

@@ -189,7 +189,7 @@ impl HymvOperator {
     }
 
     /// Rebuild the plan at batch width `bw` — the programmatic hook tests
-    /// and `hymv-check --batch` use; setup builds at
+    /// and `hymv-check`'s `-b<B>` rows use; setup builds at
     /// [`DEFAULT_BATCH_WIDTH`].
     ///
     /// # Panics

@@ -19,8 +19,7 @@
 //!   `MatShell`), conjugate gradients on host or modeled-device vector
 //!   loops ([`solver::VectorLoops`]), and convergence reporting,
 //! * [`resilient`] — fault-tolerant CG with bounded rollback /
-//!   residual-replacement recovery and typed failure diagnostics
-//!   (`hymv-chaos`),
+//!   residual-replacement recovery and typed failure diagnostics,
 //! * [`mv`] — column-major multivectors and the [`mv::MultiLinOp`]
 //!   multi-RHS operator abstraction behind the SpMM fast path,
 //! * [`block_cg`] — block conjugate gradients (one Krylov recurrence for

@@ -1,4 +1,4 @@
-//! Fault-tolerant conjugate gradients (`hymv-chaos` solver resilience).
+//! Fault-tolerant conjugate gradients (solver resilience under injected faults).
 //!
 //! The transport layer heals dropped/corrupted/reordered ghost traffic
 //! bit-exactly, but a fault can still reach the solver through other

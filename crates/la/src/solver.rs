@@ -79,8 +79,8 @@ pub struct CgResult {
     /// Final relative residual `‖r‖/‖b‖`.
     pub rel_residual: f64,
     /// Relative residual `‖r‖/‖b‖` at entry and after every iteration.
-    /// Bitwise-deterministic for a fixed configuration — `hymv-chaos`
-    /// compares it exactly between fault-free and fault-healed solves.
+    /// Bitwise-deterministic for a fixed configuration — `hymv-check`'s
+    /// fault rows compare it exactly between fault-free and healed solves.
     pub history: Vec<f64>,
 }
 

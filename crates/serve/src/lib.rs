@@ -527,6 +527,146 @@ mod tests {
         }
     }
 
+    /// Request traces survive LFLR: a service solve whose batch eats a
+    /// rank crash still returns outcomes whose ids/contexts match the
+    /// submissions, the recovery spans recorded mid-crash carry the batch
+    /// context the request flow-links point at — the postmortem chain
+    /// request → batch → recovery is unbroken — and the checkpoint,
+    /// restore and recovery counters reach the Prometheus path.
+    #[test]
+    fn request_traces_and_recovery_counters_survive_a_rank_crash() {
+        use std::collections::BTreeSet;
+        use std::sync::Arc;
+
+        use hymv_comm::{AuditMode, CostModel, FaultPlan, RetryPolicy, RunConfig};
+        use hymv_core::assemble::{assemble_rhs, jacobi_diagonal};
+        use hymv_core::dirichlet_op::owned_constraints;
+        use hymv_core::{DirichletOp, HymvOperator};
+        use hymv_fem::dirichlet::{constrained_dofs, DirichletSpec};
+        use hymv_fem::PoissonKernel;
+        use hymv_la::{CheckpointPolicy, Jacobi};
+        use hymv_mesh::partition::{partition_mesh, PartitionMethod};
+        use hymv_mesh::{ElementType, StructuredHexMesh};
+        use hymv_trace::Phase;
+
+        let p = 4;
+        let mesh = StructuredHexMesh::unit(3, ElementType::Hex8).build();
+        let pm = partition_mesh(&mesh, p, PartitionMethod::GreedyGraph);
+        let spec = DirichletSpec::zero(1, Arc::new(|x: [f64; 3]| x[0] < 1e-9 || x[0] > 1.0 - 1e-9));
+        // Four requests, two per batch, buddy checkpoints every 4
+        // iterations, the last rank's data plane dying after `crash_after`
+        // envelopes. A calibration run (`crash_after` unreachable) reads
+        // that rank's send counter at the setup/solve boundary and at the
+        // end; the barriers order its sends before each read.
+        let run = |crash_after: u64, calibrate: bool| {
+            let cfg = RunConfig {
+                model: CostModel::default(),
+                perturb_seed: None,
+                audit: AuditMode::Disabled,
+                fault: Some(FaultPlan::new(5).with_crash(p - 1, crash_after)),
+                retry: RetryPolicy::default(),
+                trace: !calibrate,
+            };
+            Universe::run_chaos(cfg, p, |comm| {
+                let part = &pm.parts[comm.rank()];
+                // A polynomial load: a many-iteration solve, so buddy
+                // checkpoints exist before the crash lands.
+                let body = |x: [f64; 3]| 1.0 + x[0] - 2.0 * x[1] * x[1] + x[0] * x[1] * x[2];
+                let kernel = PoissonKernel::with_body(ElementType::Hex8, Arc::new(body));
+                let (raw, _) = HymvOperator::setup(comm, part, &kernel);
+                let raw_rhs = assemble_rhs(comm, raw.maps(), raw.exchange(), part, &kernel);
+                let mut diag = jacobi_diagonal(comm, raw.maps(), raw.exchange(), raw.store(), 1);
+                let constrained = owned_constraints(raw.maps(), 1, &constrained_dofs(part, &spec));
+                let mut op = DirichletOp::new(raw, constrained);
+                op.mask_diagonal(&mut diag);
+                let rhs = op.build_rhs(comm, &raw_rhs);
+                let mut sends = Vec::new();
+                if calibrate {
+                    comm.barrier();
+                    sends.extend(comm.crash_sends_posted());
+                }
+                let mut pc = Jacobi::new(&diag);
+                let batching = BatchPolicy {
+                    max_width: 2,
+                    deadline_s: 1e-3,
+                };
+                let armed = RecoveryPolicy {
+                    checkpoint: CheckpointPolicy {
+                        every: 4,
+                        max_recoveries: 4,
+                    },
+                    ..RecoveryPolicy::default()
+                };
+                let mut svc =
+                    SolveService::new(&mut op, &mut pc, 1e-9, 2_000, batching).with_recovery(armed);
+                let ids: Vec<u64> = (1..=4)
+                    .map(|k| svc.submit(comm, rhs.iter().map(|v| v * f64::from(k)).collect()))
+                    .collect();
+                let mut outcomes = svc.flush(comm);
+                outcomes.sort_by_key(|o| o.id);
+                if calibrate {
+                    comm.barrier();
+                    sends.extend(comm.crash_sends_posted());
+                }
+                (sends, ids, outcomes)
+            })
+            .0
+        };
+        let calibration = run(u64::MAX, true);
+        let (sends, ..) = calibration[0]
+            .as_ref()
+            .expect("the calibration crash never fires");
+        let (setup, total) = (sends[0], sends[1]);
+        assert!(total > setup, "no solve-phase traffic to crash into");
+
+        // Crash about a third into the solve, between the collectives.
+        let session = hymv_trace::TraceSession::begin();
+        let results = run(setup + ((total - setup) * 35 / 100).max(1), false);
+        let report = session.finish();
+        for res in results {
+            let (_, ids, outcomes) = res.expect("the armed service survives the crash");
+            assert_eq!(
+                outcomes.len(),
+                ids.len(),
+                "every submission gets an outcome"
+            );
+            for (o, &id) in outcomes.iter().zip(&ids) {
+                assert_eq!(o.id, id, "outcome ids match submission order");
+                assert_eq!(o.ctx, hymv_trace::ctx_request(id));
+                assert_eq!(o.batch_ctx, hymv_trace::ctx_batch(o.batch as u64));
+                assert!(o.fault.is_none() && o.converged, "request {id} failed");
+            }
+            assert!(
+                outcomes.iter().any(|o| o.recoveries > 0),
+                "the crash never fired"
+            );
+        }
+        // The recovery spans recorded mid-crash inherited a batch context,
+        // and that context is the target of the request flow links.
+        let recovery_ctxs: BTreeSet<u64> = (report.spans.iter())
+            .filter(|e| e.phase == Phase::Recovery)
+            .map(|e| e.ctx)
+            .collect();
+        assert!(!recovery_ctxs.is_empty(), "no recovery spans recorded");
+        for ctx in &recovery_ctxs {
+            assert_eq!(*ctx, hymv_trace::ctx_batch(ctx & 0xffff_ffff));
+            assert!(
+                report.flows.iter().any(|&(_, to)| to == *ctx),
+                "recovery ctx {ctx:#x} not flow-linked from any request"
+            );
+        }
+        assert!(report.spans.iter().any(|e| e.phase == Phase::Submit));
+        let prom = report.to_prometheus();
+        for name in [
+            "hymv_ckpt_bytes_total",
+            "hymv_ckpt_taken_total",
+            "hymv_restores_total",
+            "hymv_recoveries_total",
+        ] {
+            assert!(prom.contains(name), "missing counter {name}:\n{prom}");
+        }
+    }
+
     /// A batch that fails with a typed fault must not tear down the
     /// service: its requests come back as failed outcomes carrying the
     /// fault, and later batches still solve.

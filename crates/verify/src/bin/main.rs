@@ -378,7 +378,7 @@ fn parse_args() -> Result<Options, String> {
                 }
             }
             "--batch" => {
-                // Shared strict validation (same path as hymv-check --batch).
+                // Shared strict validation (same path as HYMV's batch-width parsing).
                 opts.batch =
                     hymv_core::parse_batch_width(&val()?).map_err(|e| format!("--batch: {e}"))?
             }

@@ -15,7 +15,7 @@
 //! | [`la`]   | `hymv-la`   | SIMD EMV kernels, CSR, distributed CSR, CG, preconditioners |
 //! | [`core`] | `hymv-core` | the HYMV operator (Algorithms 1–2), matrix-free and assembled baselines, `FemSystem` driver |
 //! | [`gpu`]  | `hymv-gpu`  | simulated GPU backend (Algorithm 3, overlap schemes, cuSPARSE baseline) |
-//! | [`check`] | `hymv-check` | protocol auditor, schedule-perturbation race detector, map/DA invariant pass |
+//! | [`check`] | `hymv-check` | protocol auditor, map/DA invariant pass, the certificate table (schedule, fault, LFLR and degraded-schedule rows) |
 //!
 //! ## Quickstart
 //!

@@ -189,152 +189,41 @@ fn too_many_ranks_rejected() {
     let _ = partition_mesh(&mesh, 50, PartitionMethod::Rcb);
 }
 
+/// Run the certificate rows `pats` names and require every case to hold.
+fn certify(pats: &[&str]) {
+    let cases = hymv::check::run_rows(&hymv::check::select(pats), None);
+    assert!(!cases.is_empty(), "{pats:?} selects no row");
+    assert_eq!(hymv::check::failures(&cases), None);
+}
+
 /// With the fault injector disabled (the default), the envelope wire
 /// format is pure framing: the full HYMV SPMV stays bitwise deterministic
-/// across 8 schedule-perturbation seeds (the `hymv-chaos` baseline
-/// requirement — `certify_spmv_determinism` panics on any divergence).
+/// across 8 schedule-perturbation seeds.
 #[test]
 fn envelope_transport_is_deterministic_across_eight_seeds() {
-    let mesh = StructuredHexMesh::unit(4, ElementType::Hex8).build();
-    let pm = partition_mesh(&mesh, 3, PartitionMethod::GreedyGraph);
-    let seeds: Vec<u64> = (1..=8).collect();
-    let _ = hymv::check::certify_spmv_determinism(&pm, &seeds);
+    certify(&["sched/hex8-greedy"]);
 }
 
-/// Run configuration of the degraded-schedule certificate: one lost
-/// envelope degrades its receiver to the blocking schedule for good
-/// (`rearm_after: 0`).
-fn degrade_at_first_loss(fault: Option<hymv::comm::FaultPlan>) -> RunConfig {
-    RunConfig {
-        model: CostModel::default(),
-        perturb_seed: None,
-        audit: AuditMode::Disabled,
-        fault,
-        retry: hymv::comm::RetryPolicy {
-            degrade_after: 1,
-            rearm_after: 0,
-            ..Default::default()
-        },
-        trace: false,
-    }
-}
-
-/// Solve fault-free, then under seeded drops on a channel that degrades at
-/// the first loss: every rank must heal to the fault-free output bitwise,
-/// and at least one must have degraded.
-fn assert_degraded_solve_heals<T, F>(what: &str, p: usize, solve: F)
-where
-    T: PartialEq + Send,
-    F: Fn(&mut hymv::comm::Comm) -> T + Sync,
-{
-    let run = |comm: &mut hymv::comm::Comm| (solve(comm), comm.degraded());
-    let (clean, _) = Universe::run_configured(degrade_at_first_loss(None), p, run);
-    let plan = hymv::comm::FaultPlan::new(11).with_drop(0.2);
-    let (faulted, _) = Universe::run_chaos(degrade_at_first_loss(Some(plan)), p, run);
-    let mut degraded = 0;
-    for (rank, res) in faulted.into_iter().enumerate() {
-        let (out, was_degraded) = res.unwrap_or_else(|e| panic!("{what}: rank {rank}: {e}"));
-        assert!(
-            out == clean[rank].0,
-            "{what}: rank {rank} differs from fault-free"
-        );
-        degraded += usize::from(was_degraded);
-    }
-    assert!(degraded > 0, "{what}: the drop plan never degraded a rank");
-}
-
-/// Forcing that is no eigenvector of the Jacobi-preconditioned stencil, so
-/// the solves run many iterations of ghost traffic.
-fn polynomial_poisson() -> PoissonKernel {
-    PoissonKernel::with_body(
-        ElementType::Hex8,
-        Arc::new(|x: [f64; 3]| 1.0 + x[0] - 2.0 * x[1] * x[1] + x[0] * x[1] * x[2]),
-    )
-}
-
-/// The degraded schedule, end to end: CG through HYMV and through the
-/// matrix-free operator heals to the fault-free solution, residual history
-/// and iteration count, bitwise.
+/// The degraded schedule, end to end: one lost envelope degrades its
+/// receiver to the blocking schedule for good, and CG through HYMV and
+/// through the matrix-free operator still heals to the fault-free
+/// solution and residual history, bitwise.
 #[test]
 fn degraded_cg_heals_bitwise() {
-    let mesh = StructuredHexMesh::unit(4, ElementType::Hex8).build();
-    let pm = partition_mesh(&mesh, 2, PartitionMethod::Slabs);
-    for method in [Method::Hymv, Method::MatFree] {
-        assert_degraded_solve_heals(&format!("{method:?} CG"), 2, |comm| {
-            let mut sys = FemSystem::build(
-                comm,
-                &pm.parts[comm.rank()],
-                Arc::new(polynomial_poisson()),
-                &PoissonProblem::dirichlet(),
-                BuildOptions::new(method),
-            );
-            let (x, res) = sys.solve(comm, PrecondKind::Jacobi, 1e-9, 500);
-            assert!(res.converged);
-            (x, res.history, res.iterations)
-        });
-    }
+    certify(&["degrade/hymv/cg", "degrade/matfree/cg"]);
 }
 
-/// The degraded SpMM, end to end: block-CG at `nvec = 4` through HYMV's
-/// `matvec_mv` heals to the fault-free solution panel, residual history
-/// and iteration count, bitwise.
+/// The degraded SpMM, end to end: block CG on four right-hand sides
+/// through HYMV's `matvec_mv` heals to the fault-free solution panel and
+/// residual history, bitwise.
 #[test]
 fn degraded_block_cg_heals_bitwise() {
-    use hymv::core::assemble::{assemble_rhs, jacobi_diagonal};
-    use hymv::core::dirichlet_op::{owned_constraints, DirichletOp};
-    use hymv::fem::dirichlet::constrained_dofs;
-    use hymv::la::resilient::RecoveryPolicy;
-
-    let mesh = StructuredHexMesh::unit(4, ElementType::Hex8).build();
-    let pm = partition_mesh(&mesh, 2, PartitionMethod::Slabs);
-    assert_degraded_solve_heals("block-CG", 2, |comm| {
-        let part = &pm.parts[comm.rank()];
-        let kernel = polynomial_poisson();
-        let (op, _) = HymvOperator::setup(comm, part, &kernel);
-        let raw = assemble_rhs(comm, op.maps(), op.exchange(), part, &kernel);
-        let mut diag = jacobi_diagonal(comm, op.maps(), op.exchange(), op.store(), 1);
-        let spec = PoissonProblem::dirichlet();
-        let constrained = owned_constraints(op.maps(), 1, &constrained_dofs(part, &spec));
-        let mut a = DirichletOp::new(op, constrained);
-        a.mask_diagonal(&mut diag);
-        let rhs = a.build_rhs(comm, &raw);
-        // Four independent load cases: the assembled load, perturbed per
-        // column, zero on the constrained dofs.
-        let cols: Vec<Vec<f64>> = (0..4)
-            .map(|c| {
-                let mut f: Vec<f64> = rhs
-                    .iter()
-                    .enumerate()
-                    .map(|(i, r)| r + 0.01 * ((i * 7 + c * 3) % 11) as f64)
-                    .collect();
-                for &(d, _) in a.constrained() {
-                    f[d as usize] = 0.0;
-                }
-                f
-            })
-            .collect();
-        let b = Multivector::from_columns(&cols);
-        let mut x = Multivector::new(a.n_owned(), 4);
-        let mut pc = Jacobi::new(&diag);
-        let res = block_cg(
-            comm,
-            &mut a,
-            &mut pc,
-            &b,
-            &mut x,
-            1e-9,
-            500,
-            &RecoveryPolicy::default(),
-        )
-        .expect("fault-free arithmetic");
-        assert!(res.converged);
-        (x, res.history, res.iterations)
-    });
+    certify(&["degrade/hymv/block_cg"]);
 }
 
 /// Bench guard: the sequence-numbered/checksummed envelope on the
 /// fault-free SPMV path must cost < 5% in max-over-ranks virtual time
-/// against the raw pre-`hymv-chaos` wire format (`set_raw_exchange`).
+/// against the raw pre-envelope wire format (`set_raw_exchange`).
 /// Virtual time folds the modeled α–β cost of the 32-byte header and the
 /// measured CPU cost of pack/checksum/unpack — both tiny next to the
 /// elemental kernels.
