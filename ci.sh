@@ -37,9 +37,6 @@ cargo test --workspace -q
 cargo test -q --release -p hymv-fem
 cargo test -q --release -p hymv-la
 
-stage "envelope-overhead bench guard (wall-clock ratio, kept out of the deterministic test suite)"
-cargo test -q --release -- --ignored envelope_overhead
-
 stage "hymv-verify static passes (model check, block-plan index bounds, lint)"
 cargo run -q -p hymv-verify --bin hymv-verify -- --n 4 --p 1,2,4,8
 cargo run -q -p hymv-verify --bin hymv-verify -- --n 4 --p 1,2,4,8 --method greedy --skip-lint
@@ -120,8 +117,7 @@ cargo run -q --release -p hymv-prof -- diff \
 stage "flight-recorder postmortem smoke (forced rank crash dumps a schema'd artifact)"
 rm -f target/experiments/postmortem.json
 HYMV_FLIGHT_OUT=target/experiments/postmortem.json \
-    HYMV_FAULT_CRASH_RANK=3 HYMV_FAULT_CRASH_AFTER=10 \
-    cargo run -q --release -p hymv-prof -- --n 6 --p 4 --seeds 1 \
+    cargo run -q --release -p hymv-prof -- --n 6 --p 4 --seeds 1 --crash 3:10 \
     --out target/experiments/prof-crash >/dev/null 2>&1 || true
 test -s target/experiments/postmortem.json || { echo "missing postmortem artifact"; exit 1; }
 grep -q '"schema":"hymv-postmortem-v1"' target/experiments/postmortem.json

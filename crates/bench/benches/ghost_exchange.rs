@@ -21,63 +21,59 @@ fn bench_exchange(c: &mut Criterion) {
         .sample_size(10)
         .warm_up_time(Duration::from_millis(300))
         .measurement_time(Duration::from_secs(1));
-    // `true` = the default sequence-numbered/checksummed envelope wire
-    // format; `false` = the bare pre-envelope payloads (the ablation
-    // that prices the framing — the guard test in
-    // `tests/failure_injection.rs` holds the gap under 5%).
-    for (enveloped, label) in [(true, "scatter_gather"), (false, "scatter_gather_raw")] {
-        for p in [2usize, 4] {
-            let mesh = StructuredHexMesh::unit(12, ElementType::Hex8).build();
-            let pm = partition_mesh(&mesh, p, PartitionMethod::Slabs);
-            group.bench_with_input(BenchmarkId::new(label, p), &p, |b, &p| {
-                // Criterion times rank 0; it broadcasts each batch's round
-                // count so all ranks run matched exchanges (round count 0
-                // ends the session).
-                let b = std::sync::Mutex::new(b);
-                Universe::run(p, |comm| {
-                    let maps = HymvMaps::build(&pm.parts[comm.rank()]);
-                    let mut ex = GhostExchange::build(comm, &maps);
-                    ex.set_raw_transport(!enveloped);
-                    let mut da = DistArray::new(&maps, 1);
-                    for (i, v) in da.data.iter_mut().enumerate() {
-                        *v = i as f64;
-                    }
-                    let round = |comm: &mut hymv_comm::Comm, da: &mut DistArray| {
-                        ex.scatter_begin(comm, da);
-                        ex.scatter_end(comm, da);
-                        ex.gather_begin(comm, da);
-                        ex.gather_end(comm, da);
-                    };
-                    if comm.rank() == 0 {
-                        let mut guard = b.lock().expect("only rank 0 locks");
-                        let b = &mut **guard;
-                        b.iter_custom(|iters| {
-                            for r in 1..comm.size() {
-                                comm.isend(r, 0x98, hymv_comm::Payload::from_u64(vec![iters]));
-                            }
-                            let t0 = std::time::Instant::now();
-                            for _ in 0..iters {
-                                round(comm, &mut da);
-                            }
-                            t0.elapsed()
-                        });
+    // The one wire format: sequence-numbered, checksummed envelopes (the
+    // framing's bytes are pinned by a count test in
+    // `tests/failure_injection.rs`).
+    for p in [2usize, 4] {
+        let mesh = StructuredHexMesh::unit(12, ElementType::Hex8).build();
+        let pm = partition_mesh(&mesh, p, PartitionMethod::Slabs);
+        group.bench_with_input(BenchmarkId::new("scatter_gather", p), &p, |b, &p| {
+            // Criterion times rank 0; it broadcasts each batch's round
+            // count so all ranks run matched exchanges (round count 0
+            // ends the session).
+            let b = std::sync::Mutex::new(b);
+            Universe::run(p, |comm| {
+                let maps = HymvMaps::build(&pm.parts[comm.rank()]);
+                let ex = GhostExchange::build(comm, &maps);
+                let mut da = DistArray::new(&maps, 1);
+                for (i, v) in da.data.iter_mut().enumerate() {
+                    *v = i as f64;
+                }
+                let round = |comm: &mut hymv_comm::Comm, da: &mut DistArray| {
+                    ex.scatter_begin(comm, da);
+                    ex.scatter_end(comm, da);
+                    ex.gather_begin(comm, da);
+                    ex.gather_end(comm, da);
+                };
+                if comm.rank() == 0 {
+                    let mut guard = b.lock().expect("only rank 0 locks");
+                    let b = &mut **guard;
+                    b.iter_custom(|iters| {
                         for r in 1..comm.size() {
-                            comm.isend(r, 0x98, hymv_comm::Payload::from_u64(vec![0]));
+                            comm.isend(r, 0x98, hymv_comm::Payload::from_u64(vec![iters]));
                         }
-                    } else {
-                        loop {
-                            let n = comm.recv(0, 0x98).into_u64()[0];
-                            if n == 0 {
-                                break;
-                            }
-                            for _ in 0..n {
-                                round(comm, &mut da);
-                            }
+                        let t0 = std::time::Instant::now();
+                        for _ in 0..iters {
+                            round(comm, &mut da);
+                        }
+                        t0.elapsed()
+                    });
+                    for r in 1..comm.size() {
+                        comm.isend(r, 0x98, hymv_comm::Payload::from_u64(vec![0]));
+                    }
+                } else {
+                    loop {
+                        let n = comm.recv(0, 0x98).into_u64()[0];
+                        if n == 0 {
+                            break;
+                        }
+                        for _ in 0..n {
+                            round(comm, &mut da);
                         }
                     }
-                });
+                }
             });
-        }
+        });
     }
     group.finish();
 }

@@ -6,7 +6,7 @@
 //!   elements touched, against full reassembly.
 
 use hymv_bench::{elasticity_case, poisson_case, ratio, secs, Reporter};
-use hymv_comm::Universe;
+use hymv_comm::{RunConfig, Universe};
 use hymv_core::assembled::AssembledOperator;
 use hymv_core::operator::HymvOperator;
 use hymv_fem::analytic::BarProblem;
@@ -31,7 +31,11 @@ fn overlap() {
     );
     for p in [4usize, 8, 16] {
         let pm = partition_mesh(&case.mesh, p, PartitionMethod::GreedyGraph);
-        let out = Universe::run_with(model, p, |comm| {
+        let cfg = RunConfig {
+            model,
+            ..Default::default()
+        };
+        let (out, report) = Universe::run_configured(cfg, p, |comm| {
             let part = &pm.parts[comm.rank()];
             let kernel = (case.kernel)();
             let (mut op, _) = HymvOperator::setup(comm, part, &*kernel);
@@ -53,6 +57,10 @@ fn overlap() {
             let overlapped = comm.allreduce_max_f64(comm.vt() - vt0);
             (blocking, overlapped)
         });
+        assert!(
+            report.is_none_or(|r| r.is_clean()),
+            "communication audit failed"
+        );
         let (b, o) = out[0];
         rep.row(vec![p.to_string(), secs(b), secs(o), ratio(b, o)]);
     }
@@ -122,7 +130,11 @@ fn pipelined() {
     );
     for p in [4usize, 8, 16] {
         let pm = partition_mesh(&case.mesh, p, PartitionMethod::Rcb);
-        let out = hymv_comm::Universe::run_with(model, p, |comm| {
+        let cfg = RunConfig {
+            model,
+            ..Default::default()
+        };
+        let (out, report) = Universe::run_configured(cfg, p, |comm| {
             let part = &pm.parts[comm.rank()];
             let kernel = Arc::new(hymv_fem::PoissonKernel::with_body(
                 ElementType::Hex8,
@@ -153,6 +165,10 @@ fn pipelined() {
             assert!(r_cg.converged && r_p.converged);
             (t_cg, r_cg.iterations, t_p, r_p.iterations)
         });
+        assert!(
+            report.is_none_or(|r| r.is_clean()),
+            "communication audit failed"
+        );
         let (tc, ic, tp, ip) = out[0];
         rep.row(vec![
             p.to_string(),

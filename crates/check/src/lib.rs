@@ -7,8 +7,8 @@
 //!   `hymv-comm` runtime records every send, receive, collective, and rank
 //!   exit as a typed event; at teardown the log is checked for unmatched
 //!   sends, sends to exited ranks, unbalanced collectives, and
-//!   reserved-tag traffic. On by default in debug/test builds
-//!   (`HYMV_AUDIT` overrides); [`run_audited`] forces it on and returns
+//!   reserved-tag traffic. On by default in debug builds (`RunConfig::audit`
+//!   chooses otherwise); [`run_audited`] forces it on and returns
 //!   the report for inspection.
 //! * [`maps`] — the **map/DA invariant pass**. [`check_maps`],
 //!   [`check_partition`], and [`check_exchange`] verify `E2L`

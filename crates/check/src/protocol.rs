@@ -11,7 +11,7 @@ pub use hymv_comm::{AuditEvent, AuditEventKind, AuditMode, AuditReport, AuditVio
 use hymv_comm::{Comm, RunConfig, Universe};
 
 /// Run `f` on `p` ranks with the protocol auditor enabled regardless of
-/// build profile or `HYMV_AUDIT`, returning the per-rank results and the
+/// build profile, returning the per-rank results and the
 /// audit report (never panics on violations — callers inspect the report).
 pub fn run_audited<T, F>(p: usize, f: F) -> (Vec<T>, AuditReport)
 where

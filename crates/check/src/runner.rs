@@ -8,7 +8,7 @@
 //! one [`judge`], and prints one case line.
 
 use std::collections::BTreeMap;
-use std::fmt::{self, Debug};
+use std::fmt;
 
 use hymv_comm::{
     AuditMode, AuditReport, Comm, CommStats, CostModel, FaultPlan, FaultReport, RetryPolicy,
@@ -147,7 +147,7 @@ pub fn baseline<T: Send>(p: usize, program: impl Fn(&mut Comm) -> Out<T> + Sync)
 }
 
 /// Judge one perturbed case against its baseline and the row's verdict.
-pub fn judge<T: BitEq + Debug>(
+pub fn judge<T: BitEq>(
     row: &str,
     seed: u64,
     perturbation: Perturbation,
@@ -182,10 +182,15 @@ pub fn judge<T: BitEq + Debug>(
             bad.push(format!(
                 "rank {rank}: completed under an unrecoverable fault"
             ));
-        } else if !out.value.bit_eq(&base.value) {
+        } else if let Some(m) = base.value.mismatch(&out.value) {
             bad.push(format!(
-                "rank {rank}: {what} changed the result\n  baseline:  {:?}\n  perturbed: {:?}",
-                base.value, out.value
+                "rank {rank}: {what} changed the result (seed {seed}): {} entr{} differ, \
+                 first at index {}\n  baseline:  {}\n  perturbed: {}",
+                m.count,
+                if m.count == 1 { "y" } else { "ies" },
+                m.first,
+                m.left,
+                m.right
             ));
         } else if expect != Verdict::Recovered && !out.history.bit_eq(&base.history) {
             bad.push(format!("rank {rank}: {what} changed the residual history"));
@@ -234,11 +239,11 @@ pub fn judge<T: BitEq + Debug>(
 ///
 /// # Panics
 /// If any perturbed run differs from the baseline on any rank (the
-/// message names the seed, the rank and both values) or breaks the
-/// communication protocol.
+/// message names the seed, the rank, the first differing entry and its
+/// two values) or breaks the communication protocol.
 pub fn run_perturbed<T, F>(p: usize, seeds: &[u64], f: F) -> Vec<T>
 where
-    T: BitEq + Debug + Send,
+    T: BitEq + Send,
     F: Fn(&mut Comm) -> T + Sync,
 {
     let program = |comm: &mut Comm| Out::of(f(comm), comm);
@@ -605,6 +610,45 @@ mod tests {
         );
         assert_eq!(case.outcome, "FAILED");
         assert!(case.violations[0].contains("never fired"), "{case}");
+    }
+
+    /// A result that differs is reported in a few lines — the seed, the
+    /// rank, the first differing index, how many entries differ and the
+    /// two values there with their bits — not as two whole vectors.
+    #[test]
+    fn mismatch_report_is_bounded() {
+        let row = &select(&["sched/hex8-rcb"])[0];
+        let pm = row.problem.build();
+        let run = || {
+            baseline(row.problem.p, |comm| {
+                execute(&pm, row.problem, row.run, 1, comm)
+            })
+        };
+        let base = run();
+        let mut results = run();
+        let tampered = &mut results[1].value;
+        assert!(tampered.len() > 20, "a 4^3 rank holds more than 20 entries");
+        tampered[7] = -tampered[7] - 1.0;
+        tampered[20] += 1.0;
+        let case = judge(
+            &row.name,
+            5,
+            row.perturbation,
+            row.expect,
+            &base,
+            results.into_iter().map(Ok).collect(),
+            None,
+        );
+        assert_eq!(case.outcome, "FAILED");
+        let report = case.violations.join("\n");
+        assert!(report.lines().count() <= 3, "{report}");
+        assert!(
+            report.contains("rank 1:")
+                && report.contains("(seed 5): 2 entries differ, first at index 7"),
+            "{report}"
+        );
+        let bits = format!("{:#018x}", base[1].value[7].to_bits());
+        assert!(report.contains(&bits), "{report}");
     }
 
     /// Deterministic ring program: matched (src, tag) receives are immune

@@ -18,9 +18,8 @@
 //!   tags eagerly, so any reserved tag in the event log is an internal
 //!   protocol error.
 //!
-//! The auditor is on by default in debug/test builds and off in release
-//! (overridable either way with `HYMV_AUDIT=0|1`); see
-//! [`AuditMode`].
+//! The auditor is on by default in debug builds and off in release
+//! (`RunConfig::audit` chooses either way); see [`AuditMode`].
 
 use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -304,7 +303,7 @@ pub(crate) fn verify(
 /// Whether a universe records and verifies protocol events.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum AuditMode {
-    /// On in debug/test builds, off in release; `HYMV_AUDIT=0|1` overrides.
+    /// On in debug builds, off in release.
     #[default]
     Default,
     /// Always audit.
@@ -314,16 +313,12 @@ pub enum AuditMode {
 }
 
 impl AuditMode {
-    /// Resolves the mode against the build profile and environment.
+    /// Resolves the mode against the build profile.
     pub fn is_enabled(self) -> bool {
         match self {
             AuditMode::Enabled => true,
             AuditMode::Disabled => false,
-            AuditMode::Default => match std::env::var("HYMV_AUDIT").ok().as_deref() {
-                Some("0" | "off" | "false") => false,
-                Some(_) => true,
-                None => cfg!(debug_assertions),
-            },
+            AuditMode::Default => cfg!(debug_assertions),
         }
     }
 }
@@ -447,8 +442,6 @@ mod tests {
     fn audit_mode_resolution() {
         assert!(AuditMode::Enabled.is_enabled());
         assert!(!AuditMode::Disabled.is_enabled());
-        // Default mode in a test build (debug assertions on, env unset or
-        // set by the harness) — just ensure it doesn't panic.
-        let _ = AuditMode::Default.is_enabled();
+        assert_eq!(AuditMode::Default.is_enabled(), cfg!(debug_assertions));
     }
 }

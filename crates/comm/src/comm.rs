@@ -1,9 +1,10 @@
 //! The per-rank communicator handle.
 
+use std::marker::PhantomData;
 use std::sync::Arc;
 
 use crate::audit::AuditEventKind;
-use crate::fault::{DeliverAs, FaultAbort, FaultReport, RetryPolicy};
+use crate::fault::{DeliverAs, FaultAbort, FaultReport};
 use crate::ledger::{thread_cpu_time, CommStats, Ledger};
 use crate::lflr::LflrState;
 use crate::payload::Payload;
@@ -20,16 +21,6 @@ pub struct SendHandle {
 }
 
 impl SendHandle {
-    /// Destination rank of the send.
-    pub fn dst(&self) -> usize {
-        self.dst
-    }
-
-    /// Tag of the send.
-    pub fn tag(&self) -> u32 {
-        self.tag
-    }
-
     /// Waits for completion. Sends are buffered so there is nothing to
     /// block on, but completion is *recorded*: the ledger counts the send
     /// as confirmed and the protocol auditor sees its full lifetime
@@ -61,17 +52,63 @@ impl RecvHandle {
     }
 }
 
-/// A posted non-blocking allreduce (see [`Comm::iallreduce_sum_vec`]).
-#[derive(Debug, Clone, Copy)]
-pub struct IallreduceHandle {
-    pub(crate) seq: u64,
+/// The combining operation of [`Comm::iallreduce`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum ReduceOp {
+    Sum,
+    Max,
+    Min,
 }
 
-impl IallreduceHandle {
-    /// Block until every rank has contributed; returns the element-wise
-    /// sums and synchronizes the virtual clock.
-    pub fn wait(self, comm: &mut Comm) -> Vec<f64> {
-        comm.iallreduce_wait(self)
+/// An element type [`Comm::iallreduce`] reduces: `f64` or `u64`.
+pub trait Reducible: Copy + Send + 'static {
+    /// `op` applied to one pair of elements.
+    fn reduce(op: ReduceOp, a: Self, b: Self) -> Self;
+    /// The payload a contribution travels in.
+    fn into_payload(v: Vec<Self>) -> Payload;
+    /// The inverse of [`Reducible::into_payload`].
+    fn from_payload(p: Payload) -> Vec<Self>;
+}
+
+macro_rules! reducible {
+    ($($t:ty => $variant:ident),*) => {$(
+        impl Reducible for $t {
+            fn reduce(op: ReduceOp, a: $t, b: $t) -> $t {
+                match op {
+                    ReduceOp::Sum => a + b,
+                    ReduceOp::Max => a.max(b),
+                    ReduceOp::Min => a.min(b),
+                }
+            }
+            fn into_payload(v: Vec<$t>) -> Payload {
+                Payload::$variant(v)
+            }
+            fn from_payload(p: Payload) -> Vec<$t> {
+                match p {
+                    Payload::$variant(v) => v,
+                    _ => unreachable!("reduction payloads keep their element type"),
+                }
+            }
+        }
+    )*};
+}
+
+reducible!(f64 => F64, u64 => U64);
+
+/// A posted non-blocking allreduce (see [`Comm::iallreduce`]).
+#[derive(Debug, Clone, Copy)]
+pub struct IallreduceHandle<T> {
+    seq: u64,
+    elem: PhantomData<T>,
+}
+
+impl<T: Reducible> IallreduceHandle<T> {
+    /// Block until every rank has contributed; returns the reduced
+    /// vector and synchronizes the virtual clock.
+    pub fn wait(self, comm: &mut Comm) -> Vec<T> {
+        let (max_vt, result) = comm.coll_await(self.seq);
+        comm.ledger.on_collective(max_vt, comm.size());
+        T::from_payload(result)
     }
 }
 
@@ -156,7 +193,7 @@ impl Comm {
 
     /// Non-blocking (buffered) send on the **reliable** fabric: never
     /// fault-injected, mirroring MPI's guaranteed delivery. Fault studies
-    /// go through [`Comm::isend_unreliable`] (via the envelope API).
+    /// go through the envelope API ([`Comm::send_enveloped`]).
     pub fn isend(&mut self, dst: usize, tag: u32, payload: Payload) -> SendHandle {
         assert!(dst < self.size(), "destination rank {dst} out of range");
         crate::assert_tag_valid(tag);
@@ -169,7 +206,12 @@ impl Comm {
     /// [`FaultPlan`](crate::FaultPlan). Payloads sent here **must** be
     /// protected by the envelope layer — a tombstone reaching a raw
     /// receive is a panic, because raw receives cannot recover.
-    pub fn isend_unreliable(&mut self, dst: usize, tag: u32, payload: Payload) -> SendHandle {
+    pub(crate) fn isend_unreliable(
+        &mut self,
+        dst: usize,
+        tag: u32,
+        payload: Payload,
+    ) -> SendHandle {
         assert!(dst < self.size(), "destination rank {dst} out of range");
         crate::assert_tag_valid(tag);
         let Some(decision) = self.world.fault.as_ref().map(|f| f.decide(self.rank, dst)) else {
@@ -205,10 +247,7 @@ impl Comm {
             arrival_vt,
             dropped,
         };
-        match decision.reorder_pos {
-            Some(pos) => self.world.deliver_shuffled(dst, msg, pos),
-            None => self.world.deliver(dst, msg),
-        }
+        self.world.deliver_at(dst, msg, decision.reorder_pos);
         if let Some(dup) = duplicate {
             self.world.deliver(dst, dup);
         }
@@ -378,11 +417,6 @@ impl Comm {
     /// to fall back from the overlapped to the blocking exchange schedule.
     pub fn degraded(&self) -> bool {
         self.reliable.degraded
-    }
-
-    /// The retry/backoff policy this rank runs under.
-    pub fn retry_policy(&self) -> RetryPolicy {
-        self.reliable.policy
     }
 
     /// Fault-scoped sends the injector's crash rank has posted so far
@@ -565,7 +599,7 @@ impl Comm {
         &mut self,
         seq: u64,
         contribution: Option<Payload>,
-        combine: impl FnOnce(&mut Vec<Option<Payload>>) -> Vec<Payload>,
+        combine: impl FnOnce(&mut [Option<Payload>]) -> Payload,
     ) -> (f64, Payload) {
         self.world
             .rendezvous_post(self.rank, seq, self.vt(), contribution, combine);
@@ -596,113 +630,59 @@ impl Comm {
     /// Synchronize all ranks (virtual clocks advance to the global max).
     pub fn barrier(&mut self) {
         let seq = self.next_seq();
-        let size = self.size();
-        let (max_vt, _) =
-            self.rendezvous_serviced(seq, None, |_| vec![Payload::Bytes(Vec::new()); size]);
-        self.ledger.on_collective(max_vt, size);
+        let (max_vt, _) = self.rendezvous_serviced(seq, None, |_| Payload::Bytes(Vec::new()));
+        self.ledger.on_collective(max_vt, self.size());
+    }
+
+    /// Post a non-blocking element-wise allreduce (MPI's `MPI_Iallreduce`),
+    /// the one reduction primitive: every rank contributes a vector of the
+    /// same length, and [`IallreduceHandle::wait`] (the blocking form)
+    /// returns `op` folded over the contributions in rank order, starting
+    /// from rank 0's — so every rank gets the same bits whatever the
+    /// schedule. Computation between post and wait absorbs the
+    /// collective's latency, the mechanism pipelined Krylov methods
+    /// exploit.
+    pub fn iallreduce<T: Reducible>(&mut self, vals: Vec<T>, op: ReduceOp) -> IallreduceHandle<T> {
+        let seq = self.next_seq();
+        let contribution = Some(T::into_payload(vals));
+        self.world
+            .rendezvous_post(self.rank, seq, self.vt(), contribution, move |contrib| {
+                let mut parts = contrib
+                    .iter_mut()
+                    .map(|c| T::from_payload(c.take().expect("every rank contributes")));
+                let mut acc = parts.next().expect("a universe has at least one rank");
+                for part in parts {
+                    debug_assert_eq!(part.len(), acc.len(), "mismatched allreduce lengths");
+                    for (a, b) in acc.iter_mut().zip(part) {
+                        *a = T::reduce(op, *a, b);
+                    }
+                }
+                T::into_payload(acc)
+            });
+        IallreduceHandle {
+            seq,
+            elem: PhantomData,
+        }
     }
 
     /// Global sum of one f64.
     pub fn allreduce_sum_f64(&mut self, x: f64) -> f64 {
-        self.allreduce_f64(x, |a, b| a + b)
+        self.iallreduce(vec![x], ReduceOp::Sum).wait(self)[0]
     }
 
     /// Global max of one f64.
     pub fn allreduce_max_f64(&mut self, x: f64) -> f64 {
-        self.allreduce_f64(x, f64::max)
-    }
-
-    /// Global min of one f64.
-    pub fn allreduce_min_f64(&mut self, x: f64) -> f64 {
-        self.allreduce_f64(x, f64::min)
-    }
-
-    fn allreduce_f64(&mut self, x: f64, op: impl Fn(f64, f64) -> f64) -> f64 {
-        let seq = self.next_seq();
-        let size = self.size();
-        let (max_vt, result) =
-            self.rendezvous_serviced(seq, Some(Payload::from_f64(vec![x])), move |contrib| {
-                let acc = contrib
-                    .iter()
-                    .map(|c| match c {
-                        Some(Payload::F64(v)) => v[0],
-                        _ => unreachable!("allreduce contributions are F64"),
-                    })
-                    .reduce(&op)
-                    .expect("size >= 1");
-                vec![Payload::from_f64(vec![acc]); size]
-            });
-        self.ledger.on_collective(max_vt, size);
-        result.into_f64()[0]
+        self.iallreduce(vec![x], ReduceOp::Max).wait(self)[0]
     }
 
     /// Global sum of one u64.
     pub fn allreduce_sum_u64(&mut self, x: u64) -> u64 {
-        self.allreduce_u64(x, |a, b| a + b)
+        self.iallreduce(vec![x], ReduceOp::Sum).wait(self)[0]
     }
 
     /// Global max of one u64.
     pub fn allreduce_max_u64(&mut self, x: u64) -> u64 {
-        self.allreduce_u64(x, u64::max)
-    }
-
-    fn allreduce_u64(&mut self, x: u64, op: impl Fn(u64, u64) -> u64) -> u64 {
-        let seq = self.next_seq();
-        let size = self.size();
-        let (max_vt, result) =
-            self.rendezvous_serviced(seq, Some(Payload::from_u64(vec![x])), move |contrib| {
-                let acc = contrib
-                    .iter()
-                    .map(|c| match c {
-                        Some(Payload::U64(v)) => v[0],
-                        _ => unreachable!("allreduce contributions are U64"),
-                    })
-                    .reduce(&op)
-                    .expect("size >= 1");
-                vec![Payload::from_u64(vec![acc]); size]
-            });
-        self.ledger.on_collective(max_vt, size);
-        result.into_u64()[0]
-    }
-
-    /// Post a non-blocking element-wise vector sum-allreduce (MPI's
-    /// `MPI_Iallreduce`). Complete it with [`IallreduceHandle::wait`];
-    /// computation in between absorbs the collective's latency — the
-    /// mechanism pipelined Krylov methods exploit.
-    pub fn iallreduce_sum_vec(&mut self, vals: Vec<f64>) -> IallreduceHandle {
-        let seq = self.next_seq();
-        let size = self.size();
-        let len = vals.len();
-        self.world.rendezvous_post(
-            self.rank,
-            seq,
-            self.vt(),
-            Some(Payload::from_f64(vals)),
-            move |contrib| {
-                let mut acc = vec![0.0f64; len];
-                for c in contrib.iter() {
-                    match c {
-                        Some(Payload::F64(v)) => {
-                            debug_assert_eq!(v.len(), len, "mismatched iallreduce lengths");
-                            for (a, b) in acc.iter_mut().zip(v) {
-                                *a += b;
-                            }
-                        }
-                        _ => unreachable!("iallreduce contributions are F64"),
-                    }
-                }
-                vec![Payload::from_f64(acc); size]
-            },
-        );
-        IallreduceHandle { seq }
-    }
-
-    /// Complete a posted non-blocking allreduce.
-    pub(crate) fn iallreduce_wait(&mut self, h: IallreduceHandle) -> Vec<f64> {
-        let size = self.size();
-        let (max_vt, result) = self.coll_await(h.seq);
-        self.ledger.on_collective(max_vt, size);
-        result.into_f64()
+        self.iallreduce(vec![x], ReduceOp::Max).wait(self)[0]
     }
 
     /// Every rank contributes a `u64` list; all ranks receive all lists,
@@ -723,7 +703,7 @@ impl Comm {
                         _ => unreachable!("allgather contributions are U64"),
                     }
                 }
-                vec![Payload::from_u64(flat); size]
+                Payload::from_u64(flat)
             });
         self.ledger.on_collective(max_vt, size);
         let flat = result.into_u64();
@@ -746,12 +726,10 @@ impl Comm {
             "exactly the root supplies the broadcast payload"
         );
         let seq = self.next_seq();
-        let size = self.size();
         let (max_vt, result) = self.rendezvous_serviced(seq, payload, move |contrib| {
-            let p = contrib[root].take().expect("root contributed");
-            vec![p; size]
+            contrib[root].take().expect("root contributed")
         });
-        self.ledger.on_collective(max_vt, size);
+        self.ledger.on_collective(max_vt, self.size());
         result
     }
 
@@ -819,10 +797,27 @@ mod tests {
         }
     }
 
+    /// Contributions fold in rank order from rank 0's, for every op and
+    /// element type: a non-associative sum has the bits of the serial
+    /// left fold, and an all-negative-zero sum stays negative zero.
     #[test]
-    fn allreduce_min() {
-        let out = Universe::run(4, |c| c.allreduce_min_f64(10.0 - c.rank() as f64));
-        assert!(out.iter().all(|&x| x == 7.0));
+    fn iallreduce_folds_in_rank_order() {
+        let parts = [1e16, 1.0, -1e16, 1.0];
+        let out = Universe::run(4, |c| {
+            let r = c.rank();
+            let sum = c.iallreduce(vec![parts[r], -0.0], ReduceOp::Sum).wait(c);
+            let min = c.iallreduce(vec![10.0 - r as f64], ReduceOp::Min).wait(c);
+            let max = c
+                .iallreduce(vec![r as u64, 9 - r as u64], ReduceOp::Max)
+                .wait(c);
+            (sum, min, max)
+        });
+        let serial = ((parts[0] + parts[1]) + parts[2]) + parts[3];
+        for (sum, min, max) in out {
+            assert_eq!(sum[0].to_bits(), serial.to_bits());
+            assert_eq!(sum[1].to_bits(), (-0.0f64).to_bits());
+            assert_eq!((min, max), (vec![7.0], vec![3, 9]));
+        }
     }
 
     #[test]
@@ -1007,7 +1002,7 @@ mod tests {
     #[test]
     fn iallreduce_overlaps_and_sums() {
         let out = Universe::run(3, |c| {
-            let h = c.iallreduce_sum_vec(vec![c.rank() as f64, 1.0]);
+            let h = c.iallreduce(vec![c.rank() as f64, 1.0], ReduceOp::Sum);
             // Compute while the reduction is in flight.
             let local = c.work(|| (0..10_000).map(|i| (i as f64).sqrt()).sum::<f64>());
             assert!(local > 0.0);
@@ -1021,8 +1016,8 @@ mod tests {
     #[test]
     fn iallreduce_multiple_in_flight() {
         let out = Universe::run(2, |c| {
-            let h1 = c.iallreduce_sum_vec(vec![1.0]);
-            let h2 = c.iallreduce_sum_vec(vec![10.0]);
+            let h1 = c.iallreduce(vec![1.0], ReduceOp::Sum);
+            let h2 = c.iallreduce(vec![10.0], ReduceOp::Sum);
             let a = h1.wait(c);
             let b = h2.wait(c);
             (a[0], b[0])

@@ -4,9 +4,9 @@
 //! duplication, out-of-order delivery beyond the perturbation jitter,
 //! bounded delay/stragglers, bit-flip payload corruption, one-shot rank
 //! crash) and with what seeded probabilities. The plan is **off by
-//! default** and only applies to traffic sent through the fault-scoped
-//! entry point (`Comm::isend_unreliable`, which the reliable envelope
-//! layer uses for all ghost-exchange traffic) — collectives and setup
+//! default** and only applies to traffic sent through the reliable
+//! envelope layer (`Comm::send_enveloped`, which carries all
+//! ghost-exchange traffic) — collectives and setup
 //! exchanges model a reliable fabric, exactly like MPI's own collectives.
 //!
 //! ## Determinism
@@ -131,73 +131,6 @@ impl FaultPlan {
             || self.delay > 0.0
             || self.crash.is_some()
     }
-
-    /// Builds a plan from `HYMV_FAULT_*` environment variables, or `None`
-    /// when none of them is set:
-    ///
-    /// `HYMV_FAULT_SEED` (default 1), `HYMV_FAULT_DROP`, `HYMV_FAULT_DUP`,
-    /// `HYMV_FAULT_CORRUPT`, `HYMV_FAULT_REORDER`, `HYMV_FAULT_DELAY`
-    /// (probabilities in `[0, 1]`), `HYMV_FAULT_DELAY_FACTOR` (≥ 1,
-    /// default 8), `HYMV_FAULT_CRASH_RANK` + `HYMV_FAULT_CRASH_AFTER`.
-    ///
-    /// # Panics
-    /// Malformed values are hard errors, matching `HYMV_EMV_NVEC`: a typo
-    /// silently disabling a chaos run would invalidate its verdict.
-    pub fn from_env() -> Option<FaultPlan> {
-        let get = |name: &str| std::env::var(name).ok();
-        let vars = [
-            "HYMV_FAULT_SEED",
-            "HYMV_FAULT_DROP",
-            "HYMV_FAULT_DUP",
-            "HYMV_FAULT_CORRUPT",
-            "HYMV_FAULT_REORDER",
-            "HYMV_FAULT_DELAY",
-            "HYMV_FAULT_DELAY_FACTOR",
-            "HYMV_FAULT_CRASH_RANK",
-            "HYMV_FAULT_CRASH_AFTER",
-        ];
-        if vars.iter().all(|v| get(v).is_none()) {
-            return None;
-        }
-        let prob = |name: &str| -> f64 {
-            get(name).map_or(0.0, |s| {
-                let p: f64 = s.parse().unwrap_or_else(|e| panic!("{name}={s:?}: {e}"));
-                assert!((0.0..=1.0).contains(&p), "{name}={s:?}: not in [0, 1]");
-                p
-            })
-        };
-        let seed = get("HYMV_FAULT_SEED").map_or(1, |s| {
-            s.parse()
-                .unwrap_or_else(|e| panic!("HYMV_FAULT_SEED={s:?}: {e}"))
-        });
-        let delay_factor = get("HYMV_FAULT_DELAY_FACTOR").map_or(8.0, |s| {
-            let f: f64 = s
-                .parse()
-                .unwrap_or_else(|e| panic!("HYMV_FAULT_DELAY_FACTOR={s:?}: {e}"));
-            assert!(f >= 1.0, "HYMV_FAULT_DELAY_FACTOR={s:?}: must be >= 1");
-            f
-        });
-        let crash = get("HYMV_FAULT_CRASH_RANK").map(|s| {
-            let rank = s
-                .parse()
-                .unwrap_or_else(|e| panic!("HYMV_FAULT_CRASH_RANK={s:?}: {e}"));
-            let after_sends = get("HYMV_FAULT_CRASH_AFTER").map_or(0, |s| {
-                s.parse()
-                    .unwrap_or_else(|e| panic!("HYMV_FAULT_CRASH_AFTER={s:?}: {e}"))
-            });
-            CrashSpec { rank, after_sends }
-        });
-        Some(FaultPlan {
-            seed,
-            drop: prob("HYMV_FAULT_DROP"),
-            duplicate: prob("HYMV_FAULT_DUP"),
-            corrupt: prob("HYMV_FAULT_CORRUPT"),
-            reorder: prob("HYMV_FAULT_REORDER"),
-            delay: prob("HYMV_FAULT_DELAY"),
-            delay_factor,
-            crash,
-        })
-    }
 }
 
 /// Retry/backoff policy of the reliable envelope layer, including the
@@ -237,41 +170,6 @@ impl Default for RetryPolicy {
             hb_grace: 2,
             hb_pongs: 3,
             hb_spin: 20_000,
-        }
-    }
-}
-
-impl RetryPolicy {
-    /// Builds the policy from `HYMV_RETRY_MAX`, `HYMV_RETRY_BACKOFF`
-    /// (seconds), `HYMV_RETRY_DEGRADE`, `HYMV_RETRY_REARM`, and the
-    /// heartbeat knobs `HYMV_HB_GRACE` / `HYMV_HB_PONGS` / `HYMV_HB_SPIN`,
-    /// defaulting each unset knob.
-    ///
-    /// # Panics
-    /// Malformed values are hard errors (same rationale as
-    /// [`FaultPlan::from_env`]).
-    pub fn from_env() -> Self {
-        let d = RetryPolicy::default();
-        let get = |name: &str| std::env::var(name).ok();
-        let int = |name: &str, d: u64| -> u64 {
-            get(name).map_or(d, |s| {
-                s.parse().unwrap_or_else(|e| panic!("{name}={s:?}: {e}"))
-            })
-        };
-        RetryPolicy {
-            max_retries: int("HYMV_RETRY_MAX", d.max_retries as u64) as u32,
-            backoff_s: get("HYMV_RETRY_BACKOFF").map_or(d.backoff_s, |s| {
-                let b: f64 = s
-                    .parse()
-                    .unwrap_or_else(|e| panic!("HYMV_RETRY_BACKOFF={s:?}: {e}"));
-                assert!(b >= 0.0, "HYMV_RETRY_BACKOFF={s:?}: must be >= 0");
-                b
-            }),
-            degrade_after: int("HYMV_RETRY_DEGRADE", d.degrade_after),
-            rearm_after: int("HYMV_RETRY_REARM", d.rearm_after),
-            hb_grace: int("HYMV_HB_GRACE", d.hb_grace as u64) as u32,
-            hb_pongs: int("HYMV_HB_PONGS", d.hb_pongs as u64) as u32,
-            hb_spin: int("HYMV_HB_SPIN", d.hb_spin),
         }
     }
 }

@@ -121,7 +121,7 @@ impl Comm {
     /// True when this universe runs under an active fault injector (the
     /// precondition for arming LFLR — without an injector there is
     /// nothing to detect or recover from).
-    pub fn fault_active(&self) -> bool {
+    fn fault_active(&self) -> bool {
         self.world.fault.is_some()
     }
 
@@ -319,7 +319,7 @@ impl Comm {
         &mut self,
         seq: u64,
         contribution: Payload,
-        combine: impl FnOnce(&mut Vec<Option<Payload>>) -> Vec<Payload>,
+        combine: impl FnOnce(&mut [Option<Payload>]) -> Payload,
     ) -> Payload {
         self.world
             .rendezvous_post(self.rank, seq, self.vt(), Some(contribution), combine);
@@ -368,7 +368,7 @@ impl Comm {
                             }
                         }
                     }
-                    vec![Payload::from_u64(acc); contrib.len()]
+                    Payload::from_u64(acc)
                 },
             )
             .into_u64();
@@ -459,7 +459,7 @@ impl Comm {
                             hi = hi.max(w[0]);
                         }
                     }
-                    vec![Payload::from_u64(vec![lo, hi]); contrib.len()]
+                    Payload::from_u64(vec![lo, hi])
                 },
             )
             .into_u64();

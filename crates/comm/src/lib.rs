@@ -56,7 +56,7 @@ mod reliable;
 mod world;
 
 pub use audit::{AuditEvent, AuditEventKind, AuditMode, AuditReport, AuditViolation};
-pub use comm::{Comm, IallreduceHandle, RecvHandle, SendHandle};
+pub use comm::{Comm, IallreduceHandle, RecvHandle, ReduceOp, Reducible, SendHandle};
 pub use fault::{CrashSpec, FaultKind, FaultPlan, FaultReport, RetryPolicy};
 pub use ledger::{assert_thread_count, thread_cpu_time, CommStats, CostModel, Ledger, TagStats};
 pub use lflr::{

@@ -90,14 +90,6 @@ impl Payload {
         }
     }
 
-    /// Unwraps a `Bytes` payload. Panics on variant mismatch.
-    pub fn into_bytes(self) -> Vec<u8> {
-        match self {
-            Payload::Bytes(v) => v,
-            other => panic!("expected Bytes payload, got {}", other.variant_name()),
-        }
-    }
-
     /// Flip one bit of the payload, chosen by `bit` modulo the payload's
     /// bit count (the fault injector's in-flight corruption model). A
     /// no-op on empty payloads — there is nothing to damage.
@@ -166,7 +158,6 @@ mod tests {
         assert_eq!(Payload::from_u64(u.clone()).into_u64(), u);
         let t = vec![(1u64, 2u64, 0.5)];
         assert_eq!(Payload::from_triples(t.clone()).into_triples(), t);
-        assert_eq!(Payload::Bytes(vec![1, 2]).into_bytes(), vec![1, 2]);
     }
 
     #[test]

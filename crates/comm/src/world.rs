@@ -72,8 +72,8 @@ pub(crate) struct CollSlot {
     max_vt: f64,
     /// Per-rank contributions (used by reductions/gathers).
     contrib: Vec<Option<Payload>>,
-    /// Result, computed by the last arriver.
-    result: Option<Arc<Vec<Payload>>>,
+    /// The one result every rank receives, computed by the last arriver.
+    result: Option<Payload>,
     departed: usize,
 }
 
@@ -268,6 +268,14 @@ impl World {
 
     /// Deposit a message into `dst`'s mailbox (buffered send).
     pub(crate) fn deliver(&self, dst: usize, msg: Message) {
+        self.deliver_at(dst, msg, None);
+    }
+
+    /// [`Self::deliver`]; with `fault_pos`, fault-injected delivery at a
+    /// queue position derived from it — unlike the perturbation shuffle
+    /// this deliberately ignores the per-(src, tag) FIFO; the envelope
+    /// sequence numbers restore order.
+    pub(crate) fn deliver_at(&self, dst: usize, msg: Message, fault_pos: Option<u64>) {
         self.record(
             msg.src,
             AuditEventKind::SendPosted {
@@ -278,42 +286,24 @@ impl World {
         );
         let slot = &self.mail[dst];
         let mut mb = slot.mailbox.lock();
-        let pos = if mb.shuffle_state.is_some() {
+        let len = mb.queue.len();
+        let pos = if let Some(rand) = fault_pos {
+            (rand as usize) % (len + 1)
+        } else if let Some(state) = mb.shuffle_state.as_mut() {
             // Random position, but never ahead of an earlier same-(src,tag)
             // message: per-pair FIFO is part of the contract programs may
             // rely on (MPI non-overtaking), so only inter-pair order is
             // perturbed.
+            let r = next_rand(state) as usize;
             let lo = mb
                 .queue
                 .iter()
                 .rposition(|m| m.src == msg.src && m.tag == msg.tag)
                 .map_or(0, |i| i + 1);
-            let len = mb.queue.len();
-            let state = mb.shuffle_state.as_mut().expect("checked above");
-            lo + (next_rand(state) as usize) % (len - lo + 1)
+            lo + r % (len - lo + 1)
         } else {
-            mb.queue.len()
+            len
         };
-        mb.queue.insert(pos, msg);
-        drop(mb);
-        slot.cond.notify_all();
-    }
-
-    /// Fault-injected delivery at an arbitrary queue position derived from
-    /// `rand` — unlike the perturbation shuffle this deliberately ignores
-    /// the per-(src, tag) FIFO; the envelope sequence numbers restore order.
-    pub(crate) fn deliver_shuffled(&self, dst: usize, msg: Message, rand: u64) {
-        self.record(
-            msg.src,
-            AuditEventKind::SendPosted {
-                dst,
-                tag: msg.tag,
-                bytes: msg.payload.len_bytes(),
-            },
-        );
-        let slot = &self.mail[dst];
-        let mut mb = slot.mailbox.lock();
-        let pos = (rand as usize) % (mb.queue.len() + 1);
         mb.queue.insert(pos, msg);
         drop(mb);
         slot.cond.notify_all();
@@ -428,15 +418,15 @@ impl World {
     /// increasing collective counter — SPMD code issues collectives in the
     /// same order on all ranks). Each rank deposits its virtual time and an
     /// optional contribution; the last depositor runs `combine` over all
-    /// contributions to produce a per-rank result vector. No waiting; pair
-    /// with [`Self::rendezvous_await`] or [`Self::try_rendezvous_result`].
+    /// contributions to produce the result every rank receives. No waiting;
+    /// pair with [`Self::rendezvous_await`] or [`Self::try_rendezvous_result`].
     pub(crate) fn rendezvous_post(
         &self,
         me: usize,
         seq: u64,
         vt: f64,
         contribution: Option<Payload>,
-        combine: impl FnOnce(&mut Vec<Option<Payload>>) -> Vec<Payload>,
+        combine: impl FnOnce(&mut [Option<Payload>]) -> Payload,
     ) {
         self.record(me, AuditEventKind::CollectivePosted { seq });
         let mut slots = self.coll.slots.lock();
@@ -445,9 +435,7 @@ impl World {
         slot.max_vt = slot.max_vt.max(vt);
         slot.contrib[me] = contribution;
         if slot.arrived == self.size {
-            let results = combine(&mut slot.contrib);
-            debug_assert_eq!(results.len(), self.size);
-            slot.result = Some(Arc::new(results));
+            slot.result = Some(combine(&mut slot.contrib));
             self.coll.cond.notify_all();
         }
     }
@@ -459,7 +447,7 @@ impl World {
             self.check_poison(me);
             self.coll.cond.wait(&mut slots);
         }
-        let out = Self::take_rendezvous_result(&mut slots, self.size, me, seq);
+        let out = Self::take_rendezvous_result(&mut slots, self.size, seq);
         drop(slots);
         self.record(me, AuditEventKind::CollectiveCompleted { seq });
         out
@@ -473,30 +461,30 @@ impl World {
         if slots.get(&seq).is_some_and(|s| s.result.is_none()) {
             return None;
         }
-        let out = Self::take_rendezvous_result(&mut slots, self.size, me, seq);
+        let out = Self::take_rendezvous_result(&mut slots, self.size, seq);
         drop(slots);
         self.record(me, AuditEventKind::CollectiveCompleted { seq });
         Some(out)
     }
 
     /// Departure bookkeeping shared by the blocking and polling awaits;
-    /// call only once the result is known to be set.
+    /// call only once the result is known to be set. Every rank but the
+    /// last departer copies the result; the last one takes it.
     fn take_rendezvous_result(
         slots: &mut HashMap<u64, CollSlot>,
         size: usize,
-        me: usize,
         seq: u64,
     ) -> (f64, Payload) {
         let slot = slots
             .get_mut(&seq)
             .expect("slot exists until last departer");
-        let max_vt = slot.max_vt;
-        let result = slot.result.as_ref().expect("result set before wake")[me].clone();
         slot.departed += 1;
         if slot.departed == size {
-            slots.remove(&seq);
+            let slot = slots.remove(&seq).expect("just looked up");
+            return (slot.max_vt, slot.result.expect("result set before wake"));
         }
-        (max_vt, result)
+        let result = slot.result.clone().expect("result set before wake");
+        (slot.max_vt, result)
     }
 
     /// Teardown inspection (all ranks joined): drain the event log, sweep
@@ -548,12 +536,10 @@ pub struct RunConfig {
     pub perturb_seed: Option<u64>,
     /// Whether to record and verify protocol events.
     pub audit: AuditMode,
-    /// Seeded transport-fault injection (None = perfect transport). The
-    /// default picks up `HYMV_FAULT_*` from the environment, so faults stay
-    /// off unless explicitly requested.
+    /// Seeded transport-fault injection (None = perfect transport, the
+    /// default).
     pub fault: Option<FaultPlan>,
-    /// Retry/backoff policy of the reliable envelope layer (default reads
-    /// `HYMV_RETRY_*`).
+    /// Retry/backoff and heartbeat policy of the reliable envelope layer.
     pub retry: RetryPolicy,
     /// Record spans/metrics into the open `hymv_trace::TraceSession`.
     /// Off by default so concurrently running untraced universes (e.g.
@@ -562,14 +548,17 @@ pub struct RunConfig {
     pub trace: bool,
 }
 
+/// The default reads nothing from the environment: perfect transport,
+/// [`RetryPolicy::default`], auditing as the build profile decides
+/// ([`AuditMode::Default`]), no perturbation, no tracing.
 impl Default for RunConfig {
     fn default() -> Self {
         RunConfig {
             model: CostModel::default(),
             perturb_seed: None,
             audit: AuditMode::default(),
-            fault: FaultPlan::from_env(),
-            retry: RetryPolicy::from_env(),
+            fault: None,
+            retry: RetryPolicy::default(),
             trace: false,
         }
     }
@@ -583,8 +572,9 @@ impl Universe {
     /// rank's result, ordered by rank.
     ///
     /// In debug/test builds the protocol auditor runs at teardown and this
-    /// call panics with a per-rank event trace on any violation
-    /// (`HYMV_AUDIT=0` disables, `HYMV_AUDIT=1` forces it in release).
+    /// call panics with a per-rank event trace on any violation (set
+    /// [`RunConfig::audit`] and call [`Universe::run_configured`] to choose
+    /// otherwise).
     ///
     /// # Panics
     /// Panics if `size == 0`, on a protocol violation when auditing, or
@@ -594,21 +584,7 @@ impl Universe {
         T: Send,
         F: Fn(&mut Comm) -> T + Sync,
     {
-        Self::run_with(CostModel::default(), size, f)
-    }
-
-    /// Run `f` on `size` ranks with an explicit [`CostModel`]. Audits like
-    /// [`Universe::run`].
-    pub fn run_with<T, F>(model: CostModel, size: usize, f: F) -> Vec<T>
-    where
-        T: Send,
-        F: Fn(&mut Comm) -> T + Sync,
-    {
-        let cfg = RunConfig {
-            model,
-            ..RunConfig::default()
-        };
-        let (results, report) = Self::run_configured(cfg, size, f);
+        let (results, report) = Self::run_configured(RunConfig::default(), size, f);
         if let Some(report) = report {
             assert!(report.is_clean(), "communication audit failed:\n{report}");
         }
@@ -1030,7 +1006,7 @@ mod tests {
         let (_, report) = Universe::run_configured(cfg, 3, |c| {
             // Injected violation: a non-blocking reduction posted by every
             // rank but never completed.
-            let _leaked = c.iallreduce_sum_vec(vec![1.0, 2.0]);
+            let _leaked = c.iallreduce(vec![1.0, 2.0], crate::ReduceOp::Sum);
             c.rank()
         });
         let report = report.expect("audit was enabled");
@@ -1051,12 +1027,12 @@ mod tests {
     #[test]
     #[should_panic(expected = "communication audit failed")]
     fn default_run_panics_on_violation_in_debug() {
-        // Universe::run audits by default in test builds (unless the env
-        // says otherwise, in which case skip the premise by panicking with
-        // the expected message ourselves).
+        // Universe::run audits by default in debug builds; a release test
+        // build has no auditor, so it states the premise's absence with
+        // the expected message itself.
         assert!(
             crate::AuditMode::Default.is_enabled(),
-            "communication audit failed: (audit disabled by env; vacuous pass)"
+            "communication audit failed: (release build, no auditor; vacuous pass)"
         );
         let _ = Universe::run(2, |c| {
             if c.rank() == 0 {

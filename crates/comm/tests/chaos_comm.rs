@@ -145,7 +145,7 @@ fn crash_yields_typed_reports_on_every_rank() {
 
 /// Raw (non-envelope) traffic — including `recv_any` — rides the reliable
 /// fabric: an active duplication/reorder plan must not touch it, because
-/// injection is scoped to `isend_unreliable` (the envelope path).
+/// injection is scoped to the envelope path (`send_enveloped`).
 #[test]
 fn recv_any_unaffected_while_faults_active() {
     let cfg = chaos_cfg(FaultPlan::new(9).with_duplicate(0.9).with_reorder(0.9));

@@ -4,7 +4,7 @@
 
 use proptest::prelude::*;
 
-use hymv_comm::{CostModel, Payload, Universe};
+use hymv_comm::{Payload, ReduceOp, Universe};
 
 proptest! {
     #![proptest_config(ProptestConfig { cases: 16, ..ProptestConfig::default() })]
@@ -71,7 +71,7 @@ proptest! {
             (
                 comm.allreduce_sum_f64(mine),
                 comm.allreduce_max_f64(mine),
-                comm.allreduce_min_f64(mine),
+                comm.iallreduce(vec![mine], ReduceOp::Min).wait(comm)[0],
             )
         });
         let sum: f64 = values[..p].iter().sum();
@@ -125,7 +125,7 @@ proptest! {
         ops in proptest::collection::vec(0u8..3, 1..20),
     ) {
         let ops_ref = &ops;
-        let out = Universe::run_with(CostModel::default(), p, move |comm| {
+        let out = Universe::run(p, move |comm| {
             let mut last_vt = 0.0f64;
             let mut ok = true;
             for (i, &op) in ops_ref.iter().enumerate() {

@@ -28,7 +28,7 @@ use hymv_la::dense::{
     deinterleave_ke, gather_panel, interleave_ke, slab_len, EmvBatchKernel, EmvBatchMvKernel,
     MAX_BATCH_WIDTH,
 };
-use hymv_la::{ElementMatrices, FIXED_NVEC_WIDTH, MAX_NVEC_WIDTH};
+use hymv_la::{ElementMatrices, FIXED_NVEC_WIDTH};
 
 use crate::da::DistArray;
 use crate::maps::HymvMaps;
@@ -61,52 +61,11 @@ pub fn parse_batch_width(s: &str) -> Result<usize, String> {
     }
 }
 
-/// Environment variable selecting the multivector width the solve
-/// service batches to (`nvec=1` recovers sequential single-RHS solves;
-/// invalid values are a hard error, never a clamp).
-pub const NVEC_ENV: &str = "HYMV_EMV_NVEC";
-
 /// Default multivector width: one AVX-512 vector of columns — every `Ke`
 /// slab load is amortized over 8 right-hand sides while the `nd × bw ×
 /// nvec` panels of the evaluated element types stay cache-resident. It is
 /// the width the SpMM and the panel moves have fixed-shape code for.
 pub const DEFAULT_NVEC_WIDTH: usize = FIXED_NVEC_WIDTH;
-
-/// Parse a multivector-width string — the one validation path shared by
-/// the `HYMV_EMV_NVEC` reader and the `--nvec` CLI flags. Same contract
-/// as [`parse_batch_width`]: `0`, values above [`MAX_NVEC_WIDTH`], and
-/// non-numeric input are errors naming the problem, never a clamp.
-pub fn parse_nvec_width(s: &str) -> Result<usize, String> {
-    let t = s.trim();
-    match t.parse::<usize>() {
-        Ok(0) => Err(format!(
-            "multivector width 0 is invalid (use 1 for single-RHS solves, up to {MAX_NVEC_WIDTH})"
-        )),
-        Ok(n) if n > MAX_NVEC_WIDTH => Err(format!(
-            "multivector width {n} exceeds the maximum of {MAX_NVEC_WIDTH}"
-        )),
-        Ok(n) => Ok(n),
-        Err(_) => Err(format!(
-            "multivector width {t:?} is not a number (expected 1..={MAX_NVEC_WIDTH})"
-        )),
-    }
-}
-
-/// The multivector width selected by `HYMV_EMV_NVEC`, or the default when
-/// the variable is unset.
-///
-/// # Panics
-/// On an invalid value (`0`, `> MAX_NVEC_WIDTH`, non-numeric): a bad
-/// width must stop setup, not silently run a different configuration.
-pub fn nvec_width_from_env() -> usize {
-    match std::env::var(NVEC_ENV) {
-        Ok(s) => match parse_nvec_width(&s) {
-            Ok(n) => n,
-            Err(e) => panic!("{NVEC_ENV}: {e}"),
-        },
-        Err(_) => DEFAULT_NVEC_WIDTH,
-    }
-}
 
 /// The DA length `n_total · ndof` a plan's gather tables index, or why they
 /// cannot: the tables hold `u32` and `BlockSet::build` computes their
@@ -1146,26 +1105,6 @@ mod tests {
         let nan = parse_batch_width("fast").unwrap_err();
         assert!(nan.contains("not a number"), "{nan}");
         let neg = parse_batch_width("-3").unwrap_err();
-        assert!(neg.contains("not a number"), "{neg}");
-    }
-
-    /// `HYMV_EMV_NVEC` gets the same hard-error treatment as the batch
-    /// knob: invalid widths name the problem, valid ones parse exactly.
-    #[test]
-    fn nvec_width_strict_parse() {
-        assert_eq!(DEFAULT_NVEC_WIDTH, 8);
-        assert!(nvec_width_from_env() >= 1);
-        assert!(nvec_width_from_env() <= MAX_NVEC_WIDTH);
-        assert_eq!(parse_nvec_width("1"), Ok(1));
-        assert_eq!(parse_nvec_width(" 16 "), Ok(16));
-        assert_eq!(parse_nvec_width("32"), Ok(MAX_NVEC_WIDTH));
-        let zero = parse_nvec_width("0").unwrap_err();
-        assert!(zero.contains("multivector width 0 is invalid"), "{zero}");
-        let big = parse_nvec_width("33").unwrap_err();
-        assert!(big.contains("exceeds the maximum of 32"), "{big}");
-        let nan = parse_nvec_width("wide").unwrap_err();
-        assert!(nan.contains("not a number"), "{nan}");
-        let neg = parse_nvec_width("-2").unwrap_err();
         assert!(neg.contains("not a number"), "{neg}");
     }
 

@@ -39,11 +39,6 @@ pub struct GhostExchange {
     /// Ghost ids are sorted within the pre and post blocks, so each owner's
     /// ghosts form a contiguous DA range.
     recv_plan: Vec<(usize, std::ops::Range<usize>)>,
-    /// Bypass the sequence-numbered/checksummed envelope and ship bare
-    /// payloads (the pre-envelope wire format). Bench/ablation hook
-    /// only — raw transport cannot survive an active fault plan, and raw
-    /// receives panic on injected tombstones.
-    raw_transport: bool,
 }
 
 impl GhostExchange {
@@ -122,21 +117,7 @@ impl GhostExchange {
         GhostExchange {
             send_plan,
             recv_plan,
-            raw_transport: false,
         }
-    }
-
-    /// Switch between the enveloped (default) and raw wire formats for the
-    /// per-SPMV scatter/gather. Raw transport exists so the benchmarks can
-    /// price the envelope overhead; it must never be combined with an
-    /// active fault plan.
-    pub fn set_raw_transport(&mut self, raw: bool) {
-        self.raw_transport = raw;
-    }
-
-    /// Whether the bench-only raw wire format is active.
-    pub fn raw_transport(&self) -> bool {
-        self.raw_transport
     }
 
     /// The LNSM: `(neighbour rank, owned DA node indices scattered there)`.
@@ -181,11 +162,7 @@ impl GhostExchange {
                         let base = l as usize * stride;
                         vals.extend_from_slice(&da.data[base..base + stride]);
                     }
-                    if self.raw_transport {
-                        comm.isend(*rank, TAG_SCATTER, Payload::from_f64(vals));
-                    } else {
-                        comm.send_enveloped(*rank, TAG_SCATTER, &vals);
-                    }
+                    comm.send_enveloped(*rank, TAG_SCATTER, &vals);
                 }
             });
         });
@@ -196,11 +173,7 @@ impl GhostExchange {
         let stride = da.stride();
         comm.traced(Phase::ScatterWait, |comm| {
             for (rank, range) in &self.recv_plan {
-                let vals = if self.raw_transport {
-                    comm.recv(*rank, TAG_SCATTER).into_f64()
-                } else {
-                    comm.recv_enveloped(*rank, TAG_SCATTER)
-                };
+                let vals = comm.recv_enveloped(*rank, TAG_SCATTER);
                 debug_assert_eq!(vals.len(), range.len() * stride);
                 da.data[range.start * stride..range.end * stride].copy_from_slice(&vals);
             }
@@ -214,11 +187,7 @@ impl GhostExchange {
         comm.traced(Phase::GatherPost, |comm| {
             for (rank, range) in &self.recv_plan {
                 let vals = &da.data[range.start * stride..range.end * stride];
-                if self.raw_transport {
-                    comm.isend(*rank, TAG_GATHER, Payload::from_f64(vals.to_vec()));
-                } else {
-                    comm.send_enveloped(*rank, TAG_GATHER, vals);
-                }
+                comm.send_enveloped(*rank, TAG_GATHER, vals);
             }
         });
     }
@@ -231,11 +200,7 @@ impl GhostExchange {
         let stride = da.stride();
         comm.traced(Phase::GatherAccum, |comm| {
             for (rank, locals) in &self.send_plan {
-                let vals = if self.raw_transport {
-                    comm.recv(*rank, TAG_GATHER).into_f64()
-                } else {
-                    comm.recv_enveloped(*rank, TAG_GATHER)
-                };
+                let vals = comm.recv_enveloped(*rank, TAG_GATHER);
                 debug_assert_eq!(vals.len(), locals.len() * stride);
                 comm.work_with(|_| {
                     for (m, &l) in locals.iter().enumerate() {
@@ -354,19 +319,17 @@ mod tests {
         assert!(ok.iter().all(|&b| b));
     }
 
-    /// Raw transport is the same bits as the enveloped default (the bench
-    /// comparison relies on this), and enveloped scatter/gather under a
-    /// seeded drop/corrupt plan heals bit-exactly.
+    /// Enveloped scatter/gather under a seeded drop/corrupt plan heals
+    /// bit-exactly: the faulted run returns the clean run's bits.
     #[test]
     fn enveloped_exchange_heals_faults_bit_exactly() {
         use hymv_comm::{AuditMode, CostModel, FaultPlan, RetryPolicy, RunConfig};
         let mesh = StructuredHexMesh::unit(4, ElementType::Hex8).build();
         let pm = partition_mesh(&mesh, 3, PartitionMethod::GreedyGraph);
-        let program = |comm: &mut hymv_comm::Comm, raw: bool| {
+        let program = |comm: &mut hymv_comm::Comm| {
             let part = &pm.parts[comm.rank()];
             let maps = HymvMaps::build(part);
-            let mut ex = GhostExchange::build(comm, &maps);
-            ex.set_raw_transport(raw);
+            let ex = GhostExchange::build(comm, &maps);
             let mut da = DistArray::new(&maps, 1);
             for i in 0..maps.n_owned() {
                 let g = maps.node_range.0 + i as u64;
@@ -381,9 +344,7 @@ mod tests {
             }
             da.data.clone()
         };
-        let clean = Universe::run(3, |comm| program(comm, false));
-        let raw = Universe::run(3, |comm| program(comm, true));
-        assert_eq!(clean, raw, "raw and enveloped transport must agree");
+        let clean = Universe::run(3, program);
         let cfg = RunConfig {
             model: CostModel::default(),
             perturb_seed: None,
@@ -392,7 +353,7 @@ mod tests {
             retry: RetryPolicy::default(),
             trace: false,
         };
-        let (faulted, _) = hymv_comm::Universe::run_chaos(cfg, 3, |comm| program(comm, false));
+        let (faulted, _) = hymv_comm::Universe::run_chaos(cfg, 3, program);
         for (rank, res) in faulted.into_iter().enumerate() {
             let data = res.expect("drop/corrupt within the retry budget");
             assert_eq!(data, clean[rank], "rank {rank}: recovery damaged bits");

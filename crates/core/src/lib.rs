@@ -55,8 +55,7 @@ pub mod system;
 
 pub use assembled::AssembledOperator;
 pub use block::{
-    nvec_width_from_env, parse_batch_width, parse_nvec_width, BlockPlan, BlockSet, SlabMatrices,
-    DEFAULT_BATCH_WIDTH, DEFAULT_NVEC_WIDTH, NVEC_ENV,
+    parse_batch_width, BlockPlan, BlockSet, SlabMatrices, DEFAULT_BATCH_WIDTH, DEFAULT_NVEC_WIDTH,
 };
 pub use da::DistArray;
 pub use dirichlet_op::DirichletOp;

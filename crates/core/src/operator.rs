@@ -336,12 +336,6 @@ impl HymvOperator {
         &self.exchange
     }
 
-    /// Bench/ablation hook: bypass the envelope wire format on the
-    /// per-SPMV scatter/gather (see [`GhostExchange::set_raw_transport`]).
-    pub fn set_raw_exchange(&mut self, raw: bool) {
-        self.exchange.set_raw_transport(raw);
-    }
-
     /// The element matrices, read back from the slabs (pending `ke_mut`
     /// buffers first). Its `bytes()` counts only what is held beside the
     /// slabs: the pending buffers.
@@ -556,9 +550,7 @@ impl LinOp for HymvOperator {
     /// purely local derived state (block plan, panel scratch) is
     /// rebuilt on the resurrected ranks only.
     fn repair(&mut self, comm: &mut Comm, dead: &[usize]) {
-        let raw = self.exchange.raw_transport();
         self.exchange = GhostExchange::build(comm, &self.maps);
-        self.exchange.set_raw_transport(raw);
         if dead.contains(&comm.rank()) {
             self.rebuild_plan(self.batch_width());
         }
@@ -722,7 +714,11 @@ mod tests {
             smp_serial_fraction: 0.0,
             ..Default::default()
         };
-        let out = Universe::run_with(model, 1, |comm| {
+        let cfg = hymv_comm::RunConfig {
+            model,
+            ..Default::default()
+        };
+        let (out, report) = Universe::run_configured(cfg, 1, |comm| {
             let kernel = PoissonKernel::new(ElementType::Hex8);
             let (mut op, _) = HymvOperator::setup(comm, &pm.parts[0], &kernel);
             let n = op.n_owned();
@@ -743,6 +739,9 @@ mod tests {
             op.set_threads(1000);
             (one, charged(&mut op, comm))
         });
+        if let Some(report) = report {
+            assert!(report.is_clean(), "communication audit failed:\n{report}");
+        }
         let (one, many) = out[0];
         assert!(
             many < 0.5 * one,

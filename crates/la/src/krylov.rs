@@ -19,7 +19,7 @@
 //! takes the same one. Each iteration blocks on two reductions: `pᵀAp`,
 //! then `zᵀr` fused with `‖r‖`.
 
-use hymv_comm::{catch_revoked, Comm};
+use hymv_comm::{catch_revoked, Comm, ReduceOp};
 
 use crate::block_cg::{gemm_acc, solve_spd_rr, BlockCgResult};
 use crate::mv::{column_norms, gram_sym, gram_sym_with_norms, MultiLinOp, Multivector};
@@ -406,8 +406,8 @@ impl<O: LinOp + ?Sized, L: VectorLoops> Arith for Scalar<'_, O, L> {
     }
 
     /// `rᵀz` and `‖r‖` in one reduction, with the bits of two `dot`s: each
-    /// local sum runs in `dot`'s order, and the vector sum adds the rank
-    /// contributions in rank order starting from `0.0`.
+    /// local sum runs in `dot`'s order, and the reduction folds the rank
+    /// contributions in rank order from rank 0's, as `dot`'s does.
     fn cg_precondition(&mut self, comm: &mut Comm) -> (Vec<f64>, Vec<f64>) {
         self.precond.apply(comm, &self.r, &mut self.z);
         let ((n, v), r, z) = (self.units(), &self.r, &self.z);
@@ -417,7 +417,7 @@ impl<O: LinOp + ?Sized, L: VectorLoops> Arith for Scalar<'_, O, L> {
                 r.iter().map(|a| a * a).sum::<f64>(),
             ]
         });
-        let red = comm.iallreduce_sum_vec(local.to_vec()).wait(comm);
+        let red = comm.iallreduce(local.to_vec(), ReduceOp::Sum).wait(comm);
         (vec![red[0]], vec![red[1].sqrt()])
     }
 

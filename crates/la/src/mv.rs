@@ -6,7 +6,7 @@
 //! true SpMM (HYMV's multivector EMV path) override `apply_mv`; every
 //! other [`LinOp`] gets the column-by-column fallback for free.
 
-use hymv_comm::Comm;
+use hymv_comm::{Comm, ReduceOp};
 
 use crate::dense::on_widest_isa;
 use crate::solver::LinOp;
@@ -214,7 +214,7 @@ fn gram_sym_local(a: &Multivector, b: &Multivector, with_norms: bool) -> Vec<f64
 pub fn gram(comm: &mut Comm, a: &Multivector, b: &Multivector) -> Vec<f64> {
     assert_eq!(a.nrows(), b.nrows(), "gram row mismatch");
     let local = comm.work(|| gram_local(a, b));
-    comm.iallreduce_sum_vec(local).wait(comm)
+    comm.iallreduce(local, ReduceOp::Sum).wait(comm)
 }
 
 /// Distributed Gram product of a **symmetric** pair (`AᵀB` with
@@ -227,7 +227,7 @@ pub fn gram_sym(comm: &mut Comm, a: &Multivector, b: &Multivector) -> Vec<f64> {
     assert_eq!(a.nrows(), b.nrows(), "gram row mismatch");
     assert_eq!(a.nvec(), b.nvec(), "symmetric gram needs equal widths");
     let local = comm.work(|| gram_sym_local(a, b, false));
-    comm.iallreduce_sum_vec(local).wait(comm)
+    comm.iallreduce(local, ReduceOp::Sum).wait(comm)
 }
 
 /// Fused [`gram_sym`]`(z, r)` + [`column_norms`]`(r)` in a **single**
@@ -242,7 +242,7 @@ pub fn gram_sym_with_norms(
     assert_eq!(z.nvec(), r.nvec(), "symmetric gram needs equal widths");
     let s = z.nvec();
     let local = comm.work(|| gram_sym_local(z, r, true));
-    let mut out = comm.iallreduce_sum_vec(local).wait(comm);
+    let mut out = comm.iallreduce(local, ReduceOp::Sum).wait(comm);
     let norms = out.split_off(s * s).into_iter().map(f64::sqrt).collect();
     (out, norms)
 }
@@ -257,7 +257,7 @@ pub fn column_norms(comm: &mut Comm, a: &Multivector) -> Vec<f64> {
             })
             .collect::<Vec<f64>>()
     });
-    comm.iallreduce_sum_vec(local)
+    comm.iallreduce(local, ReduceOp::Sum)
         .wait(comm)
         .into_iter()
         .map(f64::sqrt)

@@ -5,7 +5,7 @@
 //! operator plug in interchangeably — exactly how the paper integrates
 //! HYMV into PETSc's KSP solvers (§V-F).
 
-use hymv_comm::Comm;
+use hymv_comm::{Comm, ReduceOp};
 
 use crate::krylov::{self, Scalar};
 use crate::precond::Precond;
@@ -248,7 +248,7 @@ pub fn pipelined_cg(
                 r.iter().map(|a| a * a).sum::<f64>(),
             ]
         });
-        let handle = comm.iallreduce_sum_vec(local.to_vec());
+        let handle = comm.iallreduce(local.to_vec(), ReduceOp::Sum);
 
         // Overlap: m = M⁻¹ w; n = A m while the reduction is in flight.
         precond.apply(comm, &w, &mut m);

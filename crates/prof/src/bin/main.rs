@@ -3,7 +3,7 @@
 //! ```text
 //! hymv-prof [--n N] [--p P] [--seeds K|s1,s2,...]
 //!           [--scheme blocking|overlap-cpu|overlap-gpu] [--streams S]
-//!           [--out DIR] [--width W]
+//!           [--out DIR] [--width W] [--crash RANK:AFTER]
 //! hymv-prof diff A B [--threshold FRACTION] [--limit ROWS]
 //! ```
 //!
@@ -17,6 +17,10 @@
 //! bitwise identical across seeds. Exits 0 on success, 1 on a
 //! determinism violation or failed solve, 2 on bad usage.
 //!
+//! `--crash RANK:AFTER` kills rank `RANK`'s data plane after it has sent
+//! `AFTER` enveloped messages: the solve aborts with a typed fault, and
+//! the flight recorder dumps its postmortem (to `HYMV_FLIGHT_OUT`).
+//!
 //! `diff` compares two artifacts (`summary.json` or `metrics.prom`,
 //! auto-detected) metric by metric, distilling each histogram series
 //! into p50/p95/p99 shifts; with `--threshold` it exits 1 when any
@@ -25,6 +29,7 @@
 
 use std::process::ExitCode;
 
+use hymv_comm::CrashSpec;
 use hymv_gpu::GpuScheme;
 use hymv_prof::{profile_poisson_solve, summarize, summary_json, ProfileOptions};
 
@@ -36,13 +41,14 @@ struct Options {
     streams: usize,
     out: Option<String>,
     width: usize,
+    crash: Option<CrashSpec>,
 }
 
 fn usage() -> ExitCode {
     eprintln!(
         "usage: hymv-prof [--n N] [--p P] [--seeds K|s1,s2,...]\n\
          \x20                [--scheme blocking|overlap-cpu|overlap-gpu] [--streams S]\n\
-         \x20                [--out DIR] [--width W]\n\
+         \x20                [--out DIR] [--width W] [--crash RANK:AFTER]\n\
          \x20      hymv-prof diff A B [--threshold FRACTION] [--limit ROWS]"
     );
     ExitCode::from(2)
@@ -130,6 +136,16 @@ fn parse_seeds(spec: &str) -> Result<Vec<u64>, String> {
         .collect()
 }
 
+fn parse_crash(spec: &str) -> Result<CrashSpec, String> {
+    let (rank, after) = spec
+        .split_once(':')
+        .ok_or_else(|| format!("--crash: expected RANK:AFTER, got {spec:?}"))?;
+    Ok(CrashSpec {
+        rank: rank.parse().map_err(|e| format!("--crash rank: {e}"))?,
+        after_sends: after.parse().map_err(|e| format!("--crash sends: {e}"))?,
+    })
+}
+
 fn parse_args() -> Result<Options, String> {
     let mut opts = Options {
         n: 12,
@@ -139,6 +155,7 @@ fn parse_args() -> Result<Options, String> {
         streams: 4,
         out: hymv_trace::env_out(),
         width: 72,
+        crash: None,
     };
     let mut args = std::env::args().skip(1);
     while let Some(flag) = args.next() {
@@ -150,6 +167,7 @@ fn parse_args() -> Result<Options, String> {
             "--streams" => opts.streams = val()?.parse().map_err(|e| format!("--streams: {e}"))?,
             "--width" => opts.width = val()?.parse().map_err(|e| format!("--width: {e}"))?,
             "--out" => opts.out = Some(val()?),
+            "--crash" => opts.crash = Some(parse_crash(&val()?)?),
             "--scheme" => {
                 opts.scheme = match val()?.as_str() {
                     "blocking" => GpuScheme::Blocking,
@@ -166,6 +184,9 @@ fn parse_args() -> Result<Options, String> {
     }
     if opts.seeds.is_empty() {
         return Err("--seeds needs at least one seed".into());
+    }
+    if opts.crash.is_some_and(|c| c.rank >= opts.p) {
+        return Err("--crash: RANK must be below --p".into());
     }
     Ok(opts)
 }
@@ -205,6 +226,7 @@ fn main() -> ExitCode {
         seed: opts.seeds[0],
         scheme: opts.scheme,
         streams: opts.streams,
+        crash: opts.crash,
         ..ProfileOptions::default()
     };
     let profile = profile_poisson_solve(&base);

@@ -14,7 +14,7 @@
 
 pub mod diff;
 
-use hymv_comm::{RunConfig, Universe};
+use hymv_comm::{CrashSpec, FaultPlan, RunConfig, Universe};
 use hymv_fem::PoissonKernel;
 use hymv_gpu::{GpuModel, GpuScheme, HymvGpuOperator};
 use hymv_la::{cg, Identity, LinOp};
@@ -40,6 +40,9 @@ pub struct ProfileOptions {
     pub rtol: f64,
     /// CG iteration cap.
     pub max_iter: usize,
+    /// Kill one rank's data plane mid-solve (`FaultPlan::with_crash`, seed
+    /// 1): the run aborts and the flight recorder dumps its postmortem.
+    pub crash: Option<CrashSpec>,
 }
 
 impl Default for ProfileOptions {
@@ -52,6 +55,7 @@ impl Default for ProfileOptions {
             streams: 4,
             rtol: 1e-8,
             max_iter: 200,
+            crash: None,
         }
     }
 }
@@ -78,6 +82,9 @@ pub fn profile_poisson_solve(opts: &ProfileOptions) -> Profile {
 
     let cfg = RunConfig {
         perturb_seed: Some(opts.seed),
+        fault: opts
+            .crash
+            .map(|c| FaultPlan::new(1).with_crash(c.rank, c.after_sends)),
         trace: true,
         ..RunConfig::default()
     };

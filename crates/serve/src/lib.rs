@@ -10,7 +10,7 @@
 //!
 //! Batch formation is **deadline-based** in virtual time: a batch
 //! dispatches as soon as it is full ([`BatchPolicy::max_width`] pending
-//! requests, default from `HYMV_EMV_NVEC`) or as soon as the oldest
+//! requests, default [`hymv_core::DEFAULT_NVEC_WIDTH`]) or as soon as the oldest
 //! pending request has waited [`BatchPolicy::deadline_s`] virtual
 //! seconds — throughput batching with a hard bound on added latency.
 //! [`SolveService::flush`] drains the queue at end of stream.
@@ -39,20 +39,6 @@ pub struct BatchPolicy {
     /// Maximum virtual seconds the oldest pending request may wait before
     /// a partial batch is forced out.
     pub deadline_s: f64,
-}
-
-impl BatchPolicy {
-    /// `max_width` from `HYMV_EMV_NVEC` (hard error on invalid values),
-    /// with an explicit latency deadline.
-    ///
-    /// # Panics
-    /// Propagates the env reader's panic on an invalid width.
-    pub fn from_env(deadline_s: f64) -> Self {
-        BatchPolicy {
-            max_width: hymv_core::nvec_width_from_env(),
-            deadline_s,
-        }
-    }
 }
 
 impl Default for BatchPolicy {
@@ -470,7 +456,8 @@ mod tests {
     /// Dirichlet walls, batched block-CG solves, and a seeded
     /// drop/corrupt fault plan on the transport. Every rank must either
     /// converge every request or abort with a typed fault report — no
-    /// silent corruption, no hangs.
+    /// silent corruption, no hangs. The load is nonzero, so the solves
+    /// iterate and the plan meets their ghost traffic, not only setup's.
     #[test]
     fn chaos_smoke_over_fem_service_path() {
         use std::sync::Arc;
@@ -489,7 +476,8 @@ mod tests {
         let spec = DirichletSpec::zero(1, Arc::new(|x: [f64; 3]| x[0] < 1e-9 || x[0] > 1.0 - 1e-9));
         let program = |comm: &mut Comm| {
             let part = &pm.parts[comm.rank()];
-            let kernel = PoissonKernel::new(ElementType::Hex8);
+            let body = |x: [f64; 3]| 1.0 + x[0] - 2.0 * x[1] * x[1] + x[0] * x[1] * x[2];
+            let kernel = PoissonKernel::with_body(ElementType::Hex8, Arc::new(body));
             let maps = HymvMaps::build(part);
             let exchange = GhostExchange::build(comm, &maps);
             let raw_rhs = assemble_rhs(comm, &maps, &exchange, part, &kernel);
@@ -503,14 +491,24 @@ mod tests {
                 deadline_s: 1e-3,
             };
             let mut svc = SolveService::new(&mut op, &mut id, 1e-8, 400, policy);
+            let setup = comm.stats();
             for k in 0..6 {
                 let scaled: Vec<f64> = rhs.iter().map(|v| v * (k + 1) as f64).collect();
                 svc.submit(comm, scaled);
             }
             let results = svc.flush(comm);
             assert!(results.iter().all(|o| o.converged), "unconverged request");
+            assert!(
+                results.iter().all(|o| o.iterations > 0),
+                "a request started converged"
+            );
             assert_eq!(svc.batch_metrics().len(), 2);
-            results.len()
+            let solve = comm.stats();
+            (
+                results.len(),
+                solve.retries - setup.retries,
+                solve.corrupt_detected - setup.corrupt_detected,
+            )
         };
         let cfg = RunConfig {
             model: CostModel::default(),
@@ -521,10 +519,15 @@ mod tests {
             trace: false,
         };
         let (results, _) = Universe::run_chaos(cfg, 2, program);
+        let (mut retries, mut corrupt) = (0, 0);
         for (rank, res) in results.into_iter().enumerate() {
-            let n = res.expect("faults within the retry budget");
+            let (n, r, c) = res.expect("faults within the retry budget");
             assert_eq!(n, 6, "rank {rank}: lost requests");
+            retries += r;
+            corrupt += c;
         }
+        assert!(retries > 0, "no retry during the solves");
+        assert!(corrupt > 0, "no corruption detected during the solves");
     }
 
     /// Request traces survive LFLR: a service solve whose batch eats a

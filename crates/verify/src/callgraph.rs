@@ -10,14 +10,17 @@
 //! *original* text are parsed and attached to the next `fn` item.
 //!
 //! This is resolution **by name**, not by type: a call resolves to every
-//! workspace function sharing its (qualified) name, and the effect solver
-//! joins over all candidates. That over-approximates reachable effects
+//! workspace function sharing its (qualified) name that the calling crate
+//! can reach — its own, those of the `hymv-*` crates it depends on
+//! (transitively, read from the `Cargo.toml`s), and trait-impl methods,
+//! which generic code dispatches into downstream — and the effect
+//! solver joins over all candidates. That over-approximates reachable effects
 //! (sound for the phase rules, which reject on reachability) except where
 //! calls leave the parsed world — free functions of external crates are
 //! unknown (assumed pure unless in the intrinsic seed table) and indirect
 //! calls are ⊤. DESIGN.md §12 states the caveats precisely.
 
-use std::collections::HashMap;
+use std::collections::{BTreeSet, HashMap};
 use std::fmt;
 use std::fs;
 use std::path::Path;
@@ -108,6 +111,9 @@ pub struct CallSite {
     pub line: usize,
     /// Trimmed argument texts (receiver excluded for method calls).
     pub args: Vec<String>,
+    /// The [`CallGraph::files`] entry the call is in (`usize::MAX` for
+    /// synthetic test edges); scopes its resolution to the caller's crate.
+    pub file_id: usize,
 }
 
 /// One `fn` item of the parsed workspace.
@@ -131,6 +137,8 @@ pub struct FnNode {
     pub is_unsafe: bool,
     /// Call sites in the body, in source order.
     pub calls: Vec<CallSite>,
+    /// Inside an `impl Trait for Type` block.
+    pub trait_impl: bool,
     /// Byte span of the body in the file's stripped text (after `{`, up to
     /// the matching `}`), if the item has a body. Index into
     /// [`CallGraph::files`] via `file_id`.
@@ -186,6 +194,34 @@ pub struct CallGraph {
     pub notes: Vec<ParseNote>,
     by_name: HashMap<String, Vec<usize>>,
     by_qual: HashMap<String, Vec<usize>>,
+    /// Per crate (its directory under `crates/`): the crates its code can
+    /// call — itself and its `hymv-*` dependencies, transitively. Empty
+    /// for graphs built without manifests, where every name resolves
+    /// workspace-wide.
+    visible: HashMap<String, BTreeSet<String>>,
+}
+
+/// The crate directory of a workspace label (`crates/<name>/...`).
+fn crate_of(label: &str) -> Option<&str> {
+    label.strip_prefix("crates/")?.split('/').next()
+}
+
+/// The `hymv-*` crates a manifest's `[dependencies]` name, as directory
+/// names (`hymv-comm` → `comm`).
+fn manifest_deps(manifest: &str) -> Vec<String> {
+    let mut deps = Vec::new();
+    let mut in_deps = false;
+    for line in manifest.lines().map(str::trim) {
+        if line.starts_with('[') {
+            in_deps = line == "[dependencies]";
+        } else if in_deps {
+            if let Some(rest) = line.strip_prefix("hymv-") {
+                let end = rest.find(|c: char| !(c.is_alphanumeric() || c == '_'));
+                deps.push(rest[..end.unwrap_or(rest.len())].to_string());
+            }
+        }
+    }
+    deps
 }
 
 /// Max lines a `// verify:` marker may precede its `fn` by (attributes and
@@ -244,9 +280,15 @@ impl CallGraph {
             ));
         }
         let mut graph = CallGraph::new();
+        let mut direct: HashMap<String, Vec<String>> = HashMap::new();
         for krate in [
             "comm", "core", "la", "gpu", "fem", "trace", "serve", "check", "mesh", "prof", "bench",
         ] {
+            if let Ok(manifest) =
+                fs::read_to_string(root.join("crates").join(krate).join("Cargo.toml"))
+            {
+                direct.insert(krate.to_string(), manifest_deps(&manifest));
+            }
             let src = root.join("crates").join(krate).join("src");
             let mut files = Vec::new();
             walk_rs(&src, &mut files);
@@ -260,6 +302,18 @@ impl CallGraph {
                     .replace('\\', "/");
                 graph.add_source(&label, &text);
             }
+        }
+        for krate in direct.keys() {
+            let mut seen = BTreeSet::from([krate.clone()]);
+            let mut stack = vec![krate.clone()];
+            while let Some(k) = stack.pop() {
+                for d in direct.get(&k).into_iter().flatten() {
+                    if seen.insert(d.clone()) {
+                        stack.push(d.clone());
+                    }
+                }
+            }
+            graph.visible.insert(krate.clone(), seen);
         }
         Ok(graph)
     }
@@ -278,6 +332,7 @@ impl CallGraph {
             markers: Vec::new(),
             is_unsafe: false,
             calls: Vec::new(),
+            trait_impl: false,
             body: None,
             file_id: usize::MAX,
         });
@@ -296,6 +351,7 @@ impl CallGraph {
             offset: 0,
             line,
             args: args.iter().map(ToString::to_string).collect(),
+            file_id: usize::MAX,
         });
     }
 
@@ -310,6 +366,7 @@ impl CallGraph {
             offset: 0,
             line,
             args: Vec::new(),
+            file_id: usize::MAX,
         });
     }
 
@@ -323,27 +380,51 @@ impl CallGraph {
         if call.dynamic {
             return Resolution::Dynamic;
         }
+        match self
+            .lookup(call)
+            .map(|ids| self.reachable_from(call.file_id, ids))
+        {
+            Some(ids) if !ids.is_empty() => Resolution::Candidates(ids),
+            _ => Resolution::Unknown,
+        }
+    }
+
+    /// The workspace fns `call` names, before crate scoping.
+    fn lookup(&self, call: &CallSite) -> Option<&Vec<usize>> {
         // A `Type::name` path hint resolves narrowly when the qualified
         // name is known (a value-receiver hint like `comm` never is —
         // lowercase heads fall through to the bare-name multimap).
         if let Some(h) = &call.hint {
             if !call.method {
                 if let Some(ids) = self.by_qual.get(&format!("{h}::{}", call.name)) {
-                    return Resolution::Candidates(ids.clone());
+                    return Some(ids);
                 }
                 if h.chars().next().is_some_and(char::is_uppercase) {
                     // A typed path (`Foo::bar`) that names no workspace
                     // item is external: don't fall back to the bare-name
                     // multimap, which would conflate `Vec::new` with every
                     // workspace `new`.
-                    return Resolution::Unknown;
+                    return None;
                 }
             }
         }
-        match self.by_name.get(&call.name) {
-            Some(ids) => Resolution::Candidates(ids.clone()),
-            None => Resolution::Unknown,
-        }
+        self.by_name.get(&call.name)
+    }
+
+    /// The candidates code in file `file_id` can call: fns of its crate
+    /// and the crates it depends on, plus trait-impl methods anywhere
+    /// (generic code dispatches into downstream impls).
+    fn reachable_from(&self, file_id: usize, ids: &[usize]) -> Vec<usize> {
+        let caller = self.files.get(file_id).and_then(|f| crate_of(&f.label));
+        let Some(visible) = caller.and_then(|k| self.visible.get(k)) else {
+            return ids.to_vec();
+        };
+        let reachable =
+            |f: &FnNode| f.trait_impl || crate_of(&f.file).is_none_or(|k| visible.contains(k));
+        ids.iter()
+            .copied()
+            .filter(|&id| reachable(&self.fns[id]))
+            .collect()
     }
 
     fn index_fn(&mut self, idx: usize) {
@@ -364,7 +445,9 @@ impl CallGraph {
     ) {
         #[derive(Debug)]
         enum Ctx {
-            Impl(String),
+            /// `impl [Trait for] Type`: the type, and whether it is a
+            /// trait impl.
+            Impl(String, bool),
             Fn(usize),
             Brace,
         }
@@ -375,8 +458,8 @@ impl CallGraph {
         while i < toks.len() {
             match toks[i].tok {
                 Tok::Ident("impl") => {
-                    if let Some((ty, brace_at)) = parse_impl_header(toks, i) {
-                        pending = Some(Ctx::Impl(ty));
+                    if let Some((ty, tr, brace_at)) = parse_impl_header(toks, i) {
+                        pending = Some(Ctx::Impl(ty, tr));
                         i = brace_at;
                     } else {
                         i += 1;
@@ -385,14 +468,15 @@ impl CallGraph {
                 }
                 Tok::Ident("fn") => {
                     if let Some(h) = parse_fn_header(toks, i) {
-                        let impl_ty = stack.iter().rev().find_map(|c| match c {
-                            Ctx::Impl(t) => Some(t.clone()),
+                        let impl_ctx = stack.iter().rev().find_map(|c| match c {
+                            Ctx::Impl(t, tr) => Some((t, *tr)),
                             _ => None,
                         });
-                        let qual = match &impl_ty {
-                            Some(t) => format!("{t}::{}", h.name),
+                        let qual = match impl_ctx {
+                            Some((t, _)) => format!("{t}::{}", h.name),
                             None => format!("{module}::{}", h.name),
                         };
+                        let trait_impl = impl_ctx.is_some_and(|(_, tr)| tr);
                         let is_unsafe = i >= 1 && toks[i - 1].is_ident("unsafe")
                             || i >= 2 && toks[i - 2].is_ident("unsafe");
                         let idx = self.fns.len();
@@ -405,6 +489,7 @@ impl CallGraph {
                             markers: Vec::new(),
                             is_unsafe,
                             calls: Vec::new(),
+                            trait_impl,
                             body: None,
                             file_id,
                         });
@@ -449,14 +534,16 @@ impl CallGraph {
                         _ => None,
                     });
                     if let Some(owner) = owner {
-                        if let Some((mut site, resume)) = parse_call(toks, i, stripped, name) {
+                        if let Some((mut site, resume)) =
+                            parse_call(toks, i, stripped, name, file_id)
+                        {
                             // `Self::helper(...)` would otherwise resolve
                             // against the unknown qual `Self::helper` and
                             // be dropped as external; substitute the
                             // enclosing impl type so the edge is real.
                             if site.hint.as_deref() == Some("Self") {
                                 if let Some(ty) = stack.iter().rev().find_map(|c| match c {
-                                    Ctx::Impl(t) => Some(t.clone()),
+                                    Ctx::Impl(t, _) => Some(t.clone()),
                                     _ => None,
                                 }) {
                                     site.hint = Some(ty);
@@ -489,6 +576,7 @@ impl CallGraph {
                                 offset: at,
                                 line: line_of(stripped, at),
                                 args: Vec::new(),
+                                file_id,
                             });
                         }
                     }
@@ -655,7 +743,9 @@ fn parse_fn_header(toks: &[Token<'_>], fn_at: usize) -> Option<FnHeader> {
 /// Parse an `impl` header starting at the `impl` token: returns the
 /// implemented-on type name (after `for` if present, else the first type)
 /// and the token index of the opening `{`.
-fn parse_impl_header(toks: &[Token<'_>], impl_at: usize) -> Option<(String, usize)> {
+/// `impl` header at `impl_at`: the implementing type, whether it is a
+/// trait impl, and the index of the body's `{`.
+fn parse_impl_header(toks: &[Token<'_>], impl_at: usize) -> Option<(String, bool, usize)> {
     let mut i = impl_at + 1;
     // Skip generics (same arrow caveat as in `parse_fn_header`).
     if toks.get(i)?.is_punct(b'<') {
@@ -699,7 +789,8 @@ fn parse_impl_header(toks: &[Token<'_>], impl_at: usize) -> Option<(String, usiz
     if i >= toks.len() {
         return None;
     }
-    after_for.or(first_ty).map(|ty| (ty, i))
+    let trait_impl = after_for.is_some();
+    after_for.or(first_ty).map(|ty| (ty, trait_impl, i))
 }
 
 /// Try to parse a call site at token `i` (an ident). Returns the site and
@@ -710,6 +801,7 @@ fn parse_call(
     i: usize,
     stripped: &str,
     name: &str,
+    file_id: usize,
 ) -> Option<(CallSite, usize)> {
     if NON_CALL_KEYWORDS.contains(&name) {
         return None;
@@ -801,6 +893,7 @@ fn parse_call(
             offset: at,
             line: line_of(stripped, at),
             args,
+            file_id,
         },
         i + 1,
     ))

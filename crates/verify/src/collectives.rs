@@ -1,7 +1,7 @@
 //! The interprocedural collective-order pass.
 //!
-//! `hymv_comm`'s collectives (barrier, the allreduce family, allgather,
-//! bcast, the non-blocking `iallreduce_sum_vec` post, `exchange_sparse`)
+//! `hymv_comm`'s collectives (barrier, the non-blocking `iallreduce`
+//! post behind every reduction, allgather, bcast, `exchange_sparse`)
 //! are rendezvous-matched by *call order*: every rank must post the same
 //! sequence of collectives, or two ranks meet inside different
 //! collectives and the whole job wedges — the classic mismatched-
@@ -57,15 +57,10 @@ use crate::lexer::{line_of, tokens, Tok, Token};
 /// Must stay in sync with the `COLLECTIVE` seeds in `effects.rs`.
 pub const COLLECTIVE_SEEDS: &[&str] = &[
     "barrier",
-    "allreduce_sum_f64",
-    "allreduce_max_f64",
-    "allreduce_min_f64",
-    "allreduce_sum_u64",
-    "allreduce_max_u64",
+    "iallreduce",
     "allgather_u64",
     "bcast",
     "exchange_sparse",
-    "iallreduce_sum_vec",
     "checkpoint_exchange",
     "lflr_recover",
 ];
@@ -96,7 +91,7 @@ pub struct CollectiveEntrySeq {
     pub qual: String,
     pub file: String,
     pub line: usize,
-    /// e.g. `allgather_u64 · exchange_sparse` or `iallreduce_sum_vec*`
+    /// e.g. `allgather_u64 · exchange_sparse` or `iallreduce*`
     /// (`*` = posted inside a loop).
     pub sequence: String,
 }
@@ -597,7 +592,7 @@ mod tests {
         let r = run("fn broken(comm: &mut Comm, x: f64) -> f64 {\n\
                  let mut acc = x;\n\
                  if comm.rank() == 0 {\n\
-                     acc = comm.allreduce_sum_f64(acc);\n\
+                     acc = comm.iallreduce(vec![acc], ReduceOp::Sum).wait(comm)[0];\n\
                  }\n\
                  acc\n\
              }\n");
@@ -611,8 +606,8 @@ mod tests {
     #[test]
     fn uniform_collective_is_clean() {
         let r = run("fn fine(comm: &mut Comm, x: f64) -> f64 {\n\
-                 let s = comm.allreduce_sum_f64(x);\n\
-                 if s > 0.0 { s } else { comm.allreduce_max_f64(x) }\n\
+                 let s = comm.iallreduce(vec![x], ReduceOp::Sum).wait(comm)[0];\n\
+                 if s > 0.0 { s } else { comm.iallreduce(vec![x], ReduceOp::Max).wait(comm)[0] }\n\
              }\n\
              fn loops(comm: &mut Comm) {\n\
                  for rank in 0..comm.size() { let _ = rank; comm.barrier(); }\n\
@@ -636,7 +631,7 @@ mod tests {
     #[test]
     fn divergence_through_helper_has_witness_chain() {
         let r = run(
-            "fn helper(comm: &mut Comm) -> u64 { comm.allreduce_sum_u64(1) }\n\
+            "fn helper(comm: &mut Comm) -> u64 { comm.iallreduce(vec![1], ReduceOp::Sum).wait(comm)[0] }\n\
              fn outer(comm: &mut Comm) {\n\
                  if comm.rank() == 0 {\n\
                      helper(comm);\n\
@@ -647,7 +642,7 @@ mod tests {
         let d = &r.diags[0];
         assert_eq!(d.chain.len(), 2, "{:?}", d.chain);
         assert!(d.chain[0].contains("helper"), "{:?}", d.chain);
-        assert!(d.chain[1].starts_with("allreduce_sum_u64"), "{:?}", d.chain);
+        assert!(d.chain[1].starts_with("iallreduce"), "{:?}", d.chain);
     }
 
     #[test]
@@ -691,10 +686,10 @@ mod tests {
              fn phase(comm: &mut Comm) {\n\
                  comm.allgather_u64(vec![]);\n\
                  loop {\n\
-                     comm.iallreduce_sum_vec(vec![]);\n\
+                     comm.iallreduce(vec![], ReduceOp::Sum);\n\
                  }\n\
              }\n");
         assert_eq!(r.entries.len(), 1);
-        assert_eq!(r.entries[0].sequence, "allgather_u64 · iallreduce_sum_vec*");
+        assert_eq!(r.entries[0].sequence, "allgather_u64 · iallreduce*");
     }
 }

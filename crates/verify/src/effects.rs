@@ -469,20 +469,17 @@ fn intrinsic_bits(call: &CallSite) -> u16 {
         // buddy checkpoints and world repair block on symmetric
         // participation from every rank — collectives in ordering terms.
         "barrier"
-        | "allreduce_sum_f64"
-        | "allreduce_max_f64"
-        | "allreduce_min_f64"
-        | "allreduce_sum_u64"
-        | "allreduce_max_u64"
         | "allgather_u64"
         | "bcast"
         | "exchange_sparse"
         | "checkpoint_exchange"
         | "lflr_recover" => WAITS | COLLECTIVE,
-        // The *post* is the collective ordering event, so the non-blocking
-        // iallreduce seeds COLLECTIVE without WAITS; its handle's generic
-        // `wait` stays a plain WAITS below.
-        "iallreduce_sum_vec" => COLLECTIVE,
+        // The one reduction primitive. The *post* is the collective
+        // ordering event, so `iallreduce` seeds COLLECTIVE without WAITS;
+        // its handle's generic `wait` stays a plain WAITS below. The
+        // blocking wrappers (`allreduce_sum_f64`, …) are workspace fns
+        // that call both, so they inherit WAITS | COLLECTIVE.
+        "iallreduce" => COLLECTIVE,
         "wait" => WAITS,
         "isend" | "isend_unreliable" | "send" | "send_enveloped" => SENDS,
         "thread_cpu_time" | "ledger" | "reset_ledger" => LEDGER,

@@ -30,10 +30,8 @@
 //!   `TAG_GATHER`, `TAG_GHOSTS`) must ride the sequence-numbered,
 //!   checksummed envelope channel (`send_enveloped`/`recv_enveloped`);
 //!   a raw `isend`/`recv` on those tags silently opts out of loss,
-//!   duplication, and corruption recovery (DESIGN.md §10). Only the two
-//!   owning modules (`crates/core/src/exchange.rs`,
-//!   `crates/la/src/dist_csr.rs`), which gate the raw path behind the
-//!   bench-only `raw_transport` flag, may touch these tags directly.
+//!   duplication, and corruption recovery (DESIGN.md §10). No module is
+//!   exempt: the envelope is the only ghost-exchange wire format.
 
 use std::fmt;
 use std::fs;
@@ -362,10 +360,6 @@ fn lint_ledger_access(file: &str, stripped: &str, out: &mut Vec<LintDiag>) {
 /// Ghost-exchange tags whose traffic must use the envelope channel.
 const ENVELOPE_TAGS: &[&str] = &["TAG_SCATTER", "TAG_GATHER", "TAG_GHOSTS"];
 
-/// The two modules that own the envelope framing for their tags and may
-/// legitimately touch the raw transport (behind `raw_transport`).
-const ENVELOPE_OWNERS: &[&str] = &["crates/core/src/exchange.rs", "crates/la/src/dist_csr.rs"];
-
 /// True if the trimmed argument *is* the named constant (optionally
 /// path-qualified), not merely a longer identifier containing it.
 fn is_tag_const(arg: &str, name: &str) -> bool {
@@ -374,9 +368,6 @@ fn is_tag_const(arg: &str, name: &str) -> bool {
 }
 
 fn lint_envelope_bypass(file: &str, stripped: &str, out: &mut Vec<LintDiag>) {
-    if ENVELOPE_OWNERS.contains(&file.replace('\\', "/").as_str()) {
-        return;
-    }
     for &(name, tag_pos) in TAG_METHODS {
         for at in call_sites(stripped, name) {
             let open = at + stripped[at..].find('(').expect("call site has paren");
@@ -605,7 +596,7 @@ mod tests {
     }
 
     #[test]
-    fn envelope_bypass_flagged_outside_owners() {
+    fn envelope_bypass_flagged_everywhere() {
         let src = "comm.isend(next, TAG_SCATTER, payload);\n\
                    let v = comm.recv(peer, TAG_GHOSTS);\n\
                    comm.isend(next, exchange::TAG_GATHER, payload);\n";
@@ -617,10 +608,11 @@ mod tests {
     }
 
     #[test]
-    fn envelope_owners_and_enveloped_calls_pass() {
+    fn enveloped_calls_pass() {
+        // The modules that own the ghost tags get no exemption.
         let src = "comm.isend(next, TAG_SCATTER, payload);\n";
-        assert!(lint_source("crates/core/src/exchange.rs", src).is_empty());
-        assert!(lint_source("crates/la/src/dist_csr.rs", src).is_empty());
+        assert_eq!(lint_source("crates/core/src/exchange.rs", src).len(), 1);
+        assert_eq!(lint_source("crates/la/src/dist_csr.rs", src).len(), 1);
         let ok = "comm.send_enveloped(next, TAG_SCATTER, &vals);\n\
                   let v = comm.recv_enveloped(peer, TAG_GATHER);\n\
                   comm.isend(next, TAG_SCATTERED, payload);\n";

@@ -21,7 +21,7 @@ fn rank_conditional_allreduce_exact_diagnostic() {
     let r = run("fn broken_phase(comm: &mut Comm, local: f64) -> f64 {\n\
              let mut total = local;\n\
              if comm.rank() == 0 {\n\
-                 total = comm.allreduce_sum_f64(total);\n\
+                 total = comm.iallreduce(vec![total], ReduceOp::Sum).wait(comm)[0];\n\
              }\n\
              total\n\
          }\n");
@@ -33,13 +33,13 @@ fn rank_conditional_allreduce_exact_diagnostic() {
     assert_eq!(d.line, 4);
     assert_eq!(d.guard_line, 3);
     assert_eq!(d.func, "lib::broken_phase");
-    assert_eq!(d.chain, ["allreduce_sum_f64 (crates/bad/src/lib.rs:4)"]);
+    assert_eq!(d.chain, ["iallreduce (crates/bad/src/lib.rs:4)"]);
     assert_eq!(
         d.message,
-        "crates/bad/src/lib.rs:4: collective-rank-divergence: collective `allreduce_sum_f64` \
+        "crates/bad/src/lib.rs:4: collective-rank-divergence: collective `iallreduce` \
          executes inside a rank-dependent region (guard at line 3) in `lib::broken_phase` — \
          ranks taking different branches post mismatched collective sequences and deadlock\n    \
-         witness: allreduce_sum_f64 (crates/bad/src/lib.rs:4)"
+         witness: iallreduce (crates/bad/src/lib.rs:4)"
     );
     // The rendered report carries the same message (CI prints it).
     assert!(format!("{}", r.report).contains("collective-rank-divergence"));
@@ -82,7 +82,7 @@ fn early_return_under_rank_guard_is_rejected() {
              if comm.rank() >= n {\n\
                  return;\n\
              }\n\
-             comm.allreduce_max_u64(1);\n\
+             comm.iallreduce(vec![1], ReduceOp::Max).wait(comm);\n\
          }\n");
     assert_eq!(r.diags.len(), 1, "{:?}", r.diags);
     assert_eq!(r.diags[0].rule, "collective-after-rank-return");
@@ -135,10 +135,10 @@ fn workspace_certifies_clean_with_expected_entry_sequences() {
     // reduction, then the loop — checkpoint, pᵀAp, fused rᵀz/‖r‖ — the
     // restart-exhaustion hook (the panel's deflation, which re-enters the
     // core), the LFLR retry of the same attempt, and the recovery.
-    let core = "allreduce_sum_f64 · iallreduce_sum_vec* · checkpoint_exchange* · \
-                allreduce_sum_f64* · iallreduce_sum_vec* · (<run_cg…>* iallreduce_sum_vec)* · \
-                (allreduce_sum_f64 iallreduce_sum_vec* checkpoint_exchange* allreduce_sum_f64* \
-                iallreduce_sum_vec* (<run_cg…>* iallreduce_sum_vec)*)* · lflr_recover* · <repair…>*";
+    let core = "iallreduce · iallreduce* · checkpoint_exchange* · \
+                iallreduce* · iallreduce* · (<run_cg…>* iallreduce)* · \
+                (iallreduce iallreduce* checkpoint_exchange* iallreduce* \
+                iallreduce* (<run_cg…>* iallreduce)*)* · lflr_recover* · <repair…>*";
     assert_eq!(seq_of("block_cg::block_cg"), core);
     assert_eq!(seq_of("solver::cg"), core);
     // A CG iteration blocks on two reductions: pᵀAp, then rᵀz fused with
@@ -148,10 +148,10 @@ fn workspace_certifies_clean_with_expected_entry_sequences() {
         .split("checkpoint_exchange* · ")
         .nth(1)
         .and_then(|rest| rest.split(" · (").next());
-    assert_eq!(iteration, Some("allreduce_sum_f64* · iallreduce_sum_vec*"));
+    assert_eq!(iteration, Some("iallreduce* · iallreduce*"));
     let step = seq_of("SolveService::step");
     assert!(
-        step.contains("iallreduce_sum_vec") && step.ends_with(")*"),
+        step.contains("iallreduce") && step.ends_with(")*"),
         "SolveService::step should loop a batched solve protocol: {step}"
     );
 }
@@ -166,4 +166,35 @@ fn pass_still_has_teeth() {
     // And a clean sibling stays clean — no blanket flagging.
     let ok = run("fn p(comm: &mut Comm) { comm.barrier(); if comm.rank() == 0 { log(); } }\n");
     assert!(ok.diags.is_empty(), "{:?}", ok.diags);
+}
+
+/// A call resolves only into the caller's crate, the `hymv-*` crates it
+/// depends on, and trait impls: a private `solve` in `crates/check`
+/// (which depends on `la`) stays out of `la`'s record, while `la`'s trait
+/// call still reaches `core`'s impl.
+#[test]
+fn resolution_is_scoped_to_the_callers_dependencies() {
+    let root = Path::new(env!("CARGO_TARGET_TMPDIR")).join("scoped-resolution");
+    let la_dep = "[dependencies]\nhymv-la.workspace = true\n";
+    for (path, text) in [
+        ("Cargo.toml", "[workspace]\n"),
+        ("crates/la/Cargo.toml", "[dependencies]\nhymv-comm.workspace = true\n"),
+        (
+            "crates/la/src/lib.rs",
+            "pub trait Op { fn apply(&mut self, comm: &mut Comm); }\n\
+             // verify: collective-entry\n\
+             pub fn drive(comm: &mut Comm, op: &mut dyn Op, s: &mut S) { op.apply(comm); s.solve(comm); }\n",
+        ),
+        ("crates/core/Cargo.toml", la_dep),
+        ("crates/core/src/lib.rs", "impl Op for X { fn apply(&mut self, comm: &mut Comm) { comm.barrier(); } }\n"),
+        ("crates/check/Cargo.toml", la_dep),
+        ("crates/check/src/runner.rs", "fn solve(comm: &mut Comm) { comm.bcast(0, None); }\n"),
+    ] {
+        let path = root.join(path);
+        std::fs::create_dir_all(path.parent().expect("has a parent")).expect("mkdir");
+        std::fs::write(&path, text).expect("write fixture");
+    }
+    let r = analyze_collectives(&CallGraph::load_workspace(&root).expect("fixture parses"));
+    let drive = r.entries.iter().find(|e| e.qual == "lib::drive");
+    assert_eq!(drive.map(|e| e.sequence.as_str()), Some("barrier"));
 }

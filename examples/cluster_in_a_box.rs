@@ -56,7 +56,7 @@ fn main() {
     //    reduction pipelined CG uses.
     let sums = Universe::run(p, |comm| {
         let blocking = comm.allreduce_sum_f64(comm.rank() as f64);
-        let handle = comm.iallreduce_sum_vec(vec![1.0, comm.rank() as f64]);
+        let handle = comm.iallreduce(vec![1.0, comm.rank() as f64], ReduceOp::Sum);
         comm.work(|| std::hint::black_box((0..50_000).sum::<usize>()));
         let fused = handle.wait(comm);
         (blocking, fused)

@@ -63,7 +63,7 @@ pub use hymv_serve as serve;
 pub mod prelude {
     pub use hymv_check::{check_exchange, check_maps, check_partition, run_audited, run_perturbed};
     pub use hymv_comm::{
-        AuditMode, AuditReport, CommStats, CostModel, Payload, RunConfig, Universe,
+        AuditMode, AuditReport, CommStats, CostModel, Payload, ReduceOp, RunConfig, Universe,
     };
     pub use hymv_core::system::{BuildOptions, FemSystem, Method, PrecondKind, SolverKind};
     pub use hymv_core::{
