@@ -32,8 +32,7 @@ stage "cargo test"
 cargo test --workspace -q
 # Again optimised: the element kernels' bitwise tests must also hold for
 # the vectorised codegen of the lane-batched `Ke` bodies, and the EMV
-# kernels' for their unchecked lanes as they ship (the sanitize stage
-# below tests them through checked lanes).
+# kernels' for the instantiations as they ship.
 cargo test -q --release -p hymv-fem
 cargo test -q --release -p hymv-la
 
@@ -54,19 +53,11 @@ test "$param_dur" -lt 30 || {
     exit 1
 }
 
-stage "hymv-verify effects (interprocedural phase effects, kernel bounds proofs, slab contract, collective order)"
+stage "hymv-verify effects (interprocedural phase effects, collective order)"
 cargo run -q -p hymv-verify --bin hymv-verify -- effects
 
 stage "hymv-verify collective-order pass (standalone)"
 cargo run -q -p hymv-verify --bin hymv-verify -- collectives
-
-stage "sanitize feature: la/core test suites with checked SIMD lane access"
-cargo test -q -p hymv-la --features sanitize
-cargo test -q -p hymv-core --features hymv-la/sanitize
-# Again optimised: the unrolled emv_batch instantiations only exist there,
-# and release is where the debug_assert! preconditions the bounds proofs
-# rest on are compiled out, so the checked lanes are all that is left.
-cargo test -q --release -p hymv-la --features sanitize
 
 stage "hymv-check certificate table, release (schedule/thread, chaos, degraded-schedule rows; LFLR rows <60s budget)"
 # One table, one runner: `hymv-check --list` prints every row. Schedule

@@ -28,7 +28,7 @@ use hymv_la::dense::{
     deinterleave_ke, gather_panel, interleave_ke, slab_len, EmvBatchKernel, EmvBatchMvKernel,
     MAX_BATCH_WIDTH,
 };
-use hymv_la::{ElementMatrices, FIXED_NVEC_WIDTH};
+use hymv_la::{ElementMatrices, FIXED_BATCH_WIDTH, FIXED_NVEC_WIDTH};
 
 use crate::da::DistArray;
 use crate::maps::HymvMaps;
@@ -36,7 +36,8 @@ use crate::maps::HymvMaps;
 /// Default batch width: one AVX-512 vector (two AVX2 vectors) of lanes —
 /// wide enough to amortize per-block overhead, small enough that the
 /// `nd × bw` panels of even Hex27 elasticity (nd = 81) stay L1-resident.
-pub const DEFAULT_BATCH_WIDTH: usize = 8;
+/// It is the width the batched kernels have fixed-shape code for.
+pub const DEFAULT_BATCH_WIDTH: usize = FIXED_BATCH_WIDTH;
 
 /// Parse a batch-width string — the validation path of the `--batch` CLI
 /// flags, which then call

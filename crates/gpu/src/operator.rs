@@ -52,8 +52,8 @@ pub enum GpuScheme {
 /// Invoke the selected batched EMV kernel on one block's slabs.
 ///
 /// The only values ever stored in `batch_kernel` are the `emv_batch_*`
-/// kernels from `hymv-la` — pure computation whose lane accesses the
-/// `hymv-verify` bounds interpreter certifies — so effect inference may
+/// kernels from `hymv-la` — pure computation over bounds-checked lane
+/// chunks — so effect inference may
 /// pin this dispatch point pure instead of widening the fn-pointer call
 /// to ⊤ (which would spuriously flag the overlap window above it).
 // verify: pure

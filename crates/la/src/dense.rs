@@ -13,165 +13,237 @@
 //! then a portable scalar lane. `emv_portable` is the scalar per-element
 //! reference they are tested against.
 //!
-//! All unchecked memory access in the SIMD kernels goes through the
-//! [`lanes`] helpers, and every kernel carries a `prove-bounds` verify
-//! marker: `hymv-verify effects` symbolically proves, from the
-//! `debug_assert!` preconditions, that every lane access is in bounds
-//! (tails included) for all `nd`/`bw`. Building with
-//! `--features sanitize` swaps the helpers for checked shims that assert
-//! the same bounds at runtime.
+//! The kernel bodies are safe Rust: at block entry, where the panel
+//! lengths are asserted, the slab and the panels are split once into
+//! fixed-size lane chunks (`&[[f64; W]]`), and every vector access is an
+//! index into those. The only `unsafe` is for the instruction set: the
+//! dispatch of the entry points, and in [`lanes`] the intrinsics, each on
+//! a whole `&[f64; W]` and behind a [`lanes::Cpu`] proof that only code
+//! compiled for its ISA can make.
 
-/// Unchecked slice access at fixed SIMD lane widths — the only unsafe
-/// memory primitives the EMV kernels may use (the bounds interpreter in
-/// `hymv-verify` rejects anything else inside a `prove-bounds` kernel).
-///
-/// Each helper takes `(slice, at)` and touches `at..at + lanes`; the
-/// caller owes the proof `at + lanes <= slice.len()`. Only *unaligned*
-/// load/store forms exist, so the helpers have no alignment
-/// preconditions. Under `--features sanitize` every call also asserts
-/// its bounds at runtime (the CI sanitize job runs the la/core test
-/// suites in this mode).
+#[cfg(target_arch = "x86_64")]
+use std::arch::x86_64::{__m256d, __m512d};
+
+use lanes::Lane;
+
+/// The lane types of the batched kernels: one vector of `W` lanes per
+/// instruction set, each behind the proof [`Cpu`] that this CPU runs it.
+/// Every intrinsic of the EMV kernels lives here, and its `unsafe` is for
+/// the ISA alone: every load and store takes a whole `[f64; W]` chunk, so
+/// the caller owes no bound.
 pub(crate) mod lanes {
     #[cfg(target_arch = "x86_64")]
     use std::arch::x86_64::{
-        __m256d, __m256i, __m512d, _mm256_loadu_pd, _mm256_loadu_si256, _mm256_set1_pd,
-        _mm256_storeu_pd, _mm512_cmplt_epu64_mask, _mm512_cvtepu32_epi64, _mm512_i64gather_pd,
-        _mm512_loadu_pd, _mm512_set1_epi64, _mm512_set1_pd, _mm512_storeu_pd,
+        __m256d, __m512d, _mm256_fmadd_pd, _mm256_loadu_pd, _mm256_loadu_si256, _mm256_set1_pd,
+        _mm256_storeu_pd, _mm512_cmplt_epu64_mask, _mm512_cvtepu32_epi64, _mm512_fmadd_pd,
+        _mm512_i64gather_pd, _mm512_loadu_pd, _mm512_set1_epi64, _mm512_set1_pd, _mm512_storeu_pd,
     };
+    use std::marker::PhantomData;
 
-    #[cfg(feature = "sanitize")]
-    #[inline(always)]
-    fn check(len: usize, at: usize, lanes: usize, what: &str) {
-        assert!(
-            at + lanes <= len,
-            "sanitize: {what} of {lanes} lane(s) at {at} overruns slice of len {len}"
+    use super::MAX_BATCH_WIDTH;
+
+    /// One vector of `W` lanes: all that differs between the ISAs the
+    /// batched kernels are instantiated for. The implementor is the proof
+    /// [`Cpu<V>`] for the vector type `V`, so every method is safe.
+    pub trait Lane: Copy {
+        /// The vector.
+        type V: Copy;
+        /// What one vector holds: `[f64; W]`.
+        type Chunk;
+        const W: usize;
+        /// A chunk is exactly one vector of `W` doubles: evaluated for
+        /// every lane type the entries instantiate, so an impl whose
+        /// `Chunk` and vector widths disagree does not compile.
+        const ONE_VECTOR: () = assert!(
+            size_of::<Self::Chunk>() == Self::W * size_of::<f64>()
+                && size_of::<Self::V>() == Self::W * size_of::<f64>()
         );
+        /// Accumulators of one output row: eight registers on the SIMD
+        /// ISAs, a scalar per lane (in memory, autovectorized) on the
+        /// portable one.
+        type Acc: AsMut<[Self::V]>;
+        /// Accumulators holding `+0.0` in every lane.
+        fn zeros(self) -> Self::Acc;
+        /// `s` as whole chunks (a tail of fewer than `W` doubles is left out).
+        fn chunks(s: &[f64]) -> &[Self::Chunk];
+        fn chunks_mut(s: &mut [f64]) -> &mut [Self::Chunk];
+        fn load(self, c: &Self::Chunk) -> Self::V;
+        fn store(self, c: &mut Self::Chunk, v: Self::V);
+        /// `k` in every lane: one `Ke` entry against a tile of columns.
+        fn splat(self, k: f64) -> Self::V;
+        /// `k·u + acc`: fused on the SIMD ISAs, multiply then add on the
+        /// portable lane — the two arithmetic classes the kernels always had.
+        fn fmadd(self, k: Self::V, u: Self::V, acc: Self::V) -> Self::V;
     }
 
-    /// 4-lane unaligned load from `s[at..at + 4]`.
-    ///
-    /// SAFETY contract: `at + 4 <= s.len()`; the CPU supports AVX.
+    /// Proof that this CPU runs vectors of type `V`. Its constructor,
+    /// `proof`, is compiled for `V`'s ISA, so only code running on that ISA
+    /// — or an `unsafe` call that vouches for it — can make one.
+    #[derive(Clone, Copy)]
+    pub struct Cpu<V>(PhantomData<V>);
+
+    impl Cpu<f64> {
+        pub fn proof() -> Self {
+            Cpu(PhantomData)
+        }
+    }
+
+    impl Lane for Cpu<f64> {
+        type V = f64;
+        type Chunk = [f64; 1];
+        const W: usize = 1;
+        type Acc = [f64; MAX_BATCH_WIDTH];
+        #[inline(always)]
+        fn zeros(self) -> Self::Acc {
+            [0.0; MAX_BATCH_WIDTH]
+        }
+        #[inline(always)]
+        fn chunks(s: &[f64]) -> &[[f64; 1]] {
+            s.as_chunks().0
+        }
+        #[inline(always)]
+        fn chunks_mut(s: &mut [f64]) -> &mut [[f64; 1]] {
+            s.as_chunks_mut().0
+        }
+        #[inline(always)]
+        fn load(self, c: &[f64; 1]) -> f64 {
+            c[0]
+        }
+        #[inline(always)]
+        fn store(self, c: &mut [f64; 1], v: f64) {
+            c[0] = v;
+        }
+        #[inline(always)]
+        fn splat(self, k: f64) -> f64 {
+            k
+        }
+        #[inline(always)]
+        fn fmadd(self, k: f64, u: f64, acc: f64) -> f64 {
+            acc + k * u
+        }
+    }
+
     #[cfg(target_arch = "x86_64")]
-    #[inline]
-    #[target_feature(enable = "avx")]
-    #[allow(unsafe_code)] // SAFETY: contract above; proved per call site by hymv-verify
-    pub unsafe fn load4(s: &[f64], at: usize) -> __m256d {
-        #[cfg(feature = "sanitize")]
-        check(s.len(), at, 4, "load4");
-        debug_assert!(at + 4 <= s.len());
-        _mm256_loadu_pd(s.as_ptr().add(at))
+    impl Cpu<__m256d> {
+        #[target_feature(enable = "avx2,fma")]
+        pub fn proof() -> Self {
+            Cpu(PhantomData)
+        }
     }
 
-    /// 4-lane unaligned store to `s[at..at + 4]`.
-    ///
-    /// SAFETY contract: `at + 4 <= s.len()`; the CPU supports AVX.
     #[cfg(target_arch = "x86_64")]
-    #[inline]
-    #[target_feature(enable = "avx")]
-    #[allow(unsafe_code)] // SAFETY: contract above; proved per call site by hymv-verify
-    pub unsafe fn store4(s: &mut [f64], at: usize, v: __m256d) {
-        #[cfg(feature = "sanitize")]
-        check(s.len(), at, 4, "store4");
-        debug_assert!(at + 4 <= s.len());
-        _mm256_storeu_pd(s.as_mut_ptr().add(at), v);
+    #[allow(unsafe_code)] // SAFETY: at each intrinsic; `self` proves AVX2+FMA
+    impl Lane for Cpu<__m256d> {
+        type V = __m256d;
+        type Chunk = [f64; 4];
+        const W: usize = 4;
+        type Acc = [__m256d; 8];
+        #[inline(always)]
+        fn zeros(self) -> Self::Acc {
+            [self.splat(0.0); 8]
+        }
+        #[inline(always)]
+        fn chunks(s: &[f64]) -> &[[f64; 4]] {
+            s.as_chunks().0
+        }
+        #[inline(always)]
+        fn chunks_mut(s: &mut [f64]) -> &mut [[f64; 4]] {
+            s.as_chunks_mut().0
+        }
+        #[inline(always)]
+        fn load(self, c: &[f64; 4]) -> __m256d {
+            // SAFETY: `self` proves AVX; the load reads the four doubles of `c`.
+            unsafe { _mm256_loadu_pd(c.as_ptr()) }
+        }
+        #[inline(always)]
+        fn store(self, c: &mut [f64; 4], v: __m256d) {
+            // SAFETY: `self` proves AVX; the store writes the four doubles of `c`.
+            unsafe { _mm256_storeu_pd(c.as_mut_ptr(), v) }
+        }
+        #[inline(always)]
+        fn splat(self, k: f64) -> __m256d {
+            // SAFETY: `self` proves AVX.
+            unsafe { _mm256_set1_pd(k) }
+        }
+        #[inline(always)]
+        fn fmadd(self, k: __m256d, u: __m256d, acc: __m256d) -> __m256d {
+            // SAFETY: `self` proves FMA.
+            unsafe { _mm256_fmadd_pd(k, u, acc) }
+        }
     }
 
-    /// 8-lane unaligned load from `s[at..at + 8]`.
-    ///
-    /// SAFETY contract: `at + 8 <= s.len()`; the CPU supports AVX-512F.
     #[cfg(target_arch = "x86_64")]
-    #[inline]
-    #[target_feature(enable = "avx512f")]
-    #[allow(unsafe_code)] // SAFETY: contract above; proved per call site by hymv-verify
-    pub unsafe fn load8(s: &[f64], at: usize) -> __m512d {
-        #[cfg(feature = "sanitize")]
-        check(s.len(), at, 8, "load8");
-        debug_assert!(at + 8 <= s.len());
-        _mm512_loadu_pd(s.as_ptr().add(at))
+    #[allow(unsafe_code)] // SAFETY: at each intrinsic; `self` proves AVX-512F
+    impl Cpu<__m512d> {
+        #[target_feature(enable = "avx512f")]
+        pub fn proof() -> Self {
+            Cpu(PhantomData)
+        }
+
+        /// `data[gi[l]]` in lane `l`, as one `vgatherqpd` over the
+        /// zero-extended indices (so no index is ever sign-extended). All
+        /// eight are compared against `data.len()` before the load, and one
+        /// out of range panics like the `data[i]` it replaces.
+        #[inline(always)]
+        pub fn gather(self, data: &[f64], gi: &[u32; 8]) -> __m512d {
+            // `len <= isize::MAX`, so the cast is lossless.
+            #[allow(clippy::cast_possible_wrap)]
+            let len = data.len() as i64;
+            // SAFETY: `self` proves AVX-512F; the load reads the eight indices of `gi`.
+            let (idx, in_range) = unsafe {
+                let idx = _mm512_cvtepu32_epi64(_mm256_loadu_si256(gi.as_ptr().cast()));
+                (idx, _mm512_cmplt_epu64_mask(idx, _mm512_set1_epi64(len)))
+            };
+            assert!(
+                in_range == 0xff,
+                "gather index out of bounds: the len is {} but the indices are {gi:?}",
+                data.len()
+            );
+            // SAFETY: `self` proves AVX-512F; every index was just checked
+            // to address an element of `data`.
+            unsafe { _mm512_i64gather_pd::<8>(idx, data.as_ptr()) }
+        }
     }
 
-    /// 8-lane unaligned store to `s[at..at + 8]`.
-    ///
-    /// SAFETY contract: `at + 8 <= s.len()`; the CPU supports AVX-512F.
     #[cfg(target_arch = "x86_64")]
-    #[inline]
-    #[target_feature(enable = "avx512f")]
-    #[allow(unsafe_code)] // SAFETY: contract above; proved per call site by hymv-verify
-    pub unsafe fn store8(s: &mut [f64], at: usize, v: __m512d) {
-        #[cfg(feature = "sanitize")]
-        check(s.len(), at, 8, "store8");
-        debug_assert!(at + 8 <= s.len());
-        _mm512_storeu_pd(s.as_mut_ptr().add(at), v);
-    }
-
-    /// 8-lane gather `data[gi[at + l]]`, `l = 0..8`, as one `vgatherqpd`
-    /// over the zero-extended indices (so no index is ever sign-extended).
-    ///
-    /// SAFETY contract: `at + 8 <= gi.len()`; the CPU supports AVX-512F.
-    /// The index *values* are not the caller's obligation: all eight are
-    /// compared against `data.len()` before the load, and one out of range
-    /// panics like the `data[i]` it replaces.
-    #[cfg(target_arch = "x86_64")]
-    #[inline]
-    #[target_feature(enable = "avx512f")]
-    #[allow(unsafe_code)] // SAFETY: contract above; proved per call site by hymv-verify
-    pub unsafe fn gather8(data: &[f64], gi: &[u32], at: usize) -> __m512d {
-        #[cfg(feature = "sanitize")]
-        check(gi.len(), at, 8, "gather8");
-        debug_assert!(at + 8 <= gi.len());
-        let idx = _mm512_cvtepu32_epi64(_mm256_loadu_si256(gi.as_ptr().add(at).cast::<__m256i>()));
-        // `len <= isize::MAX`, so the cast is lossless.
-        #[allow(clippy::cast_possible_wrap)]
-        let in_range = _mm512_cmplt_epu64_mask(idx, _mm512_set1_epi64(data.len() as i64));
-        assert!(
-            in_range == 0xff,
-            "gather index out of bounds: the len is {} but the indices are {:?}",
-            data.len(),
-            &gi[at..at + 8]
-        );
-        _mm512_i64gather_pd::<8>(idx, data.as_ptr())
-    }
-
-    /// Broadcast-load: scalar `s[at]` splatted into all 4 lanes (the
-    /// multivector kernels read one `Ke` entry and reuse it across the
-    /// column dimension).
-    ///
-    /// SAFETY contract: `at < s.len()`; the CPU supports AVX.
-    #[cfg(target_arch = "x86_64")]
-    #[inline]
-    #[target_feature(enable = "avx")]
-    #[allow(unsafe_code)] // SAFETY: contract above; proved per call site by hymv-verify
-    pub unsafe fn bcast4(s: &[f64], at: usize) -> __m256d {
-        #[cfg(feature = "sanitize")]
-        check(s.len(), at, 1, "bcast4");
-        debug_assert!(at < s.len());
-        _mm256_set1_pd(*s.get_unchecked(at))
-    }
-
-    /// Broadcast-load: scalar `s[at]` splatted into all 8 lanes.
-    ///
-    /// SAFETY contract: `at < s.len()`; the CPU supports AVX-512F.
-    #[cfg(target_arch = "x86_64")]
-    #[inline]
-    #[target_feature(enable = "avx512f")]
-    #[allow(unsafe_code)] // SAFETY: contract above; proved per call site by hymv-verify
-    pub unsafe fn bcast8(s: &[f64], at: usize) -> __m512d {
-        #[cfg(feature = "sanitize")]
-        check(s.len(), at, 1, "bcast8");
-        debug_assert!(at < s.len());
-        _mm512_set1_pd(*s.get_unchecked(at))
-    }
-
-    /// Unchecked scalar read `s[at]` (the portable lane).
-    ///
-    /// SAFETY contract: `at < s.len()`.
-    #[inline(always)]
-    #[allow(unsafe_code)] // SAFETY: contract above; proved per call site by hymv-verify
-    pub unsafe fn read1(s: &[f64], at: usize) -> f64 {
-        #[cfg(feature = "sanitize")]
-        check(s.len(), at, 1, "read1");
-        debug_assert!(at < s.len());
-        *s.get_unchecked(at)
+    #[allow(unsafe_code)] // SAFETY: at each intrinsic; `self` proves AVX-512F
+    impl Lane for Cpu<__m512d> {
+        type V = __m512d;
+        type Chunk = [f64; 8];
+        const W: usize = 8;
+        type Acc = [__m512d; 8];
+        #[inline(always)]
+        fn zeros(self) -> Self::Acc {
+            [self.splat(0.0); 8]
+        }
+        #[inline(always)]
+        fn chunks(s: &[f64]) -> &[[f64; 8]] {
+            s.as_chunks().0
+        }
+        #[inline(always)]
+        fn chunks_mut(s: &mut [f64]) -> &mut [[f64; 8]] {
+            s.as_chunks_mut().0
+        }
+        #[inline(always)]
+        fn load(self, c: &[f64; 8]) -> __m512d {
+            // SAFETY: `self` proves AVX-512F; the load reads the eight doubles of `c`.
+            unsafe { _mm512_loadu_pd(c.as_ptr()) }
+        }
+        #[inline(always)]
+        fn store(self, c: &mut [f64; 8], v: __m512d) {
+            // SAFETY: `self` proves AVX-512F; the store writes the eight doubles of `c`.
+            unsafe { _mm512_storeu_pd(c.as_mut_ptr(), v) }
+        }
+        #[inline(always)]
+        fn splat(self, k: f64) -> __m512d {
+            // SAFETY: `self` proves AVX-512F.
+            unsafe { _mm512_set1_pd(k) }
+        }
+        #[inline(always)]
+        fn fmadd(self, k: __m512d, u: __m512d, acc: __m512d) -> __m512d {
+            // SAFETY: `self` proves AVX-512F.
+            unsafe { _mm512_fmadd_pd(k, u, acc) }
+        }
     }
 }
 
@@ -406,9 +478,14 @@ pub fn emv_portable(ke: &[f64], ue: &[f64], ve: &mut [f64]) {
 /// Maximum supported batch width (bounds kernel register/stack usage).
 pub const MAX_BATCH_WIDTH: usize = 64;
 
+/// The one batch width with fixed-shape kernel code: its tile and group
+/// counts are constants, so every chunk index of the body is checked at
+/// compile time. Every other width is read at run time. Operators default
+/// to it (`hymv_core::DEFAULT_BATCH_WIDTH` is defined as this).
+pub const FIXED_BATCH_WIDTH: usize = 8;
+
 /// `r(r+1)/2`: the packed slot of entry `(r, 0)`. One of `r`, `r + 1` is
-/// even, so the division is exact — the fact `hymv-verify` builds its
-/// packed-index bounds proofs on.
+/// even, so the division is exact.
 #[inline(always)]
 const fn tri(r: usize) -> usize {
     r * (r + 1) / 2
@@ -428,8 +505,7 @@ pub const fn slab_len(nd: usize, bw: usize, packed: bool) -> usize {
 /// the same slab, reported as full).
 ///
 /// # Panics
-/// If `keb_len` is neither layout's length — the one check that keeps a
-/// mis-sized slab away from the unchecked SIMD lanes in release builds.
+/// If `keb_len` is neither layout's length.
 #[inline]
 fn slab_is_packed(keb_len: usize, nd: usize, bw: usize) -> bool {
     let packed = keb_len != slab_len(nd, bw, false);
@@ -438,15 +514,6 @@ fn slab_is_packed(keb_len: usize, nd: usize, bw: usize) -> bool {
         "slab of {keb_len} doubles is neither full nor packed for nd={nd}, bw={bw}"
     );
     packed
-}
-
-/// `Ve = Ke_b · Ue` over the batch-interleaved layout above.
-///
-/// Convenience wrapper for tests: dispatches on every call. Hot loops
-/// should resolve [`select_batch_kernel`] once per SPMV.
-#[inline]
-pub fn emv_batch(keb: &[f64], ue: &[f64], ve: &mut [f64], nd: usize, bw: usize) {
-    select_batch_kernel(bw)(keb, ue, ve, nd, bw);
 }
 
 /// Pick the best batched-EMV variant for this CPU and batch width. The
@@ -472,140 +539,50 @@ pub fn emv_batch_kernel_name(bw: usize) -> &'static str {
     isa_name!(isa_for(bw), "batch-")
 }
 
-/// One vector of `W` lanes: all that differs between the ISAs the batched
-/// kernels are instantiated for.
-///
-/// SAFETY contract of `load`/`store`: `at + W <= s.len()`; of `splat`:
-/// `at < s.len()` — `hymv-verify` proves both per instantiation of
-/// [`emv_batch_body`], and that each impl forwards to `lanes::*` helpers of
-/// exactly those widths — and a CPU with the lane type's ISA, which the
-/// `emv_batch_*` entry points owe.
-#[allow(unsafe_code)] // SAFETY: contract above
-trait Lane: Copy {
-    const W: usize;
-    const ZERO: Self;
-    /// Accumulators of one output row: eight registers on the SIMD ISAs,
-    /// a scalar per lane (in memory, autovectorized) on the portable one.
-    type Acc: AsMut<[Self]>;
-    const ZEROS: Self::Acc;
-    unsafe fn load(s: &[f64], at: usize) -> Self;
-    unsafe fn store(s: &mut [f64], at: usize, v: Self);
-    /// `s[at]` in every lane: one `Ke` entry against a tile of columns.
-    unsafe fn splat(s: &[f64], at: usize) -> Self;
-    /// `k·u + acc`: fused on the SIMD ISAs, multiply then add on the
-    /// portable lane — the two arithmetic classes the kernels always had.
-    unsafe fn fmadd(k: Self, u: Self, acc: Self) -> Self;
-}
-
-#[allow(unsafe_code)] // SAFETY: forwards the trait's contract to `lanes::read1`
-impl Lane for f64 {
-    const W: usize = 1;
-    const ZERO: Self = 0.0;
-    type Acc = [Self; MAX_BATCH_WIDTH];
-    const ZEROS: Self::Acc = [0.0; MAX_BATCH_WIDTH];
-    #[inline(always)]
-    unsafe fn load(s: &[f64], at: usize) -> Self {
-        lanes::read1(s, at)
-    }
-    #[inline(always)]
-    unsafe fn store(s: &mut [f64], at: usize, v: Self) {
-        s[at] = v;
-    }
-    #[inline(always)]
-    unsafe fn splat(s: &[f64], at: usize) -> Self {
-        lanes::read1(s, at)
-    }
-    #[inline(always)]
-    unsafe fn fmadd(k: Self, u: Self, acc: Self) -> Self {
-        acc + k * u
-    }
-}
-
-#[cfg(target_arch = "x86_64")]
-#[allow(unsafe_code)] // SAFETY: forwards the trait's contract to `lanes::*`
-impl Lane for std::arch::x86_64::__m256d {
-    const W: usize = 4;
-    // SAFETY: all-zero bits are four lanes of `0.0`; no AVX instruction runs.
-    const ZERO: Self = unsafe { std::mem::transmute([0.0f64; 4]) };
-    type Acc = [Self; 8];
-    const ZEROS: Self::Acc = [Self::ZERO; 8];
-    #[inline(always)]
-    unsafe fn load(s: &[f64], at: usize) -> Self {
-        lanes::load4(s, at)
-    }
-    #[inline(always)]
-    unsafe fn store(s: &mut [f64], at: usize, v: Self) {
-        lanes::store4(s, at, v);
-    }
-    #[inline(always)]
-    unsafe fn splat(s: &[f64], at: usize) -> Self {
-        lanes::bcast4(s, at)
-    }
-    #[inline(always)]
-    unsafe fn fmadd(k: Self, u: Self, acc: Self) -> Self {
-        std::arch::x86_64::_mm256_fmadd_pd(k, u, acc)
-    }
-}
-
-#[cfg(target_arch = "x86_64")]
-#[allow(unsafe_code)] // SAFETY: forwards the trait's contract to `lanes::*`
-impl Lane for std::arch::x86_64::__m512d {
-    const W: usize = 8;
-    // SAFETY: all-zero bits are eight lanes of `0.0`; no AVX-512 instruction runs.
-    const ZERO: Self = unsafe { std::mem::transmute([0.0f64; 8]) };
-    type Acc = [Self; 8];
-    const ZEROS: Self::Acc = [Self::ZERO; 8];
-    #[inline(always)]
-    unsafe fn load(s: &[f64], at: usize) -> Self {
-        lanes::load8(s, at)
-    }
-    #[inline(always)]
-    unsafe fn store(s: &mut [f64], at: usize, v: Self) {
-        lanes::store8(s, at, v);
-    }
-    #[inline(always)]
-    unsafe fn splat(s: &[f64], at: usize) -> Self {
-        lanes::bcast8(s, at)
-    }
-    #[inline(always)]
-    unsafe fn fmadd(k: Self, u: Self, acc: Self) -> Self {
-        std::arch::x86_64::_mm512_fmadd_pd(k, u, acc)
-    }
-}
-
 /// The batched EMV, single- and multivector: every ISA, both slab layouts,
-/// every `nd` and every `nvec` run this source. Output `(i, b, c)` is one
+/// every `nd`, `bw` and `nvec` run this source. Output `(i, b, c)` is one
 /// multiply-add chain over `j` ascending, so all instantiations of a lane
 /// type give the same bits, and a column of an SpMM the bits of the
 /// single-vector product of that column.
 ///
-/// A *tile* is what one lane vector holds. `NVEC = 1` is the single-vector
-/// product: a tile is `W` batch lanes, and its `Ke` operand a load of those
-/// lanes' entries. Otherwise (the SpMM, `nvec` contiguous columns per
-/// dof and lane) a tile is `W` columns of one batch lane `g`, and its `Ke`
-/// operand that lane's entry broadcast (`L::splat`): a slab streams once
-/// for all `nvec` columns. `NVEC = 0` takes `nvec` at run time.
+/// A *tile* is what one lane vector holds, a chunk of the panels. `NVEC =
+/// 1` is the single-vector product: a tile is `W` batch lanes, and its `Ke`
+/// operand a chunk of those lanes' entries. Otherwise (the SpMM, `nvec`
+/// contiguous columns per dof and lane) a tile is `W` columns of one batch
+/// lane `g`, and its `Ke` operand that lane's entry broadcast: a slab
+/// streams once for all `nvec` columns. A panel row (one dof) is
+/// `groups · tiles` chunks.
 ///
-/// `ND = 0` takes `nd` at run time and reads the slab once, front to back,
-/// in storage order. A packed row `r` is `K[r, 0..=r]`: each off-diagonal
-/// entry `K[r, c]` is term `j = c` of output `r`, held in at most eight
-/// accumulators, and term `j = r` of output `c`, added to the `ve` row
-/// that row `c` stored (the panel stays in L1); the diagonal closes
-/// output `r` and stores it. A full slab is walked column by column into
-/// a zeroed `ve`. Either way output `i` is still one chain over `j`
-/// ascending from `+0.0`.
+/// Every access is a safe index: the panels are split into chunks and
+/// trimmed to their length once, here, and a slab is read one slot (`bw`
+/// doubles) at a time. `ND`, `NVEC` and `BW` fix the dimension, the width
+/// and the batch width (the caller passes equal run-time values); `0`
+/// reads that one at run time. With `BW` and `NVEC` fixed, the tile and
+/// group counts are constants and the chunk indices are checked at compile
+/// time; read at run time, they are checked in the loop.
 ///
-/// `ND > 0` fixes the dimension (the caller passes `nd == ND`). A row of
-/// nd ≤ 12 is too short a chain to hide the fmadd latency and the loop
-/// control around it, so both loops have constant trip counts for the
-/// compiler to unroll: per tile the `ND` `ue` rows are loaded into
-/// registers once, consecutive rows' chains overlap, and the triangle
-/// split folds into constant slots.
-// verify: prove-bounds
+/// `ND = 0` reads the slab once, front to back, in storage order. A packed
+/// row `r` is `K[r, 0..=r]`: each off-diagonal entry `K[r, c]` is term `j =
+/// c` of output `r`, held in at most eight accumulators, and term `j = r`
+/// of output `c`, added to the `ve` row that row `c` stored (the panel
+/// stays in L1); the diagonal closes output `r` and stores it. A full slab
+/// is walked column by column into a zeroed `ve`. Either way output `i` is
+/// still one chain over `j` ascending from `+0.0`.
+///
+/// `ND > 0`: a row of nd ≤ 12 is too short a chain to hide the fmadd
+/// latency and the loop control around it, so both loops have constant
+/// trip counts for the compiler to unroll: per tile the `ND` `ue` rows are
+/// loaded into registers once, consecutive rows' chains overlap, and the
+/// triangle split folds into constant slots.
 #[inline(always)]
-#[allow(unsafe_code)] // SAFETY: the caller proves the lane type's ISA; every lane access is
-                      // proved in bounds from the debug_asserts below by the hymv-verify interpreter.
-unsafe fn emv_batch_body<L: Lane, const PACKED: bool, const ND: usize, const NVEC: usize>(
+fn emv_batch_body<
+    L: Lane,
+    const PACKED: bool,
+    const ND: usize,
+    const NVEC: usize,
+    const BW: usize,
+>(
+    lane: L,
     keb: &[f64],
     ue: &[f64],
     ve: &mut [f64],
@@ -614,124 +591,129 @@ unsafe fn emv_batch_body<L: Lane, const PACKED: bool, const ND: usize, const NVE
     nvec: usize,
 ) {
     let nd = if ND == 0 { nd } else { ND };
+    let bw = if BW == 0 { bw } else { BW };
     let nvec = if NVEC == 0 { nvec } else { NVEC };
-    debug_assert_eq!(keb.len(), if PACKED { tri(nd) * bw } else { nd * nd * bw });
-    debug_assert_eq!(ue.len(), nd * bw * nvec);
-    debug_assert_eq!(ve.len(), nd * bw * nvec);
     // Tile groups per panel row (batch lanes with their own `Ke` entry),
-    // and tiles per group.
+    // tiles per group, and chunks per panel row.
     let groups = if NVEC == 1 { 1 } else { bw };
     let tiles = if NVEC == 1 { bw } else { nvec } / L::W;
-    if ND == 0 {
-        if PACKED {
-            for r in 0..nd {
-                for g in 0..groups {
-                    let mut acc = L::ZEROS;
-                    let acc = acc.as_mut();
-                    let mut ur = L::ZEROS;
-                    let ur = ur.as_mut();
-                    for t in 0..tiles {
-                        ur[t] = L::load(ue, (r * bw + g) * nvec + L::W * t);
-                    }
-                    for c in 0..r {
-                        let s = tri(r) + c;
-                        for t in 0..tiles {
-                            let k = if NVEC == 1 {
-                                L::load(keb, s * bw + L::W * t)
-                            } else {
-                                L::splat(keb, s * bw + g)
-                            };
-                            let at = (c * bw + g) * nvec + L::W * t;
-                            acc[t] = L::fmadd(k, L::load(ue, at), acc[t]);
-                            L::store(ve, at, L::fmadd(k, ur[t], L::load(ve, at)));
-                        }
-                    }
-                    let s = tri(r) + r;
-                    for t in 0..tiles {
-                        let k = if NVEC == 1 {
-                            L::load(keb, s * bw + L::W * t)
+    let row = groups * tiles;
+    if ND == 0 && !PACKED {
+        ve.fill(0.0);
+    }
+    let keb = &keb[..slab_len(nd, bw, PACKED)];
+    let u = &L::chunks(ue)[..nd * row];
+    let v = &mut L::chunks_mut(ve)[..nd * row];
+    if ND > 0 {
+        // Indexed, not sliced per slot: with `BW` and `NVEC` fixed too,
+        // every index is a constant once the nest unrolls, and a slice per
+        // slot keeps the compiler from unrolling it.
+        let kc = L::chunks(keb);
+        for g in 0..groups {
+            for t in 0..tiles {
+                let at = g * tiles + t;
+                let mut u_j = [lane.splat(0.0); ND];
+                for j in 0..ND {
+                    u_j[j] = lane.load(&u[j * row + at]);
+                }
+                for i in 0..ND {
+                    let mut acc = lane.splat(0.0);
+                    for j in 0..ND {
+                        let s = if !PACKED {
+                            j * ND + i
+                        } else if j <= i {
+                            tri(i) + j
                         } else {
-                            L::splat(keb, s * bw + g)
+                            tri(j) + i
                         };
-                        L::store(
-                            ve,
-                            (r * bw + g) * nvec + L::W * t,
-                            L::fmadd(k, ur[t], acc[t]),
-                        );
+                        let k = if NVEC == 1 {
+                            lane.load(&kc[s * tiles + t])
+                        } else {
+                            lane.splat(keb[s * bw + g])
+                        };
+                        acc = lane.fmadd(k, u_j[j], acc);
                     }
+                    lane.store(&mut v[i * row + at], acc);
                 }
             }
-        } else {
-            ve.fill(0.0);
-            for j in 0..nd {
-                for g in 0..groups {
-                    let mut uj = L::ZEROS;
-                    let uj = uj.as_mut();
+        }
+    } else if PACKED {
+        for r in 0..nd {
+            let (k_lo, k_rr) = keb[tri(r) * bw..tri(r + 1) * bw].split_at(r * bw);
+            let (v_lo, v_r) = v.split_at_mut(r * row);
+            let (u_r, v_r) = (&u[r * row..][..row], &mut v_r[..row]);
+            for g in 0..groups {
+                let mut acc = lane.zeros();
+                let acc = acc.as_mut();
+                let mut ur = lane.zeros();
+                let ur = ur.as_mut();
+                for t in 0..tiles {
+                    ur[t] = lane.load(&u_r[g * tiles + t]);
+                }
+                let rows = v_lo.chunks_exact_mut(row).zip(u.chunks_exact(row));
+                for ((v_c, u_c), slot) in rows.zip(k_lo.chunks_exact(bw)) {
                     for t in 0..tiles {
-                        uj[t] = L::load(ue, (j * bw + g) * nvec + L::W * t);
+                        let at = g * tiles + t;
+                        let k = ke_operand::<L, NVEC>(lane, slot, g, t);
+                        acc[t] = lane.fmadd(k, lane.load(&u_c[at]), acc[t]);
+                        let out = &mut v_c[at];
+                        lane.store(out, lane.fmadd(k, ur[t], lane.load(out)));
                     }
-                    for i in 0..nd {
-                        let s = j * nd + i;
-                        for t in 0..tiles {
-                            let k = if NVEC == 1 {
-                                L::load(keb, s * bw + L::W * t)
-                            } else {
-                                L::splat(keb, s * bw + g)
-                            };
-                            let at = (i * bw + g) * nvec + L::W * t;
-                            L::store(ve, at, L::fmadd(k, uj[t], L::load(ve, at)));
-                        }
-                    }
+                }
+                for t in 0..tiles {
+                    let k = ke_operand::<L, NVEC>(lane, k_rr, g, t);
+                    lane.store(&mut v_r[g * tiles + t], lane.fmadd(k, ur[t], acc[t]));
                 }
             }
         }
     } else {
-        for g in 0..groups {
-            for t in 0..tiles {
-                let mut u = [L::ZERO; ND];
-                for j in 0..ND {
-                    u[j] = L::load(ue, (j * bw + g) * nvec + L::W * t);
+        for j in 0..nd {
+            let k_j = &keb[j * nd * bw..][..nd * bw];
+            let u_j = &u[j * row..][..row];
+            for g in 0..groups {
+                let mut uj = lane.zeros();
+                let uj = uj.as_mut();
+                for t in 0..tiles {
+                    uj[t] = lane.load(&u_j[g * tiles + t]);
                 }
-                for i in 0..ND {
-                    let mut acc = L::ZERO;
-                    for j in 0..ND {
-                        let k = if NVEC == 1 {
-                            if !PACKED {
-                                L::load(keb, (j * ND + i) * bw + L::W * t)
-                            } else if j <= i {
-                                L::load(keb, (tri(i) + j) * bw + L::W * t)
-                            } else {
-                                L::load(keb, (tri(j) + i) * bw + L::W * t)
-                            }
-                        } else if !PACKED {
-                            L::splat(keb, (j * ND + i) * bw + g)
-                        } else if j <= i {
-                            L::splat(keb, (tri(i) + j) * bw + g)
-                        } else {
-                            L::splat(keb, (tri(j) + i) * bw + g)
-                        };
-                        acc = L::fmadd(k, u[j], acc);
+                for (v_i, slot) in v.chunks_exact_mut(row).zip(k_j.chunks_exact(bw)) {
+                    for t in 0..tiles {
+                        let at = g * tiles + t;
+                        let k = ke_operand::<L, NVEC>(lane, slot, g, t);
+                        let out = &mut v_i[at];
+                        lane.store(out, lane.fmadd(k, uj[t], lane.load(out)));
                     }
-                    L::store(ve, (i * bw + g) * nvec + L::W * t, acc);
                 }
             }
         }
     }
 }
 
+/// The `Ke` operand of tile `t` of group `g` from one slab slot (its `bw`
+/// doubles, one per batch lane): a chunk of `W` lanes' entries for the
+/// single-vector product, lane `g`'s entry broadcast for the SpMM.
+#[inline(always)]
+fn ke_operand<L: Lane, const NVEC: usize>(lane: L, slot: &[f64], g: usize, t: usize) -> L::V {
+    if NVEC == 1 {
+        lane.load(&L::chunks(slot)[t])
+    } else {
+        lane.splat(slot[g])
+    }
+}
+
 /// One batched product on lane type `L`: pins the lengths the body
-/// assumes — in release builds too, the unchecked lanes rest on them —
-/// then picks its instantiation from the slab layout and `nd`. `nd` is a
-/// constant for the element dimensions of the scalar and vector problems
-/// on Tet4 / Hex8 / Tet10; above them unrolling stops paying (DESIGN.md
-/// §8), so every other `nd` takes `ND = 0`.
+/// assumes, then picks its instantiation from the batch width, the slab
+/// layout and `nd`. `nd` is a constant for the element dimensions of the
+/// scalar and vector problems on Tet4 / Hex8 / Tet10; above them unrolling
+/// stops paying (DESIGN.md §8), so every other `nd` takes `ND = 0`.
 ///
 /// # Panics
 /// If a panel is not `nd·bw·nvec` long, if the lanes do not tile the batch
-/// (`NVEC = 1`) or the columns, or if `nvec` is not the `NVEC` asked for.
+/// (`NVEC = 1`) or the columns, if `nvec` is not the `NVEC` asked for, or
+/// if the slab is neither layout's length.
 #[inline(always)]
-#[allow(unsafe_code)] // SAFETY: the caller proves `L`'s ISA, as for `emv_batch_body`
-unsafe fn emv_batch_on<L: Lane, const NVEC: usize>(
+fn emv_batch_on<L: Lane, const NVEC: usize>(
+    lane: L,
     keb: &[f64],
     ue: &[f64],
     ve: &mut [f64],
@@ -739,6 +721,7 @@ unsafe fn emv_batch_on<L: Lane, const NVEC: usize>(
     bw: usize,
     nvec: usize,
 ) {
+    let () = L::ONE_VECTOR;
     let tiled = if NVEC == 1 { bw } else { nvec };
     assert!(
         (NVEC == 0 || nvec == NVEC)
@@ -748,25 +731,44 @@ unsafe fn emv_batch_on<L: Lane, const NVEC: usize>(
         "panels do not fit nd={nd}, bw={bw}, nvec={nvec} on {}-lane vectors",
         L::W
     );
+    if bw == FIXED_BATCH_WIDTH {
+        emv_batch_shape::<L, NVEC, FIXED_BATCH_WIDTH>(lane, keb, ue, ve, nd, bw, nvec);
+    } else {
+        emv_batch_shape::<L, NVEC, 0>(lane, keb, ue, ve, nd, bw, nvec);
+    }
+}
+
+/// The instantiation of the body for this slab layout and `nd`.
+#[inline(always)]
+fn emv_batch_shape<L: Lane, const NVEC: usize, const BW: usize>(
+    lane: L,
+    keb: &[f64],
+    ue: &[f64],
+    ve: &mut [f64],
+    nd: usize,
+    bw: usize,
+    nvec: usize,
+) {
+    let (k, u, v) = (keb, ue, ve);
     match (slab_is_packed(keb.len(), nd, bw), nd) {
-        (true, 4) => emv_batch_body::<L, true, 4, NVEC>(keb, ue, ve, nd, bw, nvec),
-        (true, 8) => emv_batch_body::<L, true, 8, NVEC>(keb, ue, ve, nd, bw, nvec),
-        (true, 10) => emv_batch_body::<L, true, 10, NVEC>(keb, ue, ve, nd, bw, nvec),
-        (true, 12) => emv_batch_body::<L, true, 12, NVEC>(keb, ue, ve, nd, bw, nvec),
-        (true, _) => emv_batch_body::<L, true, 0, NVEC>(keb, ue, ve, nd, bw, nvec),
-        (false, 4) => emv_batch_body::<L, false, 4, NVEC>(keb, ue, ve, nd, bw, nvec),
-        (false, 8) => emv_batch_body::<L, false, 8, NVEC>(keb, ue, ve, nd, bw, nvec),
-        (false, 10) => emv_batch_body::<L, false, 10, NVEC>(keb, ue, ve, nd, bw, nvec),
-        (false, 12) => emv_batch_body::<L, false, 12, NVEC>(keb, ue, ve, nd, bw, nvec),
-        (false, _) => emv_batch_body::<L, false, 0, NVEC>(keb, ue, ve, nd, bw, nvec),
+        (true, 4) => emv_batch_body::<L, true, 4, NVEC, BW>(lane, k, u, v, nd, bw, nvec),
+        (true, 8) => emv_batch_body::<L, true, 8, NVEC, BW>(lane, k, u, v, nd, bw, nvec),
+        (true, 10) => emv_batch_body::<L, true, 10, NVEC, BW>(lane, k, u, v, nd, bw, nvec),
+        (true, 12) => emv_batch_body::<L, true, 12, NVEC, BW>(lane, k, u, v, nd, bw, nvec),
+        (true, _) => emv_batch_body::<L, true, 0, NVEC, BW>(lane, k, u, v, nd, bw, nvec),
+        (false, 4) => emv_batch_body::<L, false, 4, NVEC, BW>(lane, k, u, v, nd, bw, nvec),
+        (false, 8) => emv_batch_body::<L, false, 8, NVEC, BW>(lane, k, u, v, nd, bw, nvec),
+        (false, 10) => emv_batch_body::<L, false, 10, NVEC, BW>(lane, k, u, v, nd, bw, nvec),
+        (false, 12) => emv_batch_body::<L, false, 12, NVEC, BW>(lane, k, u, v, nd, bw, nvec),
+        (false, _) => emv_batch_body::<L, false, 0, NVEC, BW>(lane, k, u, v, nd, bw, nvec),
     }
 }
 
 /// The multivector product on lane type `L`: [`FIXED_NVEC_WIDTH`] is a
 /// constant, every other `nvec` is read at run time.
 #[inline(always)]
-#[allow(unsafe_code)] // SAFETY: the caller proves `L`'s ISA, as for `emv_batch_body`
-unsafe fn emv_batch_mv_on<L: Lane>(
+fn emv_batch_mv_on<L: Lane>(
+    lane: L,
     keb: &[f64],
     ue: &[f64],
     ve: &mut [f64],
@@ -775,21 +777,16 @@ unsafe fn emv_batch_mv_on<L: Lane>(
     nvec: usize,
 ) {
     if nvec == FIXED_NVEC_WIDTH {
-        emv_batch_on::<L, FIXED_NVEC_WIDTH>(keb, ue, ve, nd, bw, nvec);
+        emv_batch_on::<L, FIXED_NVEC_WIDTH>(lane, keb, ue, ve, nd, bw, nvec);
     } else {
-        emv_batch_on::<L, 0>(keb, ue, ve, nd, bw, nvec);
+        emv_batch_on::<L, 0>(lane, keb, ue, ve, nd, bw, nvec);
     }
 }
 
 /// Portable batched kernel: scalar lanes; the lane loops autovectorize.
 // verify: kernel-entry
 pub fn emv_batch_portable(keb: &[f64], ue: &[f64], ve: &mut [f64], nd: usize, bw: usize) {
-    // SAFETY: the scalar lane needs no ISA; `emv_batch_on` pins the
-    // lengths its unchecked loads are proved in bounds from.
-    #[allow(unsafe_code)]
-    unsafe {
-        emv_batch_on::<f64, 1>(keb, ue, ve, nd, bw, 1);
-    }
+    emv_batch_on::<_, 1>(lanes::Cpu::<f64>::proof(), keb, ue, ve, nd, bw, 1);
 }
 
 #[cfg(target_arch = "x86_64")]
@@ -797,11 +794,10 @@ pub fn emv_batch_portable(keb: &[f64], ue: &[f64], ve: &mut [f64], nd: usize, bw
 #[allow(unsafe_code)] // SIMD dispatch wrapper; SAFETY comment at the call
 fn emv_batch_avx2(keb: &[f64], ue: &[f64], ve: &mut [f64], nd: usize, bw: usize) {
     #[target_feature(enable = "avx2,fma")]
-    unsafe fn isa(keb: &[f64], ue: &[f64], ve: &mut [f64], nd: usize, bw: usize) {
-        emv_batch_on::<std::arch::x86_64::__m256d, 1>(keb, ue, ve, nd, bw, 1);
+    fn isa(keb: &[f64], ue: &[f64], ve: &mut [f64], nd: usize, bw: usize) {
+        emv_batch_on::<_, 1>(lanes::Cpu::<__m256d>::proof(), keb, ue, ve, nd, bw, 1);
     }
-    // SAFETY: dispatch guarantees avx2+fma are available; `emv_batch_on`
-    // pins the lengths the lane accesses are proved in bounds from.
+    // SAFETY: dispatch guarantees avx2+fma are available.
     unsafe { isa(keb, ue, ve, nd, bw) }
 }
 
@@ -810,10 +806,10 @@ fn emv_batch_avx2(keb: &[f64], ue: &[f64], ve: &mut [f64], nd: usize, bw: usize)
 #[allow(unsafe_code)] // SIMD dispatch wrapper; SAFETY comment at the call
 fn emv_batch_avx512(keb: &[f64], ue: &[f64], ve: &mut [f64], nd: usize, bw: usize) {
     #[target_feature(enable = "avx512f")]
-    unsafe fn isa(keb: &[f64], ue: &[f64], ve: &mut [f64], nd: usize, bw: usize) {
-        emv_batch_on::<std::arch::x86_64::__m512d, 1>(keb, ue, ve, nd, bw, 1);
+    fn isa(keb: &[f64], ue: &[f64], ve: &mut [f64], nd: usize, bw: usize) {
+        emv_batch_on::<_, 1>(lanes::Cpu::<__m512d>::proof(), keb, ue, ve, nd, bw, 1);
     }
-    // SAFETY: dispatch guarantees avx512f is available; lengths as above.
+    // SAFETY: dispatch guarantees avx512f is available.
     unsafe { isa(keb, ue, ve, nd, bw) }
 }
 
@@ -832,7 +828,7 @@ pub fn gather_panel(data: &[f64], gi: &[u32], ue: &mut [f64]) {
     assert_eq!(gi.len(), ue.len(), "index table and panel differ in length");
     #[cfg(target_arch = "x86_64")]
     if isa_for(ANY_WIDTH) == Isa::Avx512 {
-        // SAFETY: `isa_for` found AVX-512F; the lengths were just compared.
+        // SAFETY: `isa_for` found AVX-512F.
         #[allow(unsafe_code)]
         return unsafe { gather_panel_avx512(data, gi, ue) };
     }
@@ -842,19 +838,16 @@ pub fn gather_panel(data: &[f64], gi: &[u32], ue: &mut [f64]) {
 }
 
 #[cfg(target_arch = "x86_64")]
-// verify: prove-bounds
 #[target_feature(enable = "avx512f")]
-#[allow(unsafe_code)] // SAFETY: caller proves the target feature; every lane access is proved
-                      // in bounds from the debug_assert below by the hymv-verify interpreter.
-unsafe fn gather_panel_avx512(data: &[f64], gi: &[u32], ue: &mut [f64]) {
-    let n = gi.len();
-    debug_assert_eq!(ue.len(), n);
-    let rows = n / 8;
-    for r in 0..rows {
-        lanes::store8(ue, 8 * r, lanes::gather8(data, gi, 8 * r));
+fn gather_panel_avx512(data: &[f64], gi: &[u32], ue: &mut [f64]) {
+    let lane = lanes::Cpu::<__m512d>::proof();
+    let (gi8, gi_tail) = gi.as_chunks::<8>();
+    let (ue8, ue_tail) = ue.as_chunks_mut::<8>();
+    for (u, g) in ue8.iter_mut().zip(gi8) {
+        lane.store(u, lane.gather(data, g));
     }
-    for t in 8 * rows..n {
-        ue[t] = data[gi[t] as usize];
+    for (u, &r) in ue_tail.iter_mut().zip(gi_tail) {
+        *u = data[r as usize];
     }
 }
 
@@ -950,15 +943,6 @@ pub const FIXED_NVEC_WIDTH: usize = 8;
 /// (`keb`, `ue`, `ve`, `nd`, `bw`, `nvec`).
 pub type EmvBatchMvKernel = fn(&[f64], &[f64], &mut [f64], usize, usize, usize);
 
-/// `Ve = Ke_b · Ue` over the multivector panel layout above.
-///
-/// Convenience wrapper for tests: dispatches on every call. Hot loops
-/// should resolve [`select_batch_mv_kernel`] once per SpMM.
-#[inline]
-pub fn emv_batch_mv(keb: &[f64], ue: &[f64], ve: &mut [f64], nd: usize, bw: usize, nvec: usize) {
-    select_batch_mv_kernel(nvec)(keb, ue, ve, nd, bw, nvec);
-}
-
 /// Pick the best multivector batched-EMV variant for this CPU and
 /// multivector width. The SIMD variants vectorize across the `nvec`
 /// column dimension, so they require `nvec` to be a multiple of the
@@ -994,12 +978,7 @@ pub fn emv_batch_mv_portable(
     bw: usize,
     nvec: usize,
 ) {
-    // SAFETY: the scalar lane needs no ISA; `emv_batch_on` pins the
-    // lengths its unchecked loads are proved in bounds from.
-    #[allow(unsafe_code)]
-    unsafe {
-        emv_batch_mv_on::<f64>(keb, ue, ve, nd, bw, nvec);
-    }
+    emv_batch_mv_on(lanes::Cpu::<f64>::proof(), keb, ue, ve, nd, bw, nvec);
 }
 
 #[cfg(target_arch = "x86_64")]
@@ -1007,11 +986,10 @@ pub fn emv_batch_mv_portable(
 #[allow(unsafe_code)] // SIMD dispatch wrapper; SAFETY comment at the call
 fn emv_batch_mv_avx2(keb: &[f64], ue: &[f64], ve: &mut [f64], nd: usize, bw: usize, nvec: usize) {
     #[target_feature(enable = "avx2,fma")]
-    unsafe fn isa(keb: &[f64], ue: &[f64], ve: &mut [f64], nd: usize, bw: usize, nvec: usize) {
-        emv_batch_mv_on::<std::arch::x86_64::__m256d>(keb, ue, ve, nd, bw, nvec);
+    fn isa(keb: &[f64], ue: &[f64], ve: &mut [f64], nd: usize, bw: usize, nvec: usize) {
+        emv_batch_mv_on(lanes::Cpu::<__m256d>::proof(), keb, ue, ve, nd, bw, nvec);
     }
-    // SAFETY: dispatch guarantees avx2+fma are available; `emv_batch_on`
-    // pins the lengths (and `nvec % 4 == 0`) the lane accesses rest on.
+    // SAFETY: dispatch guarantees avx2+fma are available.
     unsafe { isa(keb, ue, ve, nd, bw, nvec) }
 }
 
@@ -1020,11 +998,10 @@ fn emv_batch_mv_avx2(keb: &[f64], ue: &[f64], ve: &mut [f64], nd: usize, bw: usi
 #[allow(unsafe_code)] // SIMD dispatch wrapper; SAFETY comment at the call
 fn emv_batch_mv_avx512(keb: &[f64], ue: &[f64], ve: &mut [f64], nd: usize, bw: usize, nvec: usize) {
     #[target_feature(enable = "avx512f")]
-    unsafe fn isa(keb: &[f64], ue: &[f64], ve: &mut [f64], nd: usize, bw: usize, nvec: usize) {
-        emv_batch_mv_on::<std::arch::x86_64::__m512d>(keb, ue, ve, nd, bw, nvec);
+    fn isa(keb: &[f64], ue: &[f64], ve: &mut [f64], nd: usize, bw: usize, nvec: usize) {
+        emv_batch_mv_on(lanes::Cpu::<__m512d>::proof(), keb, ue, ve, nd, bw, nvec);
     }
-    // SAFETY: dispatch guarantees avx512f is available; `emv_batch_on`
-    // pins the lengths (and `nvec % 8 == 0`) the lane accesses rest on.
+    // SAFETY: dispatch guarantees avx512f is available.
     unsafe { isa(keb, ue, ve, nd, bw, nvec) }
 }
 
@@ -1122,7 +1099,7 @@ mod tests {
                         variants.push(("avx512", emv_batch_avx512));
                     }
                 }
-                variants.push(("dispatched", emv_batch as EmvBatchKernel));
+                variants.push(("dispatched", select_batch_kernel(bw)));
 
                 for (name, kern) in variants {
                     let mut ve = vec![9.0; nd * bw]; // must be overwritten
@@ -1162,7 +1139,7 @@ mod tests {
 
                     let mut variants: Vec<(&str, EmvBatchMvKernel)> = vec![
                         ("mv-portable", emv_batch_mv_portable as EmvBatchMvKernel),
-                        ("mv-dispatched", emv_batch_mv as EmvBatchMvKernel),
+                        ("mv-dispatched", select_batch_mv_kernel(nvec)),
                     ];
                     #[cfg(target_arch = "x86_64")]
                     {
@@ -1370,12 +1347,12 @@ mod tests {
 
     /// Every instantiation of `emv_batch_body` the entry points dispatch to
     /// for one lane type, as `(PACKED, ND, NVEC, fn)`, each compiled under
-    /// the lane's ISA.
+    /// the lane's ISA; `fn` takes [`FIXED_BATCH_WIDTH`] as the constant
+    /// `BW` and reads every other batch width at run time.
     macro_rules! instantiations {
         ($lane:ty $(, $feature:literal)?) => {{
             $(#[target_feature(enable = $feature)])?
-            #[allow(unsafe_code)] // SAFETY: as `emv_batch_body`; the test detects `$feature`
-            unsafe fn run<const PACKED: bool, const ND: usize, const NVEC: usize>(
+            fn run<const PACKED: bool, const ND: usize, const NVEC: usize>(
                 keb: &[f64],
                 ue: &[f64],
                 ve: &mut [f64],
@@ -1383,7 +1360,14 @@ mod tests {
                 bw: usize,
                 nvec: usize,
             ) {
-                emv_batch_body::<$lane, PACKED, ND, NVEC>(keb, ue, ve, nd, bw, nvec);
+                let lane = lanes::Cpu::<$lane>::proof();
+                if bw == FIXED_BATCH_WIDTH {
+                    emv_batch_body::<_, PACKED, ND, NVEC, FIXED_BATCH_WIDTH>(
+                        lane, keb, ue, ve, nd, bw, nvec,
+                    );
+                } else {
+                    emv_batch_body::<_, PACKED, ND, NVEC, 0>(lane, keb, ue, ve, nd, bw, nvec);
+                }
             }
             [
                 each_nd!(run, false, 1),
@@ -1587,16 +1571,25 @@ mod tests {
 
     #[test]
     #[should_panic(expected = "neither full nor packed")]
+    fn slab_one_short_of_full_rejected() {
+        let (nd, bw) = (4usize, 8usize);
+        let keb = vec![0.0; slab_len(nd, bw, false) - 1];
+        let (ue, mut ve) = (vec![0.0; nd * bw], vec![0.0; nd * bw]);
+        select_batch_kernel(bw)(&keb, &ue, &mut ve, nd, bw);
+    }
+
+    #[test]
+    #[should_panic(expected = "neither full nor packed")]
     fn in_between_slab_length_rejected() {
         let (nd, bw) = (4usize, 8usize);
         let keb = vec![0.0; slab_len(nd, bw, true) + bw];
         let (ue, mut ve) = (vec![0.0; nd * bw], vec![0.0; nd * bw]);
-        emv_batch(&keb, &ue, &mut ve, nd, bw);
+        select_batch_kernel(bw)(&keb, &ue, &mut ve, nd, bw);
     }
 
     /// A panel one double short of `nd = 4`, `bw = 8`, `nvec` columns,
     /// with a full slab: what every kernel entry must refuse in release
-    /// builds too, as the unchecked lanes behind it rest on the lengths.
+    /// builds too, before any lane chunk is split from it.
     fn short_panels(nvec: usize) -> (Vec<f64>, Vec<f64>, Vec<f64>) {
         let len = 4 * 8 * nvec;
         (

@@ -47,8 +47,8 @@ pub mod solver;
 pub use block_cg::{block_cg, BlockCgResult};
 pub use csr::SerialCsr;
 pub use dense::{
-    emv_batch, emv_batch_mv, select_batch_kernel, select_batch_mv_kernel, ElementMatrices,
-    ElementMatrixStore, EmvBatchKernel, EmvBatchMvKernel, FIXED_NVEC_WIDTH, MAX_BATCH_WIDTH,
+    select_batch_kernel, select_batch_mv_kernel, ElementMatrices, ElementMatrixStore,
+    EmvBatchKernel, EmvBatchMvKernel, FIXED_BATCH_WIDTH, FIXED_NVEC_WIDTH, MAX_BATCH_WIDTH,
     MAX_NVEC_WIDTH,
 };
 pub use dist_csr::DistCsr;

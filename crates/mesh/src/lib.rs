@@ -25,7 +25,6 @@
 pub mod element;
 mod mesh;
 pub mod partition;
-pub mod quality;
 mod structured;
 mod unstructured;
 pub mod vtk;
@@ -33,6 +32,5 @@ pub mod vtk;
 pub use element::ElementType;
 pub use mesh::{GlobalMesh, MeshPartition, PartitionedMesh};
 pub use partition::{PartitionMethod, PartitionStats};
-pub use quality::{assess, QualityReport};
 pub use structured::StructuredHexMesh;
 pub use unstructured::{unstructured_hex_mesh, unstructured_tet_mesh};

@@ -41,18 +41,11 @@
 //!    rules (blocking receives/allocations/ghost reads reachable inside
 //!    the scatter overlap window, ledger/wall-clock/RNG reachable from
 //!    kernel entries, tag-literal flow through tag-generic parameters),
-//! 3. the bounds interpreter over the `// verify: prove-bounds` SIMD
-//!    kernels of `crates/la/src/dense.rs`,
-//! 4. the slab-contract cross-check: real `BlockPlan` slabs (bw 4 and 8,
-//!    attached from a store, plus an operator's packed plan demoted in
-//!    place by a `ke_mut` write and a plan attached from the demoted
-//!    plan's view) must satisfy exactly the preconditions the kernel
-//!    proofs assume, and
-//! 5. the collective-order pass: no rank-divergent collective call chains
+//! 3. the collective-order pass: no rank-divergent collective call chains
 //!    anywhere in the workspace, with the inferred collective sequence of
 //!    every `// verify: collective-entry` phase printed for review.
 //!
-//! `hymv-verify collectives [--root PATH]` runs pass 5 alone.
+//! `hymv-verify collectives [--root PATH]` runs pass 3 alone.
 //!
 //! Exits 0 if every pass is clean, 1 on violations, 2 on bad usage.
 
@@ -64,9 +57,9 @@ use hymv_core::{GhostExchange, HymvMaps};
 use hymv_mesh::partition::partition_mesh;
 use hymv_mesh::{unstructured_tet_mesh, ElementType, PartitionMethod, StructuredHexMesh};
 use hymv_verify::{
-    analyze_collectives, analyze_workspace_effects, certify_file, check_mv_slab_contract,
-    check_plan_bounds, check_slab_contract, derive_plan_summaries, lint_workspace, verify_exchange,
-    verify_exchange_parameterized, CallGraph, CollectivesReport, PlanSummary, Verdict,
+    analyze_collectives, analyze_workspace_effects, check_plan_bounds, derive_plan_summaries,
+    lint_workspace, verify_exchange, verify_exchange_parameterized, CallGraph, CollectivesReport,
+    PlanSummary, Verdict,
 };
 
 struct Options {
@@ -137,12 +130,11 @@ fn run_collectives(root: &std::path::Path) -> ExitCode {
 }
 
 /// The `effects` subcommand: lint pre-pass, interprocedural effect
-/// inference + phase rules, kernel bounds proofs, slab contract, and the
-/// collective-order pass.
+/// inference + phase rules, and the collective-order pass.
 fn run_effects(root: &std::path::Path) -> ExitCode {
     let mut failed = false;
 
-    print!("[1/5] lint pre-pass .......................... ");
+    print!("[1/3] lint pre-pass .......................... ");
     match lint_workspace(root) {
         Ok(diags) if diags.is_empty() => println!("ok"),
         Ok(diags) => {
@@ -158,7 +150,7 @@ fn run_effects(root: &std::path::Path) -> ExitCode {
         }
     }
 
-    print!("[2/5] interprocedural phase effects .......... ");
+    print!("[2/3] interprocedural phase effects .......... ");
     let mut loaded_graph = None;
     match analyze_workspace_effects(root) {
         Ok((report, graph)) => {
@@ -189,132 +181,7 @@ fn run_effects(root: &std::path::Path) -> ExitCode {
         }
     }
 
-    print!("[3/5] kernel bounds proofs ................... ");
-    let dense = root.join("crates/la/src/dense.rs");
-    match certify_file(&dense) {
-        Ok((certs, diags)) if diags.is_empty() && !certs.is_empty() => {
-            println!("ok ({} kernel(s) certified)", certs.len());
-            for c in &certs {
-                println!(
-                    "  {} — {} access(es) over {} loop(s) proved in bounds",
-                    c.kernel, c.accesses, c.loops
-                );
-            }
-        }
-        Ok((_, diags)) if !diags.is_empty() => {
-            failed = true;
-            println!("FAILED ({} finding(s))", diags.len());
-            for d in diags {
-                println!("  {d}");
-            }
-        }
-        Ok(_) => {
-            failed = true;
-            println!("FAILED (no `// verify: prove-bounds` kernels found)");
-        }
-        Err(e) => {
-            failed = true;
-            println!("FAILED\n  {e}");
-        }
-    }
-
-    print!("[4/5] slab contract cross-check .............. ");
-    let mesh = StructuredHexMesh::unit(3, ElementType::Hex8).build();
-    let pm = partition_mesh(&mesh, 1, PartitionMethod::Slabs);
-    let maps = HymvMaps::build(&pm.parts[0]);
-    let mut plans = Vec::new();
-    let mut slab_errs = Vec::new();
-    // A symmetric store (what every FEM kernel produces) packs, one
-    // asymmetric entry keeps the plan full: both slab layouts the kernels
-    // are certified for get checked.
-    for (bw, symmetric) in [(4usize, true), (8, true), (8, false)] {
-        let mut plan = hymv_core::BlockPlan::build(&maps, 1, bw);
-        let mut store = hymv_la::ElementMatrixStore::new(plan.nd(), maps.n_elems);
-        if !symmetric {
-            store.ke_mut(0)[1] = 1.0;
-        }
-        plan.attach_store(&store);
-        if plan.is_packed() != symmetric {
-            slab_errs.push(format!(
-                "bw={bw}: a {} store gave {} slabs",
-                if symmetric { "symmetric" } else { "asymmetric" },
-                if plan.is_packed() { "packed" } else { "full" }
-            ));
-        }
-        plans.push((format!("bw={bw}"), plan));
-    }
-    // The slabs an operator reallocates itself: a packed plan demoted in
-    // place by an asymmetric `ke_mut` write (the packed slabs expanded into
-    // the full layout), and a plan attached from the demoted plan's view.
-    let demoted = Universe::run(1, |comm| {
-        let kernel = hymv_fem::PoissonKernel::new(ElementType::Hex8);
-        let (mut op, _) = hymv_core::HymvOperator::setup(comm, &pm.parts[0], &kernel);
-        let packed = op.block_plan().is_packed();
-        op.ke_mut(maps.n_elems - 1)[1] += 1.0;
-        let x = vec![1.0; hymv_la::LinOp::n_owned(&op)];
-        let mut y = vec![0.0; x.len()];
-        op.matvec(comm, &x, &mut y);
-        let mut attached = hymv_core::BlockPlan::build(&maps, 1, op.batch_width());
-        attached.attach_store(op.store());
-        (packed, op.block_plan().clone(), attached)
-    });
-    let (was_packed, demoted, attached) = demoted.into_iter().next().expect("one rank");
-    for (what, plan) in [
-        ("demoted in place", demoted),
-        ("attached from it", attached),
-    ] {
-        if !was_packed || plan.is_packed() {
-            slab_errs.push(format!(
-                "operator plan {what}: packed before the write {was_packed}, after {}",
-                plan.is_packed()
-            ));
-        }
-        plans.push((format!("operator plan {what}"), plan));
-    }
-    let mut slabs = 0usize;
-    for (label, plan) in &plans {
-        let nd = plan.nd();
-        for dependent in [false, true] {
-            let set = plan.set(dependent);
-            let panel = set.panel_len();
-            for k in 0..set.n_blocks() {
-                slabs += 1;
-                if let Err(e) =
-                    check_slab_contract(nd, plan.batch_width(), set.keb(k).len(), panel, panel)
-                {
-                    slab_errs.push(format!("{label} dependent={dependent} block={k}: {e}"));
-                }
-                // Multivector widening of the same slab: keb unchanged,
-                // panels strided to nd·bw·nvec.
-                for nvec in [4usize, 8] {
-                    slabs += 1;
-                    if let Err(e) = check_mv_slab_contract(
-                        nd,
-                        plan.batch_width(),
-                        nvec,
-                        set.keb(k).len(),
-                        panel * nvec,
-                        panel * nvec,
-                    ) {
-                        slab_errs.push(format!(
-                            "{label} nvec={nvec} dependent={dependent} block={k}: {e}"
-                        ));
-                    }
-                }
-            }
-        }
-    }
-    if slab_errs.is_empty() {
-        println!("ok ({slabs} slab(s) match the proved preconditions)");
-    } else {
-        failed = true;
-        println!("FAILED ({} slab(s))", slab_errs.len());
-        for e in slab_errs {
-            println!("  {e}");
-        }
-    }
-
-    print!("[5/5] collective-order pass .................. ");
+    print!("[3/3] collective-order pass .................. ");
     match loaded_graph {
         Some(graph) => {
             if report_collectives(&analyze_collectives(&graph)) {

@@ -41,8 +41,6 @@ pub enum Marker {
     /// rules (no ledger access, no wall clock/ambient RNG) apply to
     /// everything reachable from here.
     KernelEntry,
-    /// `prove-bounds` — the bounds interpreter must certify this fn.
-    ProveBounds,
     /// `collective-entry` — a phase entry point whose inferred collective
     /// sequence the collective-order pass reports (and whose reachable
     /// code the rank-divergence rule certifies).
@@ -68,8 +66,6 @@ impl Marker {
                 Marker::Pure
             } else if part == "kernel-entry" {
                 Marker::KernelEntry
-            } else if part == "prove-bounds" {
-                Marker::ProveBounds
             } else if part == "collective-entry" {
                 Marker::CollectiveEntry
             } else if let Some(inner) = part
@@ -1019,7 +1015,7 @@ mod tests {
     #[test]
     fn markers_attach_across_attributes() {
         let g = graph_of(
-            "// verify: kernel-entry, prove-bounds\n\
+            "// verify: kernel-entry, allow(allocates)\n\
              #[inline]\n\
              #[target_feature(enable = \"avx2\")]\n\
              unsafe fn emv_x(ke: &[f64]) {}\n\
@@ -1028,7 +1024,10 @@ mod tests {
              // verify: pure\n\
              fn anchor() {}\n",
         );
-        assert_eq!(g.fns[0].markers, [Marker::KernelEntry, Marker::ProveBounds]);
+        assert_eq!(
+            g.fns[0].markers,
+            [Marker::KernelEntry, Marker::Allow("allocates".to_string())]
+        );
         assert!(g.fns[0].is_unsafe);
         assert_eq!(g.fns[1].markers, [Marker::Effect("ghost-read".to_string())]);
         assert_eq!(g.fns[2].markers, [Marker::Pure]);

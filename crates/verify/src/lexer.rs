@@ -14,8 +14,8 @@
 //!   (`r#"..."#`), char literals (including multibyte and escaped chars)
 //!   vs lifetimes, and raw identifiers (`r#match`).
 //! * [`tokens`] — a flat token stream (identifiers, integers, punctuation)
-//!   over the stripped text, with byte offsets. The call-graph builder and
-//!   the bounds interpreter parse from these tokens.
+//!   over the stripped text, with byte offsets. The call-graph builder
+//!   parses from these tokens.
 //!
 //! Hardening notes (regression fixtures in the tests below): raw strings
 //! must honor the exact hash count of their opener (`r##"a"#b"##` is one

@@ -44,22 +44,16 @@
 //!   return past pending collectives), with minimal witness call chains
 //!   on violation and an inferred protocol report for every
 //!   `// verify: collective-entry` phase (DESIGN.md §14.3).
-//! * [`absint`] — the **unsafe-kernel bounds interpreter**: a symbolic
-//!   abstract interpreter over the `// verify: prove-bounds` SIMD kernels
-//!   in `crates/la/src/dense.rs`, proving from the `debug_assert!`
-//!   preconditions that every lane access is in-bounds (tails included),
-//!   cross-checked against real `BlockPlan` slab metadata.
 //!
 //! The `hymv-verify` binary drives the plan passes over fig4-style meshes
 //! at a list of rank counts (explicit + parameterized below
 //! `--explicit-max`, parameterized-only above), `hymv-verify effects`
-//! runs the interprocedural analysis + kernel proofs + collective-order
-//! pass, and `hymv-verify collectives` runs the latter alone; see
-//! `DESIGN.md` §9/§12/§14 for the soundness arguments and their limits.
+//! runs the interprocedural analysis and the collective-order pass, and
+//! `hymv-verify collectives` runs the latter alone; see `DESIGN.md`
+//! §9/§12/§14 for the soundness arguments and their limits.
 
 #![forbid(unsafe_code)]
 
-pub mod absint;
 pub mod callgraph;
 pub mod collectives;
 pub mod effects;
@@ -69,9 +63,6 @@ pub mod model;
 pub mod param;
 pub mod plan_bounds;
 
-pub use absint::{
-    certify_file, certify_source, check_mv_slab_contract, check_slab_contract, AbsDiag, KernelCert,
-};
 pub use callgraph::{CallGraph, CallSite, FnNode, Marker, Resolution};
 pub use collectives::{
     analyze_collectives, CollectiveDiag, CollectiveEntrySeq, CollectivesReport, COLLECTIVE_SEEDS,
