@@ -36,9 +36,9 @@ cargo test --workspace -q
 cargo test -q --release -p hymv-fem
 cargo test -q --release -p hymv-la
 
-stage "hymv-verify static passes (model check, block-plan index bounds, lint)"
+stage "hymv-verify exchange-plan proofs and block-plan index bounds (p=1,2,4,8)"
 cargo run -q -p hymv-verify --bin hymv-verify -- --n 4 --p 1,2,4,8
-cargo run -q -p hymv-verify --bin hymv-verify -- --n 4 --p 1,2,4,8 --method greedy --skip-lint
+cargo run -q -p hymv-verify --bin hymv-verify -- --n 4 --p 1,2,4,8 --method greedy
 
 stage "hymv-verify parameterized exchange proof at scale (p=64,512,1024; <30s budget)"
 # Build outside the timed window: the budget asserts proof time, not
@@ -46,23 +46,28 @@ stage "hymv-verify parameterized exchange proof at scale (p=64,512,1024; <30s bu
 cargo build -q --release -p hymv-verify
 param_start=$SECONDS
 cargo run -q --release -p hymv-verify --bin hymv-verify -- \
-    --n 16 --p 64,512,1024 --method rcb --skip-lint
+    --n 16 --p 64,512,1024 --method rcb
 param_dur=$((SECONDS - param_start))
 test "$param_dur" -lt 30 || {
     echo "parameterized proof sweep took ${param_dur}s (budget 30s)"
     exit 1
 }
 
-stage "hymv-verify effects (interprocedural phase effects, collective order)"
-cargo run -q -p hymv-verify --bin hymv-verify -- effects
-
-stage "hymv-verify collective-order pass (standalone)"
-cargo run -q -p hymv-verify --bin hymv-verify -- collectives
-
-stage "hymv-check certificate table, release (schedule/thread, chaos, degraded-schedule rows; LFLR rows <60s budget)"
+stage "hymv-check certificate table, release (schedule/thread, chaos, degraded-schedule rows against the golden; LFLR rows <60s budget)"
 # One table, one runner: `hymv-check --list` prints every row. Schedule
-# rows pin the protocol audit on, so release mode keeps it.
-cargo run -q --release -p hymv-check --bin hymv-check -- --only sched,threads,chaos,degrade
+# rows pin the protocol audit on, so release mode keeps it; fault rows run
+# its phase rules. Their case lines are byte-stable, so they are diffed
+# against the committed golden: a change that moves a line shows it here
+# and commits the new golden with the diff in CHANGES.md. (The LFLR rows'
+# retry/timeout counters vary run to run; they join the golden once they
+# are stable.)
+mkdir -p target/experiments
+cargo run -q --release -p hymv-check --bin hymv-check -- \
+    --only sched,threads,chaos,degrade > target/experiments/check-cases.txt
+diff -u crates/check/golden.txt target/experiments/check-cases.txt || {
+    echo "hymv-check case lines differ from crates/check/golden.txt"
+    exit 1
+}
 lflr_start=$SECONDS
 cargo run -q --release -p hymv-check --bin hymv-check -- --only lflr
 lflr_dur=$((SECONDS - lflr_start))

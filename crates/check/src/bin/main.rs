@@ -9,11 +9,18 @@
 //! per problem, then each row's perturbed cases against its unperturbed
 //! baseline, one line per case. `--seeds` replaces every selected row's
 //! own seeds; `--list` prints the selected rows without running them.
-//! Exits 0 if every pass and case held, 1 otherwise, 2 on bad usage.
+//! Stdout holds the case lines only (`ci.sh` diffs them against a golden
+//! file); the closing count goes to stderr. Exits 0 if every pass and case
+//! held, 1 otherwise, 2 on bad usage.
 
 use std::process::ExitCode;
 
 use hymv_check::{failures, run_rows, select};
+
+/// Counts each rank thread's allocations, so an allocation inside the
+/// scatter window of an audited case fails it (window-allocation).
+#[global_allocator]
+static ALLOC: hymv_comm::CountingAlloc = hymv_comm::CountingAlloc;
 
 fn usage(err: &str) -> ExitCode {
     eprintln!(
@@ -65,7 +72,7 @@ fn main() -> ExitCode {
         eprintln!("hymv-check: violations found\n{failed}");
         return ExitCode::FAILURE;
     }
-    println!(
+    eprintln!(
         "hymv-check: {} case(s) of {} row(s) held",
         cases.len(),
         rows.len()

@@ -26,6 +26,12 @@ pub trait BitEq {
     /// The value with its bit pattern, for a mismatch report.
     fn show_bits(&self) -> String;
 
+    /// True iff the value holds a NaN: under the audit, the poison of a
+    /// ghost slot read inside the scatter window.
+    fn has_nan(&self) -> bool {
+        false
+    }
+
     /// Where `self` and `other` differ; `None` when they are bit-equal.
     fn mismatch(&self, other: &Self) -> Option<Mismatch> {
         (!self.bit_eq(other)).then(|| Mismatch {
@@ -44,6 +50,10 @@ impl BitEq for f64 {
 
     fn show_bits(&self) -> String {
         format!("{self:e} ({:#018x})", self.to_bits())
+    }
+
+    fn has_nan(&self) -> bool {
+        self.is_nan()
     }
 }
 
@@ -70,6 +80,10 @@ impl<T: BitEq> BitEq for Vec<T> {
 
     fn show_bits(&self) -> String {
         format!("[{} entries]", self.len())
+    }
+
+    fn has_nan(&self) -> bool {
+        self.iter().any(BitEq::has_nan)
     }
 
     fn mismatch(&self, other: &Self) -> Option<Mismatch> {

@@ -42,3 +42,9 @@ pub use runner::{failures, run_perturbed, run_rows, Case};
 pub use table::{
     select, table, CrashWindow, Driver, Perturbation, Physics, Problem, Row, Run, Scenario, Verdict,
 };
+
+/// The unit tests count allocations as the `hymv-check` binary does, so
+/// the table's audited cases check the window-allocation rule there too.
+#[cfg(test)]
+#[global_allocator]
+static ALLOC: hymv_comm::CountingAlloc = hymv_comm::CountingAlloc;

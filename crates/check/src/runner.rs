@@ -11,8 +11,8 @@ use std::collections::BTreeMap;
 use std::fmt;
 
 use hymv_comm::{
-    AuditMode, AuditReport, Comm, CommStats, CostModel, FaultPlan, FaultReport, RetryPolicy,
-    RunConfig, Universe,
+    AuditMode, AuditReport, Comm, CommStats, CostModel, FaultKind, FaultPlan, FaultReport,
+    RetryPolicy, RunConfig, Universe,
 };
 use hymv_core::assemble::{assemble_rhs, jacobi_diagonal};
 use hymv_core::dirichlet_op::owned_constraints;
@@ -20,9 +20,10 @@ use hymv_core::system::{BuildOptions, FemSystem};
 use hymv_core::{DirichletOp, HymvOperator, Method};
 use hymv_fem::analytic::PoissonProblem;
 use hymv_fem::dirichlet::constrained_dofs;
+use hymv_gpu::{GpuModel, HymvGpuOperator};
 use hymv_la::{
-    block_cg, resilient_cg, CheckpointPolicy, Jacobi, LinOp, MultiLinOp, Multivector,
-    RecoveryPolicy,
+    block_cg, cg, pipelined_cg, resilient_cg, CheckpointPolicy, Jacobi, LinOp, MultiLinOp,
+    Multivector, RecoveryPolicy,
 };
 use hymv_mesh::PartitionedMesh;
 use hymv_serve::{BatchPolicy, SolveService};
@@ -104,15 +105,17 @@ pub fn failures(cases: &[Case]) -> Option<String> {
     (!failed.is_empty()).then(|| failed.concat() + &count)
 }
 
-/// Run configuration of one run: the perturbation's knobs on a perfect,
-/// unaudited transport. Schedule cases pin the protocol audit on, whatever
+/// Run configuration of one run: the perturbation's knobs on a perfect
+/// transport under the audit's live phase rules (DESIGN.md §9), so a
+/// baseline too stops typed, never hangs, on a blocking wait inside the
+/// scatter window. Schedule cases pin the full protocol audit on, whatever
 /// the build profile; fault cases strand tombstones and duplicates by
-/// design, so they run unaudited, like the baselines.
+/// design, so they keep the phase rules without the teardown checks.
 pub(crate) fn config(pert: Option<Perturbation>, seed: u64, p: usize, crash_at: u64) -> RunConfig {
     let mut cfg = RunConfig {
         model: CostModel::default(),
         perturb_seed: None,
-        audit: AuditMode::Disabled,
+        audit: AuditMode::PhaseRules,
         fault: None,
         retry: RetryPolicy::default(),
         trace: false,
@@ -139,11 +142,19 @@ pub(crate) fn config(pert: Option<Perturbation>, seed: u64, p: usize, crash_at: 
 /// The unperturbed baseline of `program` on `p` ranks.
 ///
 /// # Panics
-/// If any rank aborts: a baseline that cannot run is a broken row.
+/// If any rank aborts: a baseline that cannot run is a broken row. The
+/// message is the first report of a rank that did not just follow a peer,
+/// so it names the rule a phase-rule abort broke.
 pub fn baseline<T: Send>(p: usize, program: impl Fn(&mut Comm) -> Out<T> + Sync) -> Vec<Out<T>> {
     let (results, _) = Universe::run_chaos(config(None, 0, p, 0), p, program);
-    let ok = |r: Result<Out<T>, FaultReport>| r.unwrap_or_else(|e| panic!("baseline aborted: {e}"));
-    results.into_iter().map(ok).collect()
+    let origin = results
+        .iter()
+        .filter_map(|r| r.as_ref().err())
+        .min_by_key(|e| matches!(e.kind, FaultKind::PeerAborted { .. }));
+    if let Some(e) = origin {
+        panic!("baseline aborted: {e}");
+    }
+    results.into_iter().flatten().collect()
 }
 
 /// Judge one perturbed case against its baseline and the row's verdict.
@@ -181,6 +192,11 @@ pub fn judge<T: BitEq>(
         if expect == Verdict::TypedAbort {
             bad.push(format!(
                 "rank {rank}: completed under an unrecoverable fault"
+            ));
+        } else if out.value.has_nan() {
+            bad.push(format!(
+                "rank {rank}: window-ghost-read: the result holds NaN, the poison of a ghost \
+                 slot read inside the scatter window"
             ));
         } else if let Some(m) = base.value.mismatch(&out.value) {
             bad.push(format!(
@@ -346,6 +362,17 @@ fn execute(
             let y = apply_probe(&mut op, nvec, comm);
             Out::of(y, comm)
         }
+        Run::GpuApply { scheme } => {
+            let kernel = problem.make_kernel();
+            let part = &pm.parts[comm.rank()];
+            let (model, streams, host_threads) = (GpuModel::default(), 4, 2);
+            let (mut op, _) =
+                HymvGpuOperator::setup(comm, part, &*kernel, model, streams, scheme, host_threads);
+            let x = probe_input(op.n_owned(), part.node_range.0, 0);
+            let mut y = vec![0.0; x.len()];
+            op.matvec(comm, &x, &mut y);
+            Out::of(y, comm)
+        }
         Run::Solve {
             method,
             driver,
@@ -357,16 +384,20 @@ fn execute(
     }
 }
 
-/// One SPMV (`nvec == 1`) or SpMM on a deterministic, rank-independent
-/// input whose magnitudes span five decades, so accumulation-order bugs
-/// show in the low mantissa bits; column `c` shifts the generator by `7c`.
-/// Returns the owned outputs, column after column.
+/// Column `c` of the probe input of `n` owned entries from global node
+/// `begin`: deterministic and rank-independent, with magnitudes spanning
+/// five decades, so accumulation-order bugs show in the low mantissa
+/// bits; column `c` shifts the generator by `7c`.
+fn probe_input(n: usize, begin: u64, c: u64) -> Vec<f64> {
+    let x = |g: u64| ((g % 13) as f64 + 0.125) * 10f64.powi((g % 5) as i32 - 2);
+    (0..n as u64).map(|i| x(begin + i + c * 7)).collect()
+}
+
+/// One SPMV (`nvec == 1`) or SpMM on the [`probe_input`]. Returns the
+/// owned outputs, column after column.
 fn apply_probe(op: &mut HymvOperator, nvec: usize, comm: &mut Comm) -> Vec<f64> {
     let (n, begin) = (op.n_owned(), op.maps().node_range.0);
-    let input = |c: u64| -> Vec<f64> {
-        let x = |g: u64| ((g % 13) as f64 + 0.125) * 10f64.powi((g % 5) as i32 - 2);
-        (0..n as u64).map(|i| x(begin + i + c * 7)).collect()
-    };
+    let input = |c: u64| probe_input(n, begin, c);
     if nvec == 1 {
         let mut y = vec![0.0; n];
         op.matvec(comm, &input(0), &mut y);
@@ -491,6 +522,21 @@ fn drive(sys: &mut System, driver: Driver, ckpt: Option<usize>, comm: &mut Comm)
                 Err(e) => out.notes.push(format!("block_cg fault: {e}")),
             }
             out.value = (0..COLS).flat_map(|c| x.col(c).to_vec()).collect();
+        }
+        Driver::PlainCg | Driver::PipelinedCg => {
+            // What `FemSystem::solve_with` runs for each `SolverKind`.
+            let krylov = if driver == Driver::PlainCg {
+                cg
+            } else {
+                pipelined_cg
+            };
+            let mut x = vec![0.0; n];
+            let res = krylov(comm, op, &mut pc, &sys.rhs, &mut x, tol, maxit);
+            if !res.converged {
+                out.notes
+                    .push(format!("{} did not converge", driver.name()));
+            }
+            (out.value, out.history) = (x, res.history);
         }
         Driver::Service => {
             let cols = rhs_columns(&sys.rhs);

@@ -14,6 +14,7 @@ use std::sync::Arc;
 use hymv_comm::FaultPlan;
 use hymv_core::Method;
 use hymv_fem::{ElasticityKernel, ElementKernel, PoissonKernel};
+use hymv_gpu::GpuScheme;
 use hymv_mesh::partition::partition_mesh;
 use hymv_mesh::{
     unstructured_tet_mesh, ElementType, PartitionMethod, PartitionedMesh, StructuredHexMesh,
@@ -120,6 +121,11 @@ named! {
         BlockCg = "block_cg",
         /// The batched solve service: four requests, two per batch.
         Service = "service",
+        /// Plain preconditioned CG (`hymv_la::cg`, `SolverKind::Cg`).
+        PlainCg = "plain_cg",
+        /// Pipelined CG (`hymv_la::pipelined_cg`,
+        /// `SolverKind::PipelinedCg`).
+        PipelinedCg = "pipelined_cg",
     }
 }
 
@@ -168,6 +174,9 @@ pub enum Run {
     /// plan at `batch` lanes (`None` = the operator's default), on one
     /// modeled thread per rank unless the perturbation says otherwise.
     Apply { batch: Option<usize>, nvec: usize },
+    /// The same SPMV through the GPU operator's device panels under one
+    /// overlap scheme (Algorithm 3).
+    GpuApply { scheme: GpuScheme },
     /// A Jacobi-preconditioned Poisson solve to `1e-9`, LFLR buddy
     /// checkpoints every `ckpt_every` iterations when set.
     Solve {
@@ -358,10 +367,11 @@ pub fn table() -> Vec<Row> {
         }
     }
 
-    // Armed LFLR: a rank crash in each window of each driver recovers to
-    // the fault-free solution bits, across 8 fault seeds at p = 8 and at
-    // p = 32.
-    let p8 = (3, 8, CrashWindow::ALL, Driver::ALL, &eight[..]);
+    // Armed LFLR: a rank crash in each window of each recovery-aware
+    // driver recovers to the fault-free solution bits, across 8 fault
+    // seeds at p = 8 and at p = 32.
+    let armed = &[Driver::Cg, Driver::BlockCg, Driver::Service][..];
+    let p8 = (3, 8, CrashWindow::ALL, armed, &eight[..]);
     let late = &[CrashWindow::Allreduce, CrashWindow::BlockRefresh][..];
     let p32 = (4, 32, late, &[Driver::Cg, Driver::Service][..], &[1][..]);
     for (n, p, windows, drivers, seeds) in [p8, p32] {
@@ -386,6 +396,35 @@ pub fn table() -> Vec<Row> {
         let problem = mesh(Hex8, Poisson, 4, 2, Slabs);
         let run = solve(method, driver, None);
         row(name, problem, run, Perturbation::DegradeAtFirstLoss, &[11]);
+    }
+
+    // The phase rules see only the paths rows run, so every element source
+    // and every Krylov driver runs under the schedule audit: the device
+    // panels under each GPU scheme, and a solve through each driver (the
+    // matrix-free source and the assembled operator under CG).
+    let (four, two) = ((1..=4).collect::<Vec<u64>>(), [1, 2]);
+    for scheme in [
+        GpuScheme::Blocking,
+        GpuScheme::OverlapCpu,
+        GpuScheme::OverlapGpu,
+    ] {
+        let name = format!("sched/gpu/{}", format!("{scheme:?}").to_lowercase());
+        let run = Run::GpuApply { scheme };
+        row(
+            name,
+            greedy3(Hex8, Poisson),
+            run,
+            Perturbation::Schedule,
+            &four,
+        );
+    }
+    let small = mesh(Hex8, Poisson, 3, 2, GreedyGraph);
+    let methods = [Method::MatFree, Method::Assembled].map(|m| (m, Driver::Cg));
+    let drivers = Driver::ALL.iter().map(|&d| (Method::Hymv, d));
+    for (method, driver) in drivers.chain(methods) {
+        let name = format!("sched/solve/{}/{}", method_name(method), driver.name());
+        let run = solve(method, driver, None);
+        row(name, small, run, Perturbation::Schedule, &two);
     }
     rows
 }

@@ -18,15 +18,144 @@
 //!   tags eagerly, so any reserved tag in the event log is an internal
 //!   protocol error.
 //!
+//! Algorithm 2's phase rules are checked while the run is live, where the
+//! code runs (DESIGN.md §9):
+//!
+//! * **window-blocking** — a blocking receive or collective wait reached
+//!   inside the scatter window ([`Comm::overlap_window`](crate::Comm::overlap_window));
+//! * **window-allocation** — a heap allocation on the rank's thread inside
+//!   the window, counted by [`CountingAlloc`] when the program installs it
+//!   as its global allocator;
+//! * **collective-kind-mismatch** — two ranks posted different collectives
+//!   at one sequence number;
+//! * **collective-never-posted** — a rank waits on a collective that a rank
+//!   which already returned never posted.
+//!
+//! All but window-allocation stop the run with a typed
+//! [`FaultKind::ProtocolViolation`](crate::FaultKind::ProtocolViolation)
+//! abort on every rank: the blocked wait may be one that never completes.
+//! (Ghost reads inside the window show as the tagged NaN `hymv-core`'s
+//! schedule writes into the ghost slots of an audited apply.)
+//!
 //! The auditor is on by default in debug builds and off in release
 //! (`RunConfig::audit` chooses either way); see [`AuditMode`].
 
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
 use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use parking_lot::Mutex;
 
+use crate::comm::ReduceOp;
 use crate::RESERVED_TAG_BASE;
+
+/// A counting global allocator: [`System`]'s, plus a per-thread count of
+/// allocations and bytes that the scatter window reads at its marks. A
+/// program opts in with
+/// `#[global_allocator] static A: hymv_comm::CountingAlloc = hymv_comm::CountingAlloc;`;
+/// without it the count stays at zero and the window-allocation rule sees
+/// nothing.
+pub struct CountingAlloc;
+
+thread_local! {
+    /// `(allocations, bytes)` this thread has asked for.
+    static ALLOCATED: Cell<(u64, u64)> = const { Cell::new((0, 0)) };
+}
+
+fn count_allocation(bytes: usize) {
+    // `try_with`: the slot is gone while the thread's locals are torn down.
+    let _ = ALLOCATED.try_with(|c| {
+        let (n, b) = c.get();
+        c.set((n + 1, b + bytes as u64));
+    });
+}
+
+/// `(allocations, bytes)` the calling thread has made so far through
+/// [`CountingAlloc`].
+pub(crate) fn thread_allocations() -> (u64, u64) {
+    ALLOCATED.try_with(Cell::get).unwrap_or((0, 0))
+}
+
+#[allow(unsafe_code)]
+// SAFETY: every method forwards its arguments unchanged to `System`, so
+// `System`'s guarantees hold; the counting touches only a const-initialised
+// thread-local `Cell`, which never allocates.
+unsafe impl GlobalAlloc for CountingAlloc {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        count_allocation(layout.size());
+        // SAFETY: the caller's contract for `alloc`, passed through.
+        unsafe { System.alloc(layout) }
+    }
+
+    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
+        count_allocation(layout.size());
+        // SAFETY: the caller's contract for `alloc_zeroed`, passed through.
+        unsafe { System.alloc_zeroed(layout) }
+    }
+
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        count_allocation(new_size);
+        // SAFETY: `ptr` came from this allocator, which is `System`'s.
+        unsafe { System.realloc(ptr, layout, new_size) }
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        // SAFETY: `ptr` came from this allocator, which is `System`'s.
+        unsafe { System.dealloc(ptr, layout) }
+    }
+}
+
+/// What a rank posted at one collective sequence number.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum CollectiveKind {
+    /// [`Comm::barrier`](crate::Comm::barrier).
+    Barrier,
+    /// [`Comm::iallreduce`](crate::Comm::iallreduce) of `len` elements.
+    Iallreduce { op: ReduceOp, len: usize },
+    /// [`Comm::allgather_u64`](crate::Comm::allgather_u64).
+    Allgather,
+    /// [`Comm::bcast`](crate::Comm::bcast) from `root`.
+    Bcast { root: usize },
+    /// An LFLR recovery rendezvous.
+    Recovery,
+}
+
+impl fmt::Display for CollectiveKind {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            CollectiveKind::Barrier => write!(f, "barrier"),
+            CollectiveKind::Iallreduce { op, len } => write!(f, "iallreduce({op:?}, len {len})"),
+            CollectiveKind::Allgather => write!(f, "allgather"),
+            CollectiveKind::Bcast { root } => write!(f, "bcast(root {root})"),
+            CollectiveKind::Recovery => write!(f, "recovery rendezvous"),
+        }
+    }
+}
+
+/// The blocking operation a rank reached inside the scatter window.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum BlockingOp {
+    /// A matched (`src`) or wildcard (`None`) receive on `tag`.
+    Recv { src: Option<usize>, tag: u32 },
+    /// The wait of collective `seq`.
+    Collective { seq: u64, kind: CollectiveKind },
+}
+
+impl fmt::Display for BlockingOp {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            BlockingOp::Recv {
+                src: Some(src),
+                tag,
+            } => {
+                write!(f, "recv from rank {src} tag {tag:#x}")
+            }
+            BlockingOp::Recv { src: None, tag } => write!(f, "recv_any tag {tag:#x}"),
+            BlockingOp::Collective { seq, kind } => write!(f, "the wait of {kind} seq {seq}"),
+        }
+    }
+}
 
 /// What happened, from the acting rank's point of view.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -75,17 +204,61 @@ pub struct AuditEvent {
     pub kind: AuditEventKind,
 }
 
-/// The shared event log (one per audited universe).
-#[derive(Default)]
+/// The shared audit state of one audited universe: the event log (kept
+/// only when the teardown checks run) and the violations found live.
 pub(crate) struct AuditLog {
+    /// Whether events are logged and the teardown checks run
+    /// ([`AuditMode::PhaseRules`] runs only the live rules).
+    pub(crate) teardown: bool,
     counter: AtomicU64,
     events: Mutex<Vec<AuditEvent>>,
+    live: Mutex<Vec<AuditViolation>>,
+    /// Per rank, the collective sequence number it had reached when its
+    /// closure returned (`None` while it runs): it never posts that one or
+    /// any later one.
+    exits: Mutex<Vec<Option<u64>>>,
 }
 
 impl AuditLog {
+    pub(crate) fn new(size: usize, teardown: bool) -> Self {
+        AuditLog {
+            teardown,
+            counter: AtomicU64::new(0),
+            events: Mutex::new(Vec::new()),
+            live: Mutex::new(Vec::new()),
+            exits: Mutex::new(vec![None; size]),
+        }
+    }
+
     pub(crate) fn record(&self, rank: usize, kind: AuditEventKind) {
+        if !self.teardown {
+            return;
+        }
         let order = self.counter.fetch_add(1, Ordering::Relaxed);
         self.events.lock().push(AuditEvent { order, rank, kind });
+    }
+
+    /// Records a violation found while the run is live.
+    pub(crate) fn violation(&self, v: AuditViolation) {
+        self.live.lock().push(v);
+    }
+
+    /// Records that `rank` returned having posted collectives `0..seq`.
+    pub(crate) fn note_exit(&self, rank: usize, seq: u64) {
+        self.exits.lock()[rank] = Some(seq);
+    }
+
+    /// A rank that returned without posting collective `seq`, if any.
+    pub(crate) fn exited_before(&self, seq: u64) -> Option<usize> {
+        self.exits
+            .lock()
+            .iter()
+            .position(|e| e.is_some_and(|posted| posted <= seq))
+    }
+
+    /// The violations found live, in detection order.
+    pub(crate) fn take_live(&self) -> Vec<AuditViolation> {
+        std::mem::take(&mut *self.live.lock())
     }
 
     /// Drains the log (teardown only — ranks have all exited).
@@ -141,6 +314,48 @@ pub enum AuditViolation {
     },
     /// A message used a tag in the reserved internal range.
     ReservedTagTraffic { src: usize, dst: usize, tag: u32 },
+    /// `rank` reached a blocking operation inside the scatter window.
+    BlockingInWindow { rank: usize, op: BlockingOp },
+    /// `rank` allocated inside the scatter window: `allocs` allocations of
+    /// `bytes` bytes in all.
+    AllocationInWindow {
+        rank: usize,
+        allocs: u64,
+        bytes: u64,
+    },
+    /// At collective `seq`, `rank` posted `kind` where `first_rank` had
+    /// posted `first`.
+    CollectiveKindMismatch {
+        seq: u64,
+        first_rank: usize,
+        first: CollectiveKind,
+        rank: usize,
+        kind: CollectiveKind,
+    },
+    /// `rank` waits on collective `seq` (`kind`), which `exited` returned
+    /// without posting.
+    CollectiveNeverPosted {
+        seq: u64,
+        rank: usize,
+        kind: CollectiveKind,
+        exited: usize,
+    },
+}
+
+impl AuditViolation {
+    /// The rule this violation breaks, as case lines and docs name it.
+    pub fn rule(&self) -> &'static str {
+        match self {
+            AuditViolation::UnmatchedSend { .. } => "unmatched-send",
+            AuditViolation::SendToExitedRank { .. } => "send-to-exited-rank",
+            AuditViolation::UnbalancedCollective { .. } => "unbalanced-collective",
+            AuditViolation::ReservedTagTraffic { .. } => "reserved-tag-traffic",
+            AuditViolation::BlockingInWindow { .. } => "window-blocking",
+            AuditViolation::AllocationInWindow { .. } => "window-allocation",
+            AuditViolation::CollectiveKindMismatch { .. } => "collective-kind-mismatch",
+            AuditViolation::CollectiveNeverPosted { .. } => "collective-never-posted",
+        }
+    }
 }
 
 impl fmt::Display for AuditViolation {
@@ -178,6 +393,40 @@ impl fmt::Display for AuditViolation {
             AuditViolation::ReservedTagTraffic { src, dst, tag } => write!(
                 f,
                 "reserved-tag traffic: rank {src} -> rank {dst} used internal tag {tag:#x}"
+            ),
+            AuditViolation::BlockingInWindow { rank, op } => write!(
+                f,
+                "window-blocking: rank {rank} reached {op} inside the scatter window"
+            ),
+            AuditViolation::AllocationInWindow {
+                rank,
+                allocs,
+                bytes,
+            } => write!(
+                f,
+                "window-allocation: rank {rank} made {allocs} allocation(s), {bytes} B, \
+                 inside the scatter window"
+            ),
+            AuditViolation::CollectiveKindMismatch {
+                seq,
+                first_rank,
+                first,
+                rank,
+                kind,
+            } => write!(
+                f,
+                "collective-kind-mismatch: at collective seq {seq} rank {first_rank} posted \
+                 {first} but rank {rank} posted {kind}"
+            ),
+            AuditViolation::CollectiveNeverPosted {
+                seq,
+                rank,
+                kind,
+                exited,
+            } => write!(
+                f,
+                "collective-never-posted: rank {rank} waits on {kind} seq {seq}, which rank \
+                 {exited} returned without posting"
             ),
         }
     }
@@ -219,6 +468,9 @@ impl fmt::Display for AuditReport {
         for v in &self.violations {
             writeln!(f, "  - {v}")?;
         }
+        if self.events.is_empty() {
+            return Ok(());
+        }
         writeln!(f, "per-rank event traces (global order):")?;
         for rank in 0..self.size {
             let trace = self.rank_trace(rank);
@@ -236,14 +488,15 @@ impl fmt::Display for AuditReport {
 }
 
 /// Runs every teardown check over the drained event log and leftover
-/// runtime state.
+/// runtime state; the violations found live (`live`) come first.
 pub(crate) fn verify(
     size: usize,
+    live: Vec<AuditViolation>,
     events: Vec<AuditEvent>,
     leftover_msgs: Vec<LeftoverMessage>,
     leftover_colls: Vec<LeftoverCollective>,
 ) -> AuditReport {
-    let mut violations = Vec::new();
+    let mut violations = live;
 
     // Exit order per rank (missing exit => never treated as exited; a rank
     // that panicked unwinds past teardown, so this path only sees clean
@@ -310,13 +563,18 @@ pub enum AuditMode {
     Enabled,
     /// Never audit.
     Disabled,
+    /// The live phase rules only — scatter window, collective kinds,
+    /// collectives an exited rank never posts — without the event log and
+    /// the teardown checks: for fault runs, whose healed transports strand
+    /// tombstones and duplicates by design.
+    PhaseRules,
 }
 
 impl AuditMode {
     /// Resolves the mode against the build profile.
     pub fn is_enabled(self) -> bool {
         match self {
-            AuditMode::Enabled => true,
+            AuditMode::Enabled | AuditMode::PhaseRules => true,
             AuditMode::Disabled => false,
             AuditMode::Default => cfg!(debug_assertions),
         }
@@ -355,7 +613,7 @@ mod tests {
             ev(2, 0, AuditEventKind::RankExited),
             ev(3, 1, AuditEventKind::RankExited),
         ];
-        let report = verify(2, events, Vec::new(), Vec::new());
+        let report = verify(2, Vec::new(), events, Vec::new(), Vec::new());
         assert!(report.is_clean(), "{report}");
         assert_eq!(report.rank_trace(0).len(), 2);
     }
@@ -375,7 +633,7 @@ mod tests {
             ),
             ev(2, 0, AuditEventKind::RankExited),
         ];
-        let report = verify(2, events, Vec::new(), Vec::new());
+        let report = verify(2, Vec::new(), events, Vec::new(), Vec::new());
         assert!(matches!(
             report.violations.as_slice(),
             [AuditViolation::SendToExitedRank {
@@ -398,7 +656,7 @@ mod tests {
                 bytes: 0,
             },
         )];
-        let report = verify(2, events, Vec::new(), Vec::new());
+        let report = verify(2, Vec::new(), events, Vec::new(), Vec::new());
         assert!(matches!(
             report.violations.as_slice(),
             [AuditViolation::ReservedTagTraffic { src: 0, dst: 1, .. }]
@@ -418,7 +676,7 @@ mod tests {
             posted: 3,
             completed: 1,
         }];
-        let report = verify(3, Vec::new(), msgs, colls);
+        let report = verify(3, Vec::new(), Vec::new(), msgs, colls);
         assert_eq!(report.violations.len(), 2);
         assert!(matches!(
             report.violations[0],

@@ -3,7 +3,9 @@
 use std::marker::PhantomData;
 use std::sync::Arc;
 
-use crate::audit::AuditEventKind;
+use crate::audit::{
+    thread_allocations, AuditEventKind, AuditViolation, BlockingOp, CollectiveKind,
+};
 use crate::fault::{DeliverAs, FaultAbort, FaultReport};
 use crate::ledger::{thread_cpu_time, CommStats, Ledger};
 use crate::lflr::LflrState;
@@ -99,6 +101,7 @@ reducible!(f64 => F64, u64 => U64);
 #[derive(Debug, Clone, Copy)]
 pub struct IallreduceHandle<T> {
     seq: u64,
+    kind: CollectiveKind,
     elem: PhantomData<T>,
 }
 
@@ -106,7 +109,7 @@ impl<T: Reducible> IallreduceHandle<T> {
     /// Block until every rank has contributed; returns the reduced
     /// vector and synchronizes the virtual clock.
     pub fn wait(self, comm: &mut Comm) -> Vec<T> {
-        let (max_vt, result) = comm.coll_await(self.seq);
+        let (max_vt, result) = comm.coll_await(self.seq, self.kind);
         comm.ledger.on_collective(max_vt, comm.size());
         T::from_payload(result)
     }
@@ -128,6 +131,8 @@ pub struct Comm {
     pub(crate) reliable: ReliableState,
     /// Local-failure local-recovery state (see `crate::lflr`).
     pub(crate) lflr: LflrState,
+    /// Inside [`Comm::overlap_window`] of an audited run.
+    pub(crate) in_window: bool,
 }
 
 impl Comm {
@@ -145,6 +150,7 @@ impl Comm {
             jitter,
             reliable,
             lflr: LflrState::default(),
+            in_window: false,
         }
     }
 
@@ -153,6 +159,51 @@ impl Comm {
     pub(crate) fn note_exit(&self) {
         if let Some(log) = &self.world.audit {
             log.record(self.rank, AuditEventKind::RankExited);
+        }
+        self.world.note_exit(self.rank, self.coll_seq);
+    }
+
+    /// True when the run is audited: the phase rules are live, and an
+    /// apply poisons the ghost slots its scatter is about to write.
+    pub fn audited(&self) -> bool {
+        self.world.audit.is_some()
+    }
+
+    /// Run `f` as Algorithm 2's scatter window: the work between posting
+    /// the ghost scatter and waiting on it. Under the audit, a blocking
+    /// receive or collective wait inside `f` is a window-blocking
+    /// violation that stops the run typed, and an allocation on this
+    /// thread (as [`CountingAlloc`] counts it) is a window-allocation one.
+    /// Unaudited it only calls `f`.
+    ///
+    /// [`CountingAlloc`]: crate::CountingAlloc
+    pub fn overlap_window<R>(&mut self, f: impl FnOnce(&mut Self) -> R) -> R {
+        if self.world.audit.is_none() {
+            return f(self);
+        }
+        let before = thread_allocations();
+        self.in_window = true;
+        let out = f(self);
+        self.in_window = false;
+        let after = thread_allocations();
+        if let Some(log) = self.world.audit.as_ref().filter(|_| after.0 > before.0) {
+            log.violation(AuditViolation::AllocationInWindow {
+                rank: self.rank,
+                allocs: after.0 - before.0,
+                bytes: after.1 - before.1,
+            });
+        }
+        out
+    }
+
+    /// Audit only: a blocking point reached inside the scatter window
+    /// stops the run typed — the wait may be one no rank can satisfy
+    /// before the window closes.
+    fn note_blocking(&self, op: BlockingOp) {
+        if self.in_window {
+            let rank = self.rank;
+            let v = AuditViolation::BlockingInWindow { rank, op };
+            self.world.protocol_abort(rank, v);
         }
     }
 
@@ -332,6 +383,7 @@ impl Comm {
     /// `hymv_check::run_perturbed`).
     pub fn recv_any(&mut self, tag: u32) -> (usize, Payload) {
         crate::assert_tag_valid(tag);
+        self.note_blocking(BlockingOp::Recv { src: None, tag });
         let msg = if self.world.fault.is_some() {
             self.serviced_receive_any(tag)
         } else {
@@ -370,6 +422,10 @@ impl Comm {
     /// stuck in a plain wait could otherwise deadlock a neighbour whose
     /// recovery needs this rank to resend.
     pub(crate) fn blocking_receive(&mut self, src: usize, tag: u32) -> Message {
+        self.note_blocking(BlockingOp::Recv {
+            src: Some(src),
+            tag,
+        });
         if self.world.fault.is_none() {
             return self.world.receive(self.rank, src, tag);
         }
@@ -449,11 +505,8 @@ impl Comm {
     /// the body of a per-element loop.
     ///
     /// The `work`/`traced` wrappers are the *sanctioned* timing APIs: their
-    /// ledger/clock reads are the cost model itself, not stray
-    /// nondeterminism, so effect inference pins them pure. Closure bodies
-    /// are not hidden by the pin — their call sites are textually in the
-    /// caller and are attributed there.
-    // verify: pure
+    /// ledger/clock reads are the cost model itself. The kernel crates'
+    /// clippy config disallows reading the clock or the ledger directly.
     pub fn work<R>(&mut self, f: impl FnOnce() -> R) -> R {
         let t0 = thread_cpu_time();
         let out = f();
@@ -466,7 +519,6 @@ impl Comm {
     /// the cost model's Amdahl speedup for `threads` threads. On a
     /// many-core host this models what `#pragma omp parallel for` over the
     /// elemental loop achieves; the host here has one core (see crate docs).
-    // verify: pure
     pub fn work_smp<R>(&mut self, threads: usize, f: impl FnOnce() -> R) -> R {
         let t0 = thread_cpu_time();
         let out = f();
@@ -488,7 +540,6 @@ impl Comm {
     /// the thread clock directly. Time spent *inside* nested comm calls is
     /// measured CPU time too — which is what the sender actually burns on
     /// this substrate, where "the network" is memcpy into a mailbox.
-    // verify: pure
     pub fn work_with<R>(&mut self, f: impl FnOnce(&mut Self) -> R) -> R {
         let t0 = thread_cpu_time();
         let out = f(self);
@@ -499,7 +550,6 @@ impl Comm {
     /// [`Comm::work_with`] that also returns the charged duration in
     /// seconds — for callers that keep their own phase breakdowns (e.g.
     /// operator setup timings).
-    // verify: pure
     pub fn timed_work<R>(&mut self, f: impl FnOnce(&mut Self) -> R) -> (R, f64) {
         let t0 = thread_cpu_time();
         let out = f(self);
@@ -512,11 +562,7 @@ impl Comm {
 
     /// Run `f` inside a trace span of `phase`, stamped with this rank's
     /// virtual time on entry and exit. A no-op wrapper (two relaxed atomic
-    /// loads) when tracing is disabled. Spans nest. Pinned pure like the
-    /// `work` family: span bookkeeping (including the tracer's node
-    /// allocation on close) is observability plumbing, not algorithm
-    /// effects.
-    // verify: pure
+    /// loads) when tracing is disabled. Spans nest.
     pub fn traced<R>(&mut self, phase: hymv_trace::Phase, f: impl FnOnce(&mut Self) -> R) -> R {
         let guard = hymv_trace::SpanGuard::open(phase, self.vt());
         let out = f(self);
@@ -573,7 +619,6 @@ impl Comm {
     /// rank 0 renders and stores the artifact. Returns the JSON on rank
     /// 0, `None` elsewhere. The trailing barrier keeps a later
     /// incident's snapshots from racing this dump.
-    // verify: collective-entry
     pub fn flight_postmortem(&mut self, reason: &str) -> Option<String> {
         hymv_trace::flight::rank_snapshot();
         self.barrier();
@@ -598,17 +643,19 @@ impl Comm {
     fn rendezvous_serviced(
         &mut self,
         seq: u64,
+        kind: CollectiveKind,
         contribution: Option<Payload>,
         combine: impl FnOnce(&mut [Option<Payload>]) -> Payload,
     ) -> (f64, Payload) {
         self.world
-            .rendezvous_post(self.rank, seq, self.vt(), contribution, combine);
-        self.coll_await(seq)
+            .rendezvous_post(self.rank, seq, self.vt(), kind, contribution, combine);
+        self.coll_await(seq, kind)
     }
 
     /// Blocking half of a collective, fault-aware (see
     /// [`Comm::rendezvous_serviced`]).
-    fn coll_await(&mut self, seq: u64) -> (f64, Payload) {
+    fn coll_await(&mut self, seq: u64, kind: CollectiveKind) -> (f64, Payload) {
+        self.note_blocking(BlockingOp::Collective { seq, kind });
         if self.world.fault.is_none() {
             return self.world.rendezvous_await(self.rank, seq);
         }
@@ -621,6 +668,7 @@ impl Comm {
                 return out;
             }
             self.world.check_poison(self.rank);
+            self.world.check_posted(self.rank, seq, kind);
             self.check_revoked();
             self.service_resend_requests();
             std::thread::yield_now();
@@ -630,7 +678,8 @@ impl Comm {
     /// Synchronize all ranks (virtual clocks advance to the global max).
     pub fn barrier(&mut self) {
         let seq = self.next_seq();
-        let (max_vt, _) = self.rendezvous_serviced(seq, None, |_| Payload::Bytes(Vec::new()));
+        let kind = CollectiveKind::Barrier;
+        let (max_vt, _) = self.rendezvous_serviced(seq, kind, None, |_| Payload::Bytes(Vec::new()));
         self.ledger.on_collective(max_vt, self.size());
     }
 
@@ -644,9 +693,18 @@ impl Comm {
     /// exploit.
     pub fn iallreduce<T: Reducible>(&mut self, vals: Vec<T>, op: ReduceOp) -> IallreduceHandle<T> {
         let seq = self.next_seq();
+        let kind = CollectiveKind::Iallreduce {
+            op,
+            len: vals.len(),
+        };
         let contribution = Some(T::into_payload(vals));
-        self.world
-            .rendezvous_post(self.rank, seq, self.vt(), contribution, move |contrib| {
+        self.world.rendezvous_post(
+            self.rank,
+            seq,
+            self.vt(),
+            kind,
+            contribution,
+            move |contrib| {
                 let mut parts = contrib
                     .iter_mut()
                     .map(|c| T::from_payload(c.take().expect("every rank contributes")));
@@ -658,9 +716,11 @@ impl Comm {
                     }
                 }
                 T::into_payload(acc)
-            });
+            },
+        );
         IallreduceHandle {
             seq,
+            kind,
             elem: PhantomData,
         }
     }
@@ -690,21 +750,22 @@ impl Comm {
     pub fn allgather_u64(&mut self, mine: Vec<u64>) -> Vec<Vec<u64>> {
         let seq = self.next_seq();
         let size = self.size();
-        let (max_vt, result) =
-            self.rendezvous_serviced(seq, Some(Payload::from_u64(mine)), move |contrib| {
-                // Flatten with length prefixes so one payload carries all.
-                let mut flat = Vec::new();
-                for c in contrib.iter() {
-                    match c {
-                        Some(Payload::U64(v)) => {
-                            flat.push(v.len() as u64);
-                            flat.extend_from_slice(v);
-                        }
-                        _ => unreachable!("allgather contributions are U64"),
+        let contribution = Some(Payload::from_u64(mine));
+        let kind = CollectiveKind::Allgather;
+        let (max_vt, result) = self.rendezvous_serviced(seq, kind, contribution, move |contrib| {
+            // Flatten with length prefixes so one payload carries all.
+            let mut flat = Vec::new();
+            for c in contrib.iter() {
+                match c {
+                    Some(Payload::U64(v)) => {
+                        flat.push(v.len() as u64);
+                        flat.extend_from_slice(v);
                     }
+                    _ => unreachable!("allgather contributions are U64"),
                 }
-                Payload::from_u64(flat)
-            });
+            }
+            Payload::from_u64(flat)
+        });
         self.ledger.on_collective(max_vt, size);
         let flat = result.into_u64();
         let mut out = Vec::with_capacity(size);
@@ -726,7 +787,8 @@ impl Comm {
             "exactly the root supplies the broadcast payload"
         );
         let seq = self.next_seq();
-        let (max_vt, result) = self.rendezvous_serviced(seq, payload, move |contrib| {
+        let kind = CollectiveKind::Bcast { root };
+        let (max_vt, result) = self.rendezvous_serviced(seq, kind, payload, move |contrib| {
             contrib[root].take().expect("root contributed")
         });
         self.ledger.on_collective(max_vt, self.size());

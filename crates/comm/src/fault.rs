@@ -195,6 +195,10 @@ pub enum FaultKind {
     /// not LFLR-armed, or recovery itself failed); `suspects` are the
     /// ranks declared dead by the accusers.
     Revoked { suspects: Vec<usize> },
+    /// A protocol violation no rank can get past: a collective posted with
+    /// different kinds, or never posted by a rank that returned (the audit
+    /// report has the details), or a raw message on an envelope tag.
+    ProtocolViolation { rule: &'static str },
 }
 
 /// The typed diagnostic every unrecoverable fault terminates with —
@@ -237,6 +241,9 @@ impl fmt::Display for FaultReport {
                 "rank {}: world revoked (suspects {suspects:?}) with no recovery handler",
                 self.rank
             ),
+            FaultKind::ProtocolViolation { rule } => {
+                write!(f, "rank {}: protocol violation: {rule}", self.rank)
+            }
         }
     }
 }

@@ -321,8 +321,9 @@ impl Comm {
         contribution: Payload,
         combine: impl FnOnce(&mut [Option<Payload>]) -> Payload,
     ) -> Payload {
+        let kind = crate::audit::CollectiveKind::Recovery;
         self.world
-            .rendezvous_post(self.rank, seq, self.vt(), Some(contribution), combine);
+            .rendezvous_post(self.rank, seq, self.vt(), kind, Some(contribution), combine);
         loop {
             if let Some((max_vt, payload)) = self.world.try_rendezvous_result(self.rank, seq) {
                 let size = self.size();
@@ -394,6 +395,7 @@ impl Comm {
         self.world.drain_mailbox(self.rank, TAG_CKPT_RESTORE);
         self.reliable.reset();
         self.coll_seq = 0;
+        self.in_window = false;
         self.lflr.graces_used = 0;
 
         // Restore shipping. A dead buddy of a dead rank would leave no

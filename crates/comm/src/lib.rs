@@ -55,7 +55,10 @@ mod payload;
 mod reliable;
 mod world;
 
-pub use audit::{AuditEvent, AuditEventKind, AuditMode, AuditReport, AuditViolation};
+pub use audit::{
+    AuditEvent, AuditEventKind, AuditMode, AuditReport, AuditViolation, BlockingOp, CollectiveKind,
+    CountingAlloc,
+};
 pub use comm::{Comm, IallreduceHandle, RecvHandle, ReduceOp, Reducible, SendHandle};
 pub use fault::{CrashSpec, FaultKind, FaultPlan, FaultReport, RetryPolicy};
 pub use ledger::{assert_thread_count, thread_cpu_time, CommStats, CostModel, Ledger, TagStats};
@@ -69,9 +72,10 @@ pub use world::{RunConfig, Universe};
 /// Tags at or above this value are reserved for internal collectives.
 ///
 /// This is the **single authoritative definition** of the reserved range:
-/// `assert_tag_valid` (the runtime guard), the protocol auditor, and the
-/// `hymv-verify` static passes all read this constant — do not copy the
-/// value anywhere else.
+/// `assert_tag_valid` (the runtime guard, on in release builds too, and
+/// the one check a raw or literal tag meets), the protocol auditor, and
+/// `hymv-verify`'s exchange-plan proofs all read this constant — do not
+/// copy the value anywhere else.
 pub const RESERVED_TAG_BASE: u32 = 0xF000_0000;
 
 /// Tags in `[CTRL_TAG_BASE, RESERVED_TAG_BASE)` carry the reliable

@@ -250,6 +250,15 @@ impl Comm {
                     // Reordered past an earlier envelope; hold for later.
                     self.reliable.stash.insert((peer, tag, seq), data);
                 }
+                // Only the injector corrupts an envelope: on a perfect
+                // transport the payload was never one — a raw send on an
+                // envelope tag, which no resend can heal.
+                Err(_) if self.world.fault.is_none() => self.fault_abort(FaultReport {
+                    rank: self.rank(),
+                    kind: FaultKind::ProtocolViolation {
+                        rule: "envelope-bypass",
+                    },
+                }),
                 Err(_) => {
                     self.ledger.on_corrupt_detected();
                     self.retry_or_abort(peer, tag, expected, &mut attempts);

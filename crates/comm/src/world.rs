@@ -7,7 +7,9 @@ use std::sync::Arc;
 
 use parking_lot::{Condvar, Mutex};
 
-use crate::audit::{self, AuditEventKind, AuditLog, AuditMode, AuditReport};
+use crate::audit::{
+    self, AuditEventKind, AuditLog, AuditMode, AuditReport, AuditViolation, CollectiveKind,
+};
 use crate::comm::Comm;
 use crate::fault::{FaultAbort, FaultKind, FaultPlan, FaultReport, FaultState, RetryPolicy};
 use crate::ledger::CostModel;
@@ -75,16 +77,20 @@ pub(crate) struct CollSlot {
     /// The one result every rank receives, computed by the last arriver.
     result: Option<Payload>,
     departed: usize,
+    /// The first poster and what it posted (the audit holds every later
+    /// poster to the same kind).
+    first: (usize, CollectiveKind),
 }
 
 impl CollSlot {
-    fn new(size: usize) -> Self {
+    fn new(size: usize, first: (usize, CollectiveKind)) -> Self {
         CollSlot {
             arrived: 0,
             max_vt: 0.0,
             contrib: vec![None; size],
             result: None,
             departed: 0,
+            first,
         }
     }
 }
@@ -101,7 +107,7 @@ pub(crate) struct World {
     pub model: CostModel,
     pub mail: Vec<MailSlot>,
     pub coll: CollState,
-    /// Event log when the protocol auditor is enabled.
+    /// Audit state when the protocol auditor is enabled.
     pub audit: Option<AuditLog>,
     /// Schedule-perturbation seed (None = deterministic FIFO delivery).
     pub perturb_seed: Option<u64>,
@@ -129,7 +135,7 @@ impl World {
     fn new(
         size: usize,
         model: CostModel,
-        audit: bool,
+        audit: AuditMode,
         perturb_seed: Option<u64>,
         fault: Option<FaultPlan>,
         retry: RetryPolicy,
@@ -155,7 +161,9 @@ impl World {
                 slots: Mutex::new(HashMap::new()),
                 cond: Condvar::new(),
             },
-            audit: audit.then(AuditLog::default),
+            audit: audit
+                .is_enabled()
+                .then(|| AuditLog::new(size, audit != AuditMode::PhaseRules)),
             perturb_seed,
             fault: fault.filter(FaultPlan::is_active).map(FaultState::new),
             retry,
@@ -263,6 +271,44 @@ impl World {
     fn record(&self, rank: usize, kind: AuditEventKind) {
         if let Some(log) = &self.audit {
             log.record(rank, kind);
+        }
+    }
+
+    /// Record `v`, then stop the run the way a fault does: poison the world
+    /// so every blocked rank unwinds typed, and abort rank `me`.
+    pub(crate) fn protocol_abort(&self, me: usize, v: AuditViolation) -> ! {
+        let kind = FaultKind::ProtocolViolation { rule: v.rule() };
+        if let Some(log) = &self.audit {
+            log.violation(v);
+        }
+        let report = FaultReport { rank: me, kind };
+        self.poison(report.clone());
+        std::panic::panic_any(FaultAbort(report));
+    }
+
+    /// Audit only: rank `me` returned having posted collectives `0..seq`.
+    /// Wakes the collective waiters, so one waiting on a collective this
+    /// rank never posts stops instead of hanging.
+    pub(crate) fn note_exit(&self, me: usize, seq: u64) {
+        if let Some(log) = &self.audit {
+            log.note_exit(me, seq);
+            let _slots = self.coll.slots.lock();
+            self.coll.cond.notify_all();
+        }
+    }
+
+    /// Audit only: abort rank `me` if a rank that already returned never
+    /// posts collective `seq`, which `me` waits on.
+    pub(crate) fn check_posted(&self, me: usize, seq: u64, kind: CollectiveKind) {
+        let exited = self.audit.as_ref().and_then(|log| log.exited_before(seq));
+        if let Some(exited) = exited {
+            let v = AuditViolation::CollectiveNeverPosted {
+                seq,
+                rank: me,
+                kind,
+                exited,
+            };
+            self.protocol_abort(me, v);
         }
     }
 
@@ -420,17 +466,34 @@ impl World {
     /// optional contribution; the last depositor runs `combine` over all
     /// contributions to produce the result every rank receives. No waiting;
     /// pair with [`Self::rendezvous_await`] or [`Self::try_rendezvous_result`].
+    /// Under the audit, a rank posting another `kind` than the first poster
+    /// stops the run.
     pub(crate) fn rendezvous_post(
         &self,
         me: usize,
         seq: u64,
         vt: f64,
+        kind: CollectiveKind,
         contribution: Option<Payload>,
         combine: impl FnOnce(&mut [Option<Payload>]) -> Payload,
     ) {
         self.record(me, AuditEventKind::CollectivePosted { seq });
         let mut slots = self.coll.slots.lock();
-        let slot = slots.entry(seq).or_insert_with(|| CollSlot::new(self.size));
+        let slot = slots
+            .entry(seq)
+            .or_insert_with(|| CollSlot::new(self.size, (me, kind)));
+        if self.audit.is_some() && slot.first.1 != kind {
+            let (first_rank, first) = slot.first;
+            drop(slots);
+            let v = AuditViolation::CollectiveKindMismatch {
+                seq,
+                first_rank,
+                first,
+                rank: me,
+                kind,
+            };
+            self.protocol_abort(me, v);
+        }
         slot.arrived += 1;
         slot.max_vt = slot.max_vt.max(vt);
         slot.contrib[me] = contribution;
@@ -443,8 +506,22 @@ impl World {
     /// Blocking half: wait for the result of a posted rendezvous.
     pub(crate) fn rendezvous_await(&self, me: usize, seq: u64) -> (f64, Payload) {
         let mut slots = self.coll.slots.lock();
-        while slots.get(&seq).is_some_and(|s| s.result.is_none()) {
+        while let Some(slot) = slots.get(&seq).filter(|s| s.result.is_none()) {
             self.check_poison(me);
+            // Under the slot lock, so an exit noted after this check wakes
+            // the wait below (`note_exit` notifies under the same lock).
+            let exited = self.audit.as_ref().and_then(|log| log.exited_before(seq));
+            if let Some(exited) = exited {
+                let kind = slot.first.1;
+                drop(slots);
+                let v = AuditViolation::CollectiveNeverPosted {
+                    seq,
+                    rank: me,
+                    kind,
+                    exited,
+                };
+                self.protocol_abort(me, v);
+            }
             self.coll.cond.wait(&mut slots);
         }
         let out = Self::take_rendezvous_result(&mut slots, self.size, seq);
@@ -492,6 +569,16 @@ impl World {
     /// auditor check. `None` when auditing is disabled.
     fn audit_report(&self) -> Option<AuditReport> {
         let log = self.audit.as_ref()?;
+        let live = log.take_live();
+        if !log.teardown {
+            return Some(audit::verify(
+                self.size,
+                live,
+                Vec::new(),
+                Vec::new(),
+                Vec::new(),
+            ));
+        }
         let events = log.take_events();
         let mut leftover_msgs = Vec::new();
         for (dst, slot) in self.mail.iter().enumerate() {
@@ -517,6 +604,7 @@ impl World {
             .collect();
         Some(audit::verify(
             self.size,
+            live,
             events,
             leftover_msgs,
             leftover_colls,
@@ -609,11 +697,31 @@ impl Universe {
             )
         });
         settle_flight(world.flight_run, reason);
-        let results = joined
-            .into_iter()
-            .map(|r| r.unwrap_or_else(|e| std::panic::resume_unwind(e)))
-            .collect();
-        (results, world.audit_report())
+        let report = world.audit_report();
+        let mut results = Vec::with_capacity(size);
+        let mut aborts = Vec::new();
+        for r in joined {
+            match r.map_err(|e| e.downcast::<FaultAbort>()) {
+                Ok(out) => results.push(out),
+                Err(Ok(abort)) => aborts.push(abort.0),
+                Err(Err(panic)) => std::panic::resume_unwind(panic),
+            }
+        }
+        // A typed abort has no result to hand back: the panic names the
+        // audit's findings, or the rank the abort started on.
+        if let Some(report) = report
+            .as_ref()
+            .filter(|r| !aborts.is_empty() && !r.is_clean())
+        {
+            panic!("communication audit failed:\n{report}");
+        }
+        let origin = aborts
+            .iter()
+            .min_by_key(|a| matches!(a.kind, FaultKind::PeerAborted { .. }));
+        if let Some(origin) = origin {
+            panic!("{origin}");
+        }
+        (results, report)
     }
 
     /// Run `f` on `size` ranks under fault injection and harvest typed
@@ -675,7 +783,7 @@ impl Universe {
         let world = World::new(
             size,
             cfg.model,
-            cfg.audit.is_enabled(),
+            cfg.audit,
             cfg.perturb_seed,
             cfg.fault,
             cfg.retry,
@@ -784,7 +892,7 @@ mod tests {
         World::new(
             size,
             CostModel::default(),
-            false,
+            AuditMode::Disabled,
             None,
             None,
             RetryPolicy::default(),
@@ -866,7 +974,7 @@ mod tests {
         let world = World::new(
             3,
             CostModel::default(),
-            false,
+            AuditMode::Disabled,
             perturb_seed,
             None,
             RetryPolicy::default(),

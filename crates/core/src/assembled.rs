@@ -51,8 +51,8 @@ impl AssembledOperator {
         // Element matrices → global triples, a chunk of elements at a
         // time like HYMV's own setup loop, so the emat/assembly split
         // costs both operators the same two clock pairs per chunk. The
-        // ledger owns all clock reads (`Comm::timed_work`), so this stays
-        // lintable against direct `thread_cpu_time` access.
+        // ledger owns all clock reads (`Comm::timed_work`): the crate's
+        // clippy config disallows direct `thread_cpu_time` access.
         let mut triples: Vec<(u64, u64, f64)> = Vec::with_capacity(part.n_elems() * nd * nd);
         let mut kes = vec![0.0; KE_CHUNK * nd * nd];
         let mut scratch = KernelScratch::default();

@@ -30,6 +30,11 @@ pub const TAG_SCATTER: u32 = 0x0C01;
 /// Tag of the per-SPMV ghost-accumulation gather (GNGM direction).
 pub const TAG_GATHER: u32 = 0x0C02;
 
+/// The NaN an audited apply writes into every ghost slot between posting
+/// the scatter and waiting on it: an element product that reads a ghost
+/// inside the scatter window carries it into the output.
+const GHOST_POISON: f64 = f64::from_bits(0x7FF8_0000_DEAD_BEEF);
+
 /// The per-rank communication plan (LNSM + GNGM).
 #[derive(Debug, Clone)]
 pub struct GhostExchange {
@@ -43,7 +48,6 @@ pub struct GhostExchange {
 
 impl GhostExchange {
     /// Build the LNSM/GNGM maps. Collective over all ranks.
-    // verify: collective-entry
     pub fn build(comm: &mut Comm, maps: &HymvMaps) -> Self {
         hymv_trace::name_tag(TAG_BUILD, "build");
         hymv_trace::name_tag(TAG_SCATTER, "scatter");
@@ -166,6 +170,16 @@ impl GhostExchange {
                 }
             });
         });
+    }
+
+    /// Fill every ghost slot [`Self::scatter_end`] writes with
+    /// [`GHOST_POISON`]: what an audited apply does once the scatter is
+    /// posted, so a ghost read before the wait shows in the result.
+    pub(crate) fn poison_ghosts(&self, da: &mut DistArray) {
+        let stride = da.stride();
+        for (_, range) in &self.recv_plan {
+            da.data[range.start * stride..range.end * stride].fill(GHOST_POISON);
+        }
     }
 
     /// `local_node_scatter_end`: receive ghost values into the DA.

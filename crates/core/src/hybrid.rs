@@ -19,7 +19,6 @@ use crate::maps::HymvMaps;
 /// The per-element reference loop over a subset:
 /// `v(E2L[e]) += Ke · u(E2L[e])`, one [`emv_portable`] per element. No
 /// operator runs it; tests compare the block engine against it.
-// verify: kernel-entry
 pub fn emv_loop_serial(
     maps: &HymvMaps,
     store: &ElementMatrixStore,

@@ -69,17 +69,26 @@ impl MatFreeOperator {
             comm.work_with(|_| BlockPlan::build(&maps, ndof, bw))
         });
         setup_span.close(comm.vt());
+        let mut kes = vec![0.0; nd * nd * bw];
+        // Size the kernel's scratch here, on the first element: it grows on
+        // first use, and the first apply must not allocate inside the
+        // scatter window. The matrix it computes is overwritten per apply.
+        let mut scratch = KernelScratch::default();
+        let npe = maps.npe;
+        if let Some(first) = part.elem_coords.get(..npe) {
+            kernel.compute_ke_chunk(&[first], &mut kes[..nd * nd], &mut scratch);
+        }
         let src = Recompute {
             kernel,
             elem_coords: part.elem_coords.clone(),
-            npe: maps.npe,
+            npe,
             plan,
             batch_kernel: select_batch_kernel(bw),
-            kes: vec![0.0; nd * nd * bw],
+            kes,
             keb: vec![0.0; nd * nd * bw],
             ue: vec![0.0; nd * bw],
             ve: vec![0.0; nd * bw],
-            scratch: KernelScratch::default(),
+            scratch,
         };
         MatFreeOperator {
             maps,

@@ -7,6 +7,13 @@
 //! only reorders local work — both send the same envelopes in the same
 //! per-link order, so a degraded rank stays wire-compatible with its
 //! healthy neighbours.
+//!
+//! The overlapped independent set is the scatter window, marked here once
+//! ([`Comm::overlap_window`]). Under the protocol audit the window checks
+//! Algorithm 2's phase rules where they run: no blocking receive or
+//! collective wait and no allocation inside it, and — the ghost slots
+//! holding `GhostExchange::poison_ghosts`' tagged NaN until the scatter
+//! lands — no ghost read either (DESIGN.md §9).
 
 use hymv_comm::Comm;
 use hymv_trace::Phase;
@@ -54,9 +61,12 @@ pub fn apply(
     let overlapped = overlap == Overlap::Overlapped && !comm.degraded();
     v.fill_zero();
     exchange.scatter_begin(comm, u);
+    if comm.audited() {
+        exchange.poison_ghosts(u);
+    }
     if overlapped {
         comm.traced(Phase::IndepEmv, |comm| {
-            src.run_element_set(comm, false, u, v)
+            comm.overlap_window(|comm| src.run_element_set(comm, false, u, v))
         });
     }
     exchange.scatter_end(comm, u);

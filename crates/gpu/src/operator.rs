@@ -16,6 +16,7 @@
 //! makespan plus the measured host pack/accumulate time.
 
 use std::ops::Range;
+use std::sync::Arc;
 
 use hymv_comm::{assert_thread_count, Comm};
 use hymv_core::block::{BlockPlan, SlabMatrices};
@@ -49,23 +50,20 @@ pub enum GpuScheme {
     OverlapGpu,
 }
 
-/// Invoke the selected batched EMV kernel on one block's slabs.
-///
-/// The only values ever stored in `batch_kernel` are the `emv_batch_*`
-/// kernels from `hymv-la` — pure computation over bounds-checked lane
-/// chunks — so effect inference may
-/// pin this dispatch point pure instead of widening the fn-pointer call
-/// to ⊤ (which would spuriously flag the overlap window above it).
-// verify: pure
-fn dispatch_batch_kernel(
-    kernel: EmvBatchKernel,
-    keb: &[f64],
-    ue: &[f64],
-    ve: &mut [f64],
-    nd: usize,
-    bw: usize,
-) {
-    kernel(keb, ue, ve, nd, bw);
+/// Which submission a device batch is: it names the batch's stream
+/// events.
+#[derive(Debug, Clone, Copy)]
+enum Batch {
+    /// The independent set, inside the scatter window.
+    Indep,
+    /// Scheme 1's submissions of both sets after the exchange.
+    All,
+    /// Scheme 3's dependent set.
+    Dep,
+}
+
+impl Batch {
+    const ALL: [Batch; 3] = [Batch::Indep, Batch::All, Batch::Dep];
 }
 
 /// HYMV's GPU SPMV operator.
@@ -96,6 +94,10 @@ struct DevicePanels {
     /// memory in the paper); dependent blocks follow independent ones.
     bue: Vec<f64>,
     bve: Vec<f64>,
+    /// The `(bue, batched EMV, bve)` event labels of each stream, per
+    /// [`Batch`] (`batch × n_streams + stream`): built at setup, so a
+    /// submission inside the scatter window allocates nothing.
+    labels: Vec<[Arc<str>; 3]>,
     /// This apply's open device window: the virtual time and the device
     /// time it opened at.
     window: Option<(f64, f64)>,
@@ -136,18 +138,31 @@ impl HymvGpuOperator {
         timings.local_copy_s += upload_s;
 
         let n_batch = plan.n_blocks_total() * plan.set(false).panel_len();
+        let labels = Batch::ALL
+            .iter()
+            .flat_map(|b| (0..n_streams).map(move |s| (b, s)))
+            .map(|(b, s)| {
+                let b = format!("{b:?}").to_lowercase();
+                ["bue", "batched EMV", "bve"].map(|what| Arc::from(format!("{b} {what} s{s}")))
+            })
+            .collect();
+        let mut sim = DeviceSim::new(model, n_streams);
+        // A window holds at most two submissions of three events per
+        // stream.
+        sim.reserve_events(6 * n_streams);
         let op = HymvGpuOperator {
             u: DistArray::new(&maps, ndof),
             v: DistArray::new(&maps, ndof),
             exchange,
             device: DevicePanels {
-                sim: DeviceSim::new(model, n_streams),
+                sim,
                 scheme,
                 host_threads,
                 batch_kernel: select_batch_kernel(plan.batch_width()),
                 plan,
                 bue: vec![0.0; n_batch],
                 bve: vec![0.0; n_batch],
+                labels,
                 window: None,
             },
             upload_s,
@@ -211,13 +226,13 @@ impl ElementSource for DevicePanels {
             (false, GpuScheme::Blocking) => return,
             (false, _) => {
                 self.open_window(comm);
-                self.submit_batch(false, "indep");
+                self.submit_batch(false, Batch::Indep);
                 return;
             }
             (true, GpuScheme::Blocking) => {
                 self.open_window(comm);
-                self.submit_batch(false, "all");
-                self.submit_batch(true, "all");
+                self.submit_batch(false, Batch::All);
+                self.submit_batch(true, Batch::All);
             }
             (true, GpuScheme::OverlapCpu) => {
                 // The host computes the dependent elements while the
@@ -230,7 +245,7 @@ impl ElementSource for DevicePanels {
                 // before the host submitted them (post-exchange).
                 let (anchor_vt, ..) = self.window.expect("the independent set opened it");
                 self.sim.set_submission_floor(comm.vt() - anchor_vt);
-                self.submit_batch(true, "dep");
+                self.submit_batch(true, Batch::Dep);
             }
         }
         // Sync with the device.
@@ -287,7 +302,7 @@ impl DevicePanels {
         for k in ks {
             let off = base + k * pl;
             let (ue, ve) = (&self.bue[off..off + pl], &mut self.bve[off..off + pl]);
-            dispatch_batch_kernel(self.batch_kernel, set.keb(k), ue, ve, nd, bw);
+            (self.batch_kernel)(set.keb(k), ue, ve, nd, bw);
         }
     }
 
@@ -301,12 +316,7 @@ impl DevicePanels {
     /// whole blocks and execute the numerics on the host. Device time
     /// accrues on the simulator timeline; its events are final once
     /// scheduled, so they are mirrored onto the merged trace right away.
-    ///
-    /// Allocation waiver: the `format!`ed stream labels feed the device
-    /// simulator's event timeline and the trace — O(Ns) small strings per
-    /// matvec, observability only, never on the numeric path.
-    // verify: allow(allocates)
-    fn submit_batch(&mut self, dependent: bool, label: &str) {
+    fn submit_batch(&mut self, dependent: bool, batch: Batch) {
         let nb = self.plan.set(dependent).n_blocks();
         if nb == 0 {
             return;
@@ -314,21 +324,23 @@ impl DevicePanels {
         let mark = self.sim.events().len();
         let (nd, bw) = (self.plan.nd(), self.plan.batch_width());
         let pl = self.plan.set(dependent).panel_len();
-        let chunk = nb.div_ceil(self.sim.n_streams());
+        let n_streams = self.sim.n_streams();
+        let chunk = nb.div_ceil(n_streams);
         for (s, start) in (0..nb).step_by(chunk).enumerate() {
             let ks = start..(start + chunk).min(nb);
             let vec_bytes = ks.len() * pl * 8;
             // The modeled kernel executes every lane, padding included.
             let lanes = ks.len() * bw;
             let model = *self.sim.model();
-            self.sim.h2d(s, vec_bytes, format!("{label} bue s{s}"));
+            let [h2d, kernel, d2h] = self.labels[batch as usize * n_streams + s].clone();
+            self.sim.h2d(s, vec_bytes, h2d);
             self.sim.kernel(
                 s,
                 model.batched_emv_flops(lanes, nd),
                 model.batched_emv_bytes(lanes, nd),
-                format!("{label} batched EMV s{s}"),
+                kernel,
             );
-            self.sim.d2h(s, vec_bytes, format!("{label} bve s{s}"));
+            self.sim.d2h(s, vec_bytes, d2h);
             // Bit-exact numerics on the host (emulation, not charged).
             self.emv_panels(dependent, ks);
         }

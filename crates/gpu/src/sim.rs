@@ -6,6 +6,8 @@
 //! executes. This is exactly the mechanism that makes the paper's
 //! multi-stream pipeline (Fig 3) overlap transfers with kernels.
 
+use std::sync::Arc;
+
 use crate::model::GpuModel;
 
 /// Operation classes, one per hardware engine.
@@ -30,8 +32,9 @@ pub struct TraceEvent {
     pub start: f64,
     /// End time.
     pub end: f64,
-    /// Human-readable label.
-    pub label: String,
+    /// Human-readable label (shared, so a label built once is reused
+    /// without allocating).
+    pub label: Arc<str>,
 }
 
 /// The simulated device.
@@ -90,7 +93,7 @@ impl DeviceSim {
         stream: usize,
         kind: EventKind,
         duration: f64,
-        label: impl Into<String>,
+        label: impl Into<Arc<str>>,
     ) -> f64 {
         assert!(stream < self.streams.len(), "stream {stream} out of range");
         assert!(duration >= 0.0, "negative duration");
@@ -113,7 +116,7 @@ impl DeviceSim {
     }
 
     /// Host→device transfer of `bytes` on `stream`.
-    pub fn h2d(&mut self, stream: usize, bytes: usize, label: impl Into<String>) -> f64 {
+    pub fn h2d(&mut self, stream: usize, bytes: usize, label: impl Into<Arc<str>>) -> f64 {
         let d = self.model.h2d_time(bytes);
         self.schedule(stream, EventKind::H2D, d, label)
     }
@@ -124,14 +127,14 @@ impl DeviceSim {
         stream: usize,
         flops: u64,
         bytes: usize,
-        label: impl Into<String>,
+        label: impl Into<Arc<str>>,
     ) -> f64 {
         let d = self.model.kernel_time(flops, bytes);
         self.schedule(stream, EventKind::Kernel, d, label)
     }
 
     /// Device→host transfer of `bytes` on `stream`.
-    pub fn d2h(&mut self, stream: usize, bytes: usize, label: impl Into<String>) -> f64 {
+    pub fn d2h(&mut self, stream: usize, bytes: usize, label: impl Into<Arc<str>>) -> f64 {
         let d = self.model.d2h_time(bytes);
         self.schedule(stream, EventKind::D2H, d, label)
     }
@@ -172,6 +175,11 @@ impl DeviceSim {
     /// The events of the current window.
     pub fn events(&self) -> &[TraceEvent] {
         &self.events
+    }
+
+    /// Room for `n` events in a window without growing the timeline.
+    pub(crate) fn reserve_events(&mut self, n: usize) {
+        self.events.reserve(n.saturating_sub(self.events.len()));
     }
 }
 
@@ -251,7 +259,7 @@ mod tests {
         assert_eq!(ev[0].kind, EventKind::H2D);
         assert!((ev[0].end - 0.5).abs() < 1e-12);
         assert!((ev[1].start - 0.5).abs() < 1e-12);
-        assert_eq!(ev[1].label, "y");
+        assert_eq!(&*ev[1].label, "y");
     }
 
     #[test]

@@ -194,7 +194,6 @@ pub(crate) fn gemm_acc(dst: &mut Multivector, src: &Multivector, m: &[f64], sign
 /// fault injector the solve arms LFLR crash recovery, exactly like
 /// [`crate::resilient::resilient_cg`].
 #[allow(clippy::too_many_arguments)]
-// verify: collective-entry
 pub fn block_cg(
     comm: &mut Comm,
     op: &mut dyn MultiLinOp,

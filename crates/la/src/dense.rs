@@ -431,7 +431,6 @@ macro_rules! isa_name {
 ///
 /// # Panics
 /// If `ke` is not `nd × nd` or `ve` not `nd` long (`nd = ue.len()`).
-// verify: kernel-entry
 pub fn emv_portable(ke: &[f64], ue: &[f64], ve: &mut [f64]) {
     let nd = ue.len();
     assert!(
@@ -784,13 +783,11 @@ fn emv_batch_mv_on<L: Lane>(
 }
 
 /// Portable batched kernel: scalar lanes; the lane loops autovectorize.
-// verify: kernel-entry
 pub fn emv_batch_portable(keb: &[f64], ue: &[f64], ve: &mut [f64], nd: usize, bw: usize) {
     emv_batch_on::<_, 1>(lanes::Cpu::<f64>::proof(), keb, ue, ve, nd, bw, 1);
 }
 
 #[cfg(target_arch = "x86_64")]
-// verify: kernel-entry
 #[allow(unsafe_code)] // SIMD dispatch wrapper; SAFETY comment at the call
 fn emv_batch_avx2(keb: &[f64], ue: &[f64], ve: &mut [f64], nd: usize, bw: usize) {
     #[target_feature(enable = "avx2,fma")]
@@ -802,7 +799,6 @@ fn emv_batch_avx2(keb: &[f64], ue: &[f64], ve: &mut [f64], nd: usize, bw: usize)
 }
 
 #[cfg(target_arch = "x86_64")]
-// verify: kernel-entry
 #[allow(unsafe_code)] // SIMD dispatch wrapper; SAFETY comment at the call
 fn emv_batch_avx512(keb: &[f64], ue: &[f64], ve: &mut [f64], nd: usize, bw: usize) {
     #[target_feature(enable = "avx512f")]
@@ -969,7 +965,6 @@ pub fn emv_batch_mv_kernel_name(nvec: usize) -> &'static str {
 /// Portable multivector kernel: scalar lanes. Per vector column this is
 /// the multiply-add chain of [`emv_batch_portable`], so a width-`nvec`
 /// product reproduces `nvec` sequential batched EMVs bitwise.
-// verify: kernel-entry
 pub fn emv_batch_mv_portable(
     keb: &[f64],
     ue: &[f64],
@@ -982,7 +977,6 @@ pub fn emv_batch_mv_portable(
 }
 
 #[cfg(target_arch = "x86_64")]
-// verify: kernel-entry
 #[allow(unsafe_code)] // SIMD dispatch wrapper; SAFETY comment at the call
 fn emv_batch_mv_avx2(keb: &[f64], ue: &[f64], ve: &mut [f64], nd: usize, bw: usize, nvec: usize) {
     #[target_feature(enable = "avx2,fma")]
@@ -994,7 +988,6 @@ fn emv_batch_mv_avx2(keb: &[f64], ue: &[f64], ve: &mut [f64], nd: usize, bw: usi
 }
 
 #[cfg(target_arch = "x86_64")]
-// verify: kernel-entry
 #[allow(unsafe_code)] // SIMD dispatch wrapper; SAFETY comment at the call
 fn emv_batch_mv_avx512(keb: &[f64], ue: &[f64], ve: &mut [f64], nd: usize, bw: usize, nvec: usize) {
     #[target_feature(enable = "avx512f")]

@@ -59,7 +59,6 @@ impl DistCsr {
     /// Assemble from local triples in **global** (row, col, value) ids.
     /// Rows owned by other ranks are shipped to them — every rank must
     /// call this collectively.
-    // verify: collective-entry
     pub fn from_triples(
         comm: &mut Comm,
         n_owned_rows: usize,

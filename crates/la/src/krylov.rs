@@ -45,9 +45,6 @@ pub(crate) enum Step {
 
 /// The arithmetic of one CG iteration over `s` columns. The reductions
 /// return `γ = zᵀr` (`s × s`, column-major) and `‖r‖` per column.
-///
-/// The method names are unique in the workspace: `hymv-verify` resolves
-/// calls by name.
 pub(crate) trait Arith {
     /// The iterate, residual and direction as flat column-major slices:
     /// what a checkpoint and a rollback copy.

@@ -90,9 +90,6 @@ pub struct CgResult {
 /// (`hymv_gpu::DeviceBlas`) charges a modeled kernel. The loop itself
 /// always runs on the host, so the bits do not depend on the
 /// implementation.
-///
-/// The method names are unique in the workspace: `hymv-verify` resolves
-/// calls by name.
 pub trait VectorLoops {
     /// Run the update loop `f` (`flops` flops over `bytes` bytes).
     fn vector_update(&mut self, comm: &mut Comm, flops: u64, bytes: usize, f: impl FnOnce());
@@ -135,7 +132,6 @@ impl VectorLoops for HostLoops {
 /// # Panics
 /// If `pᵀAp ≤ 0` (the operator is not positive-definite), or if the
 /// right-hand side or the recurrence turns non-finite.
-// verify: collective-entry
 pub fn cg(
     comm: &mut Comm,
     op: &mut dyn LinOp,
@@ -158,7 +154,6 @@ pub fn cg(
 /// # Panics
 /// As [`cg`].
 #[allow(clippy::too_many_arguments)]
-// verify: collective-entry
 pub fn cg_on(
     comm: &mut Comm,
     loops: &mut impl VectorLoops,

@@ -200,7 +200,6 @@ impl<'a> SolveService<'a> {
     /// [`SolveOutcome`]s with the typed fault attached — a faulted batch
     /// never tears down the service or loses the outcomes of batches
     /// dispatched earlier in the same call.
-    // verify: collective-entry
     pub fn step(&mut self, comm: &mut Comm) -> Vec<SolveOutcome> {
         let mut out = Vec::new();
         loop {

@@ -13,12 +13,12 @@
 //!
 //! * **Virtual time only.** Span timestamps are the rank's ledger clock
 //!   (`Comm::vt()`), never a wall clock — traces stay free of host
-//!   nondeterminism and the `hymv-verify` kernel lint stays happy. The
-//!   *structure* of a trace (event order, phases, nesting, counters) is
-//!   bitwise reproducible across schedule-perturbation seeds; the raw
-//!   timestamps embed measured thread-CPU time and are not. Determinism
-//!   checks therefore compare [`TraceReport::canonical`], which strips
-//!   timestamps.
+//!   nondeterminism (the kernel crates' clippy config disallows wall
+//!   clocks). The *structure* of a trace (event order, phases, nesting,
+//!   counters) is bitwise reproducible across schedule-perturbation
+//!   seeds; the raw timestamps embed measured thread-CPU time and are
+//!   not. Determinism checks therefore compare
+//!   [`TraceReport::canonical`], which strips timestamps.
 //! * **Near-zero disabled cost.** Every recording entry point first reads
 //!   one relaxed [`AtomicBool`]; with `HYMV_TRACE` unset that load and a
 //!   predicted branch are the whole overhead (guarded <3% by the bench

@@ -1,10 +1,10 @@
-//! `hymv-verify` — static analysis over HYMV exchange plans, block-plan
-//! tables, and workspace source.
+//! `hymv-verify` — static proofs over HYMV exchange plans and block-plan
+//! tables.
 //!
 //! ```text
 //! hymv-verify [--n N] [--p P1,P2,...] [--elem hex8|hex20|hex27|tet4|tet10]
 //!             [--method slabs|rcb|greedy] [--batch B] [--ndof D]
-//!             [--explicit-max P] [--root PATH] [--skip-lint]
+//!             [--explicit-max P]
 //! ```
 //!
 //! Builds an `N³`-element mesh, and for each rank count `P` runs the
@@ -27,29 +27,10 @@
 //!
 //! An `inconclusive` explicit-search outcome (state cap) is a **hard
 //! failure**: a proof obligation never silently degrades into a sample.
-//! The block-plan index-bounds check runs per rank at every `P`, and the
-//! workspace lint runs once (skip with `--skip-lint`).
-//!
-//! The `effects` subcommand runs the interprocedural pipeline instead:
-//!
-//! ```text
-//! hymv-verify effects [--root PATH]
-//! ```
-//!
-//! 1. the line-local lint as a fast pre-pass, then
-//! 2. the workspace call graph + fixed-point effect inference + phase
-//!    rules (blocking receives/allocations/ghost reads reachable inside
-//!    the scatter overlap window, ledger/wall-clock/RNG reachable from
-//!    kernel entries, tag-literal flow through tag-generic parameters),
-//! 3. the collective-order pass: no rank-divergent collective call chains
-//!    anywhere in the workspace, with the inferred collective sequence of
-//!    every `// verify: collective-entry` phase printed for review.
-//!
-//! `hymv-verify collectives [--root PATH]` runs pass 3 alone.
+//! The block-plan index-bounds check runs per rank at every `P`.
 //!
 //! Exits 0 if every pass is clean, 1 on violations, 2 on bad usage.
 
-use std::path::PathBuf;
 use std::process::ExitCode;
 
 use hymv_comm::Universe;
@@ -57,8 +38,7 @@ use hymv_core::{GhostExchange, HymvMaps};
 use hymv_mesh::partition::partition_mesh;
 use hymv_mesh::{unstructured_tet_mesh, ElementType, PartitionMethod, StructuredHexMesh};
 use hymv_verify::{
-    analyze_collectives, analyze_workspace_effects, check_plan_bounds, derive_plan_summaries,
-    lint_workspace, verify_exchange, verify_exchange_parameterized, CallGraph, CollectivesReport,
+    check_plan_bounds, derive_plan_summaries, verify_exchange, verify_exchange_parameterized,
     PlanSummary, Verdict,
 };
 
@@ -70,137 +50,15 @@ struct Options {
     batch: usize,
     ndof: usize,
     explicit_max: usize,
-    root: PathBuf,
-    skip_lint: bool,
 }
 
 fn usage() -> ExitCode {
     eprintln!(
         "usage: hymv-verify [--n N] [--p P1,P2,...] [--elem hex8|hex20|hex27|tet4|tet10]\n\
          \x20                  [--method slabs|rcb|greedy] [--batch B] [--ndof D]\n\
-         \x20                  [--explicit-max P] [--root PATH] [--skip-lint]\n\
-         \x20      hymv-verify effects [--root PATH]\n\
-         \x20      hymv-verify collectives [--root PATH]"
+         \x20                  [--explicit-max P]"
     );
     ExitCode::from(2)
-}
-
-/// Print one collective-order result; returns true if it failed.
-fn report_collectives(r: &CollectivesReport) -> bool {
-    if r.report.is_clean() {
-        println!(
-            "ok ({} fn(s) scanned, {} reach a collective, {} rank-dependent region(s))",
-            r.fns_scanned, r.reaching_fns, r.rank_regions
-        );
-    } else {
-        println!("FAILED ({} finding(s))", r.diags.len());
-        for d in &r.diags {
-            println!("  {}", d.message);
-        }
-    }
-    for e in &r.entries {
-        println!("  {} ({}:{}): {}", e.qual, e.file, e.line, e.sequence);
-    }
-    !r.report.is_clean()
-}
-
-/// The `collectives` subcommand: call graph + collective-order pass only.
-fn run_collectives(root: &std::path::Path) -> ExitCode {
-    print!("[1/1] collective-order pass .................. ");
-    match CallGraph::load_workspace(root) {
-        Ok(graph) => {
-            let r = analyze_collectives(&graph);
-            let failed = report_collectives(&r);
-            for note in &graph.notes {
-                println!("  note: {note}");
-            }
-            if failed {
-                eprintln!("hymv-verify collectives: violations found");
-                ExitCode::FAILURE
-            } else {
-                println!("hymv-verify collectives: clean");
-                ExitCode::SUCCESS
-            }
-        }
-        Err(e) => {
-            println!("FAILED\n  {e}");
-            ExitCode::FAILURE
-        }
-    }
-}
-
-/// The `effects` subcommand: lint pre-pass, interprocedural effect
-/// inference + phase rules, and the collective-order pass.
-fn run_effects(root: &std::path::Path) -> ExitCode {
-    let mut failed = false;
-
-    print!("[1/3] lint pre-pass .......................... ");
-    match lint_workspace(root) {
-        Ok(diags) if diags.is_empty() => println!("ok"),
-        Ok(diags) => {
-            failed = true;
-            println!("FAILED ({} finding(s))", diags.len());
-            for d in diags {
-                println!("  {d}");
-            }
-        }
-        Err(e) => {
-            failed = true;
-            println!("FAILED\n  {e}");
-        }
-    }
-
-    print!("[2/3] interprocedural phase effects .......... ");
-    let mut loaded_graph = None;
-    match analyze_workspace_effects(root) {
-        Ok((report, graph)) => {
-            if report.diags.is_empty() {
-                println!(
-                    "ok ({} fn(s), {} call(s), {} file(s); {} unknown, {} indirect)",
-                    report.stats.fns,
-                    report.stats.calls,
-                    report.stats.files,
-                    report.stats.unknown,
-                    report.stats.dynamic
-                );
-            } else {
-                failed = true;
-                println!("FAILED ({} finding(s))", report.diags.len());
-                for d in &report.diags {
-                    println!("  {d}");
-                }
-            }
-            for note in &graph.notes {
-                println!("  note: {note}");
-            }
-            loaded_graph = Some(graph);
-        }
-        Err(e) => {
-            failed = true;
-            println!("FAILED\n  {e}");
-        }
-    }
-
-    print!("[3/3] collective-order pass .................. ");
-    match loaded_graph {
-        Some(graph) => {
-            if report_collectives(&analyze_collectives(&graph)) {
-                failed = true;
-            }
-        }
-        None => {
-            failed = true;
-            println!("skipped (call graph unavailable)");
-        }
-    }
-
-    if failed {
-        eprintln!("hymv-verify effects: violations found");
-        ExitCode::FAILURE
-    } else {
-        println!("hymv-verify effects: all passes clean");
-        ExitCode::SUCCESS
-    }
 }
 
 fn parse_args() -> Result<Options, String> {
@@ -212,8 +70,6 @@ fn parse_args() -> Result<Options, String> {
         batch: hymv_core::DEFAULT_BATCH_WIDTH,
         ndof: 1,
         explicit_max: 16,
-        root: PathBuf::from("."),
-        skip_lint: false,
     };
     let mut args = std::env::args().skip(1);
     while let Some(flag) = args.next() {
@@ -253,8 +109,6 @@ fn parse_args() -> Result<Options, String> {
             "--explicit-max" => {
                 opts.explicit_max = val()?.parse().map_err(|e| format!("--explicit-max: {e}"))?
             }
-            "--root" => opts.root = PathBuf::from(val()?),
-            "--skip-lint" => opts.skip_lint = true,
             other => return Err(format!("unknown flag {other}")),
         }
     }
@@ -268,33 +122,6 @@ fn parse_args() -> Result<Options, String> {
 }
 
 fn main() -> ExitCode {
-    if let Some(sub @ ("effects" | "collectives")) = std::env::args().nth(1).as_deref() {
-        {
-            let mut root = PathBuf::from(".");
-            let mut args = std::env::args().skip(2);
-            while let Some(flag) = args.next() {
-                match flag.as_str() {
-                    "--root" => match args.next() {
-                        Some(v) => root = PathBuf::from(v),
-                        None => {
-                            eprintln!("hymv-verify: --root needs a value");
-                            return usage();
-                        }
-                    },
-                    other => {
-                        eprintln!("hymv-verify: unknown flag {other}");
-                        return usage();
-                    }
-                }
-            }
-            return if sub == "effects" {
-                run_effects(&root)
-            } else {
-                run_collectives(&root)
-            };
-        }
-    }
-
     let opts = match parse_args() {
         Ok(o) => o,
         Err(e) => {
@@ -408,26 +235,6 @@ fn main() -> ExitCode {
                 }
             }
             run_plan_bounds(&maps, &opts, &mut failed, p);
-        }
-    }
-
-    print!("workspace lint ............................... ");
-    if opts.skip_lint {
-        println!("skipped (--skip-lint)");
-    } else {
-        match lint_workspace(&opts.root) {
-            Ok(diags) if diags.is_empty() => println!("ok"),
-            Ok(diags) => {
-                failed = true;
-                println!("FAILED ({} finding(s))", diags.len());
-                for d in diags {
-                    println!("  {d}");
-                }
-            }
-            Err(e) => {
-                failed = true;
-                println!("FAILED\n  {e}");
-            }
         }
     }
 

@@ -1,9 +1,9 @@
-//! # hymv-verify — static analysis for the HYMV stack
+//! # hymv-verify — static proofs over HYMV's plans
 //!
 //! Where `hymv-check` observes the runtime (auditing real message logs,
-//! perturbing real schedules), `hymv-verify` reasons about the **plans
-//! and source** without executing the exchange, and its clean verdicts
-//! are proofs for the analyzed configuration, not samples:
+//! perturbing real schedules), `hymv-verify` reasons about the exchange
+//! and block **plans** without executing the exchange, and its clean
+//! verdicts are proofs for the analyzed configuration, not samples:
 //!
 //! * [`model`] — the **exchange-plan model checker**: builds the symbolic
 //!   per-rank Algorithm-2 schedule from `GhostExchange` plan data and
@@ -23,53 +23,24 @@
 //! * [`plan_bounds`] — the **block-plan index-bounds check**: every
 //!   gather/scatter-table index of a built `BlockPlan` addresses a DA
 //!   slot (the AVX-512 gather does no bounds check of its own).
-//! * [`lint`] — the **workspace lint pass**: a comment/string-aware token
-//!   scan rejecting raw tag literals at `Comm` call sites, blocking
-//!   receives inside the scatter overlap window, `#[allow(unsafe_code)]`
-//!   without a `// SAFETY:` comment, and wall-clock/ambient-RNG use
-//!   inside the numerical kernels. Line-local and fast — it runs as the
-//!   pre-pass of the interprocedural analysis below.
-//! * [`effects`] (with [`callgraph`] and [`lexer`] underneath) — the
-//!   **interprocedural phase-effect analysis**: a hand-rolled item parser
-//!   builds the workspace call graph, a fixed-point pass infers a lattice
-//!   of communication/runtime effects (`BlockingRecv`, `Waits`,
-//!   `SendsTag`, `GhostRead`/`GhostWrite`, `LedgerAccess`, `WallClock`,
-//!   `AmbientRng`, `Allocates`, `Unsafe`) per function, and the phase
-//!   rules are checked against the inferred summaries — so a blocking
-//!   receive hidden N calls deep inside a scatter overlap window is still
-//!   found.
-//! * [`collectives`] — the **collective-order pass** over the same call
-//!   graph: proves all ranks post identical collective sequences (no
-//!   collective-reaching call under a rank-dependent guard, no early
-//!   return past pending collectives), with minimal witness call chains
-//!   on violation and an inferred protocol report for every
-//!   `// verify: collective-entry` phase (DESIGN.md §14.3).
 //!
-//! The `hymv-verify` binary drives the plan passes over fig4-style meshes
-//! at a list of rank counts (explicit + parameterized below
-//! `--explicit-max`, parameterized-only above), `hymv-verify effects`
-//! runs the interprocedural analysis and the collective-order pass, and
-//! `hymv-verify collectives` runs the latter alone; see `DESIGN.md`
-//! §9/§12/§14 for the soundness arguments and their limits.
+//! The phase rules of Algorithm 2 — no blocking, allocation or ghost read
+//! inside the scatter window, the same collectives on every rank — are
+//! checked at run time by the protocol audit (`hymv-comm`, DESIGN.md §9);
+//! the line-local ones (`SAFETY` comments, no wall clock or ledger access
+//! in the kernel crates) by clippy.
+//!
+//! The `hymv-verify` binary drives the passes over fig4-style meshes at a
+//! list of rank counts (explicit + parameterized below `--explicit-max`,
+//! parameterized-only above); see `DESIGN.md` §14 for the soundness
+//! arguments and their limits.
 
 #![forbid(unsafe_code)]
 
-pub mod callgraph;
-pub mod collectives;
-pub mod effects;
-pub mod lexer;
-pub mod lint;
 pub mod model;
 pub mod param;
 pub mod plan_bounds;
 
-pub use callgraph::{CallGraph, CallSite, FnNode, Marker, Resolution};
-pub use collectives::{
-    analyze_collectives, CollectiveDiag, CollectiveEntrySeq, CollectivesReport, COLLECTIVE_SEEDS,
-};
-pub use effects::{analyze_effects, analyze_workspace_effects, effect, EffectSet, EffectsReport};
-pub use lexer::strip_comments_and_strings;
-pub use lint::{lint_source, lint_workspace, LintDiag};
 pub use model::{
     check_ghost_split, check_overlap_order, check_plan_consistency, check_system,
     check_system_with_cap, verify_exchange, ModelResult, Op, PlanSummary, SendMode, System,

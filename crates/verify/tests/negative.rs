@@ -1,6 +1,6 @@
 //! Negative fixtures for every `hymv-verify` static pass: each feeds the
-//! analyzer a plan or source snippet with a planted defect and asserts
-//! the *exact* counterexample or diagnostic comes back — guarding against
+//! analyzer a plan with a planted defect and asserts the *exact*
+//! counterexample or diagnostic comes back — guarding against
 //! the quiet failure mode of a static checker that "passes" because it
 //! stopped seeing anything.
 
@@ -8,8 +8,8 @@ use hymv_core::{BlockPlan, HymvMaps};
 use hymv_mesh::partition::{partition_mesh, PartitionMethod};
 use hymv_mesh::{ElementType, StructuredHexMesh};
 use hymv_verify::{
-    check_gidx_bounds, check_plan_bounds, check_plan_consistency, check_system, lint_source,
-    verify_exchange, Op, PlanSummary, SendMode, System,
+    check_gidx_bounds, check_plan_bounds, check_plan_consistency, check_system, verify_exchange,
+    Op, PlanSummary, SendMode, System,
 };
 
 // ---------------------------------------------------------------------------
@@ -156,89 +156,6 @@ fn plan_index_past_the_da_reports_set_block_and_index() {
 }
 
 // ---------------------------------------------------------------------------
-// Pass 3 fixtures: source lint
-// ---------------------------------------------------------------------------
-
-#[test]
-fn raw_tag_literal_snippet_yields_exact_diagnostic() {
-    let src =
-        "pub fn ring(comm: &mut Comm, next: usize) {\n    comm.isend(next, 7, vec![1u8]);\n}\n";
-    let v = lint_source("crates/demo/src/ring.rs", src);
-    assert_eq!(v.len(), 1, "{v:?}");
-    assert_eq!(v[0].file, "crates/demo/src/ring.rs");
-    assert_eq!(v[0].line, 2);
-    assert_eq!(v[0].rule, "raw-tag-literal");
-    assert!(
-        v[0].message
-            .contains("`isend` called with raw tag literal `7`"),
-        "{}",
-        v[0].message
-    );
-}
-
-#[test]
-fn reserved_range_literal_is_called_out() {
-    let src = "comm.recv_any(0xF000_0000);\n";
-    let v = lint_source("crates/demo/src/lib.rs", src);
-    assert_eq!(v.len(), 1, "{v:?}");
-    assert!(v[0].message.contains("reserved range"), "{}", v[0].message);
-}
-
-#[test]
-fn blocking_recv_in_overlap_window_flagged_with_window_line() {
-    let src = "pub fn bad(ex: &GhostExchange, comm: &mut Comm, u: &mut DistArray) {\n\
-               \x20   ex.scatter_begin(comm, u);\n\
-               \x20   let extra = comm.recv(0, TAG_SIDE);\n\
-               \x20   ex.scatter_end(comm, u);\n\
-               }\n";
-    let v = lint_source("crates/demo/src/lib.rs", src);
-    assert_eq!(v.len(), 1, "{v:?}");
-    assert_eq!(v[0].rule, "blocking-recv-in-overlap");
-    assert_eq!(v[0].line, 3);
-    assert!(
-        v[0].message.contains("`scatter_begin` at line 2"),
-        "{}",
-        v[0].message
-    );
-}
-
-#[test]
-fn allow_unsafe_without_safety_comment_flagged() {
-    let src = "fn f(p: *mut f64) {\n    #[allow(unsafe_code)]\n    unsafe { *p = 0.0 };\n}\n";
-    let v = lint_source("crates/demo/src/lib.rs", src);
-    assert_eq!(v.len(), 1, "{v:?}");
-    assert_eq!(v[0].rule, "unsafe-without-safety");
-    assert_eq!(v[0].line, 2);
-}
-
-#[test]
-fn wall_clock_in_kernel_crate_flagged() {
-    let src = "pub fn emv_timed() {\n    let t0 = std::time::Instant::now();\n}\n";
-    let v = lint_source("crates/la/src/dense.rs", src);
-    assert_eq!(v.len(), 1, "{v:?}");
-    assert_eq!(v[0].rule, "nondeterminism-in-kernel");
-    assert_eq!(v[0].line, 2);
-    assert!(v[0].message.contains("Instant::now"), "{}", v[0].message);
-}
-
-#[test]
-fn ledger_access_in_operator_code_flagged() {
-    let src = "pub fn matvec_timed(comm: &mut Comm) {\n\
-               \x20   let t0 = hymv_comm::thread_cpu_time();\n\
-               \x20   let wait = comm.ledger().comm_wait_s;\n\
-               }\n";
-    let v = lint_source("crates/core/src/operator.rs", src);
-    assert_eq!(v.len(), 2, "{v:?}");
-    assert!(v.iter().all(|d| d.rule == "ledger-access-in-kernel"));
-    assert_eq!(v[0].line, 2);
-    assert!(v[0].message.contains("thread_cpu_time"), "{}", v[0].message);
-    assert!(v[1].message.contains("ledger()"), "{}", v[1].message);
-    // The same text outside the kernel crates is legitimate (the bench
-    // harness reads the ledger to build its reports).
-    assert!(lint_source("crates/bench/src/runner.rs", src).is_empty());
-}
-
-// ---------------------------------------------------------------------------
 // Positive controls: the real system proves clean
 // ---------------------------------------------------------------------------
 
@@ -267,23 +184,4 @@ fn fig4_plans_verify_clean_np_1_2_4_8() {
             assert!(report.is_clean(), "np={p} rank={rank}: {report}");
         }
     }
-}
-
-/// The workspace's own source must pass its own lint (this is also what
-/// keeps the lint rules honest: a false positive here breaks the build).
-#[test]
-fn workspace_lint_is_clean_on_this_repo() {
-    let root = std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
-        .join("..")
-        .join("..");
-    let diags = hymv_verify::lint_workspace(&root).expect("workspace root");
-    assert!(
-        diags.is_empty(),
-        "workspace lint findings:\n{}",
-        diags
-            .iter()
-            .map(ToString::to_string)
-            .collect::<Vec<_>>()
-            .join("\n")
-    );
 }
